@@ -1,10 +1,11 @@
 """Command-line surface: fuse, eval, sweep, stats and link subcommands.
 
 Every command is deterministic given (inputs, flags, seed). Exit codes:
-0 success, 2 input/schema error, 3 external-scorer failure, 4 internal
-invariant violation. A ``--config FILE`` of key=value lines mirrors every
-flag (keys are the long flag names without the leading dashes); explicit
-flags win over the config file. TRIFUSE_THREADS caps per-scan workers.
+0 success, 2 input/schema error or an output path that cannot be written,
+3 external-scorer failure, 4 internal invariant violation. A ``--config
+FILE`` of key=value lines mirrors every flag (keys are the long flag names
+without the leading dashes); explicit flags win over the config file.
+TRIFUSE_THREADS caps per-scan workers.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .froc import (
     STRATIFIERS,
     detection_probability_summary,
     evaluate,
-    match_lesions,
     resolve_stratifier,
     stratified_eval,
 )
@@ -278,8 +278,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     fileio.write_json(out_dir / "metrics.raw.json", payload)
     fileio.write_csv(out_dir / "metrics.csv", fileio.METRICS_CSV_HEADER,
                      fileio.metrics_csv_rows(named), digest)
-    matches = match_lesions(candidates, references)
-    fileio.write_matches_csv(out_dir / "matches.csv", matches, label, digest)
+    fileio.write_matches_csv(out_dir / "matches.csv", named["overall"].matches, label, digest)
     fileio.write_manifest(out_dir / "manifest.json", manifest)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -577,6 +576,11 @@ def main(argv=None) -> int:
     except InvariantError as err:
         print(f"invariant violation: {err}", file=sys.stderr)
         return 4
+    except OSError as err:
+        # mostly an output path that cannot be written; inputs are checked as read
+        where = f"{err.filename}: " if err.filename else ""
+        print(f"error: {where}{err.strerror or err}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

@@ -1,9 +1,10 @@
 """File schemas, manifests and serialization helpers.
 
-All CSV files are UTF-8 with a mandatory header row and '.' as the decimal
-separator. Parse failures name the file, row and column; nothing is coerced
-silently. Writers emit a leading ``# manifest_digest=...`` comment line and
-readers skip ``#`` lines, so every output round-trips through its reader.
+All CSV files are UTF-8 (a leading byte-order mark is accepted) with a
+mandatory header row and '.' as the decimal separator. Parse failures name the
+file, physical line and column; nothing is coerced silently. Writers emit a
+leading ``# manifest_digest=...`` comment line and readers skip ``#`` lines,
+so every output round-trips through its reader.
 
 World coordinates are LPS millimeters on disk; RAS input is converted at
 ingestion (x and y negate) when requested.
@@ -23,7 +24,7 @@ import json
 import math
 import os
 import tempfile
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -69,31 +70,39 @@ def convert_to_lps(x: float, y: float, z: float, convention: str) -> tuple[float
 # low-level CSV plumbing
 
 
-def _csv_lines(path: Path) -> Iterable[str]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                continue
-            yield line
+def _csv_lines(fh, last_line: list[int]) -> Iterable[str]:
+    """The lines of ``fh`` that are not ``#`` comments; ``last_line[0]`` holds the
+    physical number of the line yielded last."""
+    for line_num, line in enumerate(fh, start=1):
+        if line.startswith("#"):
+            continue
+        last_line[0] = line_num
+        yield line
 
 
-def _read_rows(path: str | Path, required: Sequence[str]) -> list[dict[str, str]]:
+def _read_rows(path: str | Path, required: Sequence[str]) -> Iterator[tuple[int, dict[str, str]]]:
+    """Data rows of a CSV file, each with the physical line number it ends on.
+
+    A leading UTF-8 byte-order mark (as spreadsheet exports write) is dropped.
+    """
     path = Path(path)
     if not path.exists():
         raise InputError(f"{path}: file does not exist")
-    reader = csv.DictReader(_csv_lines(path))
-    if reader.fieldnames is None:
-        raise InputError(f"{path}: missing header row")
-    fieldnames = [name.strip() for name in reader.fieldnames]
-    for column in required:
-        if column not in fieldnames:
-            raise InputError(f"{path}: column {column} missing")
-    rows = []
-    for row_num, row in enumerate(reader, start=2):
-        if None in row:
-            raise InputError(f"{path}:{row_num}: more cells than header columns")
-        rows.append({(k.strip() if k else k): (v if v is not None else "") for k, v in row.items()})
-    return rows
+    last_line = [0]
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.DictReader(_csv_lines(fh, last_line))
+        if reader.fieldnames is None:
+            raise InputError(f"{path}: missing header row")
+        fieldnames = [name.strip() for name in reader.fieldnames]
+        for column in required:
+            if column not in fieldnames:
+                raise InputError(f"{path}: column {column} missing")
+        for row in reader:
+            row_num = last_line[0]
+            if None in row:
+                raise InputError(f"{path}:{row_num}: more cells than header columns")
+            yield row_num, {(k.strip() if k else k): (v if v is not None else "")
+                            for k, v in row.items()}
 
 
 def _cell(path, row_num: int, row: Mapping[str, str], column: str) -> str:
@@ -185,10 +194,9 @@ def read_candidates(
     path: str | Path, convention: str = "lps", expected_model: str | None = None
 ) -> list[CandidateDetection]:
     path = Path(path)
-    rows = _read_rows(path, CANDIDATE_COLUMNS)
     out = []
     seen = set()
-    for row_num, row in enumerate(rows, start=2):
+    for row_num, row in _read_rows(path, CANDIDATE_COLUMNS):
         model = _parse_str(path, row_num, row, "model")
         if expected_model is not None and model != expected_model:
             raise InputError(
@@ -217,10 +225,9 @@ def read_candidates(
 
 def read_references(path: str | Path, convention: str = "lps") -> list[ReferenceNodule]:
     path = Path(path)
-    rows = _read_rows(path, REFERENCE_COLUMNS)
     out = []
     seen = set()
-    for row_num, row in enumerate(rows, start=2):
+    for row_num, row in _read_rows(path, REFERENCE_COLUMNS):
         x = _parse_float(path, row_num, row, "x_mm")
         y = _parse_float(path, row_num, row, "y_mm")
         z = _parse_float(path, row_num, row, "z_mm")
@@ -260,9 +267,8 @@ def read_references(path: str | Path, convention: str = "lps") -> list[Reference
 
 def read_cadx_scores(path: str | Path) -> dict[tuple[str, str, str], CadxScores]:
     path = Path(path)
-    rows = _read_rows(path, CADX_SCORE_COLUMNS)
     out: dict[tuple[str, str, str], CadxScores] = {}
-    for row_num, row in enumerate(rows, start=2):
+    for row_num, row in _read_rows(path, CADX_SCORE_COLUMNS):
         key = (
             _parse_str(path, row_num, row, "scan_id"),
             _parse_str(path, row_num, row, "model"),
@@ -282,9 +288,8 @@ def read_cadx_scores(path: str | Path) -> dict[tuple[str, str, str], CadxScores]
 
 def read_labeled_scores(path: str | Path) -> tuple[list[float], list[str]]:
     path = Path(path)
-    rows = _read_rows(path, LABELED_SCORE_COLUMNS)
     scores, labels = [], []
-    for row_num, row in enumerate(rows, start=2):
+    for row_num, row in _read_rows(path, LABELED_SCORE_COLUMNS):
         scores.append(_parse_float(path, row_num, row, "score"))
         labels.append(_parse_str(path, row_num, row, "label"))
     return scores, labels
@@ -296,7 +301,7 @@ def read_reports(path: str | Path) -> list[tuple[str, str, str]]:
     if not path.exists():
         raise InputError(f"{path}: file does not exist")
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line_num, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
@@ -327,9 +332,8 @@ class FusedRecord:
 
 def read_fused(path: str | Path, convention: str = "lps") -> list[FusedRecord]:
     path = Path(path)
-    rows = _read_rows(path, FUSED_COLUMNS)
     out = []
-    for row_num, row in enumerate(rows, start=2):
+    for row_num, row in _read_rows(path, FUSED_COLUMNS):
         x = _parse_float(path, row_num, row, "x_mm")
         y = _parse_float(path, row_num, row, "y_mm")
         z = _parse_float(path, row_num, row, "z_mm")
@@ -357,8 +361,7 @@ def read_match_files(paths: Sequence[str | Path]) -> dict[str, dict[tuple[str, s
     out: dict[str, dict[tuple[str, str], float | None]] = {}
     for path in paths:
         path = Path(path)
-        rows = _read_rows(path, MATCH_COLUMNS)
-        for row_num, row in enumerate(rows, start=2):
+        for row_num, row in _read_rows(path, MATCH_COLUMNS):
             model = _parse_str(path, row_num, row, "model")
             key = (
                 _parse_str(path, row_num, row, "scan_id"),

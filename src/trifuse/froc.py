@@ -21,8 +21,8 @@ out-of-stratum references count as false positives there.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -240,33 +240,71 @@ class BootstrapCI:
 
 def _bootstrap_intervals(
     result: LesionMatchResult,
-    statistics: dict[str, Callable[[LesionMatchResult], float]],
+    statistics: Mapping[str, float | None],
     resamples: int,
     seed: int,
+    rates: Sequence[float] = FP_RATES,
 ) -> dict[str, BootstrapCI]:
     """Scan-level percentile bootstrap; one resampling pass for all statistics.
+
+    ``statistics`` maps each output name to the false-positive rate whose
+    sensitivity it resamples, or to None for the CPM.
 
     Resample i draws scans with replacement using a generator seeded with
     (seed, i), so results do not depend on evaluation order. Resamples with
     zero reference lesions are skipped and counted.
+
+    A resample is the draw count of every scan. Its true and false positives
+    at or above each threshold are draw-weighted counts on the full result's
+    score grid; the first admissible threshold there has the same counts as
+    on the resample's own grid, so each sensitivity equals the one
+    ``froc_curve`` gives for the resampled scans.
     """
     if resamples < 1:
         raise InputError("bootstrap needs at least one resample")
     if result.n_scans < 1:
         raise InputError("bootstrap needs at least one scan")
     n = result.n_scans
+    rates = tuple(rates)
+    positions = {
+        name: next((k for k, r in enumerate(rates) if r == rate), None)
+        for name, rate in statistics.items()
+        if rate is not None
+    }
+    n_refs = np.array([s.n_references for s in result.scans], dtype=np.int64)
+    tp_scan = np.array([j for j, s in enumerate(result.scans) for _ in s.tp], dtype=np.intp)
+    fp_scan = np.array([j for j, s in enumerate(result.scans) for _ in s.fp], dtype=np.intp)
+    tp_scores = np.array([t.score for s in result.scans for t in s.tp], dtype=np.float64)
+    fp_scores = np.array([f[1] for s in result.scans for f in s.fp], dtype=np.float64)
+    grid = np.unique(np.concatenate([tp_scores, fp_scores]))  # ascending
+    tp_rank = np.searchsorted(grid, tp_scores)
+    fp_rank = np.searchsorted(grid, fp_scores)
+    allowed = -np.array(rates, dtype=np.float64) * n
+
     values: dict[str, list[float]] = {name: [] for name in statistics}
     skipped = 0
     for i in range(resamples):
         rng = np.random.default_rng((seed, i))
         idx = rng.integers(0, n, size=n)
-        scans = tuple(result.scans[j] for j in idx)
-        sample = LesionMatchResult(scans=scans)
-        if sample.n_references == 0:
+        w = np.bincount(idx, minlength=n)
+        n_lesions = int(w @ n_refs)
+        if n_lesions == 0:
             skipped += 1
             continue
-        for name, fn in statistics.items():
-            values[name].append(fn(sample))
+        # scores >= each grid threshold, plus a zero count above the top one
+        tp_counts = np.zeros(grid.size + 1)
+        tp_counts[:-1] = np.bincount(tp_rank, w[tp_scan], grid.size)[::-1].cumsum()[::-1]
+        fp_counts = np.bincount(fp_rank, w[fp_scan], grid.size)[::-1].cumsum()[::-1]
+        # fp_counts never rises with the threshold: first index with fp <= rate * n
+        first = np.searchsorted(-fp_counts, allowed, side="left")
+        sens = (tp_counts[first] / n_lesions).tolist()
+        for name, rate in statistics.items():
+            if rate is None:
+                values[name].append(float(sum(sens) / len(sens)))
+            elif positions[name] is None:
+                raise InputError(f"rate {rate} not on the curve")
+            else:
+                values[name].append(sens[positions[name]])
     out = {}
     for name, vals in values.items():
         if not vals:
@@ -287,13 +325,10 @@ def bootstrap_ci(
     rates: Sequence[float] = FP_RATES,
 ) -> BootstrapCI:
     """Percentile bootstrap CI for the CPM or for sensitivity at one rate."""
-    if statistic == "cpm":
-        fn = lambda sample: cpm(froc_curve(sample, rates))
-    elif statistic == "sensitivity":
-        fn = lambda sample: froc_curve(sample, rates).sensitivity_at(rate)
-    else:
+    if statistic not in ("cpm", "sensitivity"):
         raise InputError(f"unknown bootstrap statistic {statistic!r}")
-    return _bootstrap_intervals(result, {statistic: fn}, resamples, seed)[statistic]
+    statistics = {statistic: rate if statistic == "sensitivity" else None}
+    return _bootstrap_intervals(result, statistics, resamples, seed, rates)[statistic]
 
 
 @dataclass(frozen=True)
@@ -304,6 +339,8 @@ class FrocResult:
     candidates_per_scan: float
     cpm_ci: tuple[float, float] | None = None
     sens_at_1fp_ci: tuple[float, float] | None = None
+    # the matching the metrics were computed from; not part of equality
+    matches: LesionMatchResult | None = field(default=None, repr=False, compare=False)
 
     @property
     def sensitivity_at_1fp(self) -> float:
@@ -324,15 +361,7 @@ def evaluate(
     curve = froc_curve(result, rates)
     cis: dict[str, BootstrapCI] = {}
     if ci:
-        cis = _bootstrap_intervals(
-            result,
-            {
-                "cpm": lambda s: cpm(froc_curve(s, rates)),
-                "sens1": lambda s: froc_curve(s, rates).sensitivity_at(1.0),
-            },
-            resamples,
-            seed,
-        )
+        cis = _bootstrap_intervals(result, {"cpm": None, "sens1": 1.0}, resamples, seed, rates)
     return FrocResult(
         curve=curve,
         cpm=cpm(curve),
@@ -340,6 +369,7 @@ def evaluate(
         candidates_per_scan=result.n_candidates / result.n_scans,
         cpm_ci=cis["cpm"].interval if cis else None,
         sens_at_1fp_ci=cis["sens1"].interval if cis else None,
+        matches=result,
     )
 
 

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to cross-check the library.
 
-Everything here works on plain tuples and enumerates exhaustively; nothing
-imports the code under test.
+Everything here works on plain tuples and enumerates exhaustively (or, for
+the bootstrap, recomputes every resample from scratch); nothing imports the
+code under test.
 
 Conventions:
   candidate = (cid, (x, y, z), score)
@@ -10,6 +11,8 @@ Conventions:
 
 import itertools
 import math
+
+import numpy as np
 
 
 def hit_tolerance(diameter_mm):
@@ -95,6 +98,64 @@ def oracle_froc(scan_data, rates):
                 best = max(best, s)
         sens.append(best)
     return sens
+
+
+def oracle_bootstrap(scans, statistics, resamples, seed, rates):
+    """Scan-level percentile bootstrap, one full FROC curve per resample.
+
+    The scalar reference for the library's bootstrap: resample i draws scan
+    indices with ``default_rng((seed, i)).integers(0, n, size=n)``, rebuilds
+    the resampled cohort and its curve on the resample's own score grid.
+    scans: list of (n_references, tp_scores, fp_scores). statistics: name ->
+    ("cpm", None) or ("sensitivity", rate). Returns name -> (lo, hi, used,
+    skipped). Raises ValueError with the library's messages.
+    """
+    for kind, _ in statistics.values():
+        if kind not in ("cpm", "sensitivity"):
+            raise ValueError(f"unknown bootstrap statistic {kind!r}")
+    if resamples < 1:
+        raise ValueError("bootstrap needs at least one resample")
+    n = len(scans)
+    if n < 1:
+        raise ValueError("bootstrap needs at least one scan")
+    values = {name: [] for name in statistics}
+    skipped = 0
+    for i in range(resamples):
+        idx = np.random.default_rng((seed, i)).integers(0, n, size=n)
+        sample = [scans[j] for j in idx]
+        n_lesions = sum(s[0] for s in sample)
+        if n_lesions == 0:
+            skipped += 1
+            continue
+        tp = np.sort(np.array([x for s in sample for x in s[1]], dtype=np.float64))
+        fp = np.sort(np.array([x for s in sample for x in s[2]], dtype=np.float64))
+        thresholds = np.unique(np.concatenate([tp, fp]))
+        tp_counts = tp.size - np.searchsorted(tp, thresholds, side="left")
+        fp_counts = fp.size - np.searchsorted(fp, thresholds, side="left")
+        sens = []
+        for rate in rates:
+            admissible = np.nonzero(fp_counts <= rate * n)[0]
+            if admissible.size == 0:
+                sens.append(0.0)
+            else:
+                sens.append(float(tp_counts[admissible[0]]) / n_lesions)
+        for name, (kind, rate) in statistics.items():
+            if kind == "cpm":
+                values[name].append(float(sum(sens) / len(sens)))
+                continue
+            for r, s in zip(rates, sens):
+                if r == rate:
+                    values[name].append(s)
+                    break
+            else:
+                raise ValueError(f"rate {rate} not on the curve")
+    out = {}
+    for name, vals in values.items():
+        if not vals:
+            raise ValueError("every bootstrap resample had zero reference lesions")
+        lo, hi = np.percentile(np.array(vals, dtype=np.float64), [2.5, 97.5])
+        out[name] = (float(lo), float(hi), len(vals), skipped)
+    return out
 
 
 def oracle_confusion(scores, labels, tau):

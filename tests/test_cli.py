@@ -267,6 +267,19 @@ class TestEvalCommand:
         assert code == 2
         assert "no reference lesions" in capsys.readouterr().err
 
+    def test_unwritable_output_exits_2(self, tmp_path, e2e_inputs, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        code = run(["eval", "--candidates", e2e_inputs["cade_a"],
+                    "--references", e2e_inputs["references"], "--out", taken])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {taken}: ") and "Traceback" not in err
+        code = run(["fuse", "--cade-a", e2e_inputs["cade_a"], "--cade-b", e2e_inputs["cade_b"],
+                    "--cadx-scores", e2e_inputs["cadx_scores"], "--out", taken / "fused.csv"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {taken}")
+
 
 class TestSweepCommand:
     def test_cadx_single_zero_threshold(self, tmp_path):

@@ -78,6 +78,30 @@ class TestCandidateReader:
         )
         assert len(fileio.read_candidates(path)) == 1
 
+    def test_errors_name_physical_lines_after_comments_and_blanks(self, tmp_path):
+        path = write(
+            tmp_path / "comment.csv",
+            "# manifest_digest=abc123\n" + CANDIDATE_HEADER + "s1,c1,1,2,3,,0.5,CADE_A\n"
+            "s1,c2,1,2,3,,high,CADE_A\n",
+        )
+        with pytest.raises(InputError, match=r"comment\.csv:4: column score"):
+            fileio.read_candidates(path)
+        path = write(
+            tmp_path / "blank.csv",
+            CANDIDATE_HEADER + "s1,c1,1,2,3,,0.5,CADE_A\n\n# note\ns1,c2,1,2,3,,0.5,CADE_A,x\n",
+        )
+        with pytest.raises(InputError, match=r"blank\.csv:5: more cells"):
+            fileio.read_candidates(path)
+
+    def test_byte_order_mark_header_accepted(self, tmp_path):
+        text = "# manifest_digest=abc123\n" + CANDIDATE_HEADER + "s1,c1,1,2,3,,0.5,CADE_A\n"
+        plain = write(tmp_path / "plain.csv", text)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert fileio.read_candidates(bom) == fileio.read_candidates(plain)
+        bom.write_bytes(b"\xef\xbb\xbf" + text.split("\n", 1)[1].encode("utf-8"))
+        assert fileio.read_candidates(bom) == fileio.read_candidates(plain)
+
 
 class TestReferenceReader:
     def test_optional_fields_and_ratings(self, tmp_path):
@@ -214,6 +238,11 @@ class TestReports:
         path = write(tmp_path / "rep.tsv", "r1\ts1\n")
         with pytest.raises(InputError, match="expected 3"):
             fileio.read_reports(path)
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        path = tmp_path / "rep.tsv"
+        path.write_bytes(b"\xef\xbb\xbf# exported\nr1\ts1\t8 mm nodule\n")
+        assert fileio.read_reports(path) == [("r1", "s1", "8 mm nodule")]
 
 
 class TestManifest:

@@ -5,8 +5,13 @@ from trifuse.errors import InputError
 from trifuse.froc import (
     DLCS_SIZE_BINS,
     FP_RATES,
+    BootstrapCI,
     FrocCurve,
     IMD_SIZE_BINS,
+    LesionMatchResult,
+    ScanMatch,
+    TruePositive,
+    _bootstrap_intervals,
     bootstrap_ci,
     cpm,
     detection_probability_summary,
@@ -24,7 +29,13 @@ from conftest import (
     cpm_fixture_tuples,
     ref,
 )
-from oracles import balls_disjoint, oracle_froc, oracle_match, oracle_max_matching
+from oracles import (
+    balls_disjoint,
+    oracle_bootstrap,
+    oracle_froc,
+    oracle_match,
+    oracle_max_matching,
+)
 
 
 class TestMatchLesions:
@@ -247,6 +258,118 @@ class TestBootstrap:
         result = match_lesions(cands, refs)
         ci = bootstrap_ci(result, "sensitivity", rate=1.0, resamples=200, seed=1)
         assert 0.0 <= ci.lo <= ci.hi <= 1.0
+
+
+def random_match_result(rng, n_scans, p_no_refs, p_no_cands, tied):
+    """A match result drawn directly: TP/FP counts and scores per scan."""
+    scans = []
+    for j in range(n_scans):
+        sid = f"s{j:03d}"
+        n_refs = 0 if rng.random() < p_no_refs else int(rng.integers(1, 4))
+        n_tp = n_fp = 0
+        if rng.random() >= p_no_cands:
+            n_tp = int(rng.integers(0, n_refs + 1))
+            n_fp = int(rng.integers(0, 7))
+        if tied:  # eight score levels: TPs and FPs tie within and across scans
+            scores = rng.integers(1, 9, size=n_tp + n_fp) / 8.0
+        else:
+            scores = rng.uniform(0.05, 1.0, size=n_tp + n_fp)
+        tp = tuple(TruePositive(sid, f"n{k}", f"c{k}", float(scores[k])) for k in range(n_tp))
+        fp = tuple((f"f{k}", float(scores[n_tp + k])) for k in range(n_fp))
+        fn = tuple(f"n{k}" for k in range(n_tp, n_refs))
+        scans.append(ScanMatch(sid, n_refs, tp, fn, fp))
+    return LesionMatchResult(tuple(scans))
+
+
+def plain_scans(result):
+    return [(s.n_references, [t.score for t in s.tp], [f[1] for f in s.fp])
+            for s in result.scans]
+
+
+def oracle_ci(result, statistics, resamples, seed, rates=FP_RATES):
+    out = oracle_bootstrap(plain_scans(result), statistics, resamples, seed, rates)
+    return {name: BootstrapCI(*values) for name, values in out.items()}
+
+
+def raised(fn):
+    try:
+        fn()
+    except (InputError, ValueError) as err:
+        return type(err), str(err)
+    raise AssertionError("no error raised")
+
+
+class TestBootstrapAgainstOracle:
+    """The count-weighted bootstrap equals the per-resample curve rebuild exactly."""
+
+    CASES = [
+        # (n_scans, p_no_refs, p_no_cands, tied)
+        (1, 0.0, 0.0, True),
+        (1, 0.0, 1.0, False),
+        (2, 0.5, 0.3, True),
+        (3, 0.6, 0.3, True),
+        (5, 0.5, 0.5, True),
+        (12, 0.3, 0.2, True),
+        (12, 0.3, 0.2, False),
+        (60, 0.1, 0.1, True),
+        (150, 0.1, 0.1, False),
+    ]
+
+    def cohorts(self):
+        for k, (n_scans, p_no_refs, p_no_cands, tied) in enumerate(self.CASES):
+            rng = np.random.default_rng([11, k])
+            for _ in range(3):
+                result = random_match_result(rng, n_scans, p_no_refs, p_no_cands, tied)
+                if result.n_references:
+                    yield result
+
+    def test_single_statistics_equal_oracle(self):
+        skipped = empty_scans = 0
+        for c, result in enumerate(self.cohorts()):
+            seed = 100 + c
+            resamples = 40
+            got = bootstrap_ci(result, "cpm", resamples=resamples, seed=seed)
+            assert got == oracle_ci(result, {"cpm": ("cpm", None)}, resamples, seed)["cpm"]
+            for rate in (0.125, 1.0, 4.0):
+                got = bootstrap_ci(result, "sensitivity", rate=rate, resamples=resamples, seed=seed)
+                want = oracle_ci(result, {"s": ("sensitivity", rate)}, resamples, seed)["s"]
+                assert got == want
+            skipped += got.resamples_skipped
+            empty_scans += sum(1 for s in result.scans if not s.tp and not s.fp)
+        assert skipped > 0 and empty_scans > 0  # both edge cases were exercised
+
+    def test_joint_statistics_and_custom_rates_equal_oracle(self):
+        rates = (0.5, 2.0, 3.0)
+        for c, result in enumerate(self.cohorts()):
+            got = _bootstrap_intervals(result, {"cpm": None, "s2": 2.0}, 30, c, rates)
+            want = oracle_ci(result, {"cpm": ("cpm", None), "s2": ("sensitivity", 2.0)},
+                             30, c, rates)
+            assert got == want
+
+    def test_evaluate_intervals_equal_oracle(self):
+        cands, refs = cpm_fixture()
+        out = evaluate(cands, refs, ci=True, resamples=200, seed=5)
+        want = oracle_ci(match_lesions(cands, refs),
+                         {"cpm": ("cpm", None), "s1": ("sensitivity", 1.0)}, 200, 5)
+        assert out.cpm_ci == want["cpm"].interval
+        assert out.sens_at_1fp_ci == want["s1"].interval
+
+    def test_errors_equal_oracle(self):
+        rng = np.random.default_rng(3)
+        result = random_match_result(rng, 8, 0.2, 0.2, True)
+        no_refs = random_match_result(rng, 1, 1.0, 0.0, True)
+        calls = [
+            (result, "auc", 1.0, 20, {"x": ("auc", None)}),
+            (result, "sensitivity", 0.3, 20, {"x": ("sensitivity", 0.3)}),
+            (result, "cpm", 1.0, 0, {"x": ("cpm", None)}),
+            (no_refs, "cpm", 1.0, 20, {"x": ("cpm", None)}),
+            (no_refs, "sensitivity", 0.3, 20, {"x": ("sensitivity", 0.3)}),
+        ]
+        for res, statistic, rate, resamples, spec in calls:
+            err_type, message = raised(
+                lambda: bootstrap_ci(res, statistic, rate=rate, resamples=resamples, seed=9))
+            assert err_type is InputError
+            assert raised(lambda: oracle_ci(res, spec, resamples, 9)) == (ValueError, message)
 
 
 class TestStratified:
