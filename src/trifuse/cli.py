@@ -5,13 +5,12 @@ Every command is deterministic given (inputs, flags, seed). Exit codes:
 3 external-scorer failure, 4 internal invariant violation. A ``--config
 FILE`` of key=value lines mirrors every flag (keys are the long flag names
 without the leading dashes); explicit flags win over the config file.
-TRIFUSE_THREADS caps per-scan workers.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import contextlib
 import sys
 import tempfile
 from pathlib import Path
@@ -46,17 +45,6 @@ from .volume import Volume, load_volume
 
 DEFAULT_SEED = 17
 DEFAULT_RESAMPLES = 1000
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("TRIFUSE_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"TRIFUSE_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
 
 
 class _Options:
@@ -107,19 +95,24 @@ def _parse_thresholds(text: str) -> list[float]:
 
 
 def _volume_dir_loader(directory: str | Path, kind: str):
-    """Per-scan volume loader with caching; records which files were read."""
+    """Per-scan volume loader; records which files were read.
+
+    Only the last requested scan stays resident. Commands work scan by scan,
+    so every lookup within a scan reuses it and each volume is mapped once.
+    """
     directory = Path(directory)
-    cache: dict[str, Volume] = {}
+    current: dict[str, Volume] = {}
     loaded: dict[str, Path] = {}
 
     def load(scan_id: str) -> Volume:
-        if scan_id not in cache:
+        if scan_id not in current:
             header = directory / f"{scan_id}.hdr"
             if not header.exists():
                 raise InputError(f"no {kind} volume for scan {scan_id!r}: {header} not found")
-            cache[scan_id] = load_volume(header)
+            current.clear()
+            current[scan_id] = load_volume(header)
             loaded[scan_id] = header
-        return cache[scan_id]
+        return current[scan_id]
 
     return load, loaded
 
@@ -158,17 +151,9 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     cadx_cmd = opts.get("cadx-cmd")
     if cadx_scores_path and cadx_cmd:
         raise InputError("use either --cadx-scores or --cadx-cmd, not both")
-    provider = None
-    if cadx_scores_path:
-        provider = FileCadxProvider(fileio.read_cadx_scores(cadx_scores_path))
-    elif cadx_cmd:
-        volumes_dir = opts.get("volumes")
-        if not volumes_dir:
-            raise InputError("--cadx-cmd needs --volumes DIR to extract patches from")
-        volume_loader, _ = _volume_dir_loader(volumes_dir, "intensity")
-        provider = CommandCadxProvider(
-            cadx_cmd, volume_loader, workdir=Path(tempfile.mkdtemp(prefix="trifuse_patch_"))
-        )
+    volumes_dir = opts.get("volumes")
+    if cadx_cmd and not volumes_dir:
+        raise InputError("--cadx-cmd needs --volumes DIR to extract patches from")
 
     masks_dir = opts.get("masks")
     mask_loader = None
@@ -176,20 +161,32 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     if masks_dir:
         mask_loader, masks_loaded = _volume_dir_loader(masks_dir, "mask")
 
-    output = fuse_scans(
-        candidates_a,
-        candidates_b,
-        cadx_provider=provider,
-        masks=mask_loader,
-        cfg=cfg,
-        max_workers=_worker_count(),
-    )
+    volumes_loaded: dict[str, Path] = {}
+    # patches for the external scorer live only as long as the fusion run
+    patch_dir = (tempfile.TemporaryDirectory(prefix="trifuse_patch_") if cadx_cmd
+                 else contextlib.nullcontext())
+    with patch_dir as workdir:
+        provider = None
+        if cadx_scores_path:
+            provider = FileCadxProvider(fileio.read_cadx_scores(cadx_scores_path))
+        elif cadx_cmd:
+            volume_loader, volumes_loaded = _volume_dir_loader(volumes_dir, "intensity")
+            provider = CommandCadxProvider(cadx_cmd, volume_loader, workdir=workdir)
+        output = fuse_scans(
+            candidates_a,
+            candidates_b,
+            cadx_provider=provider,
+            masks=mask_loader,
+            cfg=cfg,
+        )
 
     inputs = {"cade_a": cade_a, "cade_b": cade_b}
     if cadx_scores_path:
         inputs["cadx_scores"] = cadx_scores_path
     for scan_id, header in sorted(masks_loaded.items()):
         inputs[f"mask:{scan_id}"] = header
+    for scan_id, header in sorted(volumes_loaded.items()):
+        inputs[f"volume:{scan_id}"] = header
     manifest = fileio.build_manifest(
         command="fuse",
         config={
@@ -429,42 +426,39 @@ def cmd_link(args: argparse.Namespace) -> int:
         mask_loader, masks_loaded = _volume_dir_loader(opts.get("masks"), "mask")
 
     entities = []
-    reported_scans = set()
+    entities_by_scan: dict[str, list] = {}
     for report_id, scan_id, text in reports:
-        reported_scans.add(scan_id)
-        entities.extend(extract_entities(text, grammar, report_id=report_id, scan_id=scan_id))
+        found = extract_entities(text, grammar, report_id=report_id, scan_id=scan_id)
+        entities.extend(found)
+        entities_by_scan.setdefault(scan_id, []).extend(found)
 
     # linkage is scoped to scans that have a report; candidates on scans
     # never mentioned in any report stay out of the match table
-    candidates = []
+    records_by_scan: dict[str, list] = {}
     for record in fused:
-        if record.scan_id not in reported_scans:
-            continue
-        lobe = None
-        if mask_loader is not None:
-            mask = mask_loader(record.scan_id)
-            lobe = lobe_of_candidate(record, mask)
-        candidates.append(
+        if record.scan_id in entities_by_scan:
+            records_by_scan.setdefault(record.scan_id, []).append(record)
+
+    matches = []
+    for scan_id in sorted(entities_by_scan):
+        records = records_by_scan.get(scan_id, [])
+        mask = mask_loader(scan_id) if mask_loader is not None and records else None
+        candidates = [
             LinkCandidate(
-                scan_id=record.scan_id,
+                scan_id=scan_id,
                 candidate_id=record.candidate_id,
                 center=record.center,
                 tier=record.tier,
                 score=record.score,
                 diameter_mm=record.diameter_mm,
-                lobe=lobe,
+                lobe=lobe_of_candidate(record, mask) if mask is not None else None,
             )
-        )
-
-    matches = []
-    scan_ids = sorted({e.scan_id for e in entities} | {c.scan_id for c in candidates})
-    for scan_id in scan_ids:
+            for record in records
+        ]
         matches.extend(
             match_entities(
-                [e for e in entities if e.scan_id == scan_id],
-                [c for c in candidates if c.scan_id == scan_id],
-                size_tol_mm=size_tol,
-                ordinal_tol=ordinal_tol,
+                entities_by_scan[scan_id], candidates,
+                size_tol_mm=size_tol, ordinal_tol=ordinal_tol,
             )
         )
 

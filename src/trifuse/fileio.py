@@ -680,7 +680,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     """key=value configuration mirroring the CLI flags (keys without '--')."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from None
     out: dict[str, str] = {}

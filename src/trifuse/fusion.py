@@ -19,7 +19,6 @@ from __future__ import annotations
 import shlex
 import subprocess
 from collections.abc import Callable, Iterable, Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -406,9 +405,12 @@ def fuse_scans(
     cadx_provider: CadxProvider | None = None,
     masks: Mapping[str, Volume] | Callable[[str], Volume | None] | None = None,
     cfg: PipelineConfig | None = None,
-    max_workers: int = 1,
 ) -> FusionOutput:
-    """Fuse candidate lists across scans; scans are independent work units."""
+    """Fuse candidate lists across scans, one scan at a time in scan-id order.
+
+    A mask loader is called once per scan, in that order, so it may keep
+    only the current scan's volume.
+    """
     cfg = cfg or PipelineConfig()
     by_scan_a: dict[str, list[CandidateDetection]] = {}
     by_scan_b: dict[str, list[CandidateDetection]] = {}
@@ -425,20 +427,16 @@ def fuse_scans(
             return masks(scan_id)
         return masks.get(scan_id)
 
-    def run(scan_id: str) -> TriStageResult:
-        return run_tri_stage(
+    results = {
+        scan_id: run_tri_stage(
             by_scan_a.get(scan_id, []),
             by_scan_b.get(scan_id, []),
             cadx_provider=cadx_provider,
             mask=mask_for(scan_id),
             cfg=cfg,
         )
-
-    if max_workers > 1 and len(scan_ids) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = dict(zip(scan_ids, pool.map(run, scan_ids)))
-    else:
-        results = {scan_id: run(scan_id) for scan_id in scan_ids}
+        for scan_id in scan_ids
+    }
 
     fused: list[FusedCandidate] = []
     for scan_id in scan_ids:
@@ -472,7 +470,8 @@ class CommandCadxProvider:
     For each candidate a 64^3 patch is extracted from the scan volume,
     written as a header + raw pair, and the header path is fed to the
     command on stdin. The command must print two reals in [0, 1] separated
-    by whitespace and exit 0.
+    by whitespace and exit 0. ``volume_loader`` is called for every
+    candidate, so it should keep the current scan's volume at hand.
     """
 
     def __init__(
@@ -486,17 +485,11 @@ class CommandCadxProvider:
             raise InputError("external scorer command is empty")
         self._volume_loader = volume_loader
         self._workdir = Path(workdir)
-        self._volume_cache: dict[str, Volume] = {}
-
-    def _volume(self, scan_id: str) -> Volume:
-        if scan_id not in self._volume_cache:
-            self._volume_cache[scan_id] = self._volume_loader(scan_id)
-        return self._volume_cache[scan_id]
 
     def __call__(self, candidate: CandidateDetection) -> CadxScores:
         label = f"{candidate.qualified_id} on scan {candidate.scan_id}"
         try:
-            volume = self._volume(candidate.scan_id)
+            volume = self._volume_loader(candidate.scan_id)
         except Exception as err:
             raise ScorerError(f"cannot load scan volume for {label}: {err}") from err
         patch = extract_patch(volume, candidate.center)

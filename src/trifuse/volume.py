@@ -11,6 +11,7 @@ Header grammar (one ``key = value`` per line, unknown keys rejected)::
     data_file = <path relative to the header>
 
 Voxels are stored x-fastest; in memory the array is indexed ``[ix, iy, iz]``.
+Loaded volumes are read-only memory maps of the raw file.
 Label lookups use the nearest voxel (labels are never interpolated); patch
 resampling uses trilinear interpolation. Grid points outside the sample hull
 of the source volume take the air value, -1000 HU, which normalizes to 0.0.
@@ -159,52 +160,22 @@ def centroid_in_lung(p: WorldPoint, volume: Volume, lung_labels=LUNG_LOBE_LABELS
     return label is not None and label in lung_labels
 
 
-def _trilinear(values: np.ndarray, coords: np.ndarray, fill: float) -> np.ndarray:
-    """Trilinear interpolation at continuous voxel coordinates.
+def _axis_samples(coords: np.ndarray, n: int):
+    """Interpolation terms along one axis of the patch grid.
 
-    ``coords`` has shape (N, 3). Points outside the sample hull
-    [0, n-1] on any axis receive ``fill``.
+    Returns None when no coordinate lies in the sample hull [0, n-1].
+    Otherwise returns the mask of inside coordinates, the source slice they
+    touch, each inside coordinate's lower and upper index relative to that
+    slice, and its fractional offset from the lower index.
     """
-    nx, ny, nz = values.shape
-    x, y, z = coords[:, 0], coords[:, 1], coords[:, 2]
-    inside = (
-        (x >= 0.0) & (x <= nx - 1)
-        & (y >= 0.0) & (y <= ny - 1)
-        & (z >= 0.0) & (z <= nz - 1)
-    )
-    out = np.full(coords.shape[0], float(fill), dtype=np.float64)
+    inside = (coords >= 0.0) & (coords <= n - 1)
     if not inside.any():
-        return out
-
-    xi, yi, zi = x[inside], y[inside], z[inside]
-    x0 = np.clip(np.floor(xi).astype(np.int64), 0, nx - 1)
-    y0 = np.clip(np.floor(yi).astype(np.int64), 0, ny - 1)
-    z0 = np.clip(np.floor(zi).astype(np.int64), 0, nz - 1)
-    x1 = np.minimum(x0 + 1, nx - 1)
-    y1 = np.minimum(y0 + 1, ny - 1)
-    z1 = np.minimum(z0 + 1, nz - 1)
-    fx = xi - x0
-    fy = yi - y0
-    fz = zi - z0
-
-    v = values.astype(np.float64, copy=False)
-    c000 = v[x0, y0, z0]
-    c100 = v[x1, y0, z0]
-    c010 = v[x0, y1, z0]
-    c110 = v[x1, y1, z0]
-    c001 = v[x0, y0, z1]
-    c101 = v[x1, y0, z1]
-    c011 = v[x0, y1, z1]
-    c111 = v[x1, y1, z1]
-
-    c00 = c000 * (1 - fx) + c100 * fx
-    c10 = c010 * (1 - fx) + c110 * fx
-    c01 = c001 * (1 - fx) + c101 * fx
-    c11 = c011 * (1 - fx) + c111 * fx
-    c0 = c00 * (1 - fy) + c10 * fy
-    c1 = c01 * (1 - fy) + c11 * fy
-    out[inside] = c0 * (1 - fz) + c1 * fz
-    return out
+        return None
+    c = coords[inside]
+    i0 = np.clip(np.floor(c).astype(np.int64), 0, n - 1)
+    i1 = np.minimum(i0 + 1, n - 1)
+    lo = i0[0]  # the grid ascends, so the first coordinate has the lowest index
+    return inside, slice(lo, i1[-1] + 1), i0 - lo, i1 - lo, c - i0
 
 
 def extract_patch(volume: Volume, center: WorldPoint) -> Patch:
@@ -213,31 +184,33 @@ def extract_patch(volume: Volume, center: WorldPoint) -> Patch:
     Samples are trilinearly interpolated from the source volume, clipped to
     the [-1000, 500] HU window and normalized to [0, 1]. Grid points outside
     the source receive the normalized air value 0.0.
+
+    The patch grid is axis-aligned, so interpolation runs as three separable
+    passes (x, then y, then z) over the source box the grid touches, read in
+    its native dtype. Each pass is ``a * (1 - f) + b * f`` in float64, the
+    same operations in the same order as interpolating every grid point from
+    its eight corners.
     """
     if volume.values.size == 0:
         raise InputError("cannot extract a patch from a degenerate (empty) volume")
-    nxp, nyp, nzp = PATCH_SHAPE
-    half = ((nxp - 1) / 2.0, (nyp - 1) / 2.0, (nzp - 1) / 2.0)
-    axes_world = [
-        center.as_tuple()[a] + (np.arange(PATCH_SHAPE[a]) - half[a]) * PATCH_SPACING_MM[a]
-        for a in range(3)
-    ]
-    gx, gy, gz = np.meshgrid(*axes_world, indexing="ij")
-
-    o = volume.header.origin_mm
-    sx, sy, sz = volume.header.spacing_mm
-    coords = np.stack(
-        [
-            (gx.ravel() - o.x) / sx,
-            (gy.ravel() - o.y) / sy,
-            (gz.ravel() - o.z) / sz,
-        ],
-        axis=1,
-    )
-    hu = _trilinear(volume.values, coords, fill=HU_MIN)
-    hu = np.clip(hu, HU_MIN, HU_MAX)
+    h = volume.header
+    c = center.as_tuple()
+    o = h.origin_mm.as_tuple()
+    axes = []
+    for a, n in enumerate(PATCH_SHAPE):
+        world = c[a] + (np.arange(n) - (n - 1) / 2.0) * PATCH_SPACING_MM[a]
+        axes.append(_axis_samples((world - o[a]) / h.spacing_mm[a], h.dims[a]))
+    out = np.full(PATCH_SHAPE, HU_MIN, dtype=np.float64)
+    if all(axis is not None for axis in axes):
+        (ix, bx, x0, x1, fx), (iy, by, y0, y1, fy), (iz, bz, z0, z1, fz) = axes
+        v = volume.values[bx, by, bz].astype(np.float64)
+        v = v[x0] * (1 - fx)[:, None, None] + v[x1] * fx[:, None, None]
+        v = v[:, y0] * (1 - fy)[None, :, None] + v[:, y1] * fy[None, :, None]
+        v = v[:, :, z0] * (1 - fz) + v[:, :, z1] * fz
+        out[np.ix_(ix, iy, iz)] = v
+    hu = np.clip(out, HU_MIN, HU_MAX)
     normalized = (hu - HU_MIN) / (HU_MAX - HU_MIN)
-    return Patch(values=normalized.reshape(PATCH_SHAPE), center=center)
+    return Patch(values=normalized, center=center)
 
 
 def _parse_triple(value: str, key: str, caster):
@@ -289,16 +262,26 @@ def read_header(header_path: str | Path) -> tuple[VolumeHeader, Path]:
 
 
 def load_volume(header_path: str | Path) -> Volume:
-    """Load a volume from its header file and raw data file."""
+    """Map a volume's raw data file read-only, as described by its header.
+
+    The voxels are not read up front: the returned values are a read-only
+    memory map, so a lookup or a patch touches only the pages it needs. The
+    raw file must not change while the volume is in use.
+    """
     header, data_path = read_header(header_path)
+    dtype = np.dtype(ELEMENT_DTYPES[header.element_type])
     try:
-        raw = np.fromfile(data_path, dtype=ELEMENT_DTYPES[header.element_type])
+        size = data_path.stat().st_size
     except OSError as err:
         raise InputError(f"cannot read voxel data {data_path}: {err}") from None
-    if raw.size != header.voxel_count:
+    if size != header.voxel_count * dtype.itemsize:
         raise InputError(
-            f"{data_path}: expected {header.voxel_count} voxels, found {raw.size}"
+            f"{data_path}: expected {header.voxel_count} voxels, found {size // dtype.itemsize}"
         )
+    try:
+        raw = np.memmap(data_path, dtype=dtype, mode="r", shape=(header.voxel_count,))
+    except OSError as err:
+        raise InputError(f"cannot read voxel data {data_path}: {err}") from None
     nx, ny, nz = header.dims
     values = raw.reshape((nz, ny, nx)).T  # stored x-fastest
     return Volume(header=header, values=values)

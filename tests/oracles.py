@@ -11,6 +11,7 @@ Conventions:
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -156,6 +157,87 @@ def oracle_bootstrap(scans, statistics, resamples, seed, rates):
         lo, hi = np.percentile(np.array(vals, dtype=np.float64), [2.5, 97.5])
         out[name] = (float(lo), float(hi), len(vals), skipped)
     return out
+
+
+def _oracle_trilinear(values, coords, fill):
+    """Trilinear interpolation at (N, 3) continuous voxel coordinates.
+
+    Every point gathers its eight corners from the whole volume cast to
+    float64; points outside the sample hull [0, n-1] on any axis get fill.
+    """
+    nx, ny, nz = values.shape
+    x, y, z = coords[:, 0], coords[:, 1], coords[:, 2]
+    inside = (
+        (x >= 0.0) & (x <= nx - 1)
+        & (y >= 0.0) & (y <= ny - 1)
+        & (z >= 0.0) & (z <= nz - 1)
+    )
+    out = np.full(coords.shape[0], float(fill), dtype=np.float64)
+    if not inside.any():
+        return out
+
+    xi, yi, zi = x[inside], y[inside], z[inside]
+    x0 = np.clip(np.floor(xi).astype(np.int64), 0, nx - 1)
+    y0 = np.clip(np.floor(yi).astype(np.int64), 0, ny - 1)
+    z0 = np.clip(np.floor(zi).astype(np.int64), 0, nz - 1)
+    x1 = np.minimum(x0 + 1, nx - 1)
+    y1 = np.minimum(y0 + 1, ny - 1)
+    z1 = np.minimum(z0 + 1, nz - 1)
+    fx = xi - x0
+    fy = yi - y0
+    fz = zi - z0
+
+    v = values.astype(np.float64, copy=False)
+    c000 = v[x0, y0, z0]
+    c100 = v[x1, y0, z0]
+    c010 = v[x0, y1, z0]
+    c110 = v[x1, y1, z0]
+    c001 = v[x0, y0, z1]
+    c101 = v[x1, y0, z1]
+    c011 = v[x0, y1, z1]
+    c111 = v[x1, y1, z1]
+
+    c00 = c000 * (1 - fx) + c100 * fx
+    c10 = c010 * (1 - fx) + c110 * fx
+    c01 = c001 * (1 - fx) + c101 * fx
+    c11 = c011 * (1 - fx) + c111 * fx
+    c0 = c00 * (1 - fy) + c10 * fy
+    c1 = c01 * (1 - fy) + c11 * fy
+    out[inside] = c0 * (1 - fz) + c1 * fz
+    return out
+
+
+def oracle_extract_patch(volume, center, shape=(64, 64, 64), spacing=(0.7, 0.7, 1.25),
+                         hu_min=-1000.0, hu_max=500.0):
+    """Point-by-point patch resampling: the scalar reference for the library.
+
+    Builds the full 64^3 world grid around ``center``, maps every point to
+    voxel coordinates, interpolates it from its eight corners, then clips to
+    [hu_min, hu_max] and normalizes to [0, 1]. ``volume`` needs ``values``
+    indexed [ix, iy, iz] and a ``header`` with ``spacing_mm`` and an
+    ``origin_mm`` point; ``center`` is a point with ``as_tuple()``. Returns a
+    namespace with the patch ``values`` and ``center``.
+    """
+    half = [(n - 1) / 2.0 for n in shape]
+    axes_world = [
+        center.as_tuple()[a] + (np.arange(shape[a]) - half[a]) * spacing[a]
+        for a in range(3)
+    ]
+    gx, gy, gz = np.meshgrid(*axes_world, indexing="ij")
+    o = volume.header.origin_mm
+    sx, sy, sz = volume.header.spacing_mm
+    coords = np.stack(
+        [
+            (gx.ravel() - o.x) / sx,
+            (gy.ravel() - o.y) / sy,
+            (gz.ravel() - o.z) / sz,
+        ],
+        axis=1,
+    )
+    hu = _oracle_trilinear(volume.values, coords, fill=hu_min)
+    hu = np.clip(hu, hu_min, hu_max)
+    normalized = (hu - hu_min) / (hu_max - hu_min)
+    return SimpleNamespace(values=normalized.reshape(shape), center=center)
 
 
 def oracle_confusion(scores, labels, tau):

@@ -1,8 +1,16 @@
 import csv
 import json
+import random
 import sys
+import tempfile
+import weakref
 
+import numpy as np
+
+from trifuse import cli
 from trifuse.cli import main
+from trifuse.domain import WorldPoint
+from trifuse.volume import Volume, save_volume
 
 from conftest import CPM_FIXTURE_CPM
 
@@ -19,6 +27,37 @@ def read_csv_rows(path):
 
 def first_line(path):
     return path.read_text(encoding="utf-8").splitlines()[0]
+
+
+def body(path):
+    return [line for line in path.read_text(encoding="utf-8").splitlines()
+            if not line.startswith("#")]
+
+
+def write_volumes(directory, scans, values=None):
+    """One <scan>.hdr volume per scan (5^3 zeros unless values are given)."""
+    directory.mkdir(parents=True, exist_ok=True)
+    if values is None:
+        values = np.zeros((5, 5, 5), dtype="<f4")
+    for scan in scans:
+        save_volume(
+            Volume.from_array(values, (1.0, 1.0, 1.0), WorldPoint(0, 0, 0)),
+            directory / f"{scan}.hdr",
+        )
+    return directory
+
+
+def logging_scorer(tmp_path):
+    """Scorer command that appends each patch header path it reads to a log."""
+    script = tmp_path / "scorer.py"
+    log = tmp_path / "scorer.log"
+    script.write_text(
+        "import sys\n"
+        "with open(sys.argv[1], 'a') as fh:\n"
+        "    fh.write(sys.stdin.read())\n"
+        "print(0.5, 0.5)\n"
+    )
+    return f"{sys.executable} {script} {log}", log
 
 
 class TestFuseCommand:
@@ -157,17 +196,40 @@ class TestFuseCommand:
         assert code == 2
         assert "--cade-b" in capsys.readouterr().err
 
-    def test_thread_env_does_not_change_output(self, tmp_path, e2e_inputs, monkeypatch):
-        outputs = []
-        for workers, name in (("1", "serial.csv"), ("4", "threaded.csv")):
-            monkeypatch.setenv("TRIFUSE_THREADS", workers)
-            out = tmp_path / name
-            assert run([
-                "fuse", "--cade-a", e2e_inputs["cade_a"], "--cade-b", e2e_inputs["cade_b"],
-                "--cadx-scores", e2e_inputs["cadx_scores"], "--out", out,
-            ]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+    def test_patch_dir_removed_on_success_and_scorer_failure(
+        self, tmp_path, e2e_inputs, monkeypatch
+    ):
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        # TMPDIR is read once per process; point the cached value at tmp
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        volumes = write_volumes(tmp_path / "vols", ("s1", "s2", "s3", "s4"))
+        scorer, log = logging_scorer(tmp_path)
+        fuse = ["fuse", "--cade-a", e2e_inputs["cade_a"], "--cade-b", e2e_inputs["cade_b"],
+                "--volumes", volumes]
+        assert run(fuse + ["--cadx-cmd", scorer, "--out", tmp_path / "ok.csv"]) == 0
+        patches = log.read_text().split()
+        assert len(patches) == 6
+        assert all(p.startswith(str(tmp / "trifuse_patch_")) for p in patches)
+        assert list(tmp.iterdir()) == []
+
+        failing = f"{sys.executable} -c \"import sys; sys.exit(9)\""
+        assert run(fuse + ["--cadx-cmd", failing, "--out", tmp_path / "bad.csv"]) == 3
+        assert list(tmp.iterdir()) == []
+
+    def test_cadx_cmd_manifest_lists_scored_volumes(self, tmp_path, e2e_inputs):
+        # s5 has a volume but no candidates, so it is never read
+        volumes = write_volumes(tmp_path / "vols", ("s1", "s2", "s3", "s4", "s5"))
+        scorer, _ = logging_scorer(tmp_path)
+        out = tmp_path / "fused.csv"
+        assert run([
+            "fuse", "--cade-a", e2e_inputs["cade_a"], "--cade-b", e2e_inputs["cade_b"],
+            "--volumes", volumes, "--cadx-cmd", scorer, "--out", out,
+        ]) == 0
+        inputs = json.loads((tmp_path / "fused.manifest.json").read_text())["inputs"]
+        scanned = sorted(name for name in inputs if name.startswith("volume:"))
+        assert scanned == ["volume:s1", "volume:s2", "volume:s3", "volume:s4"]
+        assert inputs["volume:s2"]["path"] == str(volumes / "s2.hdr")
 
     def test_config_file_overridden_by_flags(self, tmp_path, e2e_inputs):
         cfg = tmp_path / "run.cfg"
@@ -181,6 +243,17 @@ class TestFuseCommand:
         manifest = json.loads((tmp_path / "fused.manifest.json").read_text())
         assert manifest["config"]["tau_cadx"] == 0.10  # flag wins
         assert manifest["config"]["tau_cade"] == 0.9  # config applies
+
+
+def test_volume_dir_loader_keeps_only_the_current_scan(tmp_path):
+    load, loaded = cli._volume_dir_loader(write_volumes(tmp_path, ("s1", "s2")), "mask")
+    first = load("s1")
+    assert load("s1") is first
+    released = weakref.ref(first)
+    del first
+    load("s2")
+    assert released() is None
+    assert sorted(loaded) == ["s1", "s2"]
 
 
 class TestEvalCommand:
@@ -477,3 +550,57 @@ class TestLinkCommand:
         matched = [r for r in read_csv_rows(out) if r["status"] == "matched"]
         assert len(matched) == 1 and matched[0]["candidate_id"] == "F0000"
         assert "lobe=pass" in matched[0]["criteria"]
+
+    def test_shuffled_fused_rows_give_same_links(self, tmp_path, monkeypatch):
+        header = ("scan_id,candidate_id,x_mm,y_mm,z_mm,diameter_mm,score,model,"
+                  "tier,stage,cadx_avg,provenance\n")
+        rows = [
+            "s1,F0000,10,10,10,8.0,0.9,FUSED,1.0,consensus,,CADE_A:a1|CADE_B:b1\n",
+            "s1,F0001,50,50,50,14.0,0.6,FUSED,0.5,cadx_promoted,0.4,CADE_A:a2\n",
+            "s2,F0002,20,20,20,9.0,0.8,FUSED,1.0,consensus,,CADE_A:a3|CADE_B:b3\n",
+            "s2,F0003,40,40,40,5.0,0.7,FUSED,0.5,cadx_promoted,0.3,CADE_A:a4\n",
+            "s3,F0004,30,30,30,6.0,0.5,FUSED,0.5,cadx_promoted,0.2,CADE_B:b5\n",
+        ]
+        reports = tmp_path / "reports.tsv"
+        reports.write_text(
+            "r2\ts2\tA 5 mm nodule in the left lower lobe; a 9 mm nodule\n"
+            "r1\ts1\tA 9 mm nodule in the right upper lobe\n"
+        )
+        labels = np.zeros((60, 60, 60), dtype=np.uint8)
+        labels[10, 10, 10] = 30
+        labels[40, 40, 40] = 29
+        masks = write_volumes(tmp_path / "masks", ("s1", "s2"), labels)
+        loads = []
+        load_volume = cli.load_volume
+        monkeypatch.setattr(cli, "load_volume", lambda h: loads.append(h) or load_volume(h))
+
+        shuffled = rows[:]
+        random.Random(3).shuffle(shuffled)
+        assert [r[:2] for r in shuffled] != sorted(r[:2] for r in shuffled)
+        outs = []
+        for name, order in (("sorted", rows), ("shuffled", shuffled)):
+            fused = tmp_path / f"{name}.csv"
+            fused.write_text(header + "".join(order))
+            out = tmp_path / f"{name}_links.csv"
+            loads.clear()
+            assert run(["link", "--reports", reports, "--fused", fused,
+                        "--masks", masks, "--out", out]) == 0
+            assert sorted(h.name for h in loads) == ["s1.hdr", "s2.hdr"]
+            outs.append(out)
+        assert body(outs[0]) == body(outs[1])
+        rows = read_csv_rows(outs[0])
+        assert {r["candidate_id"] for r in rows if r["status"] == "matched"} == {
+            "F0000", "F0002", "F0003"
+        }
+
+
+class TestConfigFile:
+    def test_bom_prefixed_config_keeps_first_key(self, tmp_path, e2e_inputs):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfseed=3\n")
+        out = tmp_path / "out"
+        assert run(["eval", "--candidates", e2e_inputs["cade_a"],
+                    "--references", e2e_inputs["references"], "--config", cfg,
+                    "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 3

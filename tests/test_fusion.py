@@ -315,15 +315,6 @@ class TestFuseScans:
         )
         assert [f.scan_id for f in out.fused] == ["s1", "s2"]
 
-    def test_threaded_matches_serial(self):
-        rng = np.random.default_rng(16)
-        lists = [random_scan(rng, scan=f"s{i}") for i in range(6)]
-        all_a = [c for la, _ in lists for c in la]
-        all_b = [c for _, lb in lists for c in lb]
-        serial = fuse_scans(all_a, all_b, cadx_provider=hashed_provider, max_workers=1)
-        threaded = fuse_scans(all_a, all_b, cadx_provider=hashed_provider, max_workers=4)
-        assert serial.fused == threaded.fused
-
 
 class TestProviders:
     def test_file_provider_missing_key(self):

@@ -20,6 +20,8 @@ from trifuse.volume import (
     world_to_voxel,
 )
 
+from oracles import oracle_extract_patch
+
 
 def make_volume(values, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):
     return Volume.from_array(np.asarray(values), spacing, WorldPoint(*origin))
@@ -98,6 +100,31 @@ class TestHeaderFile:
         (tmp_path / "vol.raw").write_bytes(b"\x00" * 6)
         with pytest.raises(InputError, match="expected 8 voxels"):
             load_volume(header)
+
+    @pytest.mark.parametrize(
+        "nbytes, found", [(0, 0), (7, 3), (15, 7), (18, 9), (400, 200)]
+    )
+    def test_raw_size_must_match_dims(self, tmp_path, nbytes, found):
+        # int16 voxels: empty, short, odd-length and over-long files
+        header = self.write_pair(tmp_path, np.zeros((2, 2, 2)))
+        (tmp_path / "vol.raw").write_bytes(b"\x00" * nbytes)
+        with pytest.raises(InputError, match=f"expected 8 voxels, found {found}$"):
+            load_volume(header)
+
+    def test_missing_raw_file_rejected(self, tmp_path):
+        header = self.write_pair(tmp_path, np.zeros((2, 2, 2)))
+        (tmp_path / "vol.raw").unlink()
+        with pytest.raises(InputError, match="cannot read voxel data"):
+            load_volume(header)
+
+    def test_loaded_values_are_read_only(self, tmp_path):
+        values = np.arange(24).reshape(2, 3, 4)
+        header = self.write_pair(tmp_path, values)
+        loaded = load_volume(header)
+        assert not loaded.values.flags.writeable
+        with pytest.raises(ValueError):
+            loaded.values[0, 0, 0] = 7
+        np.testing.assert_array_equal(np.fromfile(tmp_path / "vol.raw", "<i2")[:1], [0])
 
     def test_bad_dims_rejected(self, tmp_path):
         header = tmp_path / "bad.hdr"
@@ -233,3 +260,83 @@ class TestExtractPatch:
         expected = (expected_field - HU_MIN) / (HU_MAX - HU_MIN)
         scale = np.maximum(np.abs(expected), 1.0)
         assert np.max(np.abs(patch.values - expected) / scale) < 1e-9
+
+
+class TestExtractPatchMatchesOracle:
+    """The separable resampler against point-by-point trilinear interpolation.
+
+    Equality is on the bytes: every patch sample must come out of the same
+    floating-point operations as the oracle's.
+    """
+
+    def centres(self, rng, vol):
+        h = vol.header
+        lo = np.array(h.origin_mm.as_tuple())
+        hi = lo + (np.array(h.dims) - 1) * np.array(h.spacing_mm)
+        inside = [WorldPoint(*rng.uniform(lo, hi)) for _ in range(4)]
+        partly = [WorldPoint(*rng.uniform(lo - 30.0, hi + 30.0)) for _ in range(4)]
+        return inside + partly + [
+            WorldPoint(*hi),  # exactly on the last sample
+            WorldPoint(*lo),
+            voxel_to_world((h.dims[0] - 1, 0.5, h.dims[2] - 1), h),
+            WorldPoint(*(hi + 1000.0)),  # fully outside
+            WorldPoint(*(lo - 1000.0)),
+        ]
+
+    def assert_same(self, vol, centres):
+        for center in centres:
+            got = extract_patch(vol, center)
+            want = oracle_extract_patch(vol, center)
+            assert got.values.tobytes() == want.values.tobytes(), center
+
+    @pytest.mark.parametrize("element_type", ["uint8", "int16", "float32"])
+    def test_seeded_volumes(self, element_type):
+        rng = np.random.default_rng({"uint8": 21, "int16": 22, "float32": 23}[element_type])
+        shape = (37, 29, 23)
+        if element_type == "uint8":
+            values = rng.integers(0, 256, size=shape)
+        elif element_type == "int16":
+            values = rng.integers(-1500, 1500, size=shape)
+        else:
+            values = rng.uniform(-2000.0, 2000.0, size=shape)
+        vol = Volume.from_array(
+            values, (0.83, 1.17, 2.5), WorldPoint(-11.3, 4.7, 101.9), element_type
+        )
+        self.assert_same(vol, self.centres(rng, vol))
+
+    def test_one_voxel_thick_axis(self):
+        rng = np.random.default_rng(24)
+        values = rng.integers(-1000, 500, size=(40, 1, 30))
+        vol = Volume.from_array(values, (0.7, 2.0, 1.1), WorldPoint(3.0, 0.0, 0.0), "int16")
+        # patch samples sit half a step off the centre, so a centre half a
+        # step above y = 0 puts one sample row exactly on the single y sample
+        y = PATCH_SPACING_MM[1] / 2
+        on_plane = [WorldPoint(17.0, y, 15.0), WorldPoint(3.0, y, 31.9)]
+        for center in on_plane:
+            assert extract_patch(vol, center).values.any()
+        self.assert_same(vol, on_plane + self.centres(rng, vol))
+
+    def test_memory_mapped_volume(self, tmp_path):
+        rng = np.random.default_rng(25)
+        values = rng.integers(-1000, 1000, size=(30, 30, 30))
+        vol = Volume.from_array(values, (0.9, 0.9, 1.6), WorldPoint(0, 0, 0), "int16")
+        loaded = load_volume(save_volume(vol, tmp_path / "v.hdr"))
+        self.assert_same(loaded, self.centres(rng, loaded))
+
+    def test_samples_exactly_on_last_voxel(self):
+        # power-of-two spacings and a centre half a patch step off the grid
+        # put patch sample 31 exactly on index n-1 of every axis, where the
+        # upper corner is clamped onto the lower one
+        rng = np.random.default_rng(26)
+        dims = (20, 24, 12)
+        spacing = (1.0, 0.5, 2.0)
+        origin = WorldPoint(*[-(n - 1) * s for n, s in zip(dims, spacing)])
+        center = WorldPoint(*[s / 2 for s in PATCH_SPACING_MM])
+        for a in range(3):
+            sample = (center.as_tuple()[a] + (31 - 31.5) * PATCH_SPACING_MM[a]
+                      - origin.as_tuple()[a]) / spacing[a]
+            assert sample == dims[a] - 1
+        values = rng.uniform(-1000.0, 500.0, size=dims)
+        vol = Volume.from_array(values, spacing, origin, "float32")
+        assert extract_patch(vol, center).values[31, 31, 31] > 0.0
+        self.assert_same(vol, [center])
