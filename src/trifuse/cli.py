@@ -117,7 +117,7 @@ def _volume_dir_loader(directory: str | Path, kind: str):
     return load, loaded
 
 
-def _pipeline_config(opts: _Options, seed: int) -> PipelineConfig:
+def _pipeline_config(opts: _Options) -> PipelineConfig:
     lung_labels = opts.get("lung-labels", None)
     if isinstance(lung_labels, str):
         lung_labels = frozenset(int(v) for v in lung_labels.split(",") if v.strip())
@@ -127,8 +127,6 @@ def _pipeline_config(opts: _Options, seed: int) -> PipelineConfig:
         consensus_radius_policy=opts.get("consensus-radius-policy", "adaptive"),
         consensus_radius_mm=opts.get("consensus-radius-mm", 5.0, float),
         dedup_radius_mm=opts.get("dedup-radius-mm", 2.0, float),
-        bootstrap_resamples=opts.get("resamples", DEFAULT_RESAMPLES, int),
-        rng_seed=seed,
     )
     if lung_labels:
         kwargs["lung_labels"] = lung_labels
@@ -139,7 +137,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     opts = _Options(args)
     convention = opts.choice("coordinate-convention", ("lps", "ras"), "lps")
     seed = opts.get("seed", DEFAULT_SEED, int)
-    cfg = _pipeline_config(opts, seed)
+    cfg = _pipeline_config(opts)
     cade_a = opts.require("cade-a")
     cade_b = opts.require("cade-b")
     out_path = Path(opts.require("out"))

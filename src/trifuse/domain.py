@@ -216,8 +216,6 @@ class PipelineConfig:
     consensus_radius_mm: float = 5.0
     dedup_radius_mm: float = 2.0
     lung_labels: frozenset[int] = LUNG_LOBE_LABELS
-    bootstrap_resamples: int = 1000
-    rng_seed: int = 17
 
     def __post_init__(self):
         object.__setattr__(self, "tau_cadx", require_unit_interval("tau_cadx", self.tau_cadx))
@@ -237,8 +235,6 @@ class PipelineConfig:
         if not labels:
             raise InputError("lung_labels must be non-empty")
         object.__setattr__(self, "lung_labels", labels)
-        if not isinstance(self.bootstrap_resamples, int) or self.bootstrap_resamples < 1:
-            raise InputError(f"bootstrap_resamples must be >= 1, got {self.bootstrap_resamples!r}")
 
 
 def match_tolerance(diameter_mm: float) -> float:

@@ -25,6 +25,7 @@ import math
 import os
 import tempfile
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -38,7 +39,7 @@ from .domain import (
 )
 from .errors import ConfigError, InputError
 from .froc import FrocResult, GroupScoreSummary, LesionMatchResult
-from .fusion import CadxScores, FusedCandidate, TIER_BY_STAGE
+from .fusion import STAGE_CADX, TIER_BY_STAGE, CadxScores, FusedCandidate
 from .readerstats import CHARACTERISTIC_DISPLAY, OverlapRow, SemanticTable
 from .reportlink import EntityMatch, ReportEntity
 from .sweeps import CadeSweepRow, CadxSweepRow
@@ -80,70 +81,93 @@ def _csv_lines(fh, last_line: list[int]) -> Iterable[str]:
         yield line
 
 
-def _read_rows(path: str | Path, required: Sequence[str]) -> Iterator[tuple[int, dict[str, str]]]:
-    """Data rows of a CSV file, each with the physical line number it ends on.
+@contextmanager
+def _csv_table(path: Path, required: Sequence[str]):
+    """Open a CSV file for reading cells by position.
 
-    A leading UTF-8 byte-order mark (as spreadsheet exports write) is dropped.
+    Yields ``(columns, rows)``. ``columns`` maps each header name, stripped,
+    to its position (the last one if a name repeats). ``rows`` yields every
+    data row as ``(line, cells)``: the physical line the row ends on and its
+    raw cells, padded with empty strings to the header's width. Blank lines
+    and ``#`` comment lines are skipped, a leading UTF-8 byte-order mark (as
+    spreadsheet exports write) is dropped, and a row with more cells than the
+    header is an error.
     """
-    path = Path(path)
     if not path.exists():
         raise InputError(f"{path}: file does not exist")
     last_line = [0]
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(_csv_lines(fh, last_line))
-        if reader.fieldnames is None:
+        reader = csv.reader(_csv_lines(fh, last_line))
+        header = next(reader, None)
+        if header is None:
             raise InputError(f"{path}: missing header row")
-        fieldnames = [name.strip() for name in reader.fieldnames]
+        columns = {name.strip(): i for i, name in enumerate(header)}
         for column in required:
-            if column not in fieldnames:
+            if column not in columns:
                 raise InputError(f"{path}: column {column} missing")
-        for row in reader:
-            row_num = last_line[0]
-            if None in row:
-                raise InputError(f"{path}:{row_num}: more cells than header columns")
-            yield row_num, {(k.strip() if k else k): (v if v is not None else "")
-                            for k, v in row.items()}
+        yield columns, _data_rows(path, reader, last_line, len(header))
 
 
-def _cell(path, row_num: int, row: Mapping[str, str], column: str) -> str:
-    return (row.get(column) or "").strip()
+def _data_rows(path: Path, reader, last_line: list[int], width: int
+               ) -> Iterator[tuple[int, list[str]]]:
+    for cells in reader:
+        if len(cells) != width:
+            if not cells:
+                continue
+            if len(cells) > width:
+                raise InputError(f"{path}:{last_line[0]}: more cells than header columns")
+            cells += [""] * (width - len(cells))
+        yield last_line[0], cells
 
 
-def _parse_float(path, row_num: int, row: Mapping[str, str], column: str,
-                 required: bool = True) -> float | None:
-    text = _cell(path, row_num, row, column)
+def _cell_error(path: Path, line: int, column: str, problem: str) -> InputError:
+    return InputError(f"{path}:{line}: column {column} {problem}")
+
+
+def _text(path: Path, line: int, column: str, cell: str) -> str:
+    text = cell.strip()
     if not text:
-        if required:
-            raise InputError(f"{path}:{row_num}: column {column} is empty")
-        return None
+        raise _cell_error(path, line, column, "is empty")
+    return text
+
+
+def _number(path: Path, line: int, column: str, cell: str,
+            required: bool = True) -> float | None:
     try:
-        value = float(text)
+        value = float(cell)  # float() ignores surrounding whitespace itself
     except ValueError:
-        raise InputError(f"{path}:{row_num}: column {column} is not a number: {text!r}") from None
+        text = cell.strip()
+        if text:
+            raise _cell_error(path, line, column, f"is not a number: {text!r}") from None
+        if required:
+            raise _cell_error(path, line, column, "is empty") from None
+        return None
     if not math.isfinite(value):
-        raise InputError(f"{path}:{row_num}: column {column} is not finite: {text!r}")
+        raise _cell_error(path, line, column, f"is not finite: {cell.strip()!r}")
     return value
 
 
-def _parse_int(path, row_num: int, row: Mapping[str, str], column: str,
-               required: bool = True) -> int | None:
-    text = _cell(path, row_num, row, column)
+def _integer(path: Path, line: int, column: str, cell: str,
+             required: bool = True) -> int | None:
+    text = cell.strip()
     if not text:
         if required:
-            raise InputError(f"{path}:{row_num}: column {column} is empty")
+            raise _cell_error(path, line, column, "is empty")
         return None
     try:
         return int(text)
     except ValueError:
-        raise InputError(f"{path}:{row_num}: column {column} is not an integer: {text!r}") from None
+        raise _cell_error(path, line, column, f"is not an integer: {text!r}") from None
 
 
-def _parse_str(path, row_num: int, row: Mapping[str, str], column: str,
-               required: bool = True) -> str | None:
-    text = _cell(path, row_num, row, column)
-    if not text and required:
-        raise InputError(f"{path}:{row_num}: column {column} is empty")
-    return text or None
+def _unit_interval(path: Path, line: int, column: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise _cell_error(path, line, column, f"must lie in [0, 1], got {value}")
+
+
+def _positive(path: Path, line: int, column: str, value: float | None) -> None:
+    if value is not None and value <= 0.0:
+        raise _cell_error(path, line, column, f"must be positive, got {value}")
 
 
 def _fmt(value) -> str:
@@ -188,6 +212,41 @@ def write_csv(
 
 # ---------------------------------------------------------------------------
 # record readers
+#
+# Each reader converts and checks every cell once, naming file, line and
+# column in its errors. The builders below then set the record fields as the
+# dataclass constructors do, without running ``__post_init__`` to check the
+# same values again.
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _point(x: float, y: float, z: float) -> WorldPoint:
+    point = _new(WorldPoint)
+    _set(point, "x", x)
+    _set(point, "y", y)
+    _set(point, "z", z)
+    return point
+
+
+def _candidate(scan_id: str, candidate_id: str, center: WorldPoint, score: float,
+               source_model: str, diameter_mm: float | None) -> CandidateDetection:
+    candidate = _new(CandidateDetection)
+    _set(candidate, "scan_id", scan_id)
+    _set(candidate, "candidate_id", candidate_id)
+    _set(candidate, "center", center)
+    _set(candidate, "score", score)
+    _set(candidate, "source_model", source_model)
+    _set(candidate, "diameter_mm", diameter_mm)
+    return candidate
+
+
+def _cadx_scores(p_luna: float, p_dlcs: float) -> CadxScores:
+    scores = _new(CadxScores)
+    _set(scores, "p_luna", p_luna)
+    _set(scores, "p_dlcs", p_dlcs)
+    return scores
 
 
 def read_candidates(
@@ -196,102 +255,115 @@ def read_candidates(
     path = Path(path)
     out = []
     seen = set()
-    for row_num, row in _read_rows(path, CANDIDATE_COLUMNS):
-        model = _parse_str(path, row_num, row, "model")
-        if expected_model is not None and model != expected_model:
-            raise InputError(
-                f"{path}:{row_num}: column model must be {expected_model}, got {model!r}"
-            )
-        x = _parse_float(path, row_num, row, "x_mm")
-        y = _parse_float(path, row_num, row, "y_mm")
-        z = _parse_float(path, row_num, row, "z_mm")
-        cand = CandidateDetection(
-            scan_id=_parse_str(path, row_num, row, "scan_id"),
-            candidate_id=_parse_str(path, row_num, row, "candidate_id"),
-            center=WorldPoint(*convert_to_lps(x, y, z, convention)),
-            diameter_mm=_parse_float(path, row_num, row, "diameter_mm", required=False),
-            score=_parse_float(path, row_num, row, "score"),
-            source_model=model,
+    with _csv_table(path, CANDIDATE_COLUMNS) as (columns, rows):
+        i_scan, i_id, i_x, i_y, i_z, i_diameter, i_score, i_model = (
+            columns[c] for c in CANDIDATE_COLUMNS
         )
-        if cand.key in seen:
-            raise InputError(
-                f"{path}:{row_num}: duplicate candidate_id {cand.candidate_id!r} "
-                f"for model {model!r} on scan {cand.scan_id!r}"
+        for line, cells in rows:
+            model = _text(path, line, "model", cells[i_model])
+            if expected_model is not None and model != expected_model:
+                raise _cell_error(path, line, "model", f"must be {expected_model}, got {model!r}")
+            x, y, z = convert_to_lps(
+                _number(path, line, "x_mm", cells[i_x]),
+                _number(path, line, "y_mm", cells[i_y]),
+                _number(path, line, "z_mm", cells[i_z]),
+                convention,
             )
-        seen.add(cand.key)
-        out.append(cand)
+            scan_id = _text(path, line, "scan_id", cells[i_scan])
+            candidate_id = _text(path, line, "candidate_id", cells[i_id])
+            diameter = _number(path, line, "diameter_mm", cells[i_diameter], required=False)
+            score = _number(path, line, "score", cells[i_score])
+            _unit_interval(path, line, "score", score)
+            _positive(path, line, "diameter_mm", diameter)
+            key = (scan_id, model, candidate_id)
+            if key in seen:
+                raise InputError(
+                    f"{path}:{line}: duplicate candidate_id {candidate_id!r} "
+                    f"for model {model!r} on scan {scan_id!r}"
+                )
+            seen.add(key)
+            out.append(_candidate(scan_id, candidate_id, _point(x, y, z), score, model, diameter))
     return out
 
 
 def read_references(path: str | Path, convention: str = "lps") -> list[ReferenceNodule]:
+    """Reference nodules. The cells are converted here; ``ReferenceNodule`` and
+    ``SemanticRatings`` check the values, and their errors gain file and line."""
     path = Path(path)
     out = []
     seen = set()
-    for row_num, row in _read_rows(path, REFERENCE_COLUMNS):
-        x = _parse_float(path, row_num, row, "x_mm")
-        y = _parse_float(path, row_num, row, "y_mm")
-        z = _parse_float(path, row_num, row, "z_mm")
-        rating_values = {}
-        for display, field in RATING_COLUMN_FIELDS.items():
-            if display not in row:
-                continue
-            if field == "diameter_rad_mm":
-                rating_values[field] = _parse_float(path, row_num, row, display, required=False)
-            else:
-                rating_values[field] = _parse_int(path, row_num, row, display, required=False)
-        ratings = SemanticRatings(**rating_values) if any(
-            v is not None for v in rating_values.values()
-        ) else None
-        try:
-            ref = ReferenceNodule(
-                scan_id=_parse_str(path, row_num, row, "scan_id"),
-                nodule_id=_parse_str(path, row_num, row, "nodule_id"),
-                center=WorldPoint(*convert_to_lps(x, y, z, convention)),
-                diameter_mm=_parse_float(path, row_num, row, "diameter_mm"),
-                diagnosis=_parse_str(path, row_num, row, "diagnosis", required=False) or "unknown",
-                lungrads=_parse_str(path, row_num, row, "lungrads", required=False),
-                reviewers=_parse_int(path, row_num, row, "reviewers", required=False),
-                positive_votes=_parse_int(path, row_num, row, "positive_votes", required=False),
-                ratings=ratings,
-            )
-        except InputError as err:
-            raise InputError(f"{path}:{row_num}: {err}") from None
-        if ref.key in seen:
-            raise InputError(
-                f"{path}:{row_num}: duplicate nodule_id {ref.nodule_id!r} on scan {ref.scan_id!r}"
-            )
-        seen.add(ref.key)
-        out.append(ref)
+    with _csv_table(path, REFERENCE_COLUMNS) as (columns, rows):
+        ratings_at = [(display, field, columns[display])
+                      for display, field in RATING_COLUMN_FIELDS.items() if display in columns]
+        for line, cells in rows:
+            cell = {column: cells[columns[column]] for column in REFERENCE_COLUMNS}
+            x = _number(path, line, "x_mm", cell["x_mm"])
+            y = _number(path, line, "y_mm", cell["y_mm"])
+            z = _number(path, line, "z_mm", cell["z_mm"])
+            rating_values = {}
+            for display, field, i in ratings_at:
+                parse = _number if field == "diameter_rad_mm" else _integer
+                rating_values[field] = parse(path, line, display, cells[i], required=False)
+            scan_id = _text(path, line, "scan_id", cell["scan_id"])
+            nodule_id = _text(path, line, "nodule_id", cell["nodule_id"])
+            diameter = _number(path, line, "diameter_mm", cell["diameter_mm"])
+            reviewers = _integer(path, line, "reviewers", cell["reviewers"], required=False)
+            votes = _integer(path, line, "positive_votes", cell["positive_votes"], required=False)
+            try:
+                ratings = SemanticRatings(**rating_values) if any(
+                    v is not None for v in rating_values.values()
+                ) else None
+                ref = ReferenceNodule(
+                    scan_id=scan_id,
+                    nodule_id=nodule_id,
+                    center=_point(*convert_to_lps(x, y, z, convention)),
+                    diameter_mm=diameter,
+                    diagnosis=cell["diagnosis"].strip() or "unknown",
+                    lungrads=cell["lungrads"].strip() or None,
+                    reviewers=reviewers,
+                    positive_votes=votes,
+                    ratings=ratings,
+                )
+            except InputError as err:
+                raise InputError(f"{path}:{line}: {err}") from None
+            if ref.key in seen:
+                raise InputError(
+                    f"{path}:{line}: duplicate nodule_id {nodule_id!r} on scan {scan_id!r}"
+                )
+            seen.add(ref.key)
+            out.append(ref)
     return out
 
 
 def read_cadx_scores(path: str | Path) -> dict[tuple[str, str, str], CadxScores]:
     path = Path(path)
     out: dict[tuple[str, str, str], CadxScores] = {}
-    for row_num, row in _read_rows(path, CADX_SCORE_COLUMNS):
-        key = (
-            _parse_str(path, row_num, row, "scan_id"),
-            _parse_str(path, row_num, row, "model"),
-            _parse_str(path, row_num, row, "candidate_id"),
-        )
-        if key in out:
-            raise InputError(f"{path}:{row_num}: duplicate CADx score entry for {key}")
-        try:
-            out[key] = CadxScores(
-                p_luna=_parse_float(path, row_num, row, "p_luna"),
-                p_dlcs=_parse_float(path, row_num, row, "p_dlcs"),
+    with _csv_table(path, CADX_SCORE_COLUMNS) as (columns, rows):
+        i_scan, i_model, i_id, i_luna, i_dlcs = (columns[c] for c in CADX_SCORE_COLUMNS)
+        for line, cells in rows:
+            key = (
+                _text(path, line, "scan_id", cells[i_scan]),
+                _text(path, line, "model", cells[i_model]),
+                _text(path, line, "candidate_id", cells[i_id]),
             )
-        except InputError as err:
-            raise InputError(f"{path}:{row_num}: {err}") from None
+            if key in out:
+                raise InputError(f"{path}:{line}: duplicate CADx score entry for {key}")
+            p_luna = _number(path, line, "p_luna", cells[i_luna])
+            p_dlcs = _number(path, line, "p_dlcs", cells[i_dlcs])
+            _unit_interval(path, line, "p_luna", p_luna)
+            _unit_interval(path, line, "p_dlcs", p_dlcs)
+            out[key] = _cadx_scores(p_luna, p_dlcs)
     return out
 
 
 def read_labeled_scores(path: str | Path) -> tuple[list[float], list[str]]:
     path = Path(path)
     scores, labels = [], []
-    for row_num, row in _read_rows(path, LABELED_SCORE_COLUMNS):
-        scores.append(_parse_float(path, row_num, row, "score"))
-        labels.append(_parse_str(path, row_num, row, "label"))
+    with _csv_table(path, LABELED_SCORE_COLUMNS) as (columns, rows):
+        i_score, i_label = columns["score"], columns["label"]
+        for line, cells in rows:
+            scores.append(_number(path, line, "score", cells[i_score]))
+            labels.append(_text(path, line, "label", cells[i_label]))
     return scores, labels
 
 
@@ -331,28 +403,52 @@ class FusedRecord:
 
 
 def read_fused(path: str | Path, convention: str = "lps") -> list[FusedRecord]:
+    """Fused-list rows, held to the rules ``FusedCandidate`` enforces when
+    ``fuse`` writes them: score and ``cadx_avg`` in [0, 1], a positive
+    diameter, the tier of the stage, and ``cadx_avg`` exactly for
+    cadx-promoted rows."""
     path = Path(path)
     out = []
-    for row_num, row in _read_rows(path, FUSED_COLUMNS):
-        x = _parse_float(path, row_num, row, "x_mm")
-        y = _parse_float(path, row_num, row, "y_mm")
-        z = _parse_float(path, row_num, row, "z_mm")
-        stage = _parse_str(path, row_num, row, "stage")
-        if stage not in TIER_BY_STAGE:
-            raise InputError(f"{path}:{row_num}: column stage has unknown value {stage!r}")
-        out.append(
-            FusedRecord(
-                scan_id=_parse_str(path, row_num, row, "scan_id"),
-                candidate_id=_parse_str(path, row_num, row, "candidate_id"),
-                center=WorldPoint(*convert_to_lps(x, y, z, convention)),
-                diameter_mm=_parse_float(path, row_num, row, "diameter_mm", required=False),
-                score=_parse_float(path, row_num, row, "score"),
-                tier=_parse_float(path, row_num, row, "tier"),
+    with _csv_table(path, FUSED_COLUMNS) as (columns, rows):
+        (i_scan, i_id, i_x, i_y, i_z, i_diameter, i_score, _, i_tier, i_stage, i_cadx,
+         i_provenance) = (columns[c] for c in FUSED_COLUMNS)
+        for line, cells in rows:
+            x = _number(path, line, "x_mm", cells[i_x])
+            y = _number(path, line, "y_mm", cells[i_y])
+            z = _number(path, line, "z_mm", cells[i_z])
+            stage = _text(path, line, "stage", cells[i_stage])
+            if stage not in TIER_BY_STAGE:
+                raise _cell_error(path, line, "stage", f"has unknown value {stage!r}")
+            scan_id = _text(path, line, "scan_id", cells[i_scan])
+            candidate_id = _text(path, line, "candidate_id", cells[i_id])
+            diameter = _number(path, line, "diameter_mm", cells[i_diameter], required=False)
+            score = _number(path, line, "score", cells[i_score])
+            tier = _number(path, line, "tier", cells[i_tier])
+            cadx_avg = _number(path, line, "cadx_avg", cells[i_cadx], required=False)
+            provenance = _text(path, line, "provenance", cells[i_provenance])
+            _unit_interval(path, line, "score", score)
+            _positive(path, line, "diameter_mm", diameter)
+            if tier != TIER_BY_STAGE[stage]:
+                raise _cell_error(path, line, "tier",
+                                  f"must be {TIER_BY_STAGE[stage]} for stage {stage}, got {tier}")
+            if stage == STAGE_CADX:
+                if cadx_avg is None:
+                    raise _cell_error(path, line, "cadx_avg", f"is empty for stage {stage}")
+                _unit_interval(path, line, "cadx_avg", cadx_avg)
+            elif cadx_avg is not None:
+                raise _cell_error(path, line, "cadx_avg", f"must be empty for stage {stage}")
+            x, y, z = convert_to_lps(x, y, z, convention)
+            out.append(FusedRecord(
+                scan_id=scan_id,
+                candidate_id=candidate_id,
+                center=_point(x, y, z),
+                diameter_mm=diameter,
+                score=score,
+                tier=tier,
                 stage=stage,
-                cadx_avg=_parse_float(path, row_num, row, "cadx_avg", required=False),
-                provenance=tuple(_parse_str(path, row_num, row, "provenance").split(PROVENANCE_SEP)),
-            )
-        )
+                cadx_avg=cadx_avg,
+                provenance=tuple(provenance.split(PROVENANCE_SEP)),
+            ))
     return out
 
 
@@ -361,22 +457,24 @@ def read_match_files(paths: Sequence[str | Path]) -> dict[str, dict[tuple[str, s
     out: dict[str, dict[tuple[str, str], float | None]] = {}
     for path in paths:
         path = Path(path)
-        for row_num, row in _read_rows(path, MATCH_COLUMNS):
-            model = _parse_str(path, row_num, row, "model")
-            key = (
-                _parse_str(path, row_num, row, "scan_id"),
-                _parse_str(path, row_num, row, "nodule_id"),
-            )
-            detected = _parse_int(path, row_num, row, "detected")
-            if detected not in (0, 1):
-                raise InputError(f"{path}:{row_num}: column detected must be 0 or 1")
-            score = _parse_float(path, row_num, row, "score", required=False)
-            if detected == 1 and score is None:
-                raise InputError(f"{path}:{row_num}: detected row without a score")
-            table = out.setdefault(model, {})
-            if key in table:
-                raise InputError(f"{path}:{row_num}: duplicate match entry for {key}")
-            table[key] = score if detected == 1 else None
+        with _csv_table(path, MATCH_COLUMNS) as (columns, rows):
+            i_scan, i_nodule, i_detected, i_score, i_model = (columns[c] for c in MATCH_COLUMNS)
+            for line, cells in rows:
+                model = _text(path, line, "model", cells[i_model])
+                key = (
+                    _text(path, line, "scan_id", cells[i_scan]),
+                    _text(path, line, "nodule_id", cells[i_nodule]),
+                )
+                detected = _integer(path, line, "detected", cells[i_detected])
+                if detected not in (0, 1):
+                    raise _cell_error(path, line, "detected", "must be 0 or 1")
+                score = _number(path, line, "score", cells[i_score], required=False)
+                if detected == 1 and score is None:
+                    raise InputError(f"{path}:{line}: detected row without a score")
+                table = out.setdefault(model, {})
+                if key in table:
+                    raise InputError(f"{path}:{line}: duplicate match entry for {key}")
+                table[key] = score if detected == 1 else None
     return out
 
 
@@ -423,7 +521,6 @@ def write_matches_csv(
     manifest_digest: str | None = None,
 ) -> Path:
     rows = []
-    detected = result.detected_scores()
     for scan in result.scans:
         for tp in scan.tp:
             rows.append((scan.scan_id, tp.nodule_id, 1, tp.score, model_label))

@@ -22,7 +22,10 @@ from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .domain import (
+    TOLERANCE_CAP_MM,
     CandidateDetection,
     PipelineConfig,
     WorldPoint,
@@ -163,6 +166,42 @@ def consensus_radius_mm(
     return cfg.consensus_radius_mm
 
 
+def _max_consensus_radius_mm(cfg: PipelineConfig) -> float:
+    """The largest radius ``consensus_radius_mm`` returns under ``cfg``: the
+    adaptive policy never exceeds the capped matching tolerance."""
+    if cfg.consensus_radius_policy == "fixed":
+        return cfg.consensus_radius_mm
+    return max(cfg.consensus_radius_mm, TOLERANCE_CAP_MM)
+
+
+# numpy's squared distance can differ from the scalar one in the last bits, so
+# the prefilter admits a relative slack above the radius, plus an absolute one
+# for squares too small to hold that precision
+_PREFILTER_SLACK = 1e-9
+_PREFILTER_FLOOR_MM2 = 1e-300
+
+
+def _near_pairs(
+    list_a: list[CandidateDetection], list_b: list[CandidateDetection], radius_mm: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)``, in row-major order, of candidates whose centroids
+    may lie within ``radius_mm``.
+
+    A prefilter on one squared-distance array: it keeps every pair the exact
+    scalar distance admits and a few just outside, which callers test exactly.
+    """
+    if not list_a or not list_b:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty
+    a = np.array([c.center.as_tuple() for c in list_a])
+    b = a if list_b is list_a else np.array([c.center.as_tuple() for c in list_b])
+    d = a[:, None, :] - b[None, :, :]
+    d *= d
+    squared = d[:, :, 0] + d[:, :, 1] + d[:, :, 2]
+    limit = radius_mm * radius_mm * (1.0 + _PREFILTER_SLACK) + _PREFILTER_FLOOR_MM2
+    return np.nonzero(squared <= limit)
+
+
 def _require_single_scan(candidates: Iterable[CandidateDetection]) -> str | None:
     scan_ids = {c.scan_id for c in candidates}
     if len(scan_ids) > 1:
@@ -175,20 +214,31 @@ def suppress_same_model_duplicates(
 ) -> tuple[list[CandidateDetection], dict[str, str]]:
     """Keep only the best-scored candidate among same-model near-duplicates.
 
-    Returns the survivors (score-descending) and a map from each suppressed
-    candidate's qualified id to its survivor's qualified id.
+    Candidates are visited best score first (ties by candidate id); each one
+    is absorbed by the first earlier survivor within ``radius_mm`` (scalar
+    distance, after the prefilter), or survives. Returns the survivors
+    (score-descending) and a map from each suppressed candidate's qualified
+    id to its survivor's qualified id.
     """
     ordered = sorted(candidates, key=lambda c: (-c.score, c.candidate_id))
+    rows, cols = _near_pairs(ordered, ordered, radius_mm)
+    earlier = cols < rows
+    near: dict[int, list[int]] = {}
+    for i, j in zip(rows[earlier].tolist(), cols[earlier].tolist()):
+        near.setdefault(i, []).append(j)
     kept: list[CandidateDetection] = []
+    kept_at: set[int] = set()
     absorbed: dict[str, str] = {}
-    for cand in ordered:
+    for i, cand in enumerate(ordered):
         survivor = None
-        for keeper in kept:
-            if cand.center.distance_to(keeper.center) <= radius_mm:
+        for j in near.get(i, ()):
+            keeper = ordered[j]
+            if j in kept_at and cand.center.distance_to(keeper.center) <= radius_mm:
                 survivor = keeper
                 break
         if survivor is None:
             kept.append(cand)
+            kept_at.add(i)
         else:
             absorbed[cand.qualified_id] = survivor.qualified_id
     return kept, absorbed
@@ -205,6 +255,9 @@ def cross_detector_consensus(
     radius. Admissible pairs are committed greedily in descending order of
     summed score (ties by candidate id pair); each candidate joins at most
     one pair. Unpaired candidates from either list form the disagreement set.
+    Pairs within the largest radius the policy allows are found on one
+    distance array, then each is tested with the scalar distance and its own
+    radius, so the result is that of testing every pair.
     """
     cfg = cfg or PipelineConfig()
     _require_single_scan(list_a + list_b)
@@ -216,10 +269,11 @@ def cross_detector_consensus(
         raise InputError("detector lists must come from different source models")
 
     admissible = []
-    for a in list_a:
-        for b in list_b:
-            if a.center.distance_to(b.center) <= consensus_radius_mm(a, b, cfg):
-                admissible.append((a, b))
+    rows, cols = _near_pairs(list_a, list_b, _max_consensus_radius_mm(cfg))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        a, b = list_a[i], list_b[j]
+        if a.center.distance_to(b.center) <= consensus_radius_mm(a, b, cfg):
+            admissible.append((a, b))
     admissible.sort(key=lambda ab: (-(ab[0].score + ab[1].score),
                                     ab[0].candidate_id, ab[1].candidate_id))
 

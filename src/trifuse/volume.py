@@ -295,7 +295,8 @@ def save_volume(volume: Volume, header_path: str | Path, data_file: str | None =
     h = volume.header
     dtype = ELEMENT_DTYPES[h.element_type]
     data_path = header_path.parent / data_file
-    volume.values.astype(dtype).T.tofile(data_path)
+    # one pass converts to the stored dtype and lays the voxels out x-fastest
+    np.ascontiguousarray(volume.values.T, dtype=dtype).tofile(data_path)
     lines = [
         f"dims = {h.dims[0]} {h.dims[1]} {h.dims[2]}",
         f"spacing_mm = {h.spacing_mm[0]!r} {h.spacing_mm[1]!r} {h.spacing_mm[2]!r}",
@@ -308,14 +309,16 @@ def save_volume(volume: Volume, header_path: str | Path, data_file: str | None =
 
 
 def save_patch(patch: Patch, header_path: str | Path) -> Path:
-    """Persist a patch as a float32 volume pair (used to feed external scorers)."""
+    """Persist a patch as a float32 volume pair (used to feed external scorers).
+
+    The float64 patch values are converted to float32 once, as they are written.
+    """
     origin = WorldPoint(
         patch.center.x - (PATCH_SHAPE[0] - 1) / 2.0 * patch.spacing_mm[0],
         patch.center.y - (PATCH_SHAPE[1] - 1) / 2.0 * patch.spacing_mm[1],
         patch.center.z - (PATCH_SHAPE[2] - 1) / 2.0 * patch.spacing_mm[2],
     )
-    volume = Volume.from_array(
-        patch.values.astype("<f4"), spacing_mm=patch.spacing_mm, origin_mm=origin,
-        element_type="float32",
+    header = VolumeHeader(
+        dims=PATCH_SHAPE, spacing_mm=patch.spacing_mm, origin_mm=origin, element_type="float32"
     )
-    return save_volume(volume, header_path)
+    return save_volume(Volume(header=header, values=patch.values), header_path)

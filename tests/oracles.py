@@ -1,19 +1,47 @@
 """Independent brute-force oracles used to cross-check the library.
 
-Everything here works on plain tuples and enumerates exhaustively (or, for
-the bootstrap, recomputes every resample from scratch); nothing imports the
-code under test.
+Most oracles work on plain tuples and enumerate exhaustively (or, for the
+bootstrap, recompute every resample from scratch) without importing the code
+under test. The CSV-reader and fusion-pairing oracles are the library's
+earlier scalar code: they build the library's record types, validated by
+their constructors, so results compare with ``==``, and they import only
+those records, the error type, the file schemas and the scalar
+consensus-radius rule.
 
 Conventions:
   candidate = (cid, (x, y, z), score)
   reference = (nid, (x, y, z), diameter_mm)
 """
 
+import csv
 import itertools
 import math
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+
+from trifuse.domain import (
+    CandidateDetection,
+    PipelineConfig,
+    ReferenceNodule,
+    SemanticRatings,
+    WorldPoint,
+)
+from trifuse.errors import InputError
+from trifuse.fileio import (
+    CADX_SCORE_COLUMNS,
+    CANDIDATE_COLUMNS,
+    FUSED_COLUMNS,
+    LABELED_SCORE_COLUMNS,
+    MATCH_COLUMNS,
+    PROVENANCE_SEP,
+    RATING_COLUMN_FIELDS,
+    REFERENCE_COLUMNS,
+    FusedRecord,
+)
+from trifuse.fusion import TIER_BY_STAGE, CadxScores, ConsensusPair, consensus_radius_mm
 
 
 def hit_tolerance(diameter_mm):
@@ -240,6 +268,32 @@ def oracle_extract_patch(volume, center, shape=(64, 64, 64), spacing=(0.7, 0.7, 
     return SimpleNamespace(values=normalized.reshape(shape), center=center)
 
 
+def oracle_save_patch(patch, header_path):
+    """The earlier patch writer's files, from numpy and text alone.
+
+    The patch values went to float32 three times (a float32 copy, the
+    volume's copy, the copy converted on write) and were written x-fastest
+    from a transposed view; the header lists dims, spacing, origin, element
+    type and data file. ``patch`` needs ``values``, ``center`` and ``spacing_mm``.
+    """
+    header_path = Path(header_path)
+    values = patch.values.astype("<f4").astype("<f4")
+    data_file = header_path.stem + ".raw"
+    values.astype("<f4").T.tofile(header_path.parent / data_file)
+    spacing = [float(s) for s in patch.spacing_mm]
+    c = patch.center.as_tuple()
+    origin = [float(c[a] - (values.shape[a] - 1) / 2.0 * spacing[a]) for a in range(3)]
+    lines = [
+        "dims = {} {} {}".format(*values.shape),
+        "spacing_mm = {!r} {!r} {!r}".format(*spacing),
+        "origin_mm = {!r} {!r} {!r}".format(*origin),
+        "element_type = float32",
+        f"data_file = {data_file}",
+    ]
+    header_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return header_path
+
+
 def oracle_confusion(scores, labels, tau):
     """(tp, fp, fn, tn) for flagging score >= tau against 'cancer' labels."""
     tp = fp = fn = tn = 0
@@ -294,3 +348,334 @@ def oracle_cohens_d(x, y):
     v2 = sum((v - m2) ** 2 for v in y) / (n2 - 1)
     pooled = math.sqrt(((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2))
     return (m1 - m2) / pooled
+
+
+# ---------------------------------------------------------------------------
+# CSV readers: a csv.DictReader per file, a dict per row, every value parsed
+# by name and validated again by the record constructors.
+
+
+def _convert_to_lps(x: float, y: float, z: float, convention: str) -> tuple[float, float, float]:
+    if convention == "lps":
+        return (x, y, z)
+    if convention == "ras":
+        return (-x, -y, z)
+    raise InputError(f"unknown coordinate convention {convention!r}; use lps or ras")
+
+
+def _csv_lines(fh, last_line: list[int]) -> Iterable[str]:
+    """The lines of ``fh`` that are not ``#`` comments; ``last_line[0]`` holds the
+    physical number of the line yielded last."""
+    for line_num, line in enumerate(fh, start=1):
+        if line.startswith("#"):
+            continue
+        last_line[0] = line_num
+        yield line
+
+
+def _read_rows(path: str | Path, required: Sequence[str]) -> Iterator[tuple[int, dict[str, str]]]:
+    """Data rows of a CSV file, each with the physical line number it ends on.
+
+    A leading UTF-8 byte-order mark (as spreadsheet exports write) is dropped.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise InputError(f"{path}: file does not exist")
+    last_line = [0]
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.DictReader(_csv_lines(fh, last_line))
+        if reader.fieldnames is None:
+            raise InputError(f"{path}: missing header row")
+        fieldnames = [name.strip() for name in reader.fieldnames]
+        for column in required:
+            if column not in fieldnames:
+                raise InputError(f"{path}: column {column} missing")
+        for row in reader:
+            row_num = last_line[0]
+            if None in row:
+                raise InputError(f"{path}:{row_num}: more cells than header columns")
+            yield row_num, {(k.strip() if k else k): (v if v is not None else "")
+                            for k, v in row.items()}
+
+
+def _cell(path, row_num: int, row: Mapping[str, str], column: str) -> str:
+    return (row.get(column) or "").strip()
+
+
+def _parse_float(path, row_num: int, row: Mapping[str, str], column: str,
+                 required: bool = True) -> float | None:
+    text = _cell(path, row_num, row, column)
+    if not text:
+        if required:
+            raise InputError(f"{path}:{row_num}: column {column} is empty")
+        return None
+    try:
+        value = float(text)
+    except ValueError:
+        raise InputError(f"{path}:{row_num}: column {column} is not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise InputError(f"{path}:{row_num}: column {column} is not finite: {text!r}")
+    return value
+
+
+def _parse_int(path, row_num: int, row: Mapping[str, str], column: str,
+               required: bool = True) -> int | None:
+    text = _cell(path, row_num, row, column)
+    if not text:
+        if required:
+            raise InputError(f"{path}:{row_num}: column {column} is empty")
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{path}:{row_num}: column {column} is not an integer: {text!r}") from None
+
+
+def _parse_str(path, row_num: int, row: Mapping[str, str], column: str,
+               required: bool = True) -> str | None:
+    text = _cell(path, row_num, row, column)
+    if not text and required:
+        raise InputError(f"{path}:{row_num}: column {column} is empty")
+    return text or None
+
+
+def oracle_read_candidates(
+    path: str | Path, convention: str = "lps", expected_model: str | None = None
+) -> list[CandidateDetection]:
+    path = Path(path)
+    out = []
+    seen = set()
+    for row_num, row in _read_rows(path, CANDIDATE_COLUMNS):
+        model = _parse_str(path, row_num, row, "model")
+        if expected_model is not None and model != expected_model:
+            raise InputError(
+                f"{path}:{row_num}: column model must be {expected_model}, got {model!r}"
+            )
+        x = _parse_float(path, row_num, row, "x_mm")
+        y = _parse_float(path, row_num, row, "y_mm")
+        z = _parse_float(path, row_num, row, "z_mm")
+        cand = CandidateDetection(
+            scan_id=_parse_str(path, row_num, row, "scan_id"),
+            candidate_id=_parse_str(path, row_num, row, "candidate_id"),
+            center=WorldPoint(*_convert_to_lps(x, y, z, convention)),
+            diameter_mm=_parse_float(path, row_num, row, "diameter_mm", required=False),
+            score=_parse_float(path, row_num, row, "score"),
+            source_model=model,
+        )
+        if cand.key in seen:
+            raise InputError(
+                f"{path}:{row_num}: duplicate candidate_id {cand.candidate_id!r} "
+                f"for model {model!r} on scan {cand.scan_id!r}"
+            )
+        seen.add(cand.key)
+        out.append(cand)
+    return out
+
+
+def oracle_read_references(path: str | Path, convention: str = "lps") -> list[ReferenceNodule]:
+    path = Path(path)
+    out = []
+    seen = set()
+    for row_num, row in _read_rows(path, REFERENCE_COLUMNS):
+        x = _parse_float(path, row_num, row, "x_mm")
+        y = _parse_float(path, row_num, row, "y_mm")
+        z = _parse_float(path, row_num, row, "z_mm")
+        rating_values = {}
+        for display, field in RATING_COLUMN_FIELDS.items():
+            if display not in row:
+                continue
+            if field == "diameter_rad_mm":
+                rating_values[field] = _parse_float(path, row_num, row, display, required=False)
+            else:
+                rating_values[field] = _parse_int(path, row_num, row, display, required=False)
+        ratings = SemanticRatings(**rating_values) if any(
+            v is not None for v in rating_values.values()
+        ) else None
+        try:
+            ref = ReferenceNodule(
+                scan_id=_parse_str(path, row_num, row, "scan_id"),
+                nodule_id=_parse_str(path, row_num, row, "nodule_id"),
+                center=WorldPoint(*_convert_to_lps(x, y, z, convention)),
+                diameter_mm=_parse_float(path, row_num, row, "diameter_mm"),
+                diagnosis=_parse_str(path, row_num, row, "diagnosis", required=False) or "unknown",
+                lungrads=_parse_str(path, row_num, row, "lungrads", required=False),
+                reviewers=_parse_int(path, row_num, row, "reviewers", required=False),
+                positive_votes=_parse_int(path, row_num, row, "positive_votes", required=False),
+                ratings=ratings,
+            )
+        except InputError as err:
+            raise InputError(f"{path}:{row_num}: {err}") from None
+        if ref.key in seen:
+            raise InputError(
+                f"{path}:{row_num}: duplicate nodule_id {ref.nodule_id!r} on scan {ref.scan_id!r}"
+            )
+        seen.add(ref.key)
+        out.append(ref)
+    return out
+
+
+def oracle_read_cadx_scores(path: str | Path) -> dict[tuple[str, str, str], CadxScores]:
+    path = Path(path)
+    out: dict[tuple[str, str, str], CadxScores] = {}
+    for row_num, row in _read_rows(path, CADX_SCORE_COLUMNS):
+        key = (
+            _parse_str(path, row_num, row, "scan_id"),
+            _parse_str(path, row_num, row, "model"),
+            _parse_str(path, row_num, row, "candidate_id"),
+        )
+        if key in out:
+            raise InputError(f"{path}:{row_num}: duplicate CADx score entry for {key}")
+        try:
+            out[key] = CadxScores(
+                p_luna=_parse_float(path, row_num, row, "p_luna"),
+                p_dlcs=_parse_float(path, row_num, row, "p_dlcs"),
+            )
+        except InputError as err:
+            raise InputError(f"{path}:{row_num}: {err}") from None
+    return out
+
+
+def oracle_read_labeled_scores(path: str | Path) -> tuple[list[float], list[str]]:
+    path = Path(path)
+    scores, labels = [], []
+    for row_num, row in _read_rows(path, LABELED_SCORE_COLUMNS):
+        scores.append(_parse_float(path, row_num, row, "score"))
+        labels.append(_parse_str(path, row_num, row, "label"))
+    return scores, labels
+
+
+def oracle_read_fused(path: str | Path, convention: str = "lps") -> list[FusedRecord]:
+    path = Path(path)
+    out = []
+    for row_num, row in _read_rows(path, FUSED_COLUMNS):
+        x = _parse_float(path, row_num, row, "x_mm")
+        y = _parse_float(path, row_num, row, "y_mm")
+        z = _parse_float(path, row_num, row, "z_mm")
+        stage = _parse_str(path, row_num, row, "stage")
+        if stage not in TIER_BY_STAGE:
+            raise InputError(f"{path}:{row_num}: column stage has unknown value {stage!r}")
+        out.append(
+            FusedRecord(
+                scan_id=_parse_str(path, row_num, row, "scan_id"),
+                candidate_id=_parse_str(path, row_num, row, "candidate_id"),
+                center=WorldPoint(*_convert_to_lps(x, y, z, convention)),
+                diameter_mm=_parse_float(path, row_num, row, "diameter_mm", required=False),
+                score=_parse_float(path, row_num, row, "score"),
+                tier=_parse_float(path, row_num, row, "tier"),
+                stage=stage,
+                cadx_avg=_parse_float(path, row_num, row, "cadx_avg", required=False),
+                provenance=tuple(_parse_str(path, row_num, row, "provenance").split(PROVENANCE_SEP)),
+            )
+        )
+    return out
+
+
+def oracle_read_match_files(paths: Sequence[str | Path]) -> dict[str, dict[tuple[str, str], float | None]]:
+    """Read per-model match files; returns model -> {(scan, nodule): score|None}."""
+    out: dict[str, dict[tuple[str, str], float | None]] = {}
+    for path in paths:
+        path = Path(path)
+        for row_num, row in _read_rows(path, MATCH_COLUMNS):
+            model = _parse_str(path, row_num, row, "model")
+            key = (
+                _parse_str(path, row_num, row, "scan_id"),
+                _parse_str(path, row_num, row, "nodule_id"),
+            )
+            detected = _parse_int(path, row_num, row, "detected")
+            if detected not in (0, 1):
+                raise InputError(f"{path}:{row_num}: column detected must be 0 or 1")
+            score = _parse_float(path, row_num, row, "score", required=False)
+            if detected == 1 and score is None:
+                raise InputError(f"{path}:{row_num}: detected row without a score")
+            table = out.setdefault(model, {})
+            if key in table:
+                raise InputError(f"{path}:{row_num}: duplicate match entry for {key}")
+            table[key] = score if detected == 1 else None
+    return out
+
+
+
+# ---------------------------------------------------------------------------
+# Fusion pairing and dedup: every pair's distance in a Python loop.
+
+
+def oracle_suppress_same_model_duplicates(candidates, radius_mm):
+    """Keep only the best-scored candidate among same-model near-duplicates.
+
+    Returns the survivors (score-descending) and a map from each suppressed
+    candidate's qualified id to its survivor's qualified id.
+    """
+    ordered = sorted(candidates, key=lambda c: (-c.score, c.candidate_id))
+    kept = []
+    absorbed = {}
+    for cand in ordered:
+        survivor = None
+        for keeper in kept:
+            if cand.center.distance_to(keeper.center) <= radius_mm:
+                survivor = keeper
+                break
+        if survivor is None:
+            kept.append(cand)
+        else:
+            absorbed[cand.qualified_id] = survivor.qualified_id
+    return kept, absorbed
+
+
+def oracle_cross_detector_consensus(list_a, list_b, cfg=None):
+    """Pair candidates proposed by both detectors on one scan.
+
+    A pair is admissible when the centroid distance satisfies the consensus
+    radius. Admissible pairs are committed greedily in descending order of
+    summed score (ties by candidate id pair); each candidate joins at most
+    one pair. Unpaired candidates from either list form the disagreement set.
+    """
+    cfg = cfg or PipelineConfig()
+    scan_ids = {c.scan_id for c in list_a + list_b}
+    if len(scan_ids) > 1:
+        raise InputError(f"candidates span multiple scans: {sorted(scan_ids)}")
+    models_a = {c.source_model for c in list_a}
+    models_b = {c.source_model for c in list_b}
+    if len(models_a) > 1 or len(models_b) > 1:
+        raise InputError("each detector list must come from a single source model")
+    if models_a and models_b and models_a == models_b:
+        raise InputError("detector lists must come from different source models")
+
+    admissible = []
+    for a in list_a:
+        for b in list_b:
+            if a.center.distance_to(b.center) <= consensus_radius_mm(a, b, cfg):
+                admissible.append((a, b))
+    admissible.sort(key=lambda ab: (-(ab[0].score + ab[1].score),
+                                    ab[0].candidate_id, ab[1].candidate_id))
+
+    used_a = set()
+    used_b = set()
+    pairs = []
+    for a, b in admissible:
+        if a.candidate_id in used_a or b.candidate_id in used_b:
+            continue
+        used_a.add(a.candidate_id)
+        used_b.add(b.candidate_id)
+        total = a.score + b.score
+        if total > 0.0:
+            wa, wb = a.score / total, b.score / total
+        else:
+            wa = wb = 0.5
+        merged_center = WorldPoint(
+            wa * a.center.x + wb * b.center.x,
+            wa * a.center.y + wb * b.center.y,
+            wa * a.center.z + wb * b.center.z,
+        )
+        pairs.append(
+            ConsensusPair(
+                member_a=a,
+                member_b=b,
+                merged_center=merged_center,
+                merged_score=(a.score + b.score) / 2.0,
+            )
+        )
+
+    disagreements = [c for c in list_a if c.candidate_id not in used_a]
+    disagreements += [c for c in list_b if c.candidate_id not in used_b]
+    disagreements.sort(key=lambda c: (c.source_model, c.candidate_id))
+    return pairs, disagreements

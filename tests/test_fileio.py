@@ -1,14 +1,25 @@
+import csv
+import io
 import json
 
+import numpy as np
 import pytest
 
 from trifuse import fileio
 from trifuse.domain import WorldPoint
 from trifuse.errors import ConfigError, InputError
 from trifuse.froc import match_lesions
-from trifuse.fusion import FusedCandidate
+from trifuse.fusion import TIER_BY_STAGE, FusedCandidate
 
 from conftest import cand, ref
+from oracles import (
+    oracle_read_cadx_scores,
+    oracle_read_candidates,
+    oracle_read_fused,
+    oracle_read_labeled_scores,
+    oracle_read_match_files,
+    oracle_read_references,
+)
 
 
 def write(path, text):
@@ -52,6 +63,20 @@ class TestCandidateReader:
         path = write(tmp_path / "c.csv", CANDIDATE_HEADER + "s1,c1,1,2,3,,1.5,CADE_A\n")
         with pytest.raises(InputError):
             fileio.read_candidates(path)
+
+    @pytest.mark.parametrize("cells, message", [
+        ("1,2,3,,1.5", "column score must lie in [0, 1], got 1.5"),
+        ("1,2,3,-4,0.5", "column diameter_mm must be positive, got -4.0"),
+        ("1,2,3,0,0.5", "column diameter_mm must be positive, got 0.0"),
+    ])
+    def test_value_errors_name_file_line_and_column(self, tmp_path, cells, message):
+        path = write(
+            tmp_path / "c.csv",
+            CANDIDATE_HEADER + "s1,c1,1,2,3,,0.5,CADE_A\n" + f"s1,c2,{cells},CADE_A\n",
+        )
+        with pytest.raises(InputError) as err:
+            fileio.read_candidates(path)
+        assert str(err.value) == f"{path}:3: {message}"
 
     def test_expected_model_enforced(self, tmp_path):
         path = write(tmp_path / "c.csv", CANDIDATE_HEADER + "s1,c1,1,2,3,,0.5,CADE_B\n")
@@ -133,6 +158,18 @@ class TestReferenceReader:
             fileio.read_references(path)
 
 
+    def test_rating_error_names_file_and_line(self, tmp_path):
+        path = write(
+            tmp_path / "r.csv",
+            "scan_id,nodule_id,x_mm,y_mm,z_mm,diameter_mm,diagnosis,lungrads,"
+            "reviewers,positive_votes,Subtlety\n"
+            "s1,n1,1,2,3,8.0,benign,,,,4\n"
+            "s1,n2,1,2,3,8.0,benign,,,,6\n",
+        )
+        with pytest.raises(InputError, match=r"r\.csv:3: rating subtlety must be"):
+            fileio.read_references(path)
+
+
 class TestCadxScoreReader:
     def test_lookup_table(self, tmp_path):
         path = write(
@@ -210,6 +247,49 @@ class TestFusedRoundTrip:
         for original, record in zip(fused, records):
             assert record.center == original.center
             assert record.score == original.cade_score_avg
+
+
+FUSED_HEADER = ",".join(fileio.FUSED_COLUMNS) + "\n"
+
+
+class TestFusedReaderRules:
+    """``read_fused`` accepts only rows that ``fuse`` can write."""
+
+    def read(self, tmp_path, row):
+        path = write(
+            tmp_path / "fused.csv",
+            "# manifest_digest=abc\n" + FUSED_HEADER
+            + "s1,F0000,1,2,3,6.5,0.7,FUSED,1.0,consensus,,CADE_A:a1|CADE_B:b1\n" + row + "\n",
+        )
+        return fileio.read_fused(path)
+
+    def test_valid_rows(self, tmp_path):
+        records = self.read(tmp_path, "s1,F0001,1,2,3,,0.4,FUSED,0.5,cadx_promoted,1.0,CADE_A:a2")
+        assert [r.stage for r in records] == ["consensus", "cadx_promoted"]
+        assert records[1].cadx_avg == 1.0 and records[1].diameter_mm is None
+
+    def test_score_in_unit_interval(self, tmp_path):
+        with pytest.raises(InputError, match=r"fused\.csv:4: column score must lie in \[0, 1\]"):
+            self.read(tmp_path, "s1,F0001,1,2,3,,7.5,FUSED,0.2,cade_refined,,CADE_A:a2")
+
+    def test_diameter_positive(self, tmp_path):
+        with pytest.raises(InputError, match=r"fused\.csv:4: column diameter_mm must be positive"):
+            self.read(tmp_path, "s1,F0001,1,2,3,-4,0.5,FUSED,0.2,cade_refined,,CADE_A:a2")
+
+    def test_tier_matches_stage(self, tmp_path):
+        with pytest.raises(InputError,
+                           match=r"fused\.csv:4: column tier must be 1\.0 for stage consensus"):
+            self.read(tmp_path, "s1,F0001,1,2,3,,0.5,FUSED,0.3,consensus,,CADE_A:a2|CADE_B:b2")
+
+    def test_cadx_avg_in_unit_interval(self, tmp_path):
+        with pytest.raises(InputError, match=r"fused\.csv:4: column cadx_avg must lie in \[0, 1\]"):
+            self.read(tmp_path, "s1,F0001,1,2,3,,0.5,FUSED,0.5,cadx_promoted,9,CADE_A:a2")
+
+    def test_cadx_avg_exactly_for_cadx_promoted(self, tmp_path):
+        with pytest.raises(InputError, match=r"fused\.csv:4: column cadx_avg is empty"):
+            self.read(tmp_path, "s1,F0001,1,2,3,,0.5,FUSED,0.5,cadx_promoted,,CADE_A:a2")
+        with pytest.raises(InputError, match=r"fused\.csv:4: column cadx_avg must be empty"):
+            self.read(tmp_path, "s1,F0001,1,2,3,,0.5,FUSED,0.2,cade_refined,0.3,CADE_A:a2")
 
 
 class TestMatchesCsv:
@@ -300,3 +380,214 @@ class TestConfigFile:
         path = write(tmp_path / "cfg", "seed=1\nseed=2\n")
         with pytest.raises(ConfigError):
             fileio.parse_config_file(path)
+
+
+# ---------------------------------------------------------------------------
+# The positional readers against the earlier DictReader-based ones
+
+
+def messy_csv(rng, path, header, rows):
+    """Write ``rows`` (dicts of cell text) the ways real exports differ.
+
+    Columns come in a random order with padded names, sometimes after an
+    earlier column of the same name, and with a trailing ``note`` column that
+    some rows fill with a quoted multi-line cell and some leave out along
+    with trailing empty cells (short rows); comment and blank lines sit
+    between rows; the file may start with a byte-order mark and a digest
+    comment. Returns the physical line each row ends on.
+    """
+    columns = [header[i] for i in rng.permutation(len(header))] + ["note"]
+    shadowed = str(rng.choice(header)) if rng.random() < 0.3 else None
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    if rng.random() < 0.5:
+        out.write("# manifest_digest=abc\n")
+    names = [f" {c}" if rng.random() < 0.3 else c for c in columns]
+    writer.writerow(names if shadowed is None else [shadowed] + names)
+    ends = []
+    for row in rows:
+        if rng.random() < 0.1:
+            out.write("\n" if rng.random() < 0.5 else "# between rows\n")
+        cells = [row.get(c, "") for c in columns[:-1]]
+        note = rng.random()
+        if note < 0.1:
+            cells.append("two\nlines")
+        elif note < 0.6:
+            cells.append("n")
+        elif note < 0.8:
+            while cells and not cells[-1]:
+                cells.pop()
+        # a repeated column name: the later column is the one read
+        writer.writerow(cells if shadowed is None else ["shadowed"] + cells)
+        ends.append(out.getvalue().count("\n"))
+    text = out.getvalue()
+    data = text.encode("utf-8")
+    path.write_bytes(b"\xef\xbb\xbf" + data if rng.random() < 0.5 else data)
+    return ends
+
+
+def number_text(rng, value):
+    style = rng.integers(4)
+    if style == 0:
+        return repr(value)
+    if style == 1:
+        return f"{value:.3f}"
+    if style == 2:
+        return f" {value!r} "
+    return f"{value:.6e}"
+
+
+def candidate_rows(rng, n, model=None):
+    rows = []
+    for i in range(n):
+        rows.append({
+            "scan_id": f"scan{rng.integers(4)}",
+            "candidate_id": f"c{i}",
+            "x_mm": number_text(rng, float(rng.uniform(-200, 200))),
+            "y_mm": number_text(rng, float(rng.uniform(-200, 200))),
+            "z_mm": number_text(rng, float(rng.uniform(-400, 0))),
+            "diameter_mm": "" if rng.random() < 0.3 else number_text(rng, float(rng.uniform(0.5, 30))),
+            "score": str(rng.choice(["0", "1", "1.0", " 0.5 ", repr(float(rng.random()))])),
+            "model": model or str(rng.choice(["CADE_A", "CADE_B", "FUSED"])),
+        })
+    return rows
+
+
+def fused_rows_text(rng, n):
+    rows = []
+    for i, row in enumerate(candidate_rows(rng, n, "FUSED")):
+        stage = str(rng.choice(list(TIER_BY_STAGE)))
+        row["candidate_id"] = f"F{i:04d}"
+        row["tier"] = str(rng.choice([repr(TIER_BY_STAGE[stage]), f" {TIER_BY_STAGE[stage]}"]))
+        row["stage"] = stage
+        row["cadx_avg"] = repr(float(rng.random())) if stage == "cadx_promoted" else ""
+        row["provenance"] = "|".join(f"CADE_A:a{j}" for j in range(int(rng.integers(1, 4))))
+        rows.append(row)
+    return rows
+
+
+def reference_rows(rng, n, rating_columns):
+    rows = []
+    for i in range(n):
+        reviewers = int(rng.integers(1, 5)) if rng.random() < 0.7 else None
+        row = {
+            "scan_id": f"scan{rng.integers(4)}",
+            "nodule_id": f"n{i}",
+            "x_mm": number_text(rng, float(rng.uniform(-200, 200))),
+            "y_mm": number_text(rng, float(rng.uniform(-200, 200))),
+            "z_mm": number_text(rng, float(rng.uniform(-400, 0))),
+            "diameter_mm": number_text(rng, float(rng.uniform(3, 30))),
+            "diagnosis": str(rng.choice(["", "benign", "cancer", "unknown"])),
+            "lungrads": str(rng.choice(["", "2", "4A", "4X"])),
+            "reviewers": "" if reviewers is None else str(reviewers),
+            "positive_votes": "" if reviewers is None else str(rng.integers(0, reviewers + 1)),
+        }
+        for column in rating_columns:
+            if rng.random() < 0.7:
+                row[column] = (number_text(rng, float(rng.uniform(1, 30)))
+                               if column == "DiamEq_Rad" else str(rng.integers(1, 5)))
+        rows.append(row)
+    return rows
+
+
+RATING_COLUMNS = ("Subtlety", "Malignancy", "Texture", "Spiculation", "Lobulation",
+                  "Margin", "Sphericity", "InternalStructure", "Calcification", "DiamEq_Rad")
+
+
+class TestReadersAgainstOracle:
+    def test_candidates(self, tmp_path):
+        rng = np.random.default_rng(51)
+        for k in range(30):
+            path = tmp_path / f"c{k}.csv"
+            model = "CADE_A" if k % 3 == 0 else None
+            messy_csv(rng, path, fileio.CANDIDATE_COLUMNS,
+                      candidate_rows(rng, int(rng.integers(0, 40)), model))
+            for convention in ("lps", "ras"):
+                got = fileio.read_candidates(path, convention, expected_model=model)
+                assert got == oracle_read_candidates(path, convention, expected_model=model)
+
+    def test_cadx_scores(self, tmp_path):
+        rng = np.random.default_rng(52)
+        for k in range(20):
+            rows = [{"scan_id": f"scan{rng.integers(3)}", "model": "CADE_B",
+                     "candidate_id": f"c{i}", "p_luna": number_text(rng, float(rng.random())),
+                     "p_dlcs": str(rng.choice(["0", "1", repr(float(rng.random()))]))}
+                    for i in range(int(rng.integers(0, 40)))]
+            path = tmp_path / f"x{k}.csv"
+            messy_csv(rng, path, fileio.CADX_SCORE_COLUMNS, rows)
+            assert fileio.read_cadx_scores(path) == oracle_read_cadx_scores(path)
+
+    def test_references(self, tmp_path):
+        rng = np.random.default_rng(53)
+        for k in range(20):
+            ratings = [c for c in RATING_COLUMNS if rng.random() < 0.5]
+            path = tmp_path / f"r{k}.csv"
+            messy_csv(rng, path, fileio.REFERENCE_COLUMNS + tuple(ratings),
+                      reference_rows(rng, int(rng.integers(0, 30)), ratings))
+            for convention in ("lps", "ras"):
+                assert fileio.read_references(path, convention) == (
+                    oracle_read_references(path, convention)
+                )
+
+    def test_fused(self, tmp_path):
+        rng = np.random.default_rng(54)
+        for k in range(20):
+            path = tmp_path / f"f{k}.csv"
+            messy_csv(rng, path, fileio.FUSED_COLUMNS, fused_rows_text(rng, int(rng.integers(0, 30))))
+            for convention in ("lps", "ras"):
+                assert fileio.read_fused(path, convention) == oracle_read_fused(path, convention)
+
+    def test_match_files_and_labeled_scores(self, tmp_path):
+        rng = np.random.default_rng(55)
+        paths = []
+        for k in range(4):
+            rows = []
+            for i in range(int(rng.integers(0, 30))):
+                detected = int(rng.integers(2))
+                rows.append({"scan_id": f"scan{rng.integers(3)}", "nodule_id": f"n{i}",
+                             "detected": f" {detected}",
+                             "score": repr(float(rng.random())) if detected or rng.random() < 0.3
+                             else "", "model": f"m{k}"})
+            paths.append(tmp_path / f"m{k}.csv")
+            messy_csv(rng, paths[-1], fileio.MATCH_COLUMNS, rows)
+        assert fileio.read_match_files(paths) == oracle_read_match_files(paths)
+        path = tmp_path / "labeled.csv"
+        messy_csv(rng, path, fileio.LABELED_SCORE_COLUMNS,
+                  [{"scan_id": "s", "candidate_id": f"c{i}", "score": number_text(rng, float(i)),
+                    "label": str(rng.choice(["cancer", "no-cancer"]))} for i in range(25)])
+        assert fileio.read_labeled_scores(path) == oracle_read_labeled_scores(path)
+
+    @pytest.mark.parametrize("column, bad", [
+        ("score", "1.5"), ("score", "-0.25"), ("score", "nan"), ("score", "high"), ("score", ""),
+        ("diameter_mm", "0"), ("diameter_mm", "-4"), ("x_mm", "inf"), ("y_mm", "oops"),
+        ("z_mm", " "), ("scan_id", ""), ("candidate_id", "c0"), ("model", " "),
+    ])
+    def test_candidate_errors_name_file_line_and_column(self, tmp_path, column, bad):
+        rng = np.random.default_rng(56)
+        for k in range(5):
+            rows = candidate_rows(rng, 12)
+            at = int(rng.integers(1, 12))
+            rows[at][column] = bad
+            if column == "candidate_id":
+                rows[at]["scan_id"], rows[at]["model"] = rows[0]["scan_id"], rows[0]["model"]
+            path = tmp_path / f"bad{k}.csv"
+            line = messy_csv(rng, path, fileio.CANDIDATE_COLUMNS, rows)[at]
+            with pytest.raises(InputError) as got:
+                fileio.read_candidates(path)
+            with pytest.raises(InputError):
+                oracle_read_candidates(path)
+            message = str(got.value)
+            assert message.startswith(f"{path}:{line}: ")
+            assert column in message
+
+    def test_extra_cell_names_line(self, tmp_path):
+        rng = np.random.default_rng(57)
+        rows = candidate_rows(rng, 6)
+        path = tmp_path / "extra.csv"
+        ends = messy_csv(rng, path, fileio.CANDIDATE_COLUMNS, rows)
+        lines = path.read_text(encoding="utf-8-sig").split("\n")
+        lines[ends[3] - 1] += ",n,surplus"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        for reader in (fileio.read_candidates, oracle_read_candidates):
+            with pytest.raises(InputError, match=rf"extra\.csv:{ends[3]}: more cells"):
+                reader(path)

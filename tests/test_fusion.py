@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -19,6 +20,7 @@ from trifuse.fusion import (
 from trifuse.volume import Volume, load_volume
 
 from conftest import cand
+from oracles import oracle_cross_detector_consensus, oracle_suppress_same_model_duplicates
 
 
 def a_cand(cid, x, y, z, score, scan="s", diameter=None):
@@ -305,6 +307,112 @@ class TestTriStageProperties:
                            cadx_provider=hashed_provider)
         assert r1.fused == r2.fused
         assert r1.dispositions == r2.dispositions
+
+
+# offsets whose length sits on or next to a pairing radius: exact 3-4-5
+# triangles, scaled ones whose squares round in the last bit, and (3, 4, 6e-8),
+# whose squared length is the double after 25 but whose length rounds to 5.0
+BOUNDARY_OFFSETS = (
+    (3.0, 4.0, 0.0), (0.0, 3.0, 4.0), (4.0, 0.0, 3.0), (0.0, 0.0, 5.0), (0.0, 0.0, 2.0),
+    (0.0, 0.0, 3.0), (1.2, 1.6, 0.0), (0.6, 0.8, 0.0), (1.8, 2.4, 0.0), (2.7, 3.6, 0.0),
+    (0.0, 1.5, 2.0), (0.0, 0.0, 4.5), (3.0, 4.0, 6e-8), (3.0, 4.0, 1e-7),
+    (2.9999999999999996, 4.0, 0.0),
+)
+PAIRING_CONFIGS = (
+    PipelineConfig(),
+    PipelineConfig(consensus_radius_policy="fixed"),
+    PipelineConfig(consensus_radius_mm=3.0),
+    PipelineConfig(consensus_radius_policy="fixed", consensus_radius_mm=3.0),
+    PipelineConfig(consensus_radius_mm=4.5),
+    PipelineConfig(consensus_radius_policy="fixed", consensus_radius_mm=2.5),
+    PipelineConfig(consensus_radius_mm=7.0),
+)
+DEDUP_RADII = (1.0, 2.0, 2.5, 3.0, 5.0)
+
+
+def boundary_scan(rng):
+    """Two detector lists around shared anchors, many pairs exactly at a radius.
+
+    Scores come from four values and ids from one pool shared by both lists,
+    so greedy pairing and dedup meet ties in score and in id; either list
+    may be empty.
+    """
+    anchors = [rng.integers(-20, 20, size=3).astype(float) for _ in range(3)]
+    anchors.append(rng.uniform(-20.0, 20.0, size=3))
+
+    def one_list(model):
+        n = int(rng.choice([0, 1, 2, 5, 9, 14]))
+        ids = rng.permutation(16)[:n]
+        out = []
+        for cid in ids:
+            center = anchors[int(rng.integers(len(anchors)))].copy()
+            if rng.random() < 0.8:
+                offset = np.array(BOUNDARY_OFFSETS[int(rng.integers(len(BOUNDARY_OFFSETS)))])
+                center += offset[rng.permutation(3)] * rng.choice([-1.0, 1.0], size=3)
+            else:
+                center += rng.normal(0.0, 2.0, size=3)
+            diameter = rng.choice([0.0, 3.0, 6.0, 9.5, 10.0, 12.0, 16.0])
+            out.append(cand("s", f"c{cid}", *map(float, center),
+                            float(rng.choice([0.25, 0.5, 0.75, 0.9])), model=model,
+                            diameter=float(diameter) or None))
+        return out
+
+    return one_list("CADE_A"), one_list("CADE_B")
+
+
+class TestPairingAgainstOracle:
+    """The prefiltered pairing and dedup against the all-pairs scalar loops."""
+
+    def test_seeded_boundary_scans(self):
+        rng = np.random.default_rng(41)
+        admitted_at_radius = 0
+        for _ in range(250):
+            list_a, list_b = boundary_scan(rng)
+            for cfg in PAIRING_CONFIGS:
+                got = cross_detector_consensus(list_a, list_b, cfg)
+                assert got == oracle_cross_detector_consensus(list_a, list_b, cfg)
+                admitted_at_radius += sum(
+                    p.member_a.center.distance_to(p.member_b.center) == cfg.consensus_radius_mm
+                    for p in got[0]
+                )
+            for candidates in (list_a, list_b):
+                for radius in DEDUP_RADII:
+                    assert suppress_same_model_duplicates(candidates, radius) == (
+                        oracle_suppress_same_model_duplicates(candidates, radius)
+                    )
+        assert admitted_at_radius > 0
+
+    def test_exact_radius_is_inclusive(self):
+        fixed = PipelineConfig(consensus_radius_policy="fixed")
+        a = [a_cand("a1", 0, 0, 0, 0.5)]
+        for pairing in (cross_detector_consensus, oracle_cross_detector_consensus):
+            assert len(pairing(a, [b_cand("b1", 3, 4, 0, 0.5)], fixed)[0]) == 1
+            # squared length 25 + 1 ulp, length 5.0: a squared-distance test
+            # without slack would drop this pair
+            assert len(pairing(a, [b_cand("b1", 3, 4, 6e-8, 0.5)], fixed)[0]) == 1
+            assert pairing(a, [b_cand("b1", 3, 4, 1e-7, 0.5)], fixed)[0] == []
+        for dedup in (suppress_same_model_duplicates, oracle_suppress_same_model_duplicates):
+            kept, _ = dedup([a_cand("a1", 0, 0, 0, 0.9), a_cand("a2", 0, 1.2, 1.6, 0.5)], 2.0)
+            assert len(kept) == (1 if math.sqrt(1.2 ** 2 + 1.6 ** 2) <= 2.0 else 2)
+
+    def test_empty_and_one_sided_lists(self):
+        one = [a_cand("a1", 0, 0, 0, 0.5), a_cand("a2", 1, 0, 0, 0.5)]
+        for list_a, list_b in (([], []), (one, []), ([], [b_cand("b1", 0, 0, 0, 0.5)])):
+            assert cross_detector_consensus(list_a, list_b) == (
+                oracle_cross_detector_consensus(list_a, list_b)
+            )
+        assert suppress_same_model_duplicates([], 2.0) == ([], {})
+
+    def test_adaptive_radius_widens_to_the_capped_tolerance(self):
+        # diameters of 10 mm and up give a 5 mm matching tolerance, above the
+        # configured 3 mm base radius: only the adaptive policy pairs 4.5 mm
+        apart = ([a_cand("a1", 0, 0, 0, 0.5, diameter=10.0)],
+                 [b_cand("b1", 0, 0, 4.5, 0.5, diameter=12.0)])
+        adaptive = PipelineConfig(consensus_radius_policy="adaptive", consensus_radius_mm=3.0)
+        fixed = PipelineConfig(consensus_radius_policy="fixed", consensus_radius_mm=3.0)
+        for pairing in (cross_detector_consensus, oracle_cross_detector_consensus):
+            assert len(pairing(*apart, cfg=adaptive)[0]) == 1
+            assert pairing(*apart, cfg=fixed)[0] == []
 
 
 class TestFuseScans:

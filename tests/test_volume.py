@@ -15,12 +15,13 @@ from trifuse.volume import (
     label_at,
     load_volume,
     read_header,
+    save_patch,
     save_volume,
     voxel_to_world,
     world_to_voxel,
 )
 
-from oracles import oracle_extract_patch
+from oracles import oracle_extract_patch, oracle_save_patch
 
 
 def make_volume(values, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):
@@ -340,3 +341,23 @@ class TestExtractPatchMatchesOracle:
         vol = Volume.from_array(values, spacing, origin, "float32")
         assert extract_patch(vol, center).values[31, 31, 31] > 0.0
         self.assert_same(vol, [center])
+
+
+class TestSavePatchMatchesOracle:
+    """The one-conversion patch writer against the earlier three-copy one."""
+
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_same_files(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-1200, 700, size=(45, 38, 27))
+        vol = Volume.from_array(values, (0.77, 0.81, 1.9), WorldPoint(-20.1, 3.3, -7.75), "int16")
+        for k, center in enumerate([WorldPoint(*rng.uniform(-10.0, 30.0, size=3)),
+                                    WorldPoint(0.1, 1 / 3, -2.0 ** -20)]):
+            patch = extract_patch(vol, center)
+            got = save_patch(patch, tmp_path / f"new{k}.hdr")
+            want = oracle_save_patch(patch, tmp_path / f"old{k}.hdr")
+            assert got.read_text().replace(f"new{k}", "x") == want.read_text().replace(f"old{k}", "x")
+            assert (tmp_path / f"new{k}.raw").read_bytes() == (tmp_path / f"old{k}.raw").read_bytes()
+            loaded = load_volume(got)
+            assert loaded.values.dtype == np.dtype("<f4")
+            assert np.array_equal(loaded.values, patch.values.astype(np.float32))
