@@ -73,9 +73,13 @@ class WorldPoint:
             object.__setattr__(self, axis, require_finite(f"coordinate {axis}", getattr(self, axis)))
 
     def distance_to(self, other: "WorldPoint") -> float:
-        return math.sqrt(
-            (self.x - other.x) ** 2 + (self.y - other.y) ** 2 + (self.z - other.z) ** 2
-        )
+        """Euclidean distance; ``inf`` when the squared distance overflows."""
+        try:
+            return math.sqrt(
+                (self.x - other.x) ** 2 + (self.y - other.y) ** 2 + (self.z - other.z) ** 2
+            )
+        except OverflowError:
+            return math.inf
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)

@@ -69,18 +69,9 @@ class LesionMatchResult:
     def n_candidates(self) -> int:
         return sum(len(s.tp) + len(s.fp) for s in self.scans)
 
-    def tp_scores(self) -> np.ndarray:
-        return np.sort(np.array([t.score for s in self.scans for t in s.tp], dtype=np.float64))
-
-    def fp_scores(self) -> np.ndarray:
-        return np.sort(np.array([f[1] for s in self.scans for f in s.fp], dtype=np.float64))
-
     def detected_scores(self) -> dict[tuple[str, str], float]:
         """Matched candidate score per detected reference, keyed (scan, nodule)."""
         return {(t.scan_id, t.nodule_id): t.score for s in self.scans for t in s.tp}
-
-    def missed_keys(self) -> set[tuple[str, str]]:
-        return {(s.scan_id, n) for s in self.scans for n in s.fn}
 
 
 def match_lesions(
@@ -173,34 +164,56 @@ class FrocCurve:
             raise InputError("fp_rates and sensitivities must have equal length")
 
     def sensitivity_at(self, rate: float) -> float:
-        for r, s in zip(self.fp_rates, self.sensitivities):
-            if r == rate:
-                return s
-        raise InputError(f"rate {rate} not on the curve")
+        return self.sensitivities[_rate_index(self.fp_rates, rate)]
 
 
-def _sensitivities(
-    tp_scores: np.ndarray,
-    fp_scores: np.ndarray,
+def _rate_index(rates: Sequence[float], rate: float) -> int:
+    for k, r in enumerate(rates):
+        if r == rate:
+            return k
+    raise InputError(f"rate {rate} not on the curve")
+
+
+def _score_grid(result: LesionMatchResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ascending distinct scores of a matching, and the rank on it of each
+    true positive and each false positive, both in scan order."""
+    tp_scores = np.array([t.score for s in result.scans for t in s.tp], dtype=np.float64)
+    fp_scores = np.array([f[1] for s in result.scans for f in s.fp], dtype=np.float64)
+    grid = np.unique(np.concatenate([tp_scores, fp_scores]))
+    return grid, np.searchsorted(grid, tp_scores), np.searchsorted(grid, fp_scores)
+
+
+def _sensitivities_on_grid(
+    grid_size: int,
+    tp_rank: np.ndarray,
+    fp_rank: np.ndarray,
     n_scans: int,
     n_lesions: int,
     rates: Sequence[float],
-) -> tuple[float, ...]:
-    thresholds = np.unique(np.concatenate([tp_scores, fp_scores]))  # ascending
-    if thresholds.size == 0:
-        return tuple(0.0 for _ in rates)
-    # counts of scores >= each threshold
-    tp_counts = tp_scores.size - np.searchsorted(tp_scores, thresholds, side="left")
-    fp_counts = fp_scores.size - np.searchsorted(fp_scores, thresholds, side="left")
-    out = []
-    for rate in rates:
-        allowed = rate * n_scans
-        admissible = np.nonzero(fp_counts <= allowed)[0]
-        if admissible.size == 0:
-            out.append(0.0)
-        else:
-            out.append(float(tp_counts[admissible[0]]) / n_lesions)
-    return tuple(out)
+    tp_weight: np.ndarray | None = None,
+    fp_weight: np.ndarray | None = None,
+) -> list[float]:
+    """Sensitivity at each false-positive rate per scan.
+
+    Each positive counts its weight (default 1) at every grid score at or
+    below its own. At each rate the threshold is the lowest grid score whose
+    false positives fit within ``rate * n_scans``; the sensitivity is its true
+    positives over ``n_lesions``, or 0 when no threshold fits. Zero weights
+    below a cut give the curve of the positives kept by that cut, and draw
+    counts give the curve of a scan resample.
+    """
+    # weighted counts at or above each grid score, plus a zero count above the top one
+    tp_counts = np.zeros(grid_size + 1)
+    tp_counts[:-1] = np.bincount(tp_rank, tp_weight, grid_size)[::-1].cumsum()[::-1]
+    fp_counts = np.bincount(fp_rank, fp_weight, grid_size)[::-1].cumsum()[::-1]
+    # fp_counts never rises with the threshold: first index with fp <= rate * n_scans
+    allowed = -np.array(rates, dtype=np.float64) * n_scans
+    first = np.searchsorted(-fp_counts, allowed, side="left")
+    return (tp_counts[first] / n_lesions).tolist()
+
+
+def _mean_sensitivity(sensitivities: Sequence[float]) -> float:
+    return float(sum(sensitivities) / len(sensitivities))
 
 
 def froc_curve(result: LesionMatchResult, rates: Sequence[float] = FP_RATES) -> FrocCurve:
@@ -209,12 +222,13 @@ def froc_curve(result: LesionMatchResult, rates: Sequence[float] = FP_RATES) -> 
         raise InputError("FROC evaluation needs at least one scan")
     if result.n_references < 1:
         raise InputError("FROC evaluation needs at least one reference lesion")
-    sens = _sensitivities(
-        result.tp_scores(), result.fp_scores(), result.n_scans, result.n_references, rates
+    grid, tp_rank, fp_rank = _score_grid(result)
+    sens = _sensitivities_on_grid(
+        grid.size, tp_rank, fp_rank, result.n_scans, result.n_references, rates
     )
     return FrocCurve(
         fp_rates=tuple(rates),
-        sensitivities=sens,
+        sensitivities=tuple(sens),
         n_scans=result.n_scans,
         n_lesions=result.n_references,
         candidates_total=result.n_candidates,
@@ -223,7 +237,7 @@ def froc_curve(result: LesionMatchResult, rates: Sequence[float] = FP_RATES) -> 
 
 def cpm(curve: FrocCurve) -> float:
     """Mean sensitivity across the target false-positive rates."""
-    return float(sum(curve.sensitivities) / len(curve.sensitivities))
+    return _mean_sensitivity(curve.sensitivities)
 
 
 @dataclass(frozen=True)
@@ -254,32 +268,18 @@ def _bootstrap_intervals(
     (seed, i), so results do not depend on evaluation order. Resamples with
     zero reference lesions are skipped and counted.
 
-    A resample is the draw count of every scan. Its true and false positives
-    at or above each threshold are draw-weighted counts on the full result's
-    score grid; the first admissible threshold there has the same counts as
-    on the resample's own grid, so each sensitivity equals the one
-    ``froc_curve`` gives for the resampled scans.
+    A resample is the draw count of every scan, used as the weight of that
+    scan's true and false positives on the full result's score grid.
     """
     if resamples < 1:
         raise InputError("bootstrap needs at least one resample")
     if result.n_scans < 1:
         raise InputError("bootstrap needs at least one scan")
     n = result.n_scans
-    rates = tuple(rates)
-    positions = {
-        name: next((k for k, r in enumerate(rates) if r == rate), None)
-        for name, rate in statistics.items()
-        if rate is not None
-    }
     n_refs = np.array([s.n_references for s in result.scans], dtype=np.int64)
     tp_scan = np.array([j for j, s in enumerate(result.scans) for _ in s.tp], dtype=np.intp)
     fp_scan = np.array([j for j, s in enumerate(result.scans) for _ in s.fp], dtype=np.intp)
-    tp_scores = np.array([t.score for s in result.scans for t in s.tp], dtype=np.float64)
-    fp_scores = np.array([f[1] for s in result.scans for f in s.fp], dtype=np.float64)
-    grid = np.unique(np.concatenate([tp_scores, fp_scores]))  # ascending
-    tp_rank = np.searchsorted(grid, tp_scores)
-    fp_rank = np.searchsorted(grid, fp_scores)
-    allowed = -np.array(rates, dtype=np.float64) * n
+    grid, tp_rank, fp_rank = _score_grid(result)
 
     values: dict[str, list[float]] = {name: [] for name in statistics}
     skipped = 0
@@ -291,20 +291,14 @@ def _bootstrap_intervals(
         if n_lesions == 0:
             skipped += 1
             continue
-        # scores >= each grid threshold, plus a zero count above the top one
-        tp_counts = np.zeros(grid.size + 1)
-        tp_counts[:-1] = np.bincount(tp_rank, w[tp_scan], grid.size)[::-1].cumsum()[::-1]
-        fp_counts = np.bincount(fp_rank, w[fp_scan], grid.size)[::-1].cumsum()[::-1]
-        # fp_counts never rises with the threshold: first index with fp <= rate * n
-        first = np.searchsorted(-fp_counts, allowed, side="left")
-        sens = (tp_counts[first] / n_lesions).tolist()
+        sens = _sensitivities_on_grid(
+            grid.size, tp_rank, fp_rank, n, n_lesions, rates, w[tp_scan], w[fp_scan]
+        )
         for name, rate in statistics.items():
             if rate is None:
-                values[name].append(float(sum(sens) / len(sens)))
-            elif positions[name] is None:
-                raise InputError(f"rate {rate} not on the curve")
+                values[name].append(_mean_sensitivity(sens))
             else:
-                values[name].append(sens[positions[name]])
+                values[name].append(sens[_rate_index(rates, rate)])
     out = {}
     for name, vals in values.items():
         if not vals:

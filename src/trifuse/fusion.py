@@ -195,9 +195,10 @@ def _near_pairs(
         return empty, empty
     a = np.array([c.center.as_tuple() for c in list_a])
     b = a if list_b is list_a else np.array([c.center.as_tuple() for c in list_b])
-    d = a[:, None, :] - b[None, :, :]
-    d *= d
-    squared = d[:, :, 0] + d[:, :, 1] + d[:, :, 2]
+    with np.errstate(over="ignore"):  # an overflowing distance is inf: no pair
+        d = a[:, None, :] - b[None, :, :]
+        d *= d
+        squared = d[:, :, 0] + d[:, :, 1] + d[:, :, 2]
     limit = radius_mm * radius_mm * (1.0 + _PREFILTER_SLACK) + _PREFILTER_FLOOR_MM2
     return np.nonzero(squared <= limit)
 
@@ -457,7 +458,7 @@ def fuse_scans(
     candidates_a: Iterable[CandidateDetection],
     candidates_b: Iterable[CandidateDetection],
     cadx_provider: CadxProvider | None = None,
-    masks: Mapping[str, Volume] | Callable[[str], Volume | None] | None = None,
+    masks: Callable[[str], Volume | None] | None = None,
     cfg: PipelineConfig | None = None,
 ) -> FusionOutput:
     """Fuse candidate lists across scans, one scan at a time in scan-id order.
@@ -474,19 +475,12 @@ def fuse_scans(
         by_scan_b.setdefault(c.scan_id, []).append(c)
     scan_ids = sorted(set(by_scan_a) | set(by_scan_b))
 
-    def mask_for(scan_id: str) -> Volume | None:
-        if masks is None:
-            return None
-        if callable(masks):
-            return masks(scan_id)
-        return masks.get(scan_id)
-
     results = {
         scan_id: run_tri_stage(
             by_scan_a.get(scan_id, []),
             by_scan_b.get(scan_id, []),
             cadx_provider=cadx_provider,
-            mask=mask_for(scan_id),
+            mask=masks(scan_id) if masks is not None else None,
             cfg=cfg,
         )
         for scan_id in scan_ids

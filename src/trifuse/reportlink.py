@@ -25,7 +25,6 @@ from pathlib import Path
 
 from .domain import LUNGRADS_CATEGORIES, WorldPoint
 from .errors import ConfigError, InputError
-from .fusion import FusedCandidate
 from .volume import Volume, label_at
 
 LOBES = ("LUL", "LLL", "RUL", "RML", "RLL")
@@ -246,21 +245,6 @@ class LinkCandidate:
 
     def ordinal_map(self) -> dict[str, int]:
         return dict(self.ordinals)
-
-
-def link_candidate_from_fused(
-    fused: FusedCandidate, candidate_id: str, mask: Volume | None = None
-) -> LinkCandidate:
-    lobe = lobe_of_candidate(fused, mask) if mask is not None else None
-    return LinkCandidate(
-        scan_id=fused.scan_id,
-        candidate_id=candidate_id,
-        center=fused.center,
-        tier=fused.confidence_tier,
-        score=fused.cade_score_avg,
-        diameter_mm=fused.diameter_mm,
-        lobe=lobe,
-    )
 
 
 @dataclass(frozen=True)

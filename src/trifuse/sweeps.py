@@ -12,7 +12,7 @@ import numpy as np
 
 from .domain import CandidateDetection, ReferenceNodule, require_unit_interval
 from .errors import InputError
-from .froc import FP_RATES, _sensitivities, match_lesions
+from .froc import FP_RATES, _mean_sensitivity, _score_grid, _sensitivities_on_grid, match_lesions
 
 CANCER = "cancer"
 NO_CANCER = "no-cancer"
@@ -113,22 +113,25 @@ def sweep_cade(
     result = match_lesions(candidates, references, scan_ids=scan_ids)
     if result.n_references < 1:
         raise InputError("FROC sweep needs at least one reference lesion")
-    tp_scores = result.tp_scores()
-    fp_scores = result.fp_scores()
-    n_scans = result.n_scans
+    grid, tp_rank, fp_rank = _score_grid(result)
     n_refs = result.n_references
 
     rows = []
     for threshold in _clean_thresholds(thresholds):
-        tp_kept = tp_scores[tp_scores >= threshold]
-        fp_kept = fp_scores[fp_scores >= threshold]
-        sens = _sensitivities(tp_kept, fp_kept, n_scans, n_refs, rates)
+        # the candidates kept at this threshold are the grid ranks at or above its cut
+        cut = np.searchsorted(grid, threshold, side="left")
+        tp_kept = tp_rank >= cut
+        fp_kept = fp_rank >= cut
+        sens = _sensitivities_on_grid(
+            grid.size, tp_rank, fp_rank, result.n_scans, n_refs, rates, tp_kept, fp_kept
+        )
+        n_tp = int(tp_kept.sum())
         rows.append(
             CadeSweepRow(
                 threshold=threshold,
-                cpm=float(sum(sens) / len(sens)),
-                candidates_forwarded=int(tp_kept.size + fp_kept.size),
-                missed=n_refs - int(tp_kept.size),
+                cpm=_mean_sensitivity(sens),
+                candidates_forwarded=n_tp + int(fp_kept.sum()),
+                missed=n_refs - n_tp,
             )
         )
     return rows

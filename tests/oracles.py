@@ -2,11 +2,11 @@
 
 Most oracles work on plain tuples and enumerate exhaustively (or, for the
 bootstrap, recompute every resample from scratch) without importing the code
-under test. The CSV-reader and fusion-pairing oracles are the library's
-earlier scalar code: they build the library's record types, validated by
-their constructors, so results compare with ``==``, and they import only
-those records, the error type, the file schemas and the scalar
-consensus-radius rule.
+under test. The CSV-reader, fusion-pairing, FROC-count and detection-sweep
+oracles are the library's earlier scalar code: they build the library's
+record types, validated by their constructors, so results compare with
+``==``, and they import only those records, the error type, the file
+schemas and the scalar consensus-radius rule.
 
 Conventions:
   candidate = (cid, (x, y, z), score)
@@ -42,6 +42,7 @@ from trifuse.fileio import (
     FusedRecord,
 )
 from trifuse.fusion import TIER_BY_STAGE, CadxScores, ConsensusPair, consensus_radius_mm
+from trifuse.sweeps import CadeSweepRow
 
 
 def hit_tolerance(diameter_mm):
@@ -129,6 +130,65 @@ def oracle_froc(scan_data, rates):
     return sens
 
 
+def oracle_sensitivities(tp_scores, fp_scores, n_scans, n_lesions, rates):
+    """The library's earlier scalar FROC count on sorted TP and FP scores.
+
+    Counts at or above each distinct score come from ``searchsorted``; each
+    rate takes the first threshold whose false positives fit within
+    ``rate * n_scans``, or 0 when none does.
+    """
+    thresholds = np.unique(np.concatenate([tp_scores, fp_scores]))  # ascending
+    if thresholds.size == 0:
+        return tuple(0.0 for _ in rates)
+    # counts of scores >= each threshold
+    tp_counts = tp_scores.size - np.searchsorted(tp_scores, thresholds, side="left")
+    fp_counts = fp_scores.size - np.searchsorted(fp_scores, thresholds, side="left")
+    out = []
+    for rate in rates:
+        allowed = rate * n_scans
+        admissible = np.nonzero(fp_counts <= allowed)[0]
+        if admissible.size == 0:
+            out.append(0.0)
+        else:
+            out.append(float(tp_counts[admissible[0]]) / n_lesions)
+    return tuple(out)
+
+
+def _sorted_scores(result):
+    tp_scores = np.sort(np.array([t.score for s in result.scans for t in s.tp], dtype=np.float64))
+    fp_scores = np.sort(np.array([f[1] for s in result.scans for f in s.fp], dtype=np.float64))
+    return tp_scores, fp_scores
+
+
+def oracle_froc_sensitivities(result, rates):
+    """Sensitivities of a lesion match result by the scalar count."""
+    tp_scores, fp_scores = _sorted_scores(result)
+    return oracle_sensitivities(tp_scores, fp_scores, result.n_scans, result.n_references, rates)
+
+
+def oracle_sweep_cade(result, thresholds, rates):
+    """The library's earlier detection sweep over one lesion match result:
+    at each threshold the TP and FP scores are filtered and counted afresh."""
+    tp_scores, fp_scores = _sorted_scores(result)
+    n_scans = result.n_scans
+    n_refs = result.n_references
+
+    rows = []
+    for threshold in sorted(set(thresholds)):
+        tp_kept = tp_scores[tp_scores >= threshold]
+        fp_kept = fp_scores[fp_scores >= threshold]
+        sens = oracle_sensitivities(tp_kept, fp_kept, n_scans, n_refs, rates)
+        rows.append(
+            CadeSweepRow(
+                threshold=threshold,
+                cpm=float(sum(sens) / len(sens)),
+                candidates_forwarded=int(tp_kept.size + fp_kept.size),
+                missed=n_refs - int(tp_kept.size),
+            )
+        )
+    return rows
+
+
 def oracle_bootstrap(scans, statistics, resamples, seed, rates):
     """Scan-level percentile bootstrap, one full FROC curve per resample.
 
@@ -158,16 +218,7 @@ def oracle_bootstrap(scans, statistics, resamples, seed, rates):
             continue
         tp = np.sort(np.array([x for s in sample for x in s[1]], dtype=np.float64))
         fp = np.sort(np.array([x for s in sample for x in s[2]], dtype=np.float64))
-        thresholds = np.unique(np.concatenate([tp, fp]))
-        tp_counts = tp.size - np.searchsorted(tp, thresholds, side="left")
-        fp_counts = fp.size - np.searchsorted(fp, thresholds, side="left")
-        sens = []
-        for rate in rates:
-            admissible = np.nonzero(fp_counts <= rate * n)[0]
-            if admissible.size == 0:
-                sens.append(0.0)
-            else:
-                sens.append(float(tp_counts[admissible[0]]) / n_lesions)
+        sens = oracle_sensitivities(tp, fp, n, n_lesions, rates)
         for name, (kind, rate) in statistics.items():
             if kind == "cpm":
                 values[name].append(float(sum(sens) / len(sens)))

@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import tempfile
+import warnings
 import weakref
 
 import numpy as np
@@ -191,6 +192,26 @@ class TestFuseCommand:
         manifest = json.loads((tmp_path / "fused.manifest.json").read_text())
         assert manifest["config"]["tau_cade"] == 0.3
 
+    def test_huge_coordinates_fuse_quietly(self, tmp_path, capsys):
+        header = "scan_id,candidate_id,x_mm,y_mm,z_mm,diameter_mm,score,model\n"
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        scores = tmp_path / "cadx.csv"
+        a.write_text(header + "s1,c1,1e200,0,0,,0.9,CADE_A\ns1,c2,-1e200,0,0,,0.8,CADE_A\n")
+        b.write_text(header + "s1,c1,-1e200,0,0,,0.9,CADE_B\n")
+        scores.write_text("scan_id,model,candidate_id,p_luna,p_dlcs\n"
+                          "s1,CADE_A,c1,0.9,0.9\ns1,CADE_A,c2,0.9,0.9\ns1,CADE_B,c1,0.9,0.9\n")
+        out = tmp_path / "fused.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["fuse", "--cade-a", a, "--cade-b", b, "--cadx-scores", scores,
+                        "--out", out])
+        assert code == 0
+        assert caught == []
+        assert capsys.readouterr().err == ""
+        stages = sorted(r["stage"] for r in read_csv_rows(out))
+        assert stages == ["cadx_promoted", "consensus"]
+
     def test_missing_input_flag_exits_2(self, tmp_path, e2e_inputs, capsys):
         code = run(["fuse", "--cade-a", e2e_inputs["cade_a"], "--out", tmp_path / "f.csv"])
         assert code == 2
@@ -352,6 +373,24 @@ class TestEvalCommand:
                     "--cadx-scores", e2e_inputs["cadx_scores"], "--out", taken / "fused.csv"])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {taken}")
+
+    def test_huge_coordinates_never_hit(self, tmp_path):
+        refs = tmp_path / "refs.csv"
+        cands = tmp_path / "cands.csv"
+        refs.write_text(
+            "scan_id,nodule_id,x_mm,y_mm,z_mm,diameter_mm,diagnosis,lungrads,"
+            "reviewers,positive_votes\ns1,n1,-1e200,0,0,8.0,unknown,,,\n"
+        )
+        cands.write_text(
+            "scan_id,candidate_id,x_mm,y_mm,z_mm,diameter_mm,score,model\n"
+            "s1,c1,1e200,0,0,,1.0,M\n"
+        )
+        out = tmp_path / "out"
+        assert run(["eval", "--candidates", cands, "--references", refs, "--out", out]) == 0
+        (row,) = read_csv_rows(out / "metrics.csv")
+        assert (row["Detected"], row["Lesions"], row["Candidates"]) == ("0", "1", "1")
+        (match,) = read_csv_rows(out / "matches.csv")
+        assert (match["nodule_id"], match["detected"]) == ("n1", "0")
 
 
 class TestSweepCommand:

@@ -75,6 +75,12 @@ class TestIsHit:
             )
             assert base == moved
 
+    def test_overflowing_distance_is_inf_and_never_hits(self):
+        c = cand("s", "c", 1e200, 0, 0, 0.5)
+        r = ref("s", "n", -1e200, 0, 0, 8.0)
+        assert c.center.distance_to(r.center) == math.inf
+        assert not is_hit(c, r)
+
     def test_hit_implies_distance_at_most_cap(self):
         rng = np.random.default_rng(3)
         for _ in range(200):

@@ -33,6 +33,7 @@ from oracles import (
     balls_disjoint,
     oracle_bootstrap,
     oracle_froc,
+    oracle_froc_sensitivities,
     oracle_match,
     oracle_max_matching,
 )
@@ -216,11 +217,12 @@ class TestFrocCurve:
 
 def _random_curve(rng, n_tp, n_fp):
     """Sensitivities produced by the implementation on random score data."""
-    from trifuse.froc import _sensitivities
-
-    tp = np.sort(rng.uniform(0, 1, size=n_tp))
-    fp = np.sort(rng.uniform(0, 1, size=n_fp))
-    return _sensitivities(tp, fp, n_scans=4, n_lesions=max(n_tp, 1), rates=FP_RATES)
+    tp = tuple(TruePositive("s0", f"n{k}", f"c{k}", float(x))
+               for k, x in enumerate(rng.uniform(0, 1, size=n_tp)))
+    fp = tuple((f"f{k}", float(x)) for k, x in enumerate(rng.uniform(0, 1, size=n_fp)))
+    scans = [ScanMatch("s0", max(n_tp, 1), tp, () if n_tp else ("n0",), fp)]
+    scans += [ScanMatch(f"s{j}", 0, (), (), ()) for j in range(1, 4)]
+    return froc_curve(LesionMatchResult(tuple(scans))).sensitivities
 
 
 class TestBootstrap:
@@ -279,6 +281,41 @@ def random_match_result(rng, n_scans, p_no_refs, p_no_cands, tied):
         fn = tuple(f"n{k}" for k in range(n_tp, n_refs))
         scans.append(ScanMatch(sid, n_refs, tp, fn, fp))
     return LesionMatchResult(tuple(scans))
+
+
+class TestCurveAgainstScalarOracle:
+    """The grid-count curve equals the earlier sort-and-search count exactly."""
+
+    RATES = (FP_RATES, (0.5, 2.0, 3.0), (0.0, 0.3, 100.0))
+
+    def test_seeded_results_equal_oracle(self):
+        cases = [(12, 0.3, 0.2, True), (12, 0.3, 0.2, False), (5, 0.6, 0.5, True), (1, 0.0, 0.0, True)]
+        checked = 0
+        for k, (n_scans, p_no_refs, p_no_cands, tied) in enumerate(cases):
+            rng = np.random.default_rng([29, k])
+            for _ in range(20):
+                result = random_match_result(rng, n_scans, p_no_refs, p_no_cands, tied)
+                if not result.n_references:
+                    continue
+                for rates in self.RATES:
+                    got = froc_curve(result, rates).sensitivities
+                    assert got == oracle_froc_sensitivities(result, rates)
+                checked += 1
+        assert checked > 40
+
+    def test_empty_tp_or_fp_sets_equal_oracle(self):
+        def result(tp_scores, fp_scores):
+            tp = tuple(TruePositive("s0", f"n{k}", f"c{k}", x) for k, x in enumerate(tp_scores))
+            fp = tuple((f"f{k}", x) for k, x in enumerate(fp_scores))
+            scans = (ScanMatch("s0", 3, tp, tuple(f"n{k}" for k in range(len(tp), 3)), fp),
+                     ScanMatch("s1", 0, (), (), ()))
+            return LesionMatchResult(scans)
+
+        for tp_scores, fp_scores in [((), ()), ((0.4, 0.4), ()), ((), (0.2, 0.9, 0.9)),
+                                     ((0.5,), (0.5, 0.5))]:
+            res = result(tp_scores, fp_scores)
+            for rates in self.RATES:
+                assert froc_curve(res, rates).sensitivities == oracle_froc_sensitivities(res, rates)
 
 
 def plain_scans(result):

@@ -5,14 +5,12 @@ import pytest
 
 from trifuse.domain import WorldPoint
 from trifuse.errors import ConfigError, InputError
-from trifuse.fusion import FusedCandidate
 from trifuse.reportlink import (
     LinkCandidate,
     ReportEntity,
     default_grammar,
     extract_entities,
     is_admissible,
-    link_candidate_from_fused,
     load_grammar,
     lobe_of_candidate,
     match_entities,
@@ -309,17 +307,3 @@ class TestMatchEntities:
             if is_admissible(e, c, size_tol_mm=2.0):
                 assert is_admissible(e, c, size_tol_mm=3.0)
                 assert is_admissible(e, c, size_tol_mm=10.0)
-
-    def test_from_fused_candidate(self):
-        fused = FusedCandidate(
-            scan_id="s",
-            center=WorldPoint(1, 1, 1),
-            confidence_tier=1.0,
-            stage="consensus",
-            cade_score_avg=0.8,
-            provenance=("CADE_A:a1", "CADE_B:b1"),
-            diameter_mm=9.0,
-        )
-        lc = link_candidate_from_fused(fused, "F0000")
-        assert lc.candidate_id == "F0000"
-        assert lc.tier == 1.0 and lc.score == 0.8 and lc.diameter_mm == 9.0

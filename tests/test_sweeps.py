@@ -11,7 +11,7 @@ from trifuse.sweeps import (
 )
 
 from conftest import cand, cpm_fixture, ref
-from oracles import oracle_confusion, oracle_froc
+from oracles import oracle_confusion, oracle_froc, oracle_sweep_cade
 
 
 class TestSweepCadx:
@@ -99,6 +99,22 @@ def sweep_fixture():
     return cands, refs
 
 
+def random_cohort(rng, n_scans, tied):
+    """Candidates and references on ``n_scans`` scans; some scans have no
+    references and some no candidates. Candidates sit on a reference slot
+    (a hit when the slot holds a reference) or far from every slot."""
+    cands, refs = [], []
+    for j in range(n_scans):
+        scan = f"s{j:02d}"
+        for k in range(int(rng.integers(0, 3))):
+            refs.append(ref(scan, f"n{k}", 30.0 * k, 0, 0, 8.0))
+        for k in range(int(rng.integers(0, 6))):
+            score = rng.integers(1, 8) / 8.0 if tied else rng.uniform(0.05, 0.9)
+            x = 30.0 * int(rng.integers(0, 3)) if rng.random() < 0.5 else 200.0 + 20 * k
+            cands.append(cand(scan, f"c{k}", x + rng.uniform(-1, 1), 0, 0, float(score)))
+    return cands, refs
+
+
 class TestSweepCade:
     def test_extreme_thresholds_monotone(self):
         cands, refs = cpm_fixture()
@@ -162,6 +178,25 @@ class TestSweepCade:
         assert row.candidates_forwarded == result.n_candidates
         assert row.missed == result.n_references - result.n_detected
         assert row.cpm == cpm(froc_curve(result))
+
+    def test_rows_equal_per_threshold_oracle(self):
+        checked = 0
+        for k, tied in enumerate((True, False, True, False)):
+            rng = np.random.default_rng([31, k])
+            for _ in range(10):
+                cands, refs = random_cohort(rng, 8, tied)
+                if not refs:
+                    continue
+                scan_ids = {f"s{j:02d}" for j in range(8)}
+                result = match_lesions(cands, refs, scan_ids=scan_ids)
+                grid = sorted({c.score for c in cands})
+                between = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
+                thresholds = [0.0, 1.0, 0.95, *grid[:3], *between[:3]]
+                for rates in (FP_RATES, (0.5, 2.0, 3.0)):
+                    rows = sweep_cade(cands, refs, thresholds, rates, scan_ids=scan_ids)
+                    assert rows == oracle_sweep_cade(result, thresholds, rates)
+                checked += 1
+        assert checked > 30
 
     def test_zero_references_rejected(self):
         with pytest.raises(InputError):
