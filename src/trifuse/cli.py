@@ -13,10 +13,11 @@ import argparse
 import contextlib
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from . import fileio
-from .domain import PipelineConfig, SOURCE_MODEL_A, SOURCE_MODEL_B
+from .domain import SOURCE_MODEL_A, SOURCE_MODEL_B, PipelineConfig, unchecked_point
 from .errors import ConfigError, InputError, InvariantError, ScorerError
 from .froc import (
     STRATIFIERS,
@@ -48,13 +49,22 @@ DEFAULT_RESAMPLES = 1000
 
 
 class _Options:
-    """Layered option lookup: explicit flag, then config file, then default."""
+    """Layered option lookup: explicit flag, then config file, then default.
+
+    Records every name looked up, so config keys no lookup asked for can be
+    reported.
+    """
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.config = fileio.parse_config_file(args.config) if args.config else {}
+        self.looked_up: set[str] = set()
+
+    def unused_config_keys(self) -> list[str]:
+        return [key for key in self.config if key not in self.looked_up]
 
     def get(self, name: str, default=None, cast=str):
+        self.looked_up.add(name)
         value = getattr(self.args, name.replace("-", "_"), None)
         if value is not None:
             return value
@@ -67,6 +77,7 @@ class _Options:
         return default
 
     def get_flag(self, name: str) -> bool:
+        self.looked_up.add(name)
         if getattr(self.args, name.replace("-", "_"), False):
             return True
         raw = self.config.get(name, "").lower()
@@ -133,8 +144,7 @@ def _pipeline_config(opts: _Options) -> PipelineConfig:
     return PipelineConfig(**kwargs)
 
 
-def cmd_fuse(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+def cmd_fuse(opts: _Options) -> int:
     convention = opts.choice("coordinate-convention", ("lps", "ras"), "lps")
     seed = opts.get("seed", DEFAULT_SEED, int)
     cfg = _pipeline_config(opts)
@@ -206,8 +216,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+def cmd_eval(opts: _Options) -> int:
     convention = opts.choice("coordinate-convention", ("lps", "ras"), "lps")
     seed = opts.get("seed", DEFAULT_SEED, int)
     resamples = opts.get("resamples", DEFAULT_RESAMPLES, int)
@@ -281,8 +290,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+def cmd_sweep(opts: _Options) -> int:
     convention = opts.choice("coordinate-convention", ("lps", "ras"), "lps")
     seed = opts.get("seed", DEFAULT_SEED, int)
     mode = opts.choice("mode", ("cadx", "cade"))
@@ -347,8 +355,7 @@ def _load_match_tables(matches_dir: str | Path, references) -> dict:
     return tables
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+def cmd_stats(opts: _Options) -> int:
     convention = opts.choice("coordinate-convention", ("lps", "ras"), "lps")
     seed = opts.get("seed", DEFAULT_SEED, int)
     analysis = opts.choice("analysis", ("consensus", "semantic", "overlap"))
@@ -403,8 +410,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_link(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+def cmd_link(opts: _Options) -> int:
     convention = opts.choice("coordinate-convention", ("lps", "ras"), "lps")
     seed = opts.get("seed", DEFAULT_SEED, int)
     reports_path = opts.require("reports")
@@ -432,27 +438,28 @@ def cmd_link(args: argparse.Namespace) -> int:
 
     # linkage is scoped to scans that have a report; candidates on scans
     # never mentioned in any report stay out of the match table
-    records_by_scan: dict[str, list] = {}
-    for record in fused:
-        if record.scan_id in entities_by_scan:
-            records_by_scan.setdefault(record.scan_id, []).append(record)
-
     matches = []
     for scan_id in sorted(entities_by_scan):
-        records = records_by_scan.get(scan_id, [])
-        mask = mask_loader(scan_id) if mask_loader is not None and records else None
-        candidates = [
-            LinkCandidate(
-                scan_id=scan_id,
-                candidate_id=record.candidate_id,
-                center=record.center,
-                tier=record.tier,
-                score=record.score,
-                diameter_mm=record.diameter_mm,
-                lobe=lobe_of_candidate(record, mask) if mask is not None else None,
-            )
-            for record in records
-        ]
+        rows = fused.by_scan.get(scan_id)
+        candidates = []
+        if rows is not None:
+            mask = mask_loader(scan_id) if mask_loader is not None else None
+            for candidate_id, (x, y, z), tier, score, diameter in zip(
+                [fused.candidate_id[i] for i in rows.tolist()], fused.xyz[rows].tolist(),
+                fused.tier[rows].tolist(), fused.score[rows].tolist(),
+                fused.diameter_mm[rows].tolist(),
+            ):
+                candidate = LinkCandidate(
+                    scan_id=scan_id,
+                    candidate_id=candidate_id,
+                    center=unchecked_point(x, y, z),
+                    tier=tier,
+                    score=score,
+                    diameter_mm=None if diameter != diameter else diameter,  # NaN: none given
+                )
+                if mask is not None:
+                    candidate = replace(candidate, lobe=lobe_of_candidate(candidate, mask))
+                candidates.append(candidate)
         matches.extend(
             match_entities(
                 entities_by_scan[scan_id], candidates,
@@ -558,7 +565,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        opts = _Options(args)
+        code = args.func(opts)
+        for key in opts.unused_config_keys():
+            print(f"warning: {args.config}: key {key!r} was not used by {args.subcommand}",
+                  file=sys.stderr)
+        return code
     except (InputError, ConfigError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -10,7 +10,11 @@ candidate exactly at tolerance distance counts as a hit.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InputError
 
@@ -24,6 +28,14 @@ LUNG_LOBE_LABELS = frozenset({28, 29, 30, 31, 32})
 
 TOLERANCE_CAP_MM = 5.0
 TOLERANCE_CAP_AT_DIAMETER_MM = 10.0
+
+PROVENANCE_SEP = "|"
+
+# numpy's squared distance can differ from the scalar one in the last bits, so
+# the prefilter admits a relative slack above the radius, plus an absolute one
+# for squares too small to hold that precision
+_PREFILTER_SLACK = 1e-9
+_PREFILTER_FLOOR_MM2 = 1e-300
 
 RATING_RANGES = {
     "subtlety": (1, 5),
@@ -74,15 +86,43 @@ class WorldPoint:
 
     def distance_to(self, other: "WorldPoint") -> float:
         """Euclidean distance; ``inf`` when the squared distance overflows."""
-        try:
-            return math.sqrt(
-                (self.x - other.x) ** 2 + (self.y - other.y) ** 2 + (self.z - other.z) ** 2
-            )
-        except OverflowError:
-            return math.inf
+        return distance_mm(self.x, self.y, self.z, other.x, other.y, other.z)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
+
+
+def distance_mm(ax: float, ay: float, az: float, bx: float, by: float, bz: float) -> float:
+    """Euclidean distance between two points given by their coordinates as
+    Python floats; ``inf`` when the squared distance overflows."""
+    try:
+        return math.sqrt((ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2)
+    except OverflowError:
+        return math.inf
+
+
+def may_lie_within(a: Iterable[np.ndarray], b: Iterable[np.ndarray], radius_mm) -> np.ndarray:
+    """Whether points of ``a`` and ``b`` may lie within ``radius_mm`` of each
+    other.
+
+    ``a`` and ``b`` each give the x, y and z coordinates as three float64
+    arrays (or an array whose first axis holds them) that broadcast
+    together, as does ``radius_mm``; an axis is taken at a time, so no array
+    of coordinate differences is held for all three. A prefilter on squared
+    distances: true for every pair that ``distance_mm`` puts within the
+    radius and for a few just outside, which callers test with
+    ``distance_mm``. A distance that overflows is never within.
+    """
+    squared = None
+    with np.errstate(over="ignore"):
+        for a_axis, b_axis in zip(a, b):
+            d = a_axis - b_axis
+            d *= d
+            if squared is None:
+                squared = d
+            else:
+                squared += d
+    return squared <= radius_mm * radius_mm * (1.0 + _PREFILTER_SLACK) + _PREFILTER_FLOOR_MM2
 
 
 @dataclass(frozen=True)
@@ -122,6 +162,180 @@ class CandidateDetection:
     def qualified_id(self) -> str:
         """Identifier unique within one scan across both detectors."""
         return f"{self.source_model}:{self.candidate_id}"
+
+
+@dataclass(frozen=True)
+class FusedRecord:
+    """A fused-list CSV row read back from disk."""
+
+    scan_id: str
+    candidate_id: str
+    center: WorldPoint
+    diameter_mm: float | None
+    score: float
+    tier: float
+    stage: str
+    cadx_avg: float | None
+    provenance: tuple[str, ...]
+
+
+# Builders that set record fields as the dataclass constructors do, without
+# running ``__post_init__`` to check values that were checked already.
+_new = object.__new__
+_set = object.__setattr__
+
+
+def unchecked_point(x: float, y: float, z: float) -> WorldPoint:
+    point = _new(WorldPoint)
+    _set(point, "x", x)
+    _set(point, "y", y)
+    _set(point, "z", z)
+    return point
+
+
+def unchecked_candidate(scan_id: str, candidate_id: str, center: WorldPoint, score: float,
+                        source_model: str, diameter_mm: float | None) -> CandidateDetection:
+    candidate = _new(CandidateDetection)
+    _set(candidate, "scan_id", scan_id)
+    _set(candidate, "candidate_id", candidate_id)
+    _set(candidate, "center", center)
+    _set(candidate, "score", score)
+    _set(candidate, "source_model", source_model)
+    _set(candidate, "diameter_mm", diameter_mm)
+    return candidate
+
+
+def _optional(value: float) -> float | None:
+    return None if value != value else value  # NaN marks an empty cell
+
+
+class CandidateTable(Sequence):
+    """Candidate rows held by column, in file order.
+
+    Columns: ``scan_id``, ``candidate_id`` and ``model`` (lists of str),
+    ``xyz`` (an ``(n, 3)`` float64 array), ``diameter_mm`` (float64, NaN where
+    no diameter is given) and ``score`` (float64). A fused-list table also
+    holds ``tier`` (float64), ``stage`` (list of str), ``cadx_avg`` (float64,
+    NaN where empty) and ``provenance`` (list of the joined text); other
+    tables hold None there.
+
+    As a sequence the table reads as its records: indexing, iteration and
+    ``==`` against a list build one ``CandidateDetection`` per row, or one
+    ``FusedRecord`` for a fused-list table, only when asked. The columns are
+    taken as given; the readers and ``from_records`` fill them with checked
+    values.
+    """
+
+    def __init__(self, scan_id: list[str], candidate_id: list[str], model: list[str],
+                 xyz: np.ndarray, diameter_mm: np.ndarray, score: np.ndarray,
+                 tier: np.ndarray | None = None, stage: list[str] | None = None,
+                 cadx_avg: np.ndarray | None = None, provenance: list[str] | None = None):
+        self.scan_id = scan_id
+        self.candidate_id = candidate_id
+        self.model = model
+        self.xyz = xyz
+        self.diameter_mm = diameter_mm
+        self.score = score
+        self.tier = tier
+        self.stage = stage
+        self.cadx_avg = cadx_avg
+        self.provenance = provenance
+        self._by_scan: dict[str, np.ndarray] | None = None
+
+    @classmethod
+    def from_records(cls, records: Iterable[CandidateDetection]) -> "CandidateTable":
+        records = list(records)
+        return cls(
+            [c.scan_id for c in records],
+            [c.candidate_id for c in records],
+            [c.source_model for c in records],
+            np.array([c.center.as_tuple() for c in records], dtype=np.float64).reshape(-1, 3),
+            np.array([math.nan if c.diameter_mm is None else c.diameter_mm for c in records],
+                     dtype=np.float64),
+            np.array([c.score for c in records], dtype=np.float64),
+        )
+
+    @classmethod
+    def of(cls, candidates: Iterable[CandidateDetection]) -> "CandidateTable":
+        """``candidates`` if it is a table, else the table of its records."""
+        if isinstance(candidates, CandidateTable):
+            return candidates
+        return cls.from_records(candidates)
+
+    @property
+    def by_scan(self) -> dict[str, np.ndarray]:
+        """Row indices of each scan, ascending (file order)."""
+        if self._by_scan is None:
+            ids = self.scan_id
+            # rows come in runs of one scan, usually one run per scan
+            starts = [0, *(np.flatnonzero(list(map(operator.ne, ids[1:], ids[:-1]))) + 1).tolist()]
+            runs: dict[str, list[np.ndarray]] = {}
+            for start, end in zip(starts, starts[1:] + [len(ids)]):
+                if start < end:
+                    runs.setdefault(ids[start], []).append(np.arange(start, end, dtype=np.intp))
+            self._by_scan = {scan_id: r[0] if len(r) == 1 else np.concatenate(r)
+                             for scan_id, r in runs.items()}
+        return self._by_scan
+
+    def of_scans(self, scan_ids: Iterable[str]) -> "CandidateTable":
+        """The table of the rows on the given scans, in file order."""
+        groups = [self.by_scan[s] for s in scan_ids if s in self.by_scan]
+        rows = np.sort(np.concatenate(groups)) if groups else np.zeros(0, dtype=np.intp)
+        index = rows.tolist()
+
+        def pick(column):
+            return None if column is None else [column[i] for i in index]
+
+        def pick_array(column):
+            return None if column is None else column[rows]
+
+        return CandidateTable(
+            pick(self.scan_id), pick(self.candidate_id), pick(self.model), self.xyz[rows],
+            self.diameter_mm[rows], self.score[rows], pick_array(self.tier), pick(self.stage),
+            pick_array(self.cadx_avg), pick(self.provenance),
+        )
+
+    def records(self, rows: Iterable[int]) -> list:
+        """The records of the given rows, in the given order."""
+        rows = np.fromiter(rows, dtype=np.intp) if not isinstance(rows, np.ndarray) else rows
+        index = rows.tolist()
+        xyz = self.xyz[rows].tolist()
+        diameter = self.diameter_mm[rows].tolist()
+        score = self.score[rows].tolist()
+        scan_id, candidate_id = self.scan_id, self.candidate_id
+        if self.stage is None:
+            model = self.model
+            return [
+                unchecked_candidate(scan_id[i], candidate_id[i], unchecked_point(*p), s,
+                                    model[i], _optional(d))
+                for i, p, d, s in zip(index, xyz, diameter, score)
+            ]
+        tier = self.tier[rows].tolist()
+        cadx_avg = self.cadx_avg[rows].tolist()
+        stage, provenance = self.stage, self.provenance
+        return [
+            FusedRecord(scan_id[i], candidate_id[i], unchecked_point(*p), _optional(d), s, t,
+                        stage[i], _optional(c), tuple(provenance[i].split(PROVENANCE_SEP)))
+            for i, p, d, s, t, c in zip(index, xyz, diameter, score, tier, cadx_avg)
+        ]
+
+    def __len__(self) -> int:
+        return len(self.scan_id)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.records(range(*index.indices(len(self))))
+        return self.records([range(len(self))[index]])[0]
+
+    def __iter__(self):
+        return iter(self.records(range(len(self))))
+
+    def __eq__(self, other):
+        if isinstance(other, (CandidateTable, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)

@@ -20,22 +20,26 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
+import operator
 import os
 import tempfile
-from collections.abc import Iterable, Iterator, Mapping, Sequence
-from contextlib import contextmanager
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .domain import (
-    CandidateDetection,
+    PROVENANCE_SEP,
+    CandidateTable,
+    FusedRecord,  # noqa: F401  (the records of a table read_fused returns)
     ReferenceNodule,
     SemanticRatings,
-    WorldPoint,
+    unchecked_point,
 )
 from .errors import ConfigError, InputError
 from .froc import FrocResult, GroupScoreSummary, LesionMatchResult
@@ -55,7 +59,6 @@ MATCH_COLUMNS = ("scan_id", "nodule_id", "detected", "score", "model")
 
 RATING_COLUMN_FIELDS = {display: field for field, display in CHARACTERISTIC_DISPLAY.items()}
 
-PROVENANCE_SEP = "|"
 COORDINATE_CONVENTIONS = ("lps", "ras")
 
 
@@ -68,7 +71,13 @@ def convert_to_lps(x: float, y: float, z: float, convention: str) -> tuple[float
 
 
 # ---------------------------------------------------------------------------
-# low-level CSV plumbing
+# CSV columns
+#
+# A file is parsed into columns, then checked and converted a column at a time.
+# Each check notes the first row it rejects; the error raised is the one of
+# the earliest rejected row, and within a row the one checked first, so it is
+# the error a row-by-row reader checking cells in the same order would raise.
+# The physical line of that row is found by reading the file again, only then.
 
 
 def _csv_lines(fh, last_line: list[int]) -> Iterable[str]:
@@ -81,101 +90,221 @@ def _csv_lines(fh, last_line: list[int]) -> Iterable[str]:
         yield line
 
 
-@contextmanager
-def _csv_table(path: Path, required: Sequence[str]):
-    """Open a CSV file for reading cells by position.
+def _open_csv(path: Path):
+    return open(path, "r", encoding="utf-8-sig", newline="")
 
-    Yields ``(columns, rows)``. ``columns`` maps each header name, stripped,
-    to its position (the last one if a name repeats). ``rows`` yields every
-    data row as ``(line, cells)``: the physical line the row ends on and its
-    raw cells, padded with empty strings to the header's width. Blank lines
-    and ``#`` comment lines are skipped, a leading UTF-8 byte-order mark (as
-    spreadsheet exports write) is dropped, and a row with more cells than the
-    header is an error.
+
+_CHUNK_ROWS = 512
+_is_comment = operator.methodcaller("startswith", "#")
+
+
+class _Columns:
+    """The data cells of one CSV file, by column.
+
+    Header names are stripped; a repeated name means its last column. Blank
+    lines and ``#`` comment lines are skipped, a leading UTF-8 byte-order mark
+    (as spreadsheet exports write) is dropped, and short rows are padded with
+    empty cells. A row with more cells than the header is an error, raised
+    after the errors of the rows before it; the rows from there on are not
+    read.
     """
-    if not path.exists():
-        raise InputError(f"{path}: file does not exist")
-    last_line = [0]
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(_csv_lines(fh, last_line))
-        header = next(reader, None)
-        if header is None:
-            raise InputError(f"{path}: missing header row")
-        columns = {name.strip(): i for i, name in enumerate(header)}
-        for column in required:
-            if column not in columns:
-                raise InputError(f"{path}: column {column} missing")
-        yield columns, _data_rows(path, reader, last_line, len(header))
+
+    def __init__(self, path: Path, required: Sequence[str]):
+        if not path.exists():
+            raise InputError(f"{path}: file does not exist")
+        self.path = path
+        self._long_row = None
+        with _open_csv(path) as fh:
+            reader = csv.reader(itertools.filterfalse(_is_comment, fh))
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path}: missing header row")
+            self._index = {name.strip(): i for i, name in enumerate(header)}
+            for column in required:
+                if column not in self._index:
+                    raise InputError(f"{path}: column {column} missing")
+            width = len(header)
+            cells: list[list[str]] = [[] for _ in range(width)]
+            n = 0
+            # a few rows at a time, so no row list outlives its chunk (and
+            # none is left for the garbage collector to trace)
+            while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
+                if set(map(len, rows)) != {width}:
+                    rows, long_row = _even_rows(rows, width)
+                    if long_row is not None:
+                        self._long_row = n + long_row
+                for column, part in zip(cells, zip(*rows)):
+                    column.extend(part)
+                n += len(rows)
+                if self._long_row is not None:
+                    break
+        self.n = n
+        self._cells = cells
+        self._first: tuple[int, Callable[[], InputError]] | None = None
+
+    def raw(self, column: str) -> list[str]:
+        return self._cells[self._index[column]]
+
+    def has(self, column: str) -> bool:
+        return column in self._index
+
+    def line(self, row: int) -> int:
+        """Physical line data row ``row`` ends on (reads the file again)."""
+        last_line = [0]
+        with _open_csv(self.path) as fh:
+            reader = csv.reader(_csv_lines(fh, last_line))
+            next(reader)
+            for i, _ in enumerate(cells for cells in reader if cells):
+                if i == row:
+                    return last_line[0]
+        raise AssertionError(f"{self.path}: no data row {row}")
+
+    def error(self, row: int, message: str) -> InputError:
+        return InputError(f"{self.path}:{self.line(row)}: {message}")
+
+    def cell_error(self, row: int, column: str, problem: str) -> InputError:
+        return self.error(row, f"column {column} {problem}")
+
+    # -- checks on whole columns, noted in the order a row is checked in
+
+    def note(self, row: int | None, make_error: Callable[[], InputError]) -> None:
+        """Record that ``row`` fails a check; the error is built if it is raised."""
+        if row is not None and (self._first is None or row < self._first[0]):
+            self._first = (row, make_error)
+
+    def text(self, column: str) -> list[str]:
+        """Stripped cells; an empty one is an error."""
+        values = list(map(str.strip, self.raw(column)))
+        if "" in values:
+            row = values.index("")
+            self.note(row, lambda: self.cell_error(row, column, "is empty"))
+        return values
+
+    def number(self, column: str, required: bool = True) -> np.ndarray:
+        """``float()`` of every cell as float64. A cell that is not a finite
+        number is an error, and so is an empty one unless ``required`` is
+        false; then it reads as NaN."""
+        cells = self.raw(column)
+        blank = np.array(list(map(operator.not_, map(str.strip, cells))), dtype=bool)
+        numbers = [("nan" if b else c) for c, b in zip(cells, blank.tolist())] if blank.any() \
+            else cells
+        try:
+            values = np.array(list(map(float, numbers)), dtype=np.float64)
+        except ValueError:
+            values = np.array(list(map(_float_or_nan, numbers)), dtype=np.float64)
+        bad = ~np.isfinite(values)
+        if not required:
+            bad &= ~blank
+        if bad.any():
+            row = int(np.argmax(bad))
+            self.note(row, lambda: self.cell_error(row, column,
+                                                   _number_problem(cells[row], required)))
+        return values
+
+    def where(self, column: str, bad: np.ndarray, problem: Callable[[int], str]) -> None:
+        """Note the first row of the boolean array ``bad``; ``problem(row)`` words it."""
+        if bad.any():
+            row = int(np.argmax(bad))
+            self.note(row, lambda: self.cell_error(row, column, problem(row)))
+
+    def unit_interval(self, column: str, values: np.ndarray) -> None:
+        self.where(column, (values < 0.0) | (values > 1.0),
+                   lambda row: f"must lie in [0, 1], got {float(values[row])}")
+
+    def positive(self, column: str, values: np.ndarray) -> None:
+        self.where(column, values <= 0.0, lambda row: f"must be positive, got {float(values[row])}")
+
+    def unique(self, keys: list, make_error: Callable[[int], InputError]) -> None:
+        """Note the first row whose key an earlier row has."""
+        if len(set(keys)) != len(keys):
+            seen = set()
+            for row, key in enumerate(keys):
+                if key in seen:
+                    self.note(row, lambda: make_error(row))
+                    return
+                seen.add(key)
+
+    def convention(self, convention: str) -> None:
+        """Note an unknown coordinate convention, as first met on the first row."""
+        if convention not in COORDINATE_CONVENTIONS and self.n:
+            self.note(0, lambda: InputError(
+                f"unknown coordinate convention {convention!r}; use lps or ras"))
+
+    def done(self) -> None:
+        """Raise the first noted error, else the error of a row too long."""
+        if self._first is not None:
+            raise self._first[1]()
+        if self._long_row is not None:
+            raise self.error(self._long_row, "more cells than header columns")
+
+    # -- cells one at a time, for the readers that check row by row
+
+    def rows(self, columns: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
+        return enumerate(zip(*(self.raw(c) for c in columns)))
+
+    def text_cell(self, row: int, column: str, cell: str) -> str:
+        text = cell.strip()
+        if not text:
+            raise self.cell_error(row, column, "is empty")
+        return text
+
+    def number_cell(self, row: int, column: str, cell: str,
+                    required: bool = True) -> float | None:
+        value = _float_or_nan(cell)
+        if math.isfinite(value):
+            return value
+        problem = _number_problem(cell, required)
+        if problem is not None:
+            raise self.cell_error(row, column, problem)
+        return None
+
+    def integer_cell(self, row: int, column: str, cell: str,
+                     required: bool = True) -> int | None:
+        text = cell.strip()
+        if not text:
+            if required:
+                raise self.cell_error(row, column, "is empty")
+            return None
+        try:
+            return int(text)
+        except ValueError:
+            raise self.cell_error(row, column, f"is not an integer: {text!r}") from None
 
 
-def _data_rows(path: Path, reader, last_line: list[int], width: int
-               ) -> Iterator[tuple[int, list[str]]]:
-    for cells in reader:
+def _even_rows(data: list[list[str]], width: int) -> tuple[list[list[str]], int | None]:
+    """Rows without blank ones, short ones padded, up to the first row that is
+    too long; and that row's index among the kept rows, or None."""
+    out = []
+    for cells in data:
         if len(cells) != width:
             if not cells:
                 continue
             if len(cells) > width:
-                raise InputError(f"{path}:{last_line[0]}: more cells than header columns")
-            cells += [""] * (width - len(cells))
-        yield last_line[0], cells
+                return out, len(out)
+            cells = cells + [""] * (width - len(cells))
+        out.append(cells)
+    return out, None
 
 
-def _cell_error(path: Path, line: int, column: str, problem: str) -> InputError:
-    return InputError(f"{path}:{line}: column {column} {problem}")
-
-
-def _text(path: Path, line: int, column: str, cell: str) -> str:
-    text = cell.strip()
-    if not text:
-        raise _cell_error(path, line, column, "is empty")
-    return text
-
-
-def _number(path: Path, line: int, column: str, cell: str,
-            required: bool = True) -> float | None:
+def _float_or_nan(cell: str) -> float:
     try:
-        value = float(cell)  # float() ignores surrounding whitespace itself
+        return float(cell)  # float() ignores surrounding whitespace itself
+    except ValueError:
+        return math.nan
+
+
+def _number_problem(cell: str, required: bool) -> str | None:
+    """What is wrong with a numeric cell, or None if nothing is."""
+    try:
+        value = float(cell)
     except ValueError:
         text = cell.strip()
         if text:
-            raise _cell_error(path, line, column, f"is not a number: {text!r}") from None
-        if required:
-            raise _cell_error(path, line, column, "is empty") from None
-        return None
+            return f"is not a number: {text!r}"
+        return "is empty" if required else None
     if not math.isfinite(value):
-        raise _cell_error(path, line, column, f"is not finite: {cell.strip()!r}")
-    return value
-
-
-def _integer(path: Path, line: int, column: str, cell: str,
-             required: bool = True) -> int | None:
-    text = cell.strip()
-    if not text:
-        if required:
-            raise _cell_error(path, line, column, "is empty")
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise _cell_error(path, line, column, f"is not an integer: {text!r}") from None
-
-
-def _unit_interval(path: Path, line: int, column: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise _cell_error(path, line, column, f"must lie in [0, 1], got {value}")
-
-
-def _positive(path: Path, line: int, column: str, value: float | None) -> None:
-    if value is not None and value <= 0.0:
-        raise _cell_error(path, line, column, f"must be positive, got {value}")
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        return f"is not finite: {cell.strip()!r}"
+    return None
 
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
@@ -200,90 +329,67 @@ def write_csv(
     rows: Iterable[Sequence],
     manifest_digest: str | None = None,
 ) -> Path:
+    """Rows of Python values: None is written as an empty cell and a float
+    as its ``repr``."""
     buf = io.StringIO()
     if manifest_digest:
         buf.write(f"# manifest_digest={manifest_digest}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerows(rows)
     return atomic_write_text(path, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
 # record readers
-#
-# Each reader converts and checks every cell once, naming file, line and
-# column in its errors. The builders below then set the record fields as the
-# dataclass constructors do, without running ``__post_init__`` to check the
-# same values again.
-
-_new = object.__new__
-_set = object.__setattr__
 
 
-def _point(x: float, y: float, z: float) -> WorldPoint:
-    point = _new(WorldPoint)
-    _set(point, "x", x)
-    _set(point, "y", y)
-    _set(point, "z", z)
-    return point
+def _xyz(columns: _Columns) -> np.ndarray:
+    """The ``x_mm``, ``y_mm`` and ``z_mm`` columns as one ``(n, 3)`` array."""
+    return np.column_stack([columns.number("x_mm"), columns.number("y_mm"),
+                            columns.number("z_mm")]).reshape(-1, 3)
 
 
-def _candidate(scan_id: str, candidate_id: str, center: WorldPoint, score: float,
-               source_model: str, diameter_mm: float | None) -> CandidateDetection:
-    candidate = _new(CandidateDetection)
-    _set(candidate, "scan_id", scan_id)
-    _set(candidate, "candidate_id", candidate_id)
-    _set(candidate, "center", center)
-    _set(candidate, "score", score)
-    _set(candidate, "source_model", source_model)
-    _set(candidate, "diameter_mm", diameter_mm)
-    return candidate
+def _to_lps(xyz: np.ndarray, convention: str) -> np.ndarray:
+    """``convert_to_lps`` on every row, for a convention already checked."""
+    if convention == "ras":
+        xyz[:, :2] = -xyz[:, :2]
+    return xyz
 
 
 def _cadx_scores(p_luna: float, p_dlcs: float) -> CadxScores:
-    scores = _new(CadxScores)
-    _set(scores, "p_luna", p_luna)
-    _set(scores, "p_dlcs", p_dlcs)
+    """Scores from checked cells, set without ``CadxScores.__post_init__``."""
+    scores = object.__new__(CadxScores)
+    object.__setattr__(scores, "p_luna", p_luna)
+    object.__setattr__(scores, "p_dlcs", p_dlcs)
     return scores
 
 
 def read_candidates(
     path: str | Path, convention: str = "lps", expected_model: str | None = None
-) -> list[CandidateDetection]:
+) -> CandidateTable:
     path = Path(path)
-    out = []
-    seen = set()
-    with _csv_table(path, CANDIDATE_COLUMNS) as (columns, rows):
-        i_scan, i_id, i_x, i_y, i_z, i_diameter, i_score, i_model = (
-            columns[c] for c in CANDIDATE_COLUMNS
-        )
-        for line, cells in rows:
-            model = _text(path, line, "model", cells[i_model])
-            if expected_model is not None and model != expected_model:
-                raise _cell_error(path, line, "model", f"must be {expected_model}, got {model!r}")
-            x, y, z = convert_to_lps(
-                _number(path, line, "x_mm", cells[i_x]),
-                _number(path, line, "y_mm", cells[i_y]),
-                _number(path, line, "z_mm", cells[i_z]),
-                convention,
-            )
-            scan_id = _text(path, line, "scan_id", cells[i_scan])
-            candidate_id = _text(path, line, "candidate_id", cells[i_id])
-            diameter = _number(path, line, "diameter_mm", cells[i_diameter], required=False)
-            score = _number(path, line, "score", cells[i_score])
-            _unit_interval(path, line, "score", score)
-            _positive(path, line, "diameter_mm", diameter)
-            key = (scan_id, model, candidate_id)
-            if key in seen:
-                raise InputError(
-                    f"{path}:{line}: duplicate candidate_id {candidate_id!r} "
-                    f"for model {model!r} on scan {scan_id!r}"
-                )
-            seen.add(key)
-            out.append(_candidate(scan_id, candidate_id, _point(x, y, z), score, model, diameter))
-    return out
+    columns = _Columns(path, CANDIDATE_COLUMNS)
+    model = columns.text("model")
+    if expected_model is not None:
+        wrong = [m != expected_model for m in model]
+        if any(wrong):
+            row = wrong.index(True)
+            columns.note(row, lambda: columns.cell_error(
+                row, "model", f"must be {expected_model}, got {model[row]!r}"))
+    xyz = _xyz(columns)
+    columns.convention(convention)
+    scan_id = columns.text("scan_id")
+    candidate_id = columns.text("candidate_id")
+    diameter = columns.number("diameter_mm", required=False)
+    score = columns.number("score")
+    columns.unit_interval("score", score)
+    columns.positive("diameter_mm", diameter)
+    columns.unique(list(zip(scan_id, model, candidate_id)), lambda row: columns.error(
+        row, f"duplicate candidate_id {candidate_id[row]!r} "
+             f"for model {model[row]!r} on scan {scan_id[row]!r}"))
+    columns.done()
+    return CandidateTable(scan_id, candidate_id, model, _to_lps(xyz, convention), diameter, score)
 
 
 def read_references(path: str | Path, convention: str = "lps") -> list[ReferenceNodule]:
@@ -292,79 +398,71 @@ def read_references(path: str | Path, convention: str = "lps") -> list[Reference
     path = Path(path)
     out = []
     seen = set()
-    with _csv_table(path, REFERENCE_COLUMNS) as (columns, rows):
-        ratings_at = [(display, field, columns[display])
-                      for display, field in RATING_COLUMN_FIELDS.items() if display in columns]
-        for line, cells in rows:
-            cell = {column: cells[columns[column]] for column in REFERENCE_COLUMNS}
-            x = _number(path, line, "x_mm", cell["x_mm"])
-            y = _number(path, line, "y_mm", cell["y_mm"])
-            z = _number(path, line, "z_mm", cell["z_mm"])
-            rating_values = {}
-            for display, field, i in ratings_at:
-                parse = _number if field == "diameter_rad_mm" else _integer
-                rating_values[field] = parse(path, line, display, cells[i], required=False)
-            scan_id = _text(path, line, "scan_id", cell["scan_id"])
-            nodule_id = _text(path, line, "nodule_id", cell["nodule_id"])
-            diameter = _number(path, line, "diameter_mm", cell["diameter_mm"])
-            reviewers = _integer(path, line, "reviewers", cell["reviewers"], required=False)
-            votes = _integer(path, line, "positive_votes", cell["positive_votes"], required=False)
-            try:
-                ratings = SemanticRatings(**rating_values) if any(
-                    v is not None for v in rating_values.values()
-                ) else None
-                ref = ReferenceNodule(
-                    scan_id=scan_id,
-                    nodule_id=nodule_id,
-                    center=_point(*convert_to_lps(x, y, z, convention)),
-                    diameter_mm=diameter,
-                    diagnosis=cell["diagnosis"].strip() or "unknown",
-                    lungrads=cell["lungrads"].strip() or None,
-                    reviewers=reviewers,
-                    positive_votes=votes,
-                    ratings=ratings,
-                )
-            except InputError as err:
-                raise InputError(f"{path}:{line}: {err}") from None
-            if ref.key in seen:
-                raise InputError(
-                    f"{path}:{line}: duplicate nodule_id {nodule_id!r} on scan {scan_id!r}"
-                )
-            seen.add(ref.key)
-            out.append(ref)
+    columns = _Columns(path, REFERENCE_COLUMNS)
+    ratings_at = [(display, field) for display, field in RATING_COLUMN_FIELDS.items()
+                  if columns.has(display)]
+    for row, cells in columns.rows(REFERENCE_COLUMNS + tuple(d for d, _ in ratings_at)):
+        cell = dict(zip(REFERENCE_COLUMNS, cells))
+        x = columns.number_cell(row, "x_mm", cell["x_mm"])
+        y = columns.number_cell(row, "y_mm", cell["y_mm"])
+        z = columns.number_cell(row, "z_mm", cell["z_mm"])
+        rating_values = {}
+        for (display, field), text in zip(ratings_at, cells[len(REFERENCE_COLUMNS):]):
+            parse = columns.number_cell if field == "diameter_rad_mm" else columns.integer_cell
+            rating_values[field] = parse(row, display, text, required=False)
+        scan_id = columns.text_cell(row, "scan_id", cell["scan_id"])
+        nodule_id = columns.text_cell(row, "nodule_id", cell["nodule_id"])
+        diameter = columns.number_cell(row, "diameter_mm", cell["diameter_mm"])
+        reviewers = columns.integer_cell(row, "reviewers", cell["reviewers"], required=False)
+        votes = columns.integer_cell(row, "positive_votes", cell["positive_votes"],
+                                     required=False)
+        try:
+            ratings = SemanticRatings(**rating_values) if any(
+                v is not None for v in rating_values.values()
+            ) else None
+            ref = ReferenceNodule(
+                scan_id=scan_id,
+                nodule_id=nodule_id,
+                center=unchecked_point(*convert_to_lps(x, y, z, convention)),
+                diameter_mm=diameter,
+                diagnosis=cell["diagnosis"].strip() or "unknown",
+                lungrads=cell["lungrads"].strip() or None,
+                reviewers=reviewers,
+                positive_votes=votes,
+                ratings=ratings,
+            )
+        except InputError as err:
+            raise columns.error(row, str(err)) from None
+        if ref.key in seen:
+            raise columns.error(row, f"duplicate nodule_id {nodule_id!r} on scan {scan_id!r}")
+        seen.add(ref.key)
+        out.append(ref)
+    columns.done()
     return out
 
 
 def read_cadx_scores(path: str | Path) -> dict[tuple[str, str, str], CadxScores]:
     path = Path(path)
-    out: dict[tuple[str, str, str], CadxScores] = {}
-    with _csv_table(path, CADX_SCORE_COLUMNS) as (columns, rows):
-        i_scan, i_model, i_id, i_luna, i_dlcs = (columns[c] for c in CADX_SCORE_COLUMNS)
-        for line, cells in rows:
-            key = (
-                _text(path, line, "scan_id", cells[i_scan]),
-                _text(path, line, "model", cells[i_model]),
-                _text(path, line, "candidate_id", cells[i_id]),
-            )
-            if key in out:
-                raise InputError(f"{path}:{line}: duplicate CADx score entry for {key}")
-            p_luna = _number(path, line, "p_luna", cells[i_luna])
-            p_dlcs = _number(path, line, "p_dlcs", cells[i_dlcs])
-            _unit_interval(path, line, "p_luna", p_luna)
-            _unit_interval(path, line, "p_dlcs", p_dlcs)
-            out[key] = _cadx_scores(p_luna, p_dlcs)
-    return out
+    columns = _Columns(path, CADX_SCORE_COLUMNS)
+    keys = list(zip(columns.text("scan_id"), columns.text("model"),
+                    columns.text("candidate_id")))
+    columns.unique(keys, lambda row: columns.error(
+        row, f"duplicate CADx score entry for {keys[row]}"))
+    p_luna = columns.number("p_luna")
+    p_dlcs = columns.number("p_dlcs")
+    columns.unit_interval("p_luna", p_luna)
+    columns.unit_interval("p_dlcs", p_dlcs)
+    columns.done()
+    return dict(zip(keys, map(_cadx_scores, p_luna.tolist(), p_dlcs.tolist())))
 
 
 def read_labeled_scores(path: str | Path) -> tuple[list[float], list[str]]:
     path = Path(path)
-    scores, labels = [], []
-    with _csv_table(path, LABELED_SCORE_COLUMNS) as (columns, rows):
-        i_score, i_label = columns["score"], columns["label"]
-        for line, cells in rows:
-            scores.append(_number(path, line, "score", cells[i_score]))
-            labels.append(_text(path, line, "label", cells[i_label]))
-    return scores, labels
+    columns = _Columns(path, LABELED_SCORE_COLUMNS)
+    scores = columns.number("score")
+    labels = columns.text("label")
+    columns.done()
+    return scores.tolist(), labels
 
 
 def read_reports(path: str | Path) -> list[tuple[str, str, str]]:
@@ -387,69 +485,43 @@ def read_reports(path: str | Path) -> list[tuple[str, str, str]]:
     return out
 
 
-@dataclass(frozen=True)
-class FusedRecord:
-    """A fused-list CSV row read back from disk."""
-
-    scan_id: str
-    candidate_id: str
-    center: WorldPoint
-    diameter_mm: float | None
-    score: float
-    tier: float
-    stage: str
-    cadx_avg: float | None
-    provenance: tuple[str, ...]
-
-
-def read_fused(path: str | Path, convention: str = "lps") -> list[FusedRecord]:
+def read_fused(path: str | Path, convention: str = "lps") -> CandidateTable:
     """Fused-list rows, held to the rules ``FusedCandidate`` enforces when
     ``fuse`` writes them: score and ``cadx_avg`` in [0, 1], a positive
     diameter, the tier of the stage, and ``cadx_avg`` exactly for
     cadx-promoted rows."""
     path = Path(path)
-    out = []
-    with _csv_table(path, FUSED_COLUMNS) as (columns, rows):
-        (i_scan, i_id, i_x, i_y, i_z, i_diameter, i_score, _, i_tier, i_stage, i_cadx,
-         i_provenance) = (columns[c] for c in FUSED_COLUMNS)
-        for line, cells in rows:
-            x = _number(path, line, "x_mm", cells[i_x])
-            y = _number(path, line, "y_mm", cells[i_y])
-            z = _number(path, line, "z_mm", cells[i_z])
-            stage = _text(path, line, "stage", cells[i_stage])
-            if stage not in TIER_BY_STAGE:
-                raise _cell_error(path, line, "stage", f"has unknown value {stage!r}")
-            scan_id = _text(path, line, "scan_id", cells[i_scan])
-            candidate_id = _text(path, line, "candidate_id", cells[i_id])
-            diameter = _number(path, line, "diameter_mm", cells[i_diameter], required=False)
-            score = _number(path, line, "score", cells[i_score])
-            tier = _number(path, line, "tier", cells[i_tier])
-            cadx_avg = _number(path, line, "cadx_avg", cells[i_cadx], required=False)
-            provenance = _text(path, line, "provenance", cells[i_provenance])
-            _unit_interval(path, line, "score", score)
-            _positive(path, line, "diameter_mm", diameter)
-            if tier != TIER_BY_STAGE[stage]:
-                raise _cell_error(path, line, "tier",
-                                  f"must be {TIER_BY_STAGE[stage]} for stage {stage}, got {tier}")
-            if stage == STAGE_CADX:
-                if cadx_avg is None:
-                    raise _cell_error(path, line, "cadx_avg", f"is empty for stage {stage}")
-                _unit_interval(path, line, "cadx_avg", cadx_avg)
-            elif cadx_avg is not None:
-                raise _cell_error(path, line, "cadx_avg", f"must be empty for stage {stage}")
-            x, y, z = convert_to_lps(x, y, z, convention)
-            out.append(FusedRecord(
-                scan_id=scan_id,
-                candidate_id=candidate_id,
-                center=_point(x, y, z),
-                diameter_mm=diameter,
-                score=score,
-                tier=tier,
-                stage=stage,
-                cadx_avg=cadx_avg,
-                provenance=tuple(provenance.split(PROVENANCE_SEP)),
-            ))
-    return out
+    columns = _Columns(path, FUSED_COLUMNS)
+    xyz = _xyz(columns)
+    stage = columns.text("stage")
+    known = [s in TIER_BY_STAGE for s in stage]
+    if not all(known):
+        row = known.index(False)
+        columns.note(row, lambda: columns.cell_error(
+            row, "stage", f"has unknown value {stage[row]!r}"))
+    scan_id = columns.text("scan_id")
+    candidate_id = columns.text("candidate_id")
+    diameter = columns.number("diameter_mm", required=False)
+    score = columns.number("score")
+    tier = columns.number("tier")
+    cadx_avg = columns.number("cadx_avg", required=False)
+    provenance = columns.text("provenance")
+    columns.unit_interval("score", score)
+    columns.positive("diameter_mm", diameter)
+    stage_tier = np.array([TIER_BY_STAGE.get(s, math.nan) for s in stage], dtype=np.float64)
+    columns.where("tier", (tier != stage_tier) & np.array(known, dtype=bool), lambda row: (
+        f"must be {TIER_BY_STAGE[stage[row]]} for stage {stage[row]}, got {float(tier[row])}"))
+    promoted = np.array([s == STAGE_CADX for s in stage], dtype=bool)
+    empty = np.isnan(cadx_avg)
+    columns.where("cadx_avg", promoted & empty, lambda row: f"is empty for stage {stage[row]}")
+    columns.unit_interval("cadx_avg", np.where(promoted, cadx_avg, math.nan))
+    columns.where("cadx_avg", ~promoted & ~empty,
+                  lambda row: f"must be empty for stage {stage[row]}")
+    columns.convention(convention)
+    columns.done()
+    model = list(map(str.strip, columns.raw("model")))  # not checked: fused files say FUSED
+    return CandidateTable(scan_id, candidate_id, model, _to_lps(xyz, convention), diameter, score,
+                          tier=tier, stage=stage, cadx_avg=cadx_avg, provenance=provenance)
 
 
 def read_match_files(paths: Sequence[str | Path]) -> dict[str, dict[tuple[str, str], float | None]]:
@@ -457,24 +529,24 @@ def read_match_files(paths: Sequence[str | Path]) -> dict[str, dict[tuple[str, s
     out: dict[str, dict[tuple[str, str], float | None]] = {}
     for path in paths:
         path = Path(path)
-        with _csv_table(path, MATCH_COLUMNS) as (columns, rows):
-            i_scan, i_nodule, i_detected, i_score, i_model = (columns[c] for c in MATCH_COLUMNS)
-            for line, cells in rows:
-                model = _text(path, line, "model", cells[i_model])
-                key = (
-                    _text(path, line, "scan_id", cells[i_scan]),
-                    _text(path, line, "nodule_id", cells[i_nodule]),
-                )
-                detected = _integer(path, line, "detected", cells[i_detected])
-                if detected not in (0, 1):
-                    raise _cell_error(path, line, "detected", "must be 0 or 1")
-                score = _number(path, line, "score", cells[i_score], required=False)
-                if detected == 1 and score is None:
-                    raise InputError(f"{path}:{line}: detected row without a score")
-                table = out.setdefault(model, {})
-                if key in table:
-                    raise InputError(f"{path}:{line}: duplicate match entry for {key}")
-                table[key] = score if detected == 1 else None
+        columns = _Columns(path, MATCH_COLUMNS)
+        for row, (scan_id, nodule_id, detected, score, model) in columns.rows(MATCH_COLUMNS):
+            model = columns.text_cell(row, "model", model)
+            key = (
+                columns.text_cell(row, "scan_id", scan_id),
+                columns.text_cell(row, "nodule_id", nodule_id),
+            )
+            detected = columns.integer_cell(row, "detected", detected)
+            if detected not in (0, 1):
+                raise columns.cell_error(row, "detected", "must be 0 or 1")
+            score = columns.number_cell(row, "score", score, required=False)
+            if detected == 1 and score is None:
+                raise columns.error(row, "detected row without a score")
+            table = out.setdefault(model, {})
+            if key in table:
+                raise columns.error(row, f"duplicate match entry for {key}")
+            table[key] = score if detected == 1 else None
+        columns.done()
     return out
 
 

@@ -26,7 +26,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import CandidateDetection, LUNGRADS_CATEGORIES, ReferenceNodule, is_hit
+from .domain import (
+    LUNGRADS_CATEGORIES,
+    CandidateDetection,
+    CandidateTable,
+    ReferenceNodule,
+    distance_mm,
+    match_tolerance,
+    may_lie_within,
+)
 from .errors import InputError
 
 FP_RATES = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
@@ -74,6 +82,48 @@ class LesionMatchResult:
         return {(t.scan_id, t.nodule_id): t.score for s in self.scans for t in s.tp}
 
 
+_NO_ROWS = np.zeros(0, dtype=np.intp)
+
+
+def _candidate_table(candidates: Iterable[CandidateDetection]) -> CandidateTable:
+    """A table as given, or the table of API records, which must not repeat a
+    (scan, model, candidate id) key. Readers reject repeated keys themselves."""
+    if isinstance(candidates, CandidateTable):
+        return candidates
+    records = list(candidates)
+    seen: set[tuple[str, str, str]] = set()
+    for c in records:
+        if c.key in seen:
+            raise InputError(
+                f"duplicate candidate {c.candidate_id!r} for model {c.source_model!r} "
+                f"on scan {c.scan_id!r}"
+            )
+        seen.add(c.key)
+    return CandidateTable.from_records(records)
+
+
+def _score_order(table: CandidateTable, scans: list[str]) -> tuple[np.ndarray, list[int]]:
+    """Rows grouped by scan in the order of ``scans``, each scan's rows by
+    (score descending, candidate id, model); and where each scan's rows end."""
+    by_scan = table.by_scan
+    groups = [by_scan.get(scan_id, _NO_ROWS) for scan_id in scans]
+    rows = np.concatenate(groups) if groups else _NO_ROWS
+    ends = np.cumsum([len(g) for g in groups]).tolist()
+    scan_rank = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    score = table.score[rows]
+    order = np.lexsort((-score, scan_rank))  # stable: ties keep file order for now
+    rows, score, scan_rank = rows[order], score[order], scan_rank[order]
+    # runs of equal scores within a scan go by (candidate id, model) instead
+    tied = (score[1:] == score[:-1]) & (scan_rank[1:] == scan_rank[:-1])
+    if tied.any():
+        cid, model = table.candidate_id, table.model
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], tied.view(np.int8), [0])))).tolist()
+        for start, stop in zip(edges[::2], edges[1::2]):
+            run = rows[start:stop + 1].tolist()
+            rows[start:stop + 1] = sorted(run, key=lambda i: (cid[i], model[i]))
+    return rows, ends
+
+
 def match_lesions(
     candidates: Iterable[CandidateDetection],
     references: Iterable[ReferenceNodule],
@@ -81,20 +131,18 @@ def match_lesions(
 ) -> LesionMatchResult:
     """One-to-one greedy matching of candidates to reference nodules.
 
+    ``candidates`` is a ``CandidateTable`` or an iterable of records.
     ``scan_ids`` fixes the scan universe; by default it is the union of scan
     ids seen in either input, so reference-free scans still contribute their
     false positives.
+
+    Within a scan, candidates go best score first (ties by candidate id, then
+    model); each takes the nearest (then lowest nodule id) still-unmatched
+    reference it hits. The candidate-reference pairs that may hit are found on
+    one squared-distance array and each is confirmed with the scalar distance
+    and ``match_tolerance``; a candidate with no such pair is a false positive.
     """
-    by_scan_c: dict[str, list[CandidateDetection]] = {}
-    seen_candidates: set[tuple[str, str, str]] = set()
-    for c in candidates:
-        if c.key in seen_candidates:
-            raise InputError(
-                f"duplicate candidate {c.candidate_id!r} for model {c.source_model!r} "
-                f"on scan {c.scan_id!r}"
-            )
-        seen_candidates.add(c.key)
-        by_scan_c.setdefault(c.scan_id, []).append(c)
+    table = _candidate_table(candidates)
 
     by_scan_r: dict[str, list[ReferenceNodule]] = {}
     seen_refs: set[tuple[str, str]] = set()
@@ -104,51 +152,72 @@ def match_lesions(
         seen_refs.add(r.key)
         by_scan_r.setdefault(r.scan_id, []).append(r)
 
+    by_scan_c = table.by_scan
     universe = set(scan_ids) if scan_ids is not None else set(by_scan_c) | set(by_scan_r)
     stray = (set(by_scan_c) | set(by_scan_r)) - universe
     if stray:
         raise InputError(f"records reference scans outside the scan set: {sorted(stray)}")
+    scans = sorted(universe)
+    rows, ends = _score_order(table, scans)
+    position = np.empty(len(table), dtype=np.intp)
+    position[rows] = np.arange(rows.size)
 
-    scans: list[ScanMatch] = []
-    for scan_id in sorted(universe):
-        cands = sorted(
-            by_scan_c.get(scan_id, []), key=lambda c: (-c.score, c.candidate_id, c.source_model)
+    # every candidate x reference pair on a scan, prefiltered, then confirmed
+    refs = [r for scan_id in scans for r in by_scan_r.get(scan_id, ())]
+    ref_rows = [by_scan_c.get(r.scan_id, _NO_ROWS) for r in refs]
+    pair_c = np.concatenate(ref_rows) if refs else _NO_ROWS
+    pair_r = np.repeat(np.arange(len(refs)), [len(g) for g in ref_rows])
+    tolerance = [match_tolerance(r.diameter_mm) for r in refs]
+    ref_xyz = np.array([r.center.as_tuple() for r in refs], dtype=np.float64).reshape(-1, 3)
+    near = may_lie_within((table.xyz[pair_c, k] for k in range(3)),
+                          (ref_xyz[pair_r, k] for k in range(3)),
+                          np.array(tolerance, dtype=np.float64)[pair_r])
+    hits: dict[int, list[tuple[float, str, int]]] = {}
+    for p, j, (x, y, z) in zip(position[pair_c[near]].tolist(), pair_r[near].tolist(),
+                               table.xyz[pair_c[near]].tolist()):
+        ref = refs[j]
+        dist = distance_mm(x, y, z, ref.center.x, ref.center.y, ref.center.z)
+        if dist <= tolerance[j]:
+            hits.setdefault(p, []).append((dist, ref.nodule_id, j))
+
+    # greedy assignment in score order; positions ascend scan by scan
+    matched: set[int] = set()
+    tp_at: dict[int, str] = {}
+    for p in sorted(hits):
+        best = min((h for h in hits[p] if h[2] not in matched), default=None)
+        if best is not None:
+            matched.add(best[2])
+            tp_at[p] = best[1]
+
+    cids = table.candidate_id
+    ordered_cid = [cids[i] for i in rows.tolist()]
+    ordered_score = table.score[rows].tolist()
+    scans_out: list[ScanMatch] = []
+    start = 0
+    for scan_id, end in zip(scans, ends):
+        tps = tuple(
+            TruePositive(scan_id=scan_id, nodule_id=tp_at[p], candidate_id=ordered_cid[p],
+                         score=ordered_score[p])
+            for p in range(start, end) if p in tp_at
         )
-        refs = by_scan_r.get(scan_id, [])
-        unmatched = {r.nodule_id: r for r in refs}
-        tps: list[TruePositive] = []
-        fps: list[tuple[str, float]] = []
-        for cand in cands:
-            best: tuple[float, str] | None = None
-            for nodule_id, ref in unmatched.items():
-                if not is_hit(cand, ref):
-                    continue
-                dist = cand.center.distance_to(ref.center)
-                if best is None or (dist, nodule_id) < best:
-                    best = (dist, nodule_id)
-            if best is None:
-                fps.append((cand.candidate_id, cand.score))
-            else:
-                nodule_id = best[1]
-                del unmatched[nodule_id]
-                tps.append(
-                    TruePositive(
-                        scan_id=scan_id,
-                        nodule_id=nodule_id,
-                        candidate_id=cand.candidate_id,
-                        score=cand.score,
-                    )
-                )
-        scans.append(
+        if tps:
+            fps = tuple((ordered_cid[p], ordered_score[p])
+                        for p in range(start, end) if p not in tp_at)
+        else:
+            fps = tuple(zip(ordered_cid[start:end], ordered_score[start:end]))
+        scan_refs = by_scan_r.get(scan_id, [])
+        detected = {t.nodule_id for t in tps}
+        scans_out.append(
             ScanMatch(
                 scan_id=scan_id,
-                n_references=len(refs),
-                tp=tuple(tps),
-                fn=tuple(sorted(unmatched)),
-                fp=tuple(fps),
+                n_references=len(scan_refs),
+                tp=tps,
+                fn=tuple(sorted(r.nodule_id for r in scan_refs if r.nodule_id not in detected)),
+                fp=fps,
             )
         )
-    return LesionMatchResult(scans=tuple(scans))
+        start = end
+    return LesionMatchResult(scans=tuple(scans_out))
 
 
 @dataclass(frozen=True)
@@ -488,7 +557,7 @@ def stratified_eval(
     """
     if isinstance(stratify, str) and stratify.startswith("size"):
         stratify = resolve_stratifier(stratify)
-    candidates = list(candidates)
+    candidates = _candidate_table(candidates)
     references = list(references)
     overall = evaluate(candidates, references, ci=ci, resamples=resamples, seed=seed, rates=rates)
 
@@ -508,9 +577,9 @@ def stratified_eval(
     for name in names:
         refs = by_stratum[name]
         scan_set = {r.scan_id for r in refs}
-        cands = [c for c in candidates if c.scan_id in scan_set]
         strata[name] = evaluate(
-            cands, refs, ci=ci, resamples=resamples, seed=seed, rates=rates, scan_ids=scan_set
+            candidates.of_scans(scan_set), refs,
+            ci=ci, resamples=resamples, seed=seed, rates=rates, scan_ids=scan_set,
         )
     return StratifiedResult(overall=overall, strata=strata, warnings=tuple(warnings))
 

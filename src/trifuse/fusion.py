@@ -27,9 +27,11 @@ import numpy as np
 from .domain import (
     TOLERANCE_CAP_MM,
     CandidateDetection,
+    CandidateTable,
     PipelineConfig,
     WorldPoint,
     match_tolerance,
+    may_lie_within,
     require_unit_interval,
 )
 from .errors import InputError, InvariantError, ScorerError
@@ -117,6 +119,24 @@ class FusedCandidate:
         return self.provenance[0]
 
 
+def _fused(scan_id: str, center: WorldPoint, stage: str, cade_score_avg: float,
+           provenance: tuple[str, ...], diameter_mm: float | None,
+           cadx_avg: float | None = None) -> FusedCandidate:
+    """A ``FusedCandidate`` of values fusion computed from checked inputs, set
+    without running ``__post_init__`` again."""
+    fused = object.__new__(FusedCandidate)
+    set_field = object.__setattr__
+    set_field(fused, "scan_id", scan_id)
+    set_field(fused, "center", center)
+    set_field(fused, "confidence_tier", TIER_BY_STAGE[stage])
+    set_field(fused, "stage", stage)
+    set_field(fused, "cade_score_avg", cade_score_avg)
+    set_field(fused, "provenance", provenance)
+    set_field(fused, "diameter_mm", diameter_mm)
+    set_field(fused, "cadx_avg", cadx_avg)
+    return fused
+
+
 @dataclass(frozen=True)
 class TriStageResult:
     scan_id: str
@@ -174,13 +194,6 @@ def _max_consensus_radius_mm(cfg: PipelineConfig) -> float:
     return max(cfg.consensus_radius_mm, TOLERANCE_CAP_MM)
 
 
-# numpy's squared distance can differ from the scalar one in the last bits, so
-# the prefilter admits a relative slack above the radius, plus an absolute one
-# for squares too small to hold that precision
-_PREFILTER_SLACK = 1e-9
-_PREFILTER_FLOOR_MM2 = 1e-300
-
-
 def _near_pairs(
     list_a: list[CandidateDetection], list_b: list[CandidateDetection], radius_mm: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -195,12 +208,7 @@ def _near_pairs(
         return empty, empty
     a = np.array([c.center.as_tuple() for c in list_a])
     b = a if list_b is list_a else np.array([c.center.as_tuple() for c in list_b])
-    with np.errstate(over="ignore"):  # an overflowing distance is inf: no pair
-        d = a[:, None, :] - b[None, :, :]
-        d *= d
-        squared = d[:, :, 0] + d[:, :, 1] + d[:, :, 2]
-    limit = radius_mm * radius_mm * (1.0 + _PREFILTER_SLACK) + _PREFILTER_FLOOR_MM2
-    return np.nonzero(squared <= limit)
+    return np.nonzero(may_lie_within(a.T[:, :, None], b.T[:, None, :], radius_mm))
 
 
 def _require_single_scan(candidates: Iterable[CandidateDetection]) -> str | None:
@@ -386,17 +394,8 @@ def run_tri_stage(
             b.qualified_id,
             *absorbed_by.get(b.qualified_id, ()),
         )
-        fused.append(
-            FusedCandidate(
-                scan_id=scan_id,
-                center=pair.merged_center,
-                confidence_tier=TIER_BY_STAGE[STAGE_CONSENSUS],
-                stage=STAGE_CONSENSUS,
-                cade_score_avg=pair.merged_score,
-                provenance=provenance,
-                diameter_mm=pair.merged_diameter_mm,
-            )
-        )
+        fused.append(_fused(scan_id, pair.merged_center, STAGE_CONSENSUS, pair.merged_score,
+                            provenance, pair.merged_diameter_mm))
 
     for cand in disagreements:
         scores = _score_disagreement(cand, cadx_provider)
@@ -406,31 +405,12 @@ def run_tri_stage(
         # own score: only one detector saw it.
         if cadx_avg >= cfg.tau_cadx:
             dispositions[cand.qualified_id] = DISP_T2
-            fused.append(
-                FusedCandidate(
-                    scan_id=scan_id,
-                    center=cand.center,
-                    confidence_tier=TIER_BY_STAGE[STAGE_CADX],
-                    stage=STAGE_CADX,
-                    cade_score_avg=cand.score,
-                    provenance=provenance,
-                    diameter_mm=cand.diameter_mm,
-                    cadx_avg=cadx_avg,
-                )
-            )
+            fused.append(_fused(scan_id, cand.center, STAGE_CADX, cand.score, provenance,
+                                cand.diameter_mm, cadx_avg))
         elif cand.score >= cfg.tau_cade:
             dispositions[cand.qualified_id] = DISP_T3
-            fused.append(
-                FusedCandidate(
-                    scan_id=scan_id,
-                    center=cand.center,
-                    confidence_tier=TIER_BY_STAGE[STAGE_CADE],
-                    stage=STAGE_CADE,
-                    cade_score_avg=cand.score,
-                    provenance=provenance,
-                    diameter_mm=cand.diameter_mm,
-                )
-            )
+            fused.append(_fused(scan_id, cand.center, STAGE_CADE, cand.score, provenance,
+                                cand.diameter_mm))
         else:
             dispositions[cand.qualified_id] = DISP_REJECTED
 
@@ -463,22 +443,23 @@ def fuse_scans(
 ) -> FusionOutput:
     """Fuse candidate lists across scans, one scan at a time in scan-id order.
 
-    A mask loader is called once per scan, in that order, so it may keep
-    only the current scan's volume.
+    Each list is a ``CandidateTable`` or an iterable of records; a scan's
+    records are built from a table only when that scan is fused. A mask
+    loader is called once per scan, in that order, so it may keep only the
+    current scan's volume.
     """
     cfg = cfg or PipelineConfig()
-    by_scan_a: dict[str, list[CandidateDetection]] = {}
-    by_scan_b: dict[str, list[CandidateDetection]] = {}
-    for c in candidates_a:
-        by_scan_a.setdefault(c.scan_id, []).append(c)
-    for c in candidates_b:
-        by_scan_b.setdefault(c.scan_id, []).append(c)
+    table_a = CandidateTable.of(candidates_a)
+    table_b = CandidateTable.of(candidates_b)
+    by_scan_a = table_a.by_scan
+    by_scan_b = table_b.by_scan
     scan_ids = sorted(set(by_scan_a) | set(by_scan_b))
+    none = np.zeros(0, dtype=np.intp)
 
     results = {
         scan_id: run_tri_stage(
-            by_scan_a.get(scan_id, []),
-            by_scan_b.get(scan_id, []),
+            table_a.records(by_scan_a.get(scan_id, none)),
+            table_b.records(by_scan_b.get(scan_id, none)),
             cadx_provider=cadx_provider,
             mask=masks(scan_id) if masks is not None else None,
             cfg=cfg,

@@ -12,7 +12,14 @@ import numpy as np
 
 from .domain import CandidateDetection, ReferenceNodule, require_unit_interval
 from .errors import InputError
-from .froc import FP_RATES, _mean_sensitivity, _score_grid, _sensitivities_on_grid, match_lesions
+from .froc import (
+    FP_RATES,
+    _candidate_table,
+    _mean_sensitivity,
+    _score_grid,
+    _sensitivities_on_grid,
+    match_lesions,
+)
 
 CANCER = "cancer"
 NO_CANCER = "no-cancer"
@@ -105,10 +112,10 @@ def sweep_cade(
     of the full matching, so one matching pass serves every threshold. The
     scan universe stays fixed across rows.
     """
-    candidates = list(candidates)
+    candidates = _candidate_table(candidates)
     references = list(references)
     if scan_ids is None:
-        scan_ids = {c.scan_id for c in candidates} | {r.scan_id for r in references}
+        scan_ids = set(candidates.by_scan) | {r.scan_id for r in references}
     scan_ids = set(scan_ids)
     result = match_lesions(candidates, references, scan_ids=scan_ids)
     if result.n_references < 1:

@@ -2,11 +2,11 @@
 
 Most oracles work on plain tuples and enumerate exhaustively (or, for the
 bootstrap, recompute every resample from scratch) without importing the code
-under test. The CSV-reader, fusion-pairing, FROC-count and detection-sweep
-oracles are the library's earlier scalar code: they build the library's
-record types, validated by their constructors, so results compare with
-``==``, and they import only those records, the error type, the file
-schemas and the scalar consensus-radius rule.
+under test. The CSV-reader, CSV-writer, fusion-pairing, lesion-matching,
+FROC-count and detection-sweep oracles are the library's earlier scalar code:
+they build the library's record types, so results compare with ``==``, and
+they import only those records, the error type, the file schemas, the scalar
+hit test and the scalar consensus-radius rule.
 
 Conventions:
   candidate = (cid, (x, y, z), score)
@@ -14,9 +14,11 @@ Conventions:
 """
 
 import csv
+import io
 import itertools
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,6 +30,7 @@ from trifuse.domain import (
     ReferenceNodule,
     SemanticRatings,
     WorldPoint,
+    is_hit,
 )
 from trifuse.errors import InputError
 from trifuse.fileio import (
@@ -41,7 +44,14 @@ from trifuse.fileio import (
     REFERENCE_COLUMNS,
     FusedRecord,
 )
-from trifuse.fusion import TIER_BY_STAGE, CadxScores, ConsensusPair, consensus_radius_mm
+from trifuse.froc import LesionMatchResult, ScanMatch, TruePositive
+from trifuse.fusion import (
+    STAGE_CADX,
+    TIER_BY_STAGE,
+    CadxScores,
+    ConsensusPair,
+    consensus_radius_mm,
+)
 from trifuse.sweeps import CadeSweepRow
 
 
@@ -647,6 +657,328 @@ def oracle_read_match_files(paths: Sequence[str | Path]) -> dict[str, dict[tuple
 
 
 # ---------------------------------------------------------------------------
+# CSV readers, row by row: the library's readers before they read whole
+# columns. Each cell is converted and checked once, in a fixed order per row,
+# and records are built without running their ``__post_init__``; the column
+# readers must raise the same first error (file, physical line, column and
+# wording) and return equal records.
+
+
+@contextmanager
+def _csv_table(path: Path, required: Sequence[str]):
+    """Open a CSV file for reading cells by position.
+
+    Yields ``(columns, rows)``. ``columns`` maps each header name, stripped,
+    to its position (the last one if a name repeats). ``rows`` yields every
+    data row as ``(line, cells)``: the physical line the row ends on and its
+    raw cells, padded with empty strings to the header's width. Blank lines
+    and ``#`` comment lines are skipped, a leading UTF-8 byte-order mark (as
+    spreadsheet exports write) is dropped, and a row with more cells than the
+    header is an error.
+    """
+    if not path.exists():
+        raise InputError(f"{path}: file does not exist")
+    last_line = [0]
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(_csv_lines(fh, last_line))
+        header = next(reader, None)
+        if header is None:
+            raise InputError(f"{path}: missing header row")
+        columns = {name.strip(): i for i, name in enumerate(header)}
+        for column in required:
+            if column not in columns:
+                raise InputError(f"{path}: column {column} missing")
+        yield columns, _data_rows(path, reader, last_line, len(header))
+
+
+def _data_rows(path: Path, reader, last_line: list[int], width: int
+               ) -> Iterator[tuple[int, list[str]]]:
+    for cells in reader:
+        if len(cells) != width:
+            if not cells:
+                continue
+            if len(cells) > width:
+                raise InputError(f"{path}:{last_line[0]}: more cells than header columns")
+            cells += [""] * (width - len(cells))
+        yield last_line[0], cells
+
+
+def _cell_error(path: Path, line: int, column: str, problem: str) -> InputError:
+    return InputError(f"{path}:{line}: column {column} {problem}")
+
+
+def _text(path: Path, line: int, column: str, cell: str) -> str:
+    text = cell.strip()
+    if not text:
+        raise _cell_error(path, line, column, "is empty")
+    return text
+
+
+def _number(path: Path, line: int, column: str, cell: str,
+            required: bool = True) -> float | None:
+    try:
+        value = float(cell)  # float() ignores surrounding whitespace itself
+    except ValueError:
+        text = cell.strip()
+        if text:
+            raise _cell_error(path, line, column, f"is not a number: {text!r}") from None
+        if required:
+            raise _cell_error(path, line, column, "is empty") from None
+        return None
+    if not math.isfinite(value):
+        raise _cell_error(path, line, column, f"is not finite: {cell.strip()!r}")
+    return value
+
+
+def _integer(path: Path, line: int, column: str, cell: str,
+             required: bool = True) -> int | None:
+    text = cell.strip()
+    if not text:
+        if required:
+            raise _cell_error(path, line, column, "is empty")
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise _cell_error(path, line, column, f"is not an integer: {text!r}") from None
+
+
+def _unit_interval(path: Path, line: int, column: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise _cell_error(path, line, column, f"must lie in [0, 1], got {value}")
+
+
+def _positive(path: Path, line: int, column: str, value: float | None) -> None:
+    if value is not None and value <= 0.0:
+        raise _cell_error(path, line, column, f"must be positive, got {value}")
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _point(x: float, y: float, z: float) -> WorldPoint:
+    point = _new(WorldPoint)
+    _set(point, "x", x)
+    _set(point, "y", y)
+    _set(point, "z", z)
+    return point
+
+
+def _candidate(scan_id: str, candidate_id: str, center: WorldPoint, score: float,
+               source_model: str, diameter_mm: float | None) -> CandidateDetection:
+    candidate = _new(CandidateDetection)
+    _set(candidate, "scan_id", scan_id)
+    _set(candidate, "candidate_id", candidate_id)
+    _set(candidate, "center", center)
+    _set(candidate, "score", score)
+    _set(candidate, "source_model", source_model)
+    _set(candidate, "diameter_mm", diameter_mm)
+    return candidate
+
+
+def _cadx_scores(p_luna: float, p_dlcs: float) -> CadxScores:
+    scores = _new(CadxScores)
+    _set(scores, "p_luna", p_luna)
+    _set(scores, "p_dlcs", p_dlcs)
+    return scores
+
+
+def oracle_row_read_candidates(
+    path: str | Path, convention: str = "lps", expected_model: str | None = None
+) -> list[CandidateDetection]:
+    path = Path(path)
+    out = []
+    seen = set()
+    with _csv_table(path, CANDIDATE_COLUMNS) as (columns, rows):
+        i_scan, i_id, i_x, i_y, i_z, i_diameter, i_score, i_model = (
+            columns[c] for c in CANDIDATE_COLUMNS
+        )
+        for line, cells in rows:
+            model = _text(path, line, "model", cells[i_model])
+            if expected_model is not None and model != expected_model:
+                raise _cell_error(path, line, "model", f"must be {expected_model}, got {model!r}")
+            x, y, z = _convert_to_lps(
+                _number(path, line, "x_mm", cells[i_x]),
+                _number(path, line, "y_mm", cells[i_y]),
+                _number(path, line, "z_mm", cells[i_z]),
+                convention,
+            )
+            scan_id = _text(path, line, "scan_id", cells[i_scan])
+            candidate_id = _text(path, line, "candidate_id", cells[i_id])
+            diameter = _number(path, line, "diameter_mm", cells[i_diameter], required=False)
+            score = _number(path, line, "score", cells[i_score])
+            _unit_interval(path, line, "score", score)
+            _positive(path, line, "diameter_mm", diameter)
+            key = (scan_id, model, candidate_id)
+            if key in seen:
+                raise InputError(
+                    f"{path}:{line}: duplicate candidate_id {candidate_id!r} "
+                    f"for model {model!r} on scan {scan_id!r}"
+                )
+            seen.add(key)
+            out.append(_candidate(scan_id, candidate_id, _point(x, y, z), score, model, diameter))
+    return out
+
+
+def oracle_row_read_references(path: str | Path, convention: str = "lps") -> list[ReferenceNodule]:
+    """Reference nodules. The cells are converted here; ``ReferenceNodule`` and
+    ``SemanticRatings`` check the values, and their errors gain file and line."""
+    path = Path(path)
+    out = []
+    seen = set()
+    with _csv_table(path, REFERENCE_COLUMNS) as (columns, rows):
+        ratings_at = [(display, field, columns[display])
+                      for display, field in RATING_COLUMN_FIELDS.items() if display in columns]
+        for line, cells in rows:
+            cell = {column: cells[columns[column]] for column in REFERENCE_COLUMNS}
+            x = _number(path, line, "x_mm", cell["x_mm"])
+            y = _number(path, line, "y_mm", cell["y_mm"])
+            z = _number(path, line, "z_mm", cell["z_mm"])
+            rating_values = {}
+            for display, field, i in ratings_at:
+                parse = _number if field == "diameter_rad_mm" else _integer
+                rating_values[field] = parse(path, line, display, cells[i], required=False)
+            scan_id = _text(path, line, "scan_id", cell["scan_id"])
+            nodule_id = _text(path, line, "nodule_id", cell["nodule_id"])
+            diameter = _number(path, line, "diameter_mm", cell["diameter_mm"])
+            reviewers = _integer(path, line, "reviewers", cell["reviewers"], required=False)
+            votes = _integer(path, line, "positive_votes", cell["positive_votes"], required=False)
+            try:
+                ratings = SemanticRatings(**rating_values) if any(
+                    v is not None for v in rating_values.values()
+                ) else None
+                ref = ReferenceNodule(
+                    scan_id=scan_id,
+                    nodule_id=nodule_id,
+                    center=_point(*_convert_to_lps(x, y, z, convention)),
+                    diameter_mm=diameter,
+                    diagnosis=cell["diagnosis"].strip() or "unknown",
+                    lungrads=cell["lungrads"].strip() or None,
+                    reviewers=reviewers,
+                    positive_votes=votes,
+                    ratings=ratings,
+                )
+            except InputError as err:
+                raise InputError(f"{path}:{line}: {err}") from None
+            if ref.key in seen:
+                raise InputError(
+                    f"{path}:{line}: duplicate nodule_id {nodule_id!r} on scan {scan_id!r}"
+                )
+            seen.add(ref.key)
+            out.append(ref)
+    return out
+
+
+def oracle_row_read_cadx_scores(path: str | Path) -> dict[tuple[str, str, str], CadxScores]:
+    path = Path(path)
+    out: dict[tuple[str, str, str], CadxScores] = {}
+    with _csv_table(path, CADX_SCORE_COLUMNS) as (columns, rows):
+        i_scan, i_model, i_id, i_luna, i_dlcs = (columns[c] for c in CADX_SCORE_COLUMNS)
+        for line, cells in rows:
+            key = (
+                _text(path, line, "scan_id", cells[i_scan]),
+                _text(path, line, "model", cells[i_model]),
+                _text(path, line, "candidate_id", cells[i_id]),
+            )
+            if key in out:
+                raise InputError(f"{path}:{line}: duplicate CADx score entry for {key}")
+            p_luna = _number(path, line, "p_luna", cells[i_luna])
+            p_dlcs = _number(path, line, "p_dlcs", cells[i_dlcs])
+            _unit_interval(path, line, "p_luna", p_luna)
+            _unit_interval(path, line, "p_dlcs", p_dlcs)
+            out[key] = _cadx_scores(p_luna, p_dlcs)
+    return out
+
+
+def oracle_row_read_labeled_scores(path: str | Path) -> tuple[list[float], list[str]]:
+    path = Path(path)
+    scores, labels = [], []
+    with _csv_table(path, LABELED_SCORE_COLUMNS) as (columns, rows):
+        i_score, i_label = columns["score"], columns["label"]
+        for line, cells in rows:
+            scores.append(_number(path, line, "score", cells[i_score]))
+            labels.append(_text(path, line, "label", cells[i_label]))
+    return scores, labels
+
+
+def oracle_row_read_fused(path: str | Path, convention: str = "lps") -> list[FusedRecord]:
+    """Fused-list rows, held to the rules ``FusedCandidate`` enforces when
+    ``fuse`` writes them: score and ``cadx_avg`` in [0, 1], a positive
+    diameter, the tier of the stage, and ``cadx_avg`` exactly for
+    cadx-promoted rows."""
+    path = Path(path)
+    out = []
+    with _csv_table(path, FUSED_COLUMNS) as (columns, rows):
+        (i_scan, i_id, i_x, i_y, i_z, i_diameter, i_score, _, i_tier, i_stage, i_cadx,
+         i_provenance) = (columns[c] for c in FUSED_COLUMNS)
+        for line, cells in rows:
+            x = _number(path, line, "x_mm", cells[i_x])
+            y = _number(path, line, "y_mm", cells[i_y])
+            z = _number(path, line, "z_mm", cells[i_z])
+            stage = _text(path, line, "stage", cells[i_stage])
+            if stage not in TIER_BY_STAGE:
+                raise _cell_error(path, line, "stage", f"has unknown value {stage!r}")
+            scan_id = _text(path, line, "scan_id", cells[i_scan])
+            candidate_id = _text(path, line, "candidate_id", cells[i_id])
+            diameter = _number(path, line, "diameter_mm", cells[i_diameter], required=False)
+            score = _number(path, line, "score", cells[i_score])
+            tier = _number(path, line, "tier", cells[i_tier])
+            cadx_avg = _number(path, line, "cadx_avg", cells[i_cadx], required=False)
+            provenance = _text(path, line, "provenance", cells[i_provenance])
+            _unit_interval(path, line, "score", score)
+            _positive(path, line, "diameter_mm", diameter)
+            if tier != TIER_BY_STAGE[stage]:
+                raise _cell_error(path, line, "tier",
+                                  f"must be {TIER_BY_STAGE[stage]} for stage {stage}, got {tier}")
+            if stage == STAGE_CADX:
+                if cadx_avg is None:
+                    raise _cell_error(path, line, "cadx_avg", f"is empty for stage {stage}")
+                _unit_interval(path, line, "cadx_avg", cadx_avg)
+            elif cadx_avg is not None:
+                raise _cell_error(path, line, "cadx_avg", f"must be empty for stage {stage}")
+            x, y, z = _convert_to_lps(x, y, z, convention)
+            out.append(FusedRecord(
+                scan_id=scan_id,
+                candidate_id=candidate_id,
+                center=_point(x, y, z),
+                diameter_mm=diameter,
+                score=score,
+                tier=tier,
+                stage=stage,
+                cadx_avg=cadx_avg,
+                provenance=tuple(provenance.split(PROVENANCE_SEP)),
+            ))
+    return out
+
+
+def oracle_row_read_match_files(paths: Sequence[str | Path]) -> dict[str, dict[tuple[str, str], float | None]]:
+    """Read per-model match files; returns model -> {(scan, nodule): score|None}."""
+    out: dict[str, dict[tuple[str, str], float | None]] = {}
+    for path in paths:
+        path = Path(path)
+        with _csv_table(path, MATCH_COLUMNS) as (columns, rows):
+            i_scan, i_nodule, i_detected, i_score, i_model = (columns[c] for c in MATCH_COLUMNS)
+            for line, cells in rows:
+                model = _text(path, line, "model", cells[i_model])
+                key = (
+                    _text(path, line, "scan_id", cells[i_scan]),
+                    _text(path, line, "nodule_id", cells[i_nodule]),
+                )
+                detected = _integer(path, line, "detected", cells[i_detected])
+                if detected not in (0, 1):
+                    raise _cell_error(path, line, "detected", "must be 0 or 1")
+                score = _number(path, line, "score", cells[i_score], required=False)
+                if detected == 1 and score is None:
+                    raise InputError(f"{path}:{line}: detected row without a score")
+                table = out.setdefault(model, {})
+                if key in table:
+                    raise InputError(f"{path}:{line}: duplicate match entry for {key}")
+                table[key] = score if detected == 1 else None
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Fusion pairing and dedup: every pair's distance in a Python loop.
 
 
@@ -730,3 +1062,104 @@ def oracle_cross_detector_consensus(list_a, list_b, cfg=None):
     disagreements += [c for c in list_b if c.candidate_id not in used_b]
     disagreements.sort(key=lambda c: (c.source_model, c.candidate_id))
     return pairs, disagreements
+
+
+# ---------------------------------------------------------------------------
+# Lesion matching: every unmatched reference tested for every candidate.
+
+
+def oracle_match_lesions(candidates, references, scan_ids=None):
+    """One-to-one greedy matching of candidates to reference nodules.
+
+    ``scan_ids`` fixes the scan universe; by default it is the union of scan
+    ids seen in either input, so reference-free scans still contribute their
+    false positives.
+    """
+    by_scan_c = {}
+    seen_candidates = set()
+    for c in candidates:
+        if c.key in seen_candidates:
+            raise InputError(
+                f"duplicate candidate {c.candidate_id!r} for model {c.source_model!r} "
+                f"on scan {c.scan_id!r}"
+            )
+        seen_candidates.add(c.key)
+        by_scan_c.setdefault(c.scan_id, []).append(c)
+
+    by_scan_r = {}
+    seen_refs = set()
+    for r in references:
+        if r.key in seen_refs:
+            raise InputError(f"duplicate nodule_id {r.nodule_id!r} on scan {r.scan_id!r}")
+        seen_refs.add(r.key)
+        by_scan_r.setdefault(r.scan_id, []).append(r)
+
+    universe = set(scan_ids) if scan_ids is not None else set(by_scan_c) | set(by_scan_r)
+    stray = (set(by_scan_c) | set(by_scan_r)) - universe
+    if stray:
+        raise InputError(f"records reference scans outside the scan set: {sorted(stray)}")
+
+    scans = []
+    for scan_id in sorted(universe):
+        cands = sorted(
+            by_scan_c.get(scan_id, []), key=lambda c: (-c.score, c.candidate_id, c.source_model)
+        )
+        refs = by_scan_r.get(scan_id, [])
+        unmatched = {r.nodule_id: r for r in refs}
+        tps = []
+        fps = []
+        for cand in cands:
+            best = None
+            for nodule_id, ref in unmatched.items():
+                if not is_hit(cand, ref):
+                    continue
+                dist = cand.center.distance_to(ref.center)
+                if best is None or (dist, nodule_id) < best:
+                    best = (dist, nodule_id)
+            if best is None:
+                fps.append((cand.candidate_id, cand.score))
+            else:
+                nodule_id = best[1]
+                del unmatched[nodule_id]
+                tps.append(
+                    TruePositive(
+                        scan_id=scan_id,
+                        nodule_id=nodule_id,
+                        candidate_id=cand.candidate_id,
+                        score=cand.score,
+                    )
+                )
+        scans.append(
+            ScanMatch(
+                scan_id=scan_id,
+                n_references=len(refs),
+                tp=tuple(tps),
+                fn=tuple(sorted(unmatched)),
+                fp=tuple(fps),
+            )
+        )
+    return LesionMatchResult(scans=tuple(scans))
+
+
+# ---------------------------------------------------------------------------
+# CSV writer: every cell formatted by ``_fmt`` before the csv module sees it.
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def oracle_write_csv(path, header, rows, manifest_digest=None):
+    buf = io.StringIO()
+    if manifest_digest:
+        buf.write(f"# manifest_digest={manifest_digest}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")
+    return Path(path)

@@ -634,6 +634,31 @@ class TestLinkCommand:
 
 
 class TestConfigFile:
+    def test_unused_key_warns_and_changes_nothing(self, tmp_path, e2e_inputs, capsys):
+        argv = ["fuse", "--cade-a", e2e_inputs["cade_a"], "--cade-b", e2e_inputs["cade_b"],
+                "--cadx-scores", e2e_inputs["cadx_scores"]]
+        plain = tmp_path / "plain" / "fused.csv"
+        assert run(argv + ["--out", plain]) == 0
+        plain_out = capsys.readouterr()
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("sed=3\ntau-cade=0.2\n")
+        typo = tmp_path / "typo" / "fused.csv"
+        assert run(argv + ["--config", cfg, "--out", typo]) == 0
+        typo_out = capsys.readouterr()
+        assert typo_out.err == f"warning: {cfg}: key 'sed' was not used by fuse\n"
+        assert typo_out.out == plain_out.out.replace(str(plain), str(typo))
+        assert typo.read_bytes() == plain.read_bytes()
+
+    def test_used_keys_do_not_warn(self, tmp_path, e2e_inputs, capsys):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(f"seed=3\nresamples=20\nci=no\nlabel=A\nout={out}\n"
+                       f"coordinate-convention=lps\ncandidates={e2e_inputs['cade_a']}\n")
+        # a key a flag overrides was still looked up
+        assert run(["eval", "--references", e2e_inputs["references"], "--config", cfg,
+                    "--seed", 4]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_bom_prefixed_config_keeps_first_key(self, tmp_path, e2e_inputs):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"\xef\xbb\xbfseed=3\n")

@@ -19,6 +19,13 @@ from oracles import (
     oracle_read_labeled_scores,
     oracle_read_match_files,
     oracle_read_references,
+    oracle_row_read_cadx_scores,
+    oracle_row_read_candidates,
+    oracle_row_read_fused,
+    oracle_row_read_labeled_scores,
+    oracle_row_read_match_files,
+    oracle_row_read_references,
+    oracle_write_csv,
 )
 
 
@@ -591,3 +598,173 @@ class TestReadersAgainstOracle:
         for reader in (fileio.read_candidates, oracle_read_candidates):
             with pytest.raises(InputError, match=rf"extra\.csv:{ends[3]}: more cells"):
                 reader(path)
+
+
+# ---------------------------------------------------------------------------
+# The column readers against the row-by-row readers they replaced
+
+
+def same_outcome(read, oracle):
+    """Equal records, or the same error message, from both readers."""
+    try:
+        expected = oracle()
+    except InputError as err:
+        with pytest.raises(InputError) as got:
+            read()
+        assert str(got.value) == str(err)
+        return False
+    assert read() == expected
+    return True
+
+
+BAD_NUMBERS = ("", " ", "nan", "inf", "-inf", "x1", "1e999", "1.5", "-0.5", "0", "-4", " 0.5 ")
+
+
+def corrupt(rng, rows, columns, key_columns, extra=()):
+    """Spoil one to three cells of ``rows``, sometimes repeat a key."""
+    for _ in range(int(rng.integers(1, 4))):
+        row = rows[int(rng.integers(len(rows)))]
+        column = str(rng.choice(columns))
+        pool = BAD_NUMBERS + extra if column not in key_columns else ("", " ") + extra
+        row[column] = str(rng.choice(pool))
+    if rng.random() < 0.4 and len(rows) > 1:
+        i, j = sorted(rng.choice(len(rows), 2, replace=False).tolist())
+        for column in key_columns:
+            rows[j][column] = rows[i][column]
+
+
+def add_long_row(rng, path, ends, width):
+    """Give one row more cells than the header has."""
+    lines = path.read_bytes().decode("utf-8-sig").split("\n")
+    lines[ends[int(rng.integers(len(ends)))] - 1] += ",x" * (width + 2)
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+class TestColumnReadersAgainstRowOracle:
+    def test_candidates(self, tmp_path):
+        rng = np.random.default_rng(61)
+        outcomes = []
+        for k in range(150):
+            model = "CADE_A" if k % 3 == 0 else None
+            rows = candidate_rows(rng, int(rng.integers(1, 25)), model)
+            if k % 5:
+                corrupt(rng, rows, fileio.CANDIDATE_COLUMNS,
+                        ("scan_id", "candidate_id", "model"), ("CADE_B",))
+            path = tmp_path / f"c{k}.csv"
+            ends = messy_csv(rng, path, fileio.CANDIDATE_COLUMNS, rows)
+            if k % 7 == 0:
+                add_long_row(rng, path, ends, len(fileio.CANDIDATE_COLUMNS))
+            for convention in ("lps", "ras"):
+                outcomes.append(same_outcome(
+                    lambda: fileio.read_candidates(path, convention, expected_model=model),
+                    lambda: oracle_row_read_candidates(path, convention, expected_model=model)))
+        assert 0.1 < sum(outcomes) / len(outcomes) < 0.9  # both outcomes occur
+
+    def test_fused(self, tmp_path):
+        rng = np.random.default_rng(62)
+        outcomes = []
+        for k in range(150):
+            rows = fused_rows_text(rng, int(rng.integers(1, 25)))
+            if k % 5:
+                corrupt(rng, rows, fileio.FUSED_COLUMNS,
+                        ("scan_id", "candidate_id", "stage", "provenance"),
+                        ("consensus", "cadx_promoted", "cade_refined", "bogus", "0.2", "1.0"))
+            path = tmp_path / f"f{k}.csv"
+            ends = messy_csv(rng, path, fileio.FUSED_COLUMNS, rows)
+            if k % 7 == 0:
+                add_long_row(rng, path, ends, len(fileio.FUSED_COLUMNS))
+            for convention in ("lps", "ras"):
+                outcomes.append(same_outcome(lambda: fileio.read_fused(path, convention),
+                                             lambda: oracle_row_read_fused(path, convention)))
+        assert 0.1 < sum(outcomes) / len(outcomes) < 0.9  # both outcomes occur
+
+    def test_cadx_scores(self, tmp_path):
+        rng = np.random.default_rng(63)
+        outcomes = []
+        for k in range(100):
+            rows = [{"scan_id": f"scan{rng.integers(3)}", "model": "CADE_B",
+                     "candidate_id": f"c{i}", "p_luna": number_text(rng, float(rng.random())),
+                     "p_dlcs": repr(float(rng.random()))} for i in range(int(rng.integers(1, 25)))]
+            if k % 5:
+                corrupt(rng, rows, fileio.CADX_SCORE_COLUMNS, ("scan_id", "model", "candidate_id"))
+            path = tmp_path / f"x{k}.csv"
+            ends = messy_csv(rng, path, fileio.CADX_SCORE_COLUMNS, rows)
+            if k % 7 == 0:
+                add_long_row(rng, path, ends, len(fileio.CADX_SCORE_COLUMNS))
+            outcomes.append(same_outcome(lambda: fileio.read_cadx_scores(path),
+                                         lambda: oracle_row_read_cadx_scores(path)))
+        assert 0.1 < sum(outcomes) / len(outcomes) < 0.9  # both outcomes occur
+
+    def test_row_by_row_readers(self, tmp_path):
+        rng = np.random.default_rng(64)
+        for k in range(60):
+            ratings = [c for c in RATING_COLUMNS if rng.random() < 0.5]
+            rows = reference_rows(rng, int(rng.integers(1, 15)), ratings)
+            if k % 3:
+                corrupt(rng, rows, fileio.REFERENCE_COLUMNS + tuple(ratings),
+                        ("scan_id", "nodule_id"), ("cancer", "4A", "9"))
+            path = tmp_path / f"r{k}.csv"
+            ends = messy_csv(rng, path, fileio.REFERENCE_COLUMNS + tuple(ratings), rows)
+            if k % 7 == 0:
+                add_long_row(rng, path, ends, len(fileio.REFERENCE_COLUMNS) + len(ratings))
+            same_outcome(lambda: fileio.read_references(path),
+                         lambda: oracle_row_read_references(path))
+            rows = [{"scan_id": "s", "candidate_id": f"c{i}", "score": repr(float(i)),
+                     "label": str(rng.choice(["cancer", "no-cancer", "", " "]))}
+                    for i in range(10)]
+            corrupt(rng, rows, ("score",), ())
+            path = tmp_path / f"l{k}.csv"
+            messy_csv(rng, path, fileio.LABELED_SCORE_COLUMNS, rows)
+            same_outcome(lambda: fileio.read_labeled_scores(path),
+                         lambda: oracle_row_read_labeled_scores(path))
+            rows = [{"scan_id": "s", "nodule_id": f"n{i}", "detected": str(rng.integers(3)),
+                     "score": str(rng.choice(["", "0.5"])), "model": "m"} for i in range(10)]
+            corrupt(rng, rows, ("score", "detected"), ("scan_id", "nodule_id"))
+            path = tmp_path / f"m{k}.csv"
+            messy_csv(rng, path, fileio.MATCH_COLUMNS, rows)
+            same_outcome(lambda: fileio.read_match_files([path]),
+                         lambda: oracle_row_read_match_files([path]))
+
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_bad_cell_and_duplicate_key_in_row_order(self, tmp_path, bad_first):
+        rows = [f"s1,c{i},1,2,3,,0.5,CADE_A" for i in range(6)]
+        rows[4] = "s1,c1,1,2,3,,0.5,CADE_A"  # repeats row 1's key
+        rows[2 if bad_first else 5] = "s1,c9,1,oops,3,,0.5,CADE_A"
+        path = write(tmp_path / "c.csv", CANDIDATE_HEADER + "\n".join(rows) + "\n")
+        with pytest.raises(InputError) as got:
+            fileio.read_candidates(path)
+        expected = (f"{path}:4: column y_mm is not a number: 'oops'" if bad_first else
+                    f"{path}:6: duplicate candidate_id 'c1' for model 'CADE_A' on scan 's1'")
+        assert str(got.value) == expected
+        with pytest.raises(InputError) as old:
+            oracle_row_read_candidates(path)
+        assert str(old.value) == expected
+
+    def test_long_row_after_bad_cell(self, tmp_path):
+        rows = [f"s1,c{i},1,2,3,,0.5,CADE_A" for i in range(6)]
+        rows[2] = "s1,c2,1,2,3,,0.5,"
+        rows[4] += ",surplus"
+        path = write(tmp_path / "c.csv", CANDIDATE_HEADER + "\n".join(rows) + "\n")
+        for reader in (fileio.read_candidates, oracle_row_read_candidates):
+            with pytest.raises(InputError) as got:
+                reader(path)
+            assert str(got.value) == f"{path}:4: column model is empty"
+        path = write(tmp_path / "c.csv", CANDIDATE_HEADER + "\n".join(rows[3:]) + "\n")
+        for reader in (fileio.read_candidates, oracle_row_read_candidates):
+            with pytest.raises(InputError, match=rf"c\.csv:3: more cells than header columns"):
+                reader(path)
+
+
+class TestWriteCsv:
+    def test_bytes_equal_per_cell_formatter(self, tmp_path):
+        rows = [
+            (None, 0.1, 1, "plain", -0.0, 1e300, 2.0 ** -1074, True),
+            ("a,b", 'say "hi"', None, 1 / 3, 12345678901234567890, "line\nbreak", 0, -2.5),
+            ("", float("inf"), "  padded  ", None, None, None, None, None),
+            (),
+        ]
+        header = ("c1", "c,2", 'c"3', "c4", "c5", "c6", "c7", "c8")
+        for digest in (None, "abc"):
+            got = fileio.write_csv(tmp_path / "got.csv", header, rows, digest)
+            expected = oracle_write_csv(tmp_path / "expected.csv", header, rows, digest)
+            assert got.read_bytes() == expected.read_bytes()

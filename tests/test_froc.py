@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from trifuse import fileio
+from trifuse.domain import CandidateTable
 from trifuse.errors import InputError
 from trifuse.froc import (
     DLCS_SIZE_BINS,
@@ -35,6 +37,7 @@ from oracles import (
     oracle_froc,
     oracle_froc_sensitivities,
     oracle_match,
+    oracle_match_lesions,
     oracle_max_matching,
 )
 
@@ -136,6 +139,149 @@ class TestMatchingProperties:
                 disjoint_checked += 1
                 assert len(scan.tp) == oracle_max_matching(tcands, trefs)
         assert disjoint_checked > 10
+
+
+# candidate offsets from a reference centre on or next to its tolerance:
+# exact 3-4-5 triangles (5 mm, the cap), scaled ones (4 mm, an 8 mm nodule),
+# and (3, 4, 6e-8), whose squared length is the double after 25 but whose
+# length rounds to 5.0
+MATCH_OFFSETS = (
+    (3.0, 4.0, 0.0), (0.0, 3.0, 4.0), (4.0, 0.0, 3.0), (0.0, 0.0, 5.0), (2.4, 3.2, 0.0),
+    (0.0, 0.0, 4.0), (3.0, 4.0, 6e-8), (3.0, 4.0, 1e-7), (2.9999999999999996, 4.0, 0.0),
+    (0.0, 0.0, 4.999999999999999), (0.0, 0.0, 4.5), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0),
+)
+MATCH_DIAMETERS = (8.0, 9.0, 9.999999999999998, 10.0, 10.000000000000002, 12.0, 3.0)
+MATCH_SCORES = (0.0, 0.25, 0.5, 0.5, 0.75, 1.0)
+MODELS = ("CADE_A", "CADE_B", "FUSED")
+
+
+def random_match_inputs(rng, n_scans, huge=False):
+    """Seeded candidates and references: boundary offsets, diameters at and
+    around 10 mm, references sharing a centre, score ties and candidate ids
+    repeated across models, scans without references and without candidates."""
+    candidates, references = [], []
+    for s in range(n_scans):
+        scan_id = f"scan{s:02d}"
+        centres = []
+        for k in range(int(rng.integers(0, 4))):
+            centre = (tuple(float(v) for v in rng.integers(-50, 50, 3)) if not centres
+                      or rng.random() < 0.7 else centres[-1])
+            centres.append(centre)
+            references.append(ref(scan_id, f"n{rng.integers(0, 9)}{k}", *centre,
+                                  float(rng.choice(MATCH_DIAMETERS))))
+        keys = set()
+        for _ in range(int(rng.integers(0, 9))):
+            key = (str(rng.choice(MODELS)), f"c{rng.integers(0, 4)}")
+            if key in keys:
+                continue
+            keys.add(key)
+            if centres and rng.random() < 0.7:
+                centre = centres[int(rng.integers(len(centres)))]
+                offset = MATCH_OFFSETS[int(rng.integers(len(MATCH_OFFSETS)))]
+                sign = rng.choice([-1.0, 1.0], 3)
+                offset = np.roll(offset, rng.integers(3))
+                xyz = [c + sg * o for c, sg, o in zip(centre, sign, offset)]
+            else:
+                xyz = rng.uniform(-60, 60, 3).tolist()
+            if huge and rng.random() < 0.3:
+                xyz[0] = float(rng.choice([-1e200, 1e200, 1.7e308]))
+            score = float(rng.choice(MATCH_SCORES)) if rng.random() < 0.7 else float(rng.random())
+            candidates.append(cand(scan_id, key[1], *xyz, score, model=key[0]))
+    return candidates, references
+
+
+class TestMatchAgainstScalarOracle:
+    """``match_lesions`` on tables equals the all-pairs scalar loop."""
+
+    def check(self, candidates, references, scan_ids=None):
+        expected = oracle_match_lesions(candidates, references, scan_ids)
+        assert match_lesions(candidates, references, scan_ids) == expected
+        assert match_lesions(iter(candidates), iter(references), scan_ids) == expected
+        table = CandidateTable.from_records(candidates)
+        assert match_lesions(table, references, scan_ids) == expected
+        return expected
+
+    def test_seeded_inputs_equal_oracle(self):
+        rng = np.random.default_rng(71)
+        hits = 0
+        for _ in range(60):
+            candidates, references = random_match_inputs(rng, int(rng.integers(1, 8)))
+            hits += self.check(candidates, references).n_detected
+        assert hits > 100  # the boundary offsets do produce matches
+
+    def test_shuffled_input_order_equals_oracle(self):
+        rng = np.random.default_rng(72)
+        for _ in range(20):
+            candidates, references = random_match_inputs(rng, 5)
+            order = rng.permutation(len(candidates))
+            self.check([candidates[i] for i in order], references[::-1])
+
+    def test_table_read_from_csv_equals_oracle(self, tmp_path):
+        rng = np.random.default_rng(73)
+        for k in range(10):
+            candidates, references = random_match_inputs(rng, 6)
+            path = fileio.write_csv(
+                tmp_path / f"c{k}.csv", fileio.CANDIDATE_COLUMNS,
+                [(c.scan_id, c.candidate_id, *c.center.as_tuple(), c.diameter_mm, c.score,
+                  c.source_model) for c in candidates])
+            table = fileio.read_candidates(path)
+            assert match_lesions(table, references) == oracle_match_lesions(candidates, references)
+
+    def test_scan_universe_and_stray_scans(self):
+        rng = np.random.default_rng(74)
+        candidates, references = random_match_inputs(rng, 6)
+        scans = {c.scan_id for c in candidates} | {r.scan_id for r in references}
+        self.check(candidates, references, scans | {"empty1", "empty2"})
+        missing = sorted(scans)[1:]
+        with pytest.raises(InputError) as expected:
+            oracle_match_lesions(candidates, references, missing)
+        for given in (candidates, CandidateTable.from_records(candidates)):
+            with pytest.raises(InputError) as got:
+                match_lesions(given, references, missing)
+            assert str(got.value) == str(expected.value)
+
+    def test_duplicate_candidates_and_references_raise_as_oracle(self):
+        rng = np.random.default_rng(75)
+        candidates, references = random_match_inputs(rng, 4)
+        candidates = [c for c in candidates if c.scan_id == candidates[0].scan_id][:3]
+        dup = candidates[-1]
+        for cands, refs in ((candidates + [cand(dup.scan_id, dup.candidate_id, 0, 0, 0, 0.5,
+                                                    model=dup.source_model)], references),
+                            (candidates, references + references[:1])):
+            with pytest.raises(InputError) as expected:
+                oracle_match_lesions(cands, refs)
+            with pytest.raises(InputError) as got:
+                match_lesions(cands, refs)
+            assert str(got.value) == str(expected.value)
+
+    def test_model_breaks_score_and_id_ties(self):
+        # equal score and id: CADE_A goes first and takes n1, so the CADE_B
+        # candidate, which hits both, takes n2
+        refs = [ref("s", "n1", 0, 0, 0, 10.0), ref("s", "n2", 6, 0, 0, 10.0)]
+        cands = [cand("s", "c1", 2, 0, 0, 0.5, model="CADE_B"),
+                 cand("s", "c1", -1, 0, 0, 0.5, model="CADE_A")]
+        result = self.check(cands, refs)
+        assert [t.nodule_id for t in result.scans[0].tp] == ["n1", "n2"]
+
+    def test_reference_free_and_candidate_free_scans(self):
+        refs = [ref("s1", "n1", 0, 0, 0, 10.0)]
+        cands = [cand("s2", "c1", 0, 0, 0, 0.5), cand("s2", "c2", 3, 4, 0, 0.5, model="N")]
+        result = self.check(cands, refs)
+        assert [(s.scan_id, s.fn, len(s.fp)) for s in result.scans] == [
+            ("s1", ("n1",), 0), ("s2", (), 2)]
+        self.check([], refs)
+        self.check(cands, [])
+        self.check([], [])
+
+    def test_huge_coordinates_never_hit(self):
+        # numpy would warn on the overflowing squares; warnings are errors here
+        rng = np.random.default_rng(76)
+        for _ in range(10):
+            candidates, references = random_match_inputs(rng, 5, huge=True)
+            self.check(candidates, references)
+        result = self.check([cand("s", "c", 1e200, 0, 0, 0.5)],
+                            [ref("s", "n", -1e200, 0, 0, 10.0)])
+        assert result.n_detected == 0 and result.n_candidates == 1
 
 
 class TestFrocCurve:

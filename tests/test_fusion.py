@@ -1,11 +1,12 @@
+import dataclasses
 import math
 import sys
 
 import numpy as np
 import pytest
 
-from trifuse.domain import PipelineConfig, WorldPoint
-from trifuse.errors import InputError, ScorerError
+from trifuse.domain import CandidateTable, PipelineConfig, WorldPoint
+from trifuse.errors import InputError, InvariantError, ScorerError
 from trifuse.fusion import (
     CadxScores,
     CommandCadxProvider,
@@ -288,6 +289,26 @@ class TestTriStageProperties:
             expected = {c.qualified_id for c in list_a + list_b}
             assert forwarded == expected
 
+    def test_fused_candidates_pass_their_own_checks(self):
+        # fusion builds its outputs without running __post_init__; every one
+        # must still be a record the validating constructor accepts unchanged
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            list_a, list_b = random_scan(rng)
+            result = run_tri_stage(list_a, list_b, cadx_provider=hashed_provider)
+            assert [dataclasses.replace(f) for f in result.fused] == list(result.fused)
+
+    def test_direct_construction_still_validates(self):
+        fields = dict(scan_id="s", center=WorldPoint(0, 0, 0), confidence_tier=1.0,
+                      stage="consensus", cade_score_avg=0.5, provenance=("CADE_A:a1",))
+        FusedCandidate(**fields)
+        with pytest.raises(InvariantError, match="inconsistent with stage"):
+            FusedCandidate(**{**fields, "confidence_tier": 0.5})
+        with pytest.raises(InvariantError, match="cadx_avg"):
+            FusedCandidate(**{**fields, "cadx_avg": 0.3})
+        with pytest.raises(InputError):
+            FusedCandidate(**{**fields, "cade_score_avg": 1.5})
+
     def test_raising_tau_cade_never_grows_output(self):
         rng = np.random.default_rng(14)
         for _ in range(30):
@@ -416,6 +437,21 @@ class TestPairingAgainstOracle:
 
 
 class TestFuseScans:
+    def test_table_input_equals_record_input(self, tmp_path):
+        rng = np.random.default_rng(17)
+        list_a, list_b = [], []
+        for s in range(6):
+            a, b = random_scan(rng)
+            list_a += [dataclasses.replace(c, scan_id=f"s{s}") for c in a]
+            list_b += [dataclasses.replace(c, scan_id=f"s{s}") for c in b]
+        order = rng.permutation(len(list_a))
+        list_a = [list_a[i] for i in order]  # scans interleaved in the file
+        expected = fuse_scans(list_a, list_b, cadx_provider=hashed_provider)
+        tables = [CandidateTable.from_records(list_a), CandidateTable.from_records(list_b)]
+        got = fuse_scans(*tables, cadx_provider=hashed_provider)
+        assert got.fused == expected.fused
+        assert got.per_scan == expected.per_scan
+
     def test_groups_by_scan_and_sorts(self):
         out = fuse_scans(
             [a_cand("a1", 0, 0, 0, 0.9, scan="s2"), a_cand("a1", 0, 0, 0, 0.9, scan="s1")],
