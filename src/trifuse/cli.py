@@ -13,11 +13,12 @@ import argparse
 import contextlib
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import fileio
-from .domain import SOURCE_MODEL_A, SOURCE_MODEL_B, PipelineConfig, unchecked_point
+from .domain import SOURCE_MODEL_A, SOURCE_MODEL_B, PipelineConfig, TableRows
 from .errors import ConfigError, InputError, InvariantError, ScorerError
 from .froc import (
     STRATIFIERS,
@@ -29,7 +30,7 @@ from .froc import (
 from .fusion import CommandCadxProvider, FileCadxProvider, fuse_scans
 from .readerstats import detected_vs_missed_table, missed_overlap_table
 from .reportlink import (
-    LinkCandidate,
+    LinkColumns,
     default_grammar,
     extract_entities,
     load_grammar,
@@ -439,27 +440,16 @@ def cmd_link(opts: _Options) -> int:
     # linkage is scoped to scans that have a report; candidates on scans
     # never mentioned in any report stay out of the match table
     matches = []
+    no_rows = np.zeros(0, dtype=np.intp)
     for scan_id in sorted(entities_by_scan):
-        rows = fused.by_scan.get(scan_id)
-        candidates = []
-        if rows is not None:
-            mask = mask_loader(scan_id) if mask_loader is not None else None
-            for candidate_id, (x, y, z), tier, score, diameter in zip(
-                [fused.candidate_id[i] for i in rows.tolist()], fused.xyz[rows].tolist(),
-                fused.tier[rows].tolist(), fused.score[rows].tolist(),
-                fused.diameter_mm[rows].tolist(),
-            ):
-                candidate = LinkCandidate(
-                    scan_id=scan_id,
-                    candidate_id=candidate_id,
-                    center=unchecked_point(x, y, z),
-                    tier=tier,
-                    score=score,
-                    diameter_mm=None if diameter != diameter else diameter,  # NaN: none given
-                )
-                if mask is not None:
-                    candidate = replace(candidate, lobe=lobe_of_candidate(candidate, mask))
-                candidates.append(candidate)
+        rows = TableRows(fused, fused.by_scan.get(scan_id, no_rows))
+        lobes = None
+        if mask_loader is not None and len(rows):
+            mask = mask_loader(scan_id)
+            lobes = [lobe_of_candidate(record, mask) for record in rows]
+        candidates = LinkColumns([scan_id] * len(rows), rows.column("candidate_id"),
+                                 rows.column("tier"), rows.column("score"),
+                                 rows.column("diameter_mm"), lobes)
         matches.extend(
             match_entities(
                 entities_by_scan[scan_id], candidates,

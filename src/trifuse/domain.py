@@ -205,11 +205,24 @@ def unchecked_candidate(scan_id: str, candidate_id: str, center: WorldPoint, sco
     return candidate
 
 
-def _optional(value: float) -> float | None:
-    return None if value != value else value  # NaN marks an empty cell
+class RecordSequence(Sequence):
+    """A sequence that builds its records only when asked; ``==`` compares
+    them with those of another such sequence or a list."""
+
+    def __eq__(self, other):
+        if isinstance(other, (RecordSequence, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
 
 
-class CandidateTable(Sequence):
+def nan_to_none(value: float) -> float | None:
+    """A column value as a record field: NaN marks an empty cell."""
+    return None if value != value else value
+
+
+class CandidateTable(RecordSequence):
     """Candidate rows held by column, in file order.
 
     Columns: ``scan_id``, ``candidate_id`` and ``model`` (lists of str),
@@ -241,6 +254,7 @@ class CandidateTable(Sequence):
         self.cadx_avg = cadx_avg
         self.provenance = provenance
         self._by_scan: dict[str, np.ndarray] | None = None
+        self._qualified_id: list[str] | None = None
 
     @classmethod
     def from_records(cls, records: Iterable[CandidateDetection]) -> "CandidateTable":
@@ -277,6 +291,13 @@ class CandidateTable(Sequence):
                              for scan_id, r in runs.items()}
         return self._by_scan
 
+    @property
+    def qualified_id(self) -> list[str]:
+        """Each row's ``source_model:candidate_id``, as on its record."""
+        if self._qualified_id is None:
+            self._qualified_id = [f"{m}:{c}" for m, c in zip(self.model, self.candidate_id)]
+        return self._qualified_id
+
     def of_scans(self, scan_ids: Iterable[str]) -> "CandidateTable":
         """The table of the rows on the given scans, in file order."""
         groups = [self.by_scan[s] for s in scan_ids if s in self.by_scan]
@@ -307,15 +328,15 @@ class CandidateTable(Sequence):
             model = self.model
             return [
                 unchecked_candidate(scan_id[i], candidate_id[i], unchecked_point(*p), s,
-                                    model[i], _optional(d))
+                                    model[i], nan_to_none(d))
                 for i, p, d, s in zip(index, xyz, diameter, score)
             ]
         tier = self.tier[rows].tolist()
         cadx_avg = self.cadx_avg[rows].tolist()
         stage, provenance = self.stage, self.provenance
         return [
-            FusedRecord(scan_id[i], candidate_id[i], unchecked_point(*p), _optional(d), s, t,
-                        stage[i], _optional(c), tuple(provenance[i].split(PROVENANCE_SEP)))
+            FusedRecord(scan_id[i], candidate_id[i], unchecked_point(*p), nan_to_none(d), s, t,
+                        stage[i], nan_to_none(c), tuple(provenance[i].split(PROVENANCE_SEP)))
             for i, p, d, s, t, c in zip(index, xyz, diameter, score, tier, cadx_avg)
         ]
 
@@ -330,12 +351,49 @@ class CandidateTable(Sequence):
     def __iter__(self):
         return iter(self.records(range(len(self))))
 
-    def __eq__(self, other):
-        if isinstance(other, (CandidateTable, list)):
-            return list(self) == list(other)
-        return NotImplemented
 
-    __hash__ = None
+class TableRows(RecordSequence):
+    """Some rows of a ``CandidateTable`` in a given order, as row indices into
+    its columns, which are not copied. Like the table, the view reads as its
+    records, built only when asked."""
+
+    def __init__(self, table: CandidateTable, rows: np.ndarray):
+        self.table = table
+        self.rows = rows
+        self._index: list[int] | None = None
+
+    @classmethod
+    def of(cls, candidates: Iterable[CandidateDetection]) -> "TableRows":
+        """``candidates`` if it is a view, else every row of
+        ``CandidateTable.of(candidates)``."""
+        if isinstance(candidates, TableRows):
+            return candidates
+        table = CandidateTable.of(candidates)
+        return cls(table, np.arange(len(table), dtype=np.intp))
+
+    def take(self, positions: Sequence[int]) -> "TableRows":
+        """The view of the rows at the given positions of this one."""
+        return TableRows(self.table, self.rows[np.asarray(positions, dtype=np.intp)])
+
+    def column(self, name: str):
+        """A column at these rows: a list for a column of text, else an array."""
+        values = getattr(self.table, name)
+        if not isinstance(values, list):
+            return values[self.rows]
+        if self._index is None:
+            self._index = self.rows.tolist()
+        return [values[i] for i in self._index]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.table.records(self.rows[index])
+        return self.table.records(self.rows[[index]])[0]
+
+    def __iter__(self):
+        return iter(self.table.records(self.rows))
 
 
 @dataclass(frozen=True)

@@ -703,6 +703,9 @@ def write_entity_matches_csv(
     rows = []
     for m in matches:
         e = m.entity
+        if e is None and not m.criteria:  # a candidate-only row
+            rows.append((None, None, m.status, m.candidate_id, None, None, None, ""))
+            continue
         criteria = ";".join(f"{name}={'pass' if ok else 'fail'}" for name, ok in m.criteria)
         rows.append(
             (

@@ -16,9 +16,10 @@ additionally appear in their survivor's provenance list.
 
 from __future__ import annotations
 
+import math
 import shlex
 import subprocess
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,10 +30,15 @@ from .domain import (
     CandidateDetection,
     CandidateTable,
     PipelineConfig,
+    RecordSequence,
+    TableRows,
     WorldPoint,
+    distance_mm,
     match_tolerance,
     may_lie_within,
+    nan_to_none,
     require_unit_interval,
+    unchecked_point,
 )
 from .errors import InputError, InvariantError, ScorerError
 from .volume import Volume, centroid_in_lung, extract_patch, save_patch
@@ -83,7 +89,8 @@ class ConsensusPair:
 
     @property
     def merged_diameter_mm(self) -> float | None:
-        return _merge_diameters(self.member_a, self.member_b)
+        a, b = self.member_a, self.member_b
+        return _merge_diameters(a.score, a.diameter_mm, b.score, b.diameter_mm)
 
 
 @dataclass(frozen=True)
@@ -157,17 +164,40 @@ class TriStageResult:
         return counts
 
 
-def _merge_diameters(a: CandidateDetection, b: CandidateDetection) -> float | None:
-    if a.diameter_mm is None and b.diameter_mm is None:
+def _merge_diameters(score_a: float, diameter_a: float | None,
+                     score_b: float, diameter_b: float | None) -> float | None:
+    if diameter_a is None and diameter_b is None:
         return None
-    if a.diameter_mm is None:
-        return b.diameter_mm
-    if b.diameter_mm is None:
-        return a.diameter_mm
-    total = a.score + b.score
+    if diameter_a is None:
+        return diameter_b
+    if diameter_b is None:
+        return diameter_a
+    total = score_a + score_b
     if total == 0.0:
-        return (a.diameter_mm + b.diameter_mm) / 2.0
-    return (a.score * a.diameter_mm + b.score * b.diameter_mm) / total
+        return (diameter_a + diameter_b) / 2.0
+    return (score_a * diameter_a + score_b * diameter_b) / total
+
+
+def _merge_centers(score_a: float, center_a: Sequence[float],
+                   score_b: float, center_b: Sequence[float]) -> WorldPoint:
+    """The score-weighted center of a pair; the midpoint when both scores are 0."""
+    total = score_a + score_b
+    if total > 0.0:
+        wa, wb = score_a / total, score_b / total
+    else:
+        wa = wb = 0.5
+    x, y, z = (wa * a + wb * b for a, b in zip(center_a, center_b))
+    # only a mean of coordinates at the edge of the float range can overflow
+    return unchecked_point(x, y, z) if math.isfinite(x + y + z) else WorldPoint(x, y, z)
+
+
+def _pair_radius_mm(diameter_a: float | None, diameter_b: float | None,
+                    cfg: PipelineConfig) -> float:
+    if cfg.consensus_radius_policy == "fixed":
+        return cfg.consensus_radius_mm
+    if diameter_a is not None and diameter_b is not None:
+        return max(cfg.consensus_radius_mm, match_tolerance(max(diameter_a, diameter_b)))
+    return cfg.consensus_radius_mm
 
 
 def consensus_radius_mm(
@@ -179,11 +209,7 @@ def consensus_radius_mm(
     the larger reported diameter; without diameters it falls back to the flat
     base radius.
     """
-    if cfg.consensus_radius_policy == "fixed":
-        return cfg.consensus_radius_mm
-    if a.diameter_mm is not None and b.diameter_mm is not None:
-        return max(cfg.consensus_radius_mm, match_tolerance(max(a.diameter_mm, b.diameter_mm)))
-    return cfg.consensus_radius_mm
+    return _pair_radius_mm(a.diameter_mm, b.diameter_mm, cfg)
 
 
 def _max_consensus_radius_mm(cfg: PipelineConfig) -> float:
@@ -194,25 +220,24 @@ def _max_consensus_radius_mm(cfg: PipelineConfig) -> float:
     return max(cfg.consensus_radius_mm, TOLERANCE_CAP_MM)
 
 
-def _near_pairs(
-    list_a: list[CandidateDetection], list_b: list[CandidateDetection], radius_mm: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs ``(i, j)``, in row-major order, of candidates whose centroids
-    may lie within ``radius_mm``.
+def _near_pairs(a: np.ndarray, b: np.ndarray, radius_mm: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)``, in row-major order, of rows of the ``(n, 3)``
+    arrays ``a`` and ``b`` whose points may lie within ``radius_mm``.
 
     A prefilter on one squared-distance array: it keeps every pair the exact
     scalar distance admits and a few just outside, which callers test exactly.
     """
-    if not list_a or not list_b:
-        empty = np.zeros(0, dtype=np.intp)
-        return empty, empty
-    a = np.array([c.center.as_tuple() for c in list_a])
-    b = a if list_b is list_a else np.array([c.center.as_tuple() for c in list_b])
     return np.nonzero(may_lie_within(a.T[:, :, None], b.T[:, None, :], radius_mm))
 
 
-def _require_single_scan(candidates: Iterable[CandidateDetection]) -> str | None:
-    scan_ids = {c.scan_id for c in candidates}
+def _rows(candidates: Iterable[CandidateDetection]) -> tuple[TableRows, bool]:
+    """``candidates`` as table rows, and whether they came as records, which
+    the caller then gets back as records."""
+    return TableRows.of(candidates), not isinstance(candidates, (CandidateTable, TableRows))
+
+
+def _require_single_scan(*views: TableRows) -> str | None:
+    scan_ids = {scan_id for view in views for scan_id in view.column("scan_id")}
     if len(scan_ids) > 1:
         raise InputError(f"candidates span multiple scans: {sorted(scan_ids)}")
     return next(iter(scan_ids)) if scan_ids else None
@@ -227,30 +252,54 @@ def suppress_same_model_duplicates(
     is absorbed by the first earlier survivor within ``radius_mm`` (scalar
     distance, after the prefilter), or survives. Returns the survivors
     (score-descending) and a map from each suppressed candidate's qualified
-    id to its survivor's qualified id.
+    id to its survivor's qualified id. ``candidates`` are records, a
+    ``CandidateTable`` or ``TableRows``; survivors of records are records,
+    otherwise the ``TableRows`` of their rows.
     """
-    ordered = sorted(candidates, key=lambda c: (-c.score, c.candidate_id))
-    rows, cols = _near_pairs(ordered, ordered, radius_mm)
-    earlier = cols < rows
-    near: dict[int, list[int]] = {}
-    for i, j in zip(rows[earlier].tolist(), cols[earlier].tolist()):
-        near.setdefault(i, []).append(j)
-    kept: list[CandidateDetection] = []
-    kept_at: set[int] = set()
-    absorbed: dict[str, str] = {}
-    for i, cand in enumerate(ordered):
-        survivor = None
-        for j in near.get(i, ()):
-            keeper = ordered[j]
-            if j in kept_at and cand.center.distance_to(keeper.center) <= radius_mm:
-                survivor = keeper
-                break
-        if survivor is None:
-            kept.append(cand)
-            kept_at.add(i)
-        else:
-            absorbed[cand.qualified_id] = survivor.qualified_id
-    return kept, absorbed
+    view, as_records = _rows(candidates)
+    ids = view.column("candidate_id")
+    id_rank = np.empty(len(ids), dtype=np.intp)  # orders like the ids, ties in list order
+    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    order = np.lexsort((id_rank, -view.column("score")))
+    xyz = view.table.xyz[view.rows[order]]
+    rows, cols = _near_pairs(xyz, xyz, radius_mm)
+    earlier = np.flatnonzero(cols < rows)
+    # row-major pairs: each candidate meets the earlier ones in visit order,
+    # whose fate is settled, and joins the first survivor within the radius
+    survivor_of: dict[int, int] = {}
+    if earlier.size:
+        rows, cols = rows[earlier], cols[earlier]
+        for i, j, p, q in zip(rows.tolist(), cols.tolist(), xyz[rows].tolist(),
+                              xyz[cols].tolist()):
+            if i not in survivor_of and j not in survivor_of and distance_mm(*p, *q) <= radius_mm:
+                survivor_of[i] = j
+    order = order.tolist()
+    qualified = view.column("qualified_id") if survivor_of else []
+    absorbed = {qualified[order[i]]: qualified[order[j]] for i, j in survivor_of.items()}
+    survivors = view.take([k for i, k in enumerate(order) if i not in survivor_of])
+    return (list(survivors) if as_records else survivors), absorbed
+
+
+class ConsensusPairs(RecordSequence):
+    """Committed consensus pairs as the member rows of both lists, position
+    by position; reads as ``ConsensusPair`` records, built only when asked."""
+
+    def __init__(self, members_a: TableRows, members_b: TableRows):
+        self.members_a = members_a
+        self.members_b = members_b
+
+    def __len__(self) -> int:
+        return len(self.members_a)
+
+    def __getitem__(self, index: int) -> ConsensusPair:
+        a, b = self.members_a[index], self.members_b[index]
+        return ConsensusPair(
+            member_a=a,
+            member_b=b,
+            merged_center=_merge_centers(a.score, a.center.as_tuple(), b.score,
+                                         b.center.as_tuple()),
+            merged_score=(a.score + b.score) / 2.0,
+        )
 
 
 def cross_detector_consensus(
@@ -267,56 +316,58 @@ def cross_detector_consensus(
     Pairs within the largest radius the policy allows are found on one
     distance array, then each is tested with the scalar distance and its own
     radius, so the result is that of testing every pair.
+
+    The lists are records, ``CandidateTable``s or ``TableRows``. For two
+    lists of records the pairs are a list of records; otherwise they are
+    ``ConsensusPairs``, which hold the members' rows. Disagreements are
+    always records.
     """
     cfg = cfg or PipelineConfig()
-    _require_single_scan(list_a + list_b)
-    models_a = {c.source_model for c in list_a}
-    models_b = {c.source_model for c in list_b}
+    (view_a, as_records_a), (view_b, as_records_b) = _rows(list_a), _rows(list_b)
+    _require_single_scan(view_a, view_b)
+    models_a = set(view_a.column("model"))
+    models_b = set(view_b.column("model"))
     if len(models_a) > 1 or len(models_b) > 1:
         raise InputError("each detector list must come from a single source model")
     if models_a and models_b and models_a == models_b:
         raise InputError("detector lists must come from different source models")
 
-    admissible = []
-    rows, cols = _near_pairs(list_a, list_b, _max_consensus_radius_mm(cfg))
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        a, b = list_a[i], list_b[j]
-        if a.center.distance_to(b.center) <= consensus_radius_mm(a, b, cfg):
-            admissible.append((a, b))
-    admissible.sort(key=lambda ab: (-(ab[0].score + ab[1].score),
-                                    ab[0].candidate_id, ab[1].candidate_id))
+    xyz_a, xyz_b = view_a.column("xyz"), view_b.column("xyz")
+    near_a, near_b = _near_pairs(xyz_a, xyz_b, _max_consensus_radius_mm(cfg))
+    admitted = [
+        k for k, (p, q, da, db) in enumerate(zip(
+            xyz_a[near_a].tolist(), xyz_b[near_b].tolist(),
+            view_a.column("diameter_mm")[near_a].tolist(),
+            view_b.column("diameter_mm")[near_b].tolist()))
+        if distance_mm(*p, *q) <= _pair_radius_mm(nan_to_none(da), nan_to_none(db), cfg)
+    ]
+    ids_a, ids_b = view_a.column("candidate_id"), view_b.column("candidate_id")
+    admissible = list(zip(near_a[admitted].tolist(), near_b[admitted].tolist(),
+                          (view_a.column("score")[near_a[admitted]]
+                           + view_b.column("score")[near_b[admitted]]).tolist()))
+    admissible.sort(key=lambda ijs: (-ijs[2], ids_a[ijs[0]], ids_b[ijs[1]]))
 
     used_a: set[str] = set()
     used_b: set[str] = set()
-    pairs: list[ConsensusPair] = []
-    for a, b in admissible:
-        if a.candidate_id in used_a or b.candidate_id in used_b:
+    paired_a: list[int] = []
+    paired_b: list[int] = []
+    for i, j, _ in admissible:
+        if ids_a[i] in used_a or ids_b[j] in used_b:
             continue
-        used_a.add(a.candidate_id)
-        used_b.add(b.candidate_id)
-        total = a.score + b.score
-        if total > 0.0:
-            wa, wb = a.score / total, b.score / total
-        else:
-            wa = wb = 0.5
-        merged_center = WorldPoint(
-            wa * a.center.x + wb * b.center.x,
-            wa * a.center.y + wb * b.center.y,
-            wa * a.center.z + wb * b.center.z,
-        )
-        pairs.append(
-            ConsensusPair(
-                member_a=a,
-                member_b=b,
-                merged_center=merged_center,
-                merged_score=(a.score + b.score) / 2.0,
-            )
-        )
+        used_a.add(ids_a[i])
+        used_b.add(ids_b[j])
+        paired_a.append(i)
+        paired_b.append(j)
+    pairs = ConsensusPairs(view_a.take(paired_a), view_b.take(paired_b))
 
-    disagreements = [c for c in list_a if c.candidate_id not in used_a]
-    disagreements += [c for c in list_b if c.candidate_id not in used_b]
-    disagreements.sort(key=lambda c: (c.source_model, c.candidate_id))
-    return pairs, disagreements
+    def unpaired(view: TableRows, ids: list[str], used: set[str]) -> list[CandidateDetection]:
+        return list(view.take(sorted((k for k, c in enumerate(ids) if c not in used),
+                                     key=ids.__getitem__)))
+
+    singles = [unpaired(view_a, ids_a, used_a), unpaired(view_b, ids_b, used_b)]
+    if models_a and models_b and min(models_b) < min(models_a):
+        singles.reverse()  # disagreements go by (model, candidate id)
+    return (list(pairs) if as_records_a and as_records_b else pairs), singles[0] + singles[1]
 
 
 def _score_disagreement(candidate: CandidateDetection, provider: CadxProvider | None) -> CadxScores:
@@ -353,27 +404,29 @@ def run_tri_stage(
 
     Returns the tiered candidate list sorted by (tier desc, averaged detector
     score desc, primary candidate id) plus a per-candidate disposition map.
+    The lists are records, ``CandidateTable``s or ``TableRows``; fusion works
+    on their rows and builds a record only for each candidate the CADx
+    provider scores.
     """
     cfg = cfg or PipelineConfig()
-    scan_id = _require_single_scan(list_a + list_b) or ""
+    view_a, view_b = TableRows.of(list_a), TableRows.of(list_b)
+    scan_id = _require_single_scan(view_a, view_b) or ""
     dispositions: dict[str, str] = {}
 
-    def gate(cands: list[CandidateDetection]) -> list[CandidateDetection]:
+    def gate(view: TableRows) -> TableRows:
         if mask is None:
-            return list(cands)
+            return view
         kept = []
-        for c in cands:
-            if centroid_in_lung(c.center, mask, cfg.lung_labels):
-                kept.append(c)
+        for k, (point, qualified_id) in enumerate(zip(view.column("xyz").tolist(),
+                                                      view.column("qualified_id"))):
+            if centroid_in_lung(unchecked_point(*point), mask, cfg.lung_labels):
+                kept.append(k)
             else:
-                dispositions[c.qualified_id] = DISP_MASK_REJECTED
-        return kept
+                dispositions[qualified_id] = DISP_MASK_REJECTED
+        return view.take(kept)
 
-    gated_a = gate(list_a)
-    gated_b = gate(list_b)
-
-    kept_a, absorbed_a = suppress_same_model_duplicates(gated_a, cfg.dedup_radius_mm)
-    kept_b, absorbed_b = suppress_same_model_duplicates(gated_b, cfg.dedup_radius_mm)
+    kept_a, absorbed_a = suppress_same_model_duplicates(gate(view_a), cfg.dedup_radius_mm)
+    kept_b, absorbed_b = suppress_same_model_duplicates(gate(view_b), cfg.dedup_radius_mm)
     duplicate_of = {**absorbed_a, **absorbed_b}
     for dup_id in duplicate_of:
         dispositions[dup_id] = DISP_REJECTED
@@ -384,40 +437,39 @@ def run_tri_stage(
     pairs, disagreements = cross_detector_consensus(kept_a, kept_b, cfg)
 
     fused: list[FusedCandidate] = []
-    for pair in pairs:
-        a, b = pair.member_a, pair.member_b
-        dispositions[a.qualified_id] = DISP_PAIR
-        dispositions[b.qualified_id] = DISP_PAIR
-        provenance = (
-            a.qualified_id,
-            *absorbed_by.get(a.qualified_id, ()),
-            b.qualified_id,
-            *absorbed_by.get(b.qualified_id, ()),
-        )
-        fused.append(_fused(scan_id, pair.merged_center, STAGE_CONSENSUS, pair.merged_score,
-                            provenance, pair.merged_diameter_mm))
+    members = (pairs.members_a, pairs.members_b)
+    for qa, qb, sa, sb, pa, pb, da, db in zip(
+        *(m.column("qualified_id") for m in members),
+        *(m.column(name).tolist() for name in ("score", "xyz") for m in members),
+        *(map(nan_to_none, m.column("diameter_mm").tolist()) for m in members),
+    ):
+        dispositions[qa] = DISP_PAIR
+        dispositions[qb] = DISP_PAIR
+        provenance = (qa, *absorbed_by.get(qa, ()), qb, *absorbed_by.get(qb, ()))
+        fused.append(_fused(scan_id, _merge_centers(sa, pa, sb, pb), STAGE_CONSENSUS,
+                            (sa + sb) / 2.0, provenance, _merge_diameters(sa, da, sb, db)))
 
     for cand in disagreements:
         scores = _score_disagreement(cand, cadx_provider)
         cadx_avg = ensemble_cadx(scores)
-        provenance = (cand.qualified_id, *absorbed_by.get(cand.qualified_id, ()))
+        qualified_id = cand.qualified_id
+        provenance = (qualified_id, *absorbed_by.get(qualified_id, ()))
         # For a single-detector candidate the averaged detector score is its
         # own score: only one detector saw it.
         if cadx_avg >= cfg.tau_cadx:
-            dispositions[cand.qualified_id] = DISP_T2
+            dispositions[qualified_id] = DISP_T2
             fused.append(_fused(scan_id, cand.center, STAGE_CADX, cand.score, provenance,
                                 cand.diameter_mm, cadx_avg))
         elif cand.score >= cfg.tau_cade:
-            dispositions[cand.qualified_id] = DISP_T3
+            dispositions[qualified_id] = DISP_T3
             fused.append(_fused(scan_id, cand.center, STAGE_CADE, cand.score, provenance,
                                 cand.diameter_mm))
         else:
-            dispositions[cand.qualified_id] = DISP_REJECTED
+            dispositions[qualified_id] = DISP_REJECTED
 
     fused.sort(key=lambda f: (-f.confidence_tier, -f.cade_score_avg, f.primary_id))
 
-    expected = {c.qualified_id for c in list_a} | {c.qualified_id for c in list_b}
-    if set(dispositions) != expected:
+    if set(dispositions) != {*view_a.column("qualified_id"), *view_b.column("qualified_id")}:
         raise InvariantError("fusion lost track of input candidates")
 
     return TriStageResult(
@@ -443,10 +495,9 @@ def fuse_scans(
 ) -> FusionOutput:
     """Fuse candidate lists across scans, one scan at a time in scan-id order.
 
-    Each list is a ``CandidateTable`` or an iterable of records; a scan's
-    records are built from a table only when that scan is fused. A mask
-    loader is called once per scan, in that order, so it may keep only the
-    current scan's volume.
+    Each list is a ``CandidateTable`` or an iterable of records; each scan is
+    fused on ``TableRows`` of the table. A mask loader is called once per
+    scan, in that order, so it may keep only the current scan's volume.
     """
     cfg = cfg or PipelineConfig()
     table_a = CandidateTable.of(candidates_a)
@@ -458,8 +509,8 @@ def fuse_scans(
 
     results = {
         scan_id: run_tri_stage(
-            table_a.records(by_scan_a.get(scan_id, none)),
-            table_b.records(by_scan_b.get(scan_id, none)),
+            TableRows(table_a, by_scan_a.get(scan_id, none)),
+            TableRows(table_b, by_scan_b.get(scan_id, none)),
             cadx_provider=cadx_provider,
             mask=masks(scan_id) if masks is not None else None,
             cfg=cfg,

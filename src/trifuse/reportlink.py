@@ -11,7 +11,9 @@ inclusive tolerance (default 3 mm), and agreement of every shared ordinal
 characteristic within an inclusive level tolerance (default 1). Exactly one
 admissible candidate matches outright; among several, the highest confidence
 tier wins, then the highest detector score, then the smallest size
-difference. The final assignment is a partial injection.
+difference, then the lowest candidate id. Entities are served in report
+order and each removes its candidate from the pool, so the final assignment
+is a partial injection.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .domain import LUNGRADS_CATEGORIES, WorldPoint
+import numpy as np
+
+from .domain import LUNGRADS_CATEGORIES, WorldPoint, nan_to_none
 from .errors import ConfigError, InputError
 from .volume import Volume, label_at
 
@@ -255,26 +259,63 @@ class EntityMatch:
     criteria: tuple[tuple[str, bool], ...] = ()
 
 
+@dataclass(frozen=True, eq=False)
+class LinkColumns:
+    """The candidate side of report linkage as columns, one row per candidate.
+
+    ``diameter_mm`` holds NaN where no diameter is given. ``lobe`` (a lobe or
+    None per row) and ``ordinals`` (a name-to-level map per row) are None when
+    the candidates carry none.
+    """
+
+    scan_id: list[str]
+    candidate_id: list[str]
+    tier: np.ndarray
+    score: np.ndarray
+    diameter_mm: np.ndarray
+    lobe: list[str | None] | None = None
+    ordinals: list[dict[str, int]] | None = None
+
+    @classmethod
+    def of(cls, candidates: "Iterable[LinkCandidate] | LinkColumns") -> "LinkColumns":
+        """``candidates`` if they are columns, else the columns of the records."""
+        if isinstance(candidates, LinkColumns):
+            return candidates
+        records = list(candidates)
+        return cls(
+            [c.scan_id for c in records],
+            [c.candidate_id for c in records],
+            np.array([c.tier for c in records], dtype=np.float64),
+            np.array([c.score for c in records], dtype=np.float64),
+            np.array([math.nan if c.diameter_mm is None else c.diameter_mm for c in records],
+                     dtype=np.float64),
+            [c.lobe for c in records],
+            [c.ordinal_map() for c in records],
+        )
+
+
 def _criteria_for(
     entity: ReportEntity,
-    candidate: LinkCandidate,
+    lobe: str | None,
+    diameter_mm: float | None,
+    ordinals: dict[str, int],
     size_tol_mm: float,
     ordinal_tol: int,
 ) -> tuple[tuple[str, bool], ...]:
-    """Per-criterion verdicts; criteria with missing information are omitted."""
+    """Per-criterion verdicts against a candidate with the given lobe,
+    diameter and ordinal levels; criteria with missing information are
+    omitted."""
     checks: list[tuple[str, bool]] = []
-    if entity.lobe is not None and candidate.lobe is not None:
-        checks.append(("lobe", entity.lobe == candidate.lobe))
-    elif entity.laterality is not None and candidate.laterality is not None:
-        checks.append(("laterality", entity.laterality == candidate.laterality))
-    if entity.size_mm is not None and candidate.diameter_mm is not None:
-        checks.append(("size", abs(entity.size_mm - candidate.diameter_mm) <= size_tol_mm))
-    shared = set(entity.ordinal_map()) & set(candidate.ordinal_map())
-    for name in sorted(shared):
-        checks.append(
-            (f"ordinal:{name}",
-             abs(entity.ordinal_map()[name] - candidate.ordinal_map()[name]) <= ordinal_tol)
-        )
+    laterality = LOBE_LATERALITY.get(lobe) if lobe else None
+    if entity.lobe is not None and lobe is not None:
+        checks.append(("lobe", entity.lobe == lobe))
+    elif entity.laterality is not None and laterality is not None:
+        checks.append(("laterality", entity.laterality == laterality))
+    if entity.size_mm is not None and diameter_mm is not None:
+        checks.append(("size", abs(entity.size_mm - diameter_mm) <= size_tol_mm))
+    levels = entity.ordinal_map()
+    for name in sorted(set(levels) & set(ordinals)):
+        checks.append((f"ordinal:{name}", abs(levels[name] - ordinals[name]) <= ordinal_tol))
     return tuple(checks)
 
 
@@ -286,61 +327,88 @@ def is_admissible(
 ) -> bool:
     if entity.scan_id != candidate.scan_id:
         return False
-    return all(ok for _, ok in _criteria_for(entity, candidate, size_tol_mm, ordinal_tol))
+    return all(ok for _, ok in _criteria_for(entity, candidate.lobe, candidate.diameter_mm,
+                                             candidate.ordinal_map(), size_tol_mm, ordinal_tol))
 
 
 def match_entities(
     entities: Iterable[ReportEntity],
-    candidates: Iterable[LinkCandidate],
+    candidates: Iterable[LinkCandidate] | LinkColumns,
     size_tol_mm: float = 3.0,
     ordinal_tol: int = 1,
 ) -> list[EntityMatch]:
     """Assign report entities to candidates; unmatched sides are labeled.
 
-    Entities are processed in input order; a candidate matched to an earlier
-    entity is no longer available, so the result is a partial injection.
+    ``candidates`` are ``LinkCandidate`` records or ``LinkColumns``.
+    Entities are served in input order, and each removes the candidate it
+    takes from the pool, so the result is a partial injection. An entity's
+    admissible candidates are found among the pool's rows on its scan in one
+    step over the columns; the best of them (highest tier, then score, then
+    smallest size difference, then lowest candidate id) is taken. Candidates
+    left in the pool follow in candidate-id order.
     """
     entities = list(entities)
-    pool: dict[str, LinkCandidate] = {}
-    for cand in candidates:
-        if cand.candidate_id in pool:
-            raise InputError(f"duplicate link candidate id {cand.candidate_id!r}")
-        pool[cand.candidate_id] = cand
+    table = LinkColumns.of(candidates)
+    ids = table.candidate_id
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        for candidate_id in ids:
+            if candidate_id in seen:
+                raise InputError(f"duplicate link candidate id {candidate_id!r}")
+            seen.add(candidate_id)
     entity_scans = {e.scan_id for e in entities}
-    candidate_scans = {c.scan_id for c in pool.values()}
-    if entities and pool and not entity_scans & candidate_scans:
+    candidate_scans = set(table.scan_id)
+    if entities and ids and not entity_scans & candidate_scans:
         raise InputError(
             f"entities and candidates share no scans: {sorted(entity_scans)} vs "
             f"{sorted(candidate_scans)}"
         )
 
+    pool = np.ones(len(ids), dtype=bool)
+    on_scan = {scan_id: np.array([s == scan_id for s in table.scan_id], dtype=bool)
+               for scan_id in entity_scans}
+    tiers, scores, diameters = (c.tolist() for c in (table.tier, table.score, table.diameter_mm))
+    no_gap = [math.inf] * len(ids)
+    sized = ~np.isnan(table.diameter_mm)
+    lateralities = (None if table.lobe is None
+                    else [LOBE_LATERALITY.get(lobe) if lobe else None for lobe in table.lobe])
     matches: list[EntityMatch] = []
     for entity in entities:
-        admissible = [
-            c for c in pool.values()
-            if c.scan_id == entity.scan_id
-            and is_admissible(entity, c, size_tol_mm, ordinal_tol)
-        ]
-        if not admissible:
+        ok = pool & on_scan[entity.scan_id]
+        gaps = no_gap
+        if entity.size_mm is not None:
+            gap = np.abs(entity.size_mm - table.diameter_mm)  # NaN: no diameter
+            ok &= ~sized | (gap <= size_tol_mm)
+            gaps = np.fmin(gap, math.inf).tolist()  # no diameter: an infinite gap
+        if table.lobe is not None and entity.lobe is not None:
+            ok &= np.array([lobe is None or lobe == entity.lobe for lobe in table.lobe],
+                           dtype=bool)
+        elif lateralities is not None and entity.laterality is not None:
+            ok &= np.array([side is None or side == entity.laterality for side in lateralities],
+                           dtype=bool)
+        if table.ordinals is not None and entity.ordinals:
+            levels = entity.ordinal_map()
+            ok &= np.array([all(abs(levels[name] - level) <= ordinal_tol
+                                for name, level in have.items() if name in levels)
+                            for have in table.ordinals], dtype=bool)
+        found = np.flatnonzero(ok).tolist()
+        if not found:
             matches.append(EntityMatch(entity=entity, candidate_id=None, status="report_only"))
             continue
-
-        def size_gap(c: LinkCandidate) -> float:
-            if entity.size_mm is None or c.diameter_mm is None:
-                return math.inf
-            return abs(entity.size_mm - c.diameter_mm)
-
-        admissible.sort(key=lambda c: (-c.tier, -c.score, size_gap(c), c.candidate_id))
-        chosen = admissible[0]
-        del pool[chosen.candidate_id]
+        chosen = min(found, key=lambda k: (-tiers[k], -scores[k], gaps[k], ids[k]))
+        pool[chosen] = False
         matches.append(
             EntityMatch(
                 entity=entity,
-                candidate_id=chosen.candidate_id,
+                candidate_id=ids[chosen],
                 status="matched",
-                criteria=_criteria_for(entity, chosen, size_tol_mm, ordinal_tol),
+                criteria=_criteria_for(
+                    entity, None if table.lobe is None else table.lobe[chosen],
+                    nan_to_none(diameters[chosen]),
+                    {} if table.ordinals is None else table.ordinals[chosen],
+                    size_tol_mm, ordinal_tol),
             )
         )
-    for candidate_id in sorted(pool):
+    for candidate_id in sorted(ids[k] for k in np.flatnonzero(pool).tolist()):
         matches.append(EntityMatch(entity=None, candidate_id=candidate_id, status="candidate_only"))
     return matches

@@ -5,8 +5,10 @@ bootstrap, recompute every resample from scratch) without importing the code
 under test. The CSV-reader, CSV-writer, fusion-pairing, lesion-matching,
 FROC-count and detection-sweep oracles are the library's earlier scalar code:
 they build the library's record types, so results compare with ``==``, and
-they import only those records, the error type, the file schemas, the scalar
-hit test and the scalar consensus-radius rule.
+they import only those records, the error types, the file schemas, the scalar
+hit test, the scalar consensus-radius rule and the mask's voxel lookup. The
+tri-stage and report-linkage oracles are the record loops that fusion and
+linkage ran before they moved onto table columns.
 
 Conventions:
   candidate = (cid, (x, y, z), score)
@@ -32,7 +34,7 @@ from trifuse.domain import (
     WorldPoint,
     is_hit,
 )
-from trifuse.errors import InputError
+from trifuse.errors import InputError, InvariantError, ScorerError
 from trifuse.fileio import (
     CADX_SCORE_COLUMNS,
     CANDIDATE_COLUMNS,
@@ -46,13 +48,24 @@ from trifuse.fileio import (
 )
 from trifuse.froc import LesionMatchResult, ScanMatch, TruePositive
 from trifuse.fusion import (
+    DISP_MASK_REJECTED,
+    DISP_PAIR,
+    DISP_REJECTED,
+    DISP_T2,
+    DISP_T3,
+    STAGE_CADE,
     STAGE_CADX,
+    STAGE_CONSENSUS,
     TIER_BY_STAGE,
     CadxScores,
     ConsensusPair,
+    FusedCandidate,
+    TriStageResult,
     consensus_radius_mm,
 )
+from trifuse.reportlink import EntityMatch
 from trifuse.sweeps import CadeSweepRow
+from trifuse.volume import centroid_in_lung
 
 
 def hit_tolerance(diameter_mm):
@@ -1062,6 +1075,192 @@ def oracle_cross_detector_consensus(list_a, list_b, cfg=None):
     disagreements += [c for c in list_b if c.candidate_id not in used_b]
     disagreements.sort(key=lambda c: (c.source_model, c.candidate_id))
     return pairs, disagreements
+
+
+def _oracle_merge_diameters(a, b):
+    if a.diameter_mm is None and b.diameter_mm is None:
+        return None
+    if a.diameter_mm is None:
+        return b.diameter_mm
+    if b.diameter_mm is None:
+        return a.diameter_mm
+    total = a.score + b.score
+    if total == 0.0:
+        return (a.diameter_mm + b.diameter_mm) / 2.0
+    return (a.score * a.diameter_mm + b.score * b.diameter_mm) / total
+
+
+def _oracle_score_disagreement(candidate, provider):
+    if provider is None:
+        raise ScorerError(
+            f"no CADx provider configured but candidate {candidate.qualified_id} "
+            f"on scan {candidate.scan_id} needs scoring"
+        )
+    try:
+        scores = provider(candidate)
+    except ScorerError:
+        raise
+    except Exception as err:
+        raise ScorerError(
+            f"CADx scoring failed for {candidate.qualified_id} on scan "
+            f"{candidate.scan_id}: {err}"
+        ) from err
+    if not isinstance(scores, CadxScores):
+        raise ScorerError(
+            f"CADx provider returned {type(scores).__name__} for "
+            f"{candidate.qualified_id} on scan {candidate.scan_id}"
+        )
+    return scores
+
+
+def oracle_run_tri_stage(list_a, list_b, cadx_provider=None, mask=None, cfg=None):
+    """The full tri-stage fusion for one scan, on records: mask gate, the
+    all-pairs dedup and consensus loops, then CADx scoring of every
+    single-detector candidate in (model, candidate id) order."""
+    cfg = cfg or PipelineConfig()
+    list_a, list_b = list(list_a), list(list_b)
+    scan_ids = {c.scan_id for c in list_a + list_b}
+    if len(scan_ids) > 1:
+        raise InputError(f"candidates span multiple scans: {sorted(scan_ids)}")
+    scan_id = next(iter(scan_ids)) if scan_ids else ""
+    dispositions = {}
+
+    def gate(cands):
+        if mask is None:
+            return list(cands)
+        kept = []
+        for c in cands:
+            if centroid_in_lung(c.center, mask, cfg.lung_labels):
+                kept.append(c)
+            else:
+                dispositions[c.qualified_id] = DISP_MASK_REJECTED
+        return kept
+
+    gated_a = gate(list_a)
+    gated_b = gate(list_b)
+    kept_a, absorbed_a = oracle_suppress_same_model_duplicates(gated_a, cfg.dedup_radius_mm)
+    kept_b, absorbed_b = oracle_suppress_same_model_duplicates(gated_b, cfg.dedup_radius_mm)
+    duplicate_of = {**absorbed_a, **absorbed_b}
+    for dup_id in duplicate_of:
+        dispositions[dup_id] = DISP_REJECTED
+    absorbed_by = {}
+    for dup_id, survivor_id in sorted(duplicate_of.items()):
+        absorbed_by.setdefault(survivor_id, []).append(dup_id)
+
+    pairs, disagreements = oracle_cross_detector_consensus(kept_a, kept_b, cfg)
+
+    fused = []
+    for pair in pairs:
+        a, b = pair.member_a, pair.member_b
+        dispositions[a.qualified_id] = DISP_PAIR
+        dispositions[b.qualified_id] = DISP_PAIR
+        provenance = (
+            a.qualified_id,
+            *absorbed_by.get(a.qualified_id, ()),
+            b.qualified_id,
+            *absorbed_by.get(b.qualified_id, ()),
+        )
+        fused.append(FusedCandidate(
+            scan_id=scan_id, center=pair.merged_center,
+            confidence_tier=TIER_BY_STAGE[STAGE_CONSENSUS], stage=STAGE_CONSENSUS,
+            cade_score_avg=pair.merged_score, provenance=provenance,
+            diameter_mm=_oracle_merge_diameters(a, b),
+        ))
+
+    for cand in disagreements:
+        scores = _oracle_score_disagreement(cand, cadx_provider)
+        cadx_avg = (scores.p_luna + scores.p_dlcs) / 2.0
+        provenance = (cand.qualified_id, *absorbed_by.get(cand.qualified_id, ()))
+        if cadx_avg >= cfg.tau_cadx:
+            dispositions[cand.qualified_id] = DISP_T2
+            fused.append(FusedCandidate(
+                scan_id=scan_id, center=cand.center, confidence_tier=TIER_BY_STAGE[STAGE_CADX],
+                stage=STAGE_CADX, cade_score_avg=cand.score, provenance=provenance,
+                diameter_mm=cand.diameter_mm, cadx_avg=cadx_avg,
+            ))
+        elif cand.score >= cfg.tau_cade:
+            dispositions[cand.qualified_id] = DISP_T3
+            fused.append(FusedCandidate(
+                scan_id=scan_id, center=cand.center, confidence_tier=TIER_BY_STAGE[STAGE_CADE],
+                stage=STAGE_CADE, cade_score_avg=cand.score, provenance=provenance,
+                diameter_mm=cand.diameter_mm,
+            ))
+        else:
+            dispositions[cand.qualified_id] = DISP_REJECTED
+
+    fused.sort(key=lambda f: (-f.confidence_tier, -f.cade_score_avg, f.primary_id))
+    expected = {c.qualified_id for c in list_a} | {c.qualified_id for c in list_b}
+    if set(dispositions) != expected:
+        raise InvariantError("fusion lost track of input candidates")
+    return TriStageResult(scan_id=scan_id, fused=tuple(fused), dispositions=dispositions,
+                          duplicate_of=duplicate_of)
+
+
+# ---------------------------------------------------------------------------
+# Report linkage: every entity tested against every pooled candidate.
+
+
+def _oracle_criteria_for(entity, candidate, size_tol_mm, ordinal_tol):
+    checks = []
+    if entity.lobe is not None and candidate.lobe is not None:
+        checks.append(("lobe", entity.lobe == candidate.lobe))
+    elif entity.laterality is not None and candidate.laterality is not None:
+        checks.append(("laterality", entity.laterality == candidate.laterality))
+    if entity.size_mm is not None and candidate.diameter_mm is not None:
+        checks.append(("size", abs(entity.size_mm - candidate.diameter_mm) <= size_tol_mm))
+    shared = set(entity.ordinal_map()) & set(candidate.ordinal_map())
+    for name in sorted(shared):
+        checks.append(
+            (f"ordinal:{name}",
+             abs(entity.ordinal_map()[name] - candidate.ordinal_map()[name]) <= ordinal_tol)
+        )
+    return tuple(checks)
+
+
+def oracle_match_entities(entities, candidates, size_tol_mm=3.0, ordinal_tol=1):
+    """Assign report entities to ``LinkCandidate`` records in input order;
+    each entity takes the best admissible pooled candidate (tier, score, size
+    gap, candidate id), and the rest are reported candidate-only."""
+    entities = list(entities)
+    pool = {}
+    for cand in candidates:
+        if cand.candidate_id in pool:
+            raise InputError(f"duplicate link candidate id {cand.candidate_id!r}")
+        pool[cand.candidate_id] = cand
+    entity_scans = {e.scan_id for e in entities}
+    candidate_scans = {c.scan_id for c in pool.values()}
+    if entities and pool and not entity_scans & candidate_scans:
+        raise InputError(
+            f"entities and candidates share no scans: {sorted(entity_scans)} vs "
+            f"{sorted(candidate_scans)}"
+        )
+
+    matches = []
+    for entity in entities:
+        admissible = [
+            c for c in pool.values()
+            if c.scan_id == entity.scan_id
+            and all(ok for _, ok in _oracle_criteria_for(entity, c, size_tol_mm, ordinal_tol))
+        ]
+        if not admissible:
+            matches.append(EntityMatch(entity=entity, candidate_id=None, status="report_only"))
+            continue
+
+        def size_gap(c):
+            if entity.size_mm is None or c.diameter_mm is None:
+                return math.inf
+            return abs(entity.size_mm - c.diameter_mm)
+
+        admissible.sort(key=lambda c: (-c.tier, -c.score, size_gap(c), c.candidate_id))
+        chosen = admissible[0]
+        del pool[chosen.candidate_id]
+        matches.append(EntityMatch(
+            entity=entity, candidate_id=chosen.candidate_id, status="matched",
+            criteria=_oracle_criteria_for(entity, chosen, size_tol_mm, ordinal_tol),
+        ))
+    for candidate_id in sorted(pool):
+        matches.append(EntityMatch(entity=None, candidate_id=candidate_id, status="candidate_only"))
+    return matches
 
 
 # ---------------------------------------------------------------------------

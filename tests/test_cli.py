@@ -668,3 +668,88 @@ class TestConfigFile:
                     "--out", out]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 3
+
+
+def write_pin_cohort(directory, n_scans=50, seed=29):
+    """A seeded fuse-and-link cohort with score ties, empty diameters,
+    near-duplicates, pairs on the consensus radius and reports.
+
+    Only ``random.Random.random`` draws the values, and every value is
+    written with fixed decimals, so the files are the same bytes everywhere.
+    """
+    rng = random.Random(seed)
+
+    def pick(options):
+        return options[int(rng.random() * len(options))]
+
+    header = "scan_id,candidate_id,x_mm,y_mm,z_mm,diameter_mm,score,model\n"
+    lists = {"CADE_A": [], "CADE_B": []}
+    cadx = []
+    reports = []
+    for s in range(n_scans):
+        scan = f"scan{s:03d}"
+        anchors = [(pick((-40, -10, 0, 25, 60)) + pick((0.0, 0.5)),
+                    pick((-30, 5, 30)) * 1.0, pick((-80, -20, 10)) * 1.0)
+                   for _ in range(1 + int(rng.random() * 4))]
+        offsets = ((0, 0, 0), (3, 4, 0), (0, 1.2, 1.6), (1, 0, 0), (0, 0, 5), (6, 0, 0))
+        for model in lists:
+            for k in range(int(rng.random() * 9)):
+                ax, ay, az = pick(anchors)
+                dx, dy, dz = pick(offsets)
+                diameter = pick(("", "", "4.0", "6.5", "10.0", "12.0", "16.0"))
+                score = pick(("0.05", "0.15", "0.25", "0.5", "0.5", "0.75", "0.9"))
+                cid = f"c{pick(range(12)):02d}" if k < 12 else f"c{k:02d}"
+                if any(row[1] == cid for row in lists[model] if row[0] == scan):
+                    cid = f"{cid}x{k}"
+                lists[model].append((scan, cid, f"{ax + dx:.2f}", f"{ay + dy:.2f}",
+                                     f"{az + dz:.2f}", diameter, score, model))
+                cadx.append(f"{scan},{model},{cid},{pick(('0.0', '0.05', '0.1', '0.3'))},"
+                            f"{pick(('0.0', '0.1', '0.2', '0.6'))}\n")
+        if rng.random() < 0.85:
+            sentences = [
+                f"{pick(('A', 'One'))} {pick(('4', '6', '9', '10', '12', '15'))} mm "
+                f"{pick(('nodule', 'opacity', 'lesion'))} "
+                f"{pick(('in the right upper lobe', 'in the left lower lobe', 'on the left', 'on the right', ''))}"
+                f"{pick(('', ', Lung-RADS 3', ', malignancy 4', ', spiculation: 2'))}"
+                for _ in range(int(rng.random() * 4))
+            ]
+            if rng.random() < 0.2:
+                sentences.append("Nodule in the right middle lobe")
+            reports.append(f"r{s:03d}\t{scan}\t{'. '.join(sentences)}\n")
+    reports.append("r999\tscan999\tA 7 mm nodule on a scan no detector saw\n")
+    paths = {}
+    for model, rows in lists.items():
+        paths[model] = directory / f"{model.lower()}.csv"
+        paths[model].write_text(header + "".join(",".join(r) + "\n" for r in rows),
+                                encoding="utf-8")
+    paths["cadx"] = directory / "cadx_scores.csv"
+    paths["cadx"].write_text("scan_id,model,candidate_id,p_luna,p_dlcs\n" + "".join(cadx),
+                             encoding="utf-8")
+    paths["reports"] = directory / "reports.tsv"
+    paths["reports"].write_text("".join(reports), encoding="utf-8")
+    return paths
+
+
+class TestFuseLinkBytePin:
+    """``fuse`` then ``link`` on a seeded cohort give the bytes recorded from
+    the record-based fusion and linkage that the columnar code replaced."""
+
+    DIGESTS = {
+        "fused.csv": "de50473abcfccdc919e46e5a2c0807152378cd313cdc9a8b25d8c07bb82af3a2",
+        "links.csv": "b3ba14b381e8e52f224863d98044c14b35ac45ff842ba91480f2dc267f597ef5",
+        "links.entities.csv": "8523a0e08d9925d78a9e6578d1ac84394446056dc8be4ae639447ccabea50a26",
+    }
+
+    def test_outputs_keep_their_bytes(self, tmp_path):
+        import hashlib
+
+        paths = write_pin_cohort(tmp_path)
+        fused = tmp_path / "fused.csv"
+        links = tmp_path / "links.csv"
+        assert run(["fuse", "--cade-a", paths["CADE_A"], "--cade-b", paths["CADE_B"],
+                    "--cadx-scores", paths["cadx"], "--out", fused]) == 0
+        assert run(["link", "--reports", paths["reports"], "--fused", fused,
+                    "--out", links]) == 0
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in self.DIGESTS}
+        assert got == self.DIGESTS

@@ -21,7 +21,11 @@ from trifuse.fusion import (
 from trifuse.volume import Volume, load_volume
 
 from conftest import cand
-from oracles import oracle_cross_detector_consensus, oracle_suppress_same_model_duplicates
+from oracles import (
+    oracle_cross_detector_consensus,
+    oracle_run_tri_stage,
+    oracle_suppress_same_model_duplicates,
+)
 
 
 def a_cand(cid, x, y, z, score, scan="s", diameter=None):
@@ -434,6 +438,135 @@ class TestPairingAgainstOracle:
         for pairing in (cross_detector_consensus, oracle_cross_detector_consensus):
             assert len(pairing(*apart, cfg=adaptive)[0]) == 1
             assert pairing(*apart, cfg=fixed)[0] == []
+
+
+def recording_provider(fail_at=None, wrong_type_at=None):
+    """A provider whose scores spread around the default thresholds, and the
+    keys it was called with, in call order. It raises at call ``fail_at`` and
+    returns a non-score at call ``wrong_type_at``."""
+    calls = []
+
+    def provider(candidate):
+        calls.append(candidate.key)
+        if len(calls) == fail_at:
+            raise RuntimeError("backend offline")
+        if len(calls) == wrong_type_at:
+            return (0.5, 0.5)
+        code = sum(map(ord, candidate.qualified_id)) + int(candidate.score * 97)
+        return CadxScores(p_luna=(code % 7) / 20.0, p_dlcs=(code % 5) / 25.0)
+
+    return provider, calls
+
+
+def lung_mask():
+    """Lobe labels over x < 0 of a 60 mm cube centered on the origin."""
+    values = np.zeros((60, 60, 60), dtype=np.uint8)
+    values[:30] = 28
+    return Volume.from_array(values, (1.0, 1.0, 1.0), WorldPoint(-30, -30, -30))
+
+
+def zero_score_scan(rng):
+    """Pairs and dedup chains whose members all score 0: the midpoint and
+    mean-diameter branches of the merge."""
+    a, b = boundary_scan(rng)
+    a = [dataclasses.replace(c, score=0.0) if i % 2 == 0 else c for i, c in enumerate(a)]
+    b = [dataclasses.replace(c, score=0.0) for c in b]
+    return a, b
+
+
+class TestTriStageAgainstOracle:
+    """The table-row tri-stage fusion against the record loops it replaced."""
+
+    def assert_same(self, list_a, list_b, cfg=None, mask=None, **provider_args):
+        provider, calls = recording_provider(**provider_args)
+        oracle_provider, oracle_calls = recording_provider(**provider_args)
+        inputs = ((list_a, list_b),
+                  (CandidateTable.from_records(list_a), CandidateTable.from_records(list_b)))
+        try:
+            expected = oracle_run_tri_stage(list_a, list_b, oracle_provider, mask, cfg)
+        except ScorerError as err:
+            for given in inputs:
+                calls.clear()
+                with pytest.raises(ScorerError) as raised:
+                    run_tri_stage(*given, cadx_provider=provider, mask=mask, cfg=cfg)
+                assert str(raised.value) == str(err)
+                assert calls == oracle_calls
+            return "raised"
+        for given in inputs:
+            calls.clear()
+            got = run_tri_stage(*given, cadx_provider=provider, mask=mask, cfg=cfg)
+            assert got.fused == expected.fused
+            assert got.dispositions == expected.dispositions
+            assert list(got.dispositions) == list(expected.dispositions)
+            assert got.duplicate_of == expected.duplicate_of
+            assert list(got.duplicate_of) == list(expected.duplicate_of)
+            assert calls == oracle_calls
+        return expected
+
+    def test_seeded_boundary_scans(self):
+        rng = np.random.default_rng(43)
+        pairs = duplicates = 0
+        configs = (*PAIRING_CONFIGS[:4], PipelineConfig(dedup_radius_mm=5.0))
+        for _ in range(120):
+            list_a, list_b = boundary_scan(rng)
+            for cfg in configs:
+                result = self.assert_same(list_a, list_b, cfg)
+                pairs += result.disposition_counts()["pair_member"]
+                duplicates += len(result.duplicate_of)
+        assert pairs > 0 and duplicates > 0
+
+    def test_zero_scores_and_missing_diameters(self):
+        rng = np.random.default_rng(44)
+        zero_pairs = 0
+        for _ in range(80):
+            list_a, list_b = zero_score_scan(rng)
+            for cfg in PAIRING_CONFIGS[:2]:
+                result = self.assert_same(list_a, list_b, cfg)
+                zero_pairs += sum(f.stage == "consensus" and f.cade_score_avg == 0.0
+                                  for f in result.fused)
+        assert zero_pairs > 0
+
+    def test_mask_gate(self):
+        rng = np.random.default_rng(45)
+        mask = lung_mask()
+        rejected = 0
+        for _ in range(60):
+            list_a, list_b = boundary_scan(rng)
+            result = self.assert_same(list_a, list_b, mask=mask)
+            rejected += result.disposition_counts()["mask_rejected"]
+        assert rejected > 0
+
+    def test_empty_and_one_sided_scans(self):
+        one = [a_cand("a1", 0, 0, 0, 0.5), a_cand("a2", 1, 0, 0, 0.5, diameter=6.0)]
+        for list_a, list_b in (([], []), (one, []), ([], [b_cand("b1", 0, 0, 0, 0.5)])):
+            self.assert_same(list_a, list_b)
+
+    def test_provider_failures_raise_the_same_error(self):
+        rng = np.random.default_rng(46)
+        raised = 0
+        for trial in range(40):
+            list_a, list_b = boundary_scan(rng)
+            for args in ({"fail_at": 1 + trial % 3}, {"wrong_type_at": 1 + trial % 4}):
+                raised += self.assert_same(list_a, list_b, **args) == "raised"
+        assert raised > 0
+
+    def test_fuse_scans_runs_every_scan_on_table_rows(self):
+        rng = np.random.default_rng(47)
+        list_a, list_b, expected = [], [], []
+        provider, calls = recording_provider()
+        oracle_provider, oracle_calls = recording_provider()
+        for s in range(8):
+            a, b = boundary_scan(rng)
+            a = [dataclasses.replace(c, scan_id=f"s{s}") for c in a]
+            b = [dataclasses.replace(c, scan_id=f"s{s}") for c in b]
+            list_a += a
+            list_b += b
+            if a or b:
+                expected.append(oracle_run_tri_stage(a, b, oracle_provider))
+        got = fuse_scans(CandidateTable.from_records(list_a[::-1]),
+                         CandidateTable.from_records(list_b), cadx_provider=provider)
+        assert list(got.per_scan.values()) == expected
+        assert calls == oracle_calls
 
 
 class TestFuseScans:

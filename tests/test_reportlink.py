@@ -7,6 +7,7 @@ from trifuse.domain import WorldPoint
 from trifuse.errors import ConfigError, InputError
 from trifuse.reportlink import (
     LinkCandidate,
+    LinkColumns,
     ReportEntity,
     default_grammar,
     extract_entities,
@@ -16,6 +17,8 @@ from trifuse.reportlink import (
     match_entities,
 )
 from trifuse.volume import Volume
+
+from oracles import oracle_match_entities
 
 
 class TestExtraction:
@@ -307,3 +310,84 @@ class TestMatchEntities:
             if is_admissible(e, c, size_tol_mm=2.0):
                 assert is_admissible(e, c, size_tol_mm=3.0)
                 assert is_admissible(e, c, size_tol_mm=10.0)
+
+
+def random_link_instance(rng):
+    """Entities and candidates on one or two scans with ties on tier, score,
+    size gap and id, missing sizes, lobes, lateralities and ordinals."""
+    scans = ["s1", "s2"][: 1 + int(rng.random() < 0.3)]
+    lobes = [None, None, "RUL", "RML", "LLL", "LUL", "RLL"]
+    names = ("subtlety", "malignancy")
+
+    def ordinals():
+        return tuple((name, int(rng.integers(1, 6))) for name in names if rng.random() < 0.4)
+
+    entities = []
+    for _ in range(int(rng.integers(0, 6))):
+        lobe = lobes[int(rng.integers(len(lobes)))]
+        entities.append(ReportEntity(
+            report_id="r", scan_id=scans[int(rng.integers(len(scans)))], raw_span="x",
+            size_mm=[None, 6.0, 8.0, 10.0][int(rng.integers(4))], lobe=lobe,
+            laterality=None if lobe else [None, "left", "right"][int(rng.integers(3))],
+            ordinals=ordinals(),
+        ))
+    ids = rng.permutation(12)[: int(rng.integers(0, 9))]
+    candidates = [
+        LinkCandidate(
+            scan_id=scans[int(rng.integers(len(scans)))], candidate_id=f"c{i}",
+            center=WorldPoint(0, 0, 0), tier=[1.0, 0.5, 0.2][int(rng.integers(3))],
+            score=[0.3, 0.6][int(rng.integers(2))],
+            diameter_mm=[None, 5.0, 7.0, 9.0, 11.0][int(rng.integers(5))],
+            lobe=lobes[int(rng.integers(len(lobes)))], ordinals=ordinals(),
+        )
+        for i in ids
+    ]
+    return entities, candidates
+
+
+class TestMatchAgainstOracle:
+    """Column matching against the record loop it replaced."""
+
+    def test_seeded_instances(self):
+        rng = np.random.default_rng(63)
+        matched = 0
+        for _ in range(400):
+            entities, candidates = random_link_instance(rng)
+            for size_tol, ordinal_tol in ((3.0, 1), (2.0, 0), (0.0, 2)):
+                try:
+                    expected = oracle_match_entities(entities, candidates, size_tol, ordinal_tol)
+                except InputError as err:
+                    for given in (candidates, LinkColumns.of(candidates)):
+                        with pytest.raises(InputError) as raised:
+                            match_entities(entities, given, size_tol, ordinal_tol)
+                        assert str(raised.value) == str(err)
+                    continue
+                for given in (candidates, LinkColumns.of(candidates)):
+                    assert match_entities(entities, given, size_tol, ordinal_tol) == expected
+                matched += sum(m.status == "matched" for m in expected)
+        assert matched > 0
+
+    def test_every_tie_break(self):
+        e = entity(size=8.0)
+        cases = (
+            [link_cand("b", size=8.0, tier=0.5), link_cand("a", size=8.0, tier=1.0)],
+            [link_cand("a", size=8.0, score=0.4), link_cand("b", size=8.0, score=0.7)],
+            [link_cand("a", size=10.0), link_cand("b", size=9.0), link_cand("c")],
+            [link_cand("b", size=6.0), link_cand("a", size=10.0)],
+            [link_cand("b"), link_cand("a")],
+        )
+        for candidates in cases:
+            expected = oracle_match_entities([e], candidates)
+            assert match_entities([e], candidates) == expected
+            assert match_entities([e], LinkColumns.of(candidates)) == expected
+
+    def test_duplicate_ids_and_disjoint_scans(self):
+        for entities, candidates, message in (
+            ([entity()], [link_cand("c1"), link_cand("c2"), link_cand("c1")], "duplicate"),
+            ([entity(scan="s1")], [link_cand("c1", scan="s2")], "share no scans"),
+        ):
+            with pytest.raises(InputError, match=message) as expected:
+                oracle_match_entities(entities, candidates)
+            with pytest.raises(InputError) as got:
+                match_entities(entities, LinkColumns.of(candidates))
+            assert str(got.value) == str(expected.value)
