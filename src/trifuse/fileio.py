@@ -39,6 +39,7 @@ from .domain import (
     FusedRecord,  # noqa: F401  (the records of a table read_fused returns)
     ReferenceNodule,
     SemanticRatings,
+    nan_to_none,
     unchecked_point,
 )
 from .errors import ConfigError, InputError
@@ -94,8 +95,9 @@ def _open_csv(path: Path):
     return open(path, "r", encoding="utf-8-sig", newline="")
 
 
-_CHUNK_ROWS = 512
+_CHUNK_LINES = 2048
 _is_comment = operator.methodcaller("startswith", "#")
+_SPECIAL = ('"', "\r", "\0")  # cells csv.reader may read otherwise than a split on ","
 
 
 class _Columns:
@@ -104,19 +106,31 @@ class _Columns:
     Header names are stripped; a repeated name means its last column. Blank
     lines and ``#`` comment lines are skipped, a leading UTF-8 byte-order mark
     (as spreadsheet exports write) is dropped, and short rows are padded with
-    empty cells. A row with more cells than the header is an error, raised
-    after the errors of the rows before it; the rows from there on are not
-    read.
+    empty cells. A row with more cells than the header, or one that
+    ``csv.reader`` cannot read (a cell over ``csv.field_size_limit()``), is an
+    error, raised after the errors of the rows before it; the rows from there
+    on are not read.
+
+    The lines are read a few thousand at a time. A chunk whose lines hold no
+    quote, carriage return or NUL and each have one cell per column splits
+    on "," in one pass; those lines are exactly the cells ``csv.reader``
+    gives. Any other chunk goes through ``csv.reader``, and from the first
+    chunk with a quote, carriage return or NUL on, so does the rest of the
+    file, as a quoted cell may span lines.
     """
 
     def __init__(self, path: Path, required: Sequence[str]):
         if not path.exists():
             raise InputError(f"{path}: file does not exist")
         self.path = path
-        self._long_row = None
+        self._stop: tuple[int, str | None] | None = None
         with _open_csv(path) as fh:
-            reader = csv.reader(itertools.filterfalse(_is_comment, fh))
-            header = next(reader, None)
+            lines = itertools.filterfalse(_is_comment, fh)
+            try:
+                header = next(csv.reader(lines), None)
+            except csv.Error:
+                self.line(-1)  # reading the header again raises the error with its line
+                raise
             if header is None:
                 raise InputError(f"{path}: missing header row")
             self._index = {name.strip(): i for i, name in enumerate(header)}
@@ -124,23 +138,45 @@ class _Columns:
                 if column not in self._index:
                     raise InputError(f"{path}: column {column} missing")
             width = len(header)
-            cells: list[list[str]] = [[] for _ in range(width)]
-            n = 0
-            # a few rows at a time, so no row list outlives its chunk (and
-            # none is left for the garbage collector to trace)
-            while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
-                if set(map(len, rows)) != {width}:
-                    rows, long_row = _even_rows(rows, width)
-                    if long_row is not None:
-                        self._long_row = n + long_row
-                for column, part in zip(cells, zip(*rows)):
-                    column.extend(part)
-                n += len(rows)
-                if self._long_row is not None:
+            self._cells: list[list[str]] = [[] for _ in range(width)]
+            self.n = 0
+            limit = csv.field_size_limit()
+            commas = {width - 1}
+            # a chunk at a time, so no line or row list outlives its chunk
+            # (and none is left for the garbage collector to trace)
+            while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+                text = "".join(chunk)
+                if any(c in text for c in _SPECIAL):
+                    self._add_rows(csv.reader(itertools.chain(chunk, lines)), width)
                     break
-        self.n = n
-        self._cells = cells
+                if (set(map(str.count, chunk, itertools.repeat(","))) == commas
+                        and max(map(len, chunk)) <= limit and (width > 1 or "\n" not in chunk)):
+                    flat = text.removesuffix("\n").replace("\n", ",").split(",")
+                    for i, column in enumerate(self._cells):
+                        column.extend(flat[i::width])
+                    self.n += len(chunk)
+                elif not self._add_rows(csv.reader(chunk), width):
+                    break
         self._first: tuple[int, Callable[[], InputError]] | None = None
+
+    def _add_rows(self, reader: Iterator[list[str]], width: int) -> bool:
+        """Add the rows of ``reader`` a chunk at a time; false if a row stops
+        the reading."""
+        failed: list[csv.Error] = []
+        rows_iter = _readable_rows(reader, failed)
+        while rows := list(itertools.islice(rows_iter, _CHUNK_LINES)):
+            if set(map(len, rows)) != {width}:
+                rows, long_row = _even_rows(rows, width)
+                if long_row is not None:
+                    self._stop = (self.n + long_row, "more cells than header columns")
+            for column, part in zip(self._cells, zip(*rows)):
+                column.extend(part)
+            self.n += len(rows)
+            if self._stop is not None:
+                return False
+        if failed:
+            self._stop = (self.n, None)
+        return not failed
 
     def raw(self, column: str) -> list[str]:
         return self._cells[self._index[column]]
@@ -149,14 +185,21 @@ class _Columns:
         return column in self._index
 
     def line(self, row: int) -> int:
-        """Physical line data row ``row`` ends on (reads the file again)."""
+        """Physical line data row ``row`` ends on (reads the file again). A row
+        up to it that ``csv.reader`` cannot read raises its error, with the
+        line it is on; row -1 is the header."""
         last_line = [0]
         with _open_csv(self.path) as fh:
             reader = csv.reader(_csv_lines(fh, last_line))
-            next(reader)
-            for i, _ in enumerate(cells for cells in reader if cells):
-                if i == row:
+            try:
+                next(reader)
+                if row < 0:
                     return last_line[0]
+                for i, _ in enumerate(cells for cells in reader if cells):
+                    if i == row:
+                        return last_line[0]
+            except csv.Error as err:
+                raise InputError(f"{self.path}:{last_line[0]}: {err}") from None
         raise AssertionError(f"{self.path}: no data row {row}")
 
     def error(self, row: int, message: str) -> InputError:
@@ -185,9 +228,15 @@ class _Columns:
         number is an error, and so is an empty one unless ``required`` is
         false; then it reads as NaN."""
         cells = self.raw(column)
+        try:
+            values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+            if np.isfinite(values).all():
+                return values
+        except ValueError:
+            pass
+        # some cell is empty, not a number or not finite
         blank = np.array(list(map(operator.not_, map(str.strip, cells))), dtype=bool)
-        numbers = [("nan" if b else c) for c, b in zip(cells, blank.tolist())] if blank.any() \
-            else cells
+        numbers = [("nan" if b else c) for c, b in zip(cells, blank.tolist())]
         try:
             values = np.array(list(map(float, numbers)), dtype=np.float64)
         except ValueError:
@@ -199,6 +248,24 @@ class _Columns:
             row = int(np.argmax(bad))
             self.note(row, lambda: self.cell_error(row, column,
                                                    _number_problem(cells[row], required)))
+        return values
+
+    def integer(self, column: str, required: bool = True) -> list[int | None]:
+        """``int()`` of every cell. A cell that is not an integer is an error,
+        and so is an empty one unless ``required`` is false; then it reads as
+        None."""
+        cells = self.raw(column)
+        try:
+            return list(map(int, cells))  # int() ignores surrounding spaces itself
+        except ValueError:
+            pass
+        values = list(map(_int_or_none, cells))
+        for row, (value, cell) in enumerate(zip(values, cells)):
+            text = cell.strip()
+            if value is None and (text or required):
+                problem = f"is not an integer: {text!r}" if text else "is empty"
+                self.note(row, lambda: self.cell_error(row, column, problem))
+                break
         return values
 
     def where(self, column: str, bad: np.ndarray, problem: Callable[[int], str]) -> None:
@@ -214,15 +281,20 @@ class _Columns:
     def positive(self, column: str, values: np.ndarray) -> None:
         self.where(column, values <= 0.0, lambda row: f"must be positive, got {float(values[row])}")
 
-    def unique(self, keys: list, make_error: Callable[[int], InputError]) -> None:
-        """Note the first row whose key an earlier row has."""
-        if len(set(keys)) != len(keys):
-            seen = set()
+    def unique(self, keys: list, make_error: Callable[[int], InputError],
+               earlier: frozenset | set = frozenset()) -> None:
+        """Note the first row whose key an earlier row, or the set ``earlier``, has."""
+        if len(set(keys)) != len(keys) or not earlier.isdisjoint(keys):
+            seen = set(earlier)
             for row, key in enumerate(keys):
                 if key in seen:
                     self.note(row, lambda: make_error(row))
                     return
                 seen.add(key)
+
+    def clean_rows(self) -> int:
+        """The number of rows before the first noted error."""
+        return self.n if self._first is None else self._first[0]
 
     def convention(self, convention: str) -> None:
         """Note an unknown coordinate convention, as first met on the first row."""
@@ -231,44 +303,21 @@ class _Columns:
                 f"unknown coordinate convention {convention!r}; use lps or ras"))
 
     def done(self) -> None:
-        """Raise the first noted error, else the error of a row too long."""
+        """Raise the first noted error, else the error of the row that stopped
+        the reading."""
         if self._first is not None:
             raise self._first[1]()
-        if self._long_row is not None:
-            raise self.error(self._long_row, "more cells than header columns")
+        if self._stop is not None:
+            row, problem = self._stop
+            raise self.error(row, problem)  # line() raises the error of an unreadable row
 
-    # -- cells one at a time, for the readers that check row by row
-
-    def rows(self, columns: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
-        return enumerate(zip(*(self.raw(c) for c in columns)))
-
-    def text_cell(self, row: int, column: str, cell: str) -> str:
-        text = cell.strip()
-        if not text:
-            raise self.cell_error(row, column, "is empty")
-        return text
-
-    def number_cell(self, row: int, column: str, cell: str,
-                    required: bool = True) -> float | None:
-        value = _float_or_nan(cell)
-        if math.isfinite(value):
-            return value
-        problem = _number_problem(cell, required)
-        if problem is not None:
-            raise self.cell_error(row, column, problem)
-        return None
-
-    def integer_cell(self, row: int, column: str, cell: str,
-                     required: bool = True) -> int | None:
-        text = cell.strip()
-        if not text:
-            if required:
-                raise self.cell_error(row, column, "is empty")
-            return None
-        try:
-            return int(text)
-        except ValueError:
-            raise self.cell_error(row, column, f"is not an integer: {text!r}") from None
+def _readable_rows(reader: Iterator[list[str]], failed: list[csv.Error]) -> Iterator[list[str]]:
+    """The rows of ``reader`` up to one it cannot read; ``failed`` then holds
+    the error."""
+    try:
+        yield from reader
+    except csv.Error as err:
+        failed.append(err)
 
 
 def _even_rows(data: list[list[str]], width: int) -> tuple[list[list[str]], int | None]:
@@ -291,6 +340,13 @@ def _float_or_nan(cell: str) -> float:
         return float(cell)  # float() ignores surrounding whitespace itself
     except ValueError:
         return math.nan
+
+
+def _int_or_none(cell: str) -> int | None:
+    try:
+        return int(cell.strip())  # str.strip() also drops the separators \x1c-\x1f, int() does not
+    except ValueError:
+        return None
 
 
 def _number_problem(cell: str, required: bool) -> str | None:
@@ -357,12 +413,30 @@ def _to_lps(xyz: np.ndarray, convention: str) -> np.ndarray:
     return xyz
 
 
-def _cadx_scores(p_luna: float, p_dlcs: float) -> CadxScores:
-    """Scores from checked cells, set without ``CadxScores.__post_init__``."""
-    scores = object.__new__(CadxScores)
-    object.__setattr__(scores, "p_luna", p_luna)
-    object.__setattr__(scores, "p_dlcs", p_dlcs)
-    return scores
+class CadxScoreTable(Mapping[tuple[str, str, str], CadxScores]):
+    """Classifier scores by ``(scan_id, model, candidate_id)``, read-only. The
+    ``CadxScores`` of a key is built from its checked row when looked up,
+    without ``CadxScores.__post_init__``."""
+
+    def __init__(self, keys: list[tuple[str, str, str]], p_luna: np.ndarray,
+                 p_dlcs: np.ndarray):
+        self._row = dict(zip(keys, range(len(keys))))
+        # float64 arrays rather than lists: no two float objects per row on the heap
+        self._p_luna = p_luna
+        self._p_dlcs = p_dlcs
+
+    def __getitem__(self, key: tuple[str, str, str]) -> CadxScores:
+        row = self._row[key]
+        scores = object.__new__(CadxScores)
+        object.__setattr__(scores, "p_luna", self._p_luna.item(row))
+        object.__setattr__(scores, "p_dlcs", self._p_dlcs.item(row))
+        return scores
+
+    def __iter__(self) -> Iterator[tuple[str, str, str]]:
+        return iter(self._row)
+
+    def __len__(self) -> int:
+        return len(self._row)
 
 
 def read_candidates(
@@ -393,55 +467,54 @@ def read_candidates(
 
 
 def read_references(path: str | Path, convention: str = "lps") -> list[ReferenceNodule]:
-    """Reference nodules. The cells are converted here; ``ReferenceNodule`` and
-    ``SemanticRatings`` check the values, and their errors gain file and line."""
+    """Reference nodules. The cells are converted a column at a time; then
+    ``SemanticRatings`` and ``ReferenceNodule`` check the values of each row,
+    and their errors gain file and line."""
     path = Path(path)
-    out = []
-    seen = set()
     columns = _Columns(path, REFERENCE_COLUMNS)
-    ratings_at = [(display, field) for display, field in RATING_COLUMN_FIELDS.items()
-                  if columns.has(display)]
-    for row, cells in columns.rows(REFERENCE_COLUMNS + tuple(d for d, _ in ratings_at)):
-        cell = dict(zip(REFERENCE_COLUMNS, cells))
-        x = columns.number_cell(row, "x_mm", cell["x_mm"])
-        y = columns.number_cell(row, "y_mm", cell["y_mm"])
-        z = columns.number_cell(row, "z_mm", cell["z_mm"])
-        rating_values = {}
-        for (display, field), text in zip(ratings_at, cells[len(REFERENCE_COLUMNS):]):
-            parse = columns.number_cell if field == "diameter_rad_mm" else columns.integer_cell
-            rating_values[field] = parse(row, display, text, required=False)
-        scan_id = columns.text_cell(row, "scan_id", cell["scan_id"])
-        nodule_id = columns.text_cell(row, "nodule_id", cell["nodule_id"])
-        diameter = columns.number_cell(row, "diameter_mm", cell["diameter_mm"])
-        reviewers = columns.integer_cell(row, "reviewers", cell["reviewers"], required=False)
-        votes = columns.integer_cell(row, "positive_votes", cell["positive_votes"],
-                                     required=False)
+    x = columns.number("x_mm").tolist()
+    y = columns.number("y_mm").tolist()
+    z = columns.number("z_mm").tolist()
+    ratings = {
+        field: (list(map(nan_to_none, columns.number(display, required=False).tolist()))
+                if field == "diameter_rad_mm" else columns.integer(display, required=False))
+        for display, field in RATING_COLUMN_FIELDS.items() if columns.has(display)
+    }
+    scan_id = columns.text("scan_id")
+    nodule_id = columns.text("nodule_id")
+    diameter = columns.number("diameter_mm").tolist()
+    reviewers = columns.integer("reviewers", required=False)
+    votes = columns.integer("positive_votes", required=False)
+    diagnosis = [cell.strip() or "unknown" for cell in columns.raw("diagnosis")]
+    lungrads = [cell.strip() or None for cell in columns.raw("lungrads")]
+    out = []
+    rating_rows = zip(*ratings.values()) if ratings else itertools.repeat(())
+    for row, rating_values in zip(range(columns.clean_rows()), rating_rows):
+        rated = rating_values.count(None) < len(rating_values)
         try:
-            ratings = SemanticRatings(**rating_values) if any(
-                v is not None for v in rating_values.values()
-            ) else None
-            ref = ReferenceNodule(
-                scan_id=scan_id,
-                nodule_id=nodule_id,
-                center=unchecked_point(*convert_to_lps(x, y, z, convention)),
-                diameter_mm=diameter,
-                diagnosis=cell["diagnosis"].strip() or "unknown",
-                lungrads=cell["lungrads"].strip() or None,
-                reviewers=reviewers,
-                positive_votes=votes,
-                ratings=ratings,
-            )
+            rating = SemanticRatings(**dict(zip(ratings, rating_values))) if rated else None
+            out.append(ReferenceNodule(
+                scan_id=scan_id[row],
+                nodule_id=nodule_id[row],
+                center=unchecked_point(*convert_to_lps(x[row], y[row], z[row], convention)),
+                diameter_mm=diameter[row],
+                diagnosis=diagnosis[row],
+                lungrads=lungrads[row],
+                reviewers=reviewers[row],
+                positive_votes=votes[row],
+                ratings=rating,
+            ))
         except InputError as err:
-            raise columns.error(row, str(err)) from None
-        if ref.key in seen:
-            raise columns.error(row, f"duplicate nodule_id {nodule_id!r} on scan {scan_id!r}")
-        seen.add(ref.key)
-        out.append(ref)
+            message = str(err)
+            columns.note(row, lambda: columns.error(row, message))
+            break
+    columns.unique(list(zip(scan_id, nodule_id)), lambda row: columns.error(
+        row, f"duplicate nodule_id {nodule_id[row]!r} on scan {scan_id[row]!r}"))
     columns.done()
     return out
 
 
-def read_cadx_scores(path: str | Path) -> dict[tuple[str, str, str], CadxScores]:
+def read_cadx_scores(path: str | Path) -> CadxScoreTable:
     path = Path(path)
     columns = _Columns(path, CADX_SCORE_COLUMNS)
     keys = list(zip(columns.text("scan_id"), columns.text("model"),
@@ -453,7 +526,7 @@ def read_cadx_scores(path: str | Path) -> dict[tuple[str, str, str], CadxScores]
     columns.unit_interval("p_luna", p_luna)
     columns.unit_interval("p_dlcs", p_dlcs)
     columns.done()
-    return dict(zip(keys, map(_cadx_scores, p_luna.tolist(), p_dlcs.tolist())))
+    return CadxScoreTable(keys, p_luna, p_dlcs)
 
 
 def read_labeled_scores(path: str | Path) -> tuple[list[float], list[str]]:
@@ -525,28 +598,31 @@ def read_fused(path: str | Path, convention: str = "lps") -> CandidateTable:
 
 
 def read_match_files(paths: Sequence[str | Path]) -> dict[str, dict[tuple[str, str], float | None]]:
-    """Read per-model match files; returns model -> {(scan, nodule): score|None}."""
+    """Read per-model match files; returns model -> {(scan, nodule): score|None}.
+    A (scan, nodule) key appears once per model, across all the files."""
     out: dict[str, dict[tuple[str, str], float | None]] = {}
+    seen: set[tuple[str, str, str]] = set()
     for path in paths:
         path = Path(path)
         columns = _Columns(path, MATCH_COLUMNS)
-        for row, (scan_id, nodule_id, detected, score, model) in columns.rows(MATCH_COLUMNS):
-            model = columns.text_cell(row, "model", model)
-            key = (
-                columns.text_cell(row, "scan_id", scan_id),
-                columns.text_cell(row, "nodule_id", nodule_id),
-            )
-            detected = columns.integer_cell(row, "detected", detected)
-            if detected not in (0, 1):
-                raise columns.cell_error(row, "detected", "must be 0 or 1")
-            score = columns.number_cell(row, "score", score, required=False)
-            if detected == 1 and score is None:
-                raise columns.error(row, "detected row without a score")
-            table = out.setdefault(model, {})
-            if key in table:
-                raise columns.error(row, f"duplicate match entry for {key}")
-            table[key] = score if detected == 1 else None
+        model = columns.text("model")
+        scan_id = columns.text("scan_id")
+        nodule_id = columns.text("nodule_id")
+        detected = columns.integer("detected")
+        columns.where("detected", np.array([d not in (0, 1, None) for d in detected], dtype=bool),
+                      lambda row: "must be 0 or 1")
+        score = columns.number("score", required=False)
+        without = np.flatnonzero(np.array([d == 1 for d in detected], dtype=bool) & np.isnan(score))
+        if without.size:
+            row = int(without[0])
+            columns.note(row, lambda: columns.error(row, "detected row without a score"))
+        keys = list(zip(model, scan_id, nodule_id))
+        columns.unique(keys, lambda row: columns.error(
+            row, f"duplicate match entry for {keys[row][1:]}"), seen)
         columns.done()
+        seen.update(keys)
+        for m, scan, nodule, d, value in zip(model, scan_id, nodule_id, detected, score.tolist()):
+            out.setdefault(m, {})[(scan, nodule)] = value if d == 1 else None
     return out
 
 

@@ -532,7 +532,7 @@ class FileCadxProvider:
     """
 
     def __init__(self, scores: Mapping[tuple[str, str, str], CadxScores]):
-        self._scores = dict(scores)
+        self._scores = scores
 
     def __call__(self, candidate: CandidateDetection) -> CadxScores:
         try:

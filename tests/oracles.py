@@ -687,13 +687,13 @@ def _csv_table(path: Path, required: Sequence[str]):
     raw cells, padded with empty strings to the header's width. Blank lines
     and ``#`` comment lines are skipped, a leading UTF-8 byte-order mark (as
     spreadsheet exports write) is dropped, and a row with more cells than the
-    header is an error.
+    header is an error, as is a line ``csv.reader`` cannot read.
     """
     if not path.exists():
         raise InputError(f"{path}: file does not exist")
     last_line = [0]
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(_csv_lines(fh, last_line))
+        reader = _readable(path, csv.reader(_csv_lines(fh, last_line)), last_line)
         header = next(reader, None)
         if header is None:
             raise InputError(f"{path}: missing header row")
@@ -702,6 +702,15 @@ def _csv_table(path: Path, required: Sequence[str]):
             if column not in columns:
                 raise InputError(f"{path}: column {column} missing")
         yield columns, _data_rows(path, reader, last_line, len(header))
+
+
+def _readable(path: Path, reader, last_line: list[int]) -> Iterator[list[str]]:
+    """The rows of ``reader``; a ``csv.Error`` becomes an ``InputError`` naming
+    the physical line it is raised on."""
+    try:
+        yield from reader
+    except csv.Error as err:
+        raise InputError(f"{path}:{last_line[0]}: {err}") from None
 
 
 def _data_rows(path: Path, reader, last_line: list[int], width: int
@@ -714,6 +723,15 @@ def _data_rows(path: Path, reader, last_line: list[int], width: int
                 raise InputError(f"{path}:{last_line[0]}: more cells than header columns")
             cells += [""] * (width - len(cells))
         yield last_line[0], cells
+
+
+def oracle_row_columns(path: str | Path) -> dict[str, list[str]]:
+    """The raw cells of every column (the last one of a repeated name), read
+    row by row."""
+    path = Path(path)
+    with _csv_table(path, ()) as (columns, rows):
+        cells = [row for _, row in rows]
+    return {name: [row[i] for row in cells] for name, i in columns.items()}
 
 
 def _cell_error(path: Path, line: int, column: str, problem: str) -> InputError:

@@ -7,6 +7,7 @@ import warnings
 import weakref
 
 import numpy as np
+import pytest
 
 from trifuse import cli
 from trifuse.cli import main
@@ -360,6 +361,20 @@ class TestEvalCommand:
                     "--out", tmp_path / "out"])
         assert code == 2
         assert "no reference lesions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_cell_over_the_csv_field_limit_exits_2(self, tmp_path, e2e_inputs, capsys, quoted):
+        cands = tmp_path / "cands.csv"
+        huge = f'"{"c" * 200_000}"' if quoted else "c" * 200_000
+        lines = e2e_inputs["cade_a"].read_text().splitlines(keepends=True)
+        lines.insert(3, f"s1,{huge},1,2,3,,0.5,CADE_A\n")
+        cands.write_text("".join(lines))
+        code = run(["eval", "--candidates", cands, "--references", e2e_inputs["references"],
+                    "--out", tmp_path / "out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cands}:4: field larger than field limit (131072)\n")
+        assert "Traceback" not in err
 
     def test_unwritable_output_exits_2(self, tmp_path, e2e_inputs, capsys):
         taken = tmp_path / "taken"

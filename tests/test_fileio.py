@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from trifuse import fileio
 from trifuse.domain import WorldPoint
 from trifuse.errors import ConfigError, InputError
 from trifuse.froc import match_lesions
-from trifuse.fusion import TIER_BY_STAGE, FusedCandidate
+from trifuse.fusion import TIER_BY_STAGE, CadxScores, FusedCandidate
 
 from conftest import cand, ref
 from oracles import (
@@ -19,6 +20,7 @@ from oracles import (
     oracle_read_labeled_scores,
     oracle_read_match_files,
     oracle_read_references,
+    oracle_row_columns,
     oracle_row_read_cadx_scores,
     oracle_row_read_candidates,
     oracle_row_read_fused,
@@ -186,6 +188,21 @@ class TestCadxScoreReader:
         table = fileio.read_cadx_scores(path)
         assert table[("s1", "CADE_A", "c1")].p_luna == 0.2
 
+    def test_read_only_mapping_in_file_order(self, tmp_path):
+        path = write(
+            tmp_path / "x.csv",
+            "scan_id,model,candidate_id,p_luna,p_dlcs\n"
+            "s2,CADE_B,c9,0.5,1\ns1,CADE_A,c1, 0.25 ,0\n",
+        )
+        table = fileio.read_cadx_scores(path)
+        assert isinstance(table, Mapping) and not hasattr(table, "__setitem__")
+        assert len(table) == 2 and list(table) == [("s2", "CADE_B", "c9"), ("s1", "CADE_A", "c1")]
+        assert table[("s1", "CADE_A", "c1")] == CadxScores(0.25, 0.0)
+        assert ("s1", "CADE_A", "c2") not in table
+        with pytest.raises(KeyError):
+            table[("s1", "CADE_A", "c2")]
+        assert table == oracle_row_read_cadx_scores(path)
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = write(
             tmp_path / "x.csv",
@@ -310,6 +327,20 @@ class TestMatchesCsv:
         assert tables == {"modelX": {("s1", "n1"): 0.9, ("s1", "n2"): None}}
 
 
+    def test_key_repeated_in_a_later_file(self, tmp_path):
+        header = ",".join(fileio.MATCH_COLUMNS) + "\n"
+        first = write(tmp_path / "a.csv", header + "s1,n1,1,0.5,m1\ns1,n2,0,,m1\n")
+        other = write(tmp_path / "b.csv", header + "s1,n1,1,0.25,m2\n")
+        again = write(tmp_path / "c.csv", header + "s1,n3,0,,m1\ns1,n2,1,0.5,m1\n")
+        tables = fileio.read_match_files([first, other])
+        assert tables == {"m1": {("s1", "n1"): 0.5, ("s1", "n2"): None},
+                          "m2": {("s1", "n1"): 0.25}}
+        for read in (fileio.read_match_files, oracle_row_read_match_files):
+            with pytest.raises(InputError) as got:
+                read([first, other, again])
+            assert str(got.value) == f"{again}:3: duplicate match entry for ('s1', 'n2')"
+
+
 class TestReports:
     def test_read_tab_separated(self, tmp_path):
         path = write(tmp_path / "rep.tsv", "r1\ts1\t8 mm nodule\nr2\ts2\ttext\twith\ttabs\n")
@@ -393,31 +424,32 @@ class TestConfigFile:
 # The positional readers against the earlier DictReader-based ones
 
 
-def messy_csv(rng, path, header, rows):
+def messy_csv(rng, path, header, rows, quotes=True, eol="\n"):
     """Write ``rows`` (dicts of cell text) the ways real exports differ.
 
     Columns come in a random order with padded names, sometimes after an
     earlier column of the same name, and with a trailing ``note`` column that
-    some rows fill with a quoted multi-line cell and some leave out along
-    with trailing empty cells (short rows); comment and blank lines sit
-    between rows; the file may start with a byte-order mark and a digest
-    comment. Returns the physical line each row ends on.
+    some rows fill with a quoted multi-line cell (unless ``quotes`` is false)
+    and some leave out along with trailing empty cells (short rows); comment
+    and blank lines sit between rows; the file may start with a byte-order
+    mark and a digest comment. Lines end with ``eol``. Returns the physical
+    line each row ends on.
     """
     columns = [header[i] for i in rng.permutation(len(header))] + ["note"]
     shadowed = str(rng.choice(header)) if rng.random() < 0.3 else None
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    writer = csv.writer(out, lineterminator=eol)
     if rng.random() < 0.5:
-        out.write("# manifest_digest=abc\n")
+        out.write(f"# manifest_digest=abc{eol}")
     names = [f" {c}" if rng.random() < 0.3 else c for c in columns]
     writer.writerow(names if shadowed is None else [shadowed] + names)
     ends = []
     for row in rows:
         if rng.random() < 0.1:
-            out.write("\n" if rng.random() < 0.5 else "# between rows\n")
+            out.write(eol if rng.random() < 0.5 else f"# between rows{eol}")
         cells = [row.get(c, "") for c in columns[:-1]]
         note = rng.random()
-        if note < 0.1:
+        if note < 0.1 and quotes:
             cells.append("two\nlines")
         elif note < 0.6:
             cells.append("n")
@@ -753,6 +785,248 @@ class TestColumnReadersAgainstRowOracle:
         for reader in (fileio.read_candidates, oracle_row_read_candidates):
             with pytest.raises(InputError, match=rf"c\.csv:3: more cells than header columns"):
                 reader(path)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass split of quote-free chunks against csv.reader, row by row
+
+
+def columns_of(path):
+    """The raw cells ``_Columns`` holds, by column name; or its error."""
+    columns = fileio._Columns(path, ())
+    columns.done()
+    return {name: columns.raw(name) for name in columns._index}
+
+
+def pick(rng, values):
+    return values[int(rng.integers(len(values)))]
+
+
+READERS = {
+    "candidates": (fileio.read_candidates, oracle_row_read_candidates),
+    "fused": (fileio.read_fused, oracle_row_read_fused),
+    "cadx": (fileio.read_cadx_scores, oracle_row_read_cadx_scores),
+    "references": (fileio.read_references, oracle_row_read_references),
+    "labeled": (fileio.read_labeled_scores, oracle_row_read_labeled_scores),
+    "matches": (lambda path: fileio.read_match_files([path]),
+                lambda path: oracle_row_read_match_files([path])),
+}
+
+
+def corpus_file(rng, kind, corrupted):
+    """A header and rows of one reader's schema, with bad cells if ``corrupted``."""
+    n = int(rng.integers(1, 25))
+    if kind == "candidates":
+        header, rows, keys = fileio.CANDIDATE_COLUMNS, candidate_rows(rng, n), (
+            "scan_id", "candidate_id", "model")
+    elif kind == "fused":
+        header, rows, keys = fileio.FUSED_COLUMNS, fused_rows_text(rng, n), (
+            "scan_id", "candidate_id", "stage", "provenance")
+    elif kind == "cadx":
+        header, keys = fileio.CADX_SCORE_COLUMNS, ("scan_id", "model", "candidate_id")
+        rows = [{"scan_id": f"scan{rng.integers(3)}", "model": "CADE_B", "candidate_id": f"c{i}",
+                 "p_luna": number_text(rng, float(rng.random())),
+                 "p_dlcs": repr(float(rng.random()))} for i in range(n)]
+    elif kind == "references":
+        ratings = tuple(c for c in RATING_COLUMNS if rng.random() < 0.5)
+        header, rows, keys = (fileio.REFERENCE_COLUMNS + ratings, reference_rows(rng, n, ratings),
+                              ("scan_id", "nodule_id"))
+    elif kind == "labeled":
+        header, keys = fileio.LABELED_SCORE_COLUMNS, ("label",)
+        rows = [{"scan_id": "s", "candidate_id": f"c{i}", "score": number_text(rng, float(i)),
+                 "label": pick(rng, ("cancer", "no-cancer"))} for i in range(n)]
+    else:
+        header, keys = fileio.MATCH_COLUMNS, ("scan_id", "nodule_id", "model")
+        rows = [{"scan_id": f"s{rng.integers(3)}", "nodule_id": f"n{i}",
+                 "detected": pick(rng, ("0", "1", " 1")), "score": pick(rng, ("", "0.5", "1e-3")),
+                 "model": "m"} for i in range(n)]
+    if corrupted:
+        corrupt(rng, rows, header, keys)
+    return header, rows
+
+
+class TestSplitPath:
+    """``_Columns`` splits a chunk on "," only where ``csv.reader`` would read
+    the same cells; every reader's outcome, error or records, and every raw
+    cell must be those of the row-by-row readers."""
+
+    @pytest.mark.parametrize("chunk", [3, fileio._CHUNK_LINES])
+    def test_quote_free_corpus(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(fileio, "_CHUNK_LINES", chunk)
+        rng = np.random.default_rng(71)
+        outcomes = []
+        for k in range(180):
+            kind = list(READERS)[k % len(READERS)]
+            header, rows = corpus_file(rng, kind, corrupted=k % 4 != 0)
+            eol = "\r\n" if k % 5 == 0 else "\n"
+            path = tmp_path / f"{kind}{k}.csv"
+            ends = messy_csv(rng, path, header, rows, quotes=False, eol=eol)
+            if eol == "\n":
+                assert b'"' not in path.read_bytes()
+            if k % 7 == 0:
+                add_long_row(rng, path, ends, len(header))
+            read, oracle = READERS[kind]
+            outcomes.append(same_outcome(lambda: read(path), lambda: oracle(path)))
+            same_outcome(lambda: columns_of(path), lambda: oracle_row_columns(path))
+        assert 0.1 < sum(outcomes) / len(outcomes) < 0.9  # both outcomes occur
+
+    def test_even_quote_free_files_never_reach_csv_reader(self, tmp_path, monkeypatch):
+        def no_csv_reader(*args):
+            raise AssertionError("csv.reader path taken")
+
+        monkeypatch.setattr(fileio, "_CHUNK_LINES", 3)
+        monkeypatch.setattr(fileio._Columns, "_add_rows", no_csv_reader)
+        rows = [f"s{i % 3}, c{i} ,{i}.5,-2,3e1,,0.{i},CADE_A\n" for i in range(10)]
+        rows.insert(4, "# a comment between rows\n")
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (CANDIDATE_HEADER + "".join(rows)).encode())
+        assert fileio.read_candidates(path) == oracle_row_read_candidates(path)
+        path.write_bytes((CANDIDATE_HEADER + "".join(rows)).rstrip("\n").encode())
+        assert fileio.read_candidates(path) == oracle_row_read_candidates(path)
+
+    @pytest.mark.parametrize("late", ["quote", "crlf", "cr"])
+    @pytest.mark.parametrize("at", [7, 8])  # a quoted cell within a chunk, or across two
+    @pytest.mark.parametrize("bad_row", [None, 2, 10])
+    def test_quote_or_carriage_return_after_the_first_chunk(self, tmp_path, monkeypatch,
+                                                            late, at, bad_row):
+        monkeypatch.setattr(fileio, "_CHUNK_LINES", 3)
+        rows = [f"s1,c{i},1,2,3,,0.5,CADE_A\n" for i in range(12)]
+        rows[at] = {"quote": f's1,"c{at},\nspans two lines",1,2,3,,0.5,CADE_A\n',
+                    "crlf": f"s1,c{at},1,2,3,,0.5,CADE_A\r\n",
+                    "cr": f"s1,c{at},1,2,3,,0.5,CADE_A\r"}[late]
+        if bad_row is not None:
+            rows[bad_row] = f"s1,c{bad_row},1,2,oops,,0.5,CADE_A\n"
+        path = tmp_path / "c.csv"
+        path.write_bytes((CANDIDATE_HEADER + "# digest\n" + "".join(rows)).encode())
+        assert same_outcome(lambda: fileio.read_candidates(path),
+                            lambda: oracle_row_read_candidates(path)) == (bad_row is None)
+        assert same_outcome(lambda: columns_of(path), lambda: oracle_row_columns(path))
+
+    @pytest.mark.parametrize("chunk", [3, fileio._CHUNK_LINES])
+    def test_width_one_files_with_blank_lines(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(fileio, "_CHUNK_LINES", chunk)
+        texts = ["label\na\n\nb\n \n# c\n\n", "label\n\n\n\n\n", "label\nx", "\nlabel\nx\n\n",
+                 "label\na\nb\nc\n\nd\n", "label\n\"\"\n\n", "label\na\nb\nc\nd,e\nf\n"]
+        outcomes = []
+        for k, text in enumerate(texts):
+            path = tmp_path / f"w{k}.csv"
+            path.write_bytes(text.encode())
+            outcomes.append(same_outcome(lambda: columns_of(path),
+                                         lambda: oracle_row_columns(path)))
+        assert outcomes.count(False) == 2  # the blank header, and the row "d,e"
+
+    @pytest.mark.parametrize("chunk", [3, fileio._CHUNK_LINES])
+    def test_nul_bytes(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(fileio, "_CHUNK_LINES", chunk)
+        for k, cell in enumerate(["c\0", "\0", "0.5\0"]):
+            rows = [f"s1,c{i},1,2,3,,0.5,CADE_A\n" for i in range(8)]
+            rows[5] = f"s1,{cell},1,2,3,,0.5,CADE_A\n" if k < 2 else f"s1,c5,1,2,3,,{cell},CADE_A\n"
+            path = tmp_path / f"c{k}.csv"
+            path.write_bytes((CANDIDATE_HEADER + "".join(rows)).encode())
+            same_outcome(lambda: fileio.read_candidates(path),
+                         lambda: oracle_row_read_candidates(path))
+            same_outcome(lambda: columns_of(path), lambda: oracle_row_columns(path))
+
+    @pytest.mark.parametrize("chunk", [3, 4, fileio._CHUNK_LINES])
+    def test_short_long_and_blank_rows_inside_a_chunk(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(fileio, "_CHUNK_LINES", chunk)
+        rng = np.random.default_rng(73)
+        header = "scan_id,candidate_id,x_mm,y_mm,z_mm,score,model,diameter_mm\n"
+        odd = ["\n", "\n", "s9,c99,1,2,3,0.5,CADE_A\n", "s9,c95,1,2,3,0.5,CADE_A,\n", " \n",
+               "s9,c98,1,2,3\n", "s9,c97,1,2,3,0.5,CADE_A,4,surplus\n",
+               "s9,c96,1,2,3,0.5,CADE_A,4,\n", ",,,,,,,\n"]
+        outcomes = []
+        for k in range(60):
+            rows = [f"s{i % 3},c{i},1,2,3,0.5,CADE_A,{i + 1}\n"
+                    for i in range(int(rng.integers(1, 14)))]
+            for _ in range(int(rng.integers(1, 3))):
+                rows.insert(int(rng.integers(len(rows) + 1)), pick(rng, odd))
+            path = tmp_path / f"c{k}.csv"
+            path.write_bytes((header + "".join(rows)).encode())
+            outcomes.append(same_outcome(lambda: fileio.read_candidates(path),
+                                         lambda: oracle_row_read_candidates(path)))
+            same_outcome(lambda: columns_of(path), lambda: oracle_row_columns(path))
+        assert 0.1 < sum(outcomes) / len(outcomes) < 0.9  # both outcomes occur
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_cells_over_the_field_size_limit(self, tmp_path, monkeypatch, quoted):
+        monkeypatch.setattr(fileio, "_CHUNK_LINES", 3)
+        limit = csv.field_size_limit()
+        csv.field_size_limit(40)
+        try:
+            for size in (39, 40, 41, 90):
+                for bad_row in (None, 1, 6):
+                    rows = [f"s1,c{i},1,2,3,,0.5,CADE_A\n" for i in range(9)]
+                    cell = f'"{"c" * size}"' if quoted else "c" * size
+                    rows[4] = f"s1,{cell},1,2,3,,0.5,CADE_A\n"
+                    if bad_row is not None:
+                        rows[bad_row] = "s1,x,1,2,3,,1.5,CADE_A\n"
+                    path = tmp_path / "c.csv"
+                    path.write_bytes((CANDIDATE_HEADER + "# digest\n" + "".join(rows)).encode())
+                    read = lambda: fileio.read_candidates(path)  # noqa: E731
+                    if size > 40 and bad_row != 1:
+                        with pytest.raises(InputError) as got:
+                            read()
+                        assert str(got.value) == f"{path}:7: field larger than field limit (40)"
+                    assert same_outcome(read, lambda: oracle_row_read_candidates(path)) == (
+                        size <= 40 and bad_row is None)
+                    same_outcome(lambda: columns_of(path), lambda: oracle_row_columns(path))
+            path.write_bytes(("# digest\n" + "h" * 41 + "," + CANDIDATE_HEADER).encode())
+            with pytest.raises(InputError) as got:
+                fileio.read_candidates(path)
+            assert str(got.value) == f"{path}:2: field larger than field limit (40)"
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_reference_and_match_errors_in_row_order(self, tmp_path):
+        rng = np.random.default_rng(75)
+        outcomes = []
+        for k in range(120):
+            ratings = tuple(c for c in RATING_COLUMNS if rng.random() < 0.6)
+            rows = reference_rows(rng, int(rng.integers(1, 12)), ratings)
+            for _ in range(int(rng.integers(0, 4))):
+                row = pick(rng, rows)
+                spoil = int(rng.integers(5))
+                if spoil == 0 and ratings:
+                    row[pick(rng, ratings)] = pick(
+                        rng, ("0", "9", "-1", "x", "2.5", " ", "1e3", "\x1f2"))
+                elif spoil == 1:
+                    row["reviewers"], row["positive_votes"] = pick(
+                        rng, (("2", "3"), ("", "1"), ("0", ""), ("x", "1"), ("3", " 2 ")))
+                elif spoil == 2:
+                    row["diagnosis"], row["lungrads"] = pick(
+                        rng, (("weird", ""), (" cancer ", "4X"), ("benign", "9Z")))
+                elif spoil == 3:
+                    row["diameter_mm"] = pick(rng, ("0", "-3", "", "x"))
+                else:
+                    row["scan_id"], row["nodule_id"] = rows[0]["scan_id"], rows[0]["nodule_id"]
+            path = tmp_path / f"r{k}.csv"
+            messy_csv(rng, path, fileio.REFERENCE_COLUMNS + ratings, rows, quotes=bool(k % 2))
+            convention = "xyz" if k % 10 == 0 else pick(rng, ("lps", "ras"))
+            outcomes.append(same_outcome(lambda: fileio.read_references(path, convention),
+                                         lambda: oracle_row_read_references(path, convention)))
+        assert 0.1 < sum(outcomes) / len(outcomes) < 0.9  # both outcomes occur
+        outcomes = []
+        for k in range(80):
+            paths = []
+            for j in range(int(rng.integers(1, 4))):
+                rows = [{"scan_id": f"s{rng.integers(2)}",
+                         "nodule_id": f"n{i}" if rng.random() < 0.2 else f"n{j}.{i}",
+                         "detected": pick(rng, ("0", "1", " 1 ")),
+                         "score": pick(rng, ("0.5", " 0.25", "1e-3", "")),
+                         "model": pick(rng, ("m1", "m2"))} for i in range(int(rng.integers(1, 10)))]
+                for row in rows:
+                    if row["detected"].strip() == "1" and not row["score"]:
+                        row["score"] = "0.75"
+                if rng.random() < 0.5:
+                    row = pick(rng, rows)
+                    column = pick(rng, fileio.MATCH_COLUMNS)
+                    row[column] = pick(rng, ("", " ", "2", "-1", "x", "nan", "inf", "0"))
+                paths.append(tmp_path / f"m{k}.{j}.csv")
+                messy_csv(rng, paths[-1], fileio.MATCH_COLUMNS, rows, quotes=bool(k % 2))
+            outcomes.append(same_outcome(lambda: fileio.read_match_files(paths),
+                                         lambda: oracle_row_read_match_files(paths)))
+        assert 0.1 < sum(outcomes) / len(outcomes) < 0.9  # both outcomes occur
 
 
 class TestWriteCsv:
