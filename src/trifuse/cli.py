@@ -15,10 +15,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from . import fileio
-from .domain import SOURCE_MODEL_A, SOURCE_MODEL_B, PipelineConfig, TableRows
+from .domain import SOURCE_MODEL_A, SOURCE_MODEL_B, PipelineConfig
 from .errors import ConfigError, InputError, InvariantError, ScorerError
 from .froc import (
     STRATIFIERS,
@@ -440,16 +438,14 @@ def cmd_link(opts: _Options) -> int:
     # linkage is scoped to scans that have a report; candidates on scans
     # never mentioned in any report stay out of the match table
     matches = []
-    no_rows = np.zeros(0, dtype=np.intp)
     for scan_id in sorted(entities_by_scan):
-        rows = TableRows(fused, fused.by_scan.get(scan_id, no_rows))
+        rows = fused.take(fused.by_scan.get(scan_id, []))
         lobes = None
         if mask_loader is not None and len(rows):
             mask = mask_loader(scan_id)
             lobes = [lobe_of_candidate(record, mask) for record in rows]
-        candidates = LinkColumns([scan_id] * len(rows), rows.column("candidate_id"),
-                                 rows.column("tier"), rows.column("score"),
-                                 rows.column("diameter_mm"), lobes)
+        candidates = LinkColumns(rows.scan_id, rows.candidate_id, rows.tier, rows.score,
+                                 rows.diameter_mm, lobes)
         matches.extend(
             match_entities(
                 entities_by_scan[scan_id], candidates,

@@ -258,7 +258,17 @@ class CandidateTable(RecordSequence):
 
     @classmethod
     def from_records(cls, records: Iterable[CandidateDetection]) -> "CandidateTable":
+        """The table of API records, which must not repeat a (scan, model,
+        candidate id) key; the readers reject repeated keys themselves."""
         records = list(records)
+        seen: set[tuple[str, str, str]] = set()
+        for c in records:
+            if c.key in seen:
+                raise InputError(
+                    f"duplicate candidate {c.candidate_id!r} for model {c.source_model!r} "
+                    f"on scan {c.scan_id!r}"
+                )
+            seen.add(c.key)
         return cls(
             [c.scan_id for c in records],
             [c.candidate_id for c in records],
@@ -301,7 +311,12 @@ class CandidateTable(RecordSequence):
     def of_scans(self, scan_ids: Iterable[str]) -> "CandidateTable":
         """The table of the rows on the given scans, in file order."""
         groups = [self.by_scan[s] for s in scan_ids if s in self.by_scan]
-        rows = np.sort(np.concatenate(groups)) if groups else np.zeros(0, dtype=np.intp)
+        return self.take(np.sort(np.concatenate(groups)) if groups else [])
+
+    def take(self, rows: Sequence[int]) -> "CandidateTable":
+        """The table of the given rows, in the given order: every column, and
+        the ``qualified_id`` list when this table has computed it."""
+        rows = np.asarray(rows, dtype=np.intp)
         index = rows.tolist()
 
         def pick(column):
@@ -310,11 +325,13 @@ class CandidateTable(RecordSequence):
         def pick_array(column):
             return None if column is None else column[rows]
 
-        return CandidateTable(
+        table = CandidateTable(
             pick(self.scan_id), pick(self.candidate_id), pick(self.model), self.xyz[rows],
             self.diameter_mm[rows], self.score[rows], pick_array(self.tier), pick(self.stage),
             pick_array(self.cadx_avg), pick(self.provenance),
         )
+        table._qualified_id = pick(self._qualified_id)
+        return table
 
     def records(self, rows: Iterable[int]) -> list:
         """The records of the given rows, in the given order."""
@@ -350,50 +367,6 @@ class CandidateTable(RecordSequence):
 
     def __iter__(self):
         return iter(self.records(range(len(self))))
-
-
-class TableRows(RecordSequence):
-    """Some rows of a ``CandidateTable`` in a given order, as row indices into
-    its columns, which are not copied. Like the table, the view reads as its
-    records, built only when asked."""
-
-    def __init__(self, table: CandidateTable, rows: np.ndarray):
-        self.table = table
-        self.rows = rows
-        self._index: list[int] | None = None
-
-    @classmethod
-    def of(cls, candidates: Iterable[CandidateDetection]) -> "TableRows":
-        """``candidates`` if it is a view, else every row of
-        ``CandidateTable.of(candidates)``."""
-        if isinstance(candidates, TableRows):
-            return candidates
-        table = CandidateTable.of(candidates)
-        return cls(table, np.arange(len(table), dtype=np.intp))
-
-    def take(self, positions: Sequence[int]) -> "TableRows":
-        """The view of the rows at the given positions of this one."""
-        return TableRows(self.table, self.rows[np.asarray(positions, dtype=np.intp)])
-
-    def column(self, name: str):
-        """A column at these rows: a list for a column of text, else an array."""
-        values = getattr(self.table, name)
-        if not isinstance(values, list):
-            return values[self.rows]
-        if self._index is None:
-            self._index = self.rows.tolist()
-        return [values[i] for i in self._index]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.table.records(self.rows[index])
-        return self.table.records(self.rows[[index]])[0]
-
-    def __iter__(self):
-        return iter(self.table.records(self.rows))
 
 
 @dataclass(frozen=True)

@@ -85,23 +85,6 @@ class LesionMatchResult:
 _NO_ROWS = np.zeros(0, dtype=np.intp)
 
 
-def _candidate_table(candidates: Iterable[CandidateDetection]) -> CandidateTable:
-    """A table as given, or the table of API records, which must not repeat a
-    (scan, model, candidate id) key. Readers reject repeated keys themselves."""
-    if isinstance(candidates, CandidateTable):
-        return candidates
-    records = list(candidates)
-    seen: set[tuple[str, str, str]] = set()
-    for c in records:
-        if c.key in seen:
-            raise InputError(
-                f"duplicate candidate {c.candidate_id!r} for model {c.source_model!r} "
-                f"on scan {c.scan_id!r}"
-            )
-        seen.add(c.key)
-    return CandidateTable.from_records(records)
-
-
 def _score_order(table: CandidateTable, scans: list[str]) -> tuple[np.ndarray, list[int]]:
     """Rows grouped by scan in the order of ``scans``, each scan's rows by
     (score descending, candidate id, model); and where each scan's rows end."""
@@ -142,7 +125,7 @@ def match_lesions(
     one squared-distance array and each is confirmed with the scalar distance
     and ``match_tolerance``; a candidate with no such pair is a false positive.
     """
-    table = _candidate_table(candidates)
+    table = CandidateTable.of(candidates)
 
     by_scan_r: dict[str, list[ReferenceNodule]] = {}
     seen_refs: set[tuple[str, str]] = set()
@@ -557,7 +540,7 @@ def stratified_eval(
     """
     if isinstance(stratify, str) and stratify.startswith("size"):
         stratify = resolve_stratifier(stratify)
-    candidates = _candidate_table(candidates)
+    candidates = CandidateTable.of(candidates)
     references = list(references)
     overall = evaluate(candidates, references, ci=ci, resamples=resamples, seed=seed, rates=rates)
 

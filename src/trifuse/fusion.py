@@ -31,7 +31,6 @@ from .domain import (
     CandidateTable,
     PipelineConfig,
     RecordSequence,
-    TableRows,
     WorldPoint,
     distance_mm,
     match_tolerance,
@@ -86,11 +85,6 @@ class ConsensusPair:
             raise InputError("consensus pair members must share a scan")
         if self.member_a.source_model == self.member_b.source_model:
             raise InputError("consensus pair members must come from different detectors")
-
-    @property
-    def merged_diameter_mm(self) -> float | None:
-        a, b = self.member_a, self.member_b
-        return _merge_diameters(a.score, a.diameter_mm, b.score, b.diameter_mm)
 
 
 @dataclass(frozen=True)
@@ -230,38 +224,31 @@ def _near_pairs(a: np.ndarray, b: np.ndarray, radius_mm: float) -> tuple[np.ndar
     return np.nonzero(may_lie_within(a.T[:, :, None], b.T[:, None, :], radius_mm))
 
 
-def _rows(candidates: Iterable[CandidateDetection]) -> tuple[TableRows, bool]:
-    """``candidates`` as table rows, and whether they came as records, which
-    the caller then gets back as records."""
-    return TableRows.of(candidates), not isinstance(candidates, (CandidateTable, TableRows))
-
-
-def _require_single_scan(*views: TableRows) -> str | None:
-    scan_ids = {scan_id for view in views for scan_id in view.column("scan_id")}
+def _require_single_scan(*tables: CandidateTable) -> str | None:
+    scan_ids = {scan_id for table in tables for scan_id in table.scan_id}
     if len(scan_ids) > 1:
         raise InputError(f"candidates span multiple scans: {sorted(scan_ids)}")
     return next(iter(scan_ids)) if scan_ids else None
 
 
 def suppress_same_model_duplicates(
-    candidates: list[CandidateDetection], radius_mm: float
-) -> tuple[list[CandidateDetection], dict[str, str]]:
+    candidates: Iterable[CandidateDetection], radius_mm: float
+) -> tuple[CandidateTable, dict[str, str]]:
     """Keep only the best-scored candidate among same-model near-duplicates.
 
     Candidates are visited best score first (ties by candidate id); each one
     is absorbed by the first earlier survivor within ``radius_mm`` (scalar
-    distance, after the prefilter), or survives. Returns the survivors
+    distance, after the prefilter), or survives. ``candidates`` are records
+    or a ``CandidateTable``. Returns the table of the survivors
     (score-descending) and a map from each suppressed candidate's qualified
-    id to its survivor's qualified id. ``candidates`` are records, a
-    ``CandidateTable`` or ``TableRows``; survivors of records are records,
-    otherwise the ``TableRows`` of their rows.
+    id to its survivor's qualified id.
     """
-    view, as_records = _rows(candidates)
-    ids = view.column("candidate_id")
+    table = CandidateTable.of(candidates)
+    ids = table.candidate_id
     id_rank = np.empty(len(ids), dtype=np.intp)  # orders like the ids, ties in list order
     id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    order = np.lexsort((id_rank, -view.column("score")))
-    xyz = view.table.xyz[view.rows[order]]
+    order = np.lexsort((id_rank, -table.score))
+    xyz = table.xyz[order]
     rows, cols = _near_pairs(xyz, xyz, radius_mm)
     earlier = np.flatnonzero(cols < rows)
     # row-major pairs: each candidate meets the earlier ones in visit order,
@@ -274,17 +261,17 @@ def suppress_same_model_duplicates(
             if i not in survivor_of and j not in survivor_of and distance_mm(*p, *q) <= radius_mm:
                 survivor_of[i] = j
     order = order.tolist()
-    qualified = view.column("qualified_id") if survivor_of else []
+    qualified = table.qualified_id if survivor_of else []
     absorbed = {qualified[order[i]]: qualified[order[j]] for i, j in survivor_of.items()}
-    survivors = view.take([k for i, k in enumerate(order) if i not in survivor_of])
-    return (list(survivors) if as_records else survivors), absorbed
+    return table.take([k for i, k in enumerate(order) if i not in survivor_of]), absorbed
 
 
 class ConsensusPairs(RecordSequence):
-    """Committed consensus pairs as the member rows of both lists, position
-    by position; reads as ``ConsensusPair`` records, built only when asked."""
+    """Committed consensus pairs as the tables of their members from both
+    lists, position by position; reads as ``ConsensusPair`` records, built
+    only when asked."""
 
-    def __init__(self, members_a: TableRows, members_b: TableRows):
+    def __init__(self, members_a: CandidateTable, members_b: CandidateTable):
         self.members_a = members_a
         self.members_b = members_b
 
@@ -303,10 +290,10 @@ class ConsensusPairs(RecordSequence):
 
 
 def cross_detector_consensus(
-    list_a: list[CandidateDetection],
-    list_b: list[CandidateDetection],
+    list_a: Iterable[CandidateDetection],
+    list_b: Iterable[CandidateDetection],
     cfg: PipelineConfig | None = None,
-) -> tuple[list[ConsensusPair], list[CandidateDetection]]:
+) -> tuple[ConsensusPairs, list[CandidateDetection]]:
     """Pair candidates proposed by both detectors on one scan.
 
     A pair is admissible when the centroid distance satisfies the consensus
@@ -317,34 +304,31 @@ def cross_detector_consensus(
     distance array, then each is tested with the scalar distance and its own
     radius, so the result is that of testing every pair.
 
-    The lists are records, ``CandidateTable``s or ``TableRows``. For two
-    lists of records the pairs are a list of records; otherwise they are
-    ``ConsensusPairs``, which hold the members' rows. Disagreements are
-    always records.
+    The lists are records or ``CandidateTable``s. The pairs come as
+    ``ConsensusPairs``, which hold the tables of their members;
+    disagreements are records.
     """
     cfg = cfg or PipelineConfig()
-    (view_a, as_records_a), (view_b, as_records_b) = _rows(list_a), _rows(list_b)
-    _require_single_scan(view_a, view_b)
-    models_a = set(view_a.column("model"))
-    models_b = set(view_b.column("model"))
+    table_a, table_b = CandidateTable.of(list_a), CandidateTable.of(list_b)
+    _require_single_scan(table_a, table_b)
+    models_a = set(table_a.model)
+    models_b = set(table_b.model)
     if len(models_a) > 1 or len(models_b) > 1:
         raise InputError("each detector list must come from a single source model")
     if models_a and models_b and models_a == models_b:
         raise InputError("detector lists must come from different source models")
 
-    xyz_a, xyz_b = view_a.column("xyz"), view_b.column("xyz")
-    near_a, near_b = _near_pairs(xyz_a, xyz_b, _max_consensus_radius_mm(cfg))
+    near_a, near_b = _near_pairs(table_a.xyz, table_b.xyz, _max_consensus_radius_mm(cfg))
     admitted = [
         k for k, (p, q, da, db) in enumerate(zip(
-            xyz_a[near_a].tolist(), xyz_b[near_b].tolist(),
-            view_a.column("diameter_mm")[near_a].tolist(),
-            view_b.column("diameter_mm")[near_b].tolist()))
+            table_a.xyz[near_a].tolist(), table_b.xyz[near_b].tolist(),
+            table_a.diameter_mm[near_a].tolist(), table_b.diameter_mm[near_b].tolist()))
         if distance_mm(*p, *q) <= _pair_radius_mm(nan_to_none(da), nan_to_none(db), cfg)
     ]
-    ids_a, ids_b = view_a.column("candidate_id"), view_b.column("candidate_id")
+    ids_a, ids_b = table_a.candidate_id, table_b.candidate_id
     admissible = list(zip(near_a[admitted].tolist(), near_b[admitted].tolist(),
-                          (view_a.column("score")[near_a[admitted]]
-                           + view_b.column("score")[near_b[admitted]]).tolist()))
+                          (table_a.score[near_a[admitted]]
+                           + table_b.score[near_b[admitted]]).tolist()))
     admissible.sort(key=lambda ijs: (-ijs[2], ids_a[ijs[0]], ids_b[ijs[1]]))
 
     used_a: set[str] = set()
@@ -358,16 +342,16 @@ def cross_detector_consensus(
         used_b.add(ids_b[j])
         paired_a.append(i)
         paired_b.append(j)
-    pairs = ConsensusPairs(view_a.take(paired_a), view_b.take(paired_b))
+    pairs = ConsensusPairs(table_a.take(paired_a), table_b.take(paired_b))
 
-    def unpaired(view: TableRows, ids: list[str], used: set[str]) -> list[CandidateDetection]:
-        return list(view.take(sorted((k for k, c in enumerate(ids) if c not in used),
-                                     key=ids.__getitem__)))
+    def unpaired(table: CandidateTable, ids: list[str], used: set[str]) -> list[CandidateDetection]:
+        return table.records(sorted((k for k, c in enumerate(ids) if c not in used),
+                                    key=ids.__getitem__))
 
-    singles = [unpaired(view_a, ids_a, used_a), unpaired(view_b, ids_b, used_b)]
+    singles = [unpaired(table_a, ids_a, used_a), unpaired(table_b, ids_b, used_b)]
     if models_a and models_b and min(models_b) < min(models_a):
         singles.reverse()  # disagreements go by (model, candidate id)
-    return (list(pairs) if as_records_a and as_records_b else pairs), singles[0] + singles[1]
+    return pairs, singles[0] + singles[1]
 
 
 def _score_disagreement(candidate: CandidateDetection, provider: CadxProvider | None) -> CadxScores:
@@ -404,29 +388,28 @@ def run_tri_stage(
 
     Returns the tiered candidate list sorted by (tier desc, averaged detector
     score desc, primary candidate id) plus a per-candidate disposition map.
-    The lists are records, ``CandidateTable``s or ``TableRows``; fusion works
-    on their rows and builds a record only for each candidate the CADx
-    provider scores.
+    The lists are records or ``CandidateTable``s; fusion works on their
+    columns and builds a record only for each candidate the CADx provider
+    scores.
     """
     cfg = cfg or PipelineConfig()
-    view_a, view_b = TableRows.of(list_a), TableRows.of(list_b)
-    scan_id = _require_single_scan(view_a, view_b) or ""
+    table_a, table_b = CandidateTable.of(list_a), CandidateTable.of(list_b)
+    scan_id = _require_single_scan(table_a, table_b) or ""
     dispositions: dict[str, str] = {}
 
-    def gate(view: TableRows) -> TableRows:
+    def gate(table: CandidateTable) -> CandidateTable:
         if mask is None:
-            return view
+            return table
         kept = []
-        for k, (point, qualified_id) in enumerate(zip(view.column("xyz").tolist(),
-                                                      view.column("qualified_id"))):
+        for k, (point, qualified_id) in enumerate(zip(table.xyz.tolist(), table.qualified_id)):
             if centroid_in_lung(unchecked_point(*point), mask, cfg.lung_labels):
                 kept.append(k)
             else:
                 dispositions[qualified_id] = DISP_MASK_REJECTED
-        return view.take(kept)
+        return table.take(kept)
 
-    kept_a, absorbed_a = suppress_same_model_duplicates(gate(view_a), cfg.dedup_radius_mm)
-    kept_b, absorbed_b = suppress_same_model_duplicates(gate(view_b), cfg.dedup_radius_mm)
+    kept_a, absorbed_a = suppress_same_model_duplicates(gate(table_a), cfg.dedup_radius_mm)
+    kept_b, absorbed_b = suppress_same_model_duplicates(gate(table_b), cfg.dedup_radius_mm)
     duplicate_of = {**absorbed_a, **absorbed_b}
     for dup_id in duplicate_of:
         dispositions[dup_id] = DISP_REJECTED
@@ -439,9 +422,9 @@ def run_tri_stage(
     fused: list[FusedCandidate] = []
     members = (pairs.members_a, pairs.members_b)
     for qa, qb, sa, sb, pa, pb, da, db in zip(
-        *(m.column("qualified_id") for m in members),
-        *(m.column(name).tolist() for name in ("score", "xyz") for m in members),
-        *(map(nan_to_none, m.column("diameter_mm").tolist()) for m in members),
+        *(m.qualified_id for m in members),
+        *(getattr(m, name).tolist() for name in ("score", "xyz") for m in members),
+        *(map(nan_to_none, m.diameter_mm.tolist()) for m in members),
     ):
         dispositions[qa] = DISP_PAIR
         dispositions[qb] = DISP_PAIR
@@ -469,7 +452,7 @@ def run_tri_stage(
 
     fused.sort(key=lambda f: (-f.confidence_tier, -f.cade_score_avg, f.primary_id))
 
-    if set(dispositions) != {*view_a.column("qualified_id"), *view_b.column("qualified_id")}:
+    if set(dispositions) != {*table_a.qualified_id, *table_b.qualified_id}:
         raise InvariantError("fusion lost track of input candidates")
 
     return TriStageResult(
@@ -496,8 +479,8 @@ def fuse_scans(
     """Fuse candidate lists across scans, one scan at a time in scan-id order.
 
     Each list is a ``CandidateTable`` or an iterable of records; each scan is
-    fused on ``TableRows`` of the table. A mask loader is called once per
-    scan, in that order, so it may keep only the current scan's volume.
+    fused on its own rows, taken from the table. A mask loader is called once
+    per scan, in that order, so it may keep only the current scan's volume.
     """
     cfg = cfg or PipelineConfig()
     table_a = CandidateTable.of(candidates_a)
@@ -505,12 +488,11 @@ def fuse_scans(
     by_scan_a = table_a.by_scan
     by_scan_b = table_b.by_scan
     scan_ids = sorted(set(by_scan_a) | set(by_scan_b))
-    none = np.zeros(0, dtype=np.intp)
 
     results = {
         scan_id: run_tri_stage(
-            TableRows(table_a, by_scan_a.get(scan_id, none)),
-            TableRows(table_b, by_scan_b.get(scan_id, none)),
+            table_a.take(by_scan_a.get(scan_id, [])),
+            table_b.take(by_scan_b.get(scan_id, [])),
             cadx_provider=cadx_provider,
             mask=masks(scan_id) if masks is not None else None,
             cfg=cfg,

@@ -10,11 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import CandidateDetection, ReferenceNodule, require_unit_interval
+from .domain import CandidateDetection, CandidateTable, ReferenceNodule, require_unit_interval
 from .errors import InputError
 from .froc import (
     FP_RATES,
-    _candidate_table,
     _mean_sensitivity,
     _score_grid,
     _sensitivities_on_grid,
@@ -112,7 +111,7 @@ def sweep_cade(
     of the full matching, so one matching pass serves every threshold. The
     scan universe stays fixed across rows.
     """
-    candidates = _candidate_table(candidates)
+    candidates = CandidateTable.of(candidates)
     references = list(references)
     if scan_ids is None:
         scan_ids = set(candidates.by_scan) | {r.scan_id for r in references}

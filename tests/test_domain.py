@@ -5,6 +5,7 @@ import pytest
 
 from trifuse.domain import (
     CandidateDetection,
+    CandidateTable,
     PipelineConfig,
     ReferenceNodule,
     SemanticRatings,
@@ -142,3 +143,64 @@ class TestRecords:
             PipelineConfig(lung_labels=frozenset())
         with pytest.raises(InputError):
             PipelineConfig(consensus_radius_policy="nearest")
+
+
+def fused_table():
+    """A fused-list table of four rows on two scans, one without a diameter
+    and one with a ``cadx_avg``."""
+    return CandidateTable(
+        ["s1", "s1", "s2", "s2"], ["f1", "f2", "f1", "f2"], ["FUSED"] * 4,
+        np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0, 8.0], [9.0, 10.0, 11.0]]),
+        np.array([6.0, math.nan, 12.0, 4.5]), np.array([0.9, 0.4, 0.7, 0.3]),
+        np.array([1.0, 0.5, 1.0, 0.2]),
+        ["consensus", "cadx_promoted", "consensus", "cade_refined"],
+        np.array([math.nan, 0.35, math.nan, math.nan]),
+        ["CADE_A:a1|CADE_B:b1", "CADE_A:a2", "CADE_A:a1|CADE_B:b4|CADE_B:b5", "CADE_B:b2"],
+    )
+
+
+class TestCandidateTableTake:
+    def test_rows_in_the_given_order(self):
+        table = CandidateTable.from_records(
+            [cand("s", f"c{k}", k, 0, 0, k / 10, model="CADE_A") for k in range(5)])
+        taken = table.take([3, 0, 4])
+        assert taken.candidate_id == ["c3", "c0", "c4"]
+        assert taken.xyz[:, 0].tolist() == [3.0, 0.0, 4.0]
+        assert taken == table.records([3, 0, 4]) == [table[3], table[0], table[4]]
+
+    def test_empty_index(self):
+        taken = fused_table().take([])
+        assert len(taken) == 0 and taken == []
+        assert taken.xyz.shape == (0, 3)
+        assert taken.stage == [] and taken.tier.size == 0
+
+    def test_fused_columns_are_kept(self):
+        table = fused_table()
+        taken = table.take(np.array([3, 1, 2]))
+        assert taken.tier.tolist() == [0.2, 0.5, 1.0]
+        assert taken.stage == ["cade_refined", "cadx_promoted", "consensus"]
+        assert taken.cadx_avg[1] == 0.35 and math.isnan(taken.cadx_avg[0])
+        assert taken.provenance == ["CADE_B:b2", "CADE_A:a2", "CADE_A:a1|CADE_B:b4|CADE_B:b5"]
+        assert taken == table.records([3, 1, 2])
+        assert taken[0].provenance == ("CADE_B:b2",)
+
+    def test_cached_qualified_ids_are_carried(self):
+        table = CandidateTable.from_records(
+            [cand("s", "a1", 0, 0, 0, 0.5, model="CADE_A"),
+             cand("s", "b1", 0, 0, 0, 0.5, model="CADE_B")])
+        assert table.take([1])._qualified_id is None
+        assert table.qualified_id == ["CADE_A:a1", "CADE_B:b1"]
+        taken = table.take([1, 0])
+        assert taken._qualified_id == ["CADE_B:b1", "CADE_A:a1"]
+        assert taken.qualified_id == [c.qualified_id for c in taken]
+
+    def test_of_scans_takes_each_scans_rows_in_file_order(self):
+        table = fused_table()
+        assert table.of_scans(["s2", "missing"]) == table.records([2, 3])
+        assert table.of_scans([]) == []
+
+    def test_records_with_a_repeated_key_are_rejected(self):
+        twice = [cand("s", "a1", 0, 0, 0, 0.5, model="CADE_A"),
+                 cand("s", "a1", 50, 0, 0, 0.5, model="CADE_A")]
+        with pytest.raises(InputError, match="duplicate candidate 'a1' for model 'CADE_A'"):
+            CandidateTable.from_records(twice)

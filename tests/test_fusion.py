@@ -395,16 +395,23 @@ class TestPairingAgainstOracle:
             list_a, list_b = boundary_scan(rng)
             for cfg in PAIRING_CONFIGS:
                 got = cross_detector_consensus(list_a, list_b, cfg)
-                assert got == oracle_cross_detector_consensus(list_a, list_b, cfg)
+                expected = oracle_cross_detector_consensus(list_a, list_b, cfg)
+                assert got == expected
+                # record input gives table-backed pairs that index and iterate as a list
+                pairs = got[0]
+                assert [pairs[k] for k in range(len(pairs))] == list(pairs) == expected[0]
                 admitted_at_radius += sum(
                     p.member_a.center.distance_to(p.member_b.center) == cfg.consensus_radius_mm
                     for p in got[0]
                 )
             for candidates in (list_a, list_b):
                 for radius in DEDUP_RADII:
-                    assert suppress_same_model_duplicates(candidates, radius) == (
-                        oracle_suppress_same_model_duplicates(candidates, radius)
-                    )
+                    got = suppress_same_model_duplicates(candidates, radius)
+                    expected = oracle_suppress_same_model_duplicates(candidates, radius)
+                    assert got == expected
+                    kept = got[0]
+                    assert [kept[k] for k in range(len(kept))] == list(kept) == expected[0]
+                    assert kept[-1:] == expected[0][-1:]
         assert admitted_at_radius > 0
 
     def test_exact_radius_is_inclusive(self):
@@ -567,6 +574,23 @@ class TestTriStageAgainstOracle:
                          CandidateTable.from_records(list_b), cadx_provider=provider)
         assert list(got.per_scan.values()) == expected
         assert calls == oracle_calls
+
+
+class TestDuplicateKeys:
+    """Two records of one detector that share a candidate id on a scan would
+    end in one disposition between them, so fusion refuses them."""
+
+    twice = [a_cand("a1", 0, 0, 0, 0.5), a_cand("a1", 50, 0, 0, 0.5)]
+    message = "duplicate candidate 'a1' for model 'CADE_A' on scan 's'"
+
+    def test_run_tri_stage_rejects_them(self):
+        with pytest.raises(InputError, match=self.message):
+            run_tri_stage(self.twice, [], cadx_provider=constant_provider(0.5, 0.5))
+
+    def test_fuse_scans_rejects_them(self):
+        with pytest.raises(InputError, match=self.message):
+            fuse_scans(self.twice, [b_cand("b1", 0, 0, 0, 0.5)],
+                       cadx_provider=constant_provider(0.5, 0.5))
 
 
 class TestFuseScans:
