@@ -9,6 +9,7 @@ candidate exactly at tolerance distance counts as a hit.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Iterable, Sequence
@@ -207,10 +208,10 @@ def unchecked_candidate(scan_id: str, candidate_id: str, center: WorldPoint, sco
 
 class RecordSequence(Sequence):
     """A sequence that builds its records only when asked; ``==`` compares
-    them with those of another such sequence or a list."""
+    them with those of another such sequence, a list or a tuple."""
 
     def __eq__(self, other):
-        if isinstance(other, (RecordSequence, list)):
+        if isinstance(other, (RecordSequence, list, tuple)):
             return list(self) == list(other)
         return NotImplemented
 
@@ -222,6 +223,10 @@ def nan_to_none(value: float) -> float | None:
     return None if value != value else value
 
 
+_COLUMNS = ("scan_id", "candidate_id", "model", "xyz", "diameter_mm", "score", "tier", "stage",
+            "cadx_avg", "provenance")
+
+
 class CandidateTable(RecordSequence):
     """Candidate rows held by column, in file order.
 
@@ -229,12 +234,14 @@ class CandidateTable(RecordSequence):
     ``xyz`` (an ``(n, 3)`` float64 array), ``diameter_mm`` (float64, NaN where
     no diameter is given) and ``score`` (float64). A fused-list table also
     holds ``tier`` (float64), ``stage`` (list of str), ``cadx_avg`` (float64,
-    NaN where empty) and ``provenance`` (list of the joined text); other
-    tables hold None there.
+    NaN where empty) and ``provenance`` (list of the joined text; a
+    ``fusion.FusedTable`` holds each row's tuple of ids); other tables hold
+    None there.
 
     As a sequence the table reads as its records: indexing, iteration and
-    ``==`` against a list build one ``CandidateDetection`` per row, or one
-    ``FusedRecord`` for a fused-list table, only when asked. The columns are
+    ``==`` against a list build one ``CandidateDetection`` per row, one
+    ``FusedRecord`` for a fused-list table or one ``FusedCandidate`` for a
+    ``FusedTable``, only when asked. The columns are
     taken as given; the readers and ``from_records`` fill them with checked
     values.
     """
@@ -261,14 +268,6 @@ class CandidateTable(RecordSequence):
         """The table of API records, which must not repeat a (scan, model,
         candidate id) key; the readers reject repeated keys themselves."""
         records = list(records)
-        seen: set[tuple[str, str, str]] = set()
-        for c in records:
-            if c.key in seen:
-                raise InputError(
-                    f"duplicate candidate {c.candidate_id!r} for model {c.source_model!r} "
-                    f"on scan {c.scan_id!r}"
-                )
-            seen.add(c.key)
         return cls(
             [c.scan_id for c in records],
             [c.candidate_id for c in records],
@@ -277,7 +276,22 @@ class CandidateTable(RecordSequence):
             np.array([math.nan if c.diameter_mm is None else c.diameter_mm for c in records],
                      dtype=np.float64),
             np.array([c.score for c in records], dtype=np.float64),
-        )
+        ).require_unique_keys()
+
+    @classmethod
+    def concat(cls, tables: Sequence["CandidateTable"]) -> "CandidateTable":
+        """The rows of one or more tables with the same columns, table after
+        table; the ``qualified_id`` list too when every table has computed it."""
+
+        def join(columns):
+            if isinstance(columns[0], list):
+                return list(itertools.chain.from_iterable(columns))
+            return None if columns[0] is None else np.concatenate(columns)
+
+        table = cls(*(join([getattr(t, name) for t in tables]) for name in _COLUMNS))
+        if all(t._qualified_id is not None for t in tables):
+            table._qualified_id = join([t._qualified_id for t in tables])
+        return table
 
     @classmethod
     def of(cls, candidates: Iterable[CandidateDetection]) -> "CandidateTable":
@@ -285,6 +299,19 @@ class CandidateTable(RecordSequence):
         if isinstance(candidates, CandidateTable):
             return candidates
         return cls.from_records(candidates)
+
+    def require_unique_keys(self) -> "CandidateTable":
+        """This table, if no two rows share a (scan, model, candidate id) key;
+        else the ``InputError`` of the first row that repeats one."""
+        if len(set(self.candidate_id)) < len(self.candidate_id):  # a repeated key repeats its id
+            seen: set[tuple[str, str, str]] = set()
+            for key in zip(self.scan_id, self.model, self.candidate_id):
+                if key in seen:
+                    scan_id, model, candidate_id = key
+                    raise InputError(f"duplicate candidate {candidate_id!r} for model {model!r} "
+                                     f"on scan {scan_id!r}")
+                seen.add(key)
+        return self
 
     @property
     def by_scan(self) -> dict[str, np.ndarray]:
@@ -325,7 +352,7 @@ class CandidateTable(RecordSequence):
         def pick_array(column):
             return None if column is None else column[rows]
 
-        table = CandidateTable(
+        table = type(self)(
             pick(self.scan_id), pick(self.candidate_id), pick(self.model), self.xyz[rows],
             self.diameter_mm[rows], self.score[rows], pick_array(self.tier), pick(self.stage),
             pick_array(self.cadx_avg), pick(self.provenance),

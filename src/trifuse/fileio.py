@@ -44,7 +44,7 @@ from .domain import (
 )
 from .errors import ConfigError, InputError
 from .froc import FrocResult, GroupScoreSummary, LesionMatchResult
-from .fusion import STAGE_CADX, TIER_BY_STAGE, CadxScores, FusedCandidate
+from .fusion import STAGE_CADX, TIER_BY_STAGE, CadxScoreTable, FusedCandidate, FusedTable
 from .readerstats import CHARACTERISTIC_DISPLAY, OverlapRow, SemanticTable
 from .reportlink import EntityMatch, ReportEntity
 from .sweeps import CadeSweepRow, CadxSweepRow
@@ -354,9 +354,8 @@ def _number_problem(cell: str, required: bool) -> str | None:
     try:
         value = float(cell)
     except ValueError:
-        text = cell.strip()
-        if text:
-            return f"is not a number: {text!r}"
+        if cell.strip():  # quoted as it is: strip() drops \x1c-\x1f, float() does not
+            return f"is not a number: {cell!r}"
         return "is empty" if required else None
     if not math.isfinite(value):
         return f"is not finite: {cell.strip()!r}"
@@ -411,32 +410,6 @@ def _to_lps(xyz: np.ndarray, convention: str) -> np.ndarray:
     if convention == "ras":
         xyz[:, :2] = -xyz[:, :2]
     return xyz
-
-
-class CadxScoreTable(Mapping[tuple[str, str, str], CadxScores]):
-    """Classifier scores by ``(scan_id, model, candidate_id)``, read-only. The
-    ``CadxScores`` of a key is built from its checked row when looked up,
-    without ``CadxScores.__post_init__``."""
-
-    def __init__(self, keys: list[tuple[str, str, str]], p_luna: np.ndarray,
-                 p_dlcs: np.ndarray):
-        self._row = dict(zip(keys, range(len(keys))))
-        # float64 arrays rather than lists: no two float objects per row on the heap
-        self._p_luna = p_luna
-        self._p_dlcs = p_dlcs
-
-    def __getitem__(self, key: tuple[str, str, str]) -> CadxScores:
-        row = self._row[key]
-        scores = object.__new__(CadxScores)
-        object.__setattr__(scores, "p_luna", self._p_luna.item(row))
-        object.__setattr__(scores, "p_dlcs", self._p_dlcs.item(row))
-        return scores
-
-    def __iter__(self) -> Iterator[tuple[str, str, str]]:
-        return iter(self._row)
-
-    def __len__(self) -> int:
-        return len(self._row)
 
 
 def read_candidates(
@@ -630,36 +603,29 @@ def read_match_files(paths: Sequence[str | Path]) -> dict[str, dict[tuple[str, s
 # record writers
 
 
-def fused_rows(fused: Sequence[FusedCandidate]) -> list[tuple]:
-    """Assign per-scan output ids and flatten fused candidates to CSV rows."""
-    rows = []
-    counters: dict[str, int] = {}
-    for f in fused:
-        n = counters.get(f.scan_id, 0)
-        counters[f.scan_id] = n + 1
-        rows.append(
-            (
-                f.scan_id,
-                f"F{n:04d}",
-                f.center.x,
-                f.center.y,
-                f.center.z,
-                f.diameter_mm,
-                f.cade_score_avg,
-                "FUSED",
-                f.confidence_tier,
-                f.stage,
-                f.cadx_avg,
-                PROVENANCE_SEP.join(f.provenance),
-            )
-        )
-    return rows
+_FUSED_CHUNK = 4096  # rows turned into cells at a time, so few cell values are alive
 
 
 def write_fused_csv(
-    path: str | Path, fused: Sequence[FusedCandidate], manifest_digest: str | None = None
+    path: str | Path, fused: Iterable[FusedCandidate], manifest_digest: str | None = None
 ) -> Path:
-    return write_csv(path, FUSED_COLUMNS, fused_rows(fused), manifest_digest)
+    """The fused list, a ``FusedTable`` or records, written from the table's
+    columns, ``_FUSED_CHUNK`` rows at a time: a float as its ``repr``, a NaN
+    diameter or ``cadx_avg`` as an empty cell."""
+    t = FusedTable.of(fused)
+
+    def cells(values: np.ndarray) -> list[float | None]:
+        return [None if v != v else v for v in values.tolist()]
+
+    def rows(start: int) -> Iterator[tuple]:
+        part = slice(start, start + _FUSED_CHUNK)
+        return zip(t.scan_id[part], t.candidate_id[part], *t.xyz[part].T.tolist(),
+                   cells(t.diameter_mm[part]), t.score[part].tolist(), t.model[part],
+                   t.tier[part].tolist(), t.stage[part], cells(t.cadx_avg[part]),
+                   map(PROVENANCE_SEP.join, t.provenance[part]))
+
+    chunks = map(rows, range(0, len(t), _FUSED_CHUNK))
+    return write_csv(path, FUSED_COLUMNS, itertools.chain.from_iterable(chunks), manifest_digest)
 
 
 def write_matches_csv(

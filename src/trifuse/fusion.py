@@ -16,11 +16,13 @@ additionally appear in their survivor's provenance list.
 
 from __future__ import annotations
 
+import itertools
 import math
 import shlex
 import subprocess
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,8 @@ STAGE_CONSENSUS = "consensus"
 STAGE_CADX = "cadx_promoted"
 STAGE_CADE = "cade_refined"
 TIER_BY_STAGE = {STAGE_CONSENSUS: 1.0, STAGE_CADX: 0.5, STAGE_CADE: 0.2}
+STAGE_BY_TIER = {tier: stage for stage, tier in TIER_BY_STAGE.items()}
+FUSED_MODEL = "FUSED"  # the model column of a fused list
 
 DISP_MASK_REJECTED = "mask_rejected"
 DISP_PAIR = "pair_member"
@@ -71,6 +75,29 @@ class CadxScores:
 def ensemble_cadx(scores: CadxScores) -> float:
     """Unweighted mean of the two classifier probabilities."""
     return (scores.p_luna + scores.p_dlcs) / 2.0
+
+
+class CadxScoreTable(Mapping[tuple[str, str, str], CadxScores]):
+    """Classifier scores by ``(scan_id, model, candidate_id)``, read-only: the
+    ``row`` of each key in the ``p_luna`` and ``p_dlcs`` columns. The
+    ``CadxScores`` of a key is built when it is looked up."""
+
+    def __init__(self, keys: list[tuple[str, str, str]], p_luna: np.ndarray,
+                 p_dlcs: np.ndarray):
+        self.row = dict(zip(keys, range(len(keys))))
+        # float64 arrays rather than lists: no two float objects per row on the heap
+        self.p_luna = p_luna
+        self.p_dlcs = p_dlcs
+
+    def __getitem__(self, key: tuple[str, str, str]) -> CadxScores:
+        row = self.row[key]
+        return CadxScores(self.p_luna.item(row), self.p_dlcs.item(row))
+
+    def __iter__(self) -> Iterator[tuple[str, str, str]]:
+        return iter(self.row)
+
+    def __len__(self) -> int:
+        return len(self.row)
 
 
 @dataclass(frozen=True)
@@ -120,69 +147,68 @@ class FusedCandidate:
         return self.provenance[0]
 
 
-def _fused(scan_id: str, center: WorldPoint, stage: str, cade_score_avg: float,
-           provenance: tuple[str, ...], diameter_mm: float | None,
-           cadx_avg: float | None = None) -> FusedCandidate:
-    """A ``FusedCandidate`` of values fusion computed from checked inputs, set
-    without running ``__post_init__`` again."""
-    fused = object.__new__(FusedCandidate)
-    set_field = object.__setattr__
-    set_field(fused, "scan_id", scan_id)
-    set_field(fused, "center", center)
-    set_field(fused, "confidence_tier", TIER_BY_STAGE[stage])
-    set_field(fused, "stage", stage)
-    set_field(fused, "cade_score_avg", cade_score_avg)
-    set_field(fused, "provenance", provenance)
-    set_field(fused, "diameter_mm", diameter_mm)
-    set_field(fused, "cadx_avg", cadx_avg)
-    return fused
+class FusedTable(CandidateTable):
+    """A fused-list table that reads as ``FusedCandidate`` records, built only
+    when asked. It holds the columns ``read_fused`` returns, but each row's
+    ``provenance`` as the tuple of qualified ids, which the writer joins."""
+
+    @classmethod
+    def of(cls, fused: Iterable[FusedCandidate]) -> "FusedTable":
+        """``fused`` if it is a ``FusedTable``, else the table of its records,
+        numbered ``F0000``, ``F0001``, ... per scan in list order."""
+        if isinstance(fused, FusedTable):
+            return fused
+        fused = list(fused)
+        scan_ids = [f.scan_id for f in fused]
+        return cls(
+            scan_ids, output_ids(scan_ids), [FUSED_MODEL] * len(fused),
+            np.array([f.center.as_tuple() for f in fused], dtype=np.float64).reshape(-1, 3),
+            np.array([math.nan if f.diameter_mm is None else f.diameter_mm for f in fused],
+                     dtype=np.float64),
+            np.array([f.cade_score_avg for f in fused], dtype=np.float64),
+            tier=np.array([f.confidence_tier for f in fused], dtype=np.float64),
+            stage=[f.stage for f in fused],
+            cadx_avg=np.array([math.nan if f.cadx_avg is None else f.cadx_avg for f in fused],
+                              dtype=np.float64),
+            provenance=[f.provenance for f in fused],
+        )
+
+    def records(self, rows: Iterable[int]) -> list[FusedCandidate]:
+        rows = np.fromiter(rows, dtype=np.intp)
+        return [
+            FusedCandidate(self.scan_id[i], unchecked_point(*p), tier, self.stage[i], score,
+                           self.provenance[i], nan_to_none(d), nan_to_none(c))
+            for i, p, tier, score, d, c in zip(
+                rows.tolist(), self.xyz[rows].tolist(), self.tier[rows].tolist(),
+                self.score[rows].tolist(), self.diameter_mm[rows].tolist(),
+                self.cadx_avg[rows].tolist())
+        ]
+
+
+def output_ids(scan_ids: list[str]) -> list[str]:
+    """The ids of a fused list's rows: ``F0000``, ``F0001``, ... per scan, in
+    list order."""
+    counts: dict[str, int] = {}
+    ids: list[str] = []
+    for scan_id, run in itertools.groupby(scan_ids):
+        start = counts.get(scan_id, 0)
+        counts[scan_id] = end = start + len(list(run))
+        ids += [f"F{n:04d}" for n in range(start, end)]
+    return ids
 
 
 @dataclass(frozen=True)
 class TriStageResult:
     scan_id: str
-    fused: tuple[FusedCandidate, ...]
+    fused: FusedTable
     dispositions: dict[str, str]
     duplicate_of: dict[str, str]
 
     def disposition_counts(self) -> dict[str, int]:
-        counts = {
-            DISP_MASK_REJECTED: 0,
-            DISP_PAIR: 0,
-            DISP_T2: 0,
-            DISP_T3: 0,
-            DISP_REJECTED: 0,
-        }
+        counts = dict.fromkeys((DISP_MASK_REJECTED, DISP_PAIR, DISP_T2, DISP_T3, DISP_REJECTED), 0)
         for disp in self.dispositions.values():
             counts[disp] += 1
         return counts
-
-
-def _merge_diameters(score_a: float, diameter_a: float | None,
-                     score_b: float, diameter_b: float | None) -> float | None:
-    if diameter_a is None and diameter_b is None:
-        return None
-    if diameter_a is None:
-        return diameter_b
-    if diameter_b is None:
-        return diameter_a
-    total = score_a + score_b
-    if total == 0.0:
-        return (diameter_a + diameter_b) / 2.0
-    return (score_a * diameter_a + score_b * diameter_b) / total
-
-
-def _merge_centers(score_a: float, center_a: Sequence[float],
-                   score_b: float, center_b: Sequence[float]) -> WorldPoint:
-    """The score-weighted center of a pair; the midpoint when both scores are 0."""
-    total = score_a + score_b
-    if total > 0.0:
-        wa, wb = score_a / total, score_b / total
-    else:
-        wa = wb = 0.5
-    x, y, z = (wa * a + wb * b for a, b in zip(center_a, center_b))
-    # only a mean of coordinates at the edge of the float range can overflow
-    return unchecked_point(x, y, z) if math.isfinite(x + y + z) else WorldPoint(x, y, z)
 
 
 def _pair_radius_mm(diameter_a: float | None, diameter_b: float | None,
@@ -278,22 +304,36 @@ class ConsensusPairs(RecordSequence):
     def __len__(self) -> int:
         return len(self.members_a)
 
+    @cached_property
+    def merged(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each pair's merged center (an ``(n, 3)`` array), score and diameter:
+        the score-weighted means of the members' centers and diameters (plain
+        means when both score 0; the one diameter given, or NaN), and their
+        mean score. A center at the edge of the float range overflows to inf."""
+        a, b = self.members_a, self.members_b
+        total = a.score + b.score
+        weighted = total > 0.0
+        wa = np.divide(a.score, total, out=np.full(len(total), 0.5), where=weighted)
+        wb = np.divide(b.score, total, out=np.full(len(total), 0.5), where=weighted)
+        da, db = a.diameter_mm, b.diameter_mm
+        with np.errstate(over="ignore", invalid="ignore"):
+            xyz = wa[:, None] * a.xyz + wb[:, None] * b.xyz
+            diameter = np.where(weighted, (a.score * da + b.score * db) / total, (da + db) / 2.0)
+        diameter = np.where(np.isnan(da), db, np.where(np.isnan(db), da, diameter))
+        return xyz, total / 2.0, diameter
+
     def __getitem__(self, index: int) -> ConsensusPair:
         a, b = self.members_a[index], self.members_b[index]
-        return ConsensusPair(
-            member_a=a,
-            member_b=b,
-            merged_center=_merge_centers(a.score, a.center.as_tuple(), b.score,
-                                         b.center.as_tuple()),
-            merged_score=(a.score + b.score) / 2.0,
-        )
+        xyz, score, _ = self.merged
+        return ConsensusPair(member_a=a, member_b=b, merged_center=WorldPoint(*xyz[index].tolist()),
+                             merged_score=score.item(index))
 
 
 def cross_detector_consensus(
     list_a: Iterable[CandidateDetection],
     list_b: Iterable[CandidateDetection],
     cfg: PipelineConfig | None = None,
-) -> tuple[ConsensusPairs, list[CandidateDetection]]:
+) -> tuple[ConsensusPairs, CandidateTable]:
     """Pair candidates proposed by both detectors on one scan.
 
     A pair is admissible when the centroid distance satisfies the consensus
@@ -305,8 +345,8 @@ def cross_detector_consensus(
     radius, so the result is that of testing every pair.
 
     The lists are records or ``CandidateTable``s. The pairs come as
-    ``ConsensusPairs``, which hold the tables of their members;
-    disagreements are records.
+    ``ConsensusPairs``, which hold the tables of their members; the
+    disagreements as one ``CandidateTable`` in (model, candidate id) order.
     """
     cfg = cfg or PipelineConfig()
     table_a, table_b = CandidateTable.of(list_a), CandidateTable.of(list_b)
@@ -344,37 +384,38 @@ def cross_detector_consensus(
         paired_b.append(j)
     pairs = ConsensusPairs(table_a.take(paired_a), table_b.take(paired_b))
 
-    def unpaired(table: CandidateTable, ids: list[str], used: set[str]) -> list[CandidateDetection]:
-        return table.records(sorted((k for k, c in enumerate(ids) if c not in used),
-                                    key=ids.__getitem__))
+    def unpaired(table: CandidateTable, ids: list[str], used: set[str]) -> CandidateTable:
+        return table.take(sorted((k for k, c in enumerate(ids) if c not in used),
+                                 key=ids.__getitem__))
 
     singles = [unpaired(table_a, ids_a, used_a), unpaired(table_b, ids_b, used_b)]
     if models_a and models_b and min(models_b) < min(models_a):
         singles.reverse()  # disagreements go by (model, candidate id)
-    return pairs, singles[0] + singles[1]
+    return pairs, CandidateTable.concat(singles)
 
 
-def _score_disagreement(candidate: CandidateDetection, provider: CadxProvider | None) -> CadxScores:
-    if provider is None:
-        raise ScorerError(
-            f"no CADx provider configured but candidate {candidate.qualified_id} "
-            f"on scan {candidate.scan_id} needs scoring"
-        )
-    try:
-        scores = provider(candidate)
-    except ScorerError:
-        raise
-    except Exception as err:
-        raise ScorerError(
-            f"CADx scoring failed for {candidate.qualified_id} on scan "
-            f"{candidate.scan_id}: {err}"
-        ) from err
-    if not isinstance(scores, CadxScores):
-        raise ScorerError(
-            f"CADx provider returned {type(scores).__name__} for "
-            f"{candidate.qualified_id} on scan {candidate.scan_id}"
-        )
-    return scores
+def _score_disagreements(table: CandidateTable, provider: CadxProvider | None
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """The ``p_luna`` and ``p_dlcs`` of each row, scored in row order: a
+    ``FileCadxProvider`` scores the whole table in one call, any other
+    provider is called with one record per row."""
+    if isinstance(provider, FileCadxProvider) and len(table):
+        return provider(table)
+    scores = []
+    for candidate in table:
+        label = f"{candidate.qualified_id} on scan {candidate.scan_id}"
+        if provider is None:
+            raise ScorerError(f"no CADx provider configured but candidate {label} needs scoring")
+        try:
+            scores.append(provider(candidate))
+        except ScorerError:
+            raise
+        except Exception as err:
+            raise ScorerError(f"CADx scoring failed for {label}: {err}") from err
+        if not isinstance(scores[-1], CadxScores):
+            raise ScorerError(f"CADx provider returned {type(scores[-1]).__name__} for {label}")
+    return tuple(np.array([getattr(s, p) for s in scores], dtype=np.float64)
+                 for p in ("p_luna", "p_dlcs"))
 
 
 def run_tri_stage(
@@ -388,13 +429,16 @@ def run_tri_stage(
 
     Returns the tiered candidate list sorted by (tier desc, averaged detector
     score desc, primary candidate id) plus a per-candidate disposition map.
-    The lists are records or ``CandidateTable``s; fusion works on their
-    columns and builds a record only for each candidate the CADx provider
-    scores.
+    The lists are records or ``CandidateTable``s in which no (model,
+    candidate id) repeats. Fusion works on their columns and builds the
+    fused list as a table; it builds a record only for each candidate it
+    sends to a CADx provider other than a ``FileCadxProvider``.
     """
     cfg = cfg or PipelineConfig()
-    table_a, table_b = CandidateTable.of(list_a), CandidateTable.of(list_b)
+    table_a = CandidateTable.of(list_a).require_unique_keys()
+    table_b = CandidateTable.of(list_b).require_unique_keys()
     scan_id = _require_single_scan(table_a, table_b) or ""
+    inputs = {*table_a.qualified_id, *table_b.qualified_id}  # every take keeps these ids
     dispositions: dict[str, str] = {}
 
     def gate(table: CandidateTable) -> CandidateTable:
@@ -417,47 +461,61 @@ def run_tri_stage(
     for dup_id, survivor_id in sorted(duplicate_of.items()):
         absorbed_by.setdefault(survivor_id, []).append(dup_id)
 
-    pairs, disagreements = cross_detector_consensus(kept_a, kept_b, cfg)
-
-    fused: list[FusedCandidate] = []
-    members = (pairs.members_a, pairs.members_b)
-    for qa, qb, sa, sb, pa, pb, da, db in zip(
-        *(m.qualified_id for m in members),
-        *(getattr(m, name).tolist() for name in ("score", "xyz") for m in members),
-        *(map(nan_to_none, m.diameter_mm.tolist()) for m in members),
-    ):
+    pairs, singles = cross_detector_consensus(kept_a, kept_b, cfg)
+    pair_xyz, pair_score, pair_diameter = pairs.merged
+    overflow = ~np.isfinite(pair_xyz).all(axis=1)
+    if overflow.any():
+        WorldPoint(*pair_xyz[np.argmax(overflow)].tolist())  # raises the InputError of the point
+    ids_a, ids_b = pairs.members_a.qualified_id, pairs.members_b.qualified_id
+    for qa, qb in zip(ids_a, ids_b):
         dispositions[qa] = DISP_PAIR
         dispositions[qb] = DISP_PAIR
-        provenance = (qa, *absorbed_by.get(qa, ()), qb, *absorbed_by.get(qb, ()))
-        fused.append(_fused(scan_id, _merge_centers(sa, pa, sb, pb), STAGE_CONSENSUS,
-                            (sa + sb) / 2.0, provenance, _merge_diameters(sa, da, sb, db)))
 
-    for cand in disagreements:
-        scores = _score_disagreement(cand, cadx_provider)
-        cadx_avg = ensemble_cadx(scores)
-        qualified_id = cand.qualified_id
-        provenance = (qualified_id, *absorbed_by.get(qualified_id, ()))
-        # For a single-detector candidate the averaged detector score is its
-        # own score: only one detector saw it.
-        if cadx_avg >= cfg.tau_cadx:
-            dispositions[qualified_id] = DISP_T2
-            fused.append(_fused(scan_id, cand.center, STAGE_CADX, cand.score, provenance,
-                                cand.diameter_mm, cadx_avg))
-        elif cand.score >= cfg.tau_cade:
-            dispositions[qualified_id] = DISP_T3
-            fused.append(_fused(scan_id, cand.center, STAGE_CADE, cand.score, provenance,
-                                cand.diameter_mm))
-        else:
-            dispositions[qualified_id] = DISP_REJECTED
+    p_luna, p_dlcs = _score_disagreements(singles, cadx_provider)
+    cadx_avg = (p_luna + p_dlcs) / 2.0
+    promoted = cadx_avg >= cfg.tau_cadx
+    # For a single-detector candidate the averaged detector score is its
+    # own score: only one detector saw it.
+    retained = ~promoted & (singles.score >= cfg.tau_cade)
+    for qualified_id, t2, t3 in zip(singles.qualified_id, promoted.tolist(), retained.tolist()):
+        dispositions[qualified_id] = DISP_T2 if t2 else DISP_T3 if t3 else DISP_REJECTED
 
-    fused.sort(key=lambda f: (-f.confidence_tier, -f.cade_score_avg, f.primary_id))
+    # the fused rows are gathered from the pair rows stacked over the single rows
+    n_pairs = len(pairs)
+    stack_tier = np.concatenate((np.full(n_pairs, TIER_BY_STAGE[STAGE_CONSENSUS]),
+                                 np.where(promoted, TIER_BY_STAGE[STAGE_CADX],
+                                          TIER_BY_STAGE[STAGE_CADE])))
+    stack_score = np.concatenate((pair_score, singles.score))
+    primary = ids_a + singles.qualified_id
+    chosen = np.concatenate((np.arange(n_pairs), n_pairs + np.flatnonzero(promoted | retained)))
+    chosen_ids = [primary[k] for k in chosen.tolist()]
+    id_rank = np.empty(len(chosen_ids), dtype=np.intp)
+    id_rank[sorted(range(len(chosen_ids)), key=chosen_ids.__getitem__)] = np.arange(len(chosen_ids))
+    rows = chosen[np.lexsort((id_rank, -stack_score[chosen], -stack_tier[chosen]))]
 
-    if set(dispositions) != {*table_a.qualified_id, *table_b.qualified_id}:
+    def provenance(qualified_id: str) -> tuple[str, ...]:
+        return (qualified_id, *absorbed_by.get(qualified_id, ()))
+
+    row_list = rows.tolist()
+    tier = stack_tier[rows]
+    scan_ids = [scan_id] * len(row_list)
+    fused = FusedTable(
+        scan_ids, output_ids(scan_ids), [FUSED_MODEL] * len(row_list),
+        np.concatenate((pair_xyz, singles.xyz))[rows],
+        np.concatenate((pair_diameter, singles.diameter_mm))[rows], stack_score[rows],
+        tier=tier, stage=[STAGE_BY_TIER[t] for t in tier.tolist()],
+        cadx_avg=np.concatenate((np.full(n_pairs, math.nan),
+                                 np.where(promoted, cadx_avg, math.nan)))[rows],
+        provenance=[provenance(primary[k]) if k >= n_pairs
+                    else provenance(primary[k]) + provenance(ids_b[k]) for k in row_list],
+    )
+
+    if set(dispositions) != inputs:
         raise InvariantError("fusion lost track of input candidates")
 
     return TriStageResult(
         scan_id=scan_id,
-        fused=tuple(fused),
+        fused=fused,
         dispositions=dispositions,
         duplicate_of=duplicate_of,
     )
@@ -465,7 +523,7 @@ def run_tri_stage(
 
 @dataclass(frozen=True)
 class FusionOutput:
-    fused: tuple[FusedCandidate, ...]
+    fused: FusedTable
     per_scan: dict[str, TriStageResult] = field(default_factory=dict)
 
 
@@ -479,7 +537,8 @@ def fuse_scans(
     """Fuse candidate lists across scans, one scan at a time in scan-id order.
 
     Each list is a ``CandidateTable`` or an iterable of records; each scan is
-    fused on its own rows, taken from the table. A mask loader is called once
+    fused on its own rows, taken from the table, and the fused list is the
+    scans' fused tables joined in that order. A mask loader is called once
     per scan, in that order, so it may keep only the current scan's volume.
     """
     cfg = cfg or PipelineConfig()
@@ -499,31 +558,41 @@ def fuse_scans(
         )
         for scan_id in scan_ids
     }
-
-    fused: list[FusedCandidate] = []
-    for scan_id in scan_ids:
-        fused.extend(results[scan_id].fused)
-    return FusionOutput(fused=tuple(fused), per_scan=results)
+    tables = [result.fused for result in results.values()]
+    fused = FusedTable.concat(tables) if tables else FusedTable.of(())
+    return FusionOutput(fused=fused, per_scan=results)
 
 
 class FileCadxProvider:
     """Serves classifier scores from a pre-computed table.
 
     Keys are (scan_id, source_model, candidate_id); a missing key is a
-    scoring failure, never a silent skip.
+    scoring failure, never a silent skip. Called with a record, it returns
+    its ``CadxScores``; called with a ``CandidateTable``, the ``p_luna`` and
+    ``p_dlcs`` arrays of the table's rows, joined on the row index of a
+    ``CadxScoreTable`` (another mapping is copied into one). A missing key
+    raises for the first row without scores.
     """
 
     def __init__(self, scores: Mapping[tuple[str, str, str], CadxScores]):
+        if not isinstance(scores, CadxScoreTable):
+            keys = list(scores)
+            scores = CadxScoreTable(keys, *(
+                np.array([getattr(scores[k], p) for k in keys], dtype=np.float64)
+                for p in ("p_luna", "p_dlcs")))
         self._scores = scores
 
-    def __call__(self, candidate: CandidateDetection) -> CadxScores:
-        try:
-            return self._scores[candidate.key]
-        except KeyError:
+    def __call__(self, candidates: CandidateDetection | CandidateTable):
+        is_table = isinstance(candidates, CandidateTable)
+        keys = (list(zip(candidates.scan_id, candidates.model, candidates.candidate_id))
+                if is_table else [candidates.key])
+        rows = list(map(self._scores.row.get, keys))
+        if None in rows:
+            scan_id, model, candidate_id = keys[rows.index(None)]
             raise ScorerError(
-                f"no CADx scores on file for {candidate.qualified_id} "
-                f"on scan {candidate.scan_id}"
-            ) from None
+                f"no CADx scores on file for {model}:{candidate_id} on scan {scan_id}")
+        p_luna, p_dlcs = self._scores.p_luna[rows], self._scores.p_dlcs[rows]
+        return (p_luna, p_dlcs) if is_table else CadxScores(p_luna.item(), p_dlcs.item())
 
 
 class CommandCadxProvider:

@@ -750,9 +750,8 @@ def _number(path: Path, line: int, column: str, cell: str,
     try:
         value = float(cell)  # float() ignores surrounding whitespace itself
     except ValueError:
-        text = cell.strip()
-        if text:
-            raise _cell_error(path, line, column, f"is not a number: {text!r}") from None
+        if cell.strip():
+            raise _cell_error(path, line, column, f"is not a number: {cell!r}") from None
         if required:
             raise _cell_error(path, line, column, "is empty") from None
         return None
@@ -1380,3 +1379,17 @@ def oracle_write_csv(path, header, rows, manifest_digest=None):
         writer.writerow([_fmt(v) for v in row])
     Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")
     return Path(path)
+
+
+def oracle_write_fused_csv(path, fused, manifest_digest=None):
+    """The fused-list writer of the record era: output ids counted per scan
+    over the ``FusedCandidate`` records, one row tuple per record."""
+    rows = []
+    counters = {}
+    for f in fused:
+        n = counters.get(f.scan_id, 0)
+        counters[f.scan_id] = n + 1
+        rows.append((f.scan_id, f"F{n:04d}", f.center.x, f.center.y, f.center.z, f.diameter_mm,
+                     f.cade_score_avg, "FUSED", f.confidence_tier, f.stage, f.cadx_avg,
+                     PROVENANCE_SEP.join(f.provenance)))
+    return oracle_write_csv(path, FUSED_COLUMNS, rows, manifest_digest)

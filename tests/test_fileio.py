@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 from collections.abc import Mapping
@@ -28,6 +29,7 @@ from oracles import (
     oracle_row_read_match_files,
     oracle_row_read_references,
     oracle_write_csv,
+    oracle_write_fused_csv,
 )
 
 
@@ -251,6 +253,19 @@ class TestFusedRoundTrip:
         # fused output is re-ingestible as an evaluation candidate list
         cands = fileio.read_candidates(path)
         assert [c.source_model for c in cands] == ["FUSED", "FUSED"]
+
+    @pytest.mark.parametrize("scan_id,provenance", [
+        ("s1", "CADE_A:a2"), ("s1", "CADE_A:a,2"), ("s,1", "CADE_A:a2"), ('s"1"', "CADE_A:a2"),
+        ("s\n1", "CADE_A:a2"), ("s\r1", "CADE_A:a2"), ("s\x001", "CADE_A:a2")])
+    def test_bytes_match_the_record_writer(self, tmp_path, scan_id, provenance):
+        # cells that csv.writer quotes or passes through as they are
+        first, second = self.fused()
+        fused = [dataclasses.replace(first, scan_id=scan_id),
+                 dataclasses.replace(second, scan_id=scan_id, provenance=(provenance,))]
+        for digest in ("abc", None):
+            fileio.write_fused_csv(tmp_path / "got.csv", fused, digest)
+            oracle_write_fused_csv(tmp_path / "expected.csv", fused, digest)
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_float_round_trip_is_exact(self, tmp_path):
         values = [0.1, 1 / 3, 2.0 ** -40, 12345.6789]
@@ -771,6 +786,15 @@ class TestColumnReadersAgainstRowOracle:
         with pytest.raises(InputError) as old:
             oracle_row_read_candidates(path)
         assert str(old.value) == expected
+
+    def test_number_cell_with_a_separator_is_quoted_as_it_is(self, tmp_path):
+        # str.strip drops \x1c, float() does not accept it: quoting the
+        # stripped text would call a valid-looking number not a number
+        path = write(tmp_path / "c.csv", CANDIDATE_HEADER + "s1,c0,\x1c1.5,2,3,,0.5,CADE_A\n")
+        for reader in (fileio.read_candidates, oracle_row_read_candidates):
+            with pytest.raises(InputError) as got:
+                reader(path)
+            assert str(got.value) == f"{path}:2: column x_mm is not a number: '\\x1c1.5'"
 
     def test_long_row_after_bad_cell(self, tmp_path):
         rows = [f"s1,c{i},1,2,3,,0.5,CADE_A" for i in range(6)]

@@ -1,14 +1,17 @@
 import dataclasses
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from trifuse.domain import CandidateTable, PipelineConfig, WorldPoint
 from trifuse.errors import InputError, InvariantError, ScorerError
+from trifuse.fileio import write_fused_csv
 from trifuse.fusion import (
     CadxScores,
+    CadxScoreTable,
     CommandCadxProvider,
     FileCadxProvider,
     FusedCandidate,
@@ -25,6 +28,7 @@ from oracles import (
     oracle_cross_detector_consensus,
     oracle_run_tri_stage,
     oracle_suppress_same_model_duplicates,
+    oracle_write_fused_csv,
 )
 
 
@@ -576,6 +580,144 @@ class TestTriStageAgainstOracle:
         assert calls == oracle_calls
 
 
+def edge_scan(rng, scan):
+    """Two detector lists on the edges of columnar fusion.
+
+    Candidates of list A sit on anchors, some with a near-duplicate whose id
+    holds the provenance separator; list B pairs some anchors (every one,
+    none, or B is empty, by turns). Scores and diameters come from few
+    values, so pairs score 0 (the midpoint) or lack one or both diameters
+    and fused rows tie in (tier, score); anchors lie on both sides of
+    ``lung_mask``.
+    """
+    kind = int(rng.integers(4))  # 0: some pairs, 1: every anchor paired, 2: no pairs, 3: no B
+    anchors = rng.uniform(-25.0, 25.0, size=(int(rng.integers(1, 8)), 3))
+    scores, diameters = (0.0, 0.0, 0.2, 0.5, 0.9), (None, None, 4.0, 12.0)
+    list_a, list_b = [], []
+    for k, anchor in enumerate(anchors.tolist()):
+        score = float(rng.choice(scores))
+        list_a.append(cand(scan, f"a{k}", *anchor, score, model="CADE_A",
+                           diameter=diameters[int(rng.integers(4))]))
+        if rng.random() < 0.3:
+            list_a.append(cand(scan, f"d{k}|{k}", anchor[0] + 0.5, *anchor[1:], score,
+                               model="CADE_A"))
+        if kind == 1 or (kind == 0 and rng.random() < 0.6):
+            list_b.append(cand(scan, f"b{k}", anchor[0], anchor[1] + 0.5, anchor[2],
+                               float(rng.choice(scores)), model="CADE_B",
+                               diameter=diameters[int(rng.integers(4))]))
+        elif kind != 3:
+            list_b.append(cand(scan, f"b{k}", anchor[0], anchor[1], anchor[2] + 40.0,
+                               float(rng.choice(scores)), model="CADE_B"))
+    return list_a, list_b
+
+
+class TestColumnarFusionAgainstOracle:
+    """The fused list as a table, scored by key join and written from its
+    columns, against the record loops of fusion and the fused-list writer."""
+
+    def test_seeded_edges(self, tmp_path):
+        rng = np.random.default_rng(48)
+        mask = lung_mask()
+        seen = Counter()
+        all_a, all_b, all_scores, expected_fused, masked = [], [], {}, [], set()
+        for k in range(150):
+            scan = f"s{k:03d}"
+            list_a, list_b = edge_scan(rng, scan)
+            keys = [c.key for c in list_a + list_b]
+            scores = CadxScoreTable(keys, *rng.choice([0.0, 0.05, 0.1, 0.3], size=(2, len(keys))))
+            scan_mask = mask if k % 3 == 0 else None
+            for provider in (FileCadxProvider(scores), FileCadxProvider(dict(scores.items())),
+                             recording_provider()[0]):
+                expected = oracle_run_tri_stage(list_a, list_b, provider, scan_mask)
+                for given in ((list_a, list_b), (CandidateTable.from_records(list_a),
+                                                 CandidateTable.from_records(list_b))):
+                    got = run_tri_stage(*given, cadx_provider=provider, mask=scan_mask)
+                    assert got == expected
+                    assert list(got.dispositions) == list(expected.dispositions)
+            expected = oracle_run_tri_stage(list_a, list_b, FileCadxProvider(scores), scan_mask)
+            all_a += list_a
+            all_b += list_b
+            all_scores.update(scores.items())
+            expected_fused += expected.fused
+            masked |= {scan} if scan_mask else set()
+            self.count_edges(seen, expected, {c.qualified_id: c for c in list_a + list_b})
+        assert all(seen[edge] > 0 for edge in (
+            "midpoint", "one diameter", "no diameter", "absorbed", "mask_rejected", "tie",
+            "no disagreements", "no pairs")), seen
+
+        keys = list(all_scores)
+        scores = CadxScoreTable(keys, np.array([all_scores[k].p_luna for k in keys]),
+                                np.array([all_scores[k].p_dlcs for k in keys]))
+        got = fuse_scans(all_a, all_b, FileCadxProvider(scores),
+                         masks=lambda scan: mask if scan in masked else None)
+        assert got.fused == expected_fused
+        oracle_write_fused_csv(tmp_path / "expected.csv", expected_fused, "d1")
+        for fused in (got.fused, expected_fused):
+            write_fused_csv(tmp_path / "got.csv", fused, "d1")
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    @staticmethod
+    def count_edges(seen, result, by_id):
+        counts = result.disposition_counts()
+        seen["mask_rejected"] += counts["mask_rejected"] > 0
+        seen["no pairs"] += counts["pair_member"] == 0 and counts["promoted_cadx"] > 0
+        singles = counts["promoted_cadx"] + counts["retained_cade"] + counts["rejected"]
+        seen["no disagreements"] += (counts["pair_member"] > 0
+                                     and singles == len(result.duplicate_of))
+        seen["absorbed"] += any(q in result.duplicate_of for f in result.fused
+                                for q in f.provenance)
+        fused = list(result.fused)
+        seen["tie"] += any((f.confidence_tier, f.cade_score_avg) == (g.confidence_tier,
+                                                                      g.cade_score_avg)
+                           for f, g in zip(fused, fused[1:]))
+        for f in fused:
+            if f.stage == "consensus":
+                members = [by_id[q] for q in f.provenance if q not in result.duplicate_of]
+                seen["midpoint"] += all(m.score == 0.0 for m in members)
+                missing = sum(m.diameter_mm is None for m in members)
+                seen[{0: "two diameters", 1: "one diameter", 2: "no diameter"}[missing]] += 1
+
+
+class TestBatchFileProvider:
+    """A ``FileCadxProvider`` scores a scan's disagreements in one call."""
+
+    list_a = [a_cand("a1", 0, 0, 0, 0.5), a_cand("a2", 50, 0, 0, 0.5)]
+    list_b = [b_cand("b1", 0, 0, 90, 0.5)]
+    scored = {("s", "CADE_A", "a1"): CadxScores(0.25, 0.5)}
+
+    def providers(self, scored):
+        keys = list(scored)
+        return (FileCadxProvider(dict(scored)), FileCadxProvider(CadxScoreTable(
+            keys, np.array([scored[k].p_luna for k in keys]),
+            np.array([scored[k].p_dlcs for k in keys]))))
+
+    def test_join_gives_each_rows_scores_in_row_order(self):
+        scored = {**self.scored, ("s", "CADE_A", "a2"): CadxScores(0.0, 1.0),
+                  ("s", "CADE_B", "b1"): CadxScores(0.75, 0.125)}
+        _, disagreements = cross_detector_consensus(self.list_a, self.list_b)
+        for provider in self.providers(scored):
+            p_luna, p_dlcs = provider(disagreements)
+            assert p_luna.tolist() == [0.25, 0.0, 0.75]
+            assert p_dlcs.tolist() == [0.5, 1.0, 0.125]
+
+    def test_missing_key_names_the_first_missing_candidate_in_call_order(self):
+        _, disagreements = cross_detector_consensus(self.list_a, self.list_b)
+        message = "^no CADx scores on file for CADE_A:a2 on scan s$"
+        for provider in self.providers(self.scored):
+            with pytest.raises(ScorerError, match=message):
+                provider(disagreements)
+            with pytest.raises(ScorerError, match=message):
+                run_tri_stage(self.list_a, self.list_b, cadx_provider=provider)
+
+    def test_callable_provider_gets_one_record_per_disagreement_in_order(self):
+        provider, calls = recording_provider()
+        list_a = [a_cand("a3", 0, 0, 0, 0.5), a_cand("a2", 60, 0, 0, 0.5),
+                  a_cand("a1", 30, 0, 0, 0.5)]
+        list_b = [b_cand("b2", 0, 0, 0.5, 0.5), b_cand("b1", 0, 30, 0, 0.5)]
+        run_tri_stage(list_b, list_a, cadx_provider=provider)
+        assert calls == [("s", "CADE_A", "a1"), ("s", "CADE_A", "a2"), ("s", "CADE_B", "b1")]
+
+
 class TestDuplicateKeys:
     """Two records of one detector that share a candidate id on a scan would
     end in one disposition between them, so fusion refuses them."""
@@ -586,6 +728,16 @@ class TestDuplicateKeys:
     def test_run_tri_stage_rejects_them(self):
         with pytest.raises(InputError, match=self.message):
             run_tri_stage(self.twice, [], cadx_provider=constant_provider(0.5, 0.5))
+
+    def test_run_tri_stage_rejects_them_in_a_table_built_directly(self):
+        # a table built from columns skips the check from_records makes
+        table = CandidateTable(["s", "s"], ["a1", "a1"], ["CADE_A", "CADE_A"],
+                               np.array([[0.0, 0.0, 0.0], [50.0, 0.0, 0.0]]),
+                               np.full(2, np.nan), np.full(2, 0.5))
+        for call in (lambda: run_tri_stage(table, [], cadx_provider=constant_provider(0.5, 0.5)),
+                     lambda: fuse_scans(table, [], cadx_provider=constant_provider(0.5, 0.5))):
+            with pytest.raises(InputError, match=self.message):
+                call()
 
     def test_fuse_scans_rejects_them(self):
         with pytest.raises(InputError, match=self.message):
