@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, InvariantError
 
 SOURCE_MODEL_A = "CADE_A"
 SOURCE_MODEL_B = "CADE_B"
@@ -31,6 +31,11 @@ TOLERANCE_CAP_MM = 5.0
 TOLERANCE_CAP_AT_DIAMETER_MM = 10.0
 
 PROVENANCE_SEP = "|"
+
+STAGE_CONSENSUS = "consensus"
+STAGE_CADX = "cadx_promoted"
+STAGE_CADE = "cade_refined"
+TIER_BY_STAGE = {STAGE_CONSENSUS: 1.0, STAGE_CADX: 0.5, STAGE_CADE: 0.2}
 
 # numpy's squared distance can differ from the scalar one in the last bits, so
 # the prefilter admits a relative slack above the radius, plus an absolute one
@@ -166,44 +171,40 @@ class CandidateDetection:
 
 
 @dataclass(frozen=True)
-class FusedRecord:
-    """A fused-list CSV row read back from disk."""
+class FusedCandidate:
+    """A fused-list row: a location with confidence tier and provenance.
+
+    ``candidate_id`` is the row's ``F0000``-style id in its list; it is None
+    until the list is numbered."""
 
     scan_id: str
-    candidate_id: str
     center: WorldPoint
-    diameter_mm: float | None
-    score: float
-    tier: float
+    confidence_tier: float
     stage: str
-    cadx_avg: float | None
+    cade_score_avg: float
     provenance: tuple[str, ...]
+    diameter_mm: float | None = None
+    cadx_avg: float | None = None
+    candidate_id: str | None = None
 
+    def __post_init__(self):
+        if self.stage not in TIER_BY_STAGE:
+            raise InputError(f"unknown fusion stage {self.stage!r}")
+        if self.confidence_tier != TIER_BY_STAGE[self.stage]:
+            raise InvariantError(
+                f"tier {self.confidence_tier} inconsistent with stage {self.stage!r}"
+            )
+        if (self.cadx_avg is not None) != (self.stage == STAGE_CADX):
+            raise InvariantError("cadx_avg must be present exactly for cadx-promoted candidates")
+        object.__setattr__(
+            self, "cade_score_avg", require_unit_interval("cade_score_avg", self.cade_score_avg)
+        )
+        if not self.provenance:
+            raise InvariantError("fused candidate must carry provenance")
 
-# Builders that set record fields as the dataclass constructors do, without
-# running ``__post_init__`` to check values that were checked already.
-_new = object.__new__
-_set = object.__setattr__
-
-
-def unchecked_point(x: float, y: float, z: float) -> WorldPoint:
-    point = _new(WorldPoint)
-    _set(point, "x", x)
-    _set(point, "y", y)
-    _set(point, "z", z)
-    return point
-
-
-def unchecked_candidate(scan_id: str, candidate_id: str, center: WorldPoint, score: float,
-                        source_model: str, diameter_mm: float | None) -> CandidateDetection:
-    candidate = _new(CandidateDetection)
-    _set(candidate, "scan_id", scan_id)
-    _set(candidate, "candidate_id", candidate_id)
-    _set(candidate, "center", center)
-    _set(candidate, "score", score)
-    _set(candidate, "source_model", source_model)
-    _set(candidate, "diameter_mm", diameter_mm)
-    return candidate
+    @property
+    def primary_id(self) -> str:
+        return self.provenance[0]
 
 
 class RecordSequence(Sequence):
@@ -234,22 +235,20 @@ class CandidateTable(RecordSequence):
     ``xyz`` (an ``(n, 3)`` float64 array), ``diameter_mm`` (float64, NaN where
     no diameter is given) and ``score`` (float64). A fused-list table also
     holds ``tier`` (float64), ``stage`` (list of str), ``cadx_avg`` (float64,
-    NaN where empty) and ``provenance`` (list of the joined text; a
-    ``fusion.FusedTable`` holds each row's tuple of ids); other tables hold
-    None there.
+    NaN where empty) and ``provenance`` (each row's tuple of qualified ids);
+    other tables hold None there.
 
     As a sequence the table reads as its records: indexing, iteration and
-    ``==`` against a list build one ``CandidateDetection`` per row, one
-    ``FusedRecord`` for a fused-list table or one ``FusedCandidate`` for a
-    ``FusedTable``, only when asked. The columns are
-    taken as given; the readers and ``from_records`` fill them with checked
-    values.
+    ``==`` against a list build one ``CandidateDetection`` per row, or one
+    ``FusedCandidate`` for a fused-list table, only when asked. The columns
+    are taken as given; the record constructors check each row they build.
     """
 
     def __init__(self, scan_id: list[str], candidate_id: list[str], model: list[str],
                  xyz: np.ndarray, diameter_mm: np.ndarray, score: np.ndarray,
                  tier: np.ndarray | None = None, stage: list[str] | None = None,
-                 cadx_avg: np.ndarray | None = None, provenance: list[str] | None = None):
+                 cadx_avg: np.ndarray | None = None,
+                 provenance: list[tuple[str, ...]] | None = None):
         self.scan_id = scan_id
         self.candidate_id = candidate_id
         self.model = model
@@ -364,24 +363,20 @@ class CandidateTable(RecordSequence):
         """The records of the given rows, in the given order."""
         rows = np.fromiter(rows, dtype=np.intp) if not isinstance(rows, np.ndarray) else rows
         index = rows.tolist()
-        xyz = self.xyz[rows].tolist()
-        diameter = self.diameter_mm[rows].tolist()
-        score = self.score[rows].tolist()
+        centers = [WorldPoint(*p) for p in self.xyz[rows].tolist()]
+        diameters = map(nan_to_none, self.diameter_mm[rows].tolist())
+        scores = self.score[rows].tolist()
         scan_id, candidate_id = self.scan_id, self.candidate_id
         if self.stage is None:
             model = self.model
-            return [
-                unchecked_candidate(scan_id[i], candidate_id[i], unchecked_point(*p), s,
-                                    model[i], nan_to_none(d))
-                for i, p, d, s in zip(index, xyz, diameter, score)
-            ]
-        tier = self.tier[rows].tolist()
-        cadx_avg = self.cadx_avg[rows].tolist()
+            return [CandidateDetection(scan_id[i], candidate_id[i], p, s, model[i], d)
+                    for i, p, d, s in zip(index, centers, diameters, scores)]
         stage, provenance = self.stage, self.provenance
         return [
-            FusedRecord(scan_id[i], candidate_id[i], unchecked_point(*p), nan_to_none(d), s, t,
-                        stage[i], nan_to_none(c), tuple(provenance[i].split(PROVENANCE_SEP)))
-            for i, p, d, s, t, c in zip(index, xyz, diameter, score, tier, cadx_avg)
+            FusedCandidate(scan_id[i], p, t, stage[i], s, provenance[i], d, nan_to_none(c),
+                           candidate_id[i])
+            for i, p, d, s, t, c in zip(index, centers, diameters, scores,
+                                        self.tier[rows].tolist(), self.cadx_avg[rows].tolist())
         ]
 
     def __len__(self) -> int:

@@ -35,16 +35,18 @@ import numpy as np
 from . import __version__
 from .domain import (
     PROVENANCE_SEP,
+    STAGE_CADX,
+    TIER_BY_STAGE,
     CandidateTable,
-    FusedRecord,  # noqa: F401  (the records of a table read_fused returns)
+    FusedCandidate,
     ReferenceNodule,
     SemanticRatings,
+    WorldPoint,
     nan_to_none,
-    unchecked_point,
 )
 from .errors import ConfigError, InputError
 from .froc import FrocResult, GroupScoreSummary, LesionMatchResult
-from .fusion import STAGE_CADX, TIER_BY_STAGE, CadxScoreTable, FusedCandidate, FusedTable
+from .fusion import CadxScoreTable, fused_table
 from .readerstats import CHARACTERISTIC_DISPLAY, OverlapRow, SemanticTable
 from .reportlink import EntityMatch, ReportEntity
 from .sweeps import CadeSweepRow, CadxSweepRow
@@ -469,7 +471,7 @@ def read_references(path: str | Path, convention: str = "lps") -> list[Reference
             out.append(ReferenceNodule(
                 scan_id=scan_id[row],
                 nodule_id=nodule_id[row],
-                center=unchecked_point(*convert_to_lps(x[row], y[row], z[row], convention)),
+                center=WorldPoint(*convert_to_lps(x[row], y[row], z[row], convention)),
                 diameter_mm=diameter[row],
                 diagnosis=diagnosis[row],
                 lungrads=lungrads[row],
@@ -532,10 +534,12 @@ def read_reports(path: str | Path) -> list[tuple[str, str, str]]:
 
 
 def read_fused(path: str | Path, convention: str = "lps") -> CandidateTable:
-    """Fused-list rows, held to the rules ``FusedCandidate`` enforces when
+    """The fused-list table of a file, which reads as ``FusedCandidate``
+    records. Its rows are held to the rules ``FusedCandidate`` enforces when
     ``fuse`` writes them: score and ``cadx_avg`` in [0, 1], a positive
     diameter, the tier of the stage, and ``cadx_avg`` exactly for
-    cadx-promoted rows."""
+    cadx-promoted rows; no (scan, candidate id) repeats. Each provenance
+    cell is split into its tuple of qualified ids."""
     path = Path(path)
     columns = _Columns(path, FUSED_COLUMNS)
     xyz = _xyz(columns)
@@ -563,11 +567,14 @@ def read_fused(path: str | Path, convention: str = "lps") -> CandidateTable:
     columns.unit_interval("cadx_avg", np.where(promoted, cadx_avg, math.nan))
     columns.where("cadx_avg", ~promoted & ~empty,
                   lambda row: f"must be empty for stage {stage[row]}")
+    columns.unique(list(zip(scan_id, candidate_id)), lambda row: columns.error(
+        row, f"duplicate candidate_id {candidate_id[row]!r} on scan {scan_id[row]!r}"))
     columns.convention(convention)
     columns.done()
     model = list(map(str.strip, columns.raw("model")))  # not checked: fused files say FUSED
     return CandidateTable(scan_id, candidate_id, model, _to_lps(xyz, convention), diameter, score,
-                          tier=tier, stage=stage, cadx_avg=cadx_avg, provenance=provenance)
+                          tier=tier, stage=stage, cadx_avg=cadx_avg,
+                          provenance=[tuple(p.split(PROVENANCE_SEP)) for p in provenance])
 
 
 def read_match_files(paths: Sequence[str | Path]) -> dict[str, dict[tuple[str, str], float | None]]:
@@ -609,10 +616,11 @@ _FUSED_CHUNK = 4096  # rows turned into cells at a time, so few cell values are 
 def write_fused_csv(
     path: str | Path, fused: Iterable[FusedCandidate], manifest_digest: str | None = None
 ) -> Path:
-    """The fused list, a ``FusedTable`` or records, written from the table's
-    columns, ``_FUSED_CHUNK`` rows at a time: a float as its ``repr``, a NaN
-    diameter or ``cadx_avg`` as an empty cell."""
-    t = FusedTable.of(fused)
+    """The fused list, a fused-list table or ``FusedCandidate`` records
+    (numbered per scan in list order), written from the table's columns,
+    ``_FUSED_CHUNK`` rows at a time: a float as its ``repr``, a NaN diameter
+    or ``cadx_avg`` as an empty cell, provenance joined with ``|``."""
+    t = fused_table(fused)
 
     def cells(values: np.ndarray) -> list[float | None]:
         return [None if v != v else v for v in values.tolist()]

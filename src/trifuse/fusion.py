@@ -28,9 +28,14 @@ from pathlib import Path
 import numpy as np
 
 from .domain import (
+    STAGE_CADE,
+    STAGE_CADX,
+    STAGE_CONSENSUS,
+    TIER_BY_STAGE,
     TOLERANCE_CAP_MM,
     CandidateDetection,
     CandidateTable,
+    FusedCandidate,
     PipelineConfig,
     RecordSequence,
     WorldPoint,
@@ -39,15 +44,10 @@ from .domain import (
     may_lie_within,
     nan_to_none,
     require_unit_interval,
-    unchecked_point,
 )
 from .errors import InputError, InvariantError, ScorerError
 from .volume import Volume, centroid_in_lung, extract_patch, save_patch
 
-STAGE_CONSENSUS = "consensus"
-STAGE_CADX = "cadx_promoted"
-STAGE_CADE = "cade_refined"
-TIER_BY_STAGE = {STAGE_CONSENSUS: 1.0, STAGE_CADX: 0.5, STAGE_CADE: 0.2}
 STAGE_BY_TIER = {tier: stage for stage, tier in TIER_BY_STAGE.items()}
 FUSED_MODEL = "FUSED"  # the model column of a fused list
 
@@ -114,75 +114,25 @@ class ConsensusPair:
             raise InputError("consensus pair members must come from different detectors")
 
 
-@dataclass(frozen=True)
-class FusedCandidate:
-    """Pipeline output row: a location with confidence tier and provenance."""
-
-    scan_id: str
-    center: WorldPoint
-    confidence_tier: float
-    stage: str
-    cade_score_avg: float
-    provenance: tuple[str, ...]
-    diameter_mm: float | None = None
-    cadx_avg: float | None = None
-
-    def __post_init__(self):
-        if self.stage not in TIER_BY_STAGE:
-            raise InputError(f"unknown fusion stage {self.stage!r}")
-        if self.confidence_tier != TIER_BY_STAGE[self.stage]:
-            raise InvariantError(
-                f"tier {self.confidence_tier} inconsistent with stage {self.stage!r}"
-            )
-        if (self.cadx_avg is not None) != (self.stage == STAGE_CADX):
-            raise InvariantError("cadx_avg must be present exactly for cadx-promoted candidates")
-        object.__setattr__(
-            self, "cade_score_avg", require_unit_interval("cade_score_avg", self.cade_score_avg)
-        )
-        if not self.provenance:
-            raise InvariantError("fused candidate must carry provenance")
-
-    @property
-    def primary_id(self) -> str:
-        return self.provenance[0]
-
-
-class FusedTable(CandidateTable):
-    """A fused-list table that reads as ``FusedCandidate`` records, built only
-    when asked. It holds the columns ``read_fused`` returns, but each row's
-    ``provenance`` as the tuple of qualified ids, which the writer joins."""
-
-    @classmethod
-    def of(cls, fused: Iterable[FusedCandidate]) -> "FusedTable":
-        """``fused`` if it is a ``FusedTable``, else the table of its records,
-        numbered ``F0000``, ``F0001``, ... per scan in list order."""
-        if isinstance(fused, FusedTable):
-            return fused
-        fused = list(fused)
-        scan_ids = [f.scan_id for f in fused]
-        return cls(
-            scan_ids, output_ids(scan_ids), [FUSED_MODEL] * len(fused),
-            np.array([f.center.as_tuple() for f in fused], dtype=np.float64).reshape(-1, 3),
-            np.array([math.nan if f.diameter_mm is None else f.diameter_mm for f in fused],
-                     dtype=np.float64),
-            np.array([f.cade_score_avg for f in fused], dtype=np.float64),
-            tier=np.array([f.confidence_tier for f in fused], dtype=np.float64),
-            stage=[f.stage for f in fused],
-            cadx_avg=np.array([math.nan if f.cadx_avg is None else f.cadx_avg for f in fused],
-                              dtype=np.float64),
-            provenance=[f.provenance for f in fused],
-        )
-
-    def records(self, rows: Iterable[int]) -> list[FusedCandidate]:
-        rows = np.fromiter(rows, dtype=np.intp)
-        return [
-            FusedCandidate(self.scan_id[i], unchecked_point(*p), tier, self.stage[i], score,
-                           self.provenance[i], nan_to_none(d), nan_to_none(c))
-            for i, p, tier, score, d, c in zip(
-                rows.tolist(), self.xyz[rows].tolist(), self.tier[rows].tolist(),
-                self.score[rows].tolist(), self.diameter_mm[rows].tolist(),
-                self.cadx_avg[rows].tolist())
-        ]
+def fused_table(fused: Iterable[FusedCandidate]) -> CandidateTable:
+    """``fused`` if it is a table, else the fused-list table of its records,
+    numbered ``F0000``, ``F0001``, ... per scan in list order."""
+    if isinstance(fused, CandidateTable):
+        return fused
+    fused = list(fused)
+    scan_ids = [f.scan_id for f in fused]
+    return CandidateTable(
+        scan_ids, output_ids(scan_ids), [FUSED_MODEL] * len(fused),
+        np.array([f.center.as_tuple() for f in fused], dtype=np.float64).reshape(-1, 3),
+        np.array([math.nan if f.diameter_mm is None else f.diameter_mm for f in fused],
+                 dtype=np.float64),
+        np.array([f.cade_score_avg for f in fused], dtype=np.float64),
+        tier=np.array([f.confidence_tier for f in fused], dtype=np.float64),
+        stage=[f.stage for f in fused],
+        cadx_avg=np.array([math.nan if f.cadx_avg is None else f.cadx_avg for f in fused],
+                          dtype=np.float64),
+        provenance=[f.provenance for f in fused],
+    )
 
 
 def output_ids(scan_ids: list[str]) -> list[str]:
@@ -200,7 +150,7 @@ def output_ids(scan_ids: list[str]) -> list[str]:
 @dataclass(frozen=True)
 class TriStageResult:
     scan_id: str
-    fused: FusedTable
+    fused: CandidateTable
     dispositions: dict[str, str]
     duplicate_of: dict[str, str]
 
@@ -446,7 +396,7 @@ def run_tri_stage(
             return table
         kept = []
         for k, (point, qualified_id) in enumerate(zip(table.xyz.tolist(), table.qualified_id)):
-            if centroid_in_lung(unchecked_point(*point), mask, cfg.lung_labels):
+            if centroid_in_lung(WorldPoint(*point), mask, cfg.lung_labels):
                 kept.append(k)
             else:
                 dispositions[qualified_id] = DISP_MASK_REJECTED
@@ -499,7 +449,7 @@ def run_tri_stage(
     row_list = rows.tolist()
     tier = stack_tier[rows]
     scan_ids = [scan_id] * len(row_list)
-    fused = FusedTable(
+    fused = CandidateTable(
         scan_ids, output_ids(scan_ids), [FUSED_MODEL] * len(row_list),
         np.concatenate((pair_xyz, singles.xyz))[rows],
         np.concatenate((pair_diameter, singles.diameter_mm))[rows], stack_score[rows],
@@ -523,7 +473,7 @@ def run_tri_stage(
 
 @dataclass(frozen=True)
 class FusionOutput:
-    fused: FusedTable
+    fused: CandidateTable
     per_scan: dict[str, TriStageResult] = field(default_factory=dict)
 
 
@@ -559,7 +509,7 @@ def fuse_scans(
         for scan_id in scan_ids
     }
     tables = [result.fused for result in results.values()]
-    fused = FusedTable.concat(tables) if tables else FusedTable.of(())
+    fused = CandidateTable.concat(tables) if tables else fused_table(())
     return FusionOutput(fused=fused, per_scan=results)
 
 

@@ -16,6 +16,7 @@ Conventions:
 """
 
 import csv
+import dataclasses
 import io
 import itertools
 import math
@@ -44,7 +45,6 @@ from trifuse.fileio import (
     PROVENANCE_SEP,
     RATING_COLUMN_FIELDS,
     REFERENCE_COLUMNS,
-    FusedRecord,
 )
 from trifuse.froc import LesionMatchResult, ScanMatch, TruePositive
 from trifuse.fusion import (
@@ -618,7 +618,7 @@ def oracle_read_labeled_scores(path: str | Path) -> tuple[list[float], list[str]
     return scores, labels
 
 
-def oracle_read_fused(path: str | Path, convention: str = "lps") -> list[FusedRecord]:
+def oracle_read_fused(path: str | Path, convention: str = "lps") -> list[FusedCandidate]:
     path = Path(path)
     out = []
     for row_num, row in _read_rows(path, FUSED_COLUMNS):
@@ -629,16 +629,16 @@ def oracle_read_fused(path: str | Path, convention: str = "lps") -> list[FusedRe
         if stage not in TIER_BY_STAGE:
             raise InputError(f"{path}:{row_num}: column stage has unknown value {stage!r}")
         out.append(
-            FusedRecord(
+            FusedCandidate(
                 scan_id=_parse_str(path, row_num, row, "scan_id"),
-                candidate_id=_parse_str(path, row_num, row, "candidate_id"),
                 center=WorldPoint(*_convert_to_lps(x, y, z, convention)),
-                diameter_mm=_parse_float(path, row_num, row, "diameter_mm", required=False),
-                score=_parse_float(path, row_num, row, "score"),
-                tier=_parse_float(path, row_num, row, "tier"),
+                confidence_tier=_parse_float(path, row_num, row, "tier"),
                 stage=stage,
-                cadx_avg=_parse_float(path, row_num, row, "cadx_avg", required=False),
+                cade_score_avg=_parse_float(path, row_num, row, "score"),
                 provenance=tuple(_parse_str(path, row_num, row, "provenance").split(PROVENANCE_SEP)),
+                diameter_mm=_parse_float(path, row_num, row, "diameter_mm", required=False),
+                cadx_avg=_parse_float(path, row_num, row, "cadx_avg", required=False),
+                candidate_id=_parse_str(path, row_num, row, "candidate_id"),
             )
         )
     return out
@@ -932,13 +932,14 @@ def oracle_row_read_labeled_scores(path: str | Path) -> tuple[list[float], list[
     return scores, labels
 
 
-def oracle_row_read_fused(path: str | Path, convention: str = "lps") -> list[FusedRecord]:
+def oracle_row_read_fused(path: str | Path, convention: str = "lps") -> list[FusedCandidate]:
     """Fused-list rows, held to the rules ``FusedCandidate`` enforces when
     ``fuse`` writes them: score and ``cadx_avg`` in [0, 1], a positive
-    diameter, the tier of the stage, and ``cadx_avg`` exactly for
-    cadx-promoted rows."""
+    diameter, the tier of the stage, ``cadx_avg`` exactly for cadx-promoted
+    rows, and no repeated (scan, candidate id)."""
     path = Path(path)
     out = []
+    seen = set()
     with _csv_table(path, FUSED_COLUMNS) as (columns, rows):
         (i_scan, i_id, i_x, i_y, i_z, i_diameter, i_score, _, i_tier, i_stage, i_cadx,
          i_provenance) = (columns[c] for c in FUSED_COLUMNS)
@@ -967,17 +968,21 @@ def oracle_row_read_fused(path: str | Path, convention: str = "lps") -> list[Fus
                 _unit_interval(path, line, "cadx_avg", cadx_avg)
             elif cadx_avg is not None:
                 raise _cell_error(path, line, "cadx_avg", f"must be empty for stage {stage}")
+            if (scan_id, candidate_id) in seen:
+                raise InputError(f"{path}:{line}: duplicate candidate_id {candidate_id!r} "
+                                 f"on scan {scan_id!r}")
+            seen.add((scan_id, candidate_id))
             x, y, z = _convert_to_lps(x, y, z, convention)
-            out.append(FusedRecord(
+            out.append(FusedCandidate(
                 scan_id=scan_id,
-                candidate_id=candidate_id,
                 center=_point(x, y, z),
-                diameter_mm=diameter,
-                score=score,
-                tier=tier,
+                confidence_tier=tier,
                 stage=stage,
-                cadx_avg=cadx_avg,
+                cade_score_avg=score,
                 provenance=tuple(provenance.split(PROVENANCE_SEP)),
+                diameter_mm=diameter,
+                cadx_avg=cadx_avg,
+                candidate_id=candidate_id,
             ))
     return out
 
@@ -1206,6 +1211,7 @@ def oracle_run_tri_stage(list_a, list_b, cadx_provider=None, mask=None, cfg=None
             dispositions[cand.qualified_id] = DISP_REJECTED
 
     fused.sort(key=lambda f: (-f.confidence_tier, -f.cade_score_avg, f.primary_id))
+    fused = [dataclasses.replace(f, candidate_id=f"F{n:04d}") for n, f in enumerate(fused)]
     expected = {c.qualified_id for c in list_a} | {c.qualified_id for c in list_b}
     if set(dispositions) != expected:
         raise InvariantError("fusion lost track of input candidates")

@@ -605,6 +605,16 @@ class TestLinkCommand:
         assert len(matched) == 1 and matched[0]["candidate_id"] == "F0000"
         assert "lobe=pass" in matched[0]["criteria"]
 
+    def test_repeated_candidate_id_exits_2_with_its_line(self, tmp_path, capsys):
+        reports = tmp_path / "reports.tsv"
+        reports.write_text("r1\ts1\tA 9 mm nodule is seen\n")
+        fused = self.write_fused(tmp_path / "fused.csv")
+        fused.write_text(fused.read_text().replace("F0001", "F0000"))
+        code = run(["link", "--reports", reports, "--fused", fused, "--out", tmp_path / "l.csv"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {fused}:3: duplicate candidate_id 'F0000' on scan 's1'\n")
+
     def test_shuffled_fused_rows_give_same_links(self, tmp_path, monkeypatch):
         header = ("scan_id,candidate_id,x_mm,y_mm,z_mm,diameter_mm,score,model,"
                   "tier,stage,cadx_avg,provenance\n")

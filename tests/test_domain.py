@@ -155,7 +155,8 @@ def fused_table():
         np.array([1.0, 0.5, 1.0, 0.2]),
         ["consensus", "cadx_promoted", "consensus", "cade_refined"],
         np.array([math.nan, 0.35, math.nan, math.nan]),
-        ["CADE_A:a1|CADE_B:b1", "CADE_A:a2", "CADE_A:a1|CADE_B:b4|CADE_B:b5", "CADE_B:b2"],
+        [("CADE_A:a1", "CADE_B:b1"), ("CADE_A:a2",), ("CADE_A:a1", "CADE_B:b4", "CADE_B:b5"),
+         ("CADE_B:b2",)],
     )
 
 
@@ -180,7 +181,8 @@ class TestCandidateTableTake:
         assert taken.tier.tolist() == [0.2, 0.5, 1.0]
         assert taken.stage == ["cade_refined", "cadx_promoted", "consensus"]
         assert taken.cadx_avg[1] == 0.35 and math.isnan(taken.cadx_avg[0])
-        assert taken.provenance == ["CADE_B:b2", "CADE_A:a2", "CADE_A:a1|CADE_B:b4|CADE_B:b5"]
+        assert taken.provenance == [("CADE_B:b2",), ("CADE_A:a2",),
+                                    ("CADE_A:a1", "CADE_B:b4", "CADE_B:b5")]
         assert taken == table.records([3, 1, 2])
         assert taken[0].provenance == ("CADE_B:b2",)
 

@@ -245,9 +245,9 @@ class TestFusedRoundTrip:
         records = fileio.read_fused(path)
         assert len(records) == 2
         assert records[0].center == WorldPoint(1.25, -2.5, 3.75)
-        assert records[0].tier == 1.0 and records[0].stage == "consensus"
+        assert records[0].confidence_tier == 1.0 and records[0].stage == "consensus"
         assert records[0].provenance == ("CADE_A:a1", "CADE_B:b1")
-        assert records[0].score == 0.7
+        assert records[0].cade_score_avg == 0.7
         assert records[1].cadx_avg == 0.3321
         assert records[0].candidate_id == "F0000"
         # fused output is re-ingestible as an evaluation candidate list
@@ -267,6 +267,18 @@ class TestFusedRoundTrip:
             oracle_write_fused_csv(tmp_path / "expected.csv", fused, digest)
             assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
+    @pytest.mark.parametrize("scan_id", ["s1", "s,1", 's"1"'])
+    def test_read_list_writes_the_same_bytes(self, tmp_path, scan_id):
+        # the first row's provenance holds two ids; a second scan keeps its own numbering
+        first, second = self.fused()
+        fused = [dataclasses.replace(first, scan_id=scan_id), second,
+                 dataclasses.replace(second, scan_id=scan_id)]
+        path, again = tmp_path / "fused.csv", tmp_path / "again.csv"
+        fileio.write_fused_csv(path, fused, manifest_digest="deadbeef")
+        digest = path.read_text().splitlines()[0].removeprefix("# manifest_digest=")
+        fileio.write_fused_csv(again, fileio.read_fused(path), digest)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_float_round_trip_is_exact(self, tmp_path):
         values = [0.1, 1 / 3, 2.0 ** -40, 12345.6789]
         fused = [
@@ -285,7 +297,7 @@ class TestFusedRoundTrip:
         records = fileio.read_fused(path)
         for original, record in zip(fused, records):
             assert record.center == original.center
-            assert record.score == original.cade_score_avg
+            assert record.cade_score_avg == original.cade_score_avg
 
 
 FUSED_HEADER = ",".join(fileio.FUSED_COLUMNS) + "\n"
@@ -323,6 +335,12 @@ class TestFusedReaderRules:
     def test_cadx_avg_in_unit_interval(self, tmp_path):
         with pytest.raises(InputError, match=r"fused\.csv:4: column cadx_avg must lie in \[0, 1\]"):
             self.read(tmp_path, "s1,F0001,1,2,3,,0.5,FUSED,0.5,cadx_promoted,9,CADE_A:a2")
+
+    def test_candidate_id_unique_per_scan(self, tmp_path):
+        assert len(self.read(tmp_path, "s2,F0000,1,2,3,,0.5,FUSED,0.2,cade_refined,,CADE_A:a2")) == 2
+        with pytest.raises(InputError,
+                           match=r"fused\.csv:4: duplicate candidate_id 'F0000' on scan 's1'"):
+            self.read(tmp_path, "s1,F0000,1,2,3,,0.5,FUSED,0.2,cade_refined,,CADE_A:a2")
 
     def test_cadx_avg_exactly_for_cadx_promoted(self, tmp_path):
         with pytest.raises(InputError, match=r"fused\.csv:4: column cadx_avg is empty"):

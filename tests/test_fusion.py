@@ -298,8 +298,8 @@ class TestTriStageProperties:
             assert forwarded == expected
 
     def test_fused_candidates_pass_their_own_checks(self):
-        # fusion builds its outputs without running __post_init__; every one
-        # must still be a record the validating constructor accepts unchanged
+        # every row of a fused table reads as a FusedCandidate, built by the
+        # validating constructor; building it again changes nothing
         rng = np.random.default_rng(16)
         for _ in range(100):
             list_a, list_b = random_scan(rng)
