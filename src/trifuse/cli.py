@@ -211,7 +211,7 @@ def cmd_fuse(opts: _Options) -> int:
     )
     fileio.write_fused_csv(out_path, output.fused, manifest["digest"])
     fileio.write_manifest(out_path.parent / (out_path.stem + ".manifest.json"), manifest)
-    print(f"fused {len(output.fused)} candidates across {len(output.per_scan)} scans -> {out_path}")
+    print(f"fused {len(output.fused)} candidates across {len(output.scan_ids)} scans -> {out_path}")
     return 0
 
 

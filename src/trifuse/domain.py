@@ -131,6 +131,45 @@ def may_lie_within(a: Iterable[np.ndarray], b: Iterable[np.ndarray], radius_mm) 
     return squared <= radius_mm * radius_mm * (1.0 + _PREFILTER_SLACK) + _PREFILTER_FLOOR_MM2
 
 
+PAIR_BLOCK = 1 << 14  # pair tests near_pairs makes at a time
+
+
+def near_pairs(codes_a: np.ndarray, xyz_a: np.ndarray, codes_b: np.ndarray,
+               xyz_b: np.ndarray, radius_mm: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)``, in row-major order, of rows of the ``(n, 3)`` arrays
+    ``xyz_a`` and ``xyz_b`` with equal (scan) codes whose points may lie within
+    ``radius_mm``: ``may_lie_within``, about ``PAIR_BLOCK`` pairs at a time, on the rows
+    of B whose x lies within ``reach`` of A's (the radius, with a slack that covers
+    the rounding of the window's edges and of a distance)."""
+    def scan_x(codes: np.ndarray, x: np.ndarray) -> np.ndarray:
+        key = np.empty(len(x), complex)  # numpy orders complex numbers lexicographically
+        key.real, key.imag = codes, x
+        return key
+
+    keys = scan_x(codes_b, xyz_b[:, 0])
+    order = np.argsort(keys, kind="stable")
+    x = xyz_a[:, 0]
+    reach = radius_mm * (1.0 + _PREFILTER_SLACK) + math.sqrt(_PREFILTER_FLOOR_MM2)
+    lo = np.searchsorted(keys[order], scan_x(codes_a, x - reach), "left")
+    counts = np.searchsorted(keys[order], scan_x(codes_a, x + reach), "right") - lo
+    ends = np.cumsum(counts)
+    first = lo - ends + counts  # pair g of row i tests B's sorted row first[i] + g
+    rows, cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    start = 0
+    while start < len(x):
+        done = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + PAIR_BLOCK, "right")))
+        i = np.repeat(np.arange(start, stop), counts[start:stop])
+        j = order[first[i] + np.arange(done, ends[stop - 1])]
+        near = may_lie_within(xyz_a[i].T, xyz_b[j].T, radius_mm)
+        rows.append(i[near])
+        cols.append(j[near])
+        start = stop
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    row_major = np.lexsort((cols, rows))
+    return rows[row_major], cols[row_major]
+
+
 @dataclass(frozen=True)
 class CandidateDetection:
     """One detector proposal: a scored location on a single scan.
@@ -242,6 +281,8 @@ class CandidateTable(RecordSequence):
     ``==`` against a list build one ``CandidateDetection`` per row, or one
     ``FusedCandidate`` for a fused-list table, only when asked. The columns
     are taken as given; the record constructors check each row they build.
+    A table made by ``take`` holds in ``source_rows`` the rows it was taken
+    at; any other table holds None there.
     """
 
     def __init__(self, scan_id: list[str], candidate_id: list[str], model: list[str],
@@ -261,6 +302,7 @@ class CandidateTable(RecordSequence):
         self.provenance = provenance
         self._by_scan: dict[str, np.ndarray] | None = None
         self._qualified_id: list[str] | None = None
+        self.source_rows: np.ndarray | None = None
 
     @classmethod
     def from_records(cls, records: Iterable[CandidateDetection]) -> "CandidateTable":
@@ -280,17 +322,14 @@ class CandidateTable(RecordSequence):
     @classmethod
     def concat(cls, tables: Sequence["CandidateTable"]) -> "CandidateTable":
         """The rows of one or more tables with the same columns, table after
-        table; the ``qualified_id`` list too when every table has computed it."""
+        table."""
 
         def join(columns):
             if isinstance(columns[0], list):
                 return list(itertools.chain.from_iterable(columns))
             return None if columns[0] is None else np.concatenate(columns)
 
-        table = cls(*(join([getattr(t, name) for t in tables]) for name in _COLUMNS))
-        if all(t._qualified_id is not None for t in tables):
-            table._qualified_id = join([t._qualified_id for t in tables])
-        return table
+        return cls(*(join([getattr(t, name) for t in tables]) for name in _COLUMNS))
 
     @classmethod
     def of(cls, candidates: Iterable[CandidateDetection]) -> "CandidateTable":
@@ -302,7 +341,8 @@ class CandidateTable(RecordSequence):
     def require_unique_keys(self) -> "CandidateTable":
         """This table, if no two rows share a (scan, model, candidate id) key;
         else the ``InputError`` of the first row that repeats one."""
-        if len(set(self.candidate_id)) < len(self.candidate_id):  # a repeated key repeats its id
+        # a repeated key joins to a repeated string (strings hold no GC-tracked tuples)
+        if len(set(map("\0".join, zip(self.scan_id, self.model, self.candidate_id)))) < len(self):
             seen: set[tuple[str, str, str]] = set()
             for key in zip(self.scan_id, self.model, self.candidate_id):
                 if key in seen:
@@ -329,9 +369,12 @@ class CandidateTable(RecordSequence):
 
     @property
     def qualified_id(self) -> list[str]:
-        """Each row's ``source_model:candidate_id``, as on its record."""
+        """Each row's ``source_model:candidate_id``, as on its record; rows with
+        equal ids share one string (ids repeat from scan to scan)."""
         if self._qualified_id is None:
-            self._qualified_id = [f"{m}:{c}" for m, c in zip(self.model, self.candidate_id)]
+            shared: dict[str, str] = {}
+            self._qualified_id = [shared.setdefault(q := f"{m}:{c}", q)
+                                  for m, c in zip(self.model, self.candidate_id)]
         return self._qualified_id
 
     def of_scans(self, scan_ids: Iterable[str]) -> "CandidateTable":
@@ -357,6 +400,7 @@ class CandidateTable(RecordSequence):
             pick_array(self.cadx_avg), pick(self.provenance),
         )
         table._qualified_id = pick(self._qualified_id)
+        table.source_rows = rows
         return table
 
     def records(self, rows: Iterable[int]) -> list:

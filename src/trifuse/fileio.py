@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -29,6 +28,7 @@ import tempfile
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -364,14 +364,15 @@ def _number_problem(cell: str, required: bool) -> str | None:
     return None
 
 
-def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Whole-file atomic write: temp file in the same directory, then rename."""
+def atomic_write_text(path: str | Path, text: str | Callable[[TextIO], object]) -> Path:
+    """Whole-file atomic write of ``text``, or of what ``text(fh)`` writes to the
+    open file: temp file in the same directory, then rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            text(fh) if callable(text) else fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -387,14 +388,15 @@ def write_csv(
     manifest_digest: str | None = None,
 ) -> Path:
     """Rows of Python values: None is written as an empty cell and a float
-    as its ``repr``."""
-    buf = io.StringIO()
-    if manifest_digest:
-        buf.write(f"# manifest_digest={manifest_digest}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return atomic_write_text(path, buf.getvalue())
+    as its ``repr``. The rows go to the file as they come, not through a
+    string of the whole file."""
+    def write(fh: TextIO) -> None:
+        if manifest_digest:
+            fh.write(f"# manifest_digest={manifest_digest}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return atomic_write_text(path, write)
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +618,8 @@ _FUSED_CHUNK = 4096  # rows turned into cells at a time, so few cell values are 
 def write_fused_csv(
     path: str | Path, fused: Iterable[FusedCandidate], manifest_digest: str | None = None
 ) -> Path:
-    """The fused list, a fused-list table or ``FusedCandidate`` records
-    (numbered per scan in list order), written from the table's columns,
+    """The fused list, a fused-list table or ``FusedCandidate`` records (as
+    ``fusion.fused_table`` numbers them), written from the table's columns,
     ``_FUSED_CHUNK`` rows at a time: a float as its ``repr``, a NaN diameter
     or ``cadx_avg`` as an empty cell, provenance joined with ``|``."""
     t = fused_table(fused)

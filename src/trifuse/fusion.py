@@ -21,7 +21,7 @@ import math
 import shlex
 import subprocess
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -32,6 +32,7 @@ from .domain import (
     STAGE_CADX,
     STAGE_CONSENSUS,
     TIER_BY_STAGE,
+    TOLERANCE_CAP_AT_DIAMETER_MM,
     TOLERANCE_CAP_MM,
     CandidateDetection,
     CandidateTable,
@@ -40,9 +41,7 @@ from .domain import (
     RecordSequence,
     WorldPoint,
     distance_mm,
-    match_tolerance,
-    may_lie_within,
-    nan_to_none,
+    near_pairs,
     require_unit_interval,
 )
 from .errors import InputError, InvariantError, ScorerError
@@ -56,6 +55,7 @@ DISP_PAIR = "pair_member"
 DISP_T2 = "promoted_cadx"
 DISP_T3 = "retained_cade"
 DISP_REJECTED = "rejected"
+DISPOSITIONS = (DISP_MASK_REJECTED, DISP_PAIR, DISP_T2, DISP_T3, DISP_REJECTED)
 
 CadxProvider = Callable[[CandidateDetection], "CadxScores"]
 
@@ -116,13 +116,19 @@ class ConsensusPair:
 
 def fused_table(fused: Iterable[FusedCandidate]) -> CandidateTable:
     """``fused`` if it is a table, else the fused-list table of its records,
-    numbered ``F0000``, ``F0001``, ... per scan in list order."""
+    with their ``candidate_id``s when every record has one, numbered
+    ``F0000``, ``F0001``, ... per scan in list order when none has."""
     if isinstance(fused, CandidateTable):
         return fused
     fused = list(fused)
     scan_ids = [f.scan_id for f in fused]
+    ids = [f.candidate_id for f in fused]
+    if None in ids:
+        if ids.count(None) < len(ids):
+            raise InputError("fused records must all have a candidate_id, or none")
+        ids = output_ids(scan_ids)
     return CandidateTable(
-        scan_ids, output_ids(scan_ids), [FUSED_MODEL] * len(fused),
+        scan_ids, ids, [FUSED_MODEL] * len(fused),
         np.array([f.center.as_tuple() for f in fused], dtype=np.float64).reshape(-1, 3),
         np.array([math.nan if f.diameter_mm is None else f.diameter_mm for f in fused],
                  dtype=np.float64),
@@ -140,10 +146,12 @@ def output_ids(scan_ids: list[str]) -> list[str]:
     list order."""
     counts: dict[str, int] = {}
     ids: list[str] = []
+    names: list[str] = []  # one string per id, whatever the number of scans
     for scan_id, run in itertools.groupby(scan_ids):
         start = counts.get(scan_id, 0)
         counts[scan_id] = end = start + len(list(run))
-        ids += [f"F{n:04d}" for n in range(start, end)]
+        names += [f"F{n:04d}" for n in range(len(names), end)]
+        ids += names[start:end]
     return ids
 
 
@@ -155,91 +163,67 @@ class TriStageResult:
     duplicate_of: dict[str, str]
 
     def disposition_counts(self) -> dict[str, int]:
-        counts = dict.fromkeys((DISP_MASK_REJECTED, DISP_PAIR, DISP_T2, DISP_T3, DISP_REJECTED), 0)
-        for disp in self.dispositions.values():
-            counts[disp] += 1
-        return counts
+        dispositions = list(self.dispositions.values())
+        return {disp: dispositions.count(disp) for disp in DISPOSITIONS}
 
 
-def _pair_radius_mm(diameter_a: float | None, diameter_b: float | None,
-                    cfg: PipelineConfig) -> float:
-    if cfg.consensus_radius_policy == "fixed":
-        return cfg.consensus_radius_mm
-    if diameter_a is not None and diameter_b is not None:
-        return max(cfg.consensus_radius_mm, match_tolerance(max(diameter_a, diameter_b)))
-    return cfg.consensus_radius_mm
+def _pair_radii(diameter_a: np.ndarray, diameter_b: np.ndarray,
+                cfg: PipelineConfig) -> np.ndarray:
+    """Each pair's pairing distance: the base radius, or under the adaptive policy the
+    larger of it and the (capped) matching tolerance of the larger of two diameters given."""
+    base = np.full(len(diameter_a), cfg.consensus_radius_mm)
+    larger = np.maximum(diameter_a, diameter_b)  # NaN unless both are given
+    tolerance = np.where(larger < TOLERANCE_CAP_AT_DIAMETER_MM, larger / 2.0, TOLERANCE_CAP_MM)
+    return np.where(np.isnan(larger) | (cfg.consensus_radius_policy == "fixed"), base,
+                    np.maximum(base, tolerance))
 
 
-def consensus_radius_mm(
-    a: CandidateDetection, b: CandidateDetection, cfg: PipelineConfig
-) -> float:
-    """Pairing distance for two candidates under the configured policy.
-
-    The adaptive policy widens the base radius to the matching tolerance of
-    the larger reported diameter; without diameters it falls back to the flat
-    base radius.
-    """
-    return _pair_radius_mm(a.diameter_mm, b.diameter_mm, cfg)
+def _ranks(ids: list[str]) -> np.ndarray:
+    """Integers that order like ``ids``: each one's index in ``sorted(set(ids))``."""
+    rank = {c: k for k, c in enumerate(sorted(set(ids)))}
+    return np.fromiter(map(rank.__getitem__, ids), np.intp, len(ids))
 
 
-def _max_consensus_radius_mm(cfg: PipelineConfig) -> float:
-    """The largest radius ``consensus_radius_mm`` returns under ``cfg``: the
-    adaptive policy never exceeds the capped matching tolerance."""
-    if cfg.consensus_radius_policy == "fixed":
-        return cfg.consensus_radius_mm
-    return max(cfg.consensus_radius_mm, TOLERANCE_CAP_MM)
+class DuplicateMap(dict):
+    """Suppressed qualified ids to their survivors' (keys ``(scan_id, qualified id)`` across
+    scans); ``rows`` and ``survivors`` hold both as input table rows, in visit order."""
 
-
-def _near_pairs(a: np.ndarray, b: np.ndarray, radius_mm: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs ``(i, j)``, in row-major order, of rows of the ``(n, 3)``
-    arrays ``a`` and ``b`` whose points may lie within ``radius_mm``.
-
-    A prefilter on one squared-distance array: it keeps every pair the exact
-    scalar distance admits and a few just outside, which callers test exactly.
-    """
-    return np.nonzero(may_lie_within(a.T[:, :, None], b.T[:, None, :], radius_mm))
-
-
-def _require_single_scan(*tables: CandidateTable) -> str | None:
-    scan_ids = {scan_id for table in tables for scan_id in table.scan_id}
-    if len(scan_ids) > 1:
-        raise InputError(f"candidates span multiple scans: {sorted(scan_ids)}")
-    return next(iter(scan_ids)) if scan_ids else None
+    def __init__(self, table: CandidateTable, rows: np.ndarray, survivors: np.ndarray,
+                 spans_scans: bool):
+        self.rows, self.survivors = rows, survivors
+        model, ids = table.model, table.candidate_id
+        for i, j in zip(rows.tolist(), survivors.tolist()):
+            key = f"{model[i]}:{ids[i]}"
+            self[(table.scan_id[i], key) if spans_scans else key] = f"{model[j]}:{ids[j]}"
 
 
 def suppress_same_model_duplicates(
     candidates: Iterable[CandidateDetection], radius_mm: float
-) -> tuple[CandidateTable, dict[str, str]]:
-    """Keep only the best-scored candidate among same-model near-duplicates.
+) -> tuple[CandidateTable, DuplicateMap]:
+    """Keep only the best-scored candidate among same-model near-duplicates
+    on each scan of ``candidates`` (records or a ``CandidateTable``).
 
-    Candidates are visited best score first (ties by candidate id); each one
-    is absorbed by the first earlier survivor within ``radius_mm`` (scalar
-    distance, after the prefilter), or survives. ``candidates`` are records
-    or a ``CandidateTable``. Returns the table of the survivors
-    (score-descending) and a map from each suppressed candidate's qualified
-    id to its survivor's qualified id.
-    """
+    Candidates are visited by scan id, then best score first (ties by
+    candidate id); each one is absorbed by the first earlier survivor on its
+    scan within ``radius_mm`` (scalar distance, after the prefilter), or
+    survives. Returns the survivors' table, taken from the input in visit
+    order, and the ``DuplicateMap`` of the suppressed candidates."""
     table = CandidateTable.of(candidates)
-    ids = table.candidate_id
-    id_rank = np.empty(len(ids), dtype=np.intp)  # orders like the ids, ties in list order
-    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    order = np.lexsort((id_rank, -table.score))
+    codes = _ranks(table.scan_id)
+    order = np.lexsort((_ranks(table.candidate_id), -table.score, codes))
     xyz = table.xyz[order]
-    rows, cols = _near_pairs(xyz, xyz, radius_mm)
-    earlier = np.flatnonzero(cols < rows)
-    # row-major pairs: each candidate meets the earlier ones in visit order,
-    # whose fate is settled, and joins the first survivor within the radius
+    rows, cols = near_pairs(codes[order], xyz, codes[order], xyz, radius_mm)
+    rows, cols = rows[cols < rows], cols[cols < rows]
+    # row-major pairs: each candidate meets the earlier ones on its scan in
+    # visit order, whose fate is settled, and joins the first survivor within
+    # the radius
     survivor_of: dict[int, int] = {}
-    if earlier.size:
-        rows, cols = rows[earlier], cols[earlier]
-        for i, j, p, q in zip(rows.tolist(), cols.tolist(), xyz[rows].tolist(),
-                              xyz[cols].tolist()):
-            if i not in survivor_of and j not in survivor_of and distance_mm(*p, *q) <= radius_mm:
-                survivor_of[i] = j
-    order = order.tolist()
-    qualified = table.qualified_id if survivor_of else []
-    absorbed = {qualified[order[i]]: qualified[order[j]] for i, j in survivor_of.items()}
-    return table.take([k for i, k in enumerate(order) if i not in survivor_of]), absorbed
+    for i, j, *ab in zip(rows.tolist(), cols.tolist(), *xyz[rows].T.tolist(),
+                         *xyz[cols].T.tolist()):
+        if i not in survivor_of and j not in survivor_of and distance_mm(*ab) <= radius_mm:
+            survivor_of[i] = j
+    return table.take(np.delete(order, list(survivor_of))), DuplicateMap(
+        table, order[list(survivor_of)], order[list(survivor_of.values())], codes.any())
 
 
 class ConsensusPairs(RecordSequence):
@@ -284,64 +268,51 @@ def cross_detector_consensus(
     list_b: Iterable[CandidateDetection],
     cfg: PipelineConfig | None = None,
 ) -> tuple[ConsensusPairs, CandidateTable]:
-    """Pair candidates proposed by both detectors on one scan.
+    """Pair candidates proposed by both detectors on the same scan.
 
-    A pair is admissible when the centroid distance satisfies the consensus
-    radius. Admissible pairs are committed greedily in descending order of
-    summed score (ties by candidate id pair); each candidate joins at most
-    one pair. Unpaired candidates from either list form the disagreement set.
-    Pairs within the largest radius the policy allows are found on one
-    distance array, then each is tested with the scalar distance and its own
-    radius, so the result is that of testing every pair.
-
-    The lists are records or ``CandidateTable``s. The pairs come as
-    ``ConsensusPairs``, which hold the tables of their members; the
-    disagreements as one ``CandidateTable`` in (model, candidate id) order.
-    """
+    A pair is admissible when both lie on one scan and the centroid distance
+    (the scalar one, on the pairs ``near_pairs`` finds) satisfies the
+    consensus radius. Admissible pairs are committed greedily in descending
+    order of summed score (ties by candidate id pair); each candidate joins
+    at most one pair. The lists are records or ``CandidateTable``s in which
+    no (model, candidate id) repeats on a scan. Returns the pairs by scan id,
+    then in commit order, with member tables taken from the lists, and the
+    unpaired candidates (the disagreements) in (scan id, model, candidate id)
+    order, taken from the lists joined (A's rows, then B's)."""
     cfg = cfg or PipelineConfig()
     table_a, table_b = CandidateTable.of(list_a), CandidateTable.of(list_b)
-    _require_single_scan(table_a, table_b)
-    models_a = set(table_a.model)
-    models_b = set(table_b.model)
+    models_a, models_b = set(table_a.model), set(table_b.model)
     if len(models_a) > 1 or len(models_b) > 1:
         raise InputError("each detector list must come from a single source model")
     if models_a and models_b and models_a == models_b:
         raise InputError("detector lists must come from different source models")
 
-    near_a, near_b = _near_pairs(table_a.xyz, table_b.xyz, _max_consensus_radius_mm(cfg))
-    admitted = [
-        k for k, (p, q, da, db) in enumerate(zip(
-            table_a.xyz[near_a].tolist(), table_b.xyz[near_b].tolist(),
-            table_a.diameter_mm[near_a].tolist(), table_b.diameter_mm[near_b].tolist()))
-        if distance_mm(*p, *q) <= _pair_radius_mm(nan_to_none(da), nan_to_none(db), cfg)
-    ]
-    ids_a, ids_b = table_a.candidate_id, table_b.candidate_id
-    admissible = list(zip(near_a[admitted].tolist(), near_b[admitted].tolist(),
-                          (table_a.score[near_a[admitted]]
-                           + table_b.score[near_b[admitted]]).tolist()))
-    admissible.sort(key=lambda ijs: (-ijs[2], ids_a[ijs[0]], ids_b[ijs[1]]))
+    n_a = len(table_a)
+    codes = _ranks(table_a.scan_id + table_b.scan_id)  # rows of A, then rows of B
+    ranks = _ranks(table_a.candidate_id + table_b.candidate_id)
+    near_a, near_b = near_pairs(codes[:n_a], table_a.xyz, codes[n_a:], table_b.xyz,
+                                 max(cfg.consensus_radius_mm, TOLERANCE_CAP_MM))
+    admitted = [k for k, (*ab, r) in enumerate(zip(
+        *table_a.xyz[near_a].T.tolist(), *table_b.xyz[near_b].T.tolist(),
+        _pair_radii(table_a.diameter_mm[near_a], table_b.diameter_mm[near_b], cfg).tolist()))
+        if distance_mm(*ab) <= r]
+    near_a, near_b = near_a[admitted], near_b[admitted]
+    commit = np.lexsort((ranks[n_a + near_b], ranks[near_a],
+                         -(table_a.score[near_a] + table_b.score[near_b]), codes[near_a]))
 
-    used_a: set[str] = set()
-    used_b: set[str] = set()
-    paired_a: list[int] = []
-    paired_b: list[int] = []
-    for i, j, _ in admissible:
-        if ids_a[i] in used_a or ids_b[j] in used_b:
-            continue
-        used_a.add(ids_a[i])
-        used_b.add(ids_b[j])
-        paired_a.append(i)
-        paired_b.append(j)
-    pairs = ConsensusPairs(table_a.take(paired_a), table_b.take(paired_b))
+    paired: dict[int, int] = {}  # row of A -> row of B, in commit order
+    used_b: set[int] = set()
+    for i, j in zip(near_a[commit].tolist(), near_b[commit].tolist()):
+        if i not in paired and j not in used_b:
+            paired[i] = j
+            used_b.add(j)
+    paired_a, paired_b = list(paired), list(paired.values())
 
-    def unpaired(table: CandidateTable, ids: list[str], used: set[str]) -> CandidateTable:
-        return table.take(sorted((k for k, c in enumerate(ids) if c not in used),
-                                 key=ids.__getitem__))
-
-    singles = [unpaired(table_a, ids_a, used_a), unpaired(table_b, ids_b, used_b)]
-    if models_a and models_b and min(models_b) < min(models_a):
-        singles.reverse()  # disagreements go by (model, candidate id)
-    return pairs, CandidateTable.concat(singles)
+    rows = np.delete(np.arange(len(codes)), paired_a + [n_a + j for j in paired_b])
+    b_first = bool(models_a and models_b and min(models_b) < min(models_a))
+    order = np.lexsort((ranks[rows], (rows >= n_a) != b_first, codes[rows]))
+    return (ConsensusPairs(table_a.take(paired_a), table_b.take(paired_b)),
+            CandidateTable.concat([table_a, table_b]).take(rows[order]))
 
 
 def _score_disagreements(table: CandidateTable, provider: CadxProvider | None
@@ -368,113 +339,15 @@ def _score_disagreements(table: CandidateTable, provider: CadxProvider | None
                  for p in ("p_luna", "p_dlcs"))
 
 
-def run_tri_stage(
-    list_a: list[CandidateDetection],
-    list_b: list[CandidateDetection],
-    cadx_provider: CadxProvider | None = None,
-    mask: Volume | None = None,
-    cfg: PipelineConfig | None = None,
-) -> TriStageResult:
-    """Run the full tri-stage fusion for one scan.
-
-    Returns the tiered candidate list sorted by (tier desc, averaged detector
-    score desc, primary candidate id) plus a per-candidate disposition map.
-    The lists are records or ``CandidateTable``s in which no (model,
-    candidate id) repeats. Fusion works on their columns and builds the
-    fused list as a table; it builds a record only for each candidate it
-    sends to a CADx provider other than a ``FileCadxProvider``.
-    """
-    cfg = cfg or PipelineConfig()
-    table_a = CandidateTable.of(list_a).require_unique_keys()
-    table_b = CandidateTable.of(list_b).require_unique_keys()
-    scan_id = _require_single_scan(table_a, table_b) or ""
-    inputs = {*table_a.qualified_id, *table_b.qualified_id}  # every take keeps these ids
-    dispositions: dict[str, str] = {}
-
-    def gate(table: CandidateTable) -> CandidateTable:
-        if mask is None:
-            return table
-        kept = []
-        for k, (point, qualified_id) in enumerate(zip(table.xyz.tolist(), table.qualified_id)):
-            if centroid_in_lung(WorldPoint(*point), mask, cfg.lung_labels):
-                kept.append(k)
-            else:
-                dispositions[qualified_id] = DISP_MASK_REJECTED
-        return table.take(kept)
-
-    kept_a, absorbed_a = suppress_same_model_duplicates(gate(table_a), cfg.dedup_radius_mm)
-    kept_b, absorbed_b = suppress_same_model_duplicates(gate(table_b), cfg.dedup_radius_mm)
-    duplicate_of = {**absorbed_a, **absorbed_b}
-    for dup_id in duplicate_of:
-        dispositions[dup_id] = DISP_REJECTED
-    absorbed_by: dict[str, list[str]] = {}
-    for dup_id, survivor_id in sorted(duplicate_of.items()):
-        absorbed_by.setdefault(survivor_id, []).append(dup_id)
-
-    pairs, singles = cross_detector_consensus(kept_a, kept_b, cfg)
-    pair_xyz, pair_score, pair_diameter = pairs.merged
-    overflow = ~np.isfinite(pair_xyz).all(axis=1)
-    if overflow.any():
-        WorldPoint(*pair_xyz[np.argmax(overflow)].tolist())  # raises the InputError of the point
-    ids_a, ids_b = pairs.members_a.qualified_id, pairs.members_b.qualified_id
-    for qa, qb in zip(ids_a, ids_b):
-        dispositions[qa] = DISP_PAIR
-        dispositions[qb] = DISP_PAIR
-
-    p_luna, p_dlcs = _score_disagreements(singles, cadx_provider)
-    cadx_avg = (p_luna + p_dlcs) / 2.0
-    promoted = cadx_avg >= cfg.tau_cadx
-    # For a single-detector candidate the averaged detector score is its
-    # own score: only one detector saw it.
-    retained = ~promoted & (singles.score >= cfg.tau_cade)
-    for qualified_id, t2, t3 in zip(singles.qualified_id, promoted.tolist(), retained.tolist()):
-        dispositions[qualified_id] = DISP_T2 if t2 else DISP_T3 if t3 else DISP_REJECTED
-
-    # the fused rows are gathered from the pair rows stacked over the single rows
-    n_pairs = len(pairs)
-    stack_tier = np.concatenate((np.full(n_pairs, TIER_BY_STAGE[STAGE_CONSENSUS]),
-                                 np.where(promoted, TIER_BY_STAGE[STAGE_CADX],
-                                          TIER_BY_STAGE[STAGE_CADE])))
-    stack_score = np.concatenate((pair_score, singles.score))
-    primary = ids_a + singles.qualified_id
-    chosen = np.concatenate((np.arange(n_pairs), n_pairs + np.flatnonzero(promoted | retained)))
-    chosen_ids = [primary[k] for k in chosen.tolist()]
-    id_rank = np.empty(len(chosen_ids), dtype=np.intp)
-    id_rank[sorted(range(len(chosen_ids)), key=chosen_ids.__getitem__)] = np.arange(len(chosen_ids))
-    rows = chosen[np.lexsort((id_rank, -stack_score[chosen], -stack_tier[chosen]))]
-
-    def provenance(qualified_id: str) -> tuple[str, ...]:
-        return (qualified_id, *absorbed_by.get(qualified_id, ()))
-
-    row_list = rows.tolist()
-    tier = stack_tier[rows]
-    scan_ids = [scan_id] * len(row_list)
-    fused = CandidateTable(
-        scan_ids, output_ids(scan_ids), [FUSED_MODEL] * len(row_list),
-        np.concatenate((pair_xyz, singles.xyz))[rows],
-        np.concatenate((pair_diameter, singles.diameter_mm))[rows], stack_score[rows],
-        tier=tier, stage=[STAGE_BY_TIER[t] for t in tier.tolist()],
-        cadx_avg=np.concatenate((np.full(n_pairs, math.nan),
-                                 np.where(promoted, cadx_avg, math.nan)))[rows],
-        provenance=[provenance(primary[k]) if k >= n_pairs
-                    else provenance(primary[k]) + provenance(ids_b[k]) for k in row_list],
-    )
-
-    if set(dispositions) != inputs:
-        raise InvariantError("fusion lost track of input candidates")
-
-    return TriStageResult(
-        scan_id=scan_id,
-        fused=fused,
-        dispositions=dispositions,
-        duplicate_of=duplicate_of,
-    )
-
-
-@dataclass(frozen=True)
 class FusionOutput:
-    fused: CandidateTable
-    per_scan: dict[str, TriStageResult] = field(default_factory=dict)
+    """A cohort's fused list, its scan ids and each scan's result, built when first read."""
+
+    def __init__(self, fused: CandidateTable, scan_ids: list[str], per_scan: Callable[[], dict]):
+        self.fused, self.scan_ids, self._per_scan = fused, scan_ids, per_scan
+
+    @cached_property
+    def per_scan(self) -> dict[str, TriStageResult]:
+        return self._per_scan()
 
 
 def fuse_scans(
@@ -484,33 +357,126 @@ def fuse_scans(
     masks: Callable[[str], Volume | None] | None = None,
     cfg: PipelineConfig | None = None,
 ) -> FusionOutput:
-    """Fuse candidate lists across scans, one scan at a time in scan-id order.
+    """Fuse candidate lists (``CandidateTable``s or records in which no
+    (model, candidate id) repeats on a scan) in one pass over the cohort.
 
-    Each list is a ``CandidateTable`` or an iterable of records; each scan is
-    fused on its own rows, taken from the table, and the fused list is the
-    scans' fused tables joined in that order. A mask loader is called once
-    per scan, in that order, so it may keep only the current scan's volume.
-    """
+    The mask gate, dedup (one ``suppress_same_model_duplicates`` call per
+    list), pairing (one ``cross_detector_consensus`` call), CADx scoring and
+    the fused order work on all scans at once, each within its scan: the
+    fused rows go by scan id, then tier desc, averaged detector score desc
+    and primary candidate id, numbered ``F0000``, ... per scan. A mask loader
+    is called once per scan, in scan-id order. Every input fault (a repeated
+    key, a mask that cannot load, an overflowing merged center) is raised
+    before the first scorer call."""
     cfg = cfg or PipelineConfig()
-    table_a = CandidateTable.of(candidates_a)
-    table_b = CandidateTable.of(candidates_b)
-    by_scan_a = table_a.by_scan
-    by_scan_b = table_b.by_scan
-    scan_ids = sorted(set(by_scan_a) | set(by_scan_b))
+    table_a = CandidateTable.of(candidates_a).require_unique_keys()
+    table_b = CandidateTable.of(candidates_b).require_unique_keys()
+    scan_ids = sorted(set(table_a.scan_id).union(table_b.scan_id))
+    codes = _ranks(table_a.scan_id + table_b.scan_id)  # of cohort rows: A's rows, then B's
+    n_a = len(table_a)
+    rejected: list[int] = []
+    for scan_id in scan_ids if masks is not None else ():
+        mask = masks(scan_id)
+        for table, offset in ((table_a, 0), (table_b, n_a)) if mask is not None else ():
+            rows = table.by_scan.get(scan_id, np.empty(0, np.intp))
+            rejected += [offset + row for row, p in zip(rows.tolist(), table.xyz[rows].tolist())
+                         if not centroid_in_lung(WorldPoint(*p), mask, cfg.lung_labels)]
+    gated = np.ones(len(codes), dtype=bool)
+    gated[rejected] = False
+    rows_a, rows_b = np.flatnonzero(gated[:n_a]), np.flatnonzero(gated[n_a:])
+    (kept_a, dup_a), (kept_b, dup_b) = (
+        suppress_same_model_duplicates(t if len(r) == len(t) else t.take(r), cfg.dedup_radius_mm)
+        for t, r in ((table_a, rows_a), (table_b, rows_b)))
+    kept = np.concatenate((rows_a[kept_a.source_rows], n_a + rows_b[kept_b.source_rows]))
+    duplicates = np.concatenate((rows_a[dup_a.rows], n_a + rows_b[dup_b.rows]))
+    survivors = np.concatenate((rows_a[dup_a.survivors], n_a + rows_b[dup_b.survivors]))
 
-    results = {
-        scan_id: run_tri_stage(
-            table_a.take(by_scan_a.get(scan_id, [])),
-            table_b.take(by_scan_b.get(scan_id, [])),
-            cadx_provider=cadx_provider,
-            mask=masks(scan_id) if masks is not None else None,
-            cfg=cfg,
-        )
-        for scan_id in scan_ids
-    }
-    tables = [result.fused for result in results.values()]
-    fused = CandidateTable.concat(tables) if tables else fused_table(())
-    return FusionOutput(fused=fused, per_scan=results)
+    pairs, singles = cross_detector_consensus(kept_a, kept_b, cfg)
+    pair_a = kept[pairs.members_a.source_rows]
+    pair_b = kept[len(kept_a) + pairs.members_b.source_rows]
+    single_rows = kept[singles.source_rows]
+    pair_xyz, pair_score, pair_diameter = pairs.merged
+    overflow = ~np.isfinite(pair_xyz).all(axis=1)
+    if overflow.any():
+        WorldPoint(*pair_xyz[np.argmax(overflow)].tolist())  # raises the InputError of the point
+
+    p_luna, p_dlcs = _score_disagreements(singles, cadx_provider)
+    cadx_avg = (p_luna + p_dlcs) / 2.0
+    promoted = cadx_avg >= cfg.tau_cadx
+    # For a single-detector candidate the averaged detector score is its
+    # own score: only one detector saw it.
+    retained = ~promoted & (singles.score >= cfg.tau_cade)
+    # the fused rows are gathered from the pair rows stacked over the single rows
+    n_pairs, n_singles = len(pairs), len(singles)
+    stack_xyz, stack_diameter, stack_score = (np.concatenate(c) for c in (
+        (pair_xyz, singles.xyz), (pair_diameter, singles.diameter_mm), (pair_score, singles.score)))
+    del kept_a, kept_b, pairs, singles  # cohort-sized tables, not needed from here on
+
+    # cohort rows in the order fusion settled them, each with its index in DISPOSITIONS
+    settled = np.concatenate((np.array(rejected, dtype=np.intp), duplicates,
+                              np.column_stack((pair_a, pair_b)).ravel(), single_rows))
+    dispositions = np.concatenate((
+        np.repeat([0, 4, 1], [len(rejected), len(duplicates), 2 * n_pairs]),
+        np.where(promoted, 2, np.where(retained, 3, 4))))
+    if not np.array_equal(np.bincount(settled, minlength=len(codes)), np.ones(len(codes))):
+        raise InvariantError("fusion lost track of input candidates")
+
+    stack_rows = np.concatenate((pair_a, single_rows))  # each one's primary cohort row
+    stack_tier = np.concatenate((np.full(n_pairs, TIER_BY_STAGE[STAGE_CONSENSUS]),
+                                 np.where(promoted, TIER_BY_STAGE[STAGE_CADX],
+                                          TIER_BY_STAGE[STAGE_CADE])))
+    chosen = np.concatenate((np.arange(n_pairs), n_pairs + np.flatnonzero(promoted | retained)))
+    qualified = table_a.qualified_id + table_b.qualified_id
+    primary = [qualified[r] for r in stack_rows[chosen].tolist()]
+    rows = chosen[np.lexsort((_ranks(primary), -stack_score[chosen], -stack_tier[chosen],
+                              codes[stack_rows[chosen]]))]
+    own: dict[int, tuple[str, ...]] = {}  # each survivor's id, then the ids it absorbed
+    for dup, survivor in sorted(zip(duplicates.tolist(), survivors.tolist()),
+                                key=lambda ds: qualified[ds[0]]):
+        own[survivor] = own.get(survivor, (qualified[survivor],)) + (qualified[dup],)
+    second = np.concatenate((pair_b, np.full(n_singles, -1)))  # a pair's B member
+    tier = stack_tier[rows]
+    fused_scans = [scan_ids[c] for c in codes[stack_rows[rows]].tolist()]
+    fused = CandidateTable(
+        fused_scans, output_ids(fused_scans), [FUSED_MODEL] * len(rows),
+        stack_xyz[rows], stack_diameter[rows], stack_score[rows],
+        tier=tier, stage=[STAGE_BY_TIER[t] for t in tier.tolist()],
+        cadx_avg=np.concatenate((np.full(n_pairs, math.nan),
+                                 np.where(promoted, cadx_avg, math.nan)))[rows],
+        provenance=[(own.get(a) or (qualified[a],)) + (own.get(b) or (qualified[b],) if b >= 0
+                                                         else ())
+                    for a, b in zip(stack_rows[rows].tolist(), second[rows].tolist())],
+    )
+
+    def per_scan() -> dict[str, TriStageResult]:
+        by_scan, scan_of = fused.by_scan, codes.tolist()
+        results = [TriStageResult(s, fused.take(by_scan.get(s, [])), {}, {}) for s in scan_ids]
+        for row, disposition in zip(settled.tolist(), dispositions.tolist()):
+            results[scan_of[row]].dispositions[qualified[row]] = DISPOSITIONS[disposition]
+        for row, survivor in zip(duplicates.tolist(), survivors.tolist()):
+            results[scan_of[row]].duplicate_of[qualified[row]] = qualified[survivor]
+        return dict(zip(scan_ids, results))
+
+    return FusionOutput(fused, scan_ids, per_scan)
+
+
+def run_tri_stage(
+    list_a: list[CandidateDetection],
+    list_b: list[CandidateDetection],
+    cadx_provider: CadxProvider | None = None,
+    mask: Volume | None = None,
+    cfg: PipelineConfig | None = None,
+) -> TriStageResult:
+    """Run the full tri-stage fusion for one scan: ``fuse_scans`` on lists
+    that must not span scans, with ``mask`` as the scan's lung mask. Returns
+    the scan's tiered candidate list plus a per-candidate disposition map."""
+    table_a, table_b = CandidateTable.of(list_a), CandidateTable.of(list_b)
+    scan_ids = set(table_a.scan_id) | set(table_b.scan_id)
+    if len(scan_ids) > 1:
+        raise InputError(f"candidates span multiple scans: {sorted(scan_ids)}")
+    output = fuse_scans(table_a, table_b, cadx_provider,
+                        None if mask is None else lambda _: mask, cfg)
+    return output.per_scan[scan_ids.pop()] if scan_ids else TriStageResult("", output.fused, {}, {})
 
 
 class FileCadxProvider:
@@ -534,13 +500,13 @@ class FileCadxProvider:
 
     def __call__(self, candidates: CandidateDetection | CandidateTable):
         is_table = isinstance(candidates, CandidateTable)
-        keys = (list(zip(candidates.scan_id, candidates.model, candidates.candidate_id))
+        keys = (zip(candidates.scan_id, candidates.model, candidates.candidate_id)
                 if is_table else [candidates.key])
-        rows = list(map(self._scores.row.get, keys))
+        rows = list(map(self._scores.row.get, keys))  # no key tuple outlives its lookup
         if None in rows:
-            scan_id, model, candidate_id = keys[rows.index(None)]
-            raise ScorerError(
-                f"no CADx scores on file for {model}:{candidate_id} on scan {scan_id}")
+            missing = candidates[rows.index(None)] if is_table else candidates
+            raise ScorerError(f"no CADx scores on file for {missing.qualified_id} "
+                              f"on scan {missing.scan_id}")
         p_luna, p_dlcs = self._scores.p_luna[rows], self._scores.p_dlcs[rows]
         return (p_luna, p_dlcs) if is_table else CadxScores(p_luna.item(), p_dlcs.item())
 

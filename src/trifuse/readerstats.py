@@ -362,30 +362,18 @@ def detected_vs_missed_table(
                     out[name][bucket].append(float(value))
         return out
 
-    if pooled:
-        rows, diagnostics = _build_rows(samples_for(sorted(detected_by_model)), characteristics, alpha)
+    def table(models: Sequence[str], ranked: bool) -> SemanticTable:
+        rows, diagnostics = _build_rows(samples_for(models), characteristics, alpha)
+        if ranked:
+            rows.sort(key=lambda r: -(math.inf if r.d_infinite else abs(r.d)))
         k = len(rows)
-        return SemanticTable(
-            rows=tuple(rows),
-            k_tests=k,
-            alpha=alpha,
-            alpha_star=alpha / k if k else math.nan,
-            diagnostics=tuple(diagnostics),
-        )
+        return SemanticTable(rows=tuple(rows), k_tests=k, alpha=alpha,
+                             alpha_star=alpha / k if k else math.nan,
+                             diagnostics=tuple(diagnostics))
 
-    tables: dict[str, SemanticTable] = {}
-    for model in sorted(detected_by_model):
-        rows, diagnostics = _build_rows(samples_for([model]), characteristics, alpha)
-        rows.sort(key=lambda r: -(math.inf if r.d_infinite else abs(r.d)))
-        k = len(rows)
-        tables[model] = SemanticTable(
-            rows=tuple(rows),
-            k_tests=k,
-            alpha=alpha,
-            alpha_star=alpha / k if k else math.nan,
-            diagnostics=tuple(diagnostics),
-        )
-    return tables
+    if pooled:
+        return table(sorted(detected_by_model), ranked=False)
+    return {model: table([model], ranked=True) for model in sorted(detected_by_model)}
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ under test. The CSV-reader, CSV-writer, fusion-pairing, lesion-matching,
 FROC-count and detection-sweep oracles are the library's earlier scalar code:
 they build the library's record types, so results compare with ``==``, and
 they import only those records, the error types, the file schemas, the scalar
-hit test, the scalar consensus-radius rule and the mask's voxel lookup. The
+hit test and the mask's voxel lookup. The
 tri-stage and report-linkage oracles are the record loops that fusion and
 linkage ran before they moved onto table columns.
 
@@ -34,6 +34,7 @@ from trifuse.domain import (
     SemanticRatings,
     WorldPoint,
     is_hit,
+    match_tolerance,
 )
 from trifuse.errors import InputError, InvariantError, ScorerError
 from trifuse.fileio import (
@@ -61,7 +62,6 @@ from trifuse.fusion import (
     ConsensusPair,
     FusedCandidate,
     TriStageResult,
-    consensus_radius_mm,
 )
 from trifuse.reportlink import EntityMatch
 from trifuse.sweeps import CadeSweepRow
@@ -1037,6 +1037,20 @@ def oracle_suppress_same_model_duplicates(candidates, radius_mm):
         else:
             absorbed[cand.qualified_id] = survivor.qualified_id
     return kept, absorbed
+
+
+def consensus_radius_mm(a, b, cfg):
+    """Pairing distance for two candidates under the configured policy.
+
+    The adaptive policy widens the base radius to the matching tolerance of
+    the larger reported diameter; without diameters it falls back to the flat
+    base radius.
+    """
+    if cfg.consensus_radius_policy == "fixed":
+        return cfg.consensus_radius_mm
+    if a.diameter_mm is not None and b.diameter_mm is not None:
+        return max(cfg.consensus_radius_mm, match_tolerance(max(a.diameter_mm, b.diameter_mm)))
+    return cfg.consensus_radius_mm
 
 
 def oracle_cross_detector_consensus(list_a, list_b, cfg=None):

@@ -279,6 +279,22 @@ class TestFusedRoundTrip:
         fileio.write_fused_csv(again, fileio.read_fused(path), digest)
         assert again.read_bytes() == path.read_bytes()
 
+    def test_records_keep_their_ids(self, tmp_path):
+        # a file whose rows on s1 are F0001, F0000 writes back the same from
+        # its table and from its records
+        path, again = tmp_path / "fused.csv", tmp_path / "again.csv"
+        fileio.write_fused_csv(path, self.fused(), manifest_digest="d")
+        path.write_text(path.read_text().replace("F0000", "F").replace("F0001", "F0000")
+                        .replace("F,", "F0001,"))
+        assert [f.candidate_id for f in fileio.read_fused(path)] == ["F0001", "F0000"]
+        for fused in (fileio.read_fused(path), list(fileio.read_fused(path))):
+            fileio.write_fused_csv(again, fused, "d")
+            assert again.read_bytes() == path.read_bytes()
+        first, second = self.fused()
+        with pytest.raises(InputError, match="all have a candidate_id, or none"):
+            fileio.write_fused_csv(again, [dataclasses.replace(first, candidate_id="F0000"),
+                                           second])
+
     def test_float_round_trip_is_exact(self, tmp_path):
         values = [0.1, 1 / 3, 2.0 ** -40, 12345.6789]
         fused = [

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from trifuse.domain import CandidateTable, PipelineConfig, WorldPoint
+from trifuse.domain import PAIR_BLOCK, CandidateTable, PipelineConfig, WorldPoint
 from trifuse.errors import InputError, InvariantError, ScorerError
 from trifuse.fileio import write_fused_csv
 from trifuse.fusion import (
@@ -103,12 +103,15 @@ class TestConsensus:
         )
         assert pairs[0].merged_center.x == pytest.approx(0.75)
 
-    def test_mixed_scans_rejected(self):
-        with pytest.raises(InputError):
-            cross_detector_consensus(
-                [a_cand("a1", 0, 0, 0, 0.5, scan="s1")],
-                [b_cand("b1", 0, 0, 0, 0.5, scan="s2")],
-            )
+    def test_mixed_scans_pair_within_each_scan(self):
+        # candidates on different scans never pair, however close
+        pairs, disagreements = cross_detector_consensus(
+            [a_cand("a1", 0, 0, 0, 0.5, scan="s1")],
+            [b_cand("b1", 0, 0, 0, 0.5, scan="s2")],
+        )
+        assert not pairs
+        assert [(c.scan_id, c.qualified_id) for c in disagreements] == [
+            ("s1", "CADE_A:a1"), ("s2", "CADE_B:b1")]
 
     def test_same_model_lists_rejected(self):
         with pytest.raises(InputError):
@@ -152,6 +155,22 @@ class TestDedup:
         )
         assert [c.candidate_id for c in kept] == ["a1", "a3"]
         assert absorbed == {"CADE_A:a2": "CADE_A:a1"}
+
+    def test_candidates_on_other_scans_are_never_absorbed(self):
+        # s2's a2 lies 0.5 mm from s1's a1, on another scan
+        kept, absorbed = suppress_same_model_duplicates(
+            [a_cand("a1", 0, 0, 0, 0.9, scan="s1"), a_cand("a2", 0.5, 0, 0, 0.8, scan="s2")],
+            radius_mm=2.0)
+        assert [(c.scan_id, c.candidate_id) for c in kept] == [("s1", "a1"), ("s2", "a2")]
+        assert absorbed == {}
+        # across scans the map is keyed by (scan, qualified id), since ids repeat
+        kept, absorbed = suppress_same_model_duplicates(
+            [a_cand("a1", 0, 0, 0, 0.9, scan="s2"), a_cand("a2", 1, 0, 0, 0.8, scan="s2"),
+             a_cand("a1", 0, 0, 0, 0.5, scan="s1"), a_cand("a2", 1, 0, 0, 0.6, scan="s1")],
+            radius_mm=2.0)
+        assert [(c.scan_id, c.candidate_id) for c in kept] == [("s1", "a2"), ("s2", "a1")]
+        assert absorbed == {("s1", "CADE_A:a1"): "CADE_A:a2", ("s2", "CADE_A:a2"): "CADE_A:a1"}
+        assert absorbed.rows.tolist() == [2, 1] and absorbed.survivors.tolist() == [3, 0]
 
 
 class TestTriStage:
@@ -562,21 +581,46 @@ class TestTriStageAgainstOracle:
         assert raised > 0
 
     def test_fuse_scans_runs_every_scan_on_table_rows(self):
+        """One pass over the cohort gives every scan the oracle's result for
+        that scan alone: a scan whose pair tests exceed one block, scans in
+        only one list, the same ids on every scan, and empty lists."""
         rng = np.random.default_rng(47)
-        list_a, list_b, expected = [], [], []
-        provider, calls = recording_provider()
-        oracle_provider, oracle_calls = recording_provider()
+        scans = []
         for s in range(8):
             a, b = boundary_scan(rng)
-            a = [dataclasses.replace(c, scan_id=f"s{s}") for c in a]
-            b = [dataclasses.replace(c, scan_id=f"s{s}") for c in b]
-            list_a += a
-            list_b += b
-            if a or b:
-                expected.append(oracle_run_tri_stage(a, b, oracle_provider))
-        got = fuse_scans(CandidateTable.from_records(list_a[::-1]),
+            scans.append(([dataclasses.replace(c, scan_id=f"s{s}") for c in a],
+                          [dataclasses.replace(c, scan_id=f"s{s}") for c in b]))
+        ids = [f"c{k}" for k in range(12)]
+        scans.append(([a_cand(c, 0, k, 0, 0.5, scan="only_a") for k, c in enumerate(ids)], []))
+        scans.append(([], [b_cand(c, 0, k, 0, 0.5, scan="only_b") for k, c in enumerate(ids)]))
+        # every row of the big scan sits at x = 0, so each meets every row of
+        # its scan in the window of the prefilter: more tests than one block
+        big = [[cand("big", f"c{k}", 0.0, *map(float, rng.uniform(0, 60, 2)),
+                     float(rng.choice([0.25, 0.5, 0.9])), model=model)
+                for k in range(300)] for model in ("CADE_A", "CADE_B")]
+        assert len(big[0]) * len(big[1]) > PAIR_BLOCK
+        scans.append(tuple(big))
+        for cohort in (scans, [(a, []) for a, _ in scans], [([], b) for _, b in scans], []):
+            self.assert_cohort_matches_oracle(cohort, rng)
+
+    @staticmethod
+    def assert_cohort_matches_oracle(scans, rng):
+        provider, calls = recording_provider()
+        oracle_provider, oracle_calls = recording_provider()
+        scans = sorted((ab for ab in scans if ab[0] or ab[1]),
+                       key=lambda ab: (ab[0] + ab[1])[0].scan_id)
+        expected = [oracle_run_tri_stage(a, b, oracle_provider) for a, b in scans]
+        list_a = [c for a, _ in scans for c in a]
+        list_b = [c for _, b in scans for c in b]
+        shuffled = [list_a[k] for k in rng.permutation(len(list_a))]  # scans interleaved
+        got = fuse_scans(CandidateTable.from_records(shuffled),
                          CandidateTable.from_records(list_b), cadx_provider=provider)
+        assert got.fused == [f for e in expected for f in e.fused]
+        assert got.scan_ids == [e.scan_id for e in expected] == list(got.per_scan)
         assert list(got.per_scan.values()) == expected
+        for result, oracle in zip(got.per_scan.values(), expected):
+            assert list(result.dispositions.items()) == list(oracle.dispositions.items())
+            assert list(result.duplicate_of.items()) == list(oracle.duplicate_of.items())
         assert calls == oracle_calls
 
 
@@ -716,6 +760,44 @@ class TestBatchFileProvider:
         list_b = [b_cand("b2", 0, 0, 0.5, 0.5), b_cand("b1", 0, 30, 0, 0.5)]
         run_tri_stage(list_b, list_a, cadx_provider=provider)
         assert calls == [("s", "CADE_A", "a1"), ("s", "CADE_A", "a2"), ("s", "CADE_B", "b1")]
+
+
+class TestInputFaultsBeforeScoring:
+    """Every input fault of a cohort is raised before its first scorer call."""
+
+    def test_repeated_key_on_a_later_scan_beats_missing_scores(self):
+        # s1 has no CADx scores, so scoring it would fail; s2 repeats a key
+        table = CandidateTable(["s1", "s2", "s2"], ["a1", "a1", "a1"], ["CADE_A"] * 3,
+                               np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [50.0, 0.0, 0.0]]),
+                               np.full(3, np.nan), np.full(3, 0.5))
+        provider, calls = recording_provider(fail_at=1)
+        files = FileCadxProvider({("s2", "CADE_A", "a1"): CadxScores(0.5, 0.5)})
+        for given in (provider, files):
+            with pytest.raises(InputError, match="duplicate candidate 'a1' for model 'CADE_A' "
+                                                 "on scan 's2'"):
+                fuse_scans(table, [], cadx_provider=given)
+        assert calls == []
+        with pytest.raises(ScorerError, match="CADE_A:a1 on scan s1"):
+            fuse_scans(table.take([0, 1]), [], cadx_provider=files)
+
+    def test_overflow_and_missing_mask_beat_scoring(self):
+        # the score-weighted mean of two largest doubles rounds past the float range
+        top = sys.float_info.max
+        huge = [a_cand("a1", top, 0, 0, 0.01, scan="s2")], [b_cand("b1", top, 0, 0, 0.02, scan="s2")]
+        scored = ([a_cand("a1", 0, 0, 0, 0.5, scan="s1")], [])
+        provider, calls = recording_provider(fail_at=1)
+        with pytest.raises(InputError, match="not finite"):
+            fuse_scans(scored[0] + huge[0], huge[1], cadx_provider=provider)
+
+        def masks(scan_id):
+            if scan_id == "s2":
+                raise InputError("no mask volume for scan 's2'")
+            return lung_mask()
+
+        with pytest.raises(InputError, match="no mask volume"):
+            fuse_scans(scored[0] + [a_cand("a9", 0, 0, 0, 0.5, scan="s2")], [],
+                       cadx_provider=provider, masks=masks)
+        assert calls == []
 
 
 class TestDuplicateKeys:
