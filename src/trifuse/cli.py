@@ -22,7 +22,6 @@ from .froc import (
     STRATIFIERS,
     detection_probability_summary,
     evaluate,
-    resolve_stratifier,
     stratified_eval,
 )
 from .fusion import CommandCadxProvider, FileCadxProvider, fuse_scans
@@ -231,26 +230,13 @@ def cmd_eval(opts: _Options) -> int:
     label = opts.get("label") or Path(candidates_path).stem
 
     stratify_name = opts.get("stratify")
-    if stratify_name is not None and stratify_name not in STRATIFIERS:
-        raise InputError(f"--stratify must be one of {STRATIFIERS}, got {stratify_name!r}")
-    warnings: tuple[str, ...] = ()
-    named = {}
     if stratify_name:
-        stratified = stratified_eval(
-            candidates,
-            references,
-            resolve_stratifier(stratify_name),
-            ci=with_ci,
-            resamples=resamples,
-            seed=seed,
-        )
-        named["overall"] = stratified.overall
-        named.update(stratified.strata)
-        warnings = stratified.warnings
+        result = stratified_eval(candidates, references, stratify_name, ci=with_ci,
+                                 resamples=resamples, seed=seed)
+        overall, strata, warnings = result.overall, result.strata, result.warnings
     else:
-        named["overall"] = evaluate(
-            candidates, references, ci=with_ci, resamples=resamples, seed=seed
-        )
+        overall = evaluate(candidates, references, ci=with_ci, resamples=resamples, seed=seed)
+        strata, warnings = {}, ()
 
     manifest = fileio.build_manifest(
         command="eval",
@@ -268,20 +254,16 @@ def cmd_eval(opts: _Options) -> int:
     payload = {
         "manifest_digest": digest,
         "label": label,
-        "overall": fileio.froc_result_payload(named["overall"]),
-        "strata": {
-            name: fileio.froc_result_payload(result)
-            for name, result in named.items()
-            if name != "overall"
-        },
+        "overall": fileio.froc_result_payload(overall),
+        "strata": {name: fileio.froc_result_payload(r) for name, r in strata.items()},
         "warnings": list(warnings),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     fileio.write_json(out_dir / "metrics.json", payload, sig=6)
     fileio.write_json(out_dir / "metrics.raw.json", payload)
     fileio.write_csv(out_dir / "metrics.csv", fileio.METRICS_CSV_HEADER,
-                     fileio.metrics_csv_rows(named), digest)
-    fileio.write_matches_csv(out_dir / "matches.csv", named["overall"].matches, label, digest)
+                     fileio.metrics_csv_rows({"overall": overall, **strata}), digest)
+    fileio.write_matches_csv(out_dir / "matches.csv", overall.matches, label, digest)
     fileio.write_manifest(out_dir / "manifest.json", manifest)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)

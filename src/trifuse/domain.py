@@ -25,7 +25,8 @@ DETECTOR_MODELS = (SOURCE_MODEL_A, SOURCE_MODEL_B)
 
 DIAGNOSES = ("benign", "cancer", "unknown")
 LUNGRADS_CATEGORIES = ("1", "2", "3", "4A", "4B", "4X")
-LUNG_LOBE_LABELS = frozenset({28, 29, 30, 31, 32})
+LOBE_BY_LABEL = {28: "LUL", 29: "LLL", 30: "RUL", 31: "RML", 32: "RLL"}
+LUNG_LOBE_LABELS = frozenset(LOBE_BY_LABEL)
 
 TOLERANCE_CAP_MM = 5.0
 TOLERANCE_CAP_AT_DIAMETER_MM = 10.0
@@ -302,6 +303,7 @@ class CandidateTable(RecordSequence):
         self.provenance = provenance
         self._by_scan: dict[str, np.ndarray] | None = None
         self._qualified_id: list[str] | None = None
+        self._unique_keys = False  # set once require_unique_keys has passed
         self.source_rows: np.ndarray | None = None
 
     @classmethod
@@ -340,9 +342,11 @@ class CandidateTable(RecordSequence):
 
     def require_unique_keys(self) -> "CandidateTable":
         """This table, if no two rows share a (scan, model, candidate id) key;
-        else the ``InputError`` of the first row that repeats one."""
+        else the ``InputError`` of the first row that repeats one. A table
+        checked once, or taken at distinct rows of one, is not checked again."""
         # a repeated key joins to a repeated string (strings hold no GC-tracked tuples)
-        if len(set(map("\0".join, zip(self.scan_id, self.model, self.candidate_id)))) < len(self):
+        if not self._unique_keys and len(set(map(
+                "\0".join, zip(self.scan_id, self.model, self.candidate_id)))) < len(self):
             seen: set[tuple[str, str, str]] = set()
             for key in zip(self.scan_id, self.model, self.candidate_id):
                 if key in seen:
@@ -350,6 +354,7 @@ class CandidateTable(RecordSequence):
                     raise InputError(f"duplicate candidate {candidate_id!r} for model {model!r} "
                                      f"on scan {scan_id!r}")
                 seen.add(key)
+        self._unique_keys = True
         return self
 
     @property
@@ -400,6 +405,7 @@ class CandidateTable(RecordSequence):
             pick_array(self.cadx_avg), pick(self.provenance),
         )
         table._qualified_id = pick(self._qualified_id)
+        table._unique_keys = self._unique_keys and np.unique(rows).size == rows.size
         table.source_rows = rows
         return table
 

@@ -21,12 +21,13 @@ out-of-stratum references count as false positives there.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .domain import (
+    DIAGNOSES,
     LUNGRADS_CATEGORIES,
     CandidateDetection,
     CandidateTable,
@@ -36,6 +37,7 @@ from .domain import (
     may_lie_within,
 )
 from .errors import InputError
+from .readerstats import CONSENSUS_PATTERNS, consensus_category
 
 FP_RATES = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
@@ -420,100 +422,67 @@ def evaluate(
 
 
 @dataclass(frozen=True)
-class SizeBin:
-    """Half-open diameter interval [lo, hi) in millimeters."""
-
-    name: str
-    lo: float
-    hi: float
-
-    def contains(self, diameter_mm: float) -> bool:
-        return self.lo <= diameter_mm < self.hi
-
-
-@dataclass(frozen=True)
 class SizeBinSpec:
-    bins: tuple[SizeBin, ...]
+    """Named size bins as ``(name, upper edge)`` pairs with ascending edges:
+    each bin holds the diameters from the previous edge (0 for the first)
+    up to but excluding its own, and the last edge is inf."""
+
+    bins: tuple[tuple[str, float], ...]
 
     def __post_init__(self):
-        ordered = sorted(self.bins, key=lambda b: b.lo)
-        if not ordered:
-            raise InputError("size bin spec needs at least one bin")
-        if ordered[0].lo != 0.0 or not math.isinf(ordered[-1].hi):
-            raise InputError("size bins must cover (0, inf)")
-        for left, right in zip(ordered, ordered[1:]):
-            if left.hi != right.lo:
-                raise InputError(
-                    f"size bins must be contiguous; {left.name!r} ends at {left.hi}, "
-                    f"{right.name!r} starts at {right.lo}"
-                )
-        object.__setattr__(self, "bins", tuple(ordered))
+        edges = [0.0] + [hi for _, hi in self.bins]
+        if not (all(lo < hi for lo, hi in zip(edges, edges[1:])) and math.isinf(edges[-1])):
+            raise InputError(f"size bin edges must ascend from 0 to inf, got {edges[1:]}")
 
     def bin_for(self, diameter_mm: float) -> str:
-        for b in self.bins:
-            if b.contains(diameter_mm):
-                return b.name
+        if diameter_mm >= 0.0:
+            for name, hi in self.bins:
+                if diameter_mm < hi:
+                    return name
         raise InputError(f"diameter {diameter_mm} fits no size bin")
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(b.name for b in self.bins)
+        return tuple(name for name, _ in self.bins)
 
 
-DLCS_SIZE_BINS = SizeBinSpec(
-    bins=(
-        SizeBin("<6", 0.0, 6.0),
-        SizeBin("6-10", 6.0, 10.0),
-        SizeBin(">=10", 10.0, math.inf),
-    )
-)
-IMD_SIZE_BINS = SizeBinSpec(
-    bins=(
-        SizeBin("<10", 0.0, 10.0),
-        SizeBin("10-20", 10.0, 20.0),
-        SizeBin(">=20", 20.0, math.inf),
-    )
-)
+DLCS_SIZE_BINS = SizeBinSpec((("<6", 6.0), ("6-10", 10.0), (">=10", math.inf)))
+IMD_SIZE_BINS = SizeBinSpec((("<10", 10.0), ("10-20", 20.0), (">=20", math.inf)))
 
-STRATIFIERS = ("size:dlcs", "size:imd", "lungrads", "diagnosis", "consensus")
+_Stratifier = tuple[Callable[[ReferenceNodule], str], tuple[str, ...]]
 
 
-def _stratum_of(ref: ReferenceNodule, stratify) -> str:
+def _by_size(spec: SizeBinSpec) -> _Stratifier:
+    return (lambda ref: spec.bin_for(ref.diameter_mm)), spec.names
+
+
+# each stratifier: a reference's stratum, and every stratum in report order
+_STRATIFIERS: dict[str, _Stratifier] = {
+    "size:dlcs": _by_size(DLCS_SIZE_BINS),
+    "size:imd": _by_size(IMD_SIZE_BINS),
+    "lungrads": (lambda ref: "unknown" if ref.lungrads is None else ref.lungrads,
+                 LUNGRADS_CATEGORIES + ("unknown",)),
+    "diagnosis": (lambda ref: ref.diagnosis, DIAGNOSES),
+    "consensus": (lambda ref: consensus_category(ref.reviewers, ref.positive_votes),
+                  CONSENSUS_PATTERNS),
+}
+STRATIFIERS = tuple(_STRATIFIERS)
+
+
+def _strata(references: Iterable[ReferenceNodule], stratify: str | SizeBinSpec
+            ) -> tuple[dict[str, list[ReferenceNodule]], tuple[str, ...]]:
+    """The references of each stratum of a name in ``STRATIFIERS`` or of a
+    ``SizeBinSpec``, and all its strata in report order."""
     if isinstance(stratify, SizeBinSpec):
-        return stratify.bin_for(ref.diameter_mm)
-    if stratify == "lungrads":
-        return ref.lungrads if ref.lungrads is not None else "unknown"
-    if stratify == "diagnosis":
-        return ref.diagnosis
-    if stratify == "consensus":
-        from .readerstats import consensus_category
-
-        return consensus_category(ref.reviewers, ref.positive_votes)
-    raise InputError(f"unknown stratifier {stratify!r}")
-
-
-def _stratum_order(stratify) -> tuple[str, ...] | None:
-    if isinstance(stratify, SizeBinSpec):
-        return stratify.names
-    if stratify == "lungrads":
-        return LUNGRADS_CATEGORIES + ("unknown",)
-    if stratify == "diagnosis":
-        return ("benign", "cancer", "unknown")
-    if stratify == "consensus":
-        from .readerstats import CONSENSUS_PATTERNS
-
-        return CONSENSUS_PATTERNS
-    return None
-
-
-def resolve_stratifier(name: str):
-    if name == "size:dlcs":
-        return DLCS_SIZE_BINS
-    if name == "size:imd":
-        return IMD_SIZE_BINS
-    if name in ("lungrads", "diagnosis", "consensus"):
-        return name
-    raise InputError(f"unknown stratifier {name!r}; choose from {STRATIFIERS}")
+        stratum_of, order = _by_size(stratify)
+    elif isinstance(stratify, str) and stratify in _STRATIFIERS:
+        stratum_of, order = _STRATIFIERS[stratify]
+    else:
+        raise InputError(f"unknown stratifier {stratify!r}; choose from {STRATIFIERS}")
+    groups: dict[str, list[ReferenceNodule]] = {}
+    for ref in references:
+        groups.setdefault(stratum_of(ref), []).append(ref)
+    return groups, order
 
 
 @dataclass(frozen=True)
@@ -526,7 +495,7 @@ class StratifiedResult:
 def stratified_eval(
     candidates: Iterable[CandidateDetection],
     references: Iterable[ReferenceNodule],
-    stratify,
+    stratify: str | SizeBinSpec,
     ci: bool = False,
     resamples: int = 1000,
     seed: int = 17,
@@ -538,23 +507,13 @@ def stratified_eval(
     containing at least one stratum reference, mirroring per-subset scan
     denominators. Empty strata are omitted with a warning.
     """
-    if isinstance(stratify, str) and stratify.startswith("size"):
-        stratify = resolve_stratifier(stratify)
-    candidates = CandidateTable.of(candidates)
     references = list(references)
+    by_stratum, order = _strata(references, stratify)
+    candidates = CandidateTable.of(candidates)
     overall = evaluate(candidates, references, ci=ci, resamples=resamples, seed=seed, rates=rates)
-
-    by_stratum: dict[str, list[ReferenceNodule]] = {}
-    for ref in references:
-        by_stratum.setdefault(_stratum_of(ref, stratify), []).append(ref)
-
-    order = _stratum_order(stratify)
-    names = [n for n in order if n in by_stratum] if order else sorted(by_stratum)
-    warnings = []
-    if order:
-        for name in order:
-            if name not in by_stratum and name != "unknown":
-                warnings.append(f"stratum {name!r} is empty and was omitted")
+    names = [n for n in order if n in by_stratum]
+    warnings = [f"stratum {n!r} is empty and was omitted"
+                for n in order if n not in by_stratum and n != "unknown"]
 
     strata: dict[str, FrocResult] = {}
     for name in names:
@@ -581,7 +540,7 @@ class GroupScoreSummary:
 def detection_probability_summary(
     result,
     references: Iterable[ReferenceNodule],
-    group_by,
+    group_by: str | SizeBinSpec,
 ) -> dict[str, GroupScoreSummary]:
     """Matched-candidate score statistics per reference group.
 
@@ -590,13 +549,11 @@ def detection_probability_summary(
     n_gt but contribute no score. The spread uses the n-1 denominator and is
     absent for groups with fewer than two detections.
     """
+    groups, _ = _strata(references, group_by)
     if isinstance(result, LesionMatchResult):
         detected = result.detected_scores()
     else:
         detected = {k: v for k, v in dict(result).items() if v is not None}
-    groups: dict[str, list[ReferenceNodule]] = {}
-    for ref in references:
-        groups.setdefault(_stratum_of(ref, group_by), []).append(ref)
     out: dict[str, GroupScoreSummary] = {}
     for name in sorted(groups):
         refs = groups[name]

@@ -207,8 +207,9 @@ def suppress_same_model_duplicates(
     candidate id); each one is absorbed by the first earlier survivor on its
     scan within ``radius_mm`` (scalar distance, after the prefilter), or
     survives. Returns the survivors' table, taken from the input in visit
-    order, and the ``DuplicateMap`` of the suppressed candidates."""
-    table = CandidateTable.of(candidates)
+    order, and the ``DuplicateMap`` of the suppressed candidates. A
+    (scan, model, candidate id) key that repeats raises ``InputError``."""
+    table = CandidateTable.of(candidates).require_unique_keys()
     codes = _ranks(table.scan_id)
     order = np.lexsort((_ranks(table.candidate_id), -table.score, codes))
     xyz = table.xyz[order]
@@ -274,13 +275,14 @@ def cross_detector_consensus(
     (the scalar one, on the pairs ``near_pairs`` finds) satisfies the
     consensus radius. Admissible pairs are committed greedily in descending
     order of summed score (ties by candidate id pair); each candidate joins
-    at most one pair. The lists are records or ``CandidateTable``s in which
-    no (model, candidate id) repeats on a scan. Returns the pairs by scan id,
-    then in commit order, with member tables taken from the lists, and the
-    unpaired candidates (the disagreements) in (scan id, model, candidate id)
-    order, taken from the lists joined (A's rows, then B's)."""
+    at most one pair. The lists are records or ``CandidateTable``s; a
+    (model, candidate id) that repeats on a scan raises ``InputError``.
+    Returns the pairs by scan id, then in commit order, with member tables
+    taken from the lists, and the unpaired candidates (the disagreements) in
+    (scan id, model, candidate id) order, taken from the lists joined (A's
+    rows, then B's)."""
     cfg = cfg or PipelineConfig()
-    table_a, table_b = CandidateTable.of(list_a), CandidateTable.of(list_b)
+    table_a, table_b = (CandidateTable.of(t).require_unique_keys() for t in (list_a, list_b))
     models_a, models_b = set(table_a.model), set(table_b.model)
     if len(models_a) > 1 or len(models_b) > 1:
         raise InputError("each detector list must come from a single source model")

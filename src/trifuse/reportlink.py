@@ -27,12 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import LUNGRADS_CATEGORIES, WorldPoint, nan_to_none
+from .domain import LOBE_BY_LABEL, LUNGRADS_CATEGORIES, WorldPoint, nan_to_none
 from .errors import ConfigError, InputError
 from .volume import Volume, label_at
 
-LOBES = ("LUL", "LLL", "RUL", "RML", "RLL")
-LOBE_BY_LABEL = {28: "LUL", 29: "LLL", 30: "RUL", 31: "RML", 32: "RLL"}
 LOBE_LATERALITY = {"LUL": "left", "LLL": "left", "RUL": "right", "RML": "right", "RLL": "right"}
 
 _RULE_FIELDS = ("mention", "size_mm", "lobe", "laterality", "lungrads")
@@ -145,7 +143,7 @@ class ReportEntity:
         ):
             raise InputError(f"entity size_mm must be positive, got {self.size_mm!r}")
         if self.lobe is not None:
-            if self.lobe not in LOBES:
+            if self.lobe not in LOBE_LATERALITY:
                 raise InputError(f"unknown lobe {self.lobe!r}")
             if self.laterality is not None and self.laterality != LOBE_LATERALITY[self.lobe]:
                 raise InputError(

@@ -694,6 +694,17 @@ class TestConfigFile:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 3
 
+    def test_unknown_stratifier_exits_2(self, tmp_path, e2e_inputs, capsys):
+        # argparse checks --stratify; a config value is checked by the evaluation
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("stratify=bogus\n")
+        out = tmp_path / "out"
+        assert run(["eval", "--candidates", e2e_inputs["cade_a"],
+                    "--references", e2e_inputs["references"], "--config", cfg,
+                    "--out", out]) == 2
+        assert "unknown stratifier 'bogus'; choose from" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def write_pin_cohort(directory, n_scans=50, seed=29):
     """A seeded fuse-and-link cohort with score ties, empty diameters,

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from trifuse import fileio
+from trifuse import fileio, froc
 from trifuse.domain import CandidateTable
 from trifuse.errors import InputError
 from trifuse.froc import (
@@ -10,8 +12,10 @@ from trifuse.froc import (
     BootstrapCI,
     FrocCurve,
     IMD_SIZE_BINS,
+    STRATIFIERS,
     LesionMatchResult,
     ScanMatch,
+    SizeBinSpec,
     TruePositive,
     _bootstrap_intervals,
     bootstrap_ci,
@@ -607,6 +611,78 @@ class TestStratified:
         cands = [cand("s1", "c1", 0, 0, 0, 0.9)]
         out = stratified_eval(cands, refs, "lungrads")
         assert set(out.strata) == {"unknown"}
+
+    # every stratum of each stratifier, in report order
+    ORDER = {
+        "size:dlcs": ("<6", "6-10", ">=10"),
+        "size:imd": ("<10", "10-20", ">=20"),
+        "lungrads": ("1", "2", "3", "4A", "4B", "4X", "unknown"),
+        "diagnosis": ("benign", "cancer", "unknown"),
+        "consensus": ("R1_1of1", "R2_2of2", "R2_1of2", "R3_3of3", "R3_2of3", "NoVotes", "Other"),
+    }
+    # one lesion per scan: diameter, lungrads, diagnosis, reviewers, positive votes
+    LESIONS = [(4.0, "4A", "cancer", 3, 2), (8.0, None, "benign", 2, 1),
+               (12.0, "2", "unknown", 1, 1), (25.0, "1", "cancer", None, None),
+               (7.0, "4X", "benign", 2, 2)]
+    PRESENT = {
+        "size:dlcs": {"<6", "6-10", ">=10"},
+        "size:imd": {"<10", "10-20", ">=20"},
+        "lungrads": {"1", "2", "4A", "4X", "unknown"},
+        "diagnosis": {"benign", "cancer", "unknown"},
+        "consensus": {"R1_1of1", "R2_2of2", "R2_1of2", "R3_2of3", "NoVotes"},
+    }
+
+    def mixed_cohort(self):
+        refs = [ref(f"s{k}", "n1", 0, 0, 0, d, lungrads=lr, diagnosis=dx, reviewers=rv,
+                    positive_votes=pv)
+                for k, (d, lr, dx, rv, pv) in enumerate(self.LESIONS)]
+        cands = [cand(f"s{k}", "c1", 0, 0, 0, 0.9 - 0.1 * k) for k in range(len(refs))]
+        return cands + [cand("s0", "fp", 90, 90, 90, 0.65)], refs
+
+    def test_every_stratifier_reports_its_strata_in_order(self):
+        assert STRATIFIERS == tuple(self.ORDER)
+        cands, refs = self.mixed_cohort()
+        result = match_lesions(cands, refs)
+        for name in STRATIFIERS:
+            order, present = self.ORDER[name], self.PRESENT[name]
+            out = stratified_eval(cands, refs, name)
+            assert list(out.strata) == [n for n in order if n in present], name
+            assert out.warnings == tuple(f"stratum {n!r} is empty and was omitted"
+                                         for n in order if n not in present and n != "unknown")
+            summary = detection_probability_summary(result, refs, name)
+            assert list(summary) == sorted(present), name
+            assert sum(g.n_gt for g in summary.values()) == len(refs)
+
+    def test_size_name_equals_its_bin_spec(self):
+        cands, refs = self.mixed_cohort()
+        assert (stratified_eval(cands, refs, "size:dlcs", ci=True, resamples=20)
+                == stratified_eval(cands, refs, DLCS_SIZE_BINS, ci=True, resamples=20))
+        result = match_lesions(cands, refs)
+        assert (detection_probability_summary(result, refs, "size:dlcs")
+                == detection_probability_summary(result, refs, DLCS_SIZE_BINS))
+
+    def test_unknown_stratifier_raises_before_matching(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(froc, "match_lesions", lambda *a, **k: calls.append(a))
+        cands, refs = self.mixed_cohort()
+        for stratify in ("bogus", "size", None):
+            with pytest.raises(InputError, match="unknown stratifier .*; choose from"):
+                stratified_eval(cands, refs, stratify)
+            with pytest.raises(InputError, match="unknown stratifier"):
+                detection_probability_summary({}, refs, stratify)
+        assert calls == []
+
+    @pytest.mark.parametrize("bins", [
+        (),
+        (("a", 10.0), ("b", 6.0), ("c", math.inf)),  # edges descend
+        (("a", 6.0), ("b", 6.0), ("c", math.inf)),  # an empty bin
+        (("a", 0.0), ("b", math.inf)),  # an empty first bin
+        (("a", math.nan), ("b", math.inf)),
+        (("a", 6.0), ("b", 10.0)),  # a finite last edge
+    ])
+    def test_malformed_bin_spec_rejected(self, bins):
+        with pytest.raises(InputError):
+            SizeBinSpec(bins)
 
 
 class TestDetectionProbabilitySummary:

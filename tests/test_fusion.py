@@ -826,6 +826,27 @@ class TestDuplicateKeys:
             fuse_scans(self.twice, [b_cand("b1", 0, 0, 0, 0.5)],
                        cadx_provider=constant_provider(0.5, 0.5))
 
+    def test_consensus_and_dedup_reject_them_in_a_table_built_directly(self):
+        # by row, consensus would commit a1-b1 and a1-b2, and dedup would absorb a1 into a1
+        table = CandidateTable(["s", "s"], ["a1", "a1"], ["CADE_A", "CADE_A"],
+                               np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]]),
+                               np.full(2, np.nan), np.full(2, 0.5))
+        near = table.take([0, 0])
+        near.score = np.array([0.6, 0.5])
+        list_b = [b_cand("b1", 0, 0, 0, 0.5), b_cand("b2", 10, 0, 0, 0.5)]
+        for call in (lambda: cross_detector_consensus(table, list_b),
+                     lambda: cross_detector_consensus(list_b, table),
+                     lambda: suppress_same_model_duplicates(near, radius_mm=2.0)):
+            with pytest.raises(InputError, match=self.message):
+                call()
+
+    def test_a_checked_table_taken_at_a_repeated_row_is_checked_again(self):
+        table = CandidateTable.from_records([a_cand("a1", 0, 0, 0, 0.5),
+                                             a_cand("a2", 9, 0, 0, 0.5)])
+        assert table.take([1, 0]).require_unique_keys().candidate_id == ["a2", "a1"]
+        with pytest.raises(InputError, match=self.message):
+            table.take([0, 1, 0]).require_unique_keys()
+
 
 class TestFuseScans:
     def test_table_input_equals_record_input(self, tmp_path):

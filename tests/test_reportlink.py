@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from trifuse import domain
 from trifuse.domain import WorldPoint
 from trifuse.errors import ConfigError, InputError
 from trifuse.reportlink import (
+    LOBE_BY_LABEL,
     LinkCandidate,
     LinkColumns,
     ReportEntity,
@@ -156,6 +158,14 @@ class TestLobeOfCandidate:
 
     def test_outside_volume(self):
         assert lobe_of_candidate(FakeCandidate(WorldPoint(-50, 0, 0)), self.mask()) is None
+
+    def test_lobe_labels_are_defined_once(self):
+        assert LOBE_BY_LABEL is domain.LOBE_BY_LABEL
+        assert domain.LUNG_LOBE_LABELS == frozenset({28, 29, 30, 31, 32})
+        for lobe in LOBE_BY_LABEL.values():
+            assert entity(lobe=lobe).lobe == lobe
+        with pytest.raises(InputError, match="unknown lobe 'LML'"):
+            entity(lobe="LML")
 
 
 def entity(scan="s", size=None, lobe=None, laterality=None, ordinals=(), report="r"):
