@@ -264,6 +264,37 @@ def nan_to_none(value: float) -> float | None:
     return None if value != value else value
 
 
+def run_bounds(*columns: Sequence) -> list[int]:
+    """0, the first row of each later run of rows equal in every column, and
+    the number of rows; ``[0]`` for no rows."""
+    n = len(columns[0])
+    change = np.zeros(max(n - 1, 0), dtype=bool)
+    for column in columns:
+        change |= np.fromiter(map(operator.ne, itertools.islice(column, 1, None), column),
+                              dtype=bool, count=change.size)
+    return [0, *(np.flatnonzero(change) + 1).tolist(), n] if n else [0]
+
+
+def first_repeat(*columns: Sequence[str]) -> int | None:
+    """The first row whose key, its cells in two or more ``columns``, an
+    earlier row has; None if no key repeats. Distinct keys are counted a run
+    of rows equal in all but the last column at a time, so only columns that
+    repeat a key get a key tuple per row."""
+    *groups, ids = columns
+    bounds = run_bounds(*groups)
+    ids_by_group: dict[tuple[str, ...], set[str]] = {}
+    for start, end in zip(bounds, bounds[1:]):
+        ids_by_group.setdefault(tuple(c[start] for c in groups), set()).update(ids[start:end])
+    if sum(map(len, ids_by_group.values())) == len(ids):
+        return None
+    seen: set[tuple[str, ...]] = set()
+    for row, key in enumerate(zip(*columns)):
+        if key in seen:
+            return row
+        seen.add(key)
+    raise InvariantError("a repeated key was counted but not found")
+
+
 _COLUMNS = ("scan_id", "candidate_id", "model", "xyz", "diameter_mm", "score", "tier", "stage",
             "cadx_avg", "provenance")
 
@@ -283,14 +314,17 @@ class CandidateTable(RecordSequence):
     ``FusedCandidate`` for a fused-list table, only when asked. The columns
     are taken as given; the record constructors check each row they build.
     A table made by ``take`` holds in ``source_rows`` the rows it was taken
-    at; any other table holds None there.
+    at; any other table holds None there. ``unique_keys`` says the caller
+    has checked that no (scan, model, candidate id) key repeats, so
+    ``require_unique_keys`` does not check again.
     """
 
     def __init__(self, scan_id: list[str], candidate_id: list[str], model: list[str],
                  xyz: np.ndarray, diameter_mm: np.ndarray, score: np.ndarray,
                  tier: np.ndarray | None = None, stage: list[str] | None = None,
                  cadx_avg: np.ndarray | None = None,
-                 provenance: list[tuple[str, ...]] | None = None):
+                 provenance: list[tuple[str, ...]] | None = None, *,
+                 unique_keys: bool = False):
         self.scan_id = scan_id
         self.candidate_id = candidate_id
         self.model = model
@@ -303,7 +337,7 @@ class CandidateTable(RecordSequence):
         self.provenance = provenance
         self._by_scan: dict[str, np.ndarray] | None = None
         self._qualified_id: list[str] | None = None
-        self._unique_keys = False  # set once require_unique_keys has passed
+        self._unique_keys = unique_keys  # no (scan, model, candidate id) repeats
         self.source_rows: np.ndarray | None = None
 
     @classmethod
@@ -344,16 +378,11 @@ class CandidateTable(RecordSequence):
         """This table, if no two rows share a (scan, model, candidate id) key;
         else the ``InputError`` of the first row that repeats one. A table
         checked once, or taken at distinct rows of one, is not checked again."""
-        # a repeated key joins to a repeated string (strings hold no GC-tracked tuples)
-        if not self._unique_keys and len(set(map(
-                "\0".join, zip(self.scan_id, self.model, self.candidate_id)))) < len(self):
-            seen: set[tuple[str, str, str]] = set()
-            for key in zip(self.scan_id, self.model, self.candidate_id):
-                if key in seen:
-                    scan_id, model, candidate_id = key
-                    raise InputError(f"duplicate candidate {candidate_id!r} for model {model!r} "
-                                     f"on scan {scan_id!r}")
-                seen.add(key)
+        if not self._unique_keys:
+            row = first_repeat(self.scan_id, self.model, self.candidate_id)
+            if row is not None:
+                raise InputError(f"duplicate candidate {self.candidate_id[row]!r} for model "
+                                 f"{self.model[row]!r} on scan {self.scan_id[row]!r}")
         self._unique_keys = True
         return self
 
@@ -361,13 +390,12 @@ class CandidateTable(RecordSequence):
     def by_scan(self) -> dict[str, np.ndarray]:
         """Row indices of each scan, ascending (file order)."""
         if self._by_scan is None:
-            ids = self.scan_id
             # rows come in runs of one scan, usually one run per scan
-            starts = [0, *(np.flatnonzero(list(map(operator.ne, ids[1:], ids[:-1]))) + 1).tolist()]
+            bounds = run_bounds(self.scan_id)
             runs: dict[str, list[np.ndarray]] = {}
-            for start, end in zip(starts, starts[1:] + [len(ids)]):
-                if start < end:
-                    runs.setdefault(ids[start], []).append(np.arange(start, end, dtype=np.intp))
+            for start, end in zip(bounds, bounds[1:]):
+                runs.setdefault(self.scan_id[start], []).append(
+                    np.arange(start, end, dtype=np.intp))
             self._by_scan = {scan_id: r[0] if len(r) == 1 else np.concatenate(r)
                              for scan_id, r in runs.items()}
         return self._by_scan

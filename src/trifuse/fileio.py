@@ -42,6 +42,7 @@ from .domain import (
     ReferenceNodule,
     SemanticRatings,
     WorldPoint,
+    first_repeat,
     nan_to_none,
 )
 from .errors import ConfigError, InputError
@@ -61,6 +62,7 @@ LABELED_SCORE_COLUMNS = ("scan_id", "candidate_id", "score", "label")
 MATCH_COLUMNS = ("scan_id", "nodule_id", "detected", "score", "model")
 
 RATING_COLUMN_FIELDS = {display: field for field, display in CHARACTERISTIC_DISPLAY.items()}
+_CANDIDATE_NUMBERS = ("x_mm", "y_mm", "z_mm", "diameter_mm", "score")
 
 COORDINATE_CONVENTIONS = ("lps", "ras")
 
@@ -119,9 +121,17 @@ class _Columns:
     gives. Any other chunk goes through ``csv.reader``, and from the first
     chunk with a quote, carriage return or NUL on, so does the rest of the
     file, as a quoted cell may span lines.
+
+    Each chunk of a column named in ``numbers`` is converted as it is read:
+    to a float64 segment (NaN for a blank cell) if every other cell is a
+    finite number, else kept as its cells for ``number`` to convert and
+    check. A column named in ``shared`` holds one string per distinct value,
+    as long as at most half of its cells so far are distinct: scan ids, and
+    candidate ids numbered per scan, repeat from row to row.
     """
 
-    def __init__(self, path: Path, required: Sequence[str]):
+    def __init__(self, path: Path, required: Sequence[str], numbers: Sequence[str] = (),
+                 shared: Sequence[str] = ()):
         if not path.exists():
             raise InputError(f"{path}: file does not exist")
         self.path = path
@@ -141,6 +151,10 @@ class _Columns:
                     raise InputError(f"{path}: column {column} missing")
             width = len(header)
             self._cells: list[list[str]] = [[] for _ in range(width)]
+            # a numeric column's chunks: float64 segments, or the cells of a chunk with a bad one
+            self._segments: dict[int, list[np.ndarray | Sequence[str]]] = {
+                self._index[name]: [] for name in numbers if name in self._index}
+            self._shared = {self._index[name]: {} for name in shared if name in self._index}
             self.n = 0
             limit = csv.field_size_limit()
             commas = {width - 1}
@@ -154,12 +168,23 @@ class _Columns:
                 if (set(map(str.count, chunk, itertools.repeat(","))) == commas
                         and max(map(len, chunk)) <= limit and (width > 1 or "\n" not in chunk)):
                     flat = text.removesuffix("\n").replace("\n", ",").split(",")
-                    for i, column in enumerate(self._cells):
-                        column.extend(flat[i::width])
+                    self._add([flat[i::width] for i in range(width)])
                     self.n += len(chunk)
                 elif not self._add_rows(csv.reader(chunk), width):
                     break
         self._first: tuple[int, Callable[[], InputError]] | None = None
+
+    def _add(self, parts: Sequence[Sequence[str]]) -> None:
+        """Add one chunk of rows, given as the cells of each column."""
+        for i, part in enumerate(parts):
+            if i in self._segments:
+                self._segments[i].append(_segment(part))
+            elif i in self._shared:
+                self._cells[i] += map(self._shared[i].setdefault, part, part)
+                if 2 * len(self._shared[i]) > len(self._cells[i]):  # mostly distinct values
+                    del self._shared[i]
+            else:
+                self._cells[i] += part
 
     def _add_rows(self, reader: Iterator[list[str]], width: int) -> bool:
         """Add the rows of ``reader`` a chunk at a time; false if a row stops
@@ -171,8 +196,7 @@ class _Columns:
                 rows, long_row = _even_rows(rows, width)
                 if long_row is not None:
                     self._stop = (self.n + long_row, "more cells than header columns")
-            for column, part in zip(self._cells, zip(*rows)):
-                column.extend(part)
+            self._add(list(zip(*rows)))
             self.n += len(rows)
             if self._stop is not None:
                 return False
@@ -218,8 +242,9 @@ class _Columns:
             self._first = (row, make_error)
 
     def text(self, column: str) -> list[str]:
-        """Stripped cells; an empty one is an error."""
-        values = list(map(str.strip, self.raw(column)))
+        """Stripped cells (stripped in place); an empty one is an error."""
+        values = self.raw(column)
+        values[:] = map(str.strip, values)
         if "" in values:
             row = values.index("")
             self.note(row, lambda: self.cell_error(row, column, "is empty"))
@@ -228,28 +253,31 @@ class _Columns:
     def number(self, column: str, required: bool = True) -> np.ndarray:
         """``float()`` of every cell as float64. A cell that is not a finite
         number is an error, and so is an empty one unless ``required`` is
-        false; then it reads as NaN."""
-        cells = self.raw(column)
-        try:
-            values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
-            if np.isfinite(values).all():
-                return values
-        except ValueError:
-            pass
-        # some cell is empty, not a number or not finite
-        blank = np.array(list(map(operator.not_, map(str.strip, cells))), dtype=bool)
-        numbers = [("nan" if b else c) for c, b in zip(cells, blank.tolist())]
-        try:
-            values = np.array(list(map(float, numbers)), dtype=np.float64)
-        except ValueError:
-            values = np.array(list(map(_float_or_nan, numbers)), dtype=np.float64)
-        bad = ~np.isfinite(values)
-        if not required:
-            bad &= ~blank
+        false; then it reads as NaN. The chunks of a column named in
+        ``numbers`` are let go: such a column is read once."""
+        i = self._index[column]
+        segments = self._segments.pop(i, None) or [_segment(self._cells[i])]
+        values, start = [], 0
+        for segment in segments:
+            values.append(self._checked(segment, start, column, required))
+            start += len(segment)
+        return np.concatenate(values)
+
+    def _checked(self, segment: np.ndarray | Sequence[str], start: int, column: str,
+                 required: bool) -> np.ndarray:
+        """``number`` of one chunk, rows ``start`` on; its first bad cell is noted."""
+        if isinstance(segment, np.ndarray):  # finite numbers, NaN where a cell is blank
+            values, cells = segment, None
+            bad = np.isnan(values) if required else np.zeros(0, dtype=bool)
+        else:  # some cell is not a number, not finite, or blank
+            values, cells = _floats(segment), segment
+            bad = ~np.isfinite(values)
+            if not required:
+                bad &= np.array([bool(c.strip()) for c in cells], dtype=bool)
         if bad.any():
-            row = int(np.argmax(bad))
-            self.note(row, lambda: self.cell_error(row, column,
-                                                   _number_problem(cells[row], required)))
+            at = int(np.argmax(bad))
+            row, cell = start + at, "" if cells is None else cells[at]
+            self.note(row, lambda: self.cell_error(row, column, _number_problem(cell, required)))
         return values
 
     def integer(self, column: str, required: bool = True) -> list[int | None]:
@@ -283,16 +311,12 @@ class _Columns:
     def positive(self, column: str, values: np.ndarray) -> None:
         self.where(column, values <= 0.0, lambda row: f"must be positive, got {float(values[row])}")
 
-    def unique(self, keys: list, make_error: Callable[[int], InputError],
-               earlier: frozenset | set = frozenset()) -> None:
-        """Note the first row whose key an earlier row, or the set ``earlier``, has."""
-        if len(set(keys)) != len(keys) or not earlier.isdisjoint(keys):
-            seen = set(earlier)
-            for row, key in enumerate(keys):
-                if key in seen:
-                    self.note(row, lambda: make_error(row))
-                    return
-                seen.add(key)
+    def unique(self, columns: Sequence[list[str]],
+               make_error: Callable[[int], InputError]) -> None:
+        """Note the first row whose key, its cells in ``columns``, an earlier row has."""
+        row = first_repeat(*columns)
+        if row is not None:
+            self.note(row, lambda: make_error(row))
 
     def clean_rows(self) -> int:
         """The number of rows before the first noted error."""
@@ -335,6 +359,31 @@ def _even_rows(data: list[list[str]], width: int) -> tuple[list[list[str]], int 
             cells = cells + [""] * (width - len(cells))
         out.append(cells)
     return out, None
+
+
+def _segment(cells: Sequence[str]) -> np.ndarray | Sequence[str]:
+    """The cells as float64, NaN for a blank one, if each other cell is a
+    finite number; else the cells."""
+    try:
+        values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    values = _floats(cells)
+    if np.array_equal(~np.isfinite(values), [not c.strip() for c in cells]):
+        return values
+    return cells
+
+
+def _floats(cells: Sequence[str]) -> np.ndarray:
+    """``float()`` of each cell as float64, NaN for a blank cell or one that
+    is not a number."""
+    numbers = [c if c.strip() else "nan" for c in cells]
+    try:
+        return np.array(list(map(float, numbers)), dtype=np.float64)
+    except ValueError:
+        return np.array(list(map(_float_or_nan, numbers)), dtype=np.float64)
 
 
 def _float_or_nan(cell: str) -> float:
@@ -420,7 +469,8 @@ def read_candidates(
     path: str | Path, convention: str = "lps", expected_model: str | None = None
 ) -> CandidateTable:
     path = Path(path)
-    columns = _Columns(path, CANDIDATE_COLUMNS)
+    columns = _Columns(path, CANDIDATE_COLUMNS, numbers=_CANDIDATE_NUMBERS,
+                       shared=("scan_id", "candidate_id", "model"))
     model = columns.text("model")
     if expected_model is not None:
         wrong = [m != expected_model for m in model]
@@ -436,11 +486,12 @@ def read_candidates(
     score = columns.number("score")
     columns.unit_interval("score", score)
     columns.positive("diameter_mm", diameter)
-    columns.unique(list(zip(scan_id, model, candidate_id)), lambda row: columns.error(
+    columns.unique((scan_id, model, candidate_id), lambda row: columns.error(
         row, f"duplicate candidate_id {candidate_id[row]!r} "
              f"for model {model[row]!r} on scan {scan_id[row]!r}"))
     columns.done()
-    return CandidateTable(scan_id, candidate_id, model, _to_lps(xyz, convention), diameter, score)
+    return CandidateTable(scan_id, candidate_id, model, _to_lps(xyz, convention), diameter, score,
+                          unique_keys=True)
 
 
 def read_references(path: str | Path, convention: str = "lps") -> list[ReferenceNodule]:
@@ -448,7 +499,8 @@ def read_references(path: str | Path, convention: str = "lps") -> list[Reference
     ``SemanticRatings`` and ``ReferenceNodule`` check the values of each row,
     and their errors gain file and line."""
     path = Path(path)
-    columns = _Columns(path, REFERENCE_COLUMNS)
+    columns = _Columns(path, REFERENCE_COLUMNS, shared=("scan_id",), numbers=(
+        "x_mm", "y_mm", "z_mm", "diameter_mm", CHARACTERISTIC_DISPLAY["diameter_rad_mm"]))
     x = columns.number("x_mm").tolist()
     y = columns.number("y_mm").tolist()
     z = columns.number("z_mm").tolist()
@@ -485,7 +537,7 @@ def read_references(path: str | Path, convention: str = "lps") -> list[Reference
             message = str(err)
             columns.note(row, lambda: columns.error(row, message))
             break
-    columns.unique(list(zip(scan_id, nodule_id)), lambda row: columns.error(
+    columns.unique((scan_id, nodule_id), lambda row: columns.error(
         row, f"duplicate nodule_id {nodule_id[row]!r} on scan {scan_id[row]!r}"))
     columns.done()
     return out
@@ -493,22 +545,22 @@ def read_references(path: str | Path, convention: str = "lps") -> list[Reference
 
 def read_cadx_scores(path: str | Path) -> CadxScoreTable:
     path = Path(path)
-    columns = _Columns(path, CADX_SCORE_COLUMNS)
-    keys = list(zip(columns.text("scan_id"), columns.text("model"),
-                    columns.text("candidate_id")))
-    columns.unique(keys, lambda row: columns.error(
-        row, f"duplicate CADx score entry for {keys[row]}"))
+    columns = _Columns(path, CADX_SCORE_COLUMNS, numbers=("p_luna", "p_dlcs"),
+                       shared=("scan_id", "candidate_id", "model"))
+    key = (columns.text("scan_id"), columns.text("model"), columns.text("candidate_id"))
+    columns.unique(key, lambda row: columns.error(
+        row, f"duplicate CADx score entry for {tuple(column[row] for column in key)}"))
     p_luna = columns.number("p_luna")
     p_dlcs = columns.number("p_dlcs")
     columns.unit_interval("p_luna", p_luna)
     columns.unit_interval("p_dlcs", p_dlcs)
     columns.done()
-    return CadxScoreTable(keys, p_luna, p_dlcs)
+    return CadxScoreTable(*key, p_luna, p_dlcs)
 
 
 def read_labeled_scores(path: str | Path) -> tuple[list[float], list[str]]:
     path = Path(path)
-    columns = _Columns(path, LABELED_SCORE_COLUMNS)
+    columns = _Columns(path, LABELED_SCORE_COLUMNS, numbers=("score",))
     scores = columns.number("score")
     labels = columns.text("label")
     columns.done()
@@ -543,7 +595,8 @@ def read_fused(path: str | Path, convention: str = "lps") -> CandidateTable:
     cadx-promoted rows; no (scan, candidate id) repeats. Each provenance
     cell is split into its tuple of qualified ids."""
     path = Path(path)
-    columns = _Columns(path, FUSED_COLUMNS)
+    columns = _Columns(path, FUSED_COLUMNS, numbers=_CANDIDATE_NUMBERS + ("tier", "cadx_avg"),
+                       shared=("scan_id", "candidate_id", "model", "stage", "provenance"))
     xyz = _xyz(columns)
     stage = columns.text("stage")
     known = [s in TIER_BY_STAGE for s in stage]
@@ -569,24 +622,26 @@ def read_fused(path: str | Path, convention: str = "lps") -> CandidateTable:
     columns.unit_interval("cadx_avg", np.where(promoted, cadx_avg, math.nan))
     columns.where("cadx_avg", ~promoted & ~empty,
                   lambda row: f"must be empty for stage {stage[row]}")
-    columns.unique(list(zip(scan_id, candidate_id)), lambda row: columns.error(
+    columns.unique((scan_id, candidate_id), lambda row: columns.error(
         row, f"duplicate candidate_id {candidate_id[row]!r} on scan {scan_id[row]!r}"))
     columns.convention(convention)
     columns.done()
     model = list(map(str.strip, columns.raw("model")))  # not checked: fused files say FUSED
+    # ids, and so provenance cells, repeat from scan to scan: one tuple per distinct cell
+    split = {p: tuple(p.split(PROVENANCE_SEP)) for p in set(provenance)}
     return CandidateTable(scan_id, candidate_id, model, _to_lps(xyz, convention), diameter, score,
                           tier=tier, stage=stage, cadx_avg=cadx_avg,
-                          provenance=[tuple(p.split(PROVENANCE_SEP)) for p in provenance])
+                          provenance=list(map(split.__getitem__, provenance)),
+                          unique_keys=True)
 
 
 def read_match_files(paths: Sequence[str | Path]) -> dict[str, dict[tuple[str, str], float | None]]:
     """Read per-model match files; returns model -> {(scan, nodule): score|None}.
     A (scan, nodule) key appears once per model, across all the files."""
     out: dict[str, dict[tuple[str, str], float | None]] = {}
-    seen: set[tuple[str, str, str]] = set()
     for path in paths:
         path = Path(path)
-        columns = _Columns(path, MATCH_COLUMNS)
+        columns = _Columns(path, MATCH_COLUMNS, numbers=("score",), shared=("scan_id", "model"))
         model = columns.text("model")
         scan_id = columns.text("scan_id")
         nodule_id = columns.text("nodule_id")
@@ -598,11 +653,17 @@ def read_match_files(paths: Sequence[str | Path]) -> dict[str, dict[tuple[str, s
         if without.size:
             row = int(without[0])
             columns.note(row, lambda: columns.error(row, "detected row without a score"))
-        keys = list(zip(model, scan_id, nodule_id))
-        columns.unique(keys, lambda row: columns.error(
-            row, f"duplicate match entry for {keys[row][1:]}"), seen)
+
+        def repeated(row: int) -> InputError:
+            return columns.error(row, f"duplicate match entry for {(scan_id[row], nodule_id[row])}")
+
+        columns.unique((model, scan_id, nodule_id), repeated)
+        earlier = [(scan, nodule) in out.get(m, ())  # the keys of the files before
+                   for m, scan, nodule in zip(model, scan_id, nodule_id)]
+        if any(earlier):
+            row = earlier.index(True)
+            columns.note(row, lambda: repeated(row))
         columns.done()
-        seen.update(keys)
         for m, scan, nodule, d, value in zip(model, scan_id, nodule_id, detected, score.tolist()):
             out.setdefault(m, {})[(scan, nodule)] = value if d == 1 else None
     return out
@@ -613,6 +674,7 @@ def read_match_files(paths: Sequence[str | Path]) -> dict[str, dict[tuple[str, s
 
 
 _FUSED_CHUNK = 4096  # rows turned into cells at a time, so few cell values are alive
+_QUOTED = (",", '"', "\r", "\n", "\0")  # text csv.writer may quote or refuse
 
 
 def write_fused_csv(
@@ -621,21 +683,37 @@ def write_fused_csv(
     """The fused list, a fused-list table or ``FusedCandidate`` records (as
     ``fusion.fused_table`` numbers them), written from the table's columns,
     ``_FUSED_CHUNK`` rows at a time: a float as its ``repr``, a NaN diameter
-    or ``cadx_avg`` as an empty cell, provenance joined with ``|``."""
+    or ``cadx_avg`` as an empty cell, provenance joined with ``|``. Each
+    column of a chunk is formatted once and the rows joined with ","; a
+    chunk with a text cell ``csv.writer`` would quote goes through it."""
     t = fused_table(fused)
 
-    def cells(values: np.ndarray) -> list[float | None]:
-        return [None if v != v else v for v in values.tolist()]
+    def numbers(values: np.ndarray) -> list[str]:
+        return list(map(repr, values.tolist()))
 
-    def rows(start: int) -> Iterator[tuple]:
-        part = slice(start, start + _FUSED_CHUNK)
-        return zip(t.scan_id[part], t.candidate_id[part], *t.xyz[part].T.tolist(),
-                   cells(t.diameter_mm[part]), t.score[part].tolist(), t.model[part],
-                   t.tier[part].tolist(), t.stage[part], cells(t.cadx_avg[part]),
-                   map(PROVENANCE_SEP.join, t.provenance[part]))
+    def optional(values: np.ndarray) -> list[str]:
+        return ["" if v != v else repr(v) for v in values.tolist()]
 
-    chunks = map(rows, range(0, len(t), _FUSED_CHUNK))
-    return write_csv(path, FUSED_COLUMNS, itertools.chain.from_iterable(chunks), manifest_digest)
+    def write(fh: TextIO) -> None:
+        if manifest_digest:
+            fh.write(f"# manifest_digest={manifest_digest}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(FUSED_COLUMNS)
+        for start in range(0, len(t), _FUSED_CHUNK):
+            part = slice(start, start + _FUSED_CHUNK)
+            text = scan_id, candidate_id, model, stage, provenance = (
+                t.scan_id[part], t.candidate_id[part], t.model[part], t.stage[part],
+                list(map(PROVENANCE_SEP.join, t.provenance[part])))
+            rows = zip(scan_id, candidate_id, *map(numbers, t.xyz[part].T),
+                       optional(t.diameter_mm[part]), numbers(t.score[part]), model,
+                       numbers(t.tier[part]), stage, optional(t.cadx_avg[part]), provenance)
+            if any(c in joined for joined in map("".join, text) for c in _QUOTED):
+                writer.writerows(rows)
+            else:
+                fh.write("\n".join(map(",".join, rows)))
+                fh.write("\n")
+
+    return atomic_write_text(path, write)
 
 
 def write_matches_csv(

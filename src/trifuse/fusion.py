@@ -20,7 +20,7 @@ import itertools
 import math
 import shlex
 import subprocess
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -43,6 +43,7 @@ from .domain import (
     distance_mm,
     near_pairs,
     require_unit_interval,
+    run_bounds,
 )
 from .errors import InputError, InvariantError, ScorerError
 from .volume import Volume, centroid_in_lung, extract_patch, save_patch
@@ -78,26 +79,53 @@ def ensemble_cadx(scores: CadxScores) -> float:
 
 
 class CadxScoreTable(Mapping[tuple[str, str, str], CadxScores]):
-    """Classifier scores by ``(scan_id, model, candidate_id)``, read-only: the
-    ``row`` of each key in the ``p_luna`` and ``p_dlcs`` columns. The
-    ``CadxScores`` of a key is built when it is looked up."""
+    """Classifier scores by ``(scan_id, model, candidate_id)``, read-only,
+    from the key and score columns of its rows. ``rows[(scan_id,
+    model)][candidate_id]`` is a key's row in the ``p_luna`` and ``p_dlcs``
+    arrays: one dict per scan and model, not a key tuple per row. A repeated
+    key means its last row. The ``CadxScores`` of a key is built when it is
+    looked up; keys iterate in the order of their rows."""
 
-    def __init__(self, keys: list[tuple[str, str, str]], p_luna: np.ndarray,
-                 p_dlcs: np.ndarray):
-        self.row = dict(zip(keys, range(len(keys))))
+    def __init__(self, scan_id: Sequence[str], model: Sequence[str],
+                 candidate_id: Sequence[str], p_luna: np.ndarray, p_dlcs: np.ndarray):
+        self.rows: dict[tuple[str, str], dict[str, int]] = {}
+        bounds = run_bounds(scan_id, model)
+        for start, end in zip(bounds, bounds[1:]):
+            self.rows.setdefault((scan_id[start], model[start]), {}).update(
+                zip(candidate_id[start:end], range(start, end)))
+        self._len = sum(map(len, self.rows.values()))
         # float64 arrays rather than lists: no two float objects per row on the heap
         self.p_luna = p_luna
         self.p_dlcs = p_dlcs
 
+    def rows_of(self, scan_id: Sequence[str], model: Sequence[str],
+                candidate_id: Sequence[str]) -> list[int | None]:
+        """The row of each key the three columns give, None for a key with
+        no scores; one dict lookup per run of rows on one scan and model."""
+        bounds = run_bounds(scan_id, model)
+        rows: list[int | None] = []
+        for start, end in zip(bounds, bounds[1:]):
+            rows += map(self.rows.get((scan_id[start], model[start]), {}).get,
+                        candidate_id[start:end])
+        return rows
+
     def __getitem__(self, key: tuple[str, str, str]) -> CadxScores:
-        row = self.row[key]
+        try:
+            scan_id, model, candidate_id = key
+            row = self.rows[scan_id, model][candidate_id]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
         return CadxScores(self.p_luna.item(row), self.p_dlcs.item(row))
 
     def __iter__(self) -> Iterator[tuple[str, str, str]]:
-        return iter(self.row)
+        keys: list[tuple[str, str, str] | None] = [None] * len(self.p_luna)
+        for (scan_id, model), ids in self.rows.items():
+            for candidate_id, row in ids.items():
+                keys[row] = (scan_id, model, candidate_id)
+        return (key for key in keys if key is not None)
 
     def __len__(self) -> int:
-        return len(self.row)
+        return self._len
 
 
 @dataclass(frozen=True)
@@ -495,16 +523,16 @@ class FileCadxProvider:
     def __init__(self, scores: Mapping[tuple[str, str, str], CadxScores]):
         if not isinstance(scores, CadxScoreTable):
             keys = list(scores)
-            scores = CadxScoreTable(keys, *(
+            scores = CadxScoreTable(*([k[i] for k in keys] for i in range(3)), *(
                 np.array([getattr(scores[k], p) for k in keys], dtype=np.float64)
                 for p in ("p_luna", "p_dlcs")))
         self._scores = scores
 
     def __call__(self, candidates: CandidateDetection | CandidateTable):
         is_table = isinstance(candidates, CandidateTable)
-        keys = (zip(candidates.scan_id, candidates.model, candidates.candidate_id)
-                if is_table else [candidates.key])
-        rows = list(map(self._scores.row.get, keys))  # no key tuple outlives its lookup
+        rows = self._scores.rows_of(*(
+            (candidates.scan_id, candidates.model, candidates.candidate_id) if is_table
+            else ([candidates.scan_id], [candidates.source_model], [candidates.candidate_id])))
         if None in rows:
             missing = candidates[rows.index(None)] if is_table else candidates
             raise ScorerError(f"no CADx scores on file for {missing.qualified_id} "

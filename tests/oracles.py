@@ -62,6 +62,7 @@ from trifuse.fusion import (
     ConsensusPair,
     FusedCandidate,
     TriStageResult,
+    fused_table,
 )
 from trifuse.reportlink import EntityMatch
 from trifuse.sweeps import CadeSweepRow
@@ -1412,4 +1413,19 @@ def oracle_write_fused_csv(path, fused, manifest_digest=None):
         rows.append((f.scan_id, f"F{n:04d}", f.center.x, f.center.y, f.center.z, f.diameter_mm,
                      f.cade_score_avg, "FUSED", f.confidence_tier, f.stage, f.cadx_avg,
                      PROVENANCE_SEP.join(f.provenance)))
+    return oracle_write_csv(path, FUSED_COLUMNS, rows, manifest_digest)
+
+
+def oracle_write_fused_columns(path, fused, manifest_digest=None):
+    """The fused-list writer that handed the table's column values to
+    ``csv.writer``: a float as its ``repr``, a NaN diameter or ``cadx_avg``
+    as an empty cell, provenance joined with ``|``."""
+    t = fused_table(fused)
+
+    def cells(values):
+        return [None if v != v else v for v in values.tolist()]
+
+    rows = zip(t.scan_id, t.candidate_id, *t.xyz.T.tolist(), cells(t.diameter_mm),
+               t.score.tolist(), t.model, t.tier.tolist(), t.stage, cells(t.cadx_avg),
+               map(PROVENANCE_SEP.join, t.provenance))
     return oracle_write_csv(path, FUSED_COLUMNS, rows, manifest_digest)

@@ -6,9 +6,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from trifuse import domain
 from trifuse.domain import PAIR_BLOCK, CandidateTable, PipelineConfig, WorldPoint
 from trifuse.errors import InputError, InvariantError, ScorerError
-from trifuse.fileio import write_fused_csv
+from trifuse.fileio import read_candidates, write_fused_csv
 from trifuse.fusion import (
     CadxScores,
     CadxScoreTable,
@@ -42,6 +43,11 @@ def b_cand(cid, x, y, z, score, scan="s", diameter=None):
 
 def constant_provider(p_luna, p_dlcs):
     return lambda candidate: CadxScores(p_luna=p_luna, p_dlcs=p_dlcs)
+
+
+def score_table(keys, p_luna, p_dlcs):
+    """The ``CadxScoreTable`` of (scan, model, candidate id) keys and their scores."""
+    return CadxScoreTable(*([key[i] for key in keys] for i in range(3)), p_luna, p_dlcs)
 
 
 def hashed_provider(candidate):
@@ -668,7 +674,7 @@ class TestColumnarFusionAgainstOracle:
             scan = f"s{k:03d}"
             list_a, list_b = edge_scan(rng, scan)
             keys = [c.key for c in list_a + list_b]
-            scores = CadxScoreTable(keys, *rng.choice([0.0, 0.05, 0.1, 0.3], size=(2, len(keys))))
+            scores = score_table(keys, *rng.choice([0.0, 0.05, 0.1, 0.3], size=(2, len(keys))))
             scan_mask = mask if k % 3 == 0 else None
             for provider in (FileCadxProvider(scores), FileCadxProvider(dict(scores.items())),
                              recording_provider()[0]):
@@ -690,8 +696,8 @@ class TestColumnarFusionAgainstOracle:
             "no disagreements", "no pairs")), seen
 
         keys = list(all_scores)
-        scores = CadxScoreTable(keys, np.array([all_scores[k].p_luna for k in keys]),
-                                np.array([all_scores[k].p_dlcs for k in keys]))
+        scores = score_table(keys, np.array([all_scores[k].p_luna for k in keys]),
+                             np.array([all_scores[k].p_dlcs for k in keys]))
         got = fuse_scans(all_a, all_b, FileCadxProvider(scores),
                          masks=lambda scan: mask if scan in masked else None)
         assert got.fused == expected_fused
@@ -731,9 +737,20 @@ class TestBatchFileProvider:
 
     def providers(self, scored):
         keys = list(scored)
-        return (FileCadxProvider(dict(scored)), FileCadxProvider(CadxScoreTable(
+        return (FileCadxProvider(dict(scored)), FileCadxProvider(score_table(
             keys, np.array([scored[k].p_luna for k in keys]),
             np.array([scored[k].p_dlcs for k in keys]))))
+
+    def test_table_keys_rows_by_scan_and_model(self):
+        # rows interleave scans and models; a repeated key means its last row
+        keys = [("s1", "CADE_A", "a1"), ("s2", "CADE_A", "a1"), ("s1", "CADE_A", "a2"),
+                ("s1", "CADE_B", "a1"), ("s2", "CADE_A", "a1")]
+        table = score_table(keys, np.arange(5) / 8, np.zeros(5))
+        assert len(table) == 4 and list(table) == [keys[0], keys[2], keys[3], keys[4]]
+        assert table[("s2", "CADE_A", "a1")] == CadxScores(0.5, 0.0)
+        assert ("s2", "CADE_B", "a1") not in table and ("s1", "CADE_A") not in table
+        assert table.rows_of(["s1", "s1", "s1", "s2", "s9"], ["CADE_B"] + ["CADE_A"] * 4,
+                             ["a1", "a2", "a1", "a1", "a1"]) == [3, 2, 0, 4, None]
 
     def test_join_gives_each_rows_scores_in_row_order(self):
         scored = {**self.scored, ("s", "CADE_A", "a2"): CadxScores(0.0, 1.0),
@@ -846,6 +863,31 @@ class TestDuplicateKeys:
         assert table.take([1, 0]).require_unique_keys().candidate_id == ["a2", "a1"]
         with pytest.raises(InputError, match=self.message):
             table.take([0, 1, 0]).require_unique_keys()
+
+    def test_reader_tables_are_not_checked_again(self, tmp_path, monkeypatch):
+        # the readers reject a repeated key with its line; fusion then does
+        # not count the keys of their tables a second time
+        checked = []
+        real = domain.first_repeat
+
+        def spy(*columns):
+            checked.append(list(columns[-1]))
+            return real(*columns)
+
+        monkeypatch.setattr(domain, "first_repeat", spy)
+        for name, ids in (("a", ["a1", "a2"]), ("b", ["b1"])):
+            (tmp_path / f"{name}.csv").write_text(
+                "scan_id,candidate_id,x_mm,y_mm,z_mm,diameter_mm,score,model\n" + "".join(
+                    f"s,{c},{9 * i},0,0,,0.5,CADE_{name.upper()}\n" for i, c in enumerate(ids)))
+        table_a, table_b = (read_candidates(tmp_path / f"{name}.csv") for name in "ab")
+        fuse_scans(table_a, table_b, cadx_provider=constant_provider(0.5, 0.5))
+        assert checked == []
+        assert table_a.take([1, 0]).require_unique_keys() and checked == []
+        CandidateTable.from_records(list(table_b))
+        assert checked == [["b1"]]
+        with pytest.raises(InputError, match=self.message):
+            table_a.take([0, 1, 0]).require_unique_keys()
+        assert checked == [["b1"], ["a1", "a2", "a1"]]
 
 
 class TestFuseScans:
