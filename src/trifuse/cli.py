@@ -327,7 +327,7 @@ def _load_match_tables(matches_dir: str | Path, references) -> dict:
     if not files:
         raise InputError(f"{matches_dir}: no match CSV files found")
     tables = fileio.read_match_files(files)
-    ref_keys = {r.key for r in references}
+    ref_keys = set(references.keys)
     for model, table in tables.items():
         if set(table) != ref_keys:
             raise InputError(

@@ -135,6 +135,15 @@ def may_lie_within(a: Iterable[np.ndarray], b: Iterable[np.ndarray], radius_mm) 
 PAIR_BLOCK = 1 << 14  # pair tests near_pairs makes at a time
 
 
+def sort_key(codes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """One array that sorts as the rows' (code, value) pairs: numpy orders
+    complex numbers lexicographically, and one sort of them is faster than
+    ``np.lexsort`` of the two."""
+    key = np.empty(len(values), complex)
+    key.real, key.imag = codes, values
+    return key
+
+
 def near_pairs(codes_a: np.ndarray, xyz_a: np.ndarray, codes_b: np.ndarray,
                xyz_b: np.ndarray, radius_mm: float) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs ``(i, j)``, in row-major order, of rows of the ``(n, 3)`` arrays
@@ -142,17 +151,12 @@ def near_pairs(codes_a: np.ndarray, xyz_a: np.ndarray, codes_b: np.ndarray,
     ``radius_mm``: ``may_lie_within``, about ``PAIR_BLOCK`` pairs at a time, on the rows
     of B whose x lies within ``reach`` of A's (the radius, with a slack that covers
     the rounding of the window's edges and of a distance)."""
-    def scan_x(codes: np.ndarray, x: np.ndarray) -> np.ndarray:
-        key = np.empty(len(x), complex)  # numpy orders complex numbers lexicographically
-        key.real, key.imag = codes, x
-        return key
-
-    keys = scan_x(codes_b, xyz_b[:, 0])
+    keys = sort_key(codes_b, xyz_b[:, 0])
     order = np.argsort(keys, kind="stable")
     x = xyz_a[:, 0]
     reach = radius_mm * (1.0 + _PREFILTER_SLACK) + math.sqrt(_PREFILTER_FLOOR_MM2)
-    lo = np.searchsorted(keys[order], scan_x(codes_a, x - reach), "left")
-    counts = np.searchsorted(keys[order], scan_x(codes_a, x + reach), "right") - lo
+    lo = np.searchsorted(keys[order], sort_key(codes_a, x - reach), "left")
+    counts = np.searchsorted(keys[order], sort_key(codes_a, x + reach), "right") - lo
     ends = np.cumsum(counts)
     first = lo - ends + counts  # pair g of row i tests B's sorted row first[i] + g
     rows, cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
@@ -259,6 +263,22 @@ class RecordSequence(Sequence):
     __hash__ = None
 
 
+class RowTable(RecordSequence):
+    """Rows held by column, ``scan_id`` among them; as a sequence the table
+    reads as the records that its ``records(rows)`` builds."""
+
+    def __len__(self) -> int:
+        return len(self.scan_id)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.records(range(*index.indices(len(self))))
+        return self.records([range(len(self))[index]])[0]
+
+    def __iter__(self):
+        return iter(self.records(range(len(self))))
+
+
 def nan_to_none(value: float) -> float | None:
     """A column value as a record field: NaN marks an empty cell."""
     return None if value != value else value
@@ -299,7 +319,7 @@ _COLUMNS = ("scan_id", "candidate_id", "model", "xyz", "diameter_mm", "score", "
             "cadx_avg", "provenance")
 
 
-class CandidateTable(RecordSequence):
+class CandidateTable(RowTable):
     """Candidate rows held by column, in file order.
 
     Columns: ``scan_id``, ``candidate_id`` and ``model`` (lists of str),
@@ -410,11 +430,6 @@ class CandidateTable(RecordSequence):
                                   for m, c in zip(self.model, self.candidate_id)]
         return self._qualified_id
 
-    def of_scans(self, scan_ids: Iterable[str]) -> "CandidateTable":
-        """The table of the rows on the given scans, in file order."""
-        groups = [self.by_scan[s] for s in scan_ids if s in self.by_scan]
-        return self.take(np.sort(np.concatenate(groups)) if groups else [])
-
     def take(self, rows: Sequence[int]) -> "CandidateTable":
         """The table of the given rows, in the given order: every column, and
         the ``qualified_id`` list when this table has computed it."""
@@ -456,17 +471,6 @@ class CandidateTable(RecordSequence):
             for i, p, d, s, t, c in zip(index, centers, diameters, scores,
                                         self.tier[rows].tolist(), self.cadx_avg[rows].tolist())
         ]
-
-    def __len__(self) -> int:
-        return len(self.scan_id)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.records(range(*index.indices(len(self))))
-        return self.records([range(len(self))[index]])[0]
-
-    def __iter__(self):
-        return iter(self.records(range(len(self))))
 
 
 @dataclass(frozen=True)
@@ -553,6 +557,118 @@ class ReferenceNodule:
     @property
     def key(self) -> tuple[str, str]:
         return (self.scan_id, self.nodule_id)
+
+
+RATING_FIELDS = tuple(SemanticRatings.__dataclass_fields__)
+
+
+class ReferenceTable(RowTable):
+    """Reference rows held by column, in file order.
+
+    Columns: ``scan_id``, ``nodule_id`` and ``diagnosis`` (lists of str),
+    ``xyz`` (an ``(n, 3)`` float64 array of LPS centres), ``diameter_mm``
+    (float64), ``lungrads``, ``reviewers`` and ``positive_votes`` (lists, None
+    where a row has none) and ``ratings``: each ``SemanticRatings`` field that
+    has a column, mapped to the list of its values (None where a row has
+    none), or None when no field has one.
+
+    As a sequence the table reads as its ``ReferenceNodule`` records, built
+    only when asked; a row with no rating value has no ``SemanticRatings``.
+    The columns are taken as given; the record constructors check each row
+    they build. ``unique_keys`` says the caller has checked that no (scan,
+    nodule id) key repeats.
+    """
+
+    def __init__(self, scan_id: list[str], nodule_id: list[str], xyz: np.ndarray,
+                 diameter_mm: np.ndarray, diagnosis: list[str], lungrads: list[str | None],
+                 reviewers: list[int | None], positive_votes: list[int | None],
+                 ratings: dict[str, list] | None = None, *, unique_keys: bool = False):
+        self.scan_id = scan_id
+        self.nodule_id = nodule_id
+        self.xyz = xyz
+        self.diameter_mm = diameter_mm
+        self.diagnosis = diagnosis
+        self.lungrads = lungrads
+        self.reviewers = reviewers
+        self.positive_votes = positive_votes
+        self.ratings = ratings
+        self._unique_keys = unique_keys
+
+    @classmethod
+    def from_records(cls, records: Iterable[ReferenceNodule]) -> "ReferenceTable":
+        """The table of API records; it has every rating field if one is rated."""
+        records = list(records)
+        rated = any(r.ratings is not None for r in records)
+        return cls(
+            [r.scan_id for r in records],
+            [r.nodule_id for r in records],
+            np.array([r.center.as_tuple() for r in records], dtype=np.float64).reshape(-1, 3),
+            np.array([r.diameter_mm for r in records], dtype=np.float64),
+            [r.diagnosis for r in records],
+            [r.lungrads for r in records],
+            [r.reviewers for r in records],
+            [r.positive_votes for r in records],
+            {name: [None if r.ratings is None else getattr(r.ratings, name) for r in records]
+             for name in RATING_FIELDS} if rated else None,
+        )
+
+    @classmethod
+    def of(cls, references: Iterable[ReferenceNodule]) -> "ReferenceTable":
+        """``references`` if it is a table, else the table of its records."""
+        if isinstance(references, ReferenceTable):
+            return references
+        return cls.from_records(references)
+
+    def require_unique_keys(self) -> "ReferenceTable":
+        """This table, if no two rows share a (scan, nodule id) key; else the
+        ``InputError`` of the first row that repeats one."""
+        if not self._unique_keys:
+            row = first_repeat(self.scan_id, self.nodule_id)
+            if row is not None:
+                raise InputError(f"duplicate nodule_id {self.nodule_id[row]!r} "
+                                 f"on scan {self.scan_id[row]!r}")
+        self._unique_keys = True
+        return self
+
+    @property
+    def keys(self) -> list[tuple[str, str]]:
+        """Each row's (scan id, nodule id), as ``ReferenceNodule.key``."""
+        return list(zip(self.scan_id, self.nodule_id))
+
+    @property
+    def tolerance(self) -> np.ndarray:
+        """Each row's ``match_tolerance``."""
+        d = self.diameter_mm
+        return np.where(d < TOLERANCE_CAP_AT_DIAMETER_MM, d / 2.0, TOLERANCE_CAP_MM)
+
+    def rating(self, name: str) -> list:
+        """The values of one ``SemanticRatings`` field, None where a row has
+        none; a name that is no such field is an error if some row is rated."""
+        if self.ratings is None:
+            return [None] * len(self)
+        if name not in self.ratings:
+            if name not in RATING_FIELDS and any(
+                    any(v is not None for v in values) for values in self.ratings.values()):
+                raise InputError(f"unknown semantic characteristic {name!r}")
+            return [None] * len(self)
+        return self.ratings[name]
+
+    def records(self, rows: Iterable[int]) -> list[ReferenceNodule]:
+        """The records of the given rows, in the given order."""
+        index = list(rows)
+        centers = [WorldPoint(*p) for p in self.xyz[index].tolist()]
+        ratings = [None] * len(index)
+        if self.ratings is not None:
+            for k, i in enumerate(index):
+                values = {name: column[i] for name, column in self.ratings.items()}
+                if any(v is not None for v in values.values()):
+                    ratings[k] = SemanticRatings(**values)
+        return [
+            ReferenceNodule(self.scan_id[i], self.nodule_id[i], center, d, self.diagnosis[i],
+                            self.lungrads[i], self.reviewers[i], self.positive_votes[i], rating)
+            for i, center, d, rating in zip(index, centers, self.diameter_mm[index].tolist(),
+                                            ratings)
+        ]
 
 
 @dataclass(frozen=True)

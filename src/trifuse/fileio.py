@@ -34,14 +34,15 @@ import numpy as np
 
 from . import __version__
 from .domain import (
+    DIAGNOSES,
+    LUNGRADS_CATEGORIES,
     PROVENANCE_SEP,
+    RATING_RANGES,
     STAGE_CADX,
     TIER_BY_STAGE,
     CandidateTable,
     FusedCandidate,
-    ReferenceNodule,
-    SemanticRatings,
-    WorldPoint,
+    ReferenceTable,
     first_repeat,
     nan_to_none,
 )
@@ -65,14 +66,6 @@ RATING_COLUMN_FIELDS = {display: field for field, display in CHARACTERISTIC_DISP
 _CANDIDATE_NUMBERS = ("x_mm", "y_mm", "z_mm", "diameter_mm", "score")
 
 COORDINATE_CONVENTIONS = ("lps", "ras")
-
-
-def convert_to_lps(x: float, y: float, z: float, convention: str) -> tuple[float, float, float]:
-    if convention == "lps":
-        return (x, y, z)
-    if convention == "ras":
-        return (-x, -y, z)
-    raise InputError(f"unknown coordinate convention {convention!r}; use lps or ras")
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +278,15 @@ class _Columns:
         and so is an empty one unless ``required`` is false; then it reads as
         None."""
         cells = self.raw(column)
-        try:
-            return list(map(int, cells))  # int() ignores surrounding spaces itself
+        try:  # int() ignores surrounding spaces itself
+            return list(map(int, cells)) if required else [int(c) if c else None for c in cells]
         except ValueError:
             pass
         values = list(map(_int_or_none, cells))
-        for row, (value, cell) in enumerate(zip(values, cells)):
-            text = cell.strip()
-            if value is None and (text or required):
+        for row in itertools.compress(itertools.count(), map(operator.is_, values,
+                                                             itertools.repeat(None))):
+            text = cells[row].strip()
+            if text or required:
                 problem = f"is not an integer: {text!r}" if text else "is empty"
                 self.note(row, lambda: self.cell_error(row, column, problem))
                 break
@@ -459,7 +453,7 @@ def _xyz(columns: _Columns) -> np.ndarray:
 
 
 def _to_lps(xyz: np.ndarray, convention: str) -> np.ndarray:
-    """``convert_to_lps`` on every row, for a convention already checked."""
+    """RAS centres as LPS (x and y negate), for a convention already checked."""
     if convention == "ras":
         xyz[:, :2] = -xyz[:, :2]
     return xyz
@@ -494,16 +488,15 @@ def read_candidates(
                           unique_keys=True)
 
 
-def read_references(path: str | Path, convention: str = "lps") -> list[ReferenceNodule]:
-    """Reference nodules. The cells are converted a column at a time; then
-    ``SemanticRatings`` and ``ReferenceNodule`` check the values of each row,
-    and their errors gain file and line."""
+def read_references(path: str | Path, convention: str = "lps") -> ReferenceTable:
+    """The reference table of a file, which reads as ``ReferenceNodule``
+    records. Its rows are held to the rules ``SemanticRatings`` and
+    ``ReferenceNodule`` enforce, a column at a time and in the order they
+    check a row, with the words they use; each error gains file and line."""
     path = Path(path)
     columns = _Columns(path, REFERENCE_COLUMNS, shared=("scan_id",), numbers=(
         "x_mm", "y_mm", "z_mm", "diameter_mm", CHARACTERISTIC_DISPLAY["diameter_rad_mm"]))
-    x = columns.number("x_mm").tolist()
-    y = columns.number("y_mm").tolist()
-    z = columns.number("z_mm").tolist()
+    xyz = _xyz(columns)
     ratings = {
         field: (list(map(nan_to_none, columns.number(display, required=False).tolist()))
                 if field == "diameter_rad_mm" else columns.integer(display, required=False))
@@ -511,36 +504,53 @@ def read_references(path: str | Path, convention: str = "lps") -> list[Reference
     }
     scan_id = columns.text("scan_id")
     nodule_id = columns.text("nodule_id")
-    diameter = columns.number("diameter_mm").tolist()
+    diameter = columns.number("diameter_mm")
     reviewers = columns.integer("reviewers", required=False)
     votes = columns.integer("positive_votes", required=False)
     diagnosis = [cell.strip() or "unknown" for cell in columns.raw("diagnosis")]
     lungrads = [cell.strip() or None for cell in columns.raw("lungrads")]
-    out = []
-    rating_rows = zip(*ratings.values()) if ratings else itertools.repeat(())
-    for row, rating_values in zip(range(columns.clean_rows()), rating_rows):
-        rated = rating_values.count(None) < len(rating_values)
-        try:
-            rating = SemanticRatings(**dict(zip(ratings, rating_values))) if rated else None
-            out.append(ReferenceNodule(
-                scan_id=scan_id[row],
-                nodule_id=nodule_id[row],
-                center=WorldPoint(*convert_to_lps(x[row], y[row], z[row], convention)),
-                diameter_mm=diameter[row],
-                diagnosis=diagnosis[row],
-                lungrads=lungrads[row],
-                reviewers=reviewers[row],
-                positive_votes=votes[row],
-                ratings=rating,
-            ))
-        except InputError as err:
-            message = str(err)
-            columns.note(row, lambda: columns.error(row, message))
-            break
+
+    def check(bad: Iterable[bool], message: Callable[[int], str]) -> None:
+        """Note the first row ``bad`` marks, with ``message(row)``."""
+        row = next(itertools.compress(itertools.count(), bad), None)
+        if row is not None:
+            text = message(row)
+            columns.note(row, lambda: columns.error(row, text))
+
+    for name, (lo, hi) in RATING_RANGES.items():
+        values = ratings.get(name, ())
+        check((v is not None and not lo <= v <= hi for v in values), lambda row: (
+            f"rating {name} must be an integer in [{lo}, {hi}], got {values[row]!r}"))
+    for name in ("internal_structure", "calcification"):
+        values = ratings.get(name, ())
+        check((v is not None and v < 0 for v in values), lambda row: (
+            f"rating {name} must be a non-negative integer, got {values[row]!r}"))
+    rad = ratings.get("diameter_rad_mm", ())
+    check((v is not None and v <= 0.0 for v in rad),
+          lambda row: f"diameter_rad_mm must be positive, got {rad[row]}")
+    if convention not in COORDINATE_CONVENTIONS and columns.n:
+        columns.note(0, lambda: columns.error(
+            0, f"unknown coordinate convention {convention!r}; use lps or ras"))
+    check(diameter <= 0.0,
+          lambda row: f"reference diameter_mm must be positive, got {float(diameter[row])}")
+    check((d not in DIAGNOSES for d in diagnosis),
+          lambda row: f"diagnosis must be one of {DIAGNOSES}, got {diagnosis[row]!r}")
+    check((v is not None and v not in LUNGRADS_CATEGORIES for v in lungrads),
+          lambda row: f"lungrads must be one of {LUNGRADS_CATEGORIES}, got {lungrads[row]!r}")
+    check((v is not None and r is None for r, v in zip(reviewers, votes)),
+          lambda row: f"nodule {nodule_id[row]}: positive_votes given without reviewers")
+    check((r is not None and r < 1 for r in reviewers),
+          lambda row: f"reviewers must be a positive integer, got {reviewers[row]!r}")
+    check((r is not None and v is not None and v < 0 for r, v in zip(reviewers, votes)),
+          lambda row: f"positive_votes must be a non-negative integer, got {votes[row]!r}")
+    check((r is not None and v is not None and v > r for r, v in zip(reviewers, votes)),
+          lambda row: (f"nodule {nodule_id[row]}: positive_votes {votes[row]} "
+                       f"exceeds reviewers {reviewers[row]}"))
     columns.unique((scan_id, nodule_id), lambda row: columns.error(
         row, f"duplicate nodule_id {nodule_id[row]!r} on scan {scan_id[row]!r}"))
     columns.done()
-    return out
+    return ReferenceTable(scan_id, nodule_id, _to_lps(xyz, convention), diameter, diagnosis,
+                          lungrads, reviewers, votes, ratings or None, unique_keys=True)
 
 
 def read_cadx_scores(path: str | Path) -> CadxScoreTable:
@@ -722,13 +732,13 @@ def write_matches_csv(
     model_label: str,
     manifest_digest: str | None = None,
 ) -> Path:
-    rows = []
-    for scan in result.scans:
-        for tp in scan.tp:
-            rows.append((scan.scan_id, tp.nodule_id, 1, tp.score, model_label))
-        for nodule_id in scan.fn:
-            rows.append((scan.scan_id, nodule_id, 0, None, model_label))
-    rows.sort(key=lambda r: (r[0], r[1]))
+    """One row per reference, in (scan, nodule id) order: detected with the
+    matched score, or not."""
+    scan_ids, score = result.scan_ids, result.score.tolist()
+    rows = ((scan_ids[j], nodule_id, 1, score[p], model_label) if p >= 0 else
+            (scan_ids[j], nodule_id, 0, None, model_label)
+            for j, nodule_id, p in zip(result.ref_scan.tolist(), result.nodule_id,
+                                       result.matched.tolist()))
     return write_csv(path, MATCH_COLUMNS, rows, manifest_digest)
 
 

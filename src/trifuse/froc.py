@@ -21,6 +21,7 @@ out-of-stratum references count as false positives there.
 from __future__ import annotations
 
 import math
+import itertools
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -32,9 +33,10 @@ from .domain import (
     CandidateDetection,
     CandidateTable,
     ReferenceNodule,
+    ReferenceTable,
     distance_mm,
-    match_tolerance,
     may_lie_within,
+    sort_key,
 )
 from .errors import InputError
 from .readerstats import CONSENSUS_PATTERNS, consensus_category
@@ -59,44 +61,164 @@ class ScanMatch:
     fp: tuple[tuple[str, float], ...]
 
 
-@dataclass(frozen=True)
 class LesionMatchResult:
-    scans: tuple[ScanMatch, ...]
+    """A matching of candidates to references, held by column.
+
+    Scans are in id order (``scan_ids``); ``n_refs`` counts each scan's
+    references. Candidates are in score order: scan by scan, best score
+    first. Each one's ``scan`` is the index of its scan, ``score`` its score
+    and ``nodule`` the index of the reference it matched, or -1 for a false
+    positive. References are in (scan id, nodule id) order: each one's
+    ``ref_scan`` is the index of its scan, ``nodule_id`` its id and
+    ``matched`` the index of the candidate that matched it, or -1 for a
+    false negative.
+
+    ``scans`` is the same matching as one ``ScanMatch`` per scan, built only
+    when asked, and ``==`` compares it. A result made from such a tuple (as
+    ``LesionMatchResult(scans)``) takes each scan's true positives, then its
+    false positives, as its candidates.
+    """
+
+    def __init__(self, scans: Sequence[ScanMatch]):
+        scans = tuple(scans)
+        candidates = [(j, t.score, t.candidate_id, t.nodule_id) for j, s in enumerate(scans)
+                      for t in s.tp]
+        candidates += [(j, score, cid, None) for j, s in enumerate(scans) for cid, score in s.fp]
+        candidates.sort(key=lambda c: c[0])  # stable: true positives first within a scan
+        position = {(j, nid): p for p, (j, _, _, nid) in enumerate(candidates) if nid is not None}
+        refs = sorted((s.scan_id, nid, j) for j, s in enumerate(scans)
+                      for nid in (*(t.nodule_id for t in s.tp), *s.fn))
+        matched = [position.get((j, nid), -1) for _, nid, j in refs]
+        nodule = np.full(len(candidates), -1, dtype=np.intp)
+        nodule[[p for p in matched if p >= 0]] = [k for k, p in enumerate(matched) if p >= 0]
+        self._set(
+            tuple(s.scan_id for s in scans), [s.n_references for s in scans],
+            [c[0] for c in candidates], [c[1] for c in candidates], nodule,
+            ([c[2] for c in candidates], np.arange(len(candidates))), [j for _, _, j in refs],
+            [nid for _, nid, _ in refs], matched,
+        )
+        self._scans = scans
+
+    def _set(self, scan_ids, n_refs, scan, score, nodule, ids_at, ref_scan, nodule_id,
+             matched, hits=None, ref_rows=None) -> "LesionMatchResult":
+        self.scan_ids = scan_ids
+        self.n_refs = np.asarray(n_refs, dtype=np.int64)
+        self.scan = np.asarray(scan, dtype=np.intp)
+        self.score = np.asarray(score, dtype=np.float64)
+        self.nodule = nodule
+        self._ids, self._rows = ids_at  # candidate k's id is ids[rows[k]]
+        self.ref_scan = np.asarray(ref_scan, dtype=np.intp)
+        self.nodule_id = nodule_id
+        self.matched = np.asarray(matched, dtype=np.intp)
+        self._hits = hits  # (candidate, reference) pairs that hit, in assignment order
+        self.ref_rows = ref_rows  # each reference's row in the table it was matched from
+        self._scans = None
+        return self
+
+    @classmethod
+    def _of_columns(cls, *columns, **named) -> "LesionMatchResult":
+        return cls.__new__(cls)._set(*columns, **named)
+
+    @property
+    def candidate_id(self) -> list[str]:
+        """Each candidate's id, in score order."""
+        return [self._ids[i] for i in self._rows.tolist()]
+
+    @property
+    def scans(self) -> tuple[ScanMatch, ...]:
+        if self._scans is None:
+            n = len(self.scan_ids)
+            ends = np.searchsorted(self.scan, np.arange(n + 1)).tolist()
+            ref_ends = np.searchsorted(self.ref_scan, np.arange(n + 1)).tolist()
+            cid, score, nodule = self.candidate_id, self.score.tolist(), self.nodule.tolist()
+            nodule_id, matched = self.nodule_id, self.matched.tolist()
+            self._scans = tuple(
+                ScanMatch(
+                    scan_id=scan_id,
+                    n_references=n_refs,
+                    tp=tuple(TruePositive(scan_id, nodule_id[nodule[p]], cid[p], score[p])
+                             for p in range(ends[j], ends[j + 1]) if nodule[p] >= 0),
+                    fn=tuple(nodule_id[k] for k in range(ref_ends[j], ref_ends[j + 1])
+                             if matched[k] < 0),
+                    fp=tuple((cid[p], score[p])
+                             for p in range(ends[j], ends[j + 1]) if nodule[p] < 0),
+                )
+                for j, (scan_id, n_refs) in enumerate(zip(self.scan_ids, self.n_refs.tolist()))
+            )
+        return self._scans
+
+    def __eq__(self, other):
+        if isinstance(other, LesionMatchResult):
+            return self.scans == other.scans
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"LesionMatchResult(scans={self.scans!r})"
 
     @property
     def n_scans(self) -> int:
-        return len(self.scans)
+        return len(self.scan_ids)
 
     @property
     def n_references(self) -> int:
-        return sum(s.n_references for s in self.scans)
+        return int(self.n_refs.sum())
 
     @property
     def n_detected(self) -> int:
-        return sum(len(s.tp) for s in self.scans)
+        return int(np.count_nonzero(self.nodule >= 0))
 
     @property
     def n_candidates(self) -> int:
-        return sum(len(s.tp) + len(s.fp) for s in self.scans)
+        return len(self.score)
 
     def detected_scores(self) -> dict[tuple[str, str], float]:
         """Matched candidate score per detected reference, keyed (scan, nodule)."""
-        return {(t.scan_id, t.nodule_id): t.score for s in self.scans for t in s.tp}
+        scan_ids, score = self.scan_ids, self.score.tolist()
+        return {(scan_ids[j], nid): score[p]
+                for j, nid, p in zip(self.ref_scan.tolist(), self.nodule_id, self.matched.tolist())
+                if p >= 0}
+
+    def _within(self, keep: np.ndarray) -> "LesionMatchResult":
+        """The matching of this result's candidates to the references ``keep``
+        marks, on the scans of those references: the assignment rerun on the
+        hit pairs of those references, which a matching by ``match_lesions``
+        holds."""
+        scans = np.unique(self.ref_scan[keep])
+        scan_code = np.full(self.n_scans, -1, dtype=np.intp)
+        scan_code[scans] = np.arange(scans.size)
+        on_scans = scan_code[self.scan] >= 0
+        new_position = np.cumsum(on_scans) - 1
+        new_ref = np.cumsum(keep) - 1
+        hit_c, hit_r = self._hits
+        kept_hits = keep[hit_r]
+        hit_c, hit_r = new_position[hit_c[kept_hits]], new_ref[hit_r[kept_hits]]
+        ref_scan = scan_code[self.ref_scan[keep]]
+        nodule, matched = _assign(hit_c, hit_r, int(on_scans.sum()), ref_scan.size)
+        return LesionMatchResult._of_columns(
+            tuple(self.scan_ids[j] for j in scans.tolist()),
+            np.bincount(ref_scan, minlength=scans.size), scan_code[self.scan[on_scans]],
+            self.score[on_scans], nodule, (self._ids, self._rows[on_scans]), ref_scan,
+            list(itertools.compress(self.nodule_id, keep.tolist())), matched,
+            hits=(hit_c, hit_r),
+            ref_rows=None if self.ref_rows is None else self.ref_rows[keep],
+        )
 
 
 _NO_ROWS = np.zeros(0, dtype=np.intp)
 
 
-def _score_order(table: CandidateTable, scans: list[str]) -> tuple[np.ndarray, list[int]]:
+def _score_order(table: CandidateTable, scans: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Rows grouped by scan in the order of ``scans``, each scan's rows by
-    (score descending, candidate id, model); and where each scan's rows end."""
+    (score descending, candidate id, model); and the number of each scan's rows."""
     by_scan = table.by_scan
     groups = [by_scan.get(scan_id, _NO_ROWS) for scan_id in scans]
+    counts = np.array(list(map(len, groups)), dtype=np.intp)
     rows = np.concatenate(groups) if groups else _NO_ROWS
-    ends = np.cumsum([len(g) for g in groups]).tolist()
-    scan_rank = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    scan_rank = np.repeat(np.arange(len(groups)), counts)
     score = table.score[rows]
-    order = np.lexsort((-score, scan_rank))  # stable: ties keep file order for now
+    order = np.argsort(sort_key(scan_rank, -score), kind="stable")  # ties keep file order for now
     rows, score, scan_rank = rows[order], score[order], scan_rank[order]
     # runs of equal scores within a scan go by (candidate id, model) instead
     tied = (score[1:] == score[:-1]) & (scan_rank[1:] == scan_rank[:-1])
@@ -106,7 +228,28 @@ def _score_order(table: CandidateTable, scans: list[str]) -> tuple[np.ndarray, l
         for start, stop in zip(edges[::2], edges[1::2]):
             run = rows[start:stop + 1].tolist()
             rows[start:stop + 1] = sorted(run, key=lambda i: (cid[i], model[i]))
-    return rows, ends
+    return rows, counts
+
+
+def _assign(hit_c: np.ndarray, hit_r: np.ndarray, n_candidates: int, n_references: int
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy one-to-one assignment over hit pairs in assignment order (by
+    candidate, then distance, then reference): each pair whose candidate and
+    reference are both still free matches them. The reference of each
+    candidate and the candidate of each reference, -1 for none."""
+    taken: dict[int, int] = {}  # reference -> candidate
+    last = -1  # the candidate matched last; its other pairs follow its first
+    for c, r in zip(hit_c.tolist(), hit_r.tolist()):
+        if c != last and r not in taken:
+            taken[r] = c
+            last = c
+    nodule = np.full(n_candidates, -1, dtype=np.intp)
+    matched = np.full(n_references, -1, dtype=np.intp)
+    if taken:
+        refs, cands = list(taken), list(taken.values())
+        nodule[cands] = refs
+        matched[refs] = cands
+    return nodule, matched
 
 
 def match_lesions(
@@ -116,7 +259,8 @@ def match_lesions(
 ) -> LesionMatchResult:
     """One-to-one greedy matching of candidates to reference nodules.
 
-    ``candidates`` is a ``CandidateTable`` or an iterable of records.
+    ``candidates`` is a ``CandidateTable`` or an iterable of records, and
+    ``references`` a ``ReferenceTable`` or an iterable of records.
     ``scan_ids`` fixes the scan universe; by default it is the union of scan
     ids seen in either input, so reference-free scans still contribute their
     false positives.
@@ -125,84 +269,53 @@ def match_lesions(
     model); each takes the nearest (then lowest nodule id) still-unmatched
     reference it hits. The candidate-reference pairs that may hit are found on
     one squared-distance array and each is confirmed with the scalar distance
-    and ``match_tolerance``; a candidate with no such pair is a false positive.
+    and the reference's tolerance; a candidate with no such pair is a false
+    positive. The result keeps the pairs that hit, so a stratum's matching
+    reruns only the assignment.
     """
     table = CandidateTable.of(candidates)
-
-    by_scan_r: dict[str, list[ReferenceNodule]] = {}
-    seen_refs: set[tuple[str, str]] = set()
-    for r in references:
-        if r.key in seen_refs:
-            raise InputError(f"duplicate nodule_id {r.nodule_id!r} on scan {r.scan_id!r}")
-        seen_refs.add(r.key)
-        by_scan_r.setdefault(r.scan_id, []).append(r)
+    refs = ReferenceTable.of(references).require_unique_keys()
 
     by_scan_c = table.by_scan
-    universe = set(scan_ids) if scan_ids is not None else set(by_scan_c) | set(by_scan_r)
-    stray = (set(by_scan_c) | set(by_scan_r)) - universe
+    seen = set(by_scan_c) | set(refs.scan_id)
+    universe = set(scan_ids) if scan_ids is not None else seen
+    stray = seen - universe
     if stray:
         raise InputError(f"records reference scans outside the scan set: {sorted(stray)}")
     scans = sorted(universe)
-    rows, ends = _score_order(table, scans)
-    position = np.empty(len(table), dtype=np.intp)
-    position[rows] = np.arange(rows.size)
+    rows, counts = _score_order(table, scans)
+    starts = np.cumsum(counts) - counts
+
+    # references in (scan, nodule id) order
+    code = {scan_id: j for j, scan_id in enumerate(scans)}
+    ref_order = sorted(zip(map(code.__getitem__, refs.scan_id), refs.nodule_id, range(len(refs))))
+    ref_scan = np.array([j for j, _, _ in ref_order], dtype=np.intp)
+    ref_rows = np.array([i for _, _, i in ref_order], dtype=np.intp)
 
     # every candidate x reference pair on a scan, prefiltered, then confirmed
-    refs = [r for scan_id in scans for r in by_scan_r.get(scan_id, ())]
-    ref_rows = [by_scan_c.get(r.scan_id, _NO_ROWS) for r in refs]
-    pair_c = np.concatenate(ref_rows) if refs else _NO_ROWS
-    pair_r = np.repeat(np.arange(len(refs)), [len(g) for g in ref_rows])
-    tolerance = [match_tolerance(r.diameter_mm) for r in refs]
-    ref_xyz = np.array([r.center.as_tuple() for r in refs], dtype=np.float64).reshape(-1, 3)
-    near = may_lie_within((table.xyz[pair_c, k] for k in range(3)),
-                          (ref_xyz[pair_r, k] for k in range(3)),
-                          np.array(tolerance, dtype=np.float64)[pair_r])
-    hits: dict[int, list[tuple[float, str, int]]] = {}
-    for p, j, (x, y, z) in zip(position[pair_c[near]].tolist(), pair_r[near].tolist(),
-                               table.xyz[pair_c[near]].tolist()):
-        ref = refs[j]
-        dist = distance_mm(x, y, z, ref.center.x, ref.center.y, ref.center.z)
-        if dist <= tolerance[j]:
-            hits.setdefault(p, []).append((dist, ref.nodule_id, j))
-
-    # greedy assignment in score order; positions ascend scan by scan
-    matched: set[int] = set()
-    tp_at: dict[int, str] = {}
-    for p in sorted(hits):
-        best = min((h for h in hits[p] if h[2] not in matched), default=None)
-        if best is not None:
-            matched.add(best[2])
-            tp_at[p] = best[1]
-
-    cids = table.candidate_id
-    ordered_cid = [cids[i] for i in rows.tolist()]
-    ordered_score = table.score[rows].tolist()
-    scans_out: list[ScanMatch] = []
-    start = 0
-    for scan_id, end in zip(scans, ends):
-        tps = tuple(
-            TruePositive(scan_id=scan_id, nodule_id=tp_at[p], candidate_id=ordered_cid[p],
-                         score=ordered_score[p])
-            for p in range(start, end) if p in tp_at
-        )
-        if tps:
-            fps = tuple((ordered_cid[p], ordered_score[p])
-                        for p in range(start, end) if p not in tp_at)
-        else:
-            fps = tuple(zip(ordered_cid[start:end], ordered_score[start:end]))
-        scan_refs = by_scan_r.get(scan_id, [])
-        detected = {t.nodule_id for t in tps}
-        scans_out.append(
-            ScanMatch(
-                scan_id=scan_id,
-                n_references=len(scan_refs),
-                tp=tps,
-                fn=tuple(sorted(r.nodule_id for r in scan_refs if r.nodule_id not in detected)),
-                fp=fps,
-            )
-        )
-        start = end
-    return LesionMatchResult(scans=tuple(scans_out))
+    per_ref = counts[ref_scan]
+    pair_r = np.repeat(np.arange(ref_scan.size), per_ref)
+    first = np.cumsum(per_ref) - per_ref  # pair index of each reference's first pair
+    pair_c = np.arange(pair_r.size) - np.repeat(first - starts[ref_scan], per_ref)
+    xyz = table.xyz[rows]
+    ref_xyz = refs.xyz[ref_rows]
+    tolerance = refs.tolerance[ref_rows]
+    near = may_lie_within((xyz[pair_c, k] for k in range(3)),
+                          (ref_xyz[pair_r, k] for k in range(3)), tolerance[pair_r])
+    pair_c, pair_r = pair_c[near], pair_r[near]
+    dist = np.array([distance_mm(x, y, z, *r) for (x, y, z), r in
+                     zip(xyz[pair_c].tolist(), ref_xyz[pair_r].tolist())], dtype=np.float64)
+    hit = dist <= tolerance[pair_r]
+    # assignment order: by candidate, then distance, then reference (nodule id)
+    order = np.lexsort((pair_r[hit], dist[hit], pair_c[hit]))
+    hit_c, hit_r = pair_c[hit][order], pair_r[hit][order]
+    nodule, matched = _assign(hit_c, hit_r, rows.size, ref_scan.size)
+    return LesionMatchResult._of_columns(
+        tuple(scans), np.bincount(ref_scan, minlength=len(scans)),
+        np.repeat(np.arange(len(scans)), counts), table.score[rows], nodule,
+        (table.candidate_id, rows), ref_scan, [nodule_id for _, nodule_id, _ in ref_order],
+        matched, hits=(hit_c, hit_r), ref_rows=ref_rows,
+    )
 
 
 @dataclass(frozen=True)
@@ -230,11 +343,11 @@ def _rate_index(rates: Sequence[float], rate: float) -> int:
 
 def _score_grid(result: LesionMatchResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ascending distinct scores of a matching, and the rank on it of each
-    true positive and each false positive, both in scan order."""
-    tp_scores = np.array([t.score for s in result.scans for t in s.tp], dtype=np.float64)
-    fp_scores = np.array([f[1] for s in result.scans for f in s.fp], dtype=np.float64)
-    grid = np.unique(np.concatenate([tp_scores, fp_scores]))
-    return grid, np.searchsorted(grid, tp_scores), np.searchsorted(grid, fp_scores)
+    true positive and each false positive, both in candidate order."""
+    grid = np.unique(result.score)
+    rank = np.searchsorted(grid, result.score)
+    tp = result.nodule >= 0
+    return grid, rank[tp], rank[~tp]
 
 
 def _sensitivities_on_grid(
@@ -330,9 +443,9 @@ def _bootstrap_intervals(
     if result.n_scans < 1:
         raise InputError("bootstrap needs at least one scan")
     n = result.n_scans
-    n_refs = np.array([s.n_references for s in result.scans], dtype=np.int64)
-    tp_scan = np.array([j for j, s in enumerate(result.scans) for _ in s.tp], dtype=np.intp)
-    fp_scan = np.array([j for j, s in enumerate(result.scans) for _ in s.fp], dtype=np.intp)
+    n_refs = result.n_refs
+    tp = result.nodule >= 0
+    tp_scan, fp_scan = result.scan[tp], result.scan[~tp]
     grid, tp_rank, fp_rank = _score_grid(result)
 
     values: dict[str, list[float]] = {name: [] for name in statistics}
@@ -406,6 +519,12 @@ def evaluate(
 ) -> FrocResult:
     """Match, build the curve and summarize; optionally with bootstrap CIs."""
     result = match_lesions(candidates, references, scan_ids=scan_ids)
+    return _summary(result, ci, resamples, seed, rates)
+
+
+def _summary(result: LesionMatchResult, ci: bool, resamples: int, seed: int,
+             rates: Sequence[float]) -> FrocResult:
+    """The curve and metrics of a matching; with bootstrap CIs if ``ci``."""
     curve = froc_curve(result, rates)
     cis: dict[str, BootstrapCI] = {}
     if ci:
@@ -449,29 +568,29 @@ class SizeBinSpec:
 DLCS_SIZE_BINS = SizeBinSpec((("<6", 6.0), ("6-10", 10.0), (">=10", math.inf)))
 IMD_SIZE_BINS = SizeBinSpec((("<10", 10.0), ("10-20", 20.0), (">=20", math.inf)))
 
-_Stratifier = tuple[Callable[[ReferenceNodule], str], tuple[str, ...]]
+_Stratifier = tuple[Callable[[ReferenceTable], list[str]], tuple[str, ...]]
 
 
 def _by_size(spec: SizeBinSpec) -> _Stratifier:
-    return (lambda ref: spec.bin_for(ref.diameter_mm)), spec.names
+    return (lambda refs: list(map(spec.bin_for, refs.diameter_mm.tolist()))), spec.names
 
 
-# each stratifier: a reference's stratum, and every stratum in report order
+# each stratifier: the stratum of each reference of a table, and every stratum in report order
 _STRATIFIERS: dict[str, _Stratifier] = {
     "size:dlcs": _by_size(DLCS_SIZE_BINS),
     "size:imd": _by_size(IMD_SIZE_BINS),
-    "lungrads": (lambda ref: "unknown" if ref.lungrads is None else ref.lungrads,
+    "lungrads": (lambda refs: ["unknown" if v is None else v for v in refs.lungrads],
                  LUNGRADS_CATEGORIES + ("unknown",)),
-    "diagnosis": (lambda ref: ref.diagnosis, DIAGNOSES),
-    "consensus": (lambda ref: consensus_category(ref.reviewers, ref.positive_votes),
+    "diagnosis": (lambda refs: refs.diagnosis, DIAGNOSES),
+    "consensus": (lambda refs: list(map(consensus_category, refs.reviewers, refs.positive_votes)),
                   CONSENSUS_PATTERNS),
 }
 STRATIFIERS = tuple(_STRATIFIERS)
 
 
-def _strata(references: Iterable[ReferenceNodule], stratify: str | SizeBinSpec
-            ) -> tuple[dict[str, list[ReferenceNodule]], tuple[str, ...]]:
-    """The references of each stratum of a name in ``STRATIFIERS`` or of a
+def _strata(references: ReferenceTable, stratify: str | SizeBinSpec
+            ) -> tuple[list[str], tuple[str, ...]]:
+    """The stratum of each reference, by a name in ``STRATIFIERS`` or a
     ``SizeBinSpec``, and all its strata in report order."""
     if isinstance(stratify, SizeBinSpec):
         stratum_of, order = _by_size(stratify)
@@ -479,10 +598,7 @@ def _strata(references: Iterable[ReferenceNodule], stratify: str | SizeBinSpec
         stratum_of, order = _STRATIFIERS[stratify]
     else:
         raise InputError(f"unknown stratifier {stratify!r}; choose from {STRATIFIERS}")
-    groups: dict[str, list[ReferenceNodule]] = {}
-    for ref in references:
-        groups.setdefault(stratum_of(ref), []).append(ref)
-    return groups, order
+    return stratum_of(references), order
 
 
 @dataclass(frozen=True)
@@ -505,24 +621,22 @@ def stratified_eval(
 
     Each stratum keeps only its references and only the candidates on scans
     containing at least one stratum reference, mirroring per-subset scan
-    denominators. Empty strata are omitted with a warning.
+    denominators; there a candidate may match a reference that another one
+    took overall, and one that hits only out-of-stratum references is a false
+    positive. Every stratum reuses the hit pairs of the overall matching and
+    reruns only the assignment. Empty strata are omitted with a warning.
     """
-    references = list(references)
-    by_stratum, order = _strata(references, stratify)
-    candidates = CandidateTable.of(candidates)
+    references = ReferenceTable.of(references)
+    labels, order = _strata(references, stratify)
     overall = evaluate(candidates, references, ci=ci, resamples=resamples, seed=seed, rates=rates)
-    names = [n for n in order if n in by_stratum]
+    present = set(labels)
     warnings = [f"stratum {n!r} is empty and was omitted"
-                for n in order if n not in by_stratum and n != "unknown"]
+                for n in order if n not in present and n != "unknown"]
 
-    strata: dict[str, FrocResult] = {}
-    for name in names:
-        refs = by_stratum[name]
-        scan_set = {r.scan_id for r in refs}
-        strata[name] = evaluate(
-            candidates.of_scans(scan_set), refs,
-            ci=ci, resamples=resamples, seed=seed, rates=rates, scan_ids=scan_set,
-        )
+    result = overall.matches
+    ref_labels = np.array(labels, dtype=object)[result.ref_rows]
+    strata = {name: _summary(result._within(ref_labels == name), ci, resamples, seed, rates)
+              for name in order if name in present}
     return StratifiedResult(overall=overall, strata=strata, warnings=tuple(warnings))
 
 
@@ -549,19 +663,26 @@ def detection_probability_summary(
     n_gt but contribute no score. The spread uses the n-1 denominator and is
     absent for groups with fewer than two detections.
     """
-    groups, _ = _strata(references, group_by)
+    references = ReferenceTable.of(references)
+    labels, _ = _strata(references, group_by)
     if isinstance(result, LesionMatchResult):
         detected = result.detected_scores()
     else:
         detected = {k: v for k, v in dict(result).items() if v is not None}
+    n_gt: dict[str, int] = {}
+    detected_in: dict[str, list[float]] = {}
+    for name, key in zip(labels, references.keys):
+        n_gt[name] = n_gt.get(name, 0) + 1
+        scores = detected_in.setdefault(name, [])
+        if key in detected:
+            scores.append(detected[key])
     out: dict[str, GroupScoreSummary] = {}
-    for name in sorted(groups):
-        refs = groups[name]
-        scores = [detected[r.key] for r in refs if r.key in detected]
+    for name in sorted(n_gt):
+        scores = detected_in[name]
         if scores:
             arr = np.array(scores, dtype=np.float64)
             out[name] = GroupScoreSummary(
-                n_gt=len(refs),
+                n_gt=n_gt[name],
                 n_detected=len(scores),
                 mean=float(arr.mean()),
                 sd=float(arr.std(ddof=1)) if arr.size >= 2 else None,
@@ -571,6 +692,6 @@ def detection_probability_summary(
             )
         else:
             out[name] = GroupScoreSummary(
-                n_gt=len(refs), n_detected=0, mean=None, sd=None, median=None, min=None, max=None
+                n_gt=n_gt[name], n_detected=0, mean=None, sd=None, median=None, min=None, max=None
             )
     return out

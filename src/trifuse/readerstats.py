@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .domain import ReferenceNodule, SemanticRatings  # noqa: F401  (re-export)
+from .domain import ReferenceNodule, ReferenceTable, SemanticRatings  # noqa: F401  (re-export)
 from .errors import InputError
 
 CONSENSUS_PATTERNS = (
@@ -281,12 +281,6 @@ class SemanticTable:
     diagnostics: tuple[str, ...]
 
 
-def _characteristic_value(ref: ReferenceNodule, characteristic: str):
-    if ref.ratings is None:
-        return None
-    return ref.ratings.value(characteristic)
-
-
 def _build_rows(
     samples: dict[str, tuple[list[float], list[float]]],
     characteristics: Sequence[str],
@@ -347,19 +341,22 @@ def detected_vs_missed_table(
     rows ranked by |d| descending. The Bonferroni threshold divides alpha by
     the number of rows actually tested.
     """
-    references = list(references)
+    references = ReferenceTable.of(references)
+    keys = references.keys
+    values: dict[str, np.ndarray] = {}  # each characteristic as float64, NaN where absent
 
     def samples_for(models: Sequence[str]) -> dict[str, tuple[list[float], list[float]]]:
         out = {name: ([], []) for name in characteristics}
         for model in models:
             detected = set(detected_by_model[model])
-            for ref in references:
-                for name in characteristics:
-                    value = _characteristic_value(ref, name)
-                    if value is None:
-                        continue
-                    bucket = 0 if ref.key in detected else 1
-                    out[name][bucket].append(float(value))
+            hit = np.fromiter((key in detected for key in keys), dtype=bool, count=len(keys))
+            for name in characteristics:
+                if name not in values:
+                    values[name] = np.array([math.nan if v is None else v
+                                             for v in references.rating(name)], dtype=np.float64)
+                given = ~np.isnan(values[name])
+                out[name][0].extend(values[name][given & hit].tolist())
+                out[name][1].extend(values[name][given & ~hit].tolist())
         return out
 
     def table(models: Sequence[str], ranked: bool) -> SemanticTable:
@@ -399,7 +396,8 @@ def missed_overlap_table(
     """
     if len(missed_by_model) < 2:
         raise InputError("overlap analysis needs at least two models")
-    diameters = {r.key: r.diameter_mm for r in references}
+    references = ReferenceTable.of(references)
+    diameters = dict(zip(references.keys, references.diameter_mm.tolist()))
     miss_sets = {model: set(keys) for model, keys in missed_by_model.items()}
     for model, keys in miss_sets.items():
         unknown = keys - set(diameters)

@@ -10,7 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import CandidateDetection, CandidateTable, ReferenceNodule, require_unit_interval
+from .domain import (
+    CandidateDetection,
+    CandidateTable,
+    ReferenceNodule,
+    ReferenceTable,
+    require_unit_interval,
+)
 from .errors import InputError
 from .froc import (
     FP_RATES,
@@ -112,9 +118,9 @@ def sweep_cade(
     scan universe stays fixed across rows.
     """
     candidates = CandidateTable.of(candidates)
-    references = list(references)
+    references = ReferenceTable.of(references)
     if scan_ids is None:
-        scan_ids = set(candidates.by_scan) | {r.scan_id for r in references}
+        scan_ids = set(candidates.by_scan) | set(references.scan_id)
     scan_ids = set(scan_ids)
     result = match_lesions(candidates, references, scan_ids=scan_ids)
     if result.n_references < 1:

@@ -8,7 +8,10 @@ they build the library's record types, so results compare with ``==``, and
 they import only those records, the error types, the file schemas, the scalar
 hit test and the mask's voxel lookup. The
 tri-stage and report-linkage oracles are the record loops that fusion and
-linkage ran before they moved onto table columns.
+linkage ran before they moved onto table columns. So are
+``oracle_record_read_references``, the reference reader that built a record
+per row on the library's column parser, and ``oracle_pair_match_lesions``,
+the table matcher that built a ``ScanMatch`` per scan.
 
 Conventions:
   candidate = (cid, (x, y, z), score)
@@ -29,12 +32,16 @@ import numpy as np
 
 from trifuse.domain import (
     CandidateDetection,
+    CandidateTable,
     PipelineConfig,
     ReferenceNodule,
     SemanticRatings,
     WorldPoint,
+    distance_mm,
     is_hit,
     match_tolerance,
+    may_lie_within,
+    nan_to_none,
 )
 from trifuse.errors import InputError, InvariantError, ScorerError
 from trifuse.fileio import (
@@ -46,6 +53,7 @@ from trifuse.fileio import (
     PROVENANCE_SEP,
     RATING_COLUMN_FIELDS,
     REFERENCE_COLUMNS,
+    _Columns,
 )
 from trifuse.froc import LesionMatchResult, ScanMatch, TruePositive
 from trifuse.fusion import (
@@ -64,6 +72,7 @@ from trifuse.fusion import (
     TriStageResult,
     fused_table,
 )
+from trifuse.readerstats import CHARACTERISTIC_DISPLAY
 from trifuse.reportlink import EntityMatch
 from trifuse.sweeps import CadeSweepRow
 from trifuse.volume import centroid_in_lung
@@ -1015,6 +1024,60 @@ def oracle_row_read_match_files(paths: Sequence[str | Path]) -> dict[str, dict[t
 
 
 # ---------------------------------------------------------------------------
+# The reference reader that converted cells by column, then checked each row
+# by building its ``SemanticRatings`` and ``ReferenceNodule``.
+
+
+def oracle_record_read_references(path: str | Path, convention: str = "lps") -> list[ReferenceNodule]:
+    """Reference nodules. The cells are converted a column at a time; then
+    ``SemanticRatings`` and ``ReferenceNodule`` check the values of each row,
+    and their errors gain file and line."""
+    path = Path(path)
+    columns = _Columns(path, REFERENCE_COLUMNS, shared=("scan_id",), numbers=(
+        "x_mm", "y_mm", "z_mm", "diameter_mm", CHARACTERISTIC_DISPLAY["diameter_rad_mm"]))
+    x = columns.number("x_mm").tolist()
+    y = columns.number("y_mm").tolist()
+    z = columns.number("z_mm").tolist()
+    ratings = {
+        field: (list(map(nan_to_none, columns.number(display, required=False).tolist()))
+                if field == "diameter_rad_mm" else columns.integer(display, required=False))
+        for display, field in RATING_COLUMN_FIELDS.items() if columns.has(display)
+    }
+    scan_id = columns.text("scan_id")
+    nodule_id = columns.text("nodule_id")
+    diameter = columns.number("diameter_mm").tolist()
+    reviewers = columns.integer("reviewers", required=False)
+    votes = columns.integer("positive_votes", required=False)
+    diagnosis = [cell.strip() or "unknown" for cell in columns.raw("diagnosis")]
+    lungrads = [cell.strip() or None for cell in columns.raw("lungrads")]
+    out = []
+    rating_rows = zip(*ratings.values()) if ratings else itertools.repeat(())
+    for row, rating_values in zip(range(columns.clean_rows()), rating_rows):
+        rated = rating_values.count(None) < len(rating_values)
+        try:
+            rating = SemanticRatings(**dict(zip(ratings, rating_values))) if rated else None
+            out.append(ReferenceNodule(
+                scan_id=scan_id[row],
+                nodule_id=nodule_id[row],
+                center=WorldPoint(*_convert_to_lps(x[row], y[row], z[row], convention)),
+                diameter_mm=diameter[row],
+                diagnosis=diagnosis[row],
+                lungrads=lungrads[row],
+                reviewers=reviewers[row],
+                positive_votes=votes[row],
+                ratings=rating,
+            ))
+        except InputError as err:
+            message = str(err)
+            columns.note(row, lambda: columns.error(row, message))
+            break
+    columns.unique((scan_id, nodule_id), lambda row: columns.error(
+        row, f"duplicate nodule_id {nodule_id[row]!r} on scan {scan_id[row]!r}"))
+    columns.done()
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Fusion pairing and dedup: every pair's distance in a Python loop.
 
 
@@ -1376,6 +1439,105 @@ def oracle_match_lesions(candidates, references, scan_ids=None):
             )
         )
     return LesionMatchResult(scans=tuple(scans))
+
+
+# ---------------------------------------------------------------------------
+# Lesion matching on a candidate table: hit pairs prefiltered on one
+# squared-distance array and confirmed one by one, then a ``ScanMatch`` per
+# scan with one ``(candidate id, score)`` tuple per false positive.
+
+
+def _oracle_score_order(table, scans):
+    """Rows grouped by scan in the order of ``scans``, each scan's rows by
+    (score descending, candidate id, model); and where each scan's rows end."""
+    by_scan = table.by_scan
+    no_rows = np.zeros(0, dtype=np.intp)
+    groups = [by_scan.get(scan_id, no_rows) for scan_id in scans]
+    rows = np.concatenate(groups) if groups else no_rows
+    ends = np.cumsum([len(g) for g in groups]).tolist()
+    scan_rank = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    score = table.score[rows]
+    order = np.lexsort((-score, scan_rank))
+    rows, score, scan_rank = rows[order], score[order], scan_rank[order]
+    tied = (score[1:] == score[:-1]) & (scan_rank[1:] == scan_rank[:-1])
+    if tied.any():
+        cid, model = table.candidate_id, table.model
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], tied.view(np.int8), [0])))).tolist()
+        for start, stop in zip(edges[::2], edges[1::2]):
+            run = rows[start:stop + 1].tolist()
+            rows[start:stop + 1] = sorted(run, key=lambda i: (cid[i], model[i]))
+    return rows, ends
+
+
+def oracle_pair_match_lesions(candidates, references, scan_ids=None):
+    """``oracle_match_lesions`` on a ``CandidateTable`` of the candidates."""
+    table = CandidateTable.of(candidates)
+    by_scan_r = {}
+    seen_refs = set()
+    for r in references:
+        if r.key in seen_refs:
+            raise InputError(f"duplicate nodule_id {r.nodule_id!r} on scan {r.scan_id!r}")
+        seen_refs.add(r.key)
+        by_scan_r.setdefault(r.scan_id, []).append(r)
+
+    by_scan_c = table.by_scan
+    universe = set(scan_ids) if scan_ids is not None else set(by_scan_c) | set(by_scan_r)
+    stray = (set(by_scan_c) | set(by_scan_r)) - universe
+    if stray:
+        raise InputError(f"records reference scans outside the scan set: {sorted(stray)}")
+    scans = sorted(universe)
+    rows, ends = _oracle_score_order(table, scans)
+    position = np.empty(len(table), dtype=np.intp)
+    position[rows] = np.arange(rows.size)
+
+    refs = [r for scan_id in scans for r in by_scan_r.get(scan_id, ())]
+    ref_rows = [by_scan_c.get(r.scan_id, np.zeros(0, dtype=np.intp)) for r in refs]
+    pair_c = np.concatenate(ref_rows) if refs else np.zeros(0, dtype=np.intp)
+    pair_r = np.repeat(np.arange(len(refs)), [len(g) for g in ref_rows])
+    tolerance = [match_tolerance(r.diameter_mm) for r in refs]
+    ref_xyz = np.array([r.center.as_tuple() for r in refs], dtype=np.float64).reshape(-1, 3)
+    near = may_lie_within((table.xyz[pair_c, k] for k in range(3)),
+                          (ref_xyz[pair_r, k] for k in range(3)),
+                          np.array(tolerance, dtype=np.float64)[pair_r])
+    hits = {}
+    for p, j, (x, y, z) in zip(position[pair_c[near]].tolist(), pair_r[near].tolist(),
+                               table.xyz[pair_c[near]].tolist()):
+        ref = refs[j]
+        dist = distance_mm(x, y, z, ref.center.x, ref.center.y, ref.center.z)
+        if dist <= tolerance[j]:
+            hits.setdefault(p, []).append((dist, ref.nodule_id, j))
+
+    matched = set()
+    tp_at = {}
+    for p in sorted(hits):
+        best = min((h for h in hits[p] if h[2] not in matched), default=None)
+        if best is not None:
+            matched.add(best[2])
+            tp_at[p] = best[1]
+
+    cids = table.candidate_id
+    ordered_cid = [cids[i] for i in rows.tolist()]
+    ordered_score = table.score[rows].tolist()
+    scans_out = []
+    start = 0
+    for scan_id, end in zip(scans, ends):
+        tps = tuple(
+            TruePositive(scan_id=scan_id, nodule_id=tp_at[p], candidate_id=ordered_cid[p],
+                         score=ordered_score[p])
+            for p in range(start, end) if p in tp_at
+        )
+        fps = tuple((ordered_cid[p], ordered_score[p]) for p in range(start, end) if p not in tp_at)
+        scan_refs = by_scan_r.get(scan_id, [])
+        detected = {t.nodule_id for t in tps}
+        scans_out.append(ScanMatch(
+            scan_id=scan_id,
+            n_references=len(scan_refs),
+            tp=tps,
+            fn=tuple(sorted(r.nodule_id for r in scan_refs if r.nodule_id not in detected)),
+            fp=fps,
+        ))
+        start = end
+    return LesionMatchResult(scans=tuple(scans_out))
 
 
 # ---------------------------------------------------------------------------

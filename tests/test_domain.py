@@ -196,11 +196,6 @@ class TestCandidateTableTake:
         assert taken._qualified_id == ["CADE_B:b1", "CADE_A:a1"]
         assert taken.qualified_id == [c.qualified_id for c in taken]
 
-    def test_of_scans_takes_each_scans_rows_in_file_order(self):
-        table = fused_table()
-        assert table.of_scans(["s2", "missing"]) == table.records([2, 3])
-        assert table.of_scans([]) == []
-
     def test_records_with_a_repeated_key_are_rejected(self):
         twice = [cand("s", "a1", 0, 0, 0, 0.5, model="CADE_A"),
                  cand("s", "a1", 50, 0, 0, 0.5, model="CADE_A")]

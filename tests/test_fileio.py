@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from trifuse import fileio
-from trifuse.domain import STAGE_CADX, STAGE_CONSENSUS, CandidateTable, WorldPoint
+from trifuse.domain import STAGE_CADX, STAGE_CONSENSUS, CandidateTable, ReferenceTable, WorldPoint
 from trifuse.errors import ConfigError, InputError
 from trifuse.froc import match_lesions
 from trifuse.fusion import TIER_BY_STAGE, CadxScores, FusedCandidate
@@ -23,6 +23,7 @@ from oracles import (
     oracle_read_labeled_scores,
     oracle_read_match_files,
     oracle_read_references,
+    oracle_record_read_references,
     oracle_row_columns,
     oracle_row_read_cadx_scores,
     oracle_row_read_candidates,
@@ -872,6 +873,133 @@ class TestColumnReadersAgainstRowOracle:
         for reader in (fileio.read_candidates, oracle_row_read_candidates):
             with pytest.raises(InputError, match=rf"c\.csv:3: more cells than header columns"):
                 reader(path)
+
+
+# ---------------------------------------------------------------------------
+# The reference table against both record-era readers
+
+
+REFERENCE_HEADER = ",".join(fileio.REFERENCE_COLUMNS)
+
+
+class TestReferenceTable:
+    @pytest.mark.parametrize("ratings", [RATING_COLUMNS, (), ("DiamEq_Rad",),
+                                         ("Subtlety", "InternalStructure", "DiamEq_Rad")])
+    def test_records_equal_both_oracles(self, tmp_path, ratings):
+        rng = np.random.default_rng([91, len(ratings)])
+        for k in range(12):
+            rows = reference_rows(rng, int(rng.integers(0, 30)), ratings)
+            for row in rows[::3]:  # some rows without any rating
+                for column in ratings:
+                    row.pop(column, None)
+            path = tmp_path / f"r{k}.csv"
+            messy_csv(rng, path, fileio.REFERENCE_COLUMNS + tuple(ratings), rows)
+            for convention in ("lps", "ras"):
+                table = fileio.read_references(path, convention)
+                records = list(table)
+                assert records == oracle_read_references(path, convention)
+                assert records == oracle_row_read_references(path, convention)
+                assert records == oracle_record_read_references(path, convention)
+                assert len(table) == len(rows) and table == records
+                if records:
+                    assert table[-1] == records[-1] and table[1:] == records[1:]
+                    assert any(r.ratings is None for r in records)
+                assert all(r.ratings is not None for r in records if r.nodule_id in {
+                    row["nodule_id"] for row in rows
+                    if any(row.get(c, "").strip() for c in ratings)})
+
+    def test_table_of_records_reads_as_them(self, tmp_path):
+        rng = np.random.default_rng(92)
+        path = tmp_path / "r.csv"
+        messy_csv(rng, path, fileio.REFERENCE_COLUMNS + RATING_COLUMNS,
+                  reference_rows(rng, 25, RATING_COLUMNS))
+        records = oracle_row_read_references(path)
+        table = ReferenceTable.from_records(records)
+        assert table == records and len(table) == len(records)
+        assert table.keys == [r.key for r in records]
+        assert ReferenceTable.of(table) is table
+
+    def test_corrupted_files_read_as_the_record_reader(self, tmp_path):
+        rng = np.random.default_rng(93)
+        outcomes = []
+        for k in range(120):
+            ratings = [c for c in RATING_COLUMNS if rng.random() < 0.5]
+            header = fileio.REFERENCE_COLUMNS + tuple(ratings)
+            rows = reference_rows(rng, int(rng.integers(1, 15)), ratings)
+            if k % 3:
+                corrupt(rng, rows, header, ("scan_id", "nodule_id"),
+                        ("cancer", "4A", "9", "-1", "0", "2", "6"))
+            path = tmp_path / f"r{k}.csv"
+            ends = messy_csv(rng, path, header, rows)
+            if k % 7 == 0:
+                add_long_row(rng, path, ends, len(header))
+            for convention in ("lps", "ras"):
+                outcomes.append(same_outcome(
+                    lambda: fileio.read_references(path, convention),
+                    lambda: oracle_record_read_references(path, convention)))
+        assert 0.1 < sum(outcomes) / len(outcomes) < 0.9  # both outcomes occur
+
+    def check_error(self, path, expected):
+        for read in (fileio.read_references, oracle_row_read_references,
+                     oracle_record_read_references):
+            with pytest.raises(InputError) as got:
+                read(path)
+            assert str(got.value) == expected
+
+    @pytest.mark.parametrize("first, second", [
+        ("diagnosis", "lungrads"), ("lungrads", "diagnosis"), ("votes", "rating"),
+        ("rating", "votes"), ("diameter", "reviewers"), ("reviewers", "diameter"),
+    ])
+    def test_earlier_of_two_bad_rows_is_reported(self, tmp_path, first, second):
+        spoil = {
+            "diagnosis": lambda row: row.__setitem__(6, "malignant"),
+            "lungrads": lambda row: row.__setitem__(7, "5"),
+            "votes": lambda row: row.__setitem__(9, "3"),  # exceeds reviewers 2
+            "rating": lambda row: row.__setitem__(10, "9"),
+            "diameter": lambda row: row.__setitem__(5, "-1.5"),
+            "reviewers": lambda row: row.__setitem__(8, "0"),
+        }
+        rows = [["s1", f"n{i}", "1", "2", "3", "8.0", "benign", "", "2", "1", "4"]
+                for i in range(5)]
+        spoil[first](rows[1])
+        spoil[second](rows[3])
+        path = write(tmp_path / "r.csv", REFERENCE_HEADER + ",Subtlety\n"
+                     + "".join(",".join(row) + "\n" for row in rows))
+        expected = {
+            "diagnosis": "diagnosis must be one of ('benign', 'cancer', 'unknown'), "
+                         "got 'malignant'",
+            "lungrads": "lungrads must be one of ('1', '2', '3', '4A', '4B', '4X'), got '5'",
+            "votes": "nodule n1: positive_votes 3 exceeds reviewers 2",
+            "rating": "rating subtlety must be an integer in [1, 5], got 9",
+            "diameter": "reference diameter_mm must be positive, got -1.5",
+            "reviewers": "reviewers must be a positive integer, got 0",
+        }[first]
+        self.check_error(path, f"{path}:3: {expected}")
+
+    def test_rating_error_before_diameter_error_in_one_row(self, tmp_path):
+        path = write(tmp_path / "r.csv", REFERENCE_HEADER + ",Lobulation,DiamEq_Rad\n"
+                     "s1,n0,1,2,3,8.0,benign,,,,2,4.5\n"
+                     "s1,n1,1,2,3,0,cancer,,,,5,-2\n")
+        self.check_error(path, f"{path}:3: rating lobulation must be an integer in [1, 4], got 5")
+        path = write(tmp_path / "r.csv", REFERENCE_HEADER + ",DiamEq_Rad\n"
+                     "s1,n1,1,2,3,0,bogus,,,,-2\n")
+        self.check_error(path, f"{path}:2: diameter_rad_mm must be positive, got -2.0")
+
+    def test_duplicate_keeps_its_message(self, tmp_path):
+        path = write(tmp_path / "r.csv", REFERENCE_HEADER + "\n"
+                     "s1,n1,1,2,3,8.0,,,,\n# a comment\ns2,n1,1,2,3,8.0,,,,\n"
+                     "s1,n1,4,5,6,6.0,,,,\n")
+        self.check_error(path, f"{path}:5: duplicate nodule_id 'n1' on scan 's1'")
+
+    def test_unknown_convention_names_first_row(self, tmp_path):
+        path = write(tmp_path / "r.csv", REFERENCE_HEADER + "\ns1,n1,1,2,3,8.0,,,,\n")
+        for read in (fileio.read_references, oracle_row_read_references,
+                     oracle_record_read_references):
+            with pytest.raises(InputError) as got:
+                read(path, "xyz")
+            assert str(got.value) == f"{path}:2: unknown coordinate convention 'xyz'; use lps or ras"
+        path = write(tmp_path / "r.csv", REFERENCE_HEADER + "\n")
+        assert list(fileio.read_references(path, "xyz")) == oracle_row_read_references(path, "xyz")
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from trifuse import fileio, froc
-from trifuse.domain import CandidateTable
+from trifuse.domain import (
+    DIAGNOSES,
+    LUNGRADS_CATEGORIES,
+    CandidateTable,
+    ReferenceTable,
+    SemanticRatings,
+)
 from trifuse.errors import InputError
 from trifuse.froc import (
     DLCS_SIZE_BINS,
@@ -26,6 +32,8 @@ from trifuse.froc import (
     match_lesions,
     stratified_eval,
 )
+from trifuse.readerstats import consensus_category, detected_vs_missed_table, missed_overlap_table
+from trifuse.sweeps import sweep_cade
 
 from conftest import (
     CPM_FIXTURE_CPM,
@@ -43,6 +51,8 @@ from oracles import (
     oracle_match,
     oracle_match_lesions,
     oracle_max_matching,
+    oracle_pair_match_lesions,
+    oracle_write_csv,
 )
 
 
@@ -202,7 +212,15 @@ class TestMatchAgainstScalarOracle:
         assert match_lesions(candidates, references, scan_ids) == expected
         assert match_lesions(iter(candidates), iter(references), scan_ids) == expected
         table = CandidateTable.from_records(candidates)
-        assert match_lesions(table, references, scan_ids) == expected
+        refs = ReferenceTable.from_records(references)
+        result = match_lesions(table, refs, scan_ids)
+        assert result == expected
+        # the columns say what the views say
+        assert (result.n_scans, result.n_references, result.n_detected, result.n_candidates) == (
+            expected.n_scans, expected.n_references, expected.n_detected, expected.n_candidates)
+        assert result.detected_scores() == expected.detected_scores()
+        assert LesionMatchResult(expected.scans) == expected
+        assert result == oracle_pair_match_lesions(table, references, scan_ids)
         return expected
 
     def test_seeded_inputs_equal_oracle(self):
@@ -276,6 +294,19 @@ class TestMatchAgainstScalarOracle:
         self.check([], refs)
         self.check(cands, [])
         self.check([], [])
+
+    def test_matches_csv_equals_oracle_writer(self, tmp_path):
+        rng = np.random.default_rng(77)
+        for k in range(20):
+            candidates, references = random_match_inputs(rng, int(rng.integers(1, 8)))
+            expected = oracle_match_lesions(candidates, references)
+            rows = sorted([(s.scan_id, t.nodule_id, 1, t.score, "M") for s in expected.scans
+                           for t in s.tp] + [(s.scan_id, nid, 0, None, "M")
+                                             for s in expected.scans for nid in s.fn])
+            want = oracle_write_csv(tmp_path / f"want{k}.csv", fileio.MATCH_COLUMNS, rows, "d")
+            got = fileio.write_matches_csv(tmp_path / f"got{k}.csv",
+                                           match_lesions(candidates, references), "M", "d")
+            assert got.read_bytes() == want.read_bytes()
 
     def test_huge_coordinates_never_hit(self):
         # numpy would warn on the overflowing squares; warnings are errors here
@@ -672,6 +703,72 @@ class TestStratified:
                 detection_probability_summary({}, refs, stratify)
         assert calls == []
 
+    def test_stratum_matches_anew_instead_of_slicing(self):
+        # overall c1 hits both lesions and takes the nearer big one, so c2
+        # takes the small one; in the small stratum c1 goes first and takes
+        # it, and c3, which hits only the far lesion, is a false positive
+        refs = [ref("s1", "big", 0, 0, 0, 12.0), ref("s1", "small", 3, 0, 0, 5.0),
+                ref("s1", "far", 50, 0, 0, 12.0), ref("s2", "other", 0, 0, 0, 8.0)]
+        cands = [cand("s1", "c1", 1, 0, 0, 0.9), cand("s1", "c2", 4.5, 0, 0, 0.8),
+                 cand("s1", "c3", 50, 0, 0, 0.7), cand("s2", "c4", 0, 0, 0, 0.6)]
+        out = stratified_eval(cands, refs, "size:dlcs")
+        assert [(t.candidate_id, t.nodule_id) for t in out.overall.matches.scans[0].tp] == [
+            ("c1", "big"), ("c2", "small"), ("c3", "far")]
+        small = out.strata["<6"].matches
+        assert [s.scan_id for s in small.scans] == ["s1"]
+        assert [(t.candidate_id, t.nodule_id, t.score) for t in small.scans[0].tp] == [
+            ("c1", "small", 0.9)]
+        assert small.scans[0].fp == (("c2", 0.8), ("c3", 0.7))
+        big = out.strata[">=10"].matches
+        assert [(t.candidate_id, t.nodule_id) for t in big.scans[0].tp] == [
+            ("c1", "big"), ("c3", "far")]
+        assert big.scans[0].fp == (("c2", 0.8),)
+        for name, result in out.strata.items():
+            stratum = [r for r in refs if DLCS_SIZE_BINS.bin_for(r.diameter_mm) == name]
+            scans = {r.scan_id for r in stratum}
+            expected = oracle_match_lesions([c for c in cands if c.scan_id in scans], stratum, scans)
+            assert result.matches == expected
+
+    STRATUM_OF = {
+        "size:dlcs": lambda r: DLCS_SIZE_BINS.bin_for(r.diameter_mm),
+        "size:imd": lambda r: IMD_SIZE_BINS.bin_for(r.diameter_mm),
+        "lungrads": lambda r: r.lungrads or "unknown",
+        "diagnosis": lambda r: r.diagnosis,
+        "consensus": lambda r: consensus_category(r.reviewers, r.positive_votes),
+    }
+
+    def test_every_stratum_equals_oracle_on_its_own_inputs(self):
+        rng = np.random.default_rng(79)
+        checked = rematched = 0
+        for k in range(40):
+            candidates, references = random_match_inputs(rng, int(rng.integers(1, 8)))
+            if not references:
+                continue
+            references = [
+                ref(r.scan_id, r.nodule_id, *r.center.as_tuple(), r.diameter_mm,
+                    diagnosis=str(rng.choice(DIAGNOSES)),
+                    lungrads=None if rng.random() < 0.3 else str(rng.choice(LUNGRADS_CATEGORIES)),
+                    reviewers=(reviewers := int(rng.integers(1, 4))),
+                    positive_votes=int(rng.integers(0, reviewers + 1)))
+                for r in references]
+            stratify = STRATIFIERS[k % len(STRATIFIERS)]
+            out = stratified_eval(candidates, references, stratify, ci=k % 4 == 0,
+                                  resamples=10, seed=k)
+            overall_tp = {(s.scan_id, t.nodule_id): t.candidate_id
+                          for s in out.overall.matches.scans for t in s.tp}
+            for name, got in out.strata.items():
+                stratum = [r for r in references if self.STRATUM_OF[stratify](r) == name]
+                scans = {r.scan_id for r in stratum}
+                on_scans = [c for c in candidates if c.scan_id in scans]
+                expected = oracle_match_lesions(on_scans, stratum, scans)
+                assert got.matches == expected
+                assert got == evaluate(on_scans, stratum, ci=k % 4 == 0, resamples=10, seed=k,
+                                       scan_ids=scans)
+                rematched += any(overall_tp.get((s.scan_id, t.nodule_id)) != t.candidate_id
+                                 for s in expected.scans for t in s.tp)
+                checked += 1
+        assert checked > 60 and rematched > 0  # some stratum differs from a slice of the overall
+
     @pytest.mark.parametrize("bins", [
         (),
         (("a", 10.0), ("b", 6.0), ("c", math.inf)),  # edges descend
@@ -741,3 +838,39 @@ class TestEvaluate:
         result = evaluate(cands, refs, ci=True, resamples=100, seed=3)
         assert result.cpm_ci is not None and result.sens_at_1fp_ci is not None
         assert result.cpm_ci[0] <= result.cpm <= result.cpm_ci[1]
+
+
+class TestNoRecordsOnTheColumnPath:
+    """Evaluation on a table read from a file builds no reference records."""
+
+    def test_evaluation_builds_no_semantic_ratings(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(80)
+        candidates, references = random_match_inputs(rng, 12)
+        ratings = ("Subtlety", "Malignancy", "Texture", "DiamEq_Rad")
+        ref_path = fileio.write_csv(
+            tmp_path / "refs.csv", fileio.REFERENCE_COLUMNS + ratings,
+            [(r.scan_id, r.nodule_id, *r.center.as_tuple(), r.diameter_mm,
+              str(rng.choice(DIAGNOSES)), str(rng.choice(LUNGRADS_CATEGORIES)), 3,
+              int(rng.integers(0, 4)), int(rng.integers(1, 6)), int(rng.integers(0, 6)),
+              int(rng.integers(1, 6)), float(rng.uniform(1, 20))) for r in references])
+        cand_path = fileio.write_csv(
+            tmp_path / "cands.csv", fileio.CANDIDATE_COLUMNS,
+            [(c.scan_id, c.candidate_id, *c.center.as_tuple(), None, c.score, c.source_model)
+             for c in candidates])
+        refs, cands = fileio.read_references(ref_path), fileio.read_candidates(cand_path)
+        built = []
+        check = SemanticRatings.__post_init__
+        monkeypatch.setattr(SemanticRatings, "__post_init__",
+                            lambda self: (built.append(self), check(self))[1])
+
+        result = evaluate(cands, refs, ci=True, resamples=5).matches
+        for stratify in STRATIFIERS:
+            stratified_eval(cands, refs, stratify, ci=True, resamples=5)
+            detection_probability_summary(result, refs, stratify)
+        sweep_cade(cands, refs, [0.1, 0.5])
+        detected = {"M": set(result.detected_scores()), "N": set()}
+        detected_vs_missed_table(detected, refs, pooled=False)
+        missed_overlap_table({m: set(refs.keys) - keys for m, keys in detected.items()}, refs)
+        fileio.write_matches_csv(tmp_path / "matches.csv", result, "M")
+        assert built == []
+        assert len(list(refs)) == len(references) and built  # the count does see records
