@@ -168,7 +168,7 @@ def cmd_fuse(opts: _Options) -> int:
         mask_loader, masks_loaded = _volume_dir_loader(masks_dir, "mask")
 
     volumes_loaded: dict[str, Path] = {}
-    # patches for the external scorer live only as long as the fusion run
+    # the external scorer's patch directory lives only as long as the fusion run
     patch_dir = (tempfile.TemporaryDirectory(prefix="trifuse_patch_") if cadx_cmd
                  else contextlib.nullcontext())
     with patch_dir as workdir:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import shlex
 import subprocess
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
@@ -348,9 +349,9 @@ def cross_detector_consensus(
 def _score_disagreements(table: CandidateTable, provider: CadxProvider | None
                          ) -> tuple[np.ndarray, np.ndarray]:
     """The ``p_luna`` and ``p_dlcs`` of each row, scored in row order: a
-    ``FileCadxProvider`` scores the whole table in one call, any other
-    provider is called with one record per row."""
-    if isinstance(provider, FileCadxProvider) and len(table):
+    ``FileCadxProvider`` or ``CommandCadxProvider`` scores the whole table in
+    one call, any other provider is called with one record per row."""
+    if isinstance(provider, (FileCadxProvider, CommandCadxProvider)) and len(table):
         return provider(table)
     scores = []
     for candidate in table:
@@ -541,14 +542,75 @@ class FileCadxProvider:
         return (p_luna, p_dlcs) if is_table else CadxScores(p_luna.item(), p_dlcs.item())
 
 
+class _ScorerCall:
+    """One candidate handed to the external scorer: its label, its patch
+    header and, once started, the scorer process."""
+
+    def __init__(self, candidate: CandidateDetection, workdir: Path):
+        self.candidate = candidate
+        self.label = f"{candidate.qualified_id} on scan {candidate.scan_id}"
+        stem = f"patch_{candidate.scan_id}_{candidate.source_model}_{candidate.candidate_id}"
+        self.header = workdir / f"{stem}.hdr"
+        self.process: subprocess.Popen | None = None
+
+    def start(self, argv: list[str]) -> None:
+        """Start the scorer with the patch header path on its stdin."""
+        read_end, write_end = os.pipe()
+        # the path is far smaller than a pipe's buffer, so it is written before the
+        # scorer starts, and the scorer sees end of input after it
+        with open(write_end, "w") as stdin:
+            stdin.write(f"{self.header}\n")
+        try:
+            self.process = subprocess.Popen(argv, stdin=read_end, stdout=subprocess.PIPE,
+                                            stderr=subprocess.PIPE, text=True)
+        except OSError as err:
+            raise ScorerError(f"cannot run external scorer for {self.label}: {err}") from err
+        finally:
+            os.close(read_end)
+
+    def finish(self) -> tuple[float, float]:
+        """Wait for the scorer and read its two scores."""
+        stdout, stderr = self.process.communicate()
+        if self.process.returncode != 0:
+            raise ScorerError(f"external scorer exited {self.process.returncode} for "
+                              f"{self.label}: {stderr.strip()}")
+        parts = stdout.split()
+        if len(parts) != 2:
+            raise ScorerError(
+                f"external scorer printed {len(parts)} values for {self.label}, expected 2"
+            )
+        try:
+            scores = CadxScores(p_luna=float(parts[0]), p_dlcs=float(parts[1]))
+        except (ValueError, InputError) as err:
+            raise ScorerError(f"external scorer output invalid for {self.label}: {err}") from err
+        return scores.p_luna, scores.p_dlcs
+
+    def discard(self) -> None:
+        """Kill the scorer if it still runs, wait for it, and remove the patch pair."""
+        if self.process is not None:
+            self.process.kill()  # nothing to do once it has exited and been waited for
+            self.process.wait()
+            for pipe in (self.process.stdout, self.process.stderr):
+                pipe.close()
+        for path in (self.header, self.header.with_suffix(".raw")):
+            path.unlink(missing_ok=True)
+
+
 class CommandCadxProvider:
     """Scores candidates through an external command.
 
     For each candidate a 64^3 patch is extracted from the scan volume,
     written as a header + raw pair, and the header path is fed to the
     command on stdin. The command must print two reals in [0, 1] separated
-    by whitespace and exit 0. ``volume_loader`` is called for every
-    candidate, so it should keep the current scan's volume at hand.
+    by whitespace and exit 0. Called with a record, it returns its
+    ``CadxScores``; called with a ``CandidateTable``, the ``p_luna`` and
+    ``p_dlcs`` arrays of its rows, scored one command at a time in row
+    order. While the command scores one patch, the next patch is prepared,
+    and a patch pair is removed once its command has exited: at most two
+    pairs exist at once. A command's failure is raised before a fault in
+    the patch prepared after it; on any exception the running command is
+    killed and waited for. ``volume_loader`` is called for every candidate,
+    so it should keep the current scan's volume at hand.
     """
 
     def __init__(
@@ -562,38 +624,41 @@ class CommandCadxProvider:
             raise InputError("external scorer command is empty")
         self._volume_loader = volume_loader
         self._workdir = Path(workdir)
-
-    def __call__(self, candidate: CandidateDetection) -> CadxScores:
-        label = f"{candidate.qualified_id} on scan {candidate.scan_id}"
-        try:
-            volume = self._volume_loader(candidate.scan_id)
-        except Exception as err:
-            raise ScorerError(f"cannot load scan volume for {label}: {err}") from err
-        patch = extract_patch(volume, candidate.center)
         self._workdir.mkdir(parents=True, exist_ok=True)
-        stem = f"patch_{candidate.scan_id}_{candidate.source_model}_{candidate.candidate_id}"
-        header_path = save_patch(patch, self._workdir / f"{stem}.hdr")
+
+    def __call__(self, candidates: CandidateDetection | CandidateTable):
+        is_table = isinstance(candidates, CandidateTable)
+        rows = candidates if is_table else [candidates]
+        scores = np.empty((2, len(rows)))
+        calls: list[_ScorerCall] = []  # the call whose scorer runs, then the next one
         try:
-            proc = subprocess.run(
-                self._argv,
-                input=str(header_path) + "\n",
-                capture_output=True,
-                text=True,
-                check=False,
-            )
-        except OSError as err:
-            raise ScorerError(f"cannot run external scorer for {label}: {err}") from err
-        if proc.returncode != 0:
-            raise ScorerError(
-                f"external scorer exited {proc.returncode} for {label}: "
-                f"{proc.stderr.strip()}"
-            )
-        parts = proc.stdout.split()
-        if len(parts) != 2:
-            raise ScorerError(
-                f"external scorer printed {len(parts)} values for {label}, expected 2"
-            )
+            for k, candidate in enumerate(rows):
+                calls.append(_ScorerCall(candidate, self._workdir))
+                try:
+                    self._write_patch(calls[-1])
+                    fault = None
+                except ScorerError as err:  # raised once the running scorer is done
+                    fault = err
+                if len(calls) == 2:
+                    scores[:, k - 1] = calls[0].finish()
+                    calls.pop(0).discard()
+                if fault is not None:
+                    raise fault
+                calls[-1].start(self._argv)
+            if calls:
+                scores[:, -1] = calls[0].finish()
+        finally:
+            for call in calls:
+                call.discard()
+        p_luna, p_dlcs = scores
+        return (p_luna, p_dlcs) if is_table else CadxScores(p_luna.item(), p_dlcs.item())
+
+    def _write_patch(self, call: _ScorerCall) -> None:
         try:
-            return CadxScores(p_luna=float(parts[0]), p_dlcs=float(parts[1]))
-        except (ValueError, InputError) as err:
-            raise ScorerError(f"external scorer output invalid for {label}: {err}") from err
+            volume = self._volume_loader(call.candidate.scan_id)
+        except Exception as err:
+            raise ScorerError(f"cannot load scan volume for {call.label}: {err}") from err
+        try:
+            save_patch(extract_patch(volume, call.candidate.center), call.header)
+        except Exception as err:
+            raise ScorerError(f"CADx scoring failed for {call.label}: {err}") from err

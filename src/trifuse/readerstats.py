@@ -157,37 +157,27 @@ class RankTestResult:
     n2: int
 
 
-def _midranks(values: Sequence[float]) -> list[float]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
+def _ranks(values: Sequence[float]) -> tuple[np.ndarray, int]:
+    """Midranks of ``values`` and the tie term: the sum of ``t**3 - t`` over
+    the runs of ``t`` equal values, from one sort. Midranks are half-integers,
+    so sums of them are exact."""
+    v = np.asarray(values, dtype=np.float64)
+    order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(np.append(starts, len(v)))
+    ranks = np.empty(len(v))
+    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)  # 1-based midrank of each run
+    return ranks, int((counts ** 3 - counts).sum())
 
 
-def _u_statistic(x: Sequence[float], y: Sequence[float]) -> float:
-    n1 = len(x)
-    ranks = _midranks(list(x) + list(y))
-    r1 = sum(ranks[:n1])
-    return r1 - n1 * (n1 + 1) / 2.0
-
-
-def _exact_two_sided_p(x: Sequence[float], y: Sequence[float], u: float) -> float:
-    """Enumerate all group assignments of the combined sample (tie-free only).
+def _exact_two_sided_p(n1: int, n2: int, ranks: Sequence[float], u: float) -> float:
+    """Enumerate all group assignments of the combined sample (tie-free only,
+    so its ``ranks`` are integers).
 
     Compares doubled deviations from the null mean so the test is exact in
     integer arithmetic.
     """
-    n1, n2 = len(x), len(y)
-    combined = list(x) + list(y)
-    ranks = _midranks(combined)  # integers when tie-free
     int_ranks = [int(r) for r in ranks]
     observed_dev = abs(int(round(2 * u)) - n1 * n2)
     base = n1 * (n1 + 1)
@@ -202,22 +192,9 @@ def _exact_two_sided_p(x: Sequence[float], y: Sequence[float], u: float) -> floa
     return extreme / total
 
 
-def _normal_approx_p(x: Sequence[float], y: Sequence[float], u: float) -> float:
+def _normal_approx_p(n1: int, n2: int, tie_term: int, u: float) -> float:
     """Two-sided normal approximation with tie and continuity corrections."""
-    n1, n2 = len(x), len(y)
     n = n1 + n2
-    combined = sorted(list(x) + list(y))
-    tie_term = 0
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and combined[j + 1] == combined[i]:
-            j += 1
-        t = j - i + 1
-        tie_term += t ** 3 - t
-        i = j + 1
-    if n < 2:
-        return 1.0
     variance = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if variance <= 0.0:
         return 1.0
@@ -232,7 +209,7 @@ def mann_whitney_u(x: Sequence[float], y: Sequence[float], method: str = "auto")
 
     ``method``: "auto" picks the exact enumeration for tie-free samples with
     n1+n2 <= 12 and the normal approximation otherwise; "exact" and "normal"
-    force each path (exact refuses ties).
+    force each path (exact refuses ties). The pooled sample is sorted once.
     """
     x = [float(v) for v in x]
     y = [float(v) for v in y]
@@ -240,20 +217,21 @@ def mann_whitney_u(x: Sequence[float], y: Sequence[float], method: str = "auto")
         raise InputError("mann_whitney_u needs at least one value per sample")
     if method not in ("auto", "exact", "normal"):
         raise InputError(f"unknown method {method!r}")
-    u = _u_statistic(x, y)
-    combined = sorted(x + y)
-    has_ties = any(a == b for a, b in zip(combined, combined[1:]))
+    n1, n2 = len(x), len(y)
+    ranks, tie_term = _ranks(x + y)
+    u = float(ranks[:n1].sum()) - n1 * (n1 + 1) / 2.0
+    has_ties = tie_term > 0
     use_exact = (
         method == "exact"
-        or (method == "auto" and len(x) + len(y) <= EXACT_TEST_MAX_N and not has_ties)
+        or (method == "auto" and n1 + n2 <= EXACT_TEST_MAX_N and not has_ties)
     )
     if use_exact:
         if has_ties:
             raise InputError("exact rank test is unavailable for tied samples")
-        p = _exact_two_sided_p(x, y, u)
-        return RankTestResult(u_statistic=u, p_value=p, method="exact", n1=len(x), n2=len(y))
-    p = _normal_approx_p(x, y, u)
-    return RankTestResult(u_statistic=u, p_value=p, method="normal_approx", n1=len(x), n2=len(y))
+        p = _exact_two_sided_p(n1, n2, ranks.tolist(), u)
+        return RankTestResult(u_statistic=u, p_value=p, method="exact", n1=n1, n2=n2)
+    p = _normal_approx_p(n1, n2, tie_term, u)
+    return RankTestResult(u_statistic=u, p_value=p, method="normal_approx", n1=n1, n2=n2)
 
 
 @dataclass(frozen=True)

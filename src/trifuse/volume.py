@@ -15,6 +15,10 @@ Loaded volumes are read-only memory maps of the raw file.
 Label lookups use the nearest voxel (labels are never interpolated); patch
 resampling uses trilinear interpolation. Grid points outside the sample hull
 of the source volume take the air value, -1000 HU, which normalizes to 0.0.
+Patches are resampled in the raw file's order: the source rows are copied to
+C-ordered (z, y, x) float64 arrays and interpolated in an x, a y and a z
+pass, so a patch's values in memory are already x-fastest, as its file stores
+them; ``Patch.values`` is the ``[ix, iy, iz]`` view of that array.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ PATCH_SHAPE = (64, 64, 64)
 PATCH_SPACING_MM = (0.7, 0.7, 1.25)
 HU_MIN = -1000.0
 HU_MAX = 500.0
+# patch rows (along y) resampled at a time: the temporaries of a group stay
+# small enough to be reused from the allocator's free memory and the CPU caches
+_PATCH_ROWS = 8
 
 _HEADER_KEYS = ("dims", "spacing_mm", "origin_mm", "element_type", "data_file")
 
@@ -102,7 +109,9 @@ class Volume:
 
 @dataclass(eq=False)
 class Patch:
-    """A 64x64x64 resampled, windowed and normalized intensity cube."""
+    """A 64x64x64 resampled, windowed and normalized intensity cube, indexed
+    ``[ix, iy, iz]`` like a volume (``extract_patch`` gives the transposed
+    view of a C-ordered (z, y, x) array)."""
 
     values: np.ndarray
     center: WorldPoint
@@ -164,18 +173,33 @@ def _axis_samples(coords: np.ndarray, n: int):
     """Interpolation terms along one axis of the patch grid.
 
     Returns None when no coordinate lies in the sample hull [0, n-1].
-    Otherwise returns the mask of inside coordinates, the source slice they
-    touch, each inside coordinate's lower and upper index relative to that
-    slice, and its fractional offset from the lower index.
+    Otherwise returns the slice of the grid the inside coordinates fill (the
+    grid ascends, so they are one run), the source slice they touch, each
+    inside coordinate's lower and upper index relative to that slice, and
+    its fractional offset from the lower index.
     """
-    inside = (coords >= 0.0) & (coords <= n - 1)
-    if not inside.any():
+    inside = np.flatnonzero((coords >= 0.0) & (coords <= n - 1))
+    if not len(inside):
         return None
-    c = coords[inside]
+    run = slice(inside[0], inside[-1] + 1)
+    c = coords[run]
     i0 = np.clip(np.floor(c).astype(np.int64), 0, n - 1)
     i1 = np.minimum(i0 + 1, n - 1)
-    lo = i0[0]  # the grid ascends, so the first coordinate has the lowest index
-    return inside, slice(lo, i1[-1] + 1), i0 - lo, i1 - lo, c - i0
+    lo = i0[0]  # the first coordinate has the lowest index
+    return run, slice(lo, i1[-1] + 1), i0 - lo, i1 - lo, c - i0
+
+
+def _lerp(v: np.ndarray, axis: int, i0: np.ndarray, i1: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``a * (1 - f) + b * f`` along one axis of ``v``, in place on the
+    gathered lower (``a``) and upper (``b``) rows."""
+    shape = [1, 1, 1]
+    shape[axis] = len(f)
+    a = v.take(i0, axis=axis)
+    a *= (1 - f).reshape(shape)
+    b = v.take(i1, axis=axis)
+    b *= f.reshape(shape)
+    a += b
+    return a
 
 
 def extract_patch(volume: Volume, center: WorldPoint) -> Patch:
@@ -186,10 +210,16 @@ def extract_patch(volume: Volume, center: WorldPoint) -> Patch:
     the source receive the normalized air value 0.0.
 
     The patch grid is axis-aligned, so interpolation runs as three separable
-    passes (x, then y, then z) over the source box the grid touches, read in
-    its native dtype. Each pass is ``a * (1 - f) + b * f`` in float64, the
-    same operations in the same order as interpolating every grid point from
-    its eight corners.
+    passes over the source box the grid touches, in the raw file's (z, y, x)
+    order: the x pass, then the y pass, then the z pass. Each pass is
+    ``a * (1 - f) + b * f`` in float64, computed in place on the gathered
+    rows: the same operations in the same order as interpolating every grid
+    point from its eight corners. The passes run on a few patch rows (y) at
+    a time, each group on a C-ordered float64 copy of the source rows it
+    touches, and write into a C-ordered (z, y, x) patch that is clipped and
+    normalized in place. ``Patch.values`` is indexed ``[ix, iy, iz]``: it is
+    the transposed view of that array, so the patch lies x-fastest in
+    memory, as a patch file stores it.
     """
     if volume.values.size == 0:
         raise InputError("cannot extract a patch from a degenerate (empty) volume")
@@ -200,17 +230,26 @@ def extract_patch(volume: Volume, center: WorldPoint) -> Patch:
     for a, n in enumerate(PATCH_SHAPE):
         world = c[a] + (np.arange(n) - (n - 1) / 2.0) * PATCH_SPACING_MM[a]
         axes.append(_axis_samples((world - o[a]) / h.spacing_mm[a], h.dims[a]))
-    out = np.full(PATCH_SHAPE, HU_MIN, dtype=np.float64)
-    if all(axis is not None for axis in axes):
-        (ix, bx, x0, x1, fx), (iy, by, y0, y1, fy), (iz, bz, z0, z1, fz) = axes
-        v = volume.values[bx, by, bz].astype(np.float64)
-        v = v[x0] * (1 - fx)[:, None, None] + v[x1] * fx[:, None, None]
-        v = v[:, y0] * (1 - fy)[None, :, None] + v[:, y1] * fy[None, :, None]
-        v = v[:, :, z0] * (1 - fz) + v[:, :, z1] * fz
-        out[np.ix_(ix, iy, iz)] = v
-    hu = np.clip(out, HU_MIN, HU_MAX)
-    normalized = (hu - HU_MIN) / (HU_MAX - HU_MIN)
-    return Patch(values=normalized, center=center)
+    if any(axis is None for axis in axes):
+        # every sample is air, which normalizes to 0.0
+        return Patch(values=np.zeros(PATCH_SHAPE[::-1]).T, center=center)
+    (rx, bx, x0, x1, fx), (ry, by, y0, y1, fy), (rz, bz, z0, z1, fz) = axes
+    box = volume.values[bx, by, bz].T  # (z, y, x), the raw file's order
+    if all(run == slice(0, n) for run, n in zip((rx, ry, rz), PATCH_SHAPE)):
+        out = np.empty(PATCH_SHAPE[::-1])
+    else:
+        out = np.full(PATCH_SHAPE[::-1], HU_MIN)
+    for j in range(0, len(fy), _PATCH_ROWS):
+        rows = slice(j, j + _PATCH_ROWS)
+        lo, hi = y0[rows][0], y1[rows][-1] + 1
+        v = box[:, lo:hi].astype(np.float64, order="C")
+        v = _lerp(v, 2, x0, x1, fx)
+        v = _lerp(v, 1, y0[rows] - lo, y1[rows] - lo, fy[rows])
+        out[rz, ry, rx][:, rows] = _lerp(v, 0, z0, z1, fz)
+    np.clip(out, HU_MIN, HU_MAX, out=out)
+    out -= HU_MIN
+    out /= HU_MAX - HU_MIN
+    return Patch(values=out.T, center=center)
 
 
 def _parse_triple(value: str, key: str, caster):
@@ -311,7 +350,9 @@ def save_volume(volume: Volume, header_path: str | Path, data_file: str | None =
 def save_patch(patch: Patch, header_path: str | Path) -> Path:
     """Persist a patch as a float32 volume pair (used to feed external scorers).
 
-    The float64 patch values are converted to float32 once, as they are written.
+    The float64 patch values are converted to float32 once, as they are
+    written; a patch from ``extract_patch`` is already x-fastest in memory, so
+    the conversion reads it in order, without a transposing copy.
     """
     origin = WorldPoint(
         patch.center.x - (PATCH_SHAPE[0] - 1) / 2.0 * patch.spacing_mm[0],

@@ -10,8 +10,11 @@ hit test and the mask's voxel lookup. The
 tri-stage and report-linkage oracles are the record loops that fusion and
 linkage ran before they moved onto table columns. So are
 ``oracle_record_read_references``, the reference reader that built a record
-per row on the library's column parser, and ``oracle_pair_match_lesions``,
-the table matcher that built a ``ScanMatch`` per scan.
+per row on the library's column parser, ``oracle_pair_match_lesions``,
+the table matcher that built a ``ScanMatch`` per scan,
+``oracle_separable_extract_patch``, the patch resampler that ran its passes
+on the volume's (x, y, z) axes, and ``oracle_sorting_mann_whitney_u``, the
+rank-sum test that sorted its pooled sample three times.
 
 Conventions:
   candidate = (cid, (x, y, z), score)
@@ -352,6 +355,46 @@ def oracle_extract_patch(volume, center, shape=(64, 64, 64), spacing=(0.7, 0.7, 
     return SimpleNamespace(values=normalized.reshape(shape), center=center)
 
 
+def _oracle_axis_samples(coords, n):
+    inside = (coords >= 0.0) & (coords <= n - 1)
+    if not inside.any():
+        return None
+    c = coords[inside]
+    i0 = np.clip(np.floor(c).astype(np.int64), 0, n - 1)
+    i1 = np.minimum(i0 + 1, n - 1)
+    lo = i0[0]  # the grid ascends, so the first coordinate has the lowest index
+    return inside, slice(lo, i1[-1] + 1), i0 - lo, i1 - lo, c - i0
+
+
+def oracle_separable_extract_patch(volume, center, shape=(64, 64, 64),
+                                   spacing=(0.7, 0.7, 1.25), hu_min=-1000.0, hu_max=500.0):
+    """The library's earlier separable resampler, on the volume's (x, y, z) axes.
+
+    Copies the source box the grid touches to float64 in its own layout, runs
+    the x, y and z passes on gathered rows, writes the inside samples into an
+    air-filled cube by mask, then clips and normalizes. Same arguments and
+    result as ``oracle_extract_patch``.
+    """
+    h = volume.header
+    c = center.as_tuple()
+    o = h.origin_mm.as_tuple()
+    axes = []
+    for a, n in enumerate(shape):
+        world = c[a] + (np.arange(n) - (n - 1) / 2.0) * spacing[a]
+        axes.append(_oracle_axis_samples((world - o[a]) / h.spacing_mm[a], h.dims[a]))
+    out = np.full(shape, hu_min, dtype=np.float64)
+    if all(axis is not None for axis in axes):
+        (ix, bx, x0, x1, fx), (iy, by, y0, y1, fy), (iz, bz, z0, z1, fz) = axes
+        v = volume.values[bx, by, bz].astype(np.float64)
+        v = v[x0] * (1 - fx)[:, None, None] + v[x1] * fx[:, None, None]
+        v = v[:, y0] * (1 - fy)[None, :, None] + v[:, y1] * fy[None, :, None]
+        v = v[:, :, z0] * (1 - fz) + v[:, :, z1] * fz
+        out[np.ix_(ix, iy, iz)] = v
+    hu = np.clip(out, hu_min, hu_max)
+    normalized = (hu - hu_min) / (hu_max - hu_min)
+    return SimpleNamespace(values=normalized, center=center)
+
+
 def oracle_save_patch(patch, header_path):
     """The earlier patch writer's files, from numpy and text alone.
 
@@ -422,6 +465,59 @@ def oracle_mw_exact_p(x, y):
             extreme += 1
         total += 1
     return extreme / total
+
+
+def oracle_sorting_mann_whitney_u(x, y, method="auto", exact_max_n=12):
+    """The library's earlier rank-sum test, which sorted the pooled sample
+    three times: for the midranks, for the ties flag and for the tie term.
+    Returns ``(u, p_value, method)``; a tied sample under ``method="exact"``
+    raises ``InputError``."""
+    x = [float(v) for v in x]
+    y = [float(v) for v in y]
+    n1, n2 = len(x), len(y)
+
+    def midranks(values):
+        order = sorted(range(len(values)), key=lambda i: values[i])
+        ranks = [0.0] * len(values)
+        i = 0
+        while i < len(order):
+            j = i
+            while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+                j += 1
+            for k in range(i, j + 1):
+                ranks[order[k]] = (i + j) / 2.0 + 1.0
+            i = j + 1
+        return ranks
+
+    u = sum(midranks(x + y)[:n1]) - n1 * (n1 + 1) / 2.0
+    combined = sorted(x + y)
+    has_ties = any(a == b for a, b in zip(combined, combined[1:]))
+    if method == "exact" or (method == "auto" and n1 + n2 <= exact_max_n and not has_ties):
+        if has_ties:
+            raise InputError("exact rank test is unavailable for tied samples")
+        int_ranks = [int(r) for r in midranks(x + y)]
+        observed_dev = abs(int(round(2 * u)) - n1 * n2)
+        extreme = total = 0
+        for chosen in itertools.combinations(range(n1 + n2), n1):
+            u_doubled = 2 * sum(int_ranks[i] for i in chosen) - n1 * (n1 + 1)
+            extreme += abs(u_doubled - n1 * n2) >= observed_dev
+            total += 1
+        return u, extreme / total, "exact"
+    n = n1 + n2
+    combined = sorted(x + y)
+    tie_term = 0
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and combined[j + 1] == combined[i]:
+            j += 1
+        tie_term += (j - i + 1) ** 3 - (j - i + 1)
+        i = j + 1
+    variance = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
+    if variance <= 0.0:
+        return u, 1.0, "normal_approx"
+    z = max(abs(u - n1 * n2 / 2.0) - 0.5, 0.0) / math.sqrt(variance)
+    return u, min(max(math.erfc(z / math.sqrt(2.0)), 0.0), 1.0), "normal_approx"
 
 
 def oracle_cohens_d(x, y):

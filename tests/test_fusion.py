@@ -1,12 +1,18 @@
 import dataclasses
 import math
+import shlex
+import signal
+import subprocess
 import sys
+import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trifuse import domain
+import trifuse
+from trifuse import domain, fusion
 from trifuse.domain import PAIR_BLOCK, CandidateTable, PipelineConfig, WorldPoint
 from trifuse.errors import InputError, InvariantError, ScorerError
 from trifuse.fileio import read_candidates, write_fused_csv
@@ -22,7 +28,7 @@ from trifuse.fusion import (
     run_tri_stage,
     suppress_same_model_duplicates,
 )
-from trifuse.volume import Volume, load_volume
+from trifuse.volume import Volume, extract_patch
 
 from conftest import cand
 from oracles import (
@@ -48,6 +54,29 @@ def constant_provider(p_luna, p_dlcs):
 def score_table(keys, p_luna, p_dlcs):
     """The ``CadxScoreTable`` of (scan, model, candidate id) keys and their scores."""
     return CadxScoreTable(*([key[i] for key in keys] for i in range(3)), p_luna, p_dlcs)
+
+
+def python_scorer(tmp_path, body):
+    """A scorer command that runs ``body`` with the patch header path it reads
+    in ``header`` and the tested trifuse importable."""
+    script = tmp_path / "scorer.py"
+    script.write_text(f"import sys\nsys.path.insert(0, {str(Path(trifuse.__file__).parents[1])!r})\n"
+                      "header = sys.stdin.readline().strip()\n" + body)
+    return shlex.join([sys.executable, str(script)])
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every scorer process started during the test, to check each was waited for."""
+    processes = []
+    popen = subprocess.Popen
+
+    def spy(*args, **kwargs):
+        processes.append(popen(*args, **kwargs))
+        return processes[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", spy)
+    return processes
 
 
 def hashed_provider(candidate):
@@ -929,23 +958,48 @@ class TestProviders:
             np.full((20, 20, 20), 0.0, dtype="<f4"), (1.0, 1.0, 1.0), WorldPoint(0, 0, 0),
             "float32",
         )
-        script = (
-            "import sys; path = sys.stdin.readline().strip(); "
-            "lines = open(path).read(); print(0.25, 0.75)"
+        # the patch is removed once its scorer exits, so the scorer checks the
+        # file handed over: it is loadable and normalized
+        scorer = python_scorer(
+            tmp_path,
+            "from trifuse.volume import load_volume\n"
+            "assert header.endswith('.hdr'), header\n"
+            "patch_vol = load_volume(header)\n"
+            "assert patch_vol.header.dims == (64, 64, 64), patch_vol.header.dims\n"
+            "assert float(patch_vol.values.max()) <= 1.0\n"
+            "print(0.25, 0.75)\n",
         )
-        provider = CommandCadxProvider(
-            f'{sys.executable} -c "{script}"',
-            volume_loader=lambda scan_id: vol,
-            workdir=tmp_path,
-        )
+        workdir = tmp_path / "patches"
+        provider = CommandCadxProvider(scorer, volume_loader=lambda scan_id: vol, workdir=workdir)
         scores = provider(a_cand("a1", 10, 10, 10, 0.9))
         assert scores == CadxScores(0.25, 0.75)
-        # the patch file handed over is loadable and normalized
-        headers = list(tmp_path.glob("*.hdr"))
-        assert headers
-        patch_vol = load_volume(headers[0])
-        assert patch_vol.header.dims == (64, 64, 64)
-        assert float(patch_vol.values.max()) <= 1.0
+        assert list(workdir.iterdir()) == []
+
+    def test_command_provider_keeps_at_most_two_patch_pairs(self, tmp_path, spawned):
+        # each scorer logs its patch and how many patch pairs share its directory,
+        # and scores by the digit that ends the candidate id
+        log = tmp_path / "scorer.log"
+        scorer = python_scorer(
+            tmp_path,
+            "import glob, os\n"
+            "raws = glob.glob(os.path.join(os.path.dirname(header), '*.raw'))\n"
+            f"open({str(log)!r}, 'a').write(f'{{os.path.basename(header)}} {{len(raws)}}\\n')\n"
+            "print(int(header[-5]) / 10, 0.5)\n",
+        )
+        vol = Volume.from_array(np.zeros((10, 10, 10), dtype="<f4"), (1.0, 1.0, 1.0),
+                                WorldPoint(0, 0, 0), "float32")
+        workdir = tmp_path / "patches"
+        provider = CommandCadxProvider(scorer, volume_loader=lambda scan_id: vol, workdir=workdir)
+        table = CandidateTable.from_records(
+            [a_cand(f"a{k}", 5, 5, 5, 0.9, scan=f"s{k // 2}") for k in range(1, 6)])
+        p_luna, p_dlcs = provider(table)
+        assert p_luna.tolist() == [0.1, 0.2, 0.3, 0.4, 0.5] and p_dlcs.tolist() == [0.5] * 5
+        logged = [line.split() for line in log.read_text().splitlines()]
+        assert [name for name, _ in logged] == [
+            f"patch_s{k // 2}_CADE_A_a{k}.hdr" for k in range(1, 6)]
+        assert max(int(count) for _, count in logged) <= 2
+        assert list(workdir.iterdir()) == []
+        assert [p.returncode for p in spawned] == [0] * 5
 
     def test_command_provider_failure_exits_nonzero(self, tmp_path):
         vol = Volume.from_array(
@@ -970,3 +1024,61 @@ class TestProviders:
         )
         with pytest.raises(ScorerError):
             provider(a_cand("a1", 5, 5, 5, 0.9))
+
+
+class TestCommandProviderPipeline:
+    """The table call prepares patch k+1 while scorer k runs; these pin the
+    order of its errors and that no scorer outlives the call."""
+
+    vol = Volume.from_array(np.zeros((10, 10, 10), dtype="<f4"), (1.0, 1.0, 1.0),
+                            WorldPoint(0, 0, 0), "float32")
+    table = CandidateTable.from_records([a_cand("a1", 5, 5, 5, 0.9, scan="s1"),
+                                         a_cand("a2", 5, 5, 5, 0.9, scan="s2")])
+
+    def loader(self, scan_id):
+        if scan_id == "s2":
+            raise InputError("no intensity volume for scan 's2'")
+        return self.vol
+
+    def test_scorer_failure_beats_the_next_patch_fault(self, tmp_path, spawned):
+        provider = CommandCadxProvider(f'{sys.executable} -c "import sys; sys.exit(3)"',
+                                       self.loader, tmp_path / "patches")
+        with pytest.raises(ScorerError, match="exited 3 for CADE_A:a1 on scan s1"):
+            provider(self.table)
+        assert [p.returncode for p in spawned] == [3]
+        assert list((tmp_path / "patches").iterdir()) == []
+
+    @pytest.mark.parametrize("volume, message", [
+        (None, "cannot load scan volume for CADE_A:a2 on scan s2: no intensity volume"),
+        ("not a volume", "CADx scoring failed for CADE_A:a2 on scan s2: "),
+    ])
+    def test_next_patch_fault_after_a_clean_scorer(self, tmp_path, spawned, volume, message):
+        def loader(scan_id):
+            return volume if scan_id == "s2" and volume is not None else self.loader(scan_id)
+
+        provider = CommandCadxProvider(f'{sys.executable} -c "print(0.5, 0.5)"', loader,
+                                       tmp_path / "patches")
+        with pytest.raises(ScorerError, match=message):
+            provider(self.table)
+        assert [p.returncode for p in spawned] == [0]
+        assert list((tmp_path / "patches").iterdir()) == []
+
+    def test_interrupt_while_extracting_kills_the_running_scorer(
+            self, tmp_path, spawned, monkeypatch):
+        extracted = []
+
+        def interrupted(volume, center):
+            extracted.append(center)
+            if len(extracted) == 2:
+                raise KeyboardInterrupt
+            return extract_patch(volume, center)
+
+        monkeypatch.setattr(fusion, "extract_patch", interrupted)
+        provider = CommandCadxProvider(f'{sys.executable} -c "import time; time.sleep(60)"',
+                                       lambda scan_id: self.vol, tmp_path / "patches")
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            provider(self.table)
+        assert time.monotonic() - started < 30
+        assert [p.returncode for p in spawned] == [-signal.SIGKILL]
+        assert list((tmp_path / "patches").iterdir()) == []

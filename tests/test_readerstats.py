@@ -14,7 +14,12 @@ from trifuse.readerstats import (
 )
 
 from conftest import ref
-from oracles import oracle_cohens_d, oracle_mw_exact_p, oracle_u_statistic
+from oracles import (
+    oracle_cohens_d,
+    oracle_mw_exact_p,
+    oracle_sorting_mann_whitney_u,
+    oracle_u_statistic,
+)
 
 
 class TestConsensusCategory:
@@ -193,6 +198,32 @@ class TestMannWhitney:
             exact = mann_whitney_u(x, y, method="exact").p_value
             approx = mann_whitney_u(x, y, method="normal").p_value
             assert abs(exact - approx) < 0.05
+
+    def test_one_sort_equals_the_three_sort_test(self):
+        # few distinct values make long tie runs; the cases span the exact and
+        # the normal paths, forced and chosen, and cohort-sized samples
+        rng = np.random.default_rng(48)
+        sizes = [(1, 1), (2, 3), (5, 7), (6, 6), (13, 2), (40, 55), (1800, 1800)]
+        for n1, n2 in sizes:
+            for distinct in (3, 50, None):
+                draw = ((lambda n: rng.integers(0, distinct, size=n) / 2.0) if distinct
+                        else (lambda n: rng.normal(size=n)))
+                x, y = [float(v) for v in draw(n1)], [float(v) for v in draw(n2)]
+                for method in ("auto", "normal", "exact"):
+                    if method == "exact" and n1 + n2 > 12:
+                        continue
+                    try:
+                        want = oracle_sorting_mann_whitney_u(x, y, method)
+                    except InputError:
+                        with pytest.raises(InputError, match="tied samples"):
+                            mann_whitney_u(x, y, method)
+                        continue
+                    got = mann_whitney_u(x, y, method)
+                    assert (got.u_statistic, got.p_value, got.method) == want
+                    if n1 * n2 <= 400:
+                        assert got.u_statistic == oracle_u_statistic(x, y)
+                    if got.method == "exact":
+                        assert got.p_value == pytest.approx(oracle_mw_exact_p(x, y), abs=1e-12)
 
     def test_p_value_within_unit_interval(self):
         rng = np.random.default_rng(47)

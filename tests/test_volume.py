@@ -21,7 +21,7 @@ from trifuse.volume import (
     world_to_voxel,
 )
 
-from oracles import oracle_extract_patch, oracle_save_patch
+from oracles import oracle_extract_patch, oracle_save_patch, oracle_separable_extract_patch
 
 
 def make_volume(values, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):
@@ -264,10 +264,11 @@ class TestExtractPatch:
 
 
 class TestExtractPatchMatchesOracle:
-    """The separable resampler against point-by-point trilinear interpolation.
+    """The (z, y, x) resampler against point-by-point trilinear interpolation
+    and against the earlier separable resampler on (x, y, z) axes.
 
     Equality is on the bytes: every patch sample must come out of the same
-    floating-point operations as the oracle's.
+    floating-point operations as the oracles'.
     """
 
     def centres(self, rng, vol):
@@ -286,9 +287,11 @@ class TestExtractPatchMatchesOracle:
 
     def assert_same(self, vol, centres):
         for center in centres:
-            got = extract_patch(vol, center)
-            want = oracle_extract_patch(vol, center)
-            assert got.values.tobytes() == want.values.tobytes(), center
+            got = extract_patch(vol, center).values
+            assert got.shape == PATCH_SHAPE
+            for oracle in (oracle_extract_patch, oracle_separable_extract_patch):
+                want = oracle(vol, center).values
+                assert got.tobytes() == want.tobytes(), (oracle, center)
 
     @pytest.mark.parametrize("element_type", ["uint8", "int16", "float32"])
     def test_seeded_volumes(self, element_type):
@@ -324,6 +327,29 @@ class TestExtractPatchMatchesOracle:
         loaded = load_volume(save_volume(vol, tmp_path / "v.hdr"))
         self.assert_same(loaded, self.centres(rng, loaded))
 
+    def test_volume_at_patch_spacing(self, tmp_path):
+        # the benchmark's geometry: every pass gathers consecutive source rows
+        rng = np.random.default_rng(27)
+        values = rng.integers(-1100, 600, size=(90, 80, 70))
+        vol = Volume.from_array(values, PATCH_SPACING_MM, WorldPoint(-31.0, 12.5, -40.25), "int16")
+        loaded = load_volume(save_volume(vol, tmp_path / "v.hdr"))
+        self.assert_same(loaded, self.centres(rng, loaded) + [
+            voxel_to_world((44.5, 39.5, 34.5), loaded.header),  # on the grid, wholly inside
+            voxel_to_world((44.25, 39.75, 34.1), loaded.header),  # off the grid, wholly inside
+        ])
+
+    def test_volume_smaller_than_the_patch_on_every_axis(self):
+        # the inside samples are a run in the middle of every grid axis
+        rng = np.random.default_rng(28)
+        values = rng.uniform(-1500.0, 800.0, size=(11, 7, 5))
+        vol = Volume.from_array(values, (1.1, 1.9, 3.3), WorldPoint(4.0, -2.0, 9.0), "float32")
+        middle = voxel_to_world((5.0, 3.0, 2.0), vol.header)
+        patch = extract_patch(vol, middle).values
+        for axis in range(3):
+            filled = np.flatnonzero(patch.any(axis=tuple(a for a in range(3) if a != axis)))
+            assert 0 < filled[0] and filled[-1] < PATCH_SHAPE[axis] - 1
+        self.assert_same(vol, [middle] + self.centres(rng, vol))
+
     def test_samples_exactly_on_last_voxel(self):
         # power-of-two spacings and a centre half a patch step off the grid
         # put patch sample 31 exactly on index n-1 of every axis, where the
@@ -354,6 +380,7 @@ class TestSavePatchMatchesOracle:
         for k, center in enumerate([WorldPoint(*rng.uniform(-10.0, 30.0, size=3)),
                                     WorldPoint(0.1, 1 / 3, -2.0 ** -20)]):
             patch = extract_patch(vol, center)
+            assert patch.values.T.flags.c_contiguous  # x-fastest in memory, as on disk
             got = save_patch(patch, tmp_path / f"new{k}.hdr")
             want = oracle_save_patch(patch, tmp_path / f"old{k}.hdr")
             assert got.read_text().replace(f"new{k}", "x") == want.read_text().replace(f"old{k}", "x")
