@@ -355,12 +355,18 @@ def _even_rows(data: list[list[str]], width: int) -> tuple[list[list[str]], int 
     return out, None
 
 
+_EMPTY_AS_NAN = {"": "nan"}
+
+
 def _segment(cells: Sequence[str]) -> np.ndarray | Sequence[str]:
     """The cells as float64, NaN for a blank one, if each other cell is a
-    finite number; else the cells."""
+    finite number; else the cells. One parse, each empty cell read as NaN,
+    settles a chunk whose only cells that are not finite numbers are empty."""
+    blanks = cells.count("")
+    numbers = map(_EMPTY_AS_NAN.get, cells, cells) if blanks else cells
     try:
-        values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
-        if np.isfinite(values).all():
+        values = np.fromiter(map(float, numbers), dtype=np.float64, count=len(cells))
+        if np.count_nonzero(~np.isfinite(values)) == blanks:
             return values
     except ValueError:
         pass

@@ -113,6 +113,7 @@ class LesionMatchResult:
         self._hits = hits  # (candidate, reference) pairs that hit, in assignment order
         self.ref_rows = ref_rows  # each reference's row in the table it was matched from
         self._scans = None
+        self._ranking = None
         return self
 
     @classmethod
@@ -146,6 +147,13 @@ class LesionMatchResult:
                 for j, (scan_id, n_refs) in enumerate(zip(self.scan_ids, self.n_refs.tolist()))
             )
         return self._scans
+
+    @property
+    def ranking(self) -> "_Ranking":
+        """The candidates best score first, as score thresholds read them."""
+        if self._ranking is None:
+            self._ranking = _Ranking.of(self)
+        return self._ranking
 
     def __eq__(self, other):
         if isinstance(other, LesionMatchResult):
@@ -341,42 +349,63 @@ def _rate_index(rates: Sequence[float], rate: float) -> int:
     raise InputError(f"rate {rate} not on the curve")
 
 
-def _score_grid(result: LesionMatchResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ascending distinct scores of a matching, and the rank on it of each
-    true positive and each false positive, both in candidate order."""
-    grid = np.unique(result.score)
-    rank = np.searchsorted(grid, result.score)
-    tp = result.nodule >= 0
-    return grid, rank[tp], rank[~tp]
-
-
-def _sensitivities_on_grid(
-    grid_size: int,
-    tp_rank: np.ndarray,
-    fp_rank: np.ndarray,
-    n_scans: int,
-    n_lesions: int,
-    rates: Sequence[float],
-    tp_weight: np.ndarray | None = None,
-    fp_weight: np.ndarray | None = None,
-) -> list[float]:
-    """Sensitivity at each false-positive rate per scan.
-
-    Each positive counts its weight (default 1) at every grid score at or
-    below its own. At each rate the threshold is the lowest grid score whose
-    false positives fit within ``rate * n_scans``; the sensitivity is its true
-    positives over ``n_lesions``, or 0 when no threshold fits. Zero weights
-    below a cut give the curve of the positives kept by that cut, and draw
-    counts give the curve of a scan resample.
+class _Ranking:
+    """The candidates of a matching best score first, as a score threshold
+    reads them: the false positives' scans and scores (``fp_scan``,
+    ``fp_score``) and the true positives' (``tp_scan``, ``tp_score``). The
+    lowest threshold that keeps the first p false positives but not false
+    positive p leaves out p's whole score level, so it keeps the
+    ``tp_above[p]`` true positives that score above p; ``tp_above[-1]``,
+    when every false positive fits, counts them all.
     """
-    # weighted counts at or above each grid score, plus a zero count above the top one
-    tp_counts = np.zeros(grid_size + 1)
-    tp_counts[:-1] = np.bincount(tp_rank, tp_weight, grid_size)[::-1].cumsum()[::-1]
-    fp_counts = np.bincount(fp_rank, fp_weight, grid_size)[::-1].cumsum()[::-1]
-    # fp_counts never rises with the threshold: first index with fp <= rate * n_scans
-    allowed = -np.array(rates, dtype=np.float64) * n_scans
-    first = np.searchsorted(-fp_counts, allowed, side="left")
-    return (tp_counts[first] / n_lesions).tolist()
+
+    def __init__(self, fp_scan, fp_score, tp_scan, tp_score, tp_above):
+        self.fp_scan, self.fp_score, self.tp_above = fp_scan, fp_score, tp_above
+        self.tp_scan, self.tp_score = tp_scan, tp_score
+
+    @classmethod
+    def of(cls, result: LesionMatchResult) -> "_Ranking":
+        order = np.argsort(-result.score, kind="stable")
+        tp = result.nodule[order] >= 0
+        scan, score = result.scan[order], result.score[order]
+        tp_score, fp_score = score[tp], score[~tp]
+        tp_above = np.append(np.searchsorted(-tp_score, -fp_score, side="left"), tp_score.size)
+        return cls(scan[~tp], fp_score, scan[tp], tp_score, tp_above)
+
+    def kept(self, threshold: float) -> "_Ranking":
+        """The ranking of the candidates that score at least ``threshold``."""
+        n_fp = int(np.searchsorted(-self.fp_score, -threshold, side="right"))
+        n_tp = int(np.searchsorted(-self.tp_score, -threshold, side="right"))
+        return _Ranking(self.fp_scan[:n_fp], self.fp_score[:n_fp], self.tp_scan[:n_tp],
+                        self.tp_score[:n_tp], np.append(self.tp_above[:n_fp], n_tp))
+
+    def weighted_counts(self, weight: np.ndarray, prefix: int, need: float
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """With each scan's positives counted ``weight`` times: the count of
+        the first p + 1 false positives for each p, read from the first
+        ``prefix`` on (an eighth of that more at a time) until it passes
+        ``need``; and of the first k true positives for each k."""
+        fp_scan = self.fp_scan
+        fp_counts = np.cumsum(weight[fp_scan[:prefix]])
+        while fp_counts.size < fp_scan.size and fp_counts[-1] <= need:
+            more = np.cumsum(weight[fp_scan[fp_counts.size:fp_counts.size + prefix // 8 + 1]])
+            fp_counts = np.concatenate((fp_counts, more + fp_counts[-1]))
+        tp_counts = np.zeros(self.tp_scan.size + 1, dtype=np.int64)
+        np.cumsum(weight[self.tp_scan], out=tp_counts[1:])
+        return fp_counts, tp_counts
+
+    def sensitivities(self, allowed: np.ndarray, n_lesions: int, fp_counts=None, tp_counts=None
+                      ) -> list[float]:
+        """Sensitivity at each budget of ``allowed`` false positives: that of
+        the lowest threshold whose false positives fit, or 0 when none does.
+        The counts are those of ``weighted_counts``, by default of unit
+        weights; they must pass every budget, or count every false positive."""
+        if fp_counts is None:
+            fp_counts = np.arange(1, self.fp_scan.size + 1)
+            tp_counts = np.arange(self.tp_scan.size + 1)
+        over = np.searchsorted(fp_counts, allowed, side="right")  # the first that does not fit
+        tp = np.where(allowed >= 0, tp_counts[self.tp_above[over]], 0)  # < 0 or NaN fits none
+        return (tp / n_lesions).tolist()
 
 
 def _mean_sensitivity(sensitivities: Sequence[float]) -> float:
@@ -389,10 +418,8 @@ def froc_curve(result: LesionMatchResult, rates: Sequence[float] = FP_RATES) -> 
         raise InputError("FROC evaluation needs at least one scan")
     if result.n_references < 1:
         raise InputError("FROC evaluation needs at least one reference lesion")
-    grid, tp_rank, fp_rank = _score_grid(result)
-    sens = _sensitivities_on_grid(
-        grid.size, tp_rank, fp_rank, result.n_scans, result.n_references, rates
-    )
+    allowed = np.asarray(rates, dtype=np.float64) * result.n_scans
+    sens = result.ranking.sensitivities(allowed, result.n_references)
     return FrocCurve(
         fp_rates=tuple(rates),
         sensitivities=tuple(sens),
@@ -436,17 +463,24 @@ def _bootstrap_intervals(
     zero reference lesions are skipped and counted.
 
     A resample is the draw count of every scan, used as the weight of that
-    scan's true and false positives on the full result's score grid.
+    scan's true and false positives in the matching's ranking. Its false
+    positives are counted only until they pass the largest budget: the
+    first ones an unweighted count needs, and more while the weighted count
+    falls short.
     """
     if resamples < 1:
         raise InputError("bootstrap needs at least one resample")
+    if seed < 0:
+        raise InputError(f"bootstrap seed must be non-negative, got {seed}")
     if result.n_scans < 1:
         raise InputError("bootstrap needs at least one scan")
     n = result.n_scans
     n_refs = result.n_refs
-    tp = result.nodule >= 0
-    tp_scan, fp_scan = result.scan[tp], result.scan[~tp]
-    grid, tp_rank, fp_rank = _score_grid(result)
+    ranking = result.ranking
+    allowed = np.asarray(rates, dtype=np.float64) * n
+    need = allowed[allowed >= 0].max(initial=0.0)
+    n_fp = ranking.fp_scan.size
+    prefix = n_fp if need >= n_fp else int(need) + 1  # as many as unit weights need
 
     values: dict[str, list[float]] = {name: [] for name in statistics}
     skipped = 0
@@ -458,9 +492,7 @@ def _bootstrap_intervals(
         if n_lesions == 0:
             skipped += 1
             continue
-        sens = _sensitivities_on_grid(
-            grid.size, tp_rank, fp_rank, n, n_lesions, rates, w[tp_scan], w[fp_scan]
-        )
+        sens = ranking.sensitivities(allowed, n_lesions, *ranking.weighted_counts(w, prefix, need))
         for name, rate in statistics.items():
             if rate is None:
                 values[name].append(_mean_sensitivity(sens))

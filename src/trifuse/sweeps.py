@@ -18,13 +18,7 @@ from .domain import (
     require_unit_interval,
 )
 from .errors import InputError
-from .froc import (
-    FP_RATES,
-    _mean_sensitivity,
-    _score_grid,
-    _sensitivities_on_grid,
-    match_lesions,
-)
+from .froc import FP_RATES, _mean_sensitivity, match_lesions
 
 CANCER = "cancer"
 NO_CANCER = "no-cancer"
@@ -125,24 +119,19 @@ def sweep_cade(
     result = match_lesions(candidates, references, scan_ids=scan_ids)
     if result.n_references < 1:
         raise InputError("FROC sweep needs at least one reference lesion")
-    grid, tp_rank, fp_rank = _score_grid(result)
+    ranking = result.ranking
+    allowed = np.asarray(rates, dtype=np.float64) * result.n_scans
     n_refs = result.n_references
 
     rows = []
     for threshold in _clean_thresholds(thresholds):
-        # the candidates kept at this threshold are the grid ranks at or above its cut
-        cut = np.searchsorted(grid, threshold, side="left")
-        tp_kept = tp_rank >= cut
-        fp_kept = fp_rank >= cut
-        sens = _sensitivities_on_grid(
-            grid.size, tp_rank, fp_rank, result.n_scans, n_refs, rates, tp_kept, fp_kept
-        )
-        n_tp = int(tp_kept.sum())
+        kept = ranking.kept(threshold)
+        n_tp = kept.tp_scan.size
         rows.append(
             CadeSweepRow(
                 threshold=threshold,
-                cpm=_mean_sensitivity(sens),
-                candidates_forwarded=n_tp + int(fp_kept.sum()),
+                cpm=_mean_sensitivity(kept.sensitivities(allowed, n_refs)),
+                candidates_forwarded=n_tp + kept.fp_scan.size,
                 missed=n_refs - n_tp,
             )
         )

@@ -58,7 +58,7 @@ from trifuse.fileio import (
     REFERENCE_COLUMNS,
     _Columns,
 )
-from trifuse.froc import LesionMatchResult, ScanMatch, TruePositive
+from trifuse.froc import BootstrapCI, LesionMatchResult, ScanMatch, TruePositive
 from trifuse.fusion import (
     DISP_MASK_REJECTED,
     DISP_PAIR,
@@ -271,6 +271,95 @@ def oracle_bootstrap(scans, statistics, resamples, seed, rates):
             raise ValueError("every bootstrap resample had zero reference lesions")
         lo, hi = np.percentile(np.array(vals, dtype=np.float64), [2.5, 97.5])
         out[name] = (float(lo), float(hi), len(vals), skipped)
+    return out
+
+
+def oracle_score_grid(result):
+    """The library's earlier score grid: the ascending distinct scores of a
+    matching, and the rank on it of each true positive and each false
+    positive, both in candidate order."""
+    grid = np.unique(result.score)
+    rank = np.searchsorted(grid, result.score)
+    tp = result.nodule >= 0
+    return grid, rank[tp], rank[~tp]
+
+
+def oracle_sensitivities_on_grid(grid_size, tp_rank, fp_rank, n_scans, n_lesions, rates,
+                                 tp_weight=None, fp_weight=None):
+    """The library's earlier weighted count on the score grid.
+
+    Each positive counts its weight (default 1) at every grid score at or
+    below its own. At each rate the threshold is the lowest grid score whose
+    false positives fit within ``rate * n_scans``; the sensitivity is its true
+    positives over ``n_lesions``, or 0 when no threshold fits.
+    """
+    # weighted counts at or above each grid score, plus a zero count above the top one
+    tp_counts = np.zeros(grid_size + 1)
+    tp_counts[:-1] = np.bincount(tp_rank, tp_weight, grid_size)[::-1].cumsum()[::-1]
+    fp_counts = np.bincount(fp_rank, fp_weight, grid_size)[::-1].cumsum()[::-1]
+    # fp_counts never rises with the threshold: first index with fp <= rate * n_scans
+    allowed = -np.array(rates, dtype=np.float64) * n_scans
+    first = np.searchsorted(-fp_counts, allowed, side="left")
+    return (tp_counts[first] / n_lesions).tolist()
+
+
+def oracle_grid_curve(result, rates):
+    """Sensitivities of a matching by the grid count."""
+    grid, tp_rank, fp_rank = oracle_score_grid(result)
+    return oracle_sensitivities_on_grid(grid.size, tp_rank, fp_rank, result.n_scans,
+                                        result.n_references, rates)
+
+
+def oracle_grid_sweep_cade(result, thresholds, rates):
+    """Detection sweep rows by the grid count: a threshold zeroes the
+    weights of the positives below it."""
+    grid, tp_rank, fp_rank = oracle_score_grid(result)
+    n_refs = result.n_references
+    rows = []
+    for threshold in sorted(set(thresholds)):
+        cut = np.searchsorted(grid, threshold, side="left")
+        tp_kept, fp_kept = tp_rank >= cut, fp_rank >= cut
+        sens = oracle_sensitivities_on_grid(grid.size, tp_rank, fp_rank, result.n_scans, n_refs,
+                                            rates, tp_kept, fp_kept)
+        n_tp = int(tp_kept.sum())
+        rows.append(CadeSweepRow(threshold=threshold, cpm=float(sum(sens) / len(sens)),
+                                 candidates_forwarded=n_tp + int(fp_kept.sum()),
+                                 missed=n_refs - n_tp))
+    return rows
+
+
+def oracle_grid_bootstrap(result, statistics, resamples, seed, rates):
+    """The library's earlier bootstrap: every resample weights each scan's
+    positives by its draw count on the full matching's score grid and counts
+    the whole grid. ``statistics`` maps each name to a rate or to None for
+    the CPM. Returns name -> BootstrapCI."""
+    if resamples < 1:
+        raise InputError("bootstrap needs at least one resample")
+    n = result.n_scans
+    if n < 1:
+        raise InputError("bootstrap needs at least one scan")
+    tp = result.nodule >= 0
+    tp_scan, fp_scan = result.scan[tp], result.scan[~tp]
+    grid, tp_rank, fp_rank = oracle_score_grid(result)
+    values = {name: [] for name in statistics}
+    skipped = 0
+    for i in range(resamples):
+        w = np.bincount(np.random.default_rng((seed, i)).integers(0, n, size=n), minlength=n)
+        n_lesions = int(w @ result.n_refs)
+        if n_lesions == 0:
+            skipped += 1
+            continue
+        sens = oracle_sensitivities_on_grid(grid.size, tp_rank, fp_rank, n, n_lesions, rates,
+                                            w[tp_scan], w[fp_scan])
+        for name, rate in statistics.items():
+            values[name].append(float(sum(sens) / len(sens)) if rate is None
+                                else sens[list(rates).index(rate)])
+    out = {}
+    for name, vals in values.items():
+        if not vals:
+            raise InputError("every bootstrap resample had zero reference lesions")
+        lo, hi = np.percentile(np.array(vals, dtype=np.float64), [2.5, 97.5])
+        out[name] = BootstrapCI(float(lo), float(hi), len(vals), skipped)
     return out
 
 
@@ -617,6 +706,32 @@ def _parse_str(path, row_num: int, row: Mapping[str, str], column: str,
     if not text and required:
         raise InputError(f"{path}:{row_num}: column {column} is empty")
     return text or None
+
+
+def oracle_segment(cells):
+    """The library's earlier conversion of one chunk of a numeric column:
+    ``float()`` of every cell; when that fails or a value is not finite,
+    ``float()`` of each cell again, NaN for a blank one or one that fails,
+    and a mask of the blank cells. The float64 values if exactly the blank
+    cells are not finite; else the cells."""
+    try:
+        values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    values = np.array([_oracle_float_or_nan(c) if c.strip() else math.nan for c in cells],
+                      dtype=np.float64)
+    if np.array_equal(~np.isfinite(values), [not c.strip() for c in cells]):
+        return values
+    return cells
+
+
+def _oracle_float_or_nan(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
 
 
 def oracle_read_candidates(

@@ -362,6 +362,16 @@ class TestEvalCommand:
         assert code == 2
         assert "no reference lesions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [[], ["--stratify", "size:dlcs"]])
+    def test_negative_seed_exits_2(self, tmp_path, e2e_inputs, capsys, extra):
+        out = tmp_path / "out"
+        code = run(["eval", "--candidates", e2e_inputs["cade_a"], "--references",
+                    e2e_inputs["references"], "--ci", "--seed", "-1", *extra, "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: bootstrap seed must be non-negative, got -1\n"
+        assert not (out / "metrics.csv").exists()
+
     @pytest.mark.parametrize("quoted", [False, True])
     def test_cell_over_the_csv_field_limit_exits_2(self, tmp_path, e2e_inputs, capsys, quoted):
         cands = tmp_path / "cands.csv"

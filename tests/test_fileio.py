@@ -31,6 +31,7 @@ from oracles import (
     oracle_row_read_labeled_scores,
     oracle_row_read_match_files,
     oracle_row_read_references,
+    oracle_segment,
     oracle_write_csv,
     oracle_write_fused_columns,
     oracle_write_fused_csv,
@@ -1272,6 +1273,67 @@ class TestSplitPath:
             outcomes.append(same_outcome(lambda: fileio.read_match_files(paths),
                                          lambda: oracle_row_read_match_files(paths)))
         assert 0.1 < sum(outcomes) / len(outcomes) < 0.9  # both outcomes occur
+
+
+class TestNumberChunks:
+    """A chunk of a numeric column is parsed once when its only cells that
+    are not finite numbers are empty; any other odd cell next to a blank
+    one reads and fails as it did before."""
+
+    POOL = ("", "", " ", "nan", "inf", "-inf", "\x1f1.0", "1.5", " 2 ", "1e999", "x", "0", "-0.0")
+
+    def test_segments_equal_the_earlier_conversion(self):
+        rng = np.random.default_rng(17)
+        outcomes = set()
+        for k in range(400):
+            n = int(rng.integers(1, 9))
+            numbers = [f"{x:.3f}" for x in rng.uniform(-5, 5, n).tolist()]
+            cells = [pick(rng, self.POOL) if rng.random() < 0.3 else x for x in numbers]
+            cells = tuple(cells) if k % 2 else cells
+            got, want = fileio._segment(cells), oracle_segment(cells)
+            outcomes.add((isinstance(want, np.ndarray), "" in cells))
+            if isinstance(want, np.ndarray):
+                assert isinstance(got, np.ndarray) and got.dtype == np.float64
+                assert np.array_equal(got, want, equal_nan=True)
+            else:
+                assert got is cells
+        assert len(outcomes) == 4  # values and cells, each with and without a blank cell
+
+    def test_numbers_and_empty_cells_are_parsed_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fileio, "float", lambda cell: calls.append(cell) or float(cell),
+                            raising=False)
+        cells = ["1.5", "", "2", "", "-0.25"]
+        got = fileio._segment(cells)
+        assert len(calls) == len(cells)
+        assert np.array_equal(got, [1.5, np.nan, 2.0, np.nan, -0.25], equal_nan=True)
+
+    @pytest.mark.parametrize("column", ["x_mm", "diameter_mm"])  # required, optional
+    @pytest.mark.parametrize("cell", [" ", "nan", "inf", "\x1f1.0"])
+    @pytest.mark.parametrize("blank_first", [True, False])
+    def test_odd_cell_next_to_a_blank_one(self, tmp_path, monkeypatch, column, cell,
+                                          blank_first):
+        monkeypatch.setattr(fileio, "_CHUNK_LINES", 4)
+        rows = [{"scan_id": "s1", "candidate_id": f"c{i}", "x_mm": "1", "y_mm": "2", "z_mm": "3",
+                 "diameter_mm": "4", "score": "0.5", "model": "CADE_A"} for i in range(12)]
+        blank, odd = (5, 6) if blank_first else (6, 5)  # both in the second chunk
+        rows[blank][column], rows[odd][column] = "", cell
+        path = write(tmp_path / "c.csv", CANDIDATE_HEADER + "".join(
+            ",".join(row[c] for c in fileio.CANDIDATE_COLUMNS) + "\n" for row in rows))
+        problem = {" ": "is empty", "nan": "is not finite: 'nan'", "inf": "is not finite: 'inf'",
+                   "\x1f1.0": "is not a number: '\\x1f1.0'"}[cell]
+        if column == "x_mm":  # the earlier of the two rows is reported
+            error = (blank, "is empty") if blank_first else (odd, problem)
+        else:  # a blank diameter, or one strip() makes blank, reads as NaN
+            error = None if cell == " " else (odd, problem)
+        read = lambda: fileio.read_candidates(path)  # noqa: E731
+        assert same_outcome(read, lambda: oracle_row_read_candidates(path)) == (error is None)
+        if error is None:
+            assert np.isnan(CandidateTable.of(read()).diameter_mm[[blank, odd]]).all()
+        else:
+            with pytest.raises(InputError) as got:
+                read()
+            assert str(got.value) == f"{path}:{error[0] + 2}: column {column} {error[1]}"
 
 
 class TestIngestMemory:

@@ -48,6 +48,8 @@ from oracles import (
     oracle_bootstrap,
     oracle_froc,
     oracle_froc_sensitivities,
+    oracle_grid_bootstrap,
+    oracle_grid_curve,
     oracle_match,
     oracle_match_lesions,
     oracle_max_matching,
@@ -465,9 +467,10 @@ def random_match_result(rng, n_scans, p_no_refs, p_no_cands, tied):
 
 
 class TestCurveAgainstScalarOracle:
-    """The grid-count curve equals the earlier sort-and-search count exactly."""
+    """The curve read from the ranking equals the earlier sort-and-search
+    count and the earlier grid count exactly."""
 
-    RATES = (FP_RATES, (0.5, 2.0, 3.0), (0.0, 0.3, 100.0))
+    RATES = (FP_RATES, (0.5, 2.0, 3.0), (0.0, 0.3, 100.0), (4.0, 0.5, 2.0), (-1.0, math.nan, 1.0))
 
     def test_seeded_results_equal_oracle(self):
         cases = [(12, 0.3, 0.2, True), (12, 0.3, 0.2, False), (5, 0.6, 0.5, True), (1, 0.0, 0.0, True)]
@@ -481,6 +484,7 @@ class TestCurveAgainstScalarOracle:
                 for rates in self.RATES:
                     got = froc_curve(result, rates).sensitivities
                     assert got == oracle_froc_sensitivities(result, rates)
+                    assert list(got) == oracle_grid_curve(result, rates)
                 checked += 1
         assert checked > 40
 
@@ -493,10 +497,12 @@ class TestCurveAgainstScalarOracle:
             return LesionMatchResult(scans)
 
         for tp_scores, fp_scores in [((), ()), ((0.4, 0.4), ()), ((), (0.2, 0.9, 0.9)),
-                                     ((0.5,), (0.5, 0.5))]:
+                                     ((0.5,), (0.5, 0.5)), ((0.5, 0.7), (0.7, 0.1))]:
             res = result(tp_scores, fp_scores)
             for rates in self.RATES:
-                assert froc_curve(res, rates).sensitivities == oracle_froc_sensitivities(res, rates)
+                got = froc_curve(res, rates).sensitivities
+                assert got == oracle_froc_sensitivities(res, rates)
+                assert list(got) == oracle_grid_curve(res, rates)
 
 
 def plain_scans(result):
@@ -588,6 +594,120 @@ class TestBootstrapAgainstOracle:
                 lambda: bootstrap_ci(res, statistic, rate=rate, resamples=resamples, seed=9))
             assert err_type is InputError
             assert raised(lambda: oracle_ci(res, spec, resamples, 9)) == (ValueError, message)
+
+
+def fp_heavy_result(rng, n_scans=30):
+    """One scan holds 150 false positives above every other candidate; the
+    other scans hold a reference or two and a few tied or interleaved
+    candidates below. A resample that does not draw the heavy scan falls
+    short of 8 FP/scan within the first 8 x scans false positives."""
+    scans = [ScanMatch("s000", 1, (), ("n0",),
+                       tuple((f"f{k}", 0.9 + 0.0005 * k) for k in range(150)))]
+    for j in range(1, n_scans):
+        sid = f"s{j:03d}"
+        n_refs = int(rng.integers(1, 3))
+        n_tp = int(rng.integers(0, n_refs + 1))
+        scores = rng.integers(1, 60, size=n_tp + 6) / 64.0
+        tp = tuple(TruePositive(sid, f"n{k}", f"c{k}", float(scores[k])) for k in range(n_tp))
+        fp = tuple((f"f{k}", float(x)) for k, x in enumerate(scores[n_tp:].tolist()))
+        scans.append(ScanMatch(sid, n_refs, tp, tuple(f"n{k}" for k in range(n_tp, n_refs)), fp))
+    return LesionMatchResult(tuple(scans))
+
+
+def round_robin_result(n_scans=5, per_scan=12):
+    """False positive r (best first) on scan r % n_scans, so the first
+    8 x n_scans of them weigh exactly 8 x n_scans in every resample; a true
+    positive sits between each pair of false positives from there on, two
+    scans along, so it counts where the false positives around it may not."""
+    fp = {j: [] for j in range(n_scans)}
+    tp = {j: [] for j in range(n_scans)}
+    for r in range(n_scans * per_scan):
+        fp[r % n_scans].append((f"f{r}", 1.0 - r / 1024))
+    for r in range(8 * n_scans - 1, 8 * n_scans + 2 * n_scans - 1):
+        j = (r + 2) % n_scans
+        tp[j].append(TruePositive(f"s{j}", f"n{len(tp[j])}", f"c{r}", 1.0 - (r + 0.5) / 1024))
+    return LesionMatchResult(tuple(
+        ScanMatch(f"s{j}", 2, tuple(tp[j]), (), tuple(fp[j])) for j in range(n_scans)))
+
+
+class TestRankingAgainstGridOracle:
+    """The bootstrap, read from the descending ranking, equals the earlier
+    whole-grid count exactly."""
+
+    RATES = (FP_RATES, (4.0, 0.5, 2.0), (-1.0, math.nan, 1.0))
+    CASES = TestBootstrapAgainstOracle.CASES
+
+    def cohorts(self, salt):
+        for k, (n_scans, p_no_refs, p_no_cands, tied) in enumerate(self.CASES):
+            rng = np.random.default_rng([salt, k])
+            for _ in range(4):
+                result = random_match_result(rng, n_scans, p_no_refs, p_no_cands, tied)
+                if result.n_references:
+                    yield result
+
+    @staticmethod
+    def statistics(rates):
+        out = {f"s{k}": r for k, r in enumerate(rates) if not math.isnan(r)}
+        out["cpm"] = None
+        return out
+
+    def test_no_false_or_no_true_positives_equal_grid_oracle(self):
+        def result(tp_scores, fp_scores):
+            tp = tuple(TruePositive("s0", f"n{k}", f"c{k}", x) for k, x in enumerate(tp_scores))
+            fp = tuple((f"f{k}", x) for k, x in enumerate(fp_scores))
+            return LesionMatchResult((
+                ScanMatch("s0", 3, tp, tuple(f"n{k}" for k in range(len(tp), 3)), fp),
+                ScanMatch("s1", 1, (), ("n0",), ()), ScanMatch("s2", 0, (), (), ())))
+
+        for tp_scores, fp_scores in [((), ()), ((0.4, 0.4, 0.9), ()), ((), (0.2, 0.9, 0.9)),
+                                     ((0.5,), (0.5, 0.5)), ((0.5, 0.7), (0.7, 0.1))]:
+            res = result(tp_scores, fp_scores)
+            for rates in self.RATES:
+                stats = self.statistics(rates)
+                assert _bootstrap_intervals(res, stats, 25, 3, rates) == oracle_grid_bootstrap(
+                    res, stats, 25, 3, rates)
+
+    def test_intervals_equal_grid_oracle(self):
+        skipped = no_fp = no_tp = 0
+        for c, result in enumerate(self.cohorts(43)):
+            for rates in self.RATES[:2]:
+                stats = self.statistics(rates)
+                got = _bootstrap_intervals(result, stats, 30, c, rates)
+                assert got == oracle_grid_bootstrap(result, stats, 30, c, rates)
+            skipped += got["cpm"].resamples_skipped
+            no_fp += result.n_candidates == result.n_detected
+            no_tp += result.n_detected == 0
+        assert skipped > 0 and no_fp > 0 and no_tp > 0  # each edge case was exercised
+
+    def extending_cohorts(self):
+        return [fp_heavy_result(np.random.default_rng(53)), round_robin_result()]
+
+    def test_each_resample_equals_grid_oracle_where_the_prefix_falls_short(self):
+        # two resamples a seed: each interval bound is one resample's value or
+        # the midpoint of two, so a resample that differs shows
+        for result in self.extending_cohorts():
+            n, ranking = result.n_scans, result.ranking
+            need = 8.0 * n
+            short = 0
+            for seed in range(150):
+                for rates in (FP_RATES, (4.0, 0.5, 8.0, 2.0)):
+                    stats = self.statistics(rates)
+                    got = _bootstrap_intervals(result, stats, 2, seed, rates)
+                    assert got == oracle_grid_bootstrap(result, stats, 2, seed, rates)
+                for i in range(2):
+                    draws = np.random.default_rng((seed, i)).integers(0, n, size=n)
+                    w = np.bincount(draws, minlength=n)
+                    short += int(w[ranking.fp_scan[:int(need) + 1]].sum() <= need)
+            assert short > 20  # the unweighted prefix fell short and was extended
+
+    def test_unsorted_rates_read_past_the_last_rate(self):
+        # the prefix must reach 4 FP/scan, the largest rate, not 2, the last one
+        for result in self.extending_cohorts():
+            rates = (4.0, 0.5, 2.0)
+            stats = self.statistics(rates)
+            for seed in range(40):
+                got = _bootstrap_intervals(result, stats, 2, seed, rates)
+                assert got == oracle_grid_bootstrap(result, stats, 2, seed, rates)
 
 
 class TestStratified:

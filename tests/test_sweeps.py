@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from trifuse.sweeps import (
 )
 
 from conftest import cand, cpm_fixture, ref
-from oracles import oracle_confusion, oracle_froc, oracle_sweep_cade
+from oracles import oracle_confusion, oracle_froc, oracle_grid_sweep_cade, oracle_sweep_cade
 
 
 class TestSweepCadx:
@@ -192,11 +194,23 @@ class TestSweepCade:
                 grid = sorted({c.score for c in cands})
                 between = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
                 thresholds = [0.0, 1.0, 0.95, *grid[:3], *between[:3]]
-                for rates in (FP_RATES, (0.5, 2.0, 3.0)):
+                for rates in (FP_RATES, (0.5, 2.0, 3.0), (4.0, 0.5, 2.0), (-1.0, 0.0, math.nan)):
                     rows = sweep_cade(cands, refs, thresholds, rates, scan_ids=scan_ids)
                     assert rows == oracle_sweep_cade(result, thresholds, rates)
+                    assert rows == oracle_grid_sweep_cade(result, thresholds, rates)
                 checked += 1
         assert checked > 30
+
+    def test_rows_without_false_or_true_positives_equal_grid_oracle(self):
+        refs = [ref("s1", "n1", 0, 0, 0, 8.0), ref("s2", "n1", 0, 0, 0, 8.0)]
+        hits = [cand("s1", "c1", 0, 0, 0, 0.5), cand("s2", "c1", 0, 0, 0, 0.25)]
+        misses = [cand("s1", "c2", 90, 0, 0, 0.5), cand("s2", "c2", 90, 0, 0, 0.75)]
+        for cands in (hits, misses, hits + misses):
+            result = match_lesions(cands, refs)
+            thresholds = [0.0, 0.25, 0.3, 0.5, 0.75, 1.0]
+            for rates in (FP_RATES, (4.0, 0.5, 2.0)):
+                rows = sweep_cade(cands, refs, thresholds, rates)
+                assert rows == oracle_grid_sweep_cade(result, thresholds, rates)
 
     def test_zero_references_rejected(self):
         with pytest.raises(InputError):
