@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import sys
 import tempfile
+from collections.abc import Callable
 from pathlib import Path
 
 from . import fileio
-from .domain import SOURCE_MODEL_A, SOURCE_MODEL_B, PipelineConfig
+from .domain import SOURCE_MODEL_A, SOURCE_MODEL_B, PipelineConfig, require_finite
 from .errors import ConfigError, InputError, InvariantError, ScorerError
 from .froc import (
     STRATIFIERS,
@@ -46,17 +48,22 @@ DEFAULT_SEED = 17
 DEFAULT_RESAMPLES = 1000
 
 
-class _Options:
-    """Layered option lookup: explicit flag, then config file, then default.
+class _Run:
+    """One command run: its options, the inputs it read, and its manifest.
 
-    Records every name looked up, so config keys no lookup asked for can be
-    reported.
+    Options are looked up layered: explicit flag, then config file, then
+    default. Every name looked up is recorded, so config keys no lookup asked
+    for can be reported; every file read is recorded under its role, so the
+    manifest covers exactly the inputs the outputs came from.
     """
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.config = fileio.parse_config_file(args.config) if args.config else {}
         self.looked_up: set[str] = set()
+        self.inputs: dict[str, str | Path] = {}
+        self.convention = self.choice("coordinate-convention", ("lps", "ras"), "lps")
+        self.seed = self.get("seed", DEFAULT_SEED, int)
 
     def unused_config_keys(self) -> list[str]:
         return [key for key in self.config if key not in self.looked_up]
@@ -95,6 +102,48 @@ class _Options:
             raise InputError(f"--{name} must be one of {choices}, got {value!r}")
         return value
 
+    def input(self, name: str, required: bool = True):
+        """The path a file option names, recorded as an input under its role."""
+        path = self.require(name) if required else self.get(name)
+        if path:
+            self.inputs[name.replace("-", "_")] = path
+        return path
+
+    def volumes(self, directory: str | Path, kind: str, role: str) -> Callable[[str], Volume]:
+        """Per-scan volume loader; records each header read as ``<role>:<scan_id>``.
+
+        Only the last requested scan stays resident. Commands work scan by scan,
+        so every lookup within a scan reuses it and each volume is mapped once.
+        """
+        directory = Path(directory)
+        current: dict[str, Volume] = {}
+
+        def load(scan_id: str) -> Volume:
+            if scan_id not in current:
+                header = directory / f"{scan_id}.hdr"
+                if not header.exists():
+                    raise InputError(f"no {kind} volume for scan {scan_id!r}: {header} not found")
+                current.clear()
+                current[scan_id] = load_volume(header)
+                self.inputs[f"{role}:{scan_id}"] = header
+            return current[scan_id]
+
+        return load
+
+    def write(self, command: str, config: dict, manifest_path: Path,
+              write_outputs: Callable[[str], object]) -> None:
+        """Build the manifest over the recorded inputs, write the outputs
+        under its digest, then write the manifest."""
+        manifest = fileio.build_manifest(command=command, config=config,
+                                         inputs=self.inputs, seed=self.seed)
+        write_outputs(manifest["digest"])
+        fileio.write_manifest(manifest_path, manifest)
+
+
+def _sibling(path: Path, suffix: str) -> Path:
+    """``dir/name.csv`` -> ``dir/name<suffix>``."""
+    return path.parent / (path.stem + suffix)
+
 
 def _parse_thresholds(text: str) -> list[float]:
     try:
@@ -103,71 +152,41 @@ def _parse_thresholds(text: str) -> list[float]:
         raise InputError(f"malformed threshold list {text!r}") from None
 
 
-def _volume_dir_loader(directory: str | Path, kind: str):
-    """Per-scan volume loader; records which files were read.
-
-    Only the last requested scan stays resident. Commands work scan by scan,
-    so every lookup within a scan reuses it and each volume is mapped once.
-    """
-    directory = Path(directory)
-    current: dict[str, Volume] = {}
-    loaded: dict[str, Path] = {}
-
-    def load(scan_id: str) -> Volume:
-        if scan_id not in current:
-            header = directory / f"{scan_id}.hdr"
-            if not header.exists():
-                raise InputError(f"no {kind} volume for scan {scan_id!r}: {header} not found")
-            current.clear()
-            current[scan_id] = load_volume(header)
-            loaded[scan_id] = header
-        return current[scan_id]
-
-    return load, loaded
+def _parse_labels(text: str) -> frozenset[int]:
+    return frozenset(int(v) for v in text.split(",") if v.strip())
 
 
-def _pipeline_config(opts: _Options) -> PipelineConfig:
-    lung_labels = opts.get("lung-labels", None)
-    if isinstance(lung_labels, str):
-        lung_labels = frozenset(int(v) for v in lung_labels.split(",") if v.strip())
-    kwargs = dict(
-        tau_cadx=opts.get("tau-cadx", 0.10, float),
-        tau_cade=opts.get("tau-cade", 0.20, float),
-        consensus_radius_policy=opts.get("consensus-radius-policy", "adaptive"),
-        consensus_radius_mm=opts.get("consensus-radius-mm", 5.0, float),
-        dedup_radius_mm=opts.get("dedup-radius-mm", 2.0, float),
-    )
-    if lung_labels:
-        kwargs["lung_labels"] = lung_labels
-    return PipelineConfig(**kwargs)
+def _pipeline_config(run: _Run) -> PipelineConfig:
+    """Each ``PipelineConfig`` field given as a flag or config key (``tau_cade``
+    as ``tau-cade``); the fields' own defaults fill the rest."""
+    casts = {"consensus_radius_policy": str, "lung_labels": _parse_labels}
+    given = {}
+    for field in dataclasses.fields(PipelineConfig):
+        value = run.get(field.name.replace("_", "-"), None, casts.get(field.name, float))
+        if value is not None:
+            given[field.name] = value
+    return PipelineConfig(**given)
 
 
-def cmd_fuse(opts: _Options) -> int:
-    convention = opts.choice("coordinate-convention", ("lps", "ras"), "lps")
-    seed = opts.get("seed", DEFAULT_SEED, int)
-    cfg = _pipeline_config(opts)
-    cade_a = opts.require("cade-a")
-    cade_b = opts.require("cade-b")
-    out_path = Path(opts.require("out"))
+def cmd_fuse(run: _Run) -> int:
+    cfg = _pipeline_config(run)
+    cade_a = run.input("cade-a")
+    cade_b = run.input("cade-b")
+    out_path = Path(run.require("out"))
 
-    candidates_a = fileio.read_candidates(cade_a, convention, expected_model=SOURCE_MODEL_A)
-    candidates_b = fileio.read_candidates(cade_b, convention, expected_model=SOURCE_MODEL_B)
+    candidates_a = fileio.read_candidates(cade_a, run.convention, expected_model=SOURCE_MODEL_A)
+    candidates_b = fileio.read_candidates(cade_b, run.convention, expected_model=SOURCE_MODEL_B)
 
-    cadx_scores_path = opts.get("cadx-scores")
-    cadx_cmd = opts.get("cadx-cmd")
+    cadx_scores_path = run.input("cadx-scores", required=False)
+    cadx_cmd = run.get("cadx-cmd")
     if cadx_scores_path and cadx_cmd:
         raise InputError("use either --cadx-scores or --cadx-cmd, not both")
-    volumes_dir = opts.get("volumes")
+    volumes_dir = run.get("volumes")
     if cadx_cmd and not volumes_dir:
         raise InputError("--cadx-cmd needs --volumes DIR to extract patches from")
 
-    masks_dir = opts.get("masks")
-    mask_loader = None
-    masks_loaded: dict[str, Path] = {}
-    if masks_dir:
-        mask_loader, masks_loaded = _volume_dir_loader(masks_dir, "mask")
-
-    volumes_loaded: dict[str, Path] = {}
+    masks_dir = run.get("masks")
+    mask_loader = run.volumes(masks_dir, "mask", "mask") if masks_dir else None
     # the external scorer's patch directory lives only as long as the fusion run
     patch_dir = (tempfile.TemporaryDirectory(prefix="trifuse_patch_") if cadx_cmd
                  else contextlib.nullcontext())
@@ -176,109 +195,72 @@ def cmd_fuse(opts: _Options) -> int:
         if cadx_scores_path:
             provider = FileCadxProvider(fileio.read_cadx_scores(cadx_scores_path))
         elif cadx_cmd:
-            volume_loader, volumes_loaded = _volume_dir_loader(volumes_dir, "intensity")
-            provider = CommandCadxProvider(cadx_cmd, volume_loader, workdir=workdir)
-        output = fuse_scans(
-            candidates_a,
-            candidates_b,
-            cadx_provider=provider,
-            masks=mask_loader,
-            cfg=cfg,
-        )
+            volumes = run.volumes(volumes_dir, "intensity", "volume")
+            provider = CommandCadxProvider(cadx_cmd, volumes, workdir=workdir)
+        output = fuse_scans(candidates_a, candidates_b, cadx_provider=provider,
+                            masks=mask_loader, cfg=cfg)
 
-    inputs = {"cade_a": cade_a, "cade_b": cade_b}
-    if cadx_scores_path:
-        inputs["cadx_scores"] = cadx_scores_path
-    for scan_id, header in sorted(masks_loaded.items()):
-        inputs[f"mask:{scan_id}"] = header
-    for scan_id, header in sorted(volumes_loaded.items()):
-        inputs[f"volume:{scan_id}"] = header
-    manifest = fileio.build_manifest(
-        command="fuse",
-        config={
-            "tau_cadx": cfg.tau_cadx,
-            "tau_cade": cfg.tau_cade,
-            "consensus_radius_policy": cfg.consensus_radius_policy,
-            "consensus_radius_mm": cfg.consensus_radius_mm,
-            "dedup_radius_mm": cfg.dedup_radius_mm,
-            "lung_labels": sorted(cfg.lung_labels),
-            "coordinate_convention": convention,
-            "cadx_cmd": cadx_cmd or None,
-        },
-        inputs=inputs,
-        seed=seed,
-    )
-    fileio.write_fused_csv(out_path, output.fused, manifest["digest"])
-    fileio.write_manifest(out_path.parent / (out_path.stem + ".manifest.json"), manifest)
+    config = {**dataclasses.asdict(cfg), "lung_labels": sorted(cfg.lung_labels),
+              "coordinate_convention": run.convention, "cadx_cmd": cadx_cmd or None}
+    run.write("fuse", config, _sibling(out_path, ".manifest.json"),
+              lambda digest: fileio.write_fused_csv(out_path, output.fused, digest))
     print(f"fused {len(output.fused)} candidates across {len(output.scan_ids)} scans -> {out_path}")
     return 0
 
 
-def cmd_eval(opts: _Options) -> int:
-    convention = opts.choice("coordinate-convention", ("lps", "ras"), "lps")
-    seed = opts.get("seed", DEFAULT_SEED, int)
-    resamples = opts.get("resamples", DEFAULT_RESAMPLES, int)
-    with_ci = opts.get_flag("ci")
-    candidates_path = opts.require("candidates")
-    references_path = opts.require("references")
-    out_dir = Path(opts.require("out"))
+def cmd_eval(run: _Run) -> int:
+    resamples = run.get("resamples", DEFAULT_RESAMPLES, int)
+    with_ci = run.get_flag("ci")
+    candidates_path = run.input("candidates")
+    references_path = run.input("references")
+    out_dir = Path(run.require("out"))
 
-    candidates = fileio.read_candidates(candidates_path, convention)
-    references = fileio.read_references(references_path, convention)
+    candidates = fileio.read_candidates(candidates_path, run.convention)
+    references = fileio.read_references(references_path, run.convention)
     if not references:
         raise InputError(f"{references_path}: no reference lesions")
-    label = opts.get("label") or Path(candidates_path).stem
+    label = run.get("label") or Path(candidates_path).stem
 
-    stratify_name = opts.get("stratify")
+    stratify_name = run.get("stratify")
     if stratify_name:
         result = stratified_eval(candidates, references, stratify_name, ci=with_ci,
-                                 resamples=resamples, seed=seed)
+                                 resamples=resamples, seed=run.seed)
         overall, strata, warnings = result.overall, result.strata, result.warnings
     else:
-        overall = evaluate(candidates, references, ci=with_ci, resamples=resamples, seed=seed)
+        overall = evaluate(candidates, references, ci=with_ci, resamples=resamples, seed=run.seed)
         strata, warnings = {}, ()
 
-    manifest = fileio.build_manifest(
-        command="eval",
-        config={
-            "stratify": stratify_name or None,
-            "ci": with_ci,
-            "resamples": resamples if with_ci else None,
-            "coordinate_convention": convention,
+    def write_outputs(digest: str) -> None:
+        payload = {
+            "manifest_digest": digest,
             "label": label,
-        },
-        inputs={"candidates": candidates_path, "references": references_path},
-        seed=seed,
-    )
-    digest = manifest["digest"]
-    payload = {
-        "manifest_digest": digest,
-        "label": label,
-        "overall": fileio.froc_result_payload(overall),
-        "strata": {name: fileio.froc_result_payload(r) for name, r in strata.items()},
-        "warnings": list(warnings),
-    }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    fileio.write_json(out_dir / "metrics.json", payload, sig=6)
-    fileio.write_json(out_dir / "metrics.raw.json", payload)
-    fileio.write_csv(out_dir / "metrics.csv", fileio.METRICS_CSV_HEADER,
-                     fileio.metrics_csv_rows({"overall": overall, **strata}), digest)
-    fileio.write_matches_csv(out_dir / "matches.csv", overall.matches, label, digest)
-    fileio.write_manifest(out_dir / "manifest.json", manifest)
+            "overall": fileio.froc_result_payload(overall),
+            "strata": {name: fileio.froc_result_payload(r) for name, r in strata.items()},
+            "warnings": list(warnings),
+        }
+        out_dir.mkdir(parents=True, exist_ok=True)
+        fileio.write_json(out_dir / "metrics.json", payload, sig=6)
+        fileio.write_json(out_dir / "metrics.raw.json", payload)
+        fileio.write_csv(out_dir / "metrics.csv", fileio.METRICS_CSV_HEADER,
+                         fileio.metrics_csv_rows({"overall": overall, **strata}), digest)
+        fileio.write_matches_csv(out_dir / "matches.csv", overall.matches, label, digest)
+
+    config = {"stratify": stratify_name or None, "ci": with_ci,
+              "resamples": resamples if with_ci else None,
+              "coordinate_convention": run.convention, "label": label}
+    run.write("eval", config, out_dir / "manifest.json", write_outputs)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"evaluated {len(candidates)} candidates against {len(references)} lesions -> {out_dir}")
     return 0
 
 
-def cmd_sweep(opts: _Options) -> int:
-    convention = opts.choice("coordinate-convention", ("lps", "ras"), "lps")
-    seed = opts.get("seed", DEFAULT_SEED, int)
-    mode = opts.choice("mode", ("cadx", "cade"))
-    out_path = Path(opts.require("out"))
+def cmd_sweep(run: _Run) -> int:
+    mode = run.choice("mode", ("cadx", "cade"))
+    out_path = Path(run.require("out"))
 
-    threshold_text = opts.get("thresholds")
-    preset = opts.get_flag("preset")
+    threshold_text = run.get("thresholds")
+    preset = run.get_flag("preset")
     if threshold_text and preset:
         raise InputError("use either --thresholds or --preset, not both")
     if threshold_text:
@@ -288,41 +270,38 @@ def cmd_sweep(opts: _Options) -> int:
     else:
         raise InputError("sweep needs --thresholds LIST or --preset")
 
+    config = {"mode": mode, "thresholds": thresholds}
     if mode == "cadx":
-        scored_path = opts.get("scored")
+        scored_path = run.input("scored", required=False)
         if not scored_path:
             raise InputError("--mode cadx needs --scored FILE")
-        scores, labels = fileio.read_labeled_scores(scored_path)
-        rows = sweep_cadx(scores, labels, thresholds)
-        manifest = fileio.build_manifest(
-            command="sweep",
-            config={"mode": mode, "thresholds": thresholds},
-            inputs={"scored": scored_path},
-            seed=seed,
-        )
-        fileio.write_cadx_sweep_csv(out_path, rows, manifest["digest"])
+        rows = sweep_cadx(*fileio.read_labeled_scores(scored_path), thresholds)
+        write_rows = fileio.write_cadx_sweep_csv
     else:
-        candidates_path = opts.get("candidates")
-        references_path = opts.get("references")
+        candidates_path = run.input("candidates", required=False)
+        references_path = run.input("references", required=False)
         if not candidates_path or not references_path:
             raise InputError("--mode cade needs --candidates FILE and --references FILE")
-        candidates = fileio.read_candidates(candidates_path, convention)
-        references = fileio.read_references(references_path, convention)
+        candidates = fileio.read_candidates(candidates_path, run.convention)
+        references = fileio.read_references(references_path, run.convention)
         rows = sweep_cade(candidates, references, thresholds)
-        manifest = fileio.build_manifest(
-            command="sweep",
-            config={"mode": mode, "thresholds": thresholds,
-                    "coordinate_convention": convention},
-            inputs={"candidates": candidates_path, "references": references_path},
-            seed=seed,
-        )
-        fileio.write_cade_sweep_csv(out_path, rows, manifest["digest"])
-    fileio.write_manifest(out_path.parent / (out_path.stem + ".manifest.json"), manifest)
+        config["coordinate_convention"] = run.convention
+        write_rows = fileio.write_cade_sweep_csv
+    run.write("sweep", config, _sibling(out_path, ".manifest.json"),
+              lambda digest: write_rows(out_path, rows, digest))
     print(f"swept {len(thresholds)} thresholds ({mode}) -> {out_path}")
     return 0
 
 
-def _load_match_tables(matches_dir: str | Path, references) -> dict:
+def cmd_stats(run: _Run) -> int:
+    analysis = run.choice("analysis", ("consensus", "semantic", "overlap"))
+    per_model = run.get_flag("per-model")
+    matches_dir = run.require("matches")
+    references_path = run.input("references")
+    out_path = Path(run.require("out"))
+    references = fileio.read_references(references_path, run.convention)
+    if not references:
+        raise InputError(f"{references_path}: no reference lesions")
     files = sorted(Path(matches_dir).glob("*.csv"))
     if not files:
         raise InputError(f"{matches_dir}: no match CSV files found")
@@ -333,82 +312,61 @@ def _load_match_tables(matches_dir: str | Path, references) -> dict:
             raise InputError(
                 f"match table for model {model!r} does not cover the reference set exactly"
             )
-    return tables
+    run.inputs.update((f"matches:{p.stem}", p) for p in files)
 
-
-def cmd_stats(opts: _Options) -> int:
-    convention = opts.choice("coordinate-convention", ("lps", "ras"), "lps")
-    seed = opts.get("seed", DEFAULT_SEED, int)
-    analysis = opts.choice("analysis", ("consensus", "semantic", "overlap"))
-    per_model = opts.get_flag("per-model")
-    matches_dir = opts.require("matches")
-    references_path = opts.require("references")
-    out_path = Path(opts.require("out"))
-    references = fileio.read_references(references_path, convention)
-    if not references:
-        raise InputError(f"{references_path}: no reference lesions")
-    tables = _load_match_tables(matches_dir, references)
-
-    match_files = {f"matches:{p.stem}": p for p in sorted(Path(matches_dir).glob("*.csv"))}
-    manifest = fileio.build_manifest(
-        command="stats",
-        config={"analysis": analysis, "per_model": per_model},
-        inputs={"references": references_path, **match_files},
-        seed=seed,
-    )
-    digest = manifest["digest"]
-
-    if analysis == "consensus":
-        summaries = {
-            model: detection_probability_summary(
-                {k: v for k, v in table.items() if v is not None}, references, "consensus"
-            )
-            for model, table in tables.items()
-        }
-        fileio.write_consensus_csv(out_path, summaries, digest)
-    elif analysis == "semantic":
-        detected_by_model = {
-            model: {k for k, v in table.items() if v is not None}
-            for model, table in tables.items()
-        }
-        if per_model:
-            result = detected_vs_missed_table(detected_by_model, references, pooled=False)
+    def write_outputs(digest: str) -> None:
+        if analysis == "consensus":
+            summaries = {
+                model: detection_probability_summary(
+                    {k: v for k, v in table.items() if v is not None}, references, "consensus"
+                )
+                for model, table in tables.items()
+            }
+            fileio.write_consensus_csv(out_path, summaries, digest)
+        elif analysis == "semantic":
+            detected_by_model = {
+                model: {k for k, v in table.items() if v is not None}
+                for model, table in tables.items()
+            }
+            if per_model:
+                result = detected_vs_missed_table(detected_by_model, references, pooled=False)
+            else:
+                result = {"pooled": detected_vs_missed_table(detected_by_model, references,
+                                                             pooled=True)}
+            fileio.write_semantic_csv(out_path, result, digest)
+            for table in result.values():
+                for diagnostic in table.diagnostics:
+                    print(f"warning: {diagnostic}", file=sys.stderr)
         else:
-            result = {"pooled": detected_vs_missed_table(detected_by_model, references, pooled=True)}
-        fileio.write_semantic_csv(out_path, result, digest)
-        for table in result.values():
-            for diagnostic in table.diagnostics:
-                print(f"warning: {diagnostic}", file=sys.stderr)
-    else:
-        missed_by_model = {
-            model: {k for k, v in table.items() if v is None}
-            for model, table in tables.items()
-        }
-        rows = missed_overlap_table(missed_by_model, references)
-        fileio.write_overlap_csv(out_path, rows, digest)
-    fileio.write_manifest(out_path.parent / (out_path.stem + ".manifest.json"), manifest)
+            missed_by_model = {
+                model: {k for k, v in table.items() if v is None}
+                for model, table in tables.items()
+            }
+            rows = missed_overlap_table(missed_by_model, references)
+            fileio.write_overlap_csv(out_path, rows, digest)
+
+    run.write("stats", {"analysis": analysis, "per_model": per_model},
+              _sibling(out_path, ".manifest.json"), write_outputs)
     print(f"{analysis} analysis over {len(tables)} model(s) -> {out_path}")
     return 0
 
 
-def cmd_link(opts: _Options) -> int:
-    convention = opts.choice("coordinate-convention", ("lps", "ras"), "lps")
-    seed = opts.get("seed", DEFAULT_SEED, int)
-    reports_path = opts.require("reports")
-    fused_path = opts.require("fused")
-    out_path = Path(opts.require("out"))
-    size_tol = opts.get("size-tol-mm", 3.0, float)
-    ordinal_tol = opts.get("ordinal-tol", 1, int)
-    grammar_path = opts.get("grammar")
+def cmd_link(run: _Run) -> int:
+    reports_path = run.input("reports")
+    fused_path = run.input("fused")
+    out_path = Path(run.require("out"))
+    size_tol = require_finite("--size-tol-mm", run.get("size-tol-mm", 3.0, float))
+    ordinal_tol = run.get("ordinal-tol", 1, int)
+    for name, value in (("size-tol-mm", size_tol), ("ordinal-tol", ordinal_tol)):
+        if value < 0:
+            raise InputError(f"--{name} must be non-negative, got {value}")
+    grammar_path = run.input("grammar", required=False)
+    masks_dir = run.get("masks")
 
     reports = fileio.read_reports(reports_path)
     grammar = load_grammar(grammar_path) if grammar_path else default_grammar()
-    fused = fileio.read_fused(fused_path, convention)
-
-    mask_loader = None
-    masks_loaded: dict[str, Path] = {}
-    if opts.get("masks"):
-        mask_loader, masks_loaded = _volume_dir_loader(opts.get("masks"), "mask")
+    fused = fileio.read_fused(fused_path, run.convention)
+    mask_loader = run.volumes(masks_dir, "mask", "mask") if masks_dir else None
 
     entities = []
     entities_by_scan: dict[str, list] = {}
@@ -435,23 +393,13 @@ def cmd_link(opts: _Options) -> int:
             )
         )
 
-    inputs = {"reports": reports_path, "fused": fused_path}
-    if grammar_path:
-        inputs["grammar"] = grammar_path
-    for scan_id, header in sorted(masks_loaded.items()):
-        inputs[f"mask:{scan_id}"] = header
-    manifest = fileio.build_manifest(
-        command="link",
-        config={"size_tol_mm": size_tol, "ordinal_tol": ordinal_tol,
-                "coordinate_convention": convention},
-        inputs=inputs,
-        seed=seed,
-    )
-    fileio.write_entity_matches_csv(out_path, matches, manifest["digest"])
-    fileio.write_entities_csv(
-        out_path.parent / (out_path.stem + ".entities.csv"), entities, manifest["digest"]
-    )
-    fileio.write_manifest(out_path.parent / (out_path.stem + ".manifest.json"), manifest)
+    def write_outputs(digest: str) -> None:
+        fileio.write_entity_matches_csv(out_path, matches, digest)
+        fileio.write_entities_csv(_sibling(out_path, ".entities.csv"), entities, digest)
+
+    config = {"size_tol_mm": size_tol, "ordinal_tol": ordinal_tol,
+              "coordinate_convention": run.convention}
+    run.write("link", config, _sibling(out_path, ".manifest.json"), write_outputs)
     matched = sum(1 for m in matches if m.status == "matched")
     print(f"linked {matched}/{len(entities)} entities -> {out_path}")
     return 0
@@ -533,9 +481,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        opts = _Options(args)
-        code = args.func(opts)
-        for key in opts.unused_config_keys():
+        run = _Run(args)
+        code = args.func(run)
+        for key in run.unused_config_keys():
             print(f"warning: {args.config}: key {key!r} was not used by {args.subcommand}",
                   file=sys.stderr)
         return code

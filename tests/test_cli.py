@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import random
@@ -266,16 +267,39 @@ class TestFuseCommand:
         assert manifest["config"]["tau_cadx"] == 0.10  # flag wins
         assert manifest["config"]["tau_cade"] == 0.9  # config applies
 
+    def test_malformed_lung_labels_exits_2(self, tmp_path, e2e_inputs, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lung-labels=a,b\n")
+        out = tmp_path / "fused.csv"
+        assert run(["fuse", "--cade-a", e2e_inputs["cade_a"], "--cade-b", e2e_inputs["cade_b"],
+                    "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: config key 'lung-labels' has invalid value 'a,b'\n"
+        assert not out.exists()
+
+    def test_zero_threshold_in_config_is_applied(self, tmp_path, e2e_inputs):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tau-cade=0\n")
+        out = tmp_path / "fused.csv"
+        assert run(["fuse", "--cade-a", e2e_inputs["cade_a"], "--cade-b", e2e_inputs["cade_b"],
+                    "--cadx-scores", e2e_inputs["cadx_scores"], "--config", cfg,
+                    "--out", out]) == 0
+        manifest = json.loads((tmp_path / "fused.manifest.json").read_text())
+        assert manifest["config"]["tau_cade"] == 0.0
+        # x1 (score 0.15, CADx 0.02) is kept only when tau_cade is 0
+        assert "x1" in (out.read_text())
+
 
 def test_volume_dir_loader_keeps_only_the_current_scan(tmp_path):
-    load, loaded = cli._volume_dir_loader(write_volumes(tmp_path, ("s1", "s2")), "mask")
+    run_ = cli._Run(argparse.Namespace(config=None))
+    load = run_.volumes(write_volumes(tmp_path, ("s1", "s2")), "mask", "mask")
     first = load("s1")
     assert load("s1") is first
     released = weakref.ref(first)
     del first
     load("s2")
     assert released() is None
-    assert sorted(loaded) == ["s1", "s2"]
+    assert sorted(run_.inputs) == ["mask:s1", "mask:s2"]
 
 
 class TestEvalCommand:
@@ -625,6 +649,21 @@ class TestLinkCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {fused}:3: duplicate candidate_id 'F0000' on scan 's1'\n")
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--size-tol-mm", "nan", "--size-tol-mm is not finite: nan"),
+        ("--size-tol-mm", "inf", "--size-tol-mm is not finite: inf"),
+        ("--size-tol-mm", "-1", "--size-tol-mm must be non-negative, got -1.0"),
+        ("--ordinal-tol", "-3", "--ordinal-tol must be non-negative, got -3"),
+    ])
+    def test_invalid_tolerance_exits_2_before_reading(self, tmp_path, capsys, flag, value,
+                                                      message):
+        # neither input exists: the tolerance is rejected before any is read
+        out = tmp_path / "links.csv"
+        assert run(["link", "--reports", tmp_path / "none.tsv", "--fused",
+                    tmp_path / "none.csv", flag, value, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_shuffled_fused_rows_give_same_links(self, tmp_path, monkeypatch):
         header = ("scan_id,candidate_id,x_mm,y_mm,z_mm,diameter_mm,score,model,"
                   "tier,stage,cadx_avg,provenance\n")
@@ -799,3 +838,271 @@ class TestFuseLinkBytePin:
         got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in self.DIGESTS}
         assert got == self.DIGESTS
+
+
+PIN_REPORTS = (
+    "r1\ts1\tA 6 mm nodule in the left upper lobe.\n"
+    "r2\ts2\tA 9 mm nodule in the left lower lobe; a 4 mm opacity, spiculation: 2\n"
+    "r3\ts3\tNodule on the right, malignancy 4. Lung-RADS 3\n"
+    "r4\ts4\tno findings\n"
+)
+PIN_GRAMMAR = {"rules": [
+    {"field": "mention", "pattern": r"\b(nodule|opacity)\b"},
+    {"field": "size_mm", "pattern": r"(?P<value>\d+(?:\.\d+)?)\s*mm\b"},
+    {"field": "lobe", "pattern": r"\bleft\s+upper\s+lobe\b", "value": "LUL"},
+    {"field": "lobe", "pattern": r"\bleft\s+lower\s+lobe\b", "value": "LLL"},
+    {"field": "laterality", "pattern": r"\bright\b", "value": "right"},
+    {"field": "ordinal:spiculation", "pattern": r"\bspiculation\s*[:=]?\s*(?P<value>\d)\b"},
+]}
+
+
+def write_manifest_pin_inputs(directory):
+    """The end-to-end fixture plus what the other commands read: lobe masks
+    and intensity volumes for s1-s4, labeled scores, reports and a grammar."""
+    from conftest import write_e2e_inputs
+
+    paths = write_e2e_inputs(directory)
+    # 8^3 voxels of 64 mm around the origin hold every fixture candidate
+    origin, spacing = WorldPoint(-256.0, -256.0, -256.0), (64.0, 64.0, 64.0)
+    for sub in ("masks", "vols"):
+        (directory / sub).mkdir()
+    for k, scan in enumerate(("s1", "s2", "s3", "s4")):
+        labels = np.full((8, 8, 8), 28 + k, dtype=np.uint8)
+        values = np.arange(512, dtype=np.int16).reshape(8, 8, 8) * (k + 1) - 700
+        save_volume(Volume.from_array(labels, spacing, origin), directory / "masks" / f"{scan}.hdr")
+        save_volume(Volume.from_array(values, spacing, origin), directory / "vols" / f"{scan}.hdr")
+    paths["masks"] = directory / "masks"
+    paths["vols"] = directory / "vols"
+    paths["scored"] = directory / "scored.csv"
+    paths["scored"].write_text("scan_id,candidate_id,score,label\n"
+                               "s1,c1,0.9,cancer\ns1,c2,0.4,no-cancer\ns2,c3,0.45,cancer\n"
+                               "s2,c4,0.05,no-cancer\ns3,c5,0.5,no-cancer\n")
+    paths["reports"] = directory / "reports.tsv"
+    paths["reports"].write_text(PIN_REPORTS)
+    paths["grammar"] = directory / "grammar.json"
+    paths["grammar"].write_text(json.dumps(PIN_GRAMMAR, indent=1))
+    paths["config"] = directory / "fuse.cfg"
+    paths["config"].write_text("lung-labels=28,29\ndedup-radius-mm=1.5\nseed=5\n")
+    return paths
+
+
+class TestManifestPin:
+    """Each command variant keeps its manifest (digest, config, seed, input
+    roles) and the bytes of every output, as recorded before the commands
+    shared one run object. Inputs are the end-to-end fixture, except that
+    ``stats`` reads the rated references and match tables of
+    ``write_stats_fixture``."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        import hashlib
+        import os
+
+        root = tmp_path_factory.mktemp("pin")
+        p = write_manifest_pin_inputs(root / "inputs")
+        # the scorer command names "python3", found on PATH, so the manifest
+        # config (and digest) do not depend on where the interpreter lives
+        shim = root / "bin"
+        shim.mkdir()
+        (shim / "python3").symlink_to(sys.executable)
+        scorer = "python3 -c \"print(0.5, 0.5)\""
+        fuse = ["fuse", "--cade-a", p["cade_a"], "--cade-b", p["cade_b"]]
+        fused = root / "fuse_plain" / "fused.csv"
+        # references with votes and ratings, so every analysis has rows
+        rated, matches = write_stats_fixture(root)
+        stats = ["stats", "--matches", matches, "--references", rated]
+        link = ["link", "--reports", p["reports"], "--fused", fused]
+        variants = {
+            "fuse_plain": fuse + ["--cadx-scores", p["cadx_scores"]],
+            "fuse_masks_config": fuse + ["--cadx-scores", p["cadx_scores"], "--masks", p["masks"],
+                                         "--config", p["config"], "--coordinate-convention", "ras"],
+            "fuse_volumes_cmd": fuse + ["--masks", p["masks"], "--volumes", p["vols"],
+                                        "--cadx-cmd", scorer],
+            "eval_plain": ["eval", "--candidates", p["cade_a"], "--references", p["references"]],
+            "eval_ci": ["eval", "--candidates", fused, "--references", p["references"],
+                        "--stratify", "size:dlcs", "--ci", "--resamples", 40, "--seed", 3,
+                        "--label", "A"],
+            "sweep_cade": ["sweep", "--mode", "cade", "--preset", "--candidates", p["cade_a"],
+                           "--references", p["references"]],
+            "sweep_cadx": ["sweep", "--mode", "cadx", "--thresholds", "0.1,0.5",
+                           "--scored", p["scored"]],
+            "stats_consensus": stats + ["--analysis", "consensus"],
+            "stats_semantic": stats + ["--analysis", "semantic"],
+            "stats_semantic_per_model": stats + ["--analysis", "semantic", "--per-model"],
+            "stats_overlap": stats + ["--analysis", "overlap"],
+            "link_plain": link,
+            "link_masks_grammar": link + ["--masks", p["masks"], "--grammar", p["grammar"],
+                                          "--size-tol-mm", 2, "--ordinal-tol", 0],
+        }
+        got = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("PATH", f"{shim}{os.pathsep}{os.environ.get('PATH', '')}")
+            for name, argv in variants.items():
+                out_dir = root / name
+                command = name.split("_")[0]
+                out = out_dir if command == "eval" else out_dir / f"{self.OUT[command]}.csv"
+                assert run(argv + ["--out", out]) == 0, name
+                outputs = {}
+                for path in sorted(out_dir.iterdir()):
+                    if path.name.endswith("manifest.json"):
+                        manifest = json.loads(path.read_text())
+                    else:
+                        outputs[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+                got[name] = {"digest": manifest["digest"], "config": manifest["config"],
+                             "seed": manifest["seed"], "inputs": sorted(manifest["inputs"]),
+                             "outputs": outputs}
+        return got
+
+    OUT = {"fuse": "fused", "sweep": "sweep", "stats": "stats", "link": "links"}
+    EXPECTED = {
+        "fuse_plain": {
+            "digest": "cfc68d03dca63499658331fdcfe21a8b249706cf1022c28cf82420404ca8cf39",
+            "config": {"cadx_cmd": None, "consensus_radius_mm": 5.0,
+                       "consensus_radius_policy": "adaptive", "coordinate_convention": "lps",
+                       "dedup_radius_mm": 2.0, "lung_labels": [28, 29, 30, 31, 32],
+                       "tau_cade": 0.2, "tau_cadx": 0.1},
+            "seed": 17,
+            "inputs": ["cade_a", "cade_b", "cadx_scores"],
+            "outputs": {
+                "fused.csv": "7a9270fa2e414a0abc1b2995a138d1319b83706f850fa0b866191c415c94e891",
+            },
+        },
+        "fuse_masks_config": {
+            "digest": "b5053b217f3d7074c55ae1aa3074eb850d059427e3a0c006005c9223c1ee6d42",
+            "config": {"cadx_cmd": None, "consensus_radius_mm": 5.0,
+                       "consensus_radius_policy": "adaptive", "coordinate_convention": "ras",
+                       "dedup_radius_mm": 1.5, "lung_labels": [28, 29], "tau_cade": 0.2,
+                       "tau_cadx": 0.1},
+            "seed": 5,
+            "inputs": [
+                "cade_a", "cade_b", "cadx_scores", "mask:s1", "mask:s2", "mask:s3", "mask:s4",
+            ],
+            "outputs": {
+                "fused.csv": "a736b72499dba841256f25b4c076aa50396dc1cd3ec924820b57c10d3a2f6ad7",
+            },
+        },
+        "fuse_volumes_cmd": {
+            "digest": "2d215de9c57c6b2ebf251fd7a6012e550ade8fa56ab7c7878a259d636a1d8142",
+            "config": {"cadx_cmd": "python3 -c \"print(0.5, 0.5)\"", "consensus_radius_mm": 5.0,
+                       "consensus_radius_policy": "adaptive", "coordinate_convention": "lps",
+                       "dedup_radius_mm": 2.0, "lung_labels": [28, 29, 30, 31, 32],
+                       "tau_cade": 0.2, "tau_cadx": 0.1},
+            "seed": 17,
+            "inputs": [
+                "cade_a", "cade_b", "mask:s1", "mask:s2", "mask:s3", "mask:s4", "volume:s1",
+                "volume:s2", "volume:s3", "volume:s4",
+            ],
+            "outputs": {
+                "fused.csv": "97bde14f384387a58618ce35027bc302aaa6a2c2185a6d65194c3f564d1db0f4",
+            },
+        },
+        "eval_plain": {
+            "digest": "ae3dab1f7e9a13a3a16a1fde8123de8b98737e1806520402669751e42c6760b3",
+            "config": {"ci": False, "coordinate_convention": "lps", "label": "cade_a",
+                       "resamples": None, "stratify": None},
+            "seed": 17,
+            "inputs": ["candidates", "references"],
+            "outputs": {
+                "matches.csv": "054efddc7ac968f01b94bbe7f02ab7aa5d551d482aed1b3e6780f398431ef0fe",
+                "metrics.csv": "917ca0705164ef58e3816bf10e5be1d659d6b002f55e7325677a6b77998f9a95",
+                "metrics.json": "658322bcecd28e408b1314dcefd01d73bdaa5b3861d0c4915d80321e3b25d745",
+                "metrics.raw.json": "0d33d61785b8ab33cc57f81da2693c100ec76f9bd0d5b36635c23ebd3427037e",
+            },
+        },
+        "eval_ci": {
+            "digest": "8afbb60e3dca4954220c7396073b1ceeee84c2b5ddc4a81eb237a7f3293d9a75",
+            "config": {"ci": True, "coordinate_convention": "lps", "label": "A", "resamples": 40,
+                       "stratify": "size:dlcs"},
+            "seed": 3,
+            "inputs": ["candidates", "references"],
+            "outputs": {
+                "matches.csv": "2b70fe4a2d20b068c7b155e09cb27a1aba797cc8b91b69331d6b0737f900c41a",
+                "metrics.csv": "008dbec31faa4f72603611eff03ae51c0a2e8c9bcafcd6b311fe5baf128e8d8f",
+                "metrics.json": "a6d8aa73777215c99b80f97936746b897ebd3e4e9f7c92e97343caf2eebc2f64",
+                "metrics.raw.json": "1c298d83b1851b046d57a8ec93f72b6fe8670d92f64b44cad43e63768b1eee2b",
+            },
+        },
+        "sweep_cade": {
+            "digest": "ac26fb39007cbd5e4cfa200efa61ff5af44ceaebe4b32324b50140b0edef70f8",
+            "config": {"coordinate_convention": "lps", "mode": "cade",
+                       "thresholds": [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5]},
+            "seed": 17,
+            "inputs": ["candidates", "references"],
+            "outputs": {
+                "sweep.csv": "f6ee44ce5d63a32900ad264bac69372152a0ab5ed518014130a735c215449d86",
+            },
+        },
+        "sweep_cadx": {
+            "digest": "606e53baf6544c9dd2aa626dc76b768794dfa6fc7f00501e5e6cd18f3db5ed69",
+            "config": {"mode": "cadx", "thresholds": [0.1, 0.5]},
+            "seed": 17,
+            "inputs": ["scored"],
+            "outputs": {
+                "sweep.csv": "53c8d1d2c42f167768ff73c55d5b0ecb92f92a473f8d085ab665cd53905baf99",
+            },
+        },
+        "stats_consensus": {
+            "digest": "9ceaa46ff6dfb84d8f0658e40ab48672176f5ef32fd19df09550f4125c3f9aa4",
+            "config": {"analysis": "consensus", "per_model": False},
+            "seed": 17,
+            "inputs": ["matches:matches_A", "matches:matches_B", "references"],
+            "outputs": {
+                "stats.csv": "e012233fad226ccebd18fec08ec2d532fa3bb46e665dd980feeb65f0a05024c0",
+            },
+        },
+        "stats_semantic": {
+            "digest": "13b687d3e0322e3d2a37670d87aeeb3b451a3987ad8d06cb8b10f32ecc7cb3d9",
+            "config": {"analysis": "semantic", "per_model": False},
+            "seed": 17,
+            "inputs": ["matches:matches_A", "matches:matches_B", "references"],
+            "outputs": {
+                "stats.csv": "1880d74798560544a2f62b0e55d22e293016464f4cc2460a7889f7bc9f5d20fb",
+            },
+        },
+        "stats_semantic_per_model": {
+            "digest": "3d4b4344958a66b446d1ff2e4390c80b263b58187dd5df284b514014c12b3191",
+            "config": {"analysis": "semantic", "per_model": True},
+            "seed": 17,
+            "inputs": ["matches:matches_A", "matches:matches_B", "references"],
+            "outputs": {
+                "stats.csv": "cda86edb262a5e579faf62fd51bed8c4a929a7bb99e980ac706e31ad61e34852",
+            },
+        },
+        "stats_overlap": {
+            "digest": "1c2865a0c930ebccf94a3057cc69b1948f18b910177ae9d4c07fe33f96f49978",
+            "config": {"analysis": "overlap", "per_model": False},
+            "seed": 17,
+            "inputs": ["matches:matches_A", "matches:matches_B", "references"],
+            "outputs": {
+                "stats.csv": "e32cfba2415ae971b92617aff64fcd89a33ced538e0f979998cb64f6d1f22216",
+            },
+        },
+        "link_plain": {
+            "digest": "0911496d92e8ef78d9b3a65109f84a0fd1b2631926c4131e6d51ba5ed74c0b75",
+            "config": {"coordinate_convention": "lps", "ordinal_tol": 1, "size_tol_mm": 3.0},
+            "seed": 17,
+            "inputs": ["fused", "reports"],
+            "outputs": {
+                "links.csv": "4cdc8b0aa9f76a09c931d4af5304f2ce126381b37a8b8580d10d6273a712b3f1",
+                "links.entities.csv": "61bfac130e3e78247510c9c87ae319a4152851f75b5e4b71086245616e90ae88",
+            },
+        },
+        "link_masks_grammar": {
+            "digest": "10c28520f36da65d7a699d3f339dc4256e46625257386056fc1a6b75dc2fa357",
+            "config": {"coordinate_convention": "lps", "ordinal_tol": 0, "size_tol_mm": 2.0},
+            "seed": 17,
+            "inputs": ["fused", "grammar", "mask:s1", "mask:s2", "mask:s3", "mask:s4", "reports"],
+            "outputs": {
+                "links.csv": "b4b73f33c86bf750688b1b54b3147c20ec37cbcf4c8fe22e1ebe0a937e76cebf",
+                "links.entities.csv": "8bead525687755754b3e25fb16742816e6236e4e74ffe2caaf2b99638cb3a0c0",
+            },
+        },
+    }
+
+    @pytest.mark.parametrize("variant", [
+        "fuse_plain", "fuse_masks_config", "fuse_volumes_cmd", "eval_plain", "eval_ci",
+        "sweep_cade", "sweep_cadx", "stats_consensus", "stats_semantic",
+        "stats_semantic_per_model", "stats_overlap", "link_plain", "link_masks_grammar",
+    ])
+    def test_manifest_and_outputs_keep_their_values(self, runs, variant):
+        assert runs[variant] == self.EXPECTED[variant]
