@@ -1,10 +1,12 @@
 """Command-line surface: fuse, eval, sweep, stats and link subcommands.
 
 Every command is deterministic given (inputs, flags, seed). Exit codes:
-0 success, 2 input/schema error or an output path that cannot be written,
-3 external-scorer failure, 4 internal invariant violation. A ``--config
-FILE`` of key=value lines mirrors every flag (keys are the long flag names
-without the leading dashes); explicit flags win over the config file.
+0 success; 2 input/schema error, an output path that cannot be written or
+that is an input, or ``fuse`` with a candidate to score but no CADx
+provider; 3 a CADx scorer that failed, or whose patch could not be
+prepared; 4 internal invariant violation. A ``--config FILE`` of key=value
+lines mirrors every flag (keys are the long flag names without the leading
+dashes); explicit flags win over the config file.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import os
 import sys
 import tempfile
 from collections.abc import Callable
@@ -95,9 +98,7 @@ class _Run:
         return value
 
     def choice(self, name: str, choices: tuple[str, ...], default=None):
-        value = self.get(name, default)
-        if value is None:
-            raise InputError(f"missing required option --{name} (flag or config key)")
+        value = self.require(name) if default is None else self.get(name, default)
         if value not in choices:
             raise InputError(f"--{name} must be one of {choices}, got {value!r}")
         return value
@@ -130,10 +131,22 @@ class _Run:
 
         return load
 
-    def write(self, command: str, config: dict, manifest_path: Path,
-              write_outputs: Callable[[str], object]) -> None:
+    def write(self, command: str, config: dict, outputs: list[Path],
+              write_outputs: Callable[[str], object], manifest_path: Path | None = None) -> None:
         """Build the manifest over the recorded inputs, write the outputs
-        under its digest, then write the manifest."""
+        under its digest, then write the manifest (by default next to the
+        first output, as ``<name>.manifest.json``). An output or the manifest
+        that is the same file as a recorded input is an error, raised before
+        anything is written."""
+        manifest_path = manifest_path or _sibling(outputs[0], ".manifest.json")
+        existing = {path: os.stat(path) for path in (*outputs, manifest_path)
+                    if os.path.exists(path)}
+        for role, source in self.inputs.items() if existing else ():
+            source_stat = os.stat(source)
+            for path, stat in existing.items():
+                if os.path.samestat(stat, source_stat):
+                    raise InputError(f"output {path} is the {role} input {source}; "
+                                     "refusing to overwrite it")
         manifest = fileio.build_manifest(command=command, config=config,
                                          inputs=self.inputs, seed=self.seed)
         write_outputs(manifest["digest"])
@@ -197,12 +210,17 @@ def cmd_fuse(run: _Run) -> int:
         elif cadx_cmd:
             volumes = run.volumes(volumes_dir, "intensity", "volume")
             provider = CommandCadxProvider(cadx_cmd, volumes, workdir=workdir)
-        output = fuse_scans(candidates_a, candidates_b, cadx_provider=provider,
-                            masks=mask_loader, cfg=cfg)
+        try:
+            output = fuse_scans(candidates_a, candidates_b, cadx_provider=provider,
+                                masks=mask_loader, cfg=cfg)
+        except ScorerError as err:
+            if provider is None:  # no scorer ran: the run was not given one
+                raise InputError(f"{err}; give --cadx-scores FILE or --cadx-cmd CMD") from None
+            raise
 
     config = {**dataclasses.asdict(cfg), "lung_labels": sorted(cfg.lung_labels),
               "coordinate_convention": run.convention, "cadx_cmd": cadx_cmd or None}
-    run.write("fuse", config, _sibling(out_path, ".manifest.json"),
+    run.write("fuse", config, [out_path],
               lambda digest: fileio.write_fused_csv(out_path, output.fused, digest))
     print(f"fused {len(output.fused)} candidates across {len(output.scan_ids)} scans -> {out_path}")
     return 0
@@ -230,6 +248,9 @@ def cmd_eval(run: _Run) -> int:
         overall = evaluate(candidates, references, ci=with_ci, resamples=resamples, seed=run.seed)
         strata, warnings = {}, ()
 
+    names = ("metrics.json", "metrics.raw.json", "metrics.csv", "matches.csv")
+    outputs = metrics_json, metrics_raw, metrics_csv, matches_csv = [out_dir / n for n in names]
+
     def write_outputs(digest: str) -> None:
         payload = {
             "manifest_digest": digest,
@@ -239,16 +260,16 @@ def cmd_eval(run: _Run) -> int:
             "warnings": list(warnings),
         }
         out_dir.mkdir(parents=True, exist_ok=True)
-        fileio.write_json(out_dir / "metrics.json", payload, sig=6)
-        fileio.write_json(out_dir / "metrics.raw.json", payload)
-        fileio.write_csv(out_dir / "metrics.csv", fileio.METRICS_CSV_HEADER,
+        fileio.write_json(metrics_json, payload, sig=6)
+        fileio.write_json(metrics_raw, payload)
+        fileio.write_csv(metrics_csv, fileio.METRICS_CSV_HEADER,
                          fileio.metrics_csv_rows({"overall": overall, **strata}), digest)
-        fileio.write_matches_csv(out_dir / "matches.csv", overall.matches, label, digest)
+        fileio.write_matches_csv(matches_csv, overall.matches, label, digest)
 
     config = {"stratify": stratify_name or None, "ci": with_ci,
               "resamples": resamples if with_ci else None,
               "coordinate_convention": run.convention, "label": label}
-    run.write("eval", config, out_dir / "manifest.json", write_outputs)
+    run.write("eval", config, outputs, write_outputs, out_dir / "manifest.json")
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"evaluated {len(candidates)} candidates against {len(references)} lesions -> {out_dir}")
@@ -287,8 +308,7 @@ def cmd_sweep(run: _Run) -> int:
         rows = sweep_cade(candidates, references, thresholds)
         config["coordinate_convention"] = run.convention
         write_rows = fileio.write_cade_sweep_csv
-    run.write("sweep", config, _sibling(out_path, ".manifest.json"),
-              lambda digest: write_rows(out_path, rows, digest))
+    run.write("sweep", config, [out_path], lambda digest: write_rows(out_path, rows, digest))
     print(f"swept {len(thresholds)} thresholds ({mode}) -> {out_path}")
     return 0
 
@@ -345,8 +365,7 @@ def cmd_stats(run: _Run) -> int:
             rows = missed_overlap_table(missed_by_model, references)
             fileio.write_overlap_csv(out_path, rows, digest)
 
-    run.write("stats", {"analysis": analysis, "per_model": per_model},
-              _sibling(out_path, ".manifest.json"), write_outputs)
+    run.write("stats", {"analysis": analysis, "per_model": per_model}, [out_path], write_outputs)
     print(f"{analysis} analysis over {len(tables)} model(s) -> {out_path}")
     return 0
 
@@ -355,6 +374,7 @@ def cmd_link(run: _Run) -> int:
     reports_path = run.input("reports")
     fused_path = run.input("fused")
     out_path = Path(run.require("out"))
+    entities_path = _sibling(out_path, ".entities.csv")
     size_tol = require_finite("--size-tol-mm", run.get("size-tol-mm", 3.0, float))
     ordinal_tol = run.get("ordinal-tol", 1, int)
     for name, value in (("size-tol-mm", size_tol), ("ordinal-tol", ordinal_tol)):
@@ -395,11 +415,11 @@ def cmd_link(run: _Run) -> int:
 
     def write_outputs(digest: str) -> None:
         fileio.write_entity_matches_csv(out_path, matches, digest)
-        fileio.write_entities_csv(_sibling(out_path, ".entities.csv"), entities, digest)
+        fileio.write_entities_csv(entities_path, entities, digest)
 
     config = {"size_tol_mm": size_tol, "ordinal_tol": ordinal_tol,
               "coordinate_convention": run.convention}
-    run.write("link", config, _sibling(out_path, ".manifest.json"), write_outputs)
+    run.write("link", config, [out_path, entities_path], write_outputs)
     matched = sum(1 for m in matches if m.status == "matched")
     print(f"linked {matched}/{len(entities)} entities -> {out_path}")
     return 0

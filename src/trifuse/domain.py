@@ -278,6 +278,11 @@ class RowTable(RecordSequence):
     def __iter__(self):
         return iter(self.records(range(len(self))))
 
+    @classmethod
+    def of(cls, rows: Iterable):
+        """``rows`` if it is a table of this class, else the table of its records."""
+        return rows if isinstance(rows, cls) else cls.from_records(rows)
+
 
 def nan_to_none(value: float) -> float | None:
     """A column value as a record field: NaN marks an empty cell."""
@@ -386,13 +391,6 @@ class CandidateTable(RowTable):
             return None if columns[0] is None else np.concatenate(columns)
 
         return cls(*(join([getattr(t, name) for t in tables]) for name in _COLUMNS))
-
-    @classmethod
-    def of(cls, candidates: Iterable[CandidateDetection]) -> "CandidateTable":
-        """``candidates`` if it is a table, else the table of its records."""
-        if isinstance(candidates, CandidateTable):
-            return candidates
-        return cls.from_records(candidates)
 
     def require_unique_keys(self) -> "CandidateTable":
         """This table, if no two rows share a (scan, model, candidate id) key;
@@ -612,13 +610,6 @@ class ReferenceTable(RowTable):
              for name in RATING_FIELDS} if rated else None,
         )
 
-    @classmethod
-    def of(cls, references: Iterable[ReferenceNodule]) -> "ReferenceTable":
-        """``references`` if it is a table, else the table of its records."""
-        if isinstance(references, ReferenceTable):
-            return references
-        return cls.from_records(references)
-
     def require_unique_keys(self) -> "ReferenceTable":
         """This table, if no two rows share a (scan, nodule id) key; else the
         ``InputError`` of the first row that repeats one."""
@@ -638,8 +629,7 @@ class ReferenceTable(RowTable):
     @property
     def tolerance(self) -> np.ndarray:
         """Each row's ``match_tolerance``."""
-        d = self.diameter_mm
-        return np.where(d < TOLERANCE_CAP_AT_DIAMETER_MM, d / 2.0, TOLERANCE_CAP_MM)
+        return tolerance_mm(self.diameter_mm)
 
     def rating(self, name: str) -> list:
         """The values of one ``SemanticRatings`` field, None where a row has
@@ -702,15 +692,17 @@ class PipelineConfig:
         object.__setattr__(self, "lung_labels", labels)
 
 
-def match_tolerance(diameter_mm: float) -> float:
-    """Matching tolerance in mm for a reference nodule of the given diameter.
+def tolerance_mm(diameter_mm: np.ndarray) -> np.ndarray:
+    """The matching tolerance in mm of each diameter: half the diameter below
+    10 mm, a flat 5 mm cap from 10 mm upward."""
+    return np.where(diameter_mm < TOLERANCE_CAP_AT_DIAMETER_MM, diameter_mm / 2.0,
+                    TOLERANCE_CAP_MM)
 
-    Half the diameter below 10 mm, a flat 5 mm cap from 10 mm upward.
-    """
-    diameter_mm = require_positive("diameter_mm", diameter_mm)
-    if diameter_mm < TOLERANCE_CAP_AT_DIAMETER_MM:
-        return diameter_mm / 2.0
-    return TOLERANCE_CAP_MM
+
+def match_tolerance(diameter_mm: float) -> float:
+    """Matching tolerance in mm for a reference nodule of the given diameter:
+    its ``tolerance_mm``."""
+    return float(tolerance_mm(require_positive("diameter_mm", diameter_mm)))
 
 
 def is_hit(candidate: CandidateDetection, reference: ReferenceNodule) -> bool:

@@ -292,11 +292,19 @@ class _Columns:
                 break
         return values
 
-    def where(self, column: str, bad: np.ndarray, problem: Callable[[int], str]) -> None:
-        """Note the first row of the boolean array ``bad``; ``problem(row)`` words it."""
-        if bad.any():
-            row = int(np.argmax(bad))
-            self.note(row, lambda: self.cell_error(row, column, problem(row)))
+    def where(self, column: str | None, bad: np.ndarray | Iterable[bool],
+              words: Callable[[int], str]) -> None:
+        """Note the first row ``bad`` marks: the first true of a boolean array
+        or of any iterable. ``words(row)`` says what is wrong with a cell of
+        ``column``, or with the row for None; it runs now, as a caller's rule
+        may close over loop variables."""
+        if isinstance(bad, np.ndarray):
+            row = int(np.argmax(bad)) if bad.any() else None
+        else:
+            row = next(itertools.compress(itertools.count(), bad), None)
+        if row is not None:
+            text = words(row) if column is None else f"column {column} {words(row)}"
+            self.note(row, lambda: self.error(row, text))
 
     def unit_interval(self, column: str, values: np.ndarray) -> None:
         self.where(column, (values < 0.0) | (values > 1.0),
@@ -473,11 +481,8 @@ def read_candidates(
                        shared=("scan_id", "candidate_id", "model"))
     model = columns.text("model")
     if expected_model is not None:
-        wrong = [m != expected_model for m in model]
-        if any(wrong):
-            row = wrong.index(True)
-            columns.note(row, lambda: columns.cell_error(
-                row, "model", f"must be {expected_model}, got {model[row]!r}"))
+        columns.where("model", (m != expected_model for m in model),
+                      lambda row: f"must be {expected_model}, got {model[row]!r}")
     xyz = _xyz(columns)
     columns.convention(convention)
     scan_id = columns.text("scan_id")
@@ -516,42 +521,38 @@ def read_references(path: str | Path, convention: str = "lps") -> ReferenceTable
     diagnosis = [cell.strip() or "unknown" for cell in columns.raw("diagnosis")]
     lungrads = [cell.strip() or None for cell in columns.raw("lungrads")]
 
-    def check(bad: Iterable[bool], message: Callable[[int], str]) -> None:
-        """Note the first row ``bad`` marks, with ``message(row)``."""
-        row = next(itertools.compress(itertools.count(), bad), None)
-        if row is not None:
-            text = message(row)
-            columns.note(row, lambda: columns.error(row, text))
-
     for name, (lo, hi) in RATING_RANGES.items():
         values = ratings.get(name, ())
-        check((v is not None and not lo <= v <= hi for v in values), lambda row: (
+        columns.where(None, (v is not None and not lo <= v <= hi for v in values), lambda row: (
             f"rating {name} must be an integer in [{lo}, {hi}], got {values[row]!r}"))
     for name in ("internal_structure", "calcification"):
         values = ratings.get(name, ())
-        check((v is not None and v < 0 for v in values), lambda row: (
+        columns.where(None, (v is not None and v < 0 for v in values), lambda row: (
             f"rating {name} must be a non-negative integer, got {values[row]!r}"))
     rad = ratings.get("diameter_rad_mm", ())
-    check((v is not None and v <= 0.0 for v in rad),
-          lambda row: f"diameter_rad_mm must be positive, got {rad[row]}")
+    columns.where(None, (v is not None and v <= 0.0 for v in rad),
+                  lambda row: f"diameter_rad_mm must be positive, got {rad[row]}")
     if convention not in COORDINATE_CONVENTIONS and columns.n:
         columns.note(0, lambda: columns.error(
             0, f"unknown coordinate convention {convention!r}; use lps or ras"))
-    check(diameter <= 0.0,
-          lambda row: f"reference diameter_mm must be positive, got {float(diameter[row])}")
-    check((d not in DIAGNOSES for d in diagnosis),
-          lambda row: f"diagnosis must be one of {DIAGNOSES}, got {diagnosis[row]!r}")
-    check((v is not None and v not in LUNGRADS_CATEGORIES for v in lungrads),
-          lambda row: f"lungrads must be one of {LUNGRADS_CATEGORIES}, got {lungrads[row]!r}")
-    check((v is not None and r is None for r, v in zip(reviewers, votes)),
-          lambda row: f"nodule {nodule_id[row]}: positive_votes given without reviewers")
-    check((r is not None and r < 1 for r in reviewers),
-          lambda row: f"reviewers must be a positive integer, got {reviewers[row]!r}")
-    check((r is not None and v is not None and v < 0 for r, v in zip(reviewers, votes)),
-          lambda row: f"positive_votes must be a non-negative integer, got {votes[row]!r}")
-    check((r is not None and v is not None and v > r for r, v in zip(reviewers, votes)),
-          lambda row: (f"nodule {nodule_id[row]}: positive_votes {votes[row]} "
-                       f"exceeds reviewers {reviewers[row]}"))
+    columns.where(None, diameter <= 0.0, lambda row: (
+        f"reference diameter_mm must be positive, got {float(diameter[row])}"))
+    columns.where(None, (d not in DIAGNOSES for d in diagnosis),
+                  lambda row: f"diagnosis must be one of {DIAGNOSES}, got {diagnosis[row]!r}")
+    columns.where(None, (v is not None and v not in LUNGRADS_CATEGORIES for v in lungrads),
+                  lambda row: (f"lungrads must be one of {LUNGRADS_CATEGORIES}, "
+                               f"got {lungrads[row]!r}"))
+    columns.where(None, (v is not None and r is None for r, v in zip(reviewers, votes)),
+                  lambda row: f"nodule {nodule_id[row]}: positive_votes given without reviewers")
+    columns.where(None, (r is not None and r < 1 for r in reviewers),
+                  lambda row: f"reviewers must be a positive integer, got {reviewers[row]!r}")
+    columns.where(None, (r is not None and v is not None and v < 0
+                         for r, v in zip(reviewers, votes)),
+                  lambda row: f"positive_votes must be a non-negative integer, got {votes[row]!r}")
+    columns.where(None, (r is not None and v is not None and v > r
+                         for r, v in zip(reviewers, votes)),
+                  lambda row: (f"nodule {nodule_id[row]}: positive_votes {votes[row]} "
+                               f"exceeds reviewers {reviewers[row]}"))
     columns.unique((scan_id, nodule_id), lambda row: columns.error(
         row, f"duplicate nodule_id {nodule_id[row]!r} on scan {scan_id[row]!r}"))
     columns.done()
@@ -615,11 +616,8 @@ def read_fused(path: str | Path, convention: str = "lps") -> CandidateTable:
                        shared=("scan_id", "candidate_id", "model", "stage", "provenance"))
     xyz = _xyz(columns)
     stage = columns.text("stage")
-    known = [s in TIER_BY_STAGE for s in stage]
-    if not all(known):
-        row = known.index(False)
-        columns.note(row, lambda: columns.cell_error(
-            row, "stage", f"has unknown value {stage[row]!r}"))
+    known = np.array([s in TIER_BY_STAGE for s in stage], dtype=bool)
+    columns.where("stage", ~known, lambda row: f"has unknown value {stage[row]!r}")
     scan_id = columns.text("scan_id")
     candidate_id = columns.text("candidate_id")
     diameter = columns.number("diameter_mm", required=False)
@@ -630,7 +628,7 @@ def read_fused(path: str | Path, convention: str = "lps") -> CandidateTable:
     columns.unit_interval("score", score)
     columns.positive("diameter_mm", diameter)
     stage_tier = np.array([TIER_BY_STAGE.get(s, math.nan) for s in stage], dtype=np.float64)
-    columns.where("tier", (tier != stage_tier) & np.array(known, dtype=bool), lambda row: (
+    columns.where("tier", (tier != stage_tier) & known, lambda row: (
         f"must be {TIER_BY_STAGE[stage[row]]} for stage {stage[row]}, got {float(tier[row])}"))
     promoted = np.array([s == STAGE_CADX for s in stage], dtype=bool)
     empty = np.isnan(cadx_avg)
@@ -665,20 +663,15 @@ def read_match_files(paths: Sequence[str | Path]) -> dict[str, dict[tuple[str, s
         columns.where("detected", np.array([d not in (0, 1, None) for d in detected], dtype=bool),
                       lambda row: "must be 0 or 1")
         score = columns.number("score", required=False)
-        without = np.flatnonzero(np.array([d == 1 for d in detected], dtype=bool) & np.isnan(score))
-        if without.size:
-            row = int(without[0])
-            columns.note(row, lambda: columns.error(row, "detected row without a score"))
+        columns.where(None, np.array([d == 1 for d in detected], dtype=bool) & np.isnan(score),
+                      lambda row: "detected row without a score")
 
-        def repeated(row: int) -> InputError:
-            return columns.error(row, f"duplicate match entry for {(scan_id[row], nodule_id[row])}")
+        def repeated(row: int) -> str:
+            return f"duplicate match entry for {(scan_id[row], nodule_id[row])}"
 
-        columns.unique((model, scan_id, nodule_id), repeated)
-        earlier = [(scan, nodule) in out.get(m, ())  # the keys of the files before
-                   for m, scan, nodule in zip(model, scan_id, nodule_id)]
-        if any(earlier):
-            row = earlier.index(True)
-            columns.note(row, lambda: repeated(row))
+        columns.unique((model, scan_id, nodule_id), lambda row: columns.error(row, repeated(row)))
+        columns.where(None, ((scan, nodule) in out.get(m, ())  # the keys of the files before
+                             for m, scan, nodule in zip(model, scan_id, nodule_id)), repeated)
         columns.done()
         for m, scan, nodule, d, value in zip(model, scan_id, nodule_id, detected, score.tolist()):
             out.setdefault(m, {})[(scan, nodule)] = value if d == 1 else None
@@ -897,17 +890,13 @@ def froc_result_payload(result: FrocResult) -> dict:
 
 
 def metrics_csv_rows(named_results: Mapping[str, FrocResult]) -> list[tuple]:
+    """One ``METRICS_CSV_HEADER`` row per result, from its ``froc_result_payload``."""
     rows = []
     for name, result in named_results.items():
-        detected, lesions = result.detected_over_lesions
-        cpm_ci = result.cpm_ci or (None, None)
-        sens_ci = result.sens_at_1fp_ci or (None, None)
-        rows.append(
-            (name, result.cpm, cpm_ci[0], cpm_ci[1], result.sensitivity_at_1fp,
-             sens_ci[0], sens_ci[1], detected, lesions,
-             result.curve.candidates_total, result.curve.n_scans,
-             result.candidates_per_scan)
-        )
+        p = froc_result_payload(result)
+        rows.append((name, p["cpm"], *(p["cpm_ci"] or (None, None)), p["sensitivity_at_1fp"],
+                     *(p["sensitivity_at_1fp_ci"] or (None, None)), p["detected"], p["lesions"],
+                     p["candidates"], p["scans"], p["candidates_per_scan"]))
     return rows
 
 

@@ -33,7 +33,6 @@ from .domain import (
     STAGE_CADX,
     STAGE_CONSENSUS,
     TIER_BY_STAGE,
-    TOLERANCE_CAP_AT_DIAMETER_MM,
     TOLERANCE_CAP_MM,
     CandidateDetection,
     CandidateTable,
@@ -45,6 +44,7 @@ from .domain import (
     near_pairs,
     require_unit_interval,
     run_bounds,
+    tolerance_mm,
 )
 from .errors import InputError, InvariantError, ScorerError
 from .volume import Volume, centroid_in_lung, extract_patch, save_patch
@@ -202,9 +202,8 @@ def _pair_radii(diameter_a: np.ndarray, diameter_b: np.ndarray,
     larger of it and the (capped) matching tolerance of the larger of two diameters given."""
     base = np.full(len(diameter_a), cfg.consensus_radius_mm)
     larger = np.maximum(diameter_a, diameter_b)  # NaN unless both are given
-    tolerance = np.where(larger < TOLERANCE_CAP_AT_DIAMETER_MM, larger / 2.0, TOLERANCE_CAP_MM)
     return np.where(np.isnan(larger) | (cfg.consensus_radius_policy == "fixed"), base,
-                    np.maximum(base, tolerance))
+                    np.maximum(base, tolerance_mm(larger)))
 
 
 def _ranks(ids: list[str]) -> np.ndarray:
@@ -514,11 +513,11 @@ class FileCadxProvider:
     """Serves classifier scores from a pre-computed table.
 
     Keys are (scan_id, source_model, candidate_id); a missing key is a
-    scoring failure, never a silent skip. Called with a record, it returns
-    its ``CadxScores``; called with a ``CandidateTable``, the ``p_luna`` and
-    ``p_dlcs`` arrays of the table's rows, joined on the row index of a
-    ``CadxScoreTable`` (another mapping is copied into one). A missing key
-    raises for the first row without scores.
+    scoring failure, never a silent skip. Called with a ``CandidateTable``,
+    it returns the ``p_luna`` and ``p_dlcs`` arrays of the table's rows,
+    joined on the row index of a ``CadxScoreTable`` (another mapping is
+    copied into one); a missing key raises for the first row without scores.
+    Called with a record, it returns the ``CadxScores`` of its one-row table.
     """
 
     def __init__(self, scores: Mapping[tuple[str, str, str], CadxScores]):
@@ -530,16 +529,14 @@ class FileCadxProvider:
         self._scores = scores
 
     def __call__(self, candidates: CandidateDetection | CandidateTable):
-        is_table = isinstance(candidates, CandidateTable)
-        rows = self._scores.rows_of(*(
-            (candidates.scan_id, candidates.model, candidates.candidate_id) if is_table
-            else ([candidates.scan_id], [candidates.source_model], [candidates.candidate_id])))
+        if not isinstance(candidates, CandidateTable):  # a record: its one-row table's scores
+            return CadxScores(*(p.item() for p in self(CandidateTable.from_records([candidates]))))
+        rows = self._scores.rows_of(candidates.scan_id, candidates.model, candidates.candidate_id)
         if None in rows:
-            missing = candidates[rows.index(None)] if is_table else candidates
+            missing = candidates[rows.index(None)]
             raise ScorerError(f"no CADx scores on file for {missing.qualified_id} "
                               f"on scan {missing.scan_id}")
-        p_luna, p_dlcs = self._scores.p_luna[rows], self._scores.p_dlcs[rows]
-        return (p_luna, p_dlcs) if is_table else CadxScores(p_luna.item(), p_dlcs.item())
+        return self._scores.p_luna[rows], self._scores.p_dlcs[rows]
 
 
 class _ScorerCall:
@@ -602,15 +599,15 @@ class CommandCadxProvider:
     For each candidate a 64^3 patch is extracted from the scan volume,
     written as a header + raw pair, and the header path is fed to the
     command on stdin. The command must print two reals in [0, 1] separated
-    by whitespace and exit 0. Called with a record, it returns its
-    ``CadxScores``; called with a ``CandidateTable``, the ``p_luna`` and
-    ``p_dlcs`` arrays of its rows, scored one command at a time in row
-    order. While the command scores one patch, the next patch is prepared,
-    and a patch pair is removed once its command has exited: at most two
-    pairs exist at once. A command's failure is raised before a fault in
-    the patch prepared after it; on any exception the running command is
-    killed and waited for. ``volume_loader`` is called for every candidate,
-    so it should keep the current scan's volume at hand.
+    by whitespace and exit 0. Called with a ``CandidateTable``, it returns
+    the ``p_luna`` and ``p_dlcs`` arrays of its rows, scored one command at
+    a time in row order; called with a record, the ``CadxScores`` of its
+    one-row table. While the command scores one patch, the next patch is
+    prepared, and a patch pair is removed once its command has exited: at
+    most two pairs exist at once. A command's failure is raised before a
+    fault in the patch prepared after it; on any exception the running
+    command is killed and waited for. ``volume_loader`` is called for every
+    candidate, so it should keep the current scan's volume at hand.
     """
 
     def __init__(
@@ -627,12 +624,12 @@ class CommandCadxProvider:
         self._workdir.mkdir(parents=True, exist_ok=True)
 
     def __call__(self, candidates: CandidateDetection | CandidateTable):
-        is_table = isinstance(candidates, CandidateTable)
-        rows = candidates if is_table else [candidates]
-        scores = np.empty((2, len(rows)))
+        if not isinstance(candidates, CandidateTable):  # a record: its one-row table's scores
+            return CadxScores(*(p.item() for p in self(CandidateTable.from_records([candidates]))))
+        scores = np.empty((2, len(candidates)))
         calls: list[_ScorerCall] = []  # the call whose scorer runs, then the next one
         try:
-            for k, candidate in enumerate(rows):
+            for k, candidate in enumerate(candidates):
                 calls.append(_ScorerCall(candidate, self._workdir))
                 try:
                     self._write_patch(calls[-1])
@@ -650,8 +647,7 @@ class CommandCadxProvider:
         finally:
             for call in calls:
                 call.discard()
-        p_luna, p_dlcs = scores
-        return (p_luna, p_dlcs) if is_table else CadxScores(p_luna.item(), p_dlcs.item())
+        return scores[0], scores[1]
 
     def _write_patch(self, call: _ScorerCall) -> None:
         try:

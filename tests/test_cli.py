@@ -2,10 +2,12 @@ import argparse
 import csv
 import json
 import random
+import shutil
 import sys
 import tempfile
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from trifuse.cli import main
 from trifuse.domain import WorldPoint
 from trifuse.volume import Volume, save_volume
 
-from conftest import CPM_FIXTURE_CPM
+from conftest import CPM_FIXTURE_CPM, write_e2e_inputs
 
 
 def run(argv):
@@ -753,6 +755,133 @@ class TestConfigFile:
                     "--out", out]) == 2
         assert "unknown stratifier 'bogus'; choose from" in capsys.readouterr().err
         assert not out.exists()
+
+
+def write_command_inputs(directory):
+    """Inputs for every subcommand: the end-to-end lists, their fused list and
+    one report, the stats fixture's references and match tables, and a copy
+    of CADE_A's list at ``eval_out/matches.csv``."""
+    paths = write_e2e_inputs(directory)
+    write_stats_fixture(directory)
+    assert run(["fuse", "--cade-a", paths["cade_a"], "--cade-b", paths["cade_b"],
+                "--cadx-scores", paths["cadx_scores"], "--out", directory / "fused.csv"]) == 0
+    (directory / "reports.tsv").write_text("r1\ts1\tA 6 mm nodule in the right upper lobe.\n")
+    (directory / "eval_out").mkdir()
+    shutil.copy(paths["cade_a"], directory / "eval_out" / "matches.csv")
+    return directory
+
+
+# Every subcommand, run in the directory of ``write_command_inputs``: IN is
+# the input a fault replaces, and OUT the output.
+COMMANDS = {
+    "fuse": "fuse --cade-a IN --cade-b cade_b.csv --cadx-scores cadx_scores.csv --out OUT",
+    "eval": "eval --candidates IN --references references.csv --out OUT",
+    "sweep": "sweep --mode cade --preset --candidates IN --references references.csv --out OUT",
+    "stats": "stats --analysis consensus --matches matches --references IN --out OUT",
+    "link": "link --reports reports.tsv --fused IN --out OUT",
+}
+# each command's IN, its role, and an output that names it
+CLASHES = {
+    "fuse": ("cade_a.csv", "cade_a", "cade_a.csv"),
+    "eval": ("eval_out/matches.csv", "candidates", "eval_out"),
+    "sweep": ("cade_a.csv", "candidates", "cade_a.csv"),
+    "stats": ("refs.csv", "references", "refs.csv"),
+    "link": ("fused.csv", "fused", "fused.csv"),
+}
+
+
+def command_argv(command, given, out):
+    return [given if a == "IN" else out if a == "OUT" else a for a in COMMANDS[command].split()]
+
+
+def write_bad_cell(source, target):
+    """``source`` with the ``diameter_mm`` cell of its first data row not a number."""
+    lines = source.read_text().splitlines(keepends=True)
+    header = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+    cells = lines[header + 1].split(",")
+    cells[lines[header].split(",").index("diameter_mm")] = "abc"
+    lines[header + 1] = ",".join(cells)
+    target.write_text("".join(lines))
+
+
+class TestExitCodes:
+    """Each subcommand crossed with each input fault: exit 2 and one ``error:``
+    line; a scorer that runs and fails: exit 3 and one ``scorer error:`` line."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("fault", ["missing file", "directory", "bad cell",
+                                       "output names input"])
+    def test_input_fault_exits_2(self, tmp_path, monkeypatch, capsys, command, fault):
+        monkeypatch.chdir(write_command_inputs(tmp_path))
+        capsys.readouterr()
+        given, role, out = CLASHES[command]
+        expected = {
+            "missing file": "error: missing.csv: file does not exist\n",
+            "directory": "error: matches: Is a directory\n",
+            "bad cell": "column diameter_mm is not a number: 'abc'\n",
+            "output names input": (f"error: output {given} is the {role} input {given}; "
+                                   "refusing to overwrite it\n"),
+        }[fault]
+        if fault == "missing file":
+            given = "missing.csv"
+        elif fault == "directory":
+            given = "matches"
+        elif fault == "bad cell":
+            write_bad_cell(tmp_path / given, tmp_path / "bad.csv")
+            given = "bad.csv"
+        if fault != "output names input":
+            out = "result"
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert run(command_argv(command, given, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert err.endswith(expected) if fault == "bad cell" else err == expected
+        # nothing written, and every input keeps its bytes
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("written", ["manifest", "entities"])
+    def test_a_second_output_that_names_an_input_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                         written):
+        monkeypatch.chdir(write_command_inputs(tmp_path))
+        capsys.readouterr()
+        # fuse's manifest and link's entity table go next to --out
+        command, role, given = {"manifest": ("fuse", "cade_a", "x.manifest.json"),
+                                "entities": ("link", "fused", "x.entities.csv")}[written]
+        shutil.copy(CLASHES[command][0], given)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert run(command_argv(command, given, "x.csv")) == 2
+        assert capsys.readouterr().err == (f"error: output {given} is the {role} input "
+                                           f"{given}; refusing to overwrite it\n")
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    def test_failing_scorer_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(write_command_inputs(tmp_path))
+        write_volumes(tmp_path / "vols", ("s1", "s2", "s3", "s4"))
+        capsys.readouterr()
+        argv = command_argv("fuse", "cade_a.csv", "result.csv")
+        argv[argv.index("--cadx-scores"):argv.index("--out")] = [
+            "--cadx-cmd", f"{sys.executable} -c \"import sys; sys.exit(1)\"", "--volumes", "vols"]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("scorer error: ") and err.count("\n") == 1
+        assert "exited 1" in err and "Traceback" not in err
+        assert not (tmp_path / "result.csv").exists()
+
+    @pytest.mark.parametrize("cade_b, code", [("cade_a.csv", 0), ("cade_b.csv", 2)])
+    def test_fuse_without_a_cadx_provider(self, tmp_path, monkeypatch, capsys, cade_b, code):
+        monkeypatch.chdir(write_command_inputs(tmp_path))
+        capsys.readouterr()
+        # CADE_A's list again as CADE_B's pairs every candidate: none needs a CADx score
+        Path("b.csv").write_text(Path(cade_b).read_text().replace("CADE_A", "CADE_B"))
+        assert run(["fuse", "--cade-a", "cade_a.csv", "--cade-b", "b.csv",
+                    "--out", "f.csv"]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == "" and {r["stage"] for r in read_csv_rows(Path("f.csv"))} == {"consensus"}
+        else:
+            assert err == ("error: no CADx provider configured but candidate CADE_A:c02 on scan "
+                           "s1 needs scoring; give --cadx-scores FILE or --cadx-cmd CMD\n")
+            assert not Path("f.csv").exists()
 
 
 def write_pin_cohort(directory, n_scans=50, seed=29):
