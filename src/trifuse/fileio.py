@@ -18,6 +18,7 @@ same seed produce byte-identical reports.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -741,6 +742,8 @@ def write_matches_csv(
     return write_csv(path, MATCH_COLUMNS, rows, manifest_digest)
 
 
+# each writer's header follows its row dataclass's field order (the CADx sweep puts
+# ``missed`` first)
 CADX_SWEEP_HEADER = ("Missed", "Threshold", "Recall", "Precision", "FPR",
                      "Flagged (%)", "FN", "FP", "TP")
 CADE_SWEEP_HEADER = ("τ_CADe", "CPM", "Candidates (n)", "Missed (n)")
@@ -749,18 +752,14 @@ CADE_SWEEP_HEADER = ("τ_CADe", "CPM", "Candidates (n)", "Missed (n)")
 def write_cadx_sweep_csv(
     path: str | Path, rows: Sequence[CadxSweepRow], manifest_digest: str | None = None
 ) -> Path:
-    table = [
-        (r.missed, r.threshold, r.recall, r.precision, r.fpr, r.flagged_pct, r.fn, r.fp, r.tp)
-        for r in rows
-    ]
+    table = [(r.missed, *dataclasses.astuple(r)) for r in rows]
     return write_csv(path, CADX_SWEEP_HEADER, table, manifest_digest)
 
 
 def write_cade_sweep_csv(
     path: str | Path, rows: Sequence[CadeSweepRow], manifest_digest: str | None = None
 ) -> Path:
-    table = [(r.threshold, r.cpm, r.candidates_forwarded, r.missed) for r in rows]
-    return write_csv(path, CADE_SWEEP_HEADER, table, manifest_digest)
+    return write_csv(path, CADE_SWEEP_HEADER, map(dataclasses.astuple, rows), manifest_digest)
 
 
 CONSENSUS_HEADER = ("Pattern", "Model", "GT Count (n)", "Detected (n)",
@@ -773,11 +772,8 @@ def write_consensus_csv(
     manifest_digest: str | None = None,
 ) -> Path:
     """summaries: model -> pattern -> GroupScoreSummary."""
-    rows = []
-    for model in sorted(summaries):
-        for pattern, s in summaries[model].items():
-            rows.append((pattern, model, s.n_gt, s.n_detected, s.mean, s.sd,
-                         s.median, s.min, s.max))
+    rows = [(pattern, model, *dataclasses.astuple(s))
+            for model in sorted(summaries) for pattern, s in summaries[model].items()]
     return write_csv(path, CONSENSUS_HEADER, rows, manifest_digest)
 
 
@@ -811,12 +807,7 @@ OVERLAP_HEADER = ("Category", "Count", "Percentage (%)", "Mean Diameter (mm)",
 def write_overlap_csv(
     path: str | Path, rows: Sequence[OverlapRow], manifest_digest: str | None = None
 ) -> Path:
-    table = [
-        (r.category, r.count, r.pct, r.mean_diameter, r.median_diameter,
-         r.min_diameter, r.max_diameter)
-        for r in rows
-    ]
-    return write_csv(path, OVERLAP_HEADER, table, manifest_digest)
+    return write_csv(path, OVERLAP_HEADER, map(dataclasses.astuple, rows), manifest_digest)
 
 
 ENTITY_HEADER = ("report_id", "scan_id", "size_mm", "lobe", "laterality",

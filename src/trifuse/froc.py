@@ -30,12 +30,13 @@ import numpy as np
 from .domain import (
     DIAGNOSES,
     LUNGRADS_CATEGORIES,
+    TOLERANCE_CAP_MM,
     CandidateDetection,
     CandidateTable,
     ReferenceNodule,
     ReferenceTable,
     distance_mm,
-    may_lie_within,
+    near_pairs,
     sort_key,
 )
 from .errors import InputError
@@ -275,9 +276,10 @@ def match_lesions(
 
     Within a scan, candidates go best score first (ties by candidate id, then
     model); each takes the nearest (then lowest nodule id) still-unmatched
-    reference it hits. The candidate-reference pairs that may hit are found on
-    one squared-distance array and each is confirmed with the scalar distance
-    and the reference's tolerance; a candidate with no such pair is a false
+    reference it hits. The candidate-reference pairs that may hit come from
+    the same windowed search as fusion pairing (``near_pairs``, within the
+    largest tolerance) and each is confirmed with the scalar distance against
+    the reference's own tolerance; a candidate with no such pair is a false
     positive. The result keeps the pairs that hit, so a stratum's matching
     reruns only the assignment.
     """
@@ -292,7 +294,7 @@ def match_lesions(
         raise InputError(f"records reference scans outside the scan set: {sorted(stray)}")
     scans = sorted(universe)
     rows, counts = _score_order(table, scans)
-    starts = np.cumsum(counts) - counts
+    scan = np.repeat(np.arange(len(scans)), counts)
 
     # references in (scan, nodule id) order
     code = {scan_id: j for j, scan_id in enumerate(scans)}
@@ -300,17 +302,11 @@ def match_lesions(
     ref_scan = np.array([j for j, _, _ in ref_order], dtype=np.intp)
     ref_rows = np.array([i for _, _, i in ref_order], dtype=np.intp)
 
-    # every candidate x reference pair on a scan, prefiltered, then confirmed
-    per_ref = counts[ref_scan]
-    pair_r = np.repeat(np.arange(ref_scan.size), per_ref)
-    first = np.cumsum(per_ref) - per_ref  # pair index of each reference's first pair
-    pair_c = np.arange(pair_r.size) - np.repeat(first - starts[ref_scan], per_ref)
+    # pairs on a scan within the tolerance cap, which no reference's tolerance exceeds
     xyz = table.xyz[rows]
     ref_xyz = refs.xyz[ref_rows]
     tolerance = refs.tolerance[ref_rows]
-    near = may_lie_within((xyz[pair_c, k] for k in range(3)),
-                          (ref_xyz[pair_r, k] for k in range(3)), tolerance[pair_r])
-    pair_c, pair_r = pair_c[near], pair_r[near]
+    pair_c, pair_r = near_pairs(scan, xyz, ref_scan, ref_xyz, TOLERANCE_CAP_MM)
     dist = np.array([distance_mm(x, y, z, *r) for (x, y, z), r in
                      zip(xyz[pair_c].tolist(), ref_xyz[pair_r].tolist())], dtype=np.float64)
     hit = dist <= tolerance[pair_r]
@@ -319,9 +315,8 @@ def match_lesions(
     hit_c, hit_r = pair_c[hit][order], pair_r[hit][order]
     nodule, matched = _assign(hit_c, hit_r, rows.size, ref_scan.size)
     return LesionMatchResult._of_columns(
-        tuple(scans), np.bincount(ref_scan, minlength=len(scans)),
-        np.repeat(np.arange(len(scans)), counts), table.score[rows], nodule,
-        (table.candidate_id, rows), ref_scan, [nodule_id for _, nodule_id, _ in ref_order],
+        tuple(scans), np.bincount(ref_scan, minlength=len(scans)), scan, table.score[rows],
+        nodule, (table.candidate_id, rows), ref_scan, [nodule_id for _, nodule_id, _ in ref_order],
         matched, hits=(hit_c, hit_r), ref_rows=ref_rows,
     )
 

@@ -604,10 +604,12 @@ class CommandCadxProvider:
     a time in row order; called with a record, the ``CadxScores`` of its
     one-row table. While the command scores one patch, the next patch is
     prepared, and a patch pair is removed once its command has exited: at
-    most two pairs exist at once. A command's failure is raised before a
-    fault in the patch prepared after it; on any exception the running
-    command is killed and waited for. ``volume_loader`` is called for every
-    candidate, so it should keep the current scan's volume at hand.
+    most two pairs exist at once. A volume the loader cannot load (its
+    ``InputError``) is raised as an ``InputError``, a patch that cannot be
+    extracted or saved as a ``ScorerError``; a command's failure is raised
+    before either fault in the patch prepared after it. On any exception the
+    running command is killed and waited for. ``volume_loader`` is called for
+    every candidate, so it should keep the current scan's volume at hand.
     """
 
     def __init__(
@@ -634,7 +636,7 @@ class CommandCadxProvider:
                 try:
                     self._write_patch(calls[-1])
                     fault = None
-                except ScorerError as err:  # raised once the running scorer is done
+                except (InputError, ScorerError) as err:  # raised once the running scorer is done
                     fault = err
                 if len(calls) == 2:
                     scores[:, k - 1] = calls[0].finish()
@@ -652,8 +654,8 @@ class CommandCadxProvider:
     def _write_patch(self, call: _ScorerCall) -> None:
         try:
             volume = self._volume_loader(call.candidate.scan_id)
-        except Exception as err:
-            raise ScorerError(f"cannot load scan volume for {call.label}: {err}") from err
+        except InputError as err:
+            raise InputError(f"cannot load scan volume for {call.label}: {err}") from err
         try:
             save_patch(extract_patch(volume, call.candidate.center), call.header)
         except Exception as err:

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import LOBE_BY_LABEL, LUNGRADS_CATEGORIES, WorldPoint, nan_to_none
+from .domain import LOBE_BY_LABEL, LUNGRADS_CATEGORIES, WorldPoint
 from .errors import ConfigError, InputError
 from .volume import Volume, label_at
 
@@ -292,29 +292,35 @@ class LinkColumns:
         )
 
 
-def _criteria_for(
-    entity: ReportEntity,
-    lobe: str | None,
-    diameter_mm: float | None,
-    ordinals: dict[str, int],
-    size_tol_mm: float,
-    ordinal_tol: int,
-) -> tuple[tuple[str, bool], ...]:
-    """Per-criterion verdicts against a candidate with the given lobe,
-    diameter and ordinal levels; criteria with missing information are
-    omitted."""
-    checks: list[tuple[str, bool]] = []
-    laterality = LOBE_LATERALITY.get(lobe) if lobe else None
-    if entity.lobe is not None and lobe is not None:
-        checks.append(("lobe", entity.lobe == lobe))
-    elif entity.laterality is not None and laterality is not None:
-        checks.append(("laterality", entity.laterality == laterality))
-    if entity.size_mm is not None and diameter_mm is not None:
-        checks.append(("size", abs(entity.size_mm - diameter_mm) <= size_tol_mm))
-    levels = entity.ordinal_map()
-    for name in sorted(set(levels) & set(ordinals)):
-        checks.append((f"ordinal:{name}", abs(levels[name] - ordinals[name]) <= ordinal_tol))
-    return tuple(checks)
+def _link_criteria(entity: ReportEntity, table: LinkColumns, rows: np.ndarray,
+                   size_tol_mm: float, ordinal_tol: int) -> tuple[list, np.ndarray]:
+    """Each link criterion the entity carries, over the candidates at ``rows``
+    of ``table``, as its name, whether each candidate has the information and
+    whether each agrees, in the order a match reports them: lobe (laterality
+    when the entity knows only that), size, ordinals by name. And whether each
+    candidate is admissible: no criterion it has the information for disagrees."""
+    criteria = []
+    if table.lobe is not None and (entity.lobe is not None or entity.laterality is not None):
+        sides = [table.lobe[k] for k in rows.tolist()]
+        name, want = "lobe", entity.lobe
+        if want is None:
+            name, want = "laterality", entity.laterality
+            sides = [LOBE_LATERALITY.get(lobe) if lobe else None for lobe in sides]
+        criteria.append((name, np.array([side is not None for side in sides], dtype=bool),
+                         np.array([side == want for side in sides], dtype=bool)))
+    if entity.size_mm is not None:
+        gap = np.abs(entity.size_mm - table.diameter_mm[rows])  # NaN: no diameter
+        criteria.append(("size", ~np.isnan(gap), gap <= size_tol_mm))
+    if table.ordinals is not None:
+        for name, level in sorted(entity.ordinal_map().items()):
+            have = np.array([table.ordinals[k].get(name, math.nan) for k in rows.tolist()],
+                            dtype=float)
+            criteria.append((f"ordinal:{name}", ~np.isnan(have),
+                             np.abs(level - have) <= ordinal_tol))
+    admissible = np.ones(len(rows), dtype=bool)
+    for _, known, agrees in criteria:
+        admissible &= agrees | ~known
+    return criteria, admissible
 
 
 def is_admissible(
@@ -325,8 +331,9 @@ def is_admissible(
 ) -> bool:
     if entity.scan_id != candidate.scan_id:
         return False
-    return all(ok for _, ok in _criteria_for(entity, candidate.lobe, candidate.diameter_mm,
-                                             candidate.ordinal_map(), size_tol_mm, ordinal_tol))
+    _, admissible = _link_criteria(entity, LinkColumns.of([candidate]), np.arange(1),
+                                   size_tol_mm, ordinal_tol)
+    return bool(admissible[0])
 
 
 def match_entities(
@@ -340,10 +347,11 @@ def match_entities(
     ``candidates`` are ``LinkCandidate`` records or ``LinkColumns``.
     Entities are served in input order, and each removes the candidate it
     takes from the pool, so the result is a partial injection. An entity's
-    admissible candidates are found among the pool's rows on its scan in one
-    step over the columns; the best of them (highest tier, then score, then
-    smallest size difference, then lowest candidate id) is taken. Candidates
-    left in the pool follow in candidate-id order.
+    admissible candidates (by the rule of ``is_admissible``) are found among
+    the pool's rows on its scan in one step over the columns; the best of them
+    (highest tier, then score, then smallest size difference, then lowest
+    candidate id) is taken, with the verdicts of the criteria it has the
+    information for. Candidates left in the pool follow in candidate-id order.
     """
     entities = list(entities)
     table = LinkColumns.of(candidates)
@@ -365,48 +373,24 @@ def match_entities(
     pool = np.ones(len(ids), dtype=bool)
     on_scan = {scan_id: np.array([s == scan_id for s in table.scan_id], dtype=bool)
                for scan_id in entity_scans}
-    tiers, scores, diameters = (c.tolist() for c in (table.tier, table.score, table.diameter_mm))
+    tiers, scores = table.tier.tolist(), table.score.tolist()
     no_gap = [math.inf] * len(ids)
-    sized = ~np.isnan(table.diameter_mm)
-    lateralities = (None if table.lobe is None
-                    else [LOBE_LATERALITY.get(lobe) if lobe else None for lobe in table.lobe])
     matches: list[EntityMatch] = []
     for entity in entities:
-        ok = pool & on_scan[entity.scan_id]
-        gaps = no_gap
-        if entity.size_mm is not None:
-            gap = np.abs(entity.size_mm - table.diameter_mm)  # NaN: no diameter
-            ok &= ~sized | (gap <= size_tol_mm)
-            gaps = np.fmin(gap, math.inf).tolist()  # no diameter: an infinite gap
-        if table.lobe is not None and entity.lobe is not None:
-            ok &= np.array([lobe is None or lobe == entity.lobe for lobe in table.lobe],
-                           dtype=bool)
-        elif lateralities is not None and entity.laterality is not None:
-            ok &= np.array([side is None or side == entity.laterality for side in lateralities],
-                           dtype=bool)
-        if table.ordinals is not None and entity.ordinals:
-            levels = entity.ordinal_map()
-            ok &= np.array([all(abs(levels[name] - level) <= ordinal_tol
-                                for name, level in have.items() if name in levels)
-                            for have in table.ordinals], dtype=bool)
-        found = np.flatnonzero(ok).tolist()
+        rows = (pool & on_scan[entity.scan_id]).nonzero()[0]
+        criteria, admissible = _link_criteria(entity, table, rows, size_tol_mm, ordinal_tol)
+        found = rows[admissible].tolist()
         if not found:
             matches.append(EntityMatch(entity=entity, candidate_id=None, status="report_only"))
             continue
-        chosen = min(found, key=lambda k: (-tiers[k], -scores[k], gaps[k], ids[k]))
-        pool[chosen] = False
-        matches.append(
-            EntityMatch(
-                entity=entity,
-                candidate_id=ids[chosen],
-                status="matched",
-                criteria=_criteria_for(
-                    entity, None if table.lobe is None else table.lobe[chosen],
-                    nan_to_none(diameters[chosen]),
-                    {} if table.ordinals is None else table.ordinals[chosen],
-                    size_tol_mm, ordinal_tol),
-            )
-        )
+        gaps = (no_gap if entity.size_mm is None  # no diameter: an infinite gap
+                else np.fmin(np.abs(entity.size_mm - table.diameter_mm), math.inf).tolist())
+        best = min(found, key=lambda k: (-tiers[k], -scores[k], gaps[k], ids[k]))
+        pool[best] = False
+        at = rows.searchsorted(best)  # rows ascend
+        verdicts = tuple((name, bool(ok[at])) for name, known, ok in criteria if known[at])
+        matches.append(EntityMatch(entity=entity, candidate_id=ids[best], status="matched",
+                                   criteria=verdicts))
     for candidate_id in sorted(ids[k] for k in np.flatnonzero(pool).tolist()):
         matches.append(EntityMatch(entity=None, candidate_id=candidate_id, status="candidate_only"))
     return matches

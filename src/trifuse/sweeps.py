@@ -10,13 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (
-    CandidateDetection,
-    CandidateTable,
-    ReferenceNodule,
-    ReferenceTable,
-    require_unit_interval,
-)
+from .domain import CandidateDetection, ReferenceNodule, require_unit_interval
 from .errors import InputError
 from .froc import FP_RATES, _mean_sensitivity, match_lesions
 
@@ -109,13 +103,9 @@ def sweep_cade(
 
     Greedy matching of a score-filtered list equals the corresponding prefix
     of the full matching, so one matching pass serves every threshold. The
-    scan universe stays fixed across rows.
+    scan universe (``scan_ids``, as ``match_lesions`` takes it) stays fixed
+    across rows.
     """
-    candidates = CandidateTable.of(candidates)
-    references = ReferenceTable.of(references)
-    if scan_ids is None:
-        scan_ids = set(candidates.by_scan) | set(references.scan_id)
-    scan_ids = set(scan_ids)
     result = match_lesions(candidates, references, scan_ids=scan_ids)
     if result.n_references < 1:
         raise InputError("FROC sweep needs at least one reference lesion")

@@ -867,6 +867,19 @@ class TestExitCodes:
         assert "exited 1" in err and "Traceback" not in err
         assert not (tmp_path / "result.csv").exists()
 
+    def test_missing_volume_header_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(write_command_inputs(tmp_path))
+        (tmp_path / "vols").mkdir()
+        capsys.readouterr()
+        argv = command_argv("fuse", "cade_a.csv", "result.csv")
+        argv[argv.index("--cadx-scores"):argv.index("--out")] = [
+            "--cadx-cmd", f"{sys.executable} -c \"print(0.5, 0.5)\"", "--volumes", "vols"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: cannot load scan volume for CADE_A:c02 on scan s1: no intensity "
+                       f"volume for scan 's1': {Path('vols', 's1.hdr')} not found\n")
+        assert not (tmp_path / "result.csv").exists()
+
     @pytest.mark.parametrize("cade_b, code", [("cade_a.csv", 0), ("cade_b.csv", 2)])
     def test_fuse_without_a_cadx_provider(self, tmp_path, monkeypatch, capsys, cade_b, code):
         monkeypatch.chdir(write_command_inputs(tmp_path))

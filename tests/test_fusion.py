@@ -1058,7 +1058,8 @@ class TestCommandProviderPipeline:
 
         provider = CommandCadxProvider(f'{sys.executable} -c "print(0.5, 0.5)"', loader,
                                        tmp_path / "patches")
-        with pytest.raises(ScorerError, match=message):
+        # a volume that cannot be loaded is an input error; a bad patch, a scorer error
+        with pytest.raises(InputError if volume is None else ScorerError, match=message):
             provider(self.table)
         assert [p.returncode for p in spawned] == [0]
         assert list((tmp_path / "patches").iterdir()) == []

@@ -20,7 +20,7 @@ from trifuse.reportlink import (
 )
 from trifuse.volume import Volume
 
-from oracles import oracle_match_entities
+from oracles import _oracle_criteria_for, oracle_match_entities
 
 
 class TestExtraction:
@@ -376,6 +376,20 @@ class TestMatchAgainstOracle:
                     assert match_entities(entities, given, size_tol, ordinal_tol) == expected
                 matched += sum(m.status == "matched" for m in expected)
         assert matched > 0
+
+    def test_is_admissible_equals_the_oracle_rule(self):
+        rng = np.random.default_rng(63)
+        verdicts = set()
+        for _ in range(400):
+            entities, candidates = random_link_instance(rng)
+            for size_tol, ordinal_tol in ((3.0, 1), (2.0, 0), (0.0, 2)):
+                for e in entities:
+                    for c in candidates:
+                        expected = e.scan_id == c.scan_id and all(
+                            ok for _, ok in _oracle_criteria_for(e, c, size_tol, ordinal_tol))
+                        assert is_admissible(e, c, size_tol, ordinal_tol) == expected
+                        verdicts.add(expected)
+        assert verdicts == {False, True}
 
     def test_every_tie_break(self):
         e = entity(size=8.0)
