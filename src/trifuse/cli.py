@@ -387,32 +387,28 @@ def cmd_link(run: _Run) -> int:
     reports = fileio.read_reports(reports_path)
     grammar = load_grammar(grammar_path) if grammar_path else default_grammar()
     fused = fileio.read_fused(fused_path, run.convention)
-    mask_loader = run.volumes(masks_dir, "mask", "mask") if masks_dir else None
 
     entities = []
-    entities_by_scan: dict[str, list] = {}
     for report_id, scan_id, text in reports:
-        found = extract_entities(text, grammar, report_id=report_id, scan_id=scan_id)
-        entities.extend(found)
-        entities_by_scan.setdefault(scan_id, []).extend(found)
+        entities.extend(extract_entities(text, grammar, report_id=report_id, scan_id=scan_id))
 
     # linkage is scoped to scans that have a report; candidates on scans
     # never mentioned in any report stay out of the match table
-    matches = []
-    for scan_id in sorted(entities_by_scan):
-        rows = fused.take(fused.by_scan.get(scan_id, []))
-        lobes = None
-        if mask_loader is not None and len(rows):
-            mask = mask_loader(scan_id)
-            lobes = [lobe_of_candidate(record, mask) for record in rows]
-        candidates = LinkColumns(rows.scan_id, rows.candidate_id, rows.tier, rows.score,
-                                 rows.diameter_mm, lobes)
-        matches.extend(
-            match_entities(
-                entities_by_scan[scan_id], candidates,
-                size_tol_mm=size_tol, ordinal_tol=ordinal_tol,
-            )
-        )
+    reported = sorted({scan_id for _, scan_id, _ in reports})
+    lobes = None
+    if masks_dir:
+        mask_loader = run.volumes(masks_dir, "mask", "mask")
+        lobes = [None] * len(fused)
+        for scan_id in reported:
+            rows = fused.by_scan.get(scan_id)
+            if rows is not None:
+                mask = mask_loader(scan_id)
+                for row, record in zip(rows.tolist(), fused.records(rows)):
+                    lobes[row] = lobe_of_candidate(record, mask)
+    candidates = LinkColumns(fused.scan_id, fused.candidate_id, fused.tier, fused.score,
+                             fused.diameter_mm, lobes)
+    matches = match_entities(entities, candidates, size_tol_mm=size_tol,
+                             ordinal_tol=ordinal_tol, scans=reported)
 
     def write_outputs(digest: str) -> None:
         fileio.write_entity_matches_csv(out_path, matches, digest)
@@ -421,7 +417,7 @@ def cmd_link(run: _Run) -> int:
     config = {"size_tol_mm": size_tol, "ordinal_tol": ordinal_tol,
               "coordinate_convention": run.convention}
     run.write("link", config, [out_path, entities_path], write_outputs)
-    matched = sum(1 for m in matches if m.status == "matched")
+    matched = sum(row >= 0 for row in matches.taken)
     print(f"linked {matched}/{len(entities)} entities -> {out_path}")
     return 0
 

@@ -300,6 +300,17 @@ def run_bounds(*columns: Sequence) -> list[int]:
     return [0, *(np.flatnonzero(change) + 1).tolist(), n] if n else [0]
 
 
+def rows_by_scan(scan_id: Sequence[str]) -> dict[str, np.ndarray]:
+    """The ascending row indices of each scan in a ``scan_id`` column, keyed
+    in the order the scans first appear."""
+    # rows come in runs of one scan, usually one run per scan
+    bounds = run_bounds(scan_id)
+    runs: dict[str, list[np.ndarray]] = {}
+    for start, end in zip(bounds, bounds[1:]):
+        runs.setdefault(scan_id[start], []).append(np.arange(start, end, dtype=np.intp))
+    return {scan: r[0] if len(r) == 1 else np.concatenate(r) for scan, r in runs.items()}
+
+
 def first_repeat(*columns: Sequence[str]) -> int | None:
     """The first row whose key, its cells in two or more ``columns``, an
     earlier row has; None if no key repeats. Distinct keys are counted a run
@@ -408,14 +419,7 @@ class CandidateTable(RowTable):
     def by_scan(self) -> dict[str, np.ndarray]:
         """Row indices of each scan, ascending (file order)."""
         if self._by_scan is None:
-            # rows come in runs of one scan, usually one run per scan
-            bounds = run_bounds(self.scan_id)
-            runs: dict[str, list[np.ndarray]] = {}
-            for start, end in zip(bounds, bounds[1:]):
-                runs.setdefault(self.scan_id[start], []).append(
-                    np.arange(start, end, dtype=np.intp))
-            self._by_scan = {scan_id: r[0] if len(r) == 1 else np.concatenate(r)
-                             for scan_id, r in runs.items()}
+            self._by_scan = rows_by_scan(self.scan_id)
         return self._by_scan
 
     @property

@@ -51,7 +51,7 @@ from .errors import ConfigError, InputError
 from .froc import FrocResult, GroupScoreSummary, LesionMatchResult
 from .fusion import CadxScoreTable, fused_table
 from .readerstats import CHARACTERISTIC_DISPLAY, OverlapRow, SemanticTable
-from .reportlink import EntityMatch, ReportEntity
+from .reportlink import EntityMatches, ReportEntity
 from .sweeps import CadeSweepRow, CadxSweepRow
 
 CANDIDATE_COLUMNS = ("scan_id", "candidate_id", "x_mm", "y_mm", "z_mm",
@@ -586,7 +586,8 @@ def read_labeled_scores(path: str | Path) -> tuple[list[float], list[str]]:
 
 
 def read_reports(path: str | Path) -> list[tuple[str, str, str]]:
-    """Tab-separated report records: report_id, scan_id, free text."""
+    """Tab-separated report records: report_id, scan_id, free text. The ids
+    are stripped, as the CSV readers strip theirs, and must not be empty."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"{path}: file does not exist")
@@ -601,7 +602,11 @@ def read_reports(path: str | Path) -> list[tuple[str, str, str]]:
                 raise InputError(
                     f"{path}:{line_num}: expected 3 tab-separated fields, got {len(parts)}"
                 )
-            out.append((parts[0], parts[1], parts[2]))
+            report_id, scan_id, text = parts[0].strip(), parts[1].strip(), parts[2]
+            for column, value in (("report_id", report_id), ("scan_id", scan_id)):
+                if not value:
+                    raise InputError(f"{path}:{line_num}: column {column} is empty")
+            out.append((report_id, scan_id, text))
     return out
 
 
@@ -828,28 +833,24 @@ def write_entities_csv(
 
 
 def write_entity_matches_csv(
-    path: str | Path, matches: Sequence[EntityMatch], manifest_digest: str | None = None
+    path: str | Path, matches: EntityMatches, manifest_digest: str | None = None
 ) -> Path:
-    rows = []
-    for m in matches:
-        e = m.entity
-        if e is None and not m.criteria:  # a candidate-only row
-            rows.append((None, None, m.status, m.candidate_id, None, None, None, ""))
-            continue
-        criteria = ";".join(f"{name}={'pass' if ok else 'fail'}" for name, ok in m.criteria)
-        rows.append(
-            (
-                e.report_id if e else None,
-                e.scan_id if e else None,
-                m.status,
-                m.candidate_id,
-                e.size_mm if e else None,
-                e.lobe if e else None,
-                e.lungrads if e else None,
-                criteria,
-            )
-        )
-    return write_csv(path, ENTITY_MATCH_HEADER, rows, manifest_digest)
+    """One row per row of ``matches``, in its order. A candidate-only row
+    holds only its status and candidate id."""
+    entities, taken, criteria = matches.entities, matches.taken, matches.criteria
+    ids = matches.table.candidate_id
+
+    def rows() -> Iterator[tuple]:
+        for k in matches.order:
+            if k < 0:
+                yield None, None, "candidate_only", ids[~k], None, None, None, ""
+                continue
+            e, row = entities[k], taken[k]
+            yield (e.report_id, e.scan_id, "matched" if row >= 0 else "report_only",
+                   ids[row] if row >= 0 else None, e.size_mm, e.lobe, e.lungrads,
+                   ";".join(f"{name}={'pass' if ok else 'fail'}" for name, ok in criteria[k]))
+
+    return write_csv(path, ENTITY_MATCH_HEADER, rows(), manifest_digest)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import LOBE_BY_LABEL, LUNGRADS_CATEGORIES, WorldPoint
+from .domain import (
+    LOBE_BY_LABEL,
+    LUNGRADS_CATEGORIES,
+    RecordSequence,
+    WorldPoint,
+    first_repeat,
+    rows_by_scan,
+)
 from .errors import ConfigError, InputError
 from .volume import Volume, label_at
 
@@ -68,12 +75,31 @@ class GrammarRule:
 
 
 class Grammar:
-    """An ordered, compiled extraction rule list."""
+    """An ordered, compiled extraction rule list.
+
+    Every rule but a ``mention`` one gives its field a fixed ``value`` or the
+    text its ``(?P<value>...)`` group captures; a fixed lobe is a known lobe,
+    and a ``scale`` is finite and positive.
+    """
 
     def __init__(self, rules: Sequence[GrammarRule]):
         if not rules:
             raise ConfigError("grammar has no rules")
+        for i, rule in enumerate(rules):
+            if rule.field == "mention":
+                continue
+            if rule.value is None and "value" not in rule.pattern.groupindex:
+                raise ConfigError(f"grammar rule {i} for {rule.field!r} has neither a "
+                                  "(?P<value>...) group nor a fixed value")
+            if rule.field == "lobe" and rule.value is not None and not (
+                    isinstance(rule.value, str) and rule.value in LOBE_LATERALITY):
+                raise ConfigError(f"grammar rule {i} has unknown lobe value {rule.value!r}")
+            if not (math.isfinite(rule.scale) and rule.scale > 0):
+                raise ConfigError(f"grammar rule {i} has scale {rule.scale!r}; "
+                                  "it must be finite and positive")
         self.rules = tuple(rules)
+        self.mentions = tuple(r.pattern for r in self.rules if r.field == "mention")
+        self.descriptors = tuple(r for r in self.rules if r.field != "mention")
 
     @classmethod
     def from_spec(cls, spec: Sequence[dict]) -> "Grammar":
@@ -93,14 +119,13 @@ class Grammar:
                 pattern = re.compile(raw["pattern"], re.IGNORECASE)
             except (KeyError, re.error) as err:
                 raise ConfigError(f"grammar rule {i} has a bad pattern: {err}") from None
-            rules.append(
-                GrammarRule(
-                    field=field_name,
-                    pattern=pattern,
-                    value=raw.get("value"),
-                    scale=float(raw.get("scale", 1.0)),
-                )
-            )
+            try:
+                scale = float(raw.get("scale", 1.0))
+            except (TypeError, ValueError):
+                raise ConfigError(f"grammar rule {i} has scale {raw['scale']!r}; "
+                                  "it must be finite and positive") from None
+            rules.append(GrammarRule(field=field_name, pattern=pattern,
+                                     value=raw.get("value"), scale=scale))
         return cls(rules)
 
 
@@ -156,36 +181,37 @@ class ReportEntity:
         return dict(self.ordinals)
 
 
+def _captured(rule: GrammarRule, raw: str | None):
+    """The value a rule's ``value`` group captured, as its field holds it."""
+    if raw is None:
+        raise ConfigError(f"grammar rule for {rule.field!r} captured no 'value' group")
+    try:
+        if rule.field == "size_mm":
+            return float(raw) * rule.scale
+        if rule.field.startswith("ordinal:"):
+            return int(raw)
+    except ValueError:
+        raise ConfigError(f"grammar rule for {rule.field!r} captured {raw!r}, "
+                          "which is not a number") from None
+    if rule.field == "lobe" and raw not in LOBE_LATERALITY:
+        raise ConfigError(f"grammar rule for 'lobe' captured {raw!r}, which is not a lobe")
+    return raw.upper() if rule.field == "lungrads" else raw
+
+
 def _extract_from_sentence(
     sentence: str, grammar: Grammar, report_id: str, scan_id: str
 ) -> ReportEntity | None:
+    if not any(pattern.search(sentence) for pattern in grammar.mentions):
+        return None
     found: dict[str, object] = {}
-    mentioned = False
-    for rule in grammar.rules:
-        match = rule.pattern.search(sentence)
-        if match is None:
-            continue
-        if rule.field == "mention":
-            mentioned = True
-            continue
+    for rule in grammar.descriptors:
         if rule.field in found:
             continue  # first matching rule per field wins
-        if rule.value is not None:
-            found[rule.field] = rule.value
-        else:
-            try:
-                raw_value = match.group("value")
-            except (IndexError, re.error):
-                raise ConfigError(
-                    f"grammar rule for {rule.field!r} captured no 'value' group"
-                ) from None
-            if rule.field == "size_mm":
-                found[rule.field] = float(raw_value) * rule.scale
-            elif rule.field.startswith("ordinal:"):
-                found[rule.field] = int(raw_value)
-            else:
-                found[rule.field] = raw_value.upper() if rule.field == "lungrads" else raw_value
-    if not mentioned or not found:
+        match = rule.pattern.search(sentence)
+        if match is not None:
+            found[rule.field] = (rule.value if rule.value is not None
+                                 else _captured(rule, match.group("value")))
+    if not found:
         return None
     lobe = found.get("lobe")
     laterality = LOBE_LATERALITY[lobe] if lobe else found.get("laterality")
@@ -336,61 +362,110 @@ def is_admissible(
     return bool(admissible[0])
 
 
+class EntityMatches(RecordSequence):
+    """What ``match_entities`` returns, held by column.
+
+    ``taken[j]`` is the candidate row entity ``j`` took (-1 for none) and
+    ``criteria[j]`` the verdicts of the criteria that candidate had the
+    information for. ``order`` lists the result's rows: ``j >= 0`` for entity
+    ``j``, ``~k`` for candidate row ``k`` left in the pool. Reads as
+    ``EntityMatch`` records, built only when asked.
+    """
+
+    def __init__(self, entities: list[ReportEntity], table: LinkColumns, taken: list[int],
+                 criteria: list[tuple[tuple[str, bool], ...]], order: list[int]):
+        self.entities = entities
+        self.table = table
+        self.taken = taken
+        self.criteria = criteria
+        self.order = order
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __getitem__(self, index: int) -> EntityMatch:
+        return self._record(self.order[index])
+
+    def __iter__(self):
+        return map(self._record, self.order)
+
+    def _record(self, k: int) -> EntityMatch:
+        ids = self.table.candidate_id
+        if k < 0:
+            return EntityMatch(entity=None, candidate_id=ids[~k], status="candidate_only")
+        row = self.taken[k]
+        if row < 0:
+            return EntityMatch(entity=self.entities[k], candidate_id=None, status="report_only")
+        return EntityMatch(entity=self.entities[k], candidate_id=ids[row], status="matched",
+                           criteria=self.criteria[k])
+
+
 def match_entities(
     entities: Iterable[ReportEntity],
     candidates: Iterable[LinkCandidate] | LinkColumns,
     size_tol_mm: float = 3.0,
     ordinal_tol: int = 1,
-) -> list[EntityMatch]:
+    scans: Iterable[str] | None = None,
+) -> EntityMatches:
     """Assign report entities to candidates; unmatched sides are labeled.
 
-    ``candidates`` are ``LinkCandidate`` records or ``LinkColumns``.
-    Entities are served in input order, and each removes the candidate it
+    ``candidates`` are ``LinkCandidate`` records or ``LinkColumns``; no
+    (scan, candidate id) may repeat. The linked scans are the entities' scans
+    and ``scans`` (by default every candidate's scan; then entities and
+    candidates must share a scan), and candidates on other scans are left
+    out. Each linked scan is linked on its own, in ascending scan id order:
+    its entities are served in input order, and each removes the candidate it
     takes from the pool, so the result is a partial injection. An entity's
     admissible candidates (by the rule of ``is_admissible``) are found among
-    the pool's rows on its scan in one step over the columns; the best of them
-    (highest tier, then score, then smallest size difference, then lowest
-    candidate id) is taken, with the verdicts of the criteria it has the
-    information for. Candidates left in the pool follow in candidate-id order.
+    the pool's rows on its scan in one step over the columns; the best of
+    them (highest tier, then score, then smallest size difference, then
+    lowest candidate id) is taken, with the verdicts of the criteria it has
+    the information for. The scan's candidates left in the pool follow its
+    entities, in candidate-id order.
     """
     entities = list(entities)
     table = LinkColumns.of(candidates)
     ids = table.candidate_id
-    if len(set(ids)) < len(ids):
-        seen: set[str] = set()
-        for candidate_id in ids:
-            if candidate_id in seen:
-                raise InputError(f"duplicate link candidate id {candidate_id!r}")
-            seen.add(candidate_id)
-    entity_scans = {e.scan_id for e in entities}
-    candidate_scans = set(table.scan_id)
-    if entities and ids and not entity_scans & candidate_scans:
-        raise InputError(
-            f"entities and candidates share no scans: {sorted(entity_scans)} vs "
-            f"{sorted(candidate_scans)}"
-        )
+    repeat = first_repeat(table.scan_id, ids)
+    if repeat is not None:
+        raise InputError(f"duplicate link candidate id {ids[repeat]!r}")
+    by_scan = rows_by_scan(table.scan_id)
+    entities_on: dict[str, list[int]] = {}
+    for j, entity in enumerate(entities):
+        entities_on.setdefault(entity.scan_id, []).append(j)
+    if scans is None:
+        scans = by_scan.keys()
+        if entities and ids and not entities_on.keys() & scans:
+            raise InputError(
+                f"entities and candidates share no scans: {sorted(entities_on)} vs "
+                f"{sorted(scans)}"
+            )
 
-    pool = np.ones(len(ids), dtype=bool)
-    on_scan = {scan_id: np.array([s == scan_id for s in table.scan_id], dtype=bool)
-               for scan_id in entity_scans}
     tiers, scores = table.tier.tolist(), table.score.tolist()
-    no_gap = [math.inf] * len(ids)
-    matches: list[EntityMatch] = []
-    for entity in entities:
-        rows = (pool & on_scan[entity.scan_id]).nonzero()[0]
-        criteria, admissible = _link_criteria(entity, table, rows, size_tol_mm, ordinal_tol)
-        found = rows[admissible].tolist()
-        if not found:
-            matches.append(EntityMatch(entity=entity, candidate_id=None, status="report_only"))
-            continue
-        gaps = (no_gap if entity.size_mm is None  # no diameter: an infinite gap
-                else np.fmin(np.abs(entity.size_mm - table.diameter_mm), math.inf).tolist())
-        best = min(found, key=lambda k: (-tiers[k], -scores[k], gaps[k], ids[k]))
-        pool[best] = False
-        at = rows.searchsorted(best)  # rows ascend
-        verdicts = tuple((name, bool(ok[at])) for name, known, ok in criteria if known[at])
-        matches.append(EntityMatch(entity=entity, candidate_id=ids[best], status="matched",
-                                   criteria=verdicts))
-    for candidate_id in sorted(ids[k] for k in np.flatnonzero(pool).tolist()):
-        matches.append(EntityMatch(entity=None, candidate_id=candidate_id, status="candidate_only"))
-    return matches
+    diameters = table.diameter_mm.tolist()
+    taken, criteria = [-1] * len(entities), [()] * len(entities)
+    order: list[int] = []
+    no_rows = np.empty(0, dtype=np.intp)
+    for scan_id in sorted(set(scans) | entities_on.keys()):
+        rows = by_scan.get(scan_id, no_rows)  # ascending
+        pool = np.ones(len(rows), dtype=bool)
+        for j in entities_on.get(scan_id, ()):
+            order.append(j)
+            entity = entities[j]
+            live = rows[pool]
+            verdicts, admissible = _link_criteria(entity, table, live, size_tol_mm, ordinal_tol)
+            found = live[admissible].tolist()
+            if not found:
+                continue
+            size = entity.size_mm  # no size or no diameter: an infinite gap
+            best = min(found, key=lambda k: (
+                -tiers[k], -scores[k],
+                math.inf if size is None or diameters[k] != diameters[k]
+                else abs(size - diameters[k]),
+                ids[k]))
+            pool[rows.searchsorted(best)] = False
+            at = live.searchsorted(best)
+            taken[j] = best
+            criteria[j] = tuple((name, bool(ok[at])) for name, known, ok in verdicts if known[at])
+        order.extend(~k for k in sorted(rows[pool].tolist(), key=ids.__getitem__))
+    return EntityMatches(entities, table, taken, criteria, order)

@@ -9,8 +9,10 @@ they import only those records, the error types, the file schemas, the scalar
 hit test and the mask's voxel lookup. The
 tri-stage and report-linkage oracles are the record loops that fusion and
 linkage ran before they moved onto table columns. So are
-``oracle_record_read_references``, the reference reader that built a record
-per row on the library's column parser, ``oracle_pair_match_lesions``,
+``oracle_link_by_scan``, the loop over scans that ``link`` ran before one
+linkage call covered the cohort, ``oracle_record_read_references``, the
+reference reader that built a record per row on the library's column
+parser, ``oracle_pair_match_lesions``,
 the table matcher that built a ``ScanMatch`` per scan,
 ``oracle_separable_extract_patch``, the patch resampler that ran its passes
 on the volume's (x, y, z) axes, and ``oracle_sorting_mann_whitney_u``, the
@@ -1572,6 +1574,34 @@ def oracle_match_entities(entities, candidates, size_tol_mm=3.0, ordinal_tol=1):
         ))
     for candidate_id in sorted(pool):
         matches.append(EntityMatch(entity=None, candidate_id=candidate_id, status="candidate_only"))
+    return matches
+
+
+def oracle_link_by_scan(entities, candidates, size_tol_mm=3.0, ordinal_tol=1, scans=None):
+    """The per-scan loop ``link`` ran: one ``oracle_match_entities`` call per
+    scan, in ascending scan id order, on the scan's entities and
+    ``LinkCandidate`` records. The scans are ``scans`` and the entities'
+    scans; without ``scans``, the scans of both sides, which must share one.
+    No (scan, candidate id) may repeat."""
+    entities, candidates = list(entities), list(candidates)
+    seen = set()
+    for cand in candidates:
+        if (cand.scan_id, cand.candidate_id) in seen:
+            raise InputError(f"duplicate link candidate id {cand.candidate_id!r}")
+        seen.add((cand.scan_id, cand.candidate_id))
+    entity_scans = {e.scan_id for e in entities}
+    if scans is None:
+        scans = {c.scan_id for c in candidates}
+        if entities and candidates and not entity_scans & scans:
+            raise InputError(
+                f"entities and candidates share no scans: {sorted(entity_scans)} vs "
+                f"{sorted(scans)}"
+            )
+    matches = []
+    for scan_id in sorted(set(scans) | entity_scans):
+        matches.extend(oracle_match_entities(
+            [e for e in entities if e.scan_id == scan_id],
+            [c for c in candidates if c.scan_id == scan_id], size_tol_mm, ordinal_tol))
     return matches
 
 

@@ -708,6 +708,129 @@ class TestLinkCommand:
             "F0000", "F0002", "F0003"
         }
 
+    @pytest.mark.parametrize("rule, message", [
+        ({"field": "size_mm", "pattern": r"(?P<value>[a-z]+)?"},
+         "grammar rule for 'size_mm' captured 'A', which is not a number"),
+        ({"field": "ordinal:x", "pattern": r"(?P<value>right)"},
+         "grammar rule for 'ordinal:x' captured 'right', which is not a number"),
+        ({"field": "lobe", "pattern": r"(?P<value>right upper)"},
+         "grammar rule for 'lobe' captured 'right upper', which is not a lobe"),
+        ({"field": "size_mm", "pattern": r"(?P<value>\d+) mm", "scale": "x"},
+         "grammar rule 1 has scale 'x'; it must be finite and positive"),
+    ])
+    def test_bad_grammar_exits_2(self, tmp_path, capsys, rule, message):
+        reports = tmp_path / "reports.tsv"
+        reports.write_text("r1\ts1\tA 9 mm nodule in the right upper lobe\n")
+        grammar = tmp_path / "grammar.json"
+        grammar.write_text(json.dumps({"rules": [{"field": "mention", "pattern": "nodule"},
+                                                 rule]}))
+        fused = self.write_fused(tmp_path / "fused.csv")
+        out = tmp_path / "links.csv"
+        assert run(["link", "--reports", reports, "--fused", fused, "--grammar", grammar,
+                    "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_report_on_a_scan_without_candidates(self, tmp_path, capsys):
+        # s1 is reported without a nodule sentence, s9 has no fused row: the
+        # two share no scan, and neither is an error
+        reports = tmp_path / "reports.tsv"
+        reports.write_text("r1\ts1\tno findings to speak of\nr2\ts9\tAn 8 mm nodule is seen\n")
+        fused = tmp_path / "fused.csv"
+        fused.write_text(self.write_fused(fused).read_text().splitlines(keepends=True)[0]
+                         + "s1,F0000,10,10,10,8.0,0.9,FUSED,1.0,consensus,,CADE_A:a1|CADE_B:b1\n")
+        out = tmp_path / "links.csv"
+        assert run(["link", "--reports", reports, "--fused", fused, "--out", out]) == 0
+        assert capsys.readouterr().out == f"linked 0/1 entities -> {out}\n"
+        assert out.read_text() == (
+            "# manifest_digest=113fa7a39c6b0c485c664a233914c44ed5dff7371ba0054ee504f7ec86dd1e71\n"
+            "report_id,scan_id,status,candidate_id,size_mm,lobe,lungrads,criteria\n"
+            ",,candidate_only,F0000,,,,\n"
+            "r2,s9,report_only,,8.0,,,\n"
+        )
+
+    def test_seeded_cohorts_match_the_per_scan_oracle(self, tmp_path):
+        """``link --masks`` on seeded cohorts: fused rows interleaved across
+        scans, ids repeating from scan to scan, score and size ties, scans
+        without candidates or without a report, reports without entities and
+        entities without size or lobe; against the loop over scans it replaced."""
+        from oracles import oracle_link_by_scan
+
+        from trifuse import fileio
+        from trifuse.reportlink import LinkCandidate, default_grammar, extract_entities
+        from trifuse.reportlink import lobe_of_candidate
+        from trifuse.volume import load_volume
+
+        rng = random.Random(65)
+        scans = [f"s{i}" for i in range(1, 7)]
+        stages = (("consensus", "1.0", ""), ("cadx_promoted", "0.5", "0.4"),
+                  ("cade_refined", "0.2", ""))
+        sentences = ("A {size} mm nodule in the {lobe}", "{size} mm opacity",
+                     "nodule on the {side}", "{size} mm nodule on the {side}",
+                     "nodule, malignancy 3", "no findings", "the {lobe} is clear")
+        lobes = ("right upper lobe", "right middle lobe", "right lower lobe",
+                 "left upper lobe", "left lower lobe")
+        header = ("scan_id,candidate_id,x_mm,y_mm,z_mm,diameter_mm,score,model,"
+                  "tier,stage,cadx_avg,provenance\n")
+        statuses = set()
+        for cohort in range(4):
+            directory = tmp_path / f"cohort{cohort}"
+            labels = np.zeros((12, 12, 12), dtype=np.uint8)
+            labels[:6, :, :6], labels[6:, :, :6] = 28, 30
+            labels[:6, :, 6:], labels[6:, :, 6:] = 29, 32
+            labels[6:, :6, 6:] = 31
+            masks = write_volumes(directory / "masks", scans, labels)
+            rows = []
+            for scan in scans[: rng.randrange(2, 6)]:
+                for k in range(rng.randrange(1, 9)):
+                    stage, tier, cadx = rng.choice(stages)
+                    rows.append(
+                        f"{scan},F{k:04d},{rng.randrange(12)},{rng.randrange(12)},"
+                        f"{rng.randrange(12)},{rng.choice(('', '5.0', '8.0', '11.0'))},"
+                        f"{rng.choice(('0.3', '0.6'))},FUSED,{tier},{stage},{cadx},CADE_A:a{k}\n")
+            rng.shuffle(rows)
+            fused = directory / "fused.csv"
+            fused.write_text(header + "".join(rows))
+            reports = directory / "reports.tsv"
+            reports.write_text("".join(
+                f"r{i}\t{rng.choice(scans)}\t" + ". ".join(
+                    rng.choice(sentences).format(size=rng.choice((5, 8, 10)),
+                                                 lobe=rng.choice(lobes),
+                                                 side=rng.choice(("left", "right")))
+                    for _ in range(rng.randrange(1, 4))) + "\n"
+                for i in range(rng.randrange(1, 7))))
+            out = directory / "links.csv"
+            assert run(["link", "--reports", reports, "--fused", fused, "--masks", masks,
+                        "--out", out]) == 0
+
+            table = fileio.read_fused(fused)
+            candidates = [
+                LinkCandidate(c.scan_id, c.candidate_id, c.center, c.confidence_tier,
+                              c.cade_score_avg, c.diameter_mm,
+                              lobe_of_candidate(c, load_volume(masks / f"{c.scan_id}.hdr")))
+                for c in table
+            ]
+            report_rows = fileio.read_reports(reports)
+            entities = [e for report_id, scan, text in report_rows
+                        for e in extract_entities(text, default_grammar(), report_id, scan)]
+            expected = oracle_link_by_scan(entities, candidates,
+                                           scans={scan for _, scan, _ in report_rows})
+            assert read_csv_rows(out) == [
+                {"report_id": m.entity.report_id if m.entity else "",
+                 "scan_id": m.entity.scan_id if m.entity else "",
+                 "status": m.status, "candidate_id": m.candidate_id or "",
+                 "size_mm": "" if m.entity is None or m.entity.size_mm is None
+                 else repr(m.entity.size_mm),
+                 "lobe": (m.entity and m.entity.lobe) or "",
+                 "lungrads": (m.entity and m.entity.lungrads) or "",
+                 "criteria": ";".join(f"{k}={'pass' if ok else 'fail'}" for k, ok in m.criteria)}
+                for m in expected
+            ]
+            statuses.update(m.status for m in expected)
+            statuses.update(name for m in expected for name, _ in m.criteria)
+        assert statuses >= {"matched", "report_only", "candidate_only", "lobe", "laterality",
+                            "size"}
+
 
 class TestConfigFile:
     def test_unused_key_warns_and_changes_nothing(self, tmp_path, e2e_inputs, capsys):

@@ -442,6 +442,20 @@ class TestReports:
         path.write_bytes(b"\xef\xbb\xbf# exported\nr1\ts1\t8 mm nodule\n")
         assert fileio.read_reports(path) == [("r1", "s1", "8 mm nodule")]
 
+    def test_ids_stripped_as_csv_ids_are(self, tmp_path):
+        path = write(tmp_path / "rep.tsv", " r1 \ts1 \t 8 mm nodule \n")
+        assert fileio.read_reports(path) == [("r1", "s1", " 8 mm nodule ")]
+
+    @pytest.mark.parametrize("line, column", [
+        ("\ts1\t8 mm nodule", "report_id"),
+        ("r2\t \t8 mm nodule", "scan_id"),
+    ])
+    def test_empty_id_rejected_with_its_line(self, tmp_path, line, column):
+        path = write(tmp_path / "rep.tsv", f"r1\ts1\tnodule\n# note\n{line}\n")
+        with pytest.raises(InputError) as err:
+            fileio.read_reports(path)
+        assert str(err.value) == f"{path}:3: column {column} is empty"
+
 
 class TestManifest:
     def test_digest_stable_across_time_and_paths(self, tmp_path):

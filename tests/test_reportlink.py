@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -8,6 +10,7 @@ from trifuse.domain import WorldPoint
 from trifuse.errors import ConfigError, InputError
 from trifuse.reportlink import (
     LOBE_BY_LABEL,
+    Grammar,
     LinkCandidate,
     LinkColumns,
     ReportEntity,
@@ -20,7 +23,7 @@ from trifuse.reportlink import (
 )
 from trifuse.volume import Volume
 
-from oracles import _oracle_criteria_for, oracle_match_entities
+from oracles import _oracle_criteria_for, oracle_link_by_scan, oracle_match_entities
 
 
 class TestExtraction:
@@ -127,6 +130,40 @@ class TestGrammarFiles:
         path.write_text(json.dumps({"rules": [{"field": "flavor", "pattern": "x"}]}))
         with pytest.raises(ConfigError):
             load_grammar(path)
+
+    @pytest.mark.parametrize("rule, message", [
+        ({"field": "size_mm", "pattern": r"(\d+) mm"},
+         "grammar rule 1 for 'size_mm' has neither a (?P<value>...) group nor a fixed value"),
+        ({"field": "lobe", "pattern": r"upper", "value": "RUM"},
+         "grammar rule 1 has unknown lobe value 'RUM'"),
+        ({"field": "size_mm", "pattern": r"(?P<value>\d+) cm", "scale": "x"},
+         "grammar rule 1 has scale 'x'; it must be finite and positive"),
+        ({"field": "size_mm", "pattern": r"(?P<value>\d+) cm", "scale": 0},
+         "grammar rule 1 has scale 0.0; it must be finite and positive"),
+        ({"field": "size_mm", "pattern": r"(?P<value>\d+) cm", "scale": "inf"},
+         "grammar rule 1 has scale inf; it must be finite and positive"),
+    ])
+    def test_rule_checked_at_load(self, rule, message):
+        with pytest.raises(ConfigError) as err:
+            Grammar.from_spec([{"field": "mention", "pattern": "nodule"}, rule])
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("rule, message", [
+        ({"field": "size_mm", "pattern": r"(?P<value>[a-z]+)?"},
+         "grammar rule for 'size_mm' captured 'An', which is not a number"),
+        ({"field": "size_mm", "pattern": r"(?P<value>[a-z]+)?\d"},
+         "grammar rule for 'size_mm' captured no 'value' group"),
+        ({"field": "ordinal:x", "pattern": r"(?P<value>right)"},
+         "grammar rule for 'ordinal:x' captured 'right', which is not a number"),
+        ({"field": "lobe", "pattern": r"(?P<value>right upper)"},
+         "grammar rule for 'lobe' captured 'right upper', which is not a lobe"),
+    ])
+    def test_bad_capture_is_a_config_error(self, rule, message):
+        grammar = Grammar.from_spec([{"field": "mention", "pattern": "nodule"}, rule])
+        assert extract_entities("An 8 mm finding in the right upper lobe", grammar) == []
+        with pytest.raises(ConfigError) as err:
+            extract_entities("An 8 mm nodule in the right upper lobe", grammar)
+        assert str(err.value) == message
 
 
 class FakeCandidate:
@@ -365,7 +402,7 @@ class TestMatchAgainstOracle:
             entities, candidates = random_link_instance(rng)
             for size_tol, ordinal_tol in ((3.0, 1), (2.0, 0), (0.0, 2)):
                 try:
-                    expected = oracle_match_entities(entities, candidates, size_tol, ordinal_tol)
+                    expected = oracle_link_by_scan(entities, candidates, size_tol, ordinal_tol)
                 except InputError as err:
                     for given in (candidates, LinkColumns.of(candidates)):
                         with pytest.raises(InputError) as raised:
@@ -415,3 +452,81 @@ class TestMatchAgainstOracle:
             with pytest.raises(InputError) as got:
                 match_entities(entities, LinkColumns.of(candidates))
             assert str(got.value) == str(expected.value)
+
+    def test_ids_repeat_across_scans_but_not_within_one(self):
+        candidates = [link_cand("c1", scan="s1"), link_cand("c1", scan="s2")]
+        assert [m.candidate_id for m in match_entities([], candidates)] == ["c1", "c1"]
+        with pytest.raises(InputError, match="duplicate link candidate id 'c1'"):
+            match_entities([], candidates + [link_cand("c1", scan="s2")])
+
+
+def random_link_cohort(rng):
+    """Candidates on up to five scans in shuffled row order, each scan's ids
+    counting from F0000 as in fused lists, and entities on some of the
+    reported scans; some reported scans have no candidates, some scans with
+    candidates have no report."""
+    entities, candidates = random_link_instance(rng)
+    scans = [f"s{i}" for i in range(1, 6)]
+    candidates = [
+        LinkCandidate(scan_id=scan, candidate_id=f"F{k:04d}", center=c.center, tier=c.tier,
+                      score=c.score, diameter_mm=c.diameter_mm, lobe=c.lobe, ordinals=c.ordinals)
+        for scan in scans[: int(rng.integers(1, 5))]
+        for k, c in enumerate(random_link_instance(rng)[1])
+    ]
+    candidates = [candidates[k] for k in rng.permutation(len(candidates))]
+    reported = sorted(scan for scan in scans if rng.random() < 0.7)
+    entities = [
+        dataclasses.replace(e, scan_id=reported[int(rng.integers(len(reported)))])
+        for _ in range(int(rng.integers(0, 3))) for e in random_link_instance(rng)[0]
+    ] if reported else []
+    return entities, candidates, reported
+
+
+class TestCohortAgainstOracle:
+    """One linkage call over a cohort against the loop over scans it replaced."""
+
+    def test_seeded_cohorts(self):
+        rng = np.random.default_rng(64)
+        seen = {"matched": 0, "report_only": 0, "candidate_only": 0}
+        for _ in range(300):
+            entities, candidates, reported = random_link_cohort(rng)
+            for size_tol, ordinal_tol in ((3.0, 1), (0.0, 0)):
+                expected = oracle_link_by_scan(entities, candidates, size_tol, ordinal_tol,
+                                               scans=reported)
+                for given in (candidates, LinkColumns.of(candidates)):
+                    got = match_entities(entities, given, size_tol, ordinal_tol, scans=reported)
+                    assert got == expected
+                    assert [got[i] for i in range(-len(got), len(got))] == expected * 2
+                for m in expected:
+                    seen[m.status] += 1
+        assert min(seen.values()) > 0
+
+    def test_every_tie_break_in_one_call(self):
+        # the tie cases of TestMatchAgainstOracle, one scan each, rows interleaved
+        cases = (
+            [link_cand("b", size=8.0, tier=0.5), link_cand("a", size=8.0, tier=1.0)],
+            [link_cand("a", size=8.0, score=0.4), link_cand("b", size=8.0, score=0.7)],
+            [link_cand("a", size=10.0), link_cand("b", size=9.0), link_cand("c")],
+            [link_cand("b", size=6.0), link_cand("a", size=10.0)],
+            [link_cand("b"), link_cand("a")],
+        )
+        scans = [f"t{i}" for i in range(len(cases))]
+        candidates = [dataclasses.replace(c, scan_id=scan)
+                      for c, scan in zip(itertools.chain(*itertools.zip_longest(*cases)),
+                                         itertools.cycle(scans)) if c is not None]
+        # entities in reverse scan order; one reported scan holds no candidate
+        entities = [entity(scan=scan, size=8.0) for scan in reversed(scans + ["t9"])]
+        expected = oracle_link_by_scan(entities, candidates)
+        assert [m.candidate_id for m in expected if m.status == "matched"] == [
+            "a", "b", "b", "a", "a"]
+        assert match_entities(entities, candidates) == expected
+        assert match_entities(entities, LinkColumns.of(candidates)) == expected
+
+    def test_reported_scans_without_candidates_need_no_shared_scan(self):
+        entities = [entity(scan="s9", size=8.0)]
+        candidates = [link_cand("F0000", scan="s1"), link_cand("F0000", scan="s2")]
+        got = match_entities(entities, candidates, scans=["s1", "s9"])
+        assert got == oracle_link_by_scan(entities, candidates, scans=["s1", "s9"])
+        assert [(m.status, m.candidate_id) for m in got] == [
+            ("candidate_only", "F0000"), ("report_only", None)]
+        assert got.taken == [-1] and got.order == [~0, 0]
