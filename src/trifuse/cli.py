@@ -1,13 +1,14 @@
 """Command-line surface: fuse, eval, sweep, stats and link subcommands.
 
 Every command is deterministic given (inputs, flags, seed). Exit codes:
-0 success; 2 input/schema error, an output path that cannot be written or
-that is an input, ``fuse`` with a candidate to score but no CADx provider,
-or a scan volume the scorer's patch cannot be taken from; 3 a CADx scorer
-that failed, or whose patch could not be extracted or saved; 4 internal
-invariant violation. A ``--config FILE`` of key=value lines mirrors every
-flag (keys are the long flag names without the leading dashes); explicit
-flags win over the config file.
+0 success; 2 input/schema error (a text input that is not UTF-8 among
+them), an output path that cannot be written or that is an input, ``fuse``
+with a candidate to score but no CADx provider, or a scan volume the
+scorer's patch cannot be taken from; 3 a CADx scorer that failed or
+printed output that is not UTF-8 text, or whose patch could not be
+extracted or saved; 4 internal invariant violation. A ``--config FILE`` of
+key=value lines mirrors every flag (keys are the long flag names without
+the leading dashes); explicit flags win over the config file.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -475,6 +475,56 @@ class CandidateTable(RowTable):
         ]
 
 
+# The rules a reference row is held to, in the order a row is checked: the
+# fields each reads, and a test of their values that gives the words of its
+# error if they break it, else None. ``SemanticRatings`` and
+# ``ReferenceNodule`` hold their one row to them; ``fileio.read_references``
+# holds whole columns to them.
+Rule = tuple[tuple[str, ...], Callable[..., str | None]]
+
+
+def _integer_rule(field: str, label: str, lo: int, hi: float, must: str) -> Rule:
+    """``field`` is None or an integer in [``lo``, ``hi``]."""
+    return (field,), lambda value: (
+        f"{label} must be {must}, got {value!r}"
+        if value is not None and (not isinstance(value, int) or not lo <= value <= hi) else None)
+
+
+RATING_RULES: tuple[Rule, ...] = (
+    *(_integer_rule(name, f"rating {name}", lo, hi, f"an integer in [{lo}, {hi}]")
+      for name, (lo, hi) in RATING_RANGES.items()),
+    *(_integer_rule(name, f"rating {name}", 0, math.inf, "a non-negative integer")
+      for name in ("internal_structure", "calcification")),
+    (("diameter_rad_mm",), lambda d: (
+        f"diameter_rad_mm must be positive, got {float(d)}"
+        if d is not None and require_finite("diameter_rad_mm", d) <= 0.0 else None)),
+)
+REFERENCE_RULES: tuple[Rule, ...] = (
+    (("diameter_mm",), lambda d: f"reference diameter_mm must be positive, got {d}"
+     if d <= 0.0 else None),
+    (("diagnosis",), lambda d: None if d in DIAGNOSES
+     else f"diagnosis must be one of {DIAGNOSES}, got {d!r}"),
+    (("lungrads",), lambda c: None if c is None or c in LUNGRADS_CATEGORIES
+     else f"lungrads must be one of {LUNGRADS_CATEGORIES}, got {c!r}"),
+    (("nodule_id", "reviewers", "positive_votes"), lambda n, r, v: (
+        f"nodule {n}: positive_votes given without reviewers"
+        if r is None and v is not None else None)),
+    _integer_rule("reviewers", "reviewers", 1, math.inf, "a positive integer"),
+    _integer_rule("positive_votes", "positive_votes", 0, math.inf, "a non-negative integer"),
+    (("nodule_id", "reviewers", "positive_votes"), lambda n, r, v: (
+        f"nodule {n}: positive_votes {v} exceeds reviewers {r}"
+        if r is not None and v is not None and v > r else None)),
+)
+
+
+def hold_to(record, rules: Iterable[Rule]) -> None:
+    """Raise the ``InputError`` of the first rule the fields of ``record`` break."""
+    for fields, words in rules:
+        broken = words(*(getattr(record, field) for field in fields))
+        if broken:
+            raise InputError(broken)
+
+
 @dataclass(frozen=True)
 class SemanticRatings:
     """Ordinal reader ratings for one nodule; every field optional."""
@@ -491,20 +541,9 @@ class SemanticRatings:
     diameter_rad_mm: float | None = None
 
     def __post_init__(self):
-        for name, (lo, hi) in RATING_RANGES.items():
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not isinstance(value, int) or not lo <= value <= hi:
-                raise InputError(f"rating {name} must be an integer in [{lo}, {hi}], got {value!r}")
-        for name in ("internal_structure", "calcification"):
-            value = getattr(self, name)
-            if value is not None and (not isinstance(value, int) or value < 0):
-                raise InputError(f"rating {name} must be a non-negative integer, got {value!r}")
+        hold_to(self, RATING_RULES)
         if self.diameter_rad_mm is not None:
-            object.__setattr__(
-                self, "diameter_rad_mm", require_positive("diameter_rad_mm", self.diameter_rad_mm)
-            )
+            object.__setattr__(self, "diameter_rad_mm", float(self.diameter_rad_mm))
 
     def value(self, characteristic: str):
         if not hasattr(self, characteristic):
@@ -532,29 +571,8 @@ class ReferenceNodule:
         if not self.nodule_id:
             raise InputError("reference nodule_id must be non-empty")
         object.__setattr__(
-            self, "diameter_mm", require_positive("reference diameter_mm", self.diameter_mm)
-        )
-        if self.diagnosis not in DIAGNOSES:
-            raise InputError(f"diagnosis must be one of {DIAGNOSES}, got {self.diagnosis!r}")
-        if self.lungrads is not None and self.lungrads not in LUNGRADS_CATEGORIES:
-            raise InputError(
-                f"lungrads must be one of {LUNGRADS_CATEGORIES}, got {self.lungrads!r}"
-            )
-        if self.positive_votes is not None and self.reviewers is None:
-            raise InputError(f"nodule {self.nodule_id}: positive_votes given without reviewers")
-        if self.reviewers is not None:
-            if not isinstance(self.reviewers, int) or self.reviewers < 1:
-                raise InputError(f"reviewers must be a positive integer, got {self.reviewers!r}")
-            if self.positive_votes is not None:
-                if not isinstance(self.positive_votes, int) or self.positive_votes < 0:
-                    raise InputError(
-                        f"positive_votes must be a non-negative integer, got {self.positive_votes!r}"
-                    )
-                if self.positive_votes > self.reviewers:
-                    raise InputError(
-                        f"nodule {self.nodule_id}: positive_votes {self.positive_votes} "
-                        f"exceeds reviewers {self.reviewers}"
-                    )
+            self, "diameter_mm", require_finite("reference diameter_mm", self.diameter_mm))
+        hold_to(self, REFERENCE_RULES)
 
     @property
     def key(self) -> tuple[str, str]:

@@ -1,4 +1,12 @@
-"""Exception types shared across the package, mapped to CLI exit codes."""
+"""Exception types shared across the package, mapped to CLI exit codes, and
+the one way input text files are opened, so that a file that is not UTF-8
+fails as bad input."""
+
+import contextlib
+import re
+from collections.abc import Iterator
+from pathlib import Path
+from typing import TextIO
 
 
 class InputError(ValueError):
@@ -15,3 +23,24 @@ class ScorerError(RuntimeError):
 
 class InvariantError(RuntimeError):
     """Internal consistency check failed (CLI exit code 4)."""
+
+
+@contextlib.contextmanager
+def open_text(path: Path, newline: str | None = None,
+              error: type[ValueError] = InputError) -> Iterator[TextIO]:
+    """``path`` open as UTF-8 text; a leading byte-order mark is dropped. A
+    byte that cannot be decoded, met while the file is read in the ``with``
+    block, raises ``error`` naming the file and the line the byte is on;
+    the file is read again, as bytes, only then."""
+    try:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")  # a byte-order mark decodes too, and offsets count from 0
+        except UnicodeDecodeError as err:
+            line = 1 + len(re.findall(rb"\r\n?|\n", data[:err.start]))
+            raise error(f"{path}:{line}: not UTF-8 text: cannot decode byte "
+                        f"{data[err.start]:#04x}") from None
+        raise  # the file has changed since it was opened

@@ -35,19 +35,19 @@ import numpy as np
 
 from . import __version__
 from .domain import (
-    DIAGNOSES,
-    LUNGRADS_CATEGORIES,
     PROVENANCE_SEP,
-    RATING_RANGES,
+    RATING_RULES,
+    REFERENCE_RULES,
     STAGE_CADX,
     TIER_BY_STAGE,
     CandidateTable,
     FusedCandidate,
     ReferenceTable,
+    Rule,
     first_repeat,
     nan_to_none,
 )
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, open_text
 from .froc import FrocResult, GroupScoreSummary, LesionMatchResult
 from .fusion import CadxScoreTable, fused_table
 from .readerstats import CHARACTERISTIC_DISPLAY, OverlapRow, SemanticTable
@@ -89,10 +89,6 @@ def _csv_lines(fh, last_line: list[int]) -> Iterable[str]:
         yield line
 
 
-def _open_csv(path: Path):
-    return open(path, "r", encoding="utf-8-sig", newline="")
-
-
 _CHUNK_LINES = 2048
 _is_comment = operator.methodcaller("startswith", "#")
 _SPECIAL = ('"', "\r", "\0")  # cells csv.reader may read otherwise than a split on ","
@@ -116,21 +112,18 @@ class _Columns:
     chunk with a quote, carriage return or NUL on, so does the rest of the
     file, as a quoted cell may span lines.
 
-    Each chunk of a column named in ``numbers`` is converted as it is read:
-    to a float64 segment (NaN for a blank cell) if every other cell is a
-    finite number, else kept as its cells for ``number`` to convert and
-    check. A column named in ``shared`` holds one string per distinct value,
+    Each chunk of a column named in ``numbers`` is converted as it is read,
+    by ``_segment``. Any other column holds one string per distinct value,
     as long as at most half of its cells so far are distinct: scan ids, and
     candidate ids numbered per scan, repeat from row to row.
     """
 
-    def __init__(self, path: Path, required: Sequence[str], numbers: Sequence[str] = (),
-                 shared: Sequence[str] = ()):
+    def __init__(self, path: Path, required: Sequence[str], numbers: Sequence[str] = ()):
         if not path.exists():
             raise InputError(f"{path}: file does not exist")
         self.path = path
-        self._stop: tuple[int, str | None] | None = None
-        with _open_csv(path) as fh:
+        self._first: tuple[int, Callable[[], InputError]] | None = None
+        with open_text(path, newline="") as fh:
             lines = itertools.filterfalse(_is_comment, fh)
             try:
                 header = next(csv.reader(lines), None)
@@ -145,10 +138,9 @@ class _Columns:
                     raise InputError(f"{path}: column {column} missing")
             width = len(header)
             self._cells: list[list[str]] = [[] for _ in range(width)]
-            # a numeric column's chunks: float64 segments, or the cells of a chunk with a bad one
-            self._segments: dict[int, list[np.ndarray | Sequence[str]]] = {
+            self._segments: dict[int, list[_Segment]] = {
                 self._index[name]: [] for name in numbers if name in self._index}
-            self._shared = {self._index[name]: {} for name in shared if name in self._index}
+            self._shared = {i: {} for i in range(width) if i not in self._segments}
             self.n = 0
             limit = csv.field_size_limit()
             commas = {width - 1}
@@ -166,7 +158,6 @@ class _Columns:
                     self.n += len(chunk)
                 elif not self._add_rows(csv.reader(chunk), width):
                     break
-        self._first: tuple[int, Callable[[], InputError]] | None = None
 
     def _add(self, parts: Sequence[Sequence[str]]) -> None:
         """Add one chunk of rows, given as the cells of each column."""
@@ -182,21 +173,23 @@ class _Columns:
 
     def _add_rows(self, reader: Iterator[list[str]], width: int) -> bool:
         """Add the rows of ``reader`` a chunk at a time; false if a row stops
-        the reading."""
+        the reading. That row is noted as a fault."""
         failed: list[csv.Error] = []
         rows_iter = _readable_rows(reader, failed)
-        while rows := list(itertools.islice(rows_iter, _CHUNK_LINES)):
+        problem = None
+        while problem is None and (rows := list(itertools.islice(rows_iter, _CHUNK_LINES))):
             if set(map(len, rows)) != {width}:
                 rows, long_row = _even_rows(rows, width)
                 if long_row is not None:
-                    self._stop = (self.n + long_row, "more cells than header columns")
+                    problem = "more cells than header columns"
             self._add(list(zip(*rows)))
             self.n += len(rows)
-            if self._stop is not None:
-                return False
-        if failed:
-            self._stop = (self.n, None)
-        return not failed
+        if problem is None and failed:
+            problem = str(failed[0])  # line() raises it itself, with the line it is on
+        if problem is not None:
+            row = self.n
+            self.note(row, lambda: self.error(row, problem))
+        return problem is None
 
     def raw(self, column: str) -> list[str]:
         return self._cells[self._index[column]]
@@ -209,7 +202,7 @@ class _Columns:
         up to it that ``csv.reader`` cannot read raises its error, with the
         line it is on; row -1 is the header."""
         last_line = [0]
-        with _open_csv(self.path) as fh:
+        with open_text(self.path, newline="") as fh:
             reader = csv.reader(_csv_lines(fh, last_line))
             try:
                 next(reader)
@@ -246,33 +239,22 @@ class _Columns:
 
     def number(self, column: str, required: bool = True) -> np.ndarray:
         """``float()`` of every cell as float64. A cell that is not a finite
-        number is an error, and so is an empty one unless ``required`` is
+        number is an error, and so is a blank one unless ``required`` is
         false; then it reads as NaN. The chunks of a column named in
         ``numbers`` are let go: such a column is read once."""
         i = self._index[column]
         segments = self._segments.pop(i, None) or [_segment(self._cells[i])]
-        values, start = [], 0
-        for segment in segments:
-            values.append(self._checked(segment, start, column, required))
-            start += len(segment)
-        return np.concatenate(values)
-
-    def _checked(self, segment: np.ndarray | Sequence[str], start: int, column: str,
-                 required: bool) -> np.ndarray:
-        """``number`` of one chunk, rows ``start`` on; its first bad cell is noted."""
-        if isinstance(segment, np.ndarray):  # finite numbers, NaN where a cell is blank
-            values, cells = segment, None
-            bad = np.isnan(values) if required else np.zeros(0, dtype=bool)
-        else:  # some cell is not a number, not finite, or blank
-            values, cells = _floats(segment), segment
-            bad = ~np.isfinite(values)
-            if not required:
-                bad &= np.array([bool(c.strip()) for c in cells], dtype=bool)
-        if bad.any():
-            at = int(np.argmax(bad))
-            row, cell = start + at, "" if cells is None else cells[at]
-            self.note(row, lambda: self.cell_error(row, column, _number_problem(cell, required)))
-        return values
+        faults, start = [], 0
+        for values, blank, bad in segments:
+            if required and blank is not None:
+                faults.append((start + blank, ""))
+            if bad is not None:
+                faults.append((start + bad[0], bad[1]))
+            start += len(values)
+        if faults:
+            row, cell = min(faults)
+            self.note(row, lambda: self.cell_error(row, column, _number_problem(cell)))
+        return np.concatenate([values for values, _, _ in segments])
 
     def integer(self, column: str, required: bool = True) -> list[int | None]:
         """``int()`` of every cell. A cell that is not an integer is an error,
@@ -307,6 +289,14 @@ class _Columns:
             text = words(row) if column is None else f"column {column} {words(row)}"
             self.note(row, lambda: self.error(row, text))
 
+    def hold_to(self, rules: Iterable[Rule], values: Mapping[str, Sequence]) -> None:
+        """Note the first row of ``values``, lists by field, that breaks each
+        rule; a rule that reads a field without values is skipped."""
+        for fields, words in rules:
+            if all(field in values for field in fields):
+                cells = [values[field] for field in fields]
+                self.where(None, map(words, *cells), lambda row: words(*(c[row] for c in cells)))
+
     def unit_interval(self, column: str, values: np.ndarray) -> None:
         self.where(column, (values < 0.0) | (values > 1.0),
                    lambda row: f"must lie in [0, 1], got {float(values[row])}")
@@ -332,13 +322,9 @@ class _Columns:
                 f"unknown coordinate convention {convention!r}; use lps or ras"))
 
     def done(self) -> None:
-        """Raise the first noted error, else the error of the row that stopped
-        the reading."""
+        """Raise the first noted error."""
         if self._first is not None:
             raise self._first[1]()
-        if self._stop is not None:
-            row, problem = self._stop
-            raise self.error(row, problem)  # line() raises the error of an unreadable row
 
 def _readable_rows(reader: Iterator[list[str]], failed: list[csv.Error]) -> Iterator[list[str]]:
     """The rows of ``reader`` up to one it cannot read; ``failed`` then holds
@@ -365,41 +351,37 @@ def _even_rows(data: list[list[str]], width: int) -> tuple[list[list[str]], int 
 
 
 _EMPTY_AS_NAN = {"": "nan"}
+# float64 values, NaN for a blank or bad cell; the first blank cell's index;
+# and the first bad cell's index and text (a cell is bad if it is not blank
+# and not a finite number)
+_Segment = tuple[np.ndarray, int | None, tuple[int, str] | None]
 
 
-def _segment(cells: Sequence[str]) -> np.ndarray | Sequence[str]:
-    """The cells as float64, NaN for a blank one, if each other cell is a
-    finite number; else the cells. One parse, each empty cell read as NaN,
-    settles a chunk whose only cells that are not finite numbers are empty."""
+def _segment(cells: Sequence[str]) -> _Segment:
+    """``float()`` of each cell of one chunk. One parse, each empty cell read
+    as NaN, settles a chunk whose only cells that are not finite numbers are
+    empty; any other chunk is parsed again a cell at a time."""
     blanks = cells.count("")
     numbers = map(_EMPTY_AS_NAN.get, cells, cells) if blanks else cells
     try:
         values = np.fromiter(map(float, numbers), dtype=np.float64, count=len(cells))
         if np.count_nonzero(~np.isfinite(values)) == blanks:
-            return values
+            return values, cells.index("") if blanks else None, None
     except ValueError:
         pass
-    values = _floats(cells)
-    if np.array_equal(~np.isfinite(values), [not c.strip() for c in cells]):
-        return values
-    return cells
-
-
-def _floats(cells: Sequence[str]) -> np.ndarray:
-    """``float()`` of each cell as float64, NaN for a blank cell or one that
-    is not a number."""
-    numbers = [c if c.strip() else "nan" for c in cells]
-    try:
-        return np.array(list(map(float, numbers)), dtype=np.float64)
-    except ValueError:
-        return np.array(list(map(_float_or_nan, numbers)), dtype=np.float64)
-
-
-def _float_or_nan(cell: str) -> float:
-    try:
-        return float(cell)  # float() ignores surrounding whitespace itself
-    except ValueError:
-        return math.nan
+    values, blank, bad = np.full(len(cells), math.nan), None, None
+    for i, cell in enumerate(cells):
+        try:
+            value = float(cell)  # float() ignores surrounding whitespace itself
+        except ValueError:
+            value = math.nan
+        if math.isfinite(value):
+            values[i] = value
+        elif not cell.strip():
+            blank = i if blank is None else blank
+        elif bad is None:
+            bad = (i, cell)
+    return values, blank, bad
 
 
 def _int_or_none(cell: str) -> int | None:
@@ -409,17 +391,15 @@ def _int_or_none(cell: str) -> int | None:
         return None
 
 
-def _number_problem(cell: str, required: bool) -> str | None:
-    """What is wrong with a numeric cell, or None if nothing is."""
+def _number_problem(cell: str) -> str:
+    """What is wrong with a numeric cell that is blank or not a finite number."""
+    if not cell.strip():
+        return "is empty"
     try:
-        value = float(cell)
-    except ValueError:
-        if cell.strip():  # quoted as it is: strip() drops \x1c-\x1f, float() does not
-            return f"is not a number: {cell!r}"
-        return "is empty" if required else None
-    if not math.isfinite(value):
-        return f"is not finite: {cell.strip()!r}"
-    return None
+        float(cell)
+    except ValueError:  # quoted as it is: strip() drops \x1c-\x1f, float() does not
+        return f"is not a number: {cell!r}"
+    return f"is not finite: {cell.strip()!r}"
 
 
 def atomic_write_text(path: str | Path, text: str | Callable[[TextIO], object]) -> Path:
@@ -478,8 +458,7 @@ def read_candidates(
     path: str | Path, convention: str = "lps", expected_model: str | None = None
 ) -> CandidateTable:
     path = Path(path)
-    columns = _Columns(path, CANDIDATE_COLUMNS, numbers=_CANDIDATE_NUMBERS,
-                       shared=("scan_id", "candidate_id", "model"))
+    columns = _Columns(path, CANDIDATE_COLUMNS, numbers=_CANDIDATE_NUMBERS)
     model = columns.text("model")
     if expected_model is not None:
         columns.where("model", (m != expected_model for m in model),
@@ -502,11 +481,11 @@ def read_candidates(
 
 def read_references(path: str | Path, convention: str = "lps") -> ReferenceTable:
     """The reference table of a file, which reads as ``ReferenceNodule``
-    records. Its rows are held to the rules ``SemanticRatings`` and
-    ``ReferenceNodule`` enforce, a column at a time and in the order they
-    check a row, with the words they use; each error gains file and line."""
+    records. Its columns are held to the rules of ``SemanticRatings`` and
+    ``ReferenceNodule``, ``RATING_RULES`` and ``REFERENCE_RULES``, in the
+    order those records check a row; each error gains file and line."""
     path = Path(path)
-    columns = _Columns(path, REFERENCE_COLUMNS, shared=("scan_id",), numbers=(
+    columns = _Columns(path, REFERENCE_COLUMNS, numbers=(
         "x_mm", "y_mm", "z_mm", "diameter_mm", CHARACTERISTIC_DISPLAY["diameter_rad_mm"]))
     xyz = _xyz(columns)
     ratings = {
@@ -521,39 +500,13 @@ def read_references(path: str | Path, convention: str = "lps") -> ReferenceTable
     votes = columns.integer("positive_votes", required=False)
     diagnosis = [cell.strip() or "unknown" for cell in columns.raw("diagnosis")]
     lungrads = [cell.strip() or None for cell in columns.raw("lungrads")]
-
-    for name, (lo, hi) in RATING_RANGES.items():
-        values = ratings.get(name, ())
-        columns.where(None, (v is not None and not lo <= v <= hi for v in values), lambda row: (
-            f"rating {name} must be an integer in [{lo}, {hi}], got {values[row]!r}"))
-    for name in ("internal_structure", "calcification"):
-        values = ratings.get(name, ())
-        columns.where(None, (v is not None and v < 0 for v in values), lambda row: (
-            f"rating {name} must be a non-negative integer, got {values[row]!r}"))
-    rad = ratings.get("diameter_rad_mm", ())
-    columns.where(None, (v is not None and v <= 0.0 for v in rad),
-                  lambda row: f"diameter_rad_mm must be positive, got {rad[row]}")
+    columns.hold_to(RATING_RULES, ratings)
     if convention not in COORDINATE_CONVENTIONS and columns.n:
         columns.note(0, lambda: columns.error(
             0, f"unknown coordinate convention {convention!r}; use lps or ras"))
-    columns.where(None, diameter <= 0.0, lambda row: (
-        f"reference diameter_mm must be positive, got {float(diameter[row])}"))
-    columns.where(None, (d not in DIAGNOSES for d in diagnosis),
-                  lambda row: f"diagnosis must be one of {DIAGNOSES}, got {diagnosis[row]!r}")
-    columns.where(None, (v is not None and v not in LUNGRADS_CATEGORIES for v in lungrads),
-                  lambda row: (f"lungrads must be one of {LUNGRADS_CATEGORIES}, "
-                               f"got {lungrads[row]!r}"))
-    columns.where(None, (v is not None and r is None for r, v in zip(reviewers, votes)),
-                  lambda row: f"nodule {nodule_id[row]}: positive_votes given without reviewers")
-    columns.where(None, (r is not None and r < 1 for r in reviewers),
-                  lambda row: f"reviewers must be a positive integer, got {reviewers[row]!r}")
-    columns.where(None, (r is not None and v is not None and v < 0
-                         for r, v in zip(reviewers, votes)),
-                  lambda row: f"positive_votes must be a non-negative integer, got {votes[row]!r}")
-    columns.where(None, (r is not None and v is not None and v > r
-                         for r, v in zip(reviewers, votes)),
-                  lambda row: (f"nodule {nodule_id[row]}: positive_votes {votes[row]} "
-                               f"exceeds reviewers {reviewers[row]}"))
+    columns.hold_to(REFERENCE_RULES, {
+        "diameter_mm": diameter.tolist(), "diagnosis": diagnosis, "lungrads": lungrads,
+        "nodule_id": nodule_id, "reviewers": reviewers, "positive_votes": votes})
     columns.unique((scan_id, nodule_id), lambda row: columns.error(
         row, f"duplicate nodule_id {nodule_id[row]!r} on scan {scan_id[row]!r}"))
     columns.done()
@@ -563,8 +516,7 @@ def read_references(path: str | Path, convention: str = "lps") -> ReferenceTable
 
 def read_cadx_scores(path: str | Path) -> CadxScoreTable:
     path = Path(path)
-    columns = _Columns(path, CADX_SCORE_COLUMNS, numbers=("p_luna", "p_dlcs"),
-                       shared=("scan_id", "candidate_id", "model"))
+    columns = _Columns(path, CADX_SCORE_COLUMNS, numbers=("p_luna", "p_dlcs"))
     key = (columns.text("scan_id"), columns.text("model"), columns.text("candidate_id"))
     columns.unique(key, lambda row: columns.error(
         row, f"duplicate CADx score entry for {tuple(column[row] for column in key)}"))
@@ -592,7 +544,7 @@ def read_reports(path: str | Path) -> list[tuple[str, str, str]]:
     if not path.exists():
         raise InputError(f"{path}: file does not exist")
     out = []
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         for line_num, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
@@ -618,8 +570,7 @@ def read_fused(path: str | Path, convention: str = "lps") -> CandidateTable:
     cadx-promoted rows; no (scan, candidate id) repeats. Each provenance
     cell is split into its tuple of qualified ids."""
     path = Path(path)
-    columns = _Columns(path, FUSED_COLUMNS, numbers=_CANDIDATE_NUMBERS + ("tier", "cadx_avg"),
-                       shared=("scan_id", "candidate_id", "model", "stage", "provenance"))
+    columns = _Columns(path, FUSED_COLUMNS, numbers=_CANDIDATE_NUMBERS + ("tier", "cadx_avg"))
     xyz = _xyz(columns)
     stage = columns.text("stage")
     known = np.array([s in TIER_BY_STAGE for s in stage], dtype=bool)
@@ -661,7 +612,7 @@ def read_match_files(paths: Sequence[str | Path]) -> dict[str, dict[tuple[str, s
     out: dict[str, dict[tuple[str, str], float | None]] = {}
     for path in paths:
         path = Path(path)
-        columns = _Columns(path, MATCH_COLUMNS, numbers=("score",), shared=("scan_id", "model"))
+        columns = _Columns(path, MATCH_COLUMNS, numbers=("score",))
         model = columns.text("model")
         scan_id = columns.text("scan_id")
         nodule_id = columns.text("nodule_id")
@@ -979,7 +930,8 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     """key=value configuration mirroring the CLI flags (keys without '--')."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        with open_text(path, error=ConfigError) as fh:
+            text = fh.read()
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from None
     out: dict[str, str] = {}

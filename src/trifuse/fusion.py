@@ -559,19 +559,22 @@ class _ScorerCall:
             stdin.write(f"{self.header}\n")
         try:
             self.process = subprocess.Popen(argv, stdin=read_end, stdout=subprocess.PIPE,
-                                            stderr=subprocess.PIPE, text=True)
+                                            stderr=subprocess.PIPE)
         except OSError as err:
             raise ScorerError(f"cannot run external scorer for {self.label}: {err}") from err
         finally:
             os.close(read_end)
 
     def finish(self) -> tuple[float, float]:
-        """Wait for the scorer and read its two scores."""
+        """Wait for the scorer and read its two scores from its UTF-8 output."""
         stdout, stderr = self.process.communicate()
         if self.process.returncode != 0:
             raise ScorerError(f"external scorer exited {self.process.returncode} for "
-                              f"{self.label}: {stderr.strip()}")
-        parts = stdout.split()
+                              f"{self.label}: {stderr.decode(errors='replace').strip()}")
+        try:
+            parts = stdout.decode().split()
+        except UnicodeDecodeError as err:
+            raise ScorerError(f"external scorer output invalid for {self.label}: {err}") from err
         if len(parts) != 2:
             raise ScorerError(
                 f"external scorer printed {len(parts)} values for {self.label}, expected 2"

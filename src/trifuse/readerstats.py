@@ -67,15 +67,12 @@ CHARACTERISTIC_DISPLAY = {
 
 
 def consensus_category(reviewers: int | None, positive_votes: int | None) -> str:
-    """Canonical reader vote pattern for one nodule."""
+    """Canonical reader vote pattern for one nodule; vote counts that
+    ``ReferenceNodule`` rejects raise ``InputError``."""
     if positive_votes is None:
         return "NoVotes"
-    if reviewers is None:
-        raise InputError("positive_votes given without reviewers")
-    if reviewers < 1 or positive_votes < 0:
+    if reviewers is None or reviewers < 1 or not 0 <= positive_votes <= reviewers:
         raise InputError(f"invalid vote counts: {positive_votes}/{reviewers}")
-    if positive_votes > reviewers:
-        raise InputError(f"positive_votes {positive_votes} exceeds reviewers {reviewers}")
     table = {
         (1, 1): "R1_1of1",
         (2, 2): "R2_2of2",

@@ -35,7 +35,7 @@ from .domain import (
     first_repeat,
     rows_by_scan,
 )
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, open_text
 from .volume import Volume, label_at
 
 LOBE_LATERALITY = {"LUL": "left", "LLL": "left", "RUL": "right", "RML": "right", "RLL": "right"}
@@ -137,7 +137,8 @@ def load_grammar(path: str | Path) -> Grammar:
     """Load a user grammar: JSON object with a top-level "rules" list."""
     path = Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        with open_text(path, error=ConfigError) as fh:
+            payload = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read grammar file {path}: {err}") from None
     except json.JSONDecodeError as err:

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .domain import LUNG_LOBE_LABELS, WorldPoint, require_positive
-from .errors import InputError
+from .errors import InputError, open_text
 
 ELEMENT_DTYPES = {"uint8": "<u1", "int16": "<i2", "float32": "<f4"}
 
@@ -267,7 +267,8 @@ def read_header(header_path: str | Path) -> tuple[VolumeHeader, Path]:
     header_path = Path(header_path)
     fields: dict[str, str] = {}
     try:
-        text = header_path.read_text(encoding="utf-8")
+        with open_text(header_path) as fh:
+            text = fh.read()
     except OSError as err:
         raise InputError(f"cannot read volume header {header_path}: {err}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):

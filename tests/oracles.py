@@ -1246,7 +1246,7 @@ def oracle_record_read_references(path: str | Path, convention: str = "lps") -> 
     ``SemanticRatings`` and ``ReferenceNodule`` check the values of each row,
     and their errors gain file and line."""
     path = Path(path)
-    columns = _Columns(path, REFERENCE_COLUMNS, shared=("scan_id",), numbers=(
+    columns = _Columns(path, REFERENCE_COLUMNS, numbers=(
         "x_mm", "y_mm", "z_mm", "diameter_mm", CHARACTERISTIC_DISPLAY["diameter_rad_mm"]))
     x = columns.number("x_mm").tolist()
     y = columns.number("y_mm").tolist()

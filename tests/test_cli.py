@@ -990,6 +990,43 @@ class TestExitCodes:
         assert "exited 1" in err and "Traceback" not in err
         assert not (tmp_path / "result.csv").exists()
 
+    @pytest.mark.parametrize("bad", ["cade_a.csv", "reports.tsv", "run.cfg", "grammar.json",
+                                     "masks/s1.hdr"])
+    def test_text_that_is_not_utf8_exits_2(self, tmp_path, monkeypatch, capsys, bad):
+        monkeypatch.chdir(write_command_inputs(tmp_path))
+        write_volumes(tmp_path / "masks", ("s1", "s2", "s3", "s4"))
+        Path("grammar.json").write_text('{"rules": [{"field": "mention", "pattern": "nodule"}]}')
+        Path("run.cfg").write_text("seed=3\n")
+        text = Path(bad).read_bytes()
+        Path(bad).write_bytes(text + b"caf\xe9\n")  # Latin-1, on the line after the last
+        line = text.count(b"\n") + 1
+        argv = (["link", "--reports", "reports.tsv", "--fused", "fused.csv",
+                 "--grammar", "grammar.json", "--out", "links.csv"]
+                if bad in ("reports.tsv", "grammar.json") else
+                command_argv("fuse", "cade_a.csv", "result.csv") + [
+                    "--masks", "masks", "--config", "run.cfg"])
+        capsys.readouterr()
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (f"error: {Path(bad)}:{line}: not UTF-8 text: "
+                                           "cannot decode byte 0xe9\n")
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    def test_scorer_output_that_is_not_utf8_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(write_command_inputs(tmp_path))
+        write_volumes(tmp_path / "vols", ("s1", "s2", "s3", "s4"))
+        capsys.readouterr()
+        argv = command_argv("fuse", "cade_a.csv", "result.csv")
+        Path("scorer.py").write_text("import sys\nsys.stdout.buffer.write(b'0.5 0.5\\xff\\n')\n")
+        argv[argv.index("--cadx-scores"):argv.index("--out")] = [
+            "--cadx-cmd", f"{sys.executable} scorer.py", "--volumes", "vols"]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("scorer error: external scorer output invalid for CADE_A:c02 on "
+                              "scan s1: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "result.csv").exists()
+
     def test_missing_volume_header_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(write_command_inputs(tmp_path))
         (tmp_path / "vols").mkdir()

@@ -457,6 +457,42 @@ class TestReports:
         assert str(err.value) == f"{path}:3: column {column} is empty"
 
 
+def not_utf8(path):
+    return f"{path}: not UTF-8 text: cannot decode byte 0xe9"
+
+
+class TestTextThatIsNotUtf8:
+    """A byte that cannot be decoded is an input error naming the physical
+    line it is on, wherever the file is in its reading; a byte-order mark
+    is still dropped."""
+
+    @pytest.mark.parametrize("bad_row", [0, 3, 6000])  # the first chunk, or well past it
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_candidate_csv(self, tmp_path, bad_row, eol):
+        rows = [f"s1,c{i},1,2,3,,0.5,CADE_A{eol}".encode() for i in range(6010)]
+        rows[bad_row] = rows[bad_row].replace(b"s1", b"s\xe9")
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"\xef\xbb\xbf# note" + eol.encode() + CANDIDATE_HEADER.replace(
+            "\n", eol).encode() + b"".join(rows))
+        with pytest.raises(InputError) as err:
+            fileio.read_candidates(path)
+        assert str(err.value) == not_utf8(f"{path}:{bad_row + 3}")
+
+    def test_reports(self, tmp_path):
+        path = tmp_path / "rep.tsv"
+        path.write_bytes(b"\xef\xbb\xbfr1\ts1\tnodule\r\n# note\r\nr2\ts\xe9\tnodule\r\n")
+        with pytest.raises(InputError) as err:
+            fileio.read_reports(path)
+        assert str(err.value) == not_utf8(f"{path}:3")
+
+    def test_config(self, tmp_path):
+        path = tmp_path / "cfg"
+        path.write_bytes(b"\xef\xbb\xbfseed=3\n# caf\xe9\n")
+        with pytest.raises(ConfigError) as err:
+            fileio.parse_config_file(path)
+        assert str(err.value) == not_utf8(f"{path}:2")
+
+
 class TestManifest:
     def test_digest_stable_across_time_and_paths(self, tmp_path):
         a = write(tmp_path / "a.csv", "x\n1\n")
@@ -1304,23 +1340,41 @@ class TestNumberChunks:
             numbers = [f"{x:.3f}" for x in rng.uniform(-5, 5, n).tolist()]
             cells = [pick(rng, self.POOL) if rng.random() < 0.3 else x for x in numbers]
             cells = tuple(cells) if k % 2 else cells
-            got, want = fileio._segment(cells), oracle_segment(cells)
+            (got, blank, bad), want = fileio._segment(cells), oracle_segment(cells)
             outcomes.add((isinstance(want, np.ndarray), "" in cells))
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert blank == next((i for i, c in enumerate(cells) if not c.strip()), None)
             if isinstance(want, np.ndarray):
-                assert isinstance(got, np.ndarray) and got.dtype == np.float64
+                assert bad is None
                 assert np.array_equal(got, want, equal_nan=True)
-            else:
-                assert got is cells
-        assert len(outcomes) == 4  # values and cells, each with and without a blank cell
+            else:  # the first cell that is neither blank nor a finite number
+                assert bad is not None and bad[1] is cells[bad[0]]
+                assert isinstance(oracle_segment(cells[:bad[0]]), np.ndarray)
+                assert not isinstance(oracle_segment(cells[:bad[0] + 1]), np.ndarray)
+        assert len(outcomes) == 4  # with and without a bad cell, each with and without a blank
 
     def test_numbers_and_empty_cells_are_parsed_once(self, monkeypatch):
         calls = []
         monkeypatch.setattr(fileio, "float", lambda cell: calls.append(cell) or float(cell),
                             raising=False)
         cells = ["1.5", "", "2", "", "-0.25"]
-        got = fileio._segment(cells)
+        got, blank, bad = fileio._segment(cells)
         assert len(calls) == len(cells)
         assert np.array_equal(got, [1.5, np.nan, 2.0, np.nan, -0.25], equal_nan=True)
+        assert (blank, bad) == (1, None)
+
+    def test_a_bad_cell_costs_at_most_two_parses_per_cell(self, tmp_path, monkeypatch):
+        # the one parse of the chunk, then one per cell; the error's words
+        # take one more parse of the bad cell
+        calls = []
+        monkeypatch.setattr(fileio, "float", lambda cell: calls.append(cell) or float(cell),
+                            raising=False)
+        cells = ["1.5", "2", "x", "3", "4"]
+        path = write(tmp_path / "l.csv", "scan_id,candidate_id,score,label\n" + "".join(
+            f"s,c{i},{cell},cancer\n" for i, cell in enumerate(cells)))
+        with pytest.raises(InputError, match=f"^{path}:4: column score is not a number: 'x'$"):
+            fileio.read_labeled_scores(path)
+        assert len(calls) <= 2 * len(cells)
 
     @pytest.mark.parametrize("column", ["x_mm", "diameter_mm"])  # required, optional
     @pytest.mark.parametrize("cell", [" ", "nan", "inf", "\x1f1.0"])

@@ -1048,6 +1048,17 @@ class TestCommandProviderPipeline:
         assert [p.returncode for p in spawned] == [3]
         assert list((tmp_path / "patches").iterdir()) == []
 
+    def test_output_that_is_not_utf8(self, tmp_path, spawned):
+        scorer = tmp_path / "scorer.py"
+        scorer.write_text("import sys\nsys.stdout.buffer.write(b'0.5 0.5\\xff\\n')\n")
+        provider = CommandCadxProvider(f"{sys.executable} {scorer}", self.loader,
+                                       tmp_path / "patches")
+        with pytest.raises(ScorerError, match="^external scorer output invalid for CADE_A:a1 "
+                                              "on scan s1: 'utf-8' codec can't decode byte 0xff"):
+            provider(self.table)
+        assert [p.returncode for p in spawned] == [0]
+        assert list((tmp_path / "patches").iterdir()) == []
+
     @pytest.mark.parametrize("volume, message", [
         (None, "cannot load scan volume for CADE_A:a2 on scan s2: no intensity volume"),
         ("not a volume", "CADx scoring failed for CADE_A:a2 on scan s2: "),

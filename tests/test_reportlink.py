@@ -107,6 +107,13 @@ class TestGrammarFiles:
         assert entity.size_mm == 9.0
         assert extract_entities("nodule of 9 mm", grammar) == []
 
+    def test_text_that_is_not_utf8_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "grammar.json"
+        path.write_bytes(b'{"rules": [],\n "note": "caf\xe9"}\n')
+        with pytest.raises(ConfigError) as err:
+            load_grammar(path)
+        assert str(err.value) == f"{path}:2: not UTF-8 text: cannot decode byte 0xe9"
+
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -91,6 +91,13 @@ class TestHeaderFile:
         with pytest.raises(InputError, match="unknown header key"):
             read_header(header)
 
+    def test_text_that_is_not_utf8_rejected_with_its_line(self, tmp_path):
+        header = self.write_pair(tmp_path, np.zeros((2, 2, 2)))
+        header.write_bytes(b"\xef\xbb\xbf" + header.read_bytes() + b"# caf\xe9\n")
+        with pytest.raises(InputError) as err:
+            read_header(header)
+        assert str(err.value) == f"{header}:6: not UTF-8 text: cannot decode byte 0xe9"
+
     def test_missing_key_rejected(self, tmp_path):
         header = self.write_pair(tmp_path, np.zeros((2, 2, 2)), drop="spacing_mm")
         with pytest.raises(InputError, match="missing header keys"):
