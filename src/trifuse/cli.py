@@ -79,18 +79,19 @@ class _Run:
         if value is not None:
             return value
         if name in self.config:
-            raw = self.config[name]
+            raw, line = self.config[name]
             try:
                 return cast(raw)
             except (TypeError, ValueError):
-                raise ConfigError(f"config key {name!r} has invalid value {raw!r}") from None
+                raise ConfigError(f"{self.args.config}:{line}: config key {name!r} "
+                                  f"has invalid value {raw!r}") from None
         return default
 
     def get_flag(self, name: str) -> bool:
         self.looked_up.add(name)
         if getattr(self.args, name.replace("-", "_"), False):
             return True
-        raw = self.config.get(name, "").lower()
+        raw = self.config.get(name, ("", 0))[0].lower()
         return raw in ("1", "true", "yes", "on")
 
     def require(self, name: str, cast=str):
@@ -117,6 +118,11 @@ class _Run:
 
         Only the last requested scan stays resident. Commands work scan by scan,
         so every lookup within a scan reuses it and each volume is mapped once.
+        The map serves single-voxel lookups; a patch reads only its box's rows
+        from the raw file, so the pages it reads never count toward the
+        process's memory. A raw file cut short mid-run fails the patch that
+        reads it, which ``fuse`` reports as a scorer error (exit 3), not a
+        crash.
         """
         directory = Path(directory)
         current: dict[str, Volume] = {}

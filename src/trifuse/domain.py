@@ -450,7 +450,10 @@ class CandidateTable(RowTable):
             pick_array(self.cadx_avg), pick(self.provenance),
         )
         table._qualified_id = pick(self._qualified_id)
-        table._unique_keys = self._unique_keys and np.unique(rows).size == rows.size
+        if self._unique_keys:  # rows taken at most once keep the keys unique
+            seen = np.zeros(len(self), dtype=bool)
+            seen[rows] = True  # a negative row and its positive twin mark one row
+            table._unique_keys = int(np.count_nonzero(seen)) == rows.size
         table.source_rows = rows
         return table
 

@@ -926,26 +926,27 @@ def write_manifest(path: str | Path, manifest: Mapping) -> Path:
 # config files
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """key=value configuration mirroring the CLI flags (keys without '--')."""
+def parse_config_file(path: str | Path) -> dict[str, tuple[str, int]]:
+    """key=value configuration mirroring the CLI flags (keys without '--'):
+    each key's value and the number of the line it is on."""
     path = Path(path)
+    out: dict[str, tuple[str, int]] = {}
     try:
         with open_text(path, error=ConfigError) as fh:
-            text = fh.read()
+            # physical lines: only \n, \r\n and \r end one
+            for line_num, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path}:{line_num}: expected key=value, got {line!r}")
+                key, _, value = line.partition("=")
+                key = key.strip()
+                if not key:
+                    raise ConfigError(f"{path}:{line_num}: empty key")
+                if key in out:
+                    raise ConfigError(f"{path}:{line_num}: duplicate key {key!r}")
+                out[key] = (value.strip(), line_num)
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from None
-    out: dict[str, str] = {}
-    for line_num, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{line_num}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise ConfigError(f"{path}:{line_num}: empty key")
-        if key in out:
-            raise ConfigError(f"{path}:{line_num}: duplicate key {key!r}")
-        out[key] = value.strip()
     return out

@@ -11,7 +11,12 @@ Header grammar (one ``key = value`` per line, unknown keys rejected)::
     data_file = <path relative to the header>
 
 Voxels are stored x-fastest; in memory the array is indexed ``[ix, iy, iz]``.
-Loaded volumes are read-only memory maps of the raw file.
+A loaded volume's values are a read-only memory map of the raw file, which
+serves single-voxel lookups; a patch reads only its source box's rows from
+the raw file, so the pages it reads never count toward the process's
+memory, and a raw file cut short mid-run fails the patch with
+``InputError`` (which ``fuse --cadx-cmd`` reports as a scorer error, exit
+3) instead of a crash.
 Label lookups use the nearest voxel (labels are never interpolated); patch
 resampling uses trilinear interpolation. Grid points outside the sample hull
 of the source volume take the air value, -1000 HU, which normalizes to 0.0.
@@ -24,6 +29,7 @@ them; ``Patch.values`` is the ``[ix, iy, iz]`` view of that array.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,10 +80,15 @@ class VolumeHeader:
 
 @dataclass(eq=False)
 class Volume:
-    """An immutable-by-convention voxel grid with world placement."""
+    """An immutable-by-convention voxel grid with world placement.
+
+    ``data_path`` is the raw file a loaded volume's values map, from which
+    patches read their source boxes; it is None for any other volume.
+    """
 
     header: VolumeHeader
     values: np.ndarray
+    data_path: Path | None = None
 
     def __post_init__(self):
         if tuple(self.values.shape) != self.header.dims:
@@ -202,6 +213,34 @@ def _lerp(v: np.ndarray, axis: int, i0: np.ndarray, i1: np.ndarray, f: np.ndarra
     return a
 
 
+def _source_box(volume: Volume, bx: slice, by: slice, bz: slice) -> np.ndarray:
+    """The voxels ``[bx, by, bz]`` as a C-ordered (z, y, x) array.
+
+    A loaded volume's box is read from its raw file, one z-slice's rows
+    ``by`` at a time, without touching the memory map; any other volume's
+    box is a view of its values.
+    """
+    if volume.data_path is None:
+        return volume.values[bx, by, bz].T
+    path = volume.data_path
+    nx, ny, _ = volume.header.dims
+    dtype = volume.values.dtype
+    rows = np.empty((by.stop - by.start, nx), dtype)  # one z-slice's rows, reused
+    box = np.empty((bz.stop - bz.start, by.stop - by.start, bx.stop - bx.start), dtype)
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            for k, z in enumerate(range(bz.start, bz.stop)):
+                offset = (z * ny + int(by.start)) * nx * dtype.itemsize
+                got = os.preadv(fh.fileno(), [rows], offset)
+                if got != rows.nbytes:
+                    raise InputError(f"{path}: voxel data cut short since it was loaded: "
+                                     f"read {got} of {rows.nbytes} bytes at offset {offset}")
+                box[k] = rows[:, bx]
+    except OSError as err:
+        raise InputError(f"cannot read voxel data {path}: {err}") from None
+    return box
+
+
 def extract_patch(volume: Volume, center: WorldPoint) -> Patch:
     """Resample a 64^3 patch at (0.7, 0.7, 1.25) mm spacing around a point.
 
@@ -220,6 +259,9 @@ def extract_patch(volume: Volume, center: WorldPoint) -> Patch:
     normalized in place. ``Patch.values`` is indexed ``[ix, iy, iz]``: it is
     the transposed view of that array, so the patch lies x-fastest in
     memory, as a patch file stores it.
+
+    A loaded volume's source box is read from its raw file; a file cut
+    short since it was loaded raises ``InputError`` naming it.
     """
     if volume.values.size == 0:
         raise InputError("cannot extract a patch from a degenerate (empty) volume")
@@ -234,7 +276,7 @@ def extract_patch(volume: Volume, center: WorldPoint) -> Patch:
         # every sample is air, which normalizes to 0.0
         return Patch(values=np.zeros(PATCH_SHAPE[::-1]).T, center=center)
     (rx, bx, x0, x1, fx), (ry, by, y0, y1, fy), (rz, bz, z0, z1, fz) = axes
-    box = volume.values[bx, by, bz].T  # (z, y, x), the raw file's order
+    box = _source_box(volume, bx, by, bz)  # (z, y, x), the raw file's order
     if all(run == slice(0, n) for run, n in zip((rx, ry, rz), PATCH_SHAPE)):
         out = np.empty(PATCH_SHAPE[::-1])
     else:
@@ -268,10 +310,10 @@ def read_header(header_path: str | Path) -> tuple[VolumeHeader, Path]:
     fields: dict[str, str] = {}
     try:
         with open_text(header_path) as fh:
-            text = fh.read()
+            lines = list(fh)  # physical lines: only \n, \r\n and \r end one
     except OSError as err:
         raise InputError(f"cannot read volume header {header_path}: {err}") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -305,8 +347,11 @@ def load_volume(header_path: str | Path) -> Volume:
     """Map a volume's raw data file read-only, as described by its header.
 
     The voxels are not read up front: the returned values are a read-only
-    memory map, so a lookup or a patch touches only the pages it needs. The
-    raw file must not change while the volume is in use.
+    memory map, so a voxel lookup touches only the page it needs. A patch
+    does not use the map: it reads only its source box's rows from the raw
+    file (``data_path``), so the pages it reads never count toward the
+    process's memory. The raw file must not change while the volume is in
+    use; one cut short fails the next patch with ``InputError``.
     """
     header, data_path = read_header(header_path)
     dtype = np.dtype(ELEMENT_DTYPES[header.element_type])
@@ -324,7 +369,7 @@ def load_volume(header_path: str | Path) -> Volume:
         raise InputError(f"cannot read voxel data {data_path}: {err}") from None
     nx, ny, nz = header.dims
     values = raw.reshape((nz, ny, nx)).T  # stored x-fastest
-    return Volume(header=header, values=values)
+    return Volume(header=header, values=values, data_path=data_path)
 
 
 def save_volume(volume: Volume, header_path: str | Path, data_file: str | None = None) -> Path:

@@ -1,10 +1,14 @@
 """Shared builders for the synthetic fixtures used across the suite."""
 
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import trifuse
 from trifuse.domain import CandidateDetection, ReferenceNodule, WorldPoint
 
 
@@ -27,6 +31,16 @@ def ref(scan, nid, x, y, z, diameter, **kwargs):
         diameter_mm=diameter,
         **kwargs,
     )
+
+
+def run_python(code: str, *args) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter that imports the trifuse under test,
+    with ``args`` as ``sys.argv[1:]``. A crash there, such as a SIGBUS, ends
+    only that process."""
+    path = [str(Path(trifuse.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=300)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from trifuse.cli import main
 from trifuse.domain import WorldPoint
 from trifuse.volume import Volume, save_volume
 
-from conftest import CPM_FIXTURE_CPM, write_e2e_inputs
+from conftest import CPM_FIXTURE_CPM, run_python, write_e2e_inputs
 
 
 def run(argv):
@@ -39,14 +39,14 @@ def body(path):
             if not line.startswith("#")]
 
 
-def write_volumes(directory, scans, values=None):
+def write_volumes(directory, scans, values=None, spacing=(1.0, 1.0, 1.0)):
     """One <scan>.hdr volume per scan (5^3 zeros unless values are given)."""
     directory.mkdir(parents=True, exist_ok=True)
     if values is None:
         values = np.zeros((5, 5, 5), dtype="<f4")
     for scan in scans:
         save_volume(
-            Volume.from_array(values, (1.0, 1.0, 1.0), WorldPoint(0, 0, 0)),
+            Volume.from_array(values, spacing, WorldPoint(0, 0, 0)),
             directory / f"{scan}.hdr",
         )
     return directory
@@ -276,7 +276,7 @@ class TestFuseCommand:
         assert run(["fuse", "--cade-a", e2e_inputs["cade_a"], "--cade-b", e2e_inputs["cade_b"],
                     "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
-        assert err == "error: config key 'lung-labels' has invalid value 'a,b'\n"
+        assert err == f"error: {cfg}:1: config key 'lung-labels' has invalid value 'a,b'\n"
         assert not out.exists()
 
     def test_zero_threshold_in_config_is_applied(self, tmp_path, e2e_inputs):
@@ -868,6 +868,18 @@ class TestConfigFile:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 3
 
+    def test_invalid_value_names_its_line(self, tmp_path, e2e_inputs, capsys):
+        # a vertical tab inside a value does not end line 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=3\x0bx\nresamples=5\n")
+        out = tmp_path / "out"
+        assert run(["eval", "--candidates", e2e_inputs["cade_a"],
+                    "--references", e2e_inputs["references"], "--config", cfg,
+                    "--out", out]) == 2
+        assert capsys.readouterr().err == (f"error: {cfg}:1: config key 'seed' has invalid "
+                                           "value '3\\x0bx'\n")
+        assert not out.exists()
+
     def test_unknown_stratifier_exits_2(self, tmp_path, e2e_inputs, capsys):
         # argparse checks --stratify; a config value is checked by the evaluation
         cfg = tmp_path / "run.cfg"
@@ -990,6 +1002,34 @@ class TestExitCodes:
         assert "exited 1" in err and "Traceback" not in err
         assert not (tmp_path / "result.csv").exists()
 
+    def test_raw_file_cut_short_mid_run_exits_3(self, tmp_path, monkeypatch):
+        # each intensity volume's raw file is cut short right after it is
+        # mapped; through the memory map the patch would die of SIGBUS, so
+        # the command runs in a child process
+        monkeypatch.chdir(write_command_inputs(tmp_path))
+        write_volumes(tmp_path / "vols", ("s1", "s2", "s3", "s4"),
+                      np.ones((128, 128, 64), dtype="<i2"))
+        argv = command_argv("fuse", "cade_a.csv", "result.csv")
+        argv[argv.index("--cadx-scores"):argv.index("--out")] = [
+            "--cadx-cmd", f"{sys.executable} -c \"print(0.5, 0.5)\"", "--volumes", "vols"]
+        code = (
+            "import os, sys\n"
+            "from trifuse import cli\n"
+            "load = cli.load_volume\n"
+            "def load_then_cut(header):\n"
+            "    volume = load(header)\n"
+            "    os.truncate(os.path.splitext(header)[0] + '.raw', 4096)\n"
+            "    return volume\n"
+            "cli.load_volume = load_then_cut\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        done = run_python(code, *argv)
+        assert done.returncode == 3, (done.returncode, done.stderr)
+        assert done.stderr.startswith("scorer error: CADx scoring failed for CADE_A:c02 on "
+                                      f"scan s1: {Path('vols', 's1.raw')}: voxel data cut short")
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+        assert not (tmp_path / "result.csv").exists()
+
     @pytest.mark.parametrize("bad", ["cade_a.csv", "reports.tsv", "run.cfg", "grammar.json",
                                      "masks/s1.hdr"])
     def test_text_that_is_not_utf8_exits_2(self, tmp_path, monkeypatch, capsys, bad):
@@ -1055,6 +1095,34 @@ class TestExitCodes:
             assert err == ("error: no CADx provider configured but candidate CADE_A:c02 on scan "
                            "s1 needs scoring; give --cadx-scores FILE or --cadx-cmd CMD\n")
             assert not Path("f.csv").exists()
+
+
+def test_fuse_and_link_do_not_import_numpy_ma(tmp_path, e2e_inputs):
+    # numpy.ma costs set-up time and memory; np.unique, for one, imports it
+    masks = write_volumes(tmp_path / "masks", ("s1", "s2", "s3", "s4"),
+                          np.full((8, 8, 8), 28, dtype="<u1"), spacing=(32.0, 32.0, 32.0))
+    rng = np.random.default_rng(46)
+    volumes = write_volumes(tmp_path / "vols", ("s1", "s2", "s3", "s4"),
+                            rng.integers(-1000, 500, size=(24, 24, 24)).astype("<i2"),
+                            spacing=(10.0, 10.0, 10.0))
+    reports = tmp_path / "reports.tsv"
+    reports.write_text("R1\ts1\tA 6 mm nodule in the right upper lobe.\n")
+    fused = tmp_path / "fused.csv"
+    argvs = [
+        ["fuse", "--cade-a", e2e_inputs["cade_a"], "--cade-b", e2e_inputs["cade_b"],
+         "--masks", masks, "--volumes", volumes,
+         "--cadx-cmd", f"{sys.executable} -c \"print(0.5, 0.5)\"", "--out", fused],
+        ["link", "--reports", reports, "--fused", fused, "--masks", masks,
+         "--out", tmp_path / "links.csv"],
+    ]
+    code = ("import json, sys\n"
+            "from trifuse.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n")
+    done = run_python(code, json.dumps([[str(a) for a in argv] for argv in argvs]))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0], False]
+    assert ",cadx_promoted," in fused.read_text()
 
 
 def write_pin_cohort(directory, n_scans=50, seed=29):

@@ -537,7 +537,20 @@ class TestJsonSerialization:
 class TestConfigFile:
     def test_parse(self, tmp_path):
         path = write(tmp_path / "cfg", "# comment\ntau-cadx=0.15\nseed = 3\n")
-        assert fileio.parse_config_file(path) == {"tau-cadx": "0.15", "seed": "3"}
+        assert fileio.parse_config_file(path) == {"tau-cadx": ("0.15", 2), "seed": ("3", 3)}
+
+    @pytest.mark.parametrize("mark", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"])
+    def test_lines_end_only_at_line_breaks(self, tmp_path, mark):
+        # str.splitlines() would also break line 1 at ``mark``, and then
+        # name line 2 for its second half
+        path = tmp_path / "cfg"
+        path.write_text(f"seed=3{mark}x\rresamples=5\r\nbad\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            fileio.parse_config_file(path)
+        assert str(err.value) == f"{path}:3: expected key=value, got 'bad'"
+        path.write_text(f"seed=3{mark}x\rresamples=5\r\n", encoding="utf-8")
+        assert fileio.parse_config_file(path) == {"seed": (f"3{mark}x", 1), "resamples": ("5", 2)}
 
     def test_malformed_rejected(self, tmp_path):
         path = write(tmp_path / "cfg", "tau-cadx 0.15\n")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from trifuse.volume import (
     world_to_voxel,
 )
 
+from conftest import run_python
 from oracles import oracle_extract_patch, oracle_save_patch, oracle_separable_extract_patch
 
 
@@ -97,6 +100,17 @@ class TestHeaderFile:
         with pytest.raises(InputError) as err:
             read_header(header)
         assert str(err.value) == f"{header}:6: not UTF-8 text: cannot decode byte 0xe9"
+
+    @pytest.mark.parametrize("mark", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"])
+    def test_lines_end_only_at_line_breaks(self, tmp_path, mark):
+        # str.splitlines() would also break the comment at ``mark``, and
+        # then name line 2 for its second half
+        header = self.write_pair(tmp_path, np.zeros((2, 2, 2)), extra_lines=("flavor = salty",))
+        header.write_text(f"# exported{mark}by hand\n" + header.read_text(), encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            read_header(header)
+        assert str(err.value) == f"{header}:7: unknown header key 'flavor'"
 
     def test_missing_key_rejected(self, tmp_path):
         header = self.write_pair(tmp_path, np.zeros((2, 2, 2)), drop="spacing_mm")
@@ -334,6 +348,23 @@ class TestExtractPatchMatchesOracle:
         loaded = load_volume(save_volume(vol, tmp_path / "v.hdr"))
         self.assert_same(loaded, self.centres(rng, loaded))
 
+    @pytest.mark.parametrize("element_type", ["uint8", "float32"])
+    def test_loaded_volume_of_each_type(self, tmp_path, element_type):
+        # a loaded volume's boxes are read from its raw file; int16 is
+        # test_memory_mapped_volume's
+        rng = np.random.default_rng({"uint8": 41, "float32": 43}[element_type])
+        values = {"uint8": rng.integers(0, 256, size=(33, 27, 21)),
+                  "float32": rng.uniform(-2000.0, 2000.0, size=(33, 27, 21))}[element_type]
+        vol = Volume.from_array(values, (0.83, 1.17, 2.5), WorldPoint(-11.3, 4.7, 101.9),
+                                element_type)
+        loaded = load_volume(save_volume(vol, tmp_path / "v.hdr"))
+        assert loaded.data_path == tmp_path / "v.raw" and vol.data_path is None
+        centres = self.centres(rng, loaded)
+        for center in centres:
+            got = extract_patch(loaded, center).values
+            assert got.tobytes() == extract_patch(vol, center).values.tobytes(), center
+        self.assert_same(loaded, centres)
+
     def test_volume_at_patch_spacing(self, tmp_path):
         # the benchmark's geometry: every pass gathers consecutive source rows
         rng = np.random.default_rng(27)
@@ -374,6 +405,80 @@ class TestExtractPatchMatchesOracle:
         vol = Volume.from_array(values, spacing, origin, "float32")
         assert extract_patch(vol, center).values[31, 31, 31] > 0.0
         self.assert_same(vol, [center])
+
+
+def mapped_file_kb() -> int:
+    """The file-backed and shared pages mapped into this process, in kB."""
+    with open("/proc/self/status") as fh:
+        return sum(int(line.split()[1]) for line in fh
+                   if line.startswith(("RssFile:", "RssShmem:")))
+
+
+def has_rss_file() -> bool:
+    try:
+        return "RssFile:" in Path("/proc/self/status").read_text()
+    except OSError:
+        return False
+
+
+class TestPatchReads:
+    """A loaded volume's patches read their source boxes from the raw file,
+    never through the memory map."""
+
+    @pytest.mark.skipif(not has_rss_file(), reason="needs RssFile in /proc/self/status")
+    def test_patches_map_no_volume_pages(self, tmp_path):
+        nx, ny, nz = 512, 512, 64
+        plane = (np.arange(nx * ny) % 1500 - 1000).astype("<i2")
+        with open(tmp_path / "big.raw", "wb") as fh:
+            for _ in range(nz):
+                plane.tofile(fh)
+        (tmp_path / "big.hdr").write_text(
+            f"dims = {nx} {ny} {nz}\nspacing_mm = 0.7 0.7 1.25\norigin_mm = 0 0 0\n"
+            "element_type = int16\ndata_file = big.raw\n")
+        # one patch of an in-memory volume first, so nothing is loaded lazily later
+        extract_patch(make_volume(np.zeros((30, 30, 30), "<i2")), WorldPoint(15, 15, 15))
+        loaded = load_volume(tmp_path / "big.hdr")
+        rng = np.random.default_rng(44)
+        before = mapped_file_kb()
+        for _ in range(8):
+            center = WorldPoint(*rng.uniform((30.0, 30.0, 10.0), (330.0, 330.0, 70.0)))
+            assert extract_patch(loaded, center).values.any()
+        assert mapped_file_kb() - before < 4096
+
+    def test_raw_file_cut_short_raises_input_error(self, tmp_path):
+        # through the memory map the patch would die of SIGBUS, so it runs
+        # in a child process
+        code = (
+            "import os, sys\n"
+            "import numpy as np\n"
+            "from trifuse.domain import WorldPoint\n"
+            "from trifuse.errors import InputError\n"
+            "from trifuse.volume import Volume, extract_patch, load_volume, save_volume\n"
+            "vol = Volume.from_array(np.ones((128, 128, 64), '<i2'), (1.0, 1.0, 1.0),\n"
+            "                        WorldPoint(0, 0, 0))\n"
+            "loaded = load_volume(save_volume(vol, sys.argv[1]))\n"
+            "os.truncate(sys.argv[1].replace('.hdr', '.raw'), 4096)\n"
+            "try:\n"
+            "    extract_patch(loaded, WorldPoint(64, 64, 32))\n"
+            "except InputError as err:\n"
+            "    print(err)\n"
+        )
+        done = run_python(code, tmp_path / "v.hdr")
+        assert done.returncode == 0 and done.stderr == "", (done.returncode, done.stderr)
+        assert done.stdout == (f"{tmp_path / 'v.raw'}: voxel data cut short since it was "
+                               "loaded: read 0 of 12032 bytes at offset 10496\n")
+
+    def test_a_volume_built_from_loaded_values_uses_its_values(self, tmp_path):
+        rng = np.random.default_rng(45)
+        vol = Volume.from_array(rng.integers(-1000, 500, size=(30, 26, 22)), (1.0, 1.2, 1.9),
+                                WorldPoint(0, 0, 0), "int16")
+        loaded = load_volume(save_volume(vol, tmp_path / "v.hdr"))
+        flipped = Volume(header=loaded.header, values=loaded.values[::-1])
+        center = WorldPoint(14.0, 15.0, 20.0)
+        want = extract_patch(make_volume(vol.values[::-1].copy(), (1.0, 1.2, 1.9)), center)
+        assert extract_patch(flipped, center).values.tobytes() == want.values.tobytes()
+        assert extract_patch(flipped, center).values.tobytes() != (
+            extract_patch(loaded, center).values.tobytes())
 
 
 class TestSavePatchMatchesOracle:
