@@ -2,9 +2,11 @@
 
 Every command is deterministic given (inputs, flags, seed). Exit codes:
 0 success; 2 input/schema error (a text input that is not UTF-8 among
-them), an output path that cannot be written or that is an input, ``fuse``
-with a candidate to score but no CADx provider, or a scan volume the
-scorer's patch cannot be taken from; 3 a CADx scorer that failed or
+them), an output path that cannot be written or that is an input (a
+volume's raw file among them), ``fuse`` with a candidate to score but no
+CADx provider, a scan volume the scorer's patch cannot be taken from, or a
+mask whose raw file is cut short mid-run or whose voxel under a candidate
+is not a whole-number label; 3 a CADx scorer that failed or
 printed output that is not UTF-8 text, or whose patch could not be
 extracted or saved; 4 internal invariant violation. A ``--config FILE`` of
 key=value lines mirrors every flag (keys are the long flag names without
@@ -59,7 +61,8 @@ class _Run:
     Options are looked up layered: explicit flag, then config file, then
     default. Every name looked up is recorded, so config keys no lookup asked
     for can be reported; every file read is recorded under its role, so the
-    manifest covers exactly the inputs the outputs came from.
+    manifest covers exactly the inputs the outputs came from. A loaded
+    volume's raw file is not hashed, but no output may overwrite it either.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -67,6 +70,7 @@ class _Run:
         self.config = fileio.parse_config_file(args.config) if args.config else {}
         self.looked_up: set[str] = set()
         self.inputs: dict[str, str | Path] = {}
+        self.voxel_files: dict[str, Path] = {}
         self.convention = self.choice("coordinate-convention", ("lps", "ras"), "lps")
         self.seed = self.get("seed", DEFAULT_SEED, int)
 
@@ -114,15 +118,13 @@ class _Run:
         return path
 
     def volumes(self, directory: str | Path, kind: str, role: str) -> Callable[[str], Volume]:
-        """Per-scan volume loader; records each header read as ``<role>:<scan_id>``.
+        """Per-scan volume loader; records each header and raw file read as
+        ``<role>:<scan_id>``.
 
         Only the last requested scan stays resident. Commands work scan by scan,
         so every lookup within a scan reuses it and each volume is mapped once.
-        The map serves single-voxel lookups; a patch reads only its box's rows
-        from the raw file, so the pages it reads never count toward the
-        process's memory. A raw file cut short mid-run fails the patch that
-        reads it, which ``fuse`` reports as a scorer error (exit 3), not a
-        crash.
+        Its voxels are read from the raw file, never through the map: one cut
+        short mid-run fails a mask lookup (exit 2) or a patch (exit 3).
         """
         directory = Path(directory)
         current: dict[str, Volume] = {}
@@ -135,6 +137,7 @@ class _Run:
                 current.clear()
                 current[scan_id] = load_volume(header)
                 self.inputs[f"{role}:{scan_id}"] = header
+                self.voxel_files[f"{role}:{scan_id}"] = current[scan_id].data_path
             return current[scan_id]
 
         return load
@@ -144,12 +147,13 @@ class _Run:
         """Build the manifest over the recorded inputs, write the outputs
         under its digest, then write the manifest (by default next to the
         first output, as ``<name>.manifest.json``). An output or the manifest
-        that is the same file as a recorded input is an error, raised before
-        anything is written."""
+        that is the same file as a recorded input or voxel file is an error,
+        raised before anything is written."""
         manifest_path = manifest_path or _sibling(outputs[0], ".manifest.json")
         existing = {path: os.stat(path) for path in (*outputs, manifest_path)
                     if os.path.exists(path)}
-        for role, source in self.inputs.items() if existing else ():
+        sources = [*self.inputs.items(), *self.voxel_files.items()] if existing else ()
+        for role, source in sources:
             source_stat = os.stat(source)
             for path, stat in existing.items():
                 if os.path.samestat(stat, source_stat):

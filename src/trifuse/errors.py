@@ -1,6 +1,7 @@
-"""Exception types shared across the package, mapped to CLI exit codes, and
-the one way input text files are opened, so that a file that is not UTF-8
-fails as bad input."""
+"""Exception types shared across the package, mapped to CLI exit codes, the
+one way input text files are opened, so that a file that is not UTF-8 fails
+as bad input, and the one ``key = value`` parser, which config files and
+volume headers share."""
 
 import contextlib
 import re
@@ -44,3 +45,25 @@ def open_text(path: Path, newline: str | None = None,
             raise error(f"{path}:{line}: not UTF-8 text: cannot decode byte "
                         f"{data[err.start]:#04x}") from None
         raise  # the file has changed since it was opened
+
+
+def read_settings(path: Path, error: type[ValueError]) -> dict[str, tuple[str, int]]:
+    """Each key of a file's ``key = value`` lines, with its value and line
+    number; blank and ``#`` lines are skipped. A line without ``=``, an empty
+    or a repeated key raises ``error`` naming the file and line."""
+    out: dict[str, tuple[str, int]] = {}
+    with open_text(path, error=error) as fh:
+        for line_num, line in enumerate(fh, start=1):  # physical lines
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise error(f"{path}:{line_num}: expected key=value, got {line!r}")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if not key:
+                raise error(f"{path}:{line_num}: empty key")
+            if key in out:
+                raise error(f"{path}:{line_num}: duplicate key {key!r}")
+            out[key] = (value.strip(), line_num)
+    return out

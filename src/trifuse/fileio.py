@@ -25,7 +25,6 @@ import json
 import math
 import operator
 import os
-import tempfile
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from datetime import datetime, timezone
 from pathlib import Path
@@ -47,7 +46,7 @@ from .domain import (
     first_repeat,
     nan_to_none,
 )
-from .errors import ConfigError, InputError, open_text
+from .errors import ConfigError, InputError, open_text, read_settings
 from .froc import FrocResult, GroupScoreSummary, LesionMatchResult
 from .fusion import CadxScoreTable, fused_table
 from .readerstats import CHARACTERISTIC_DISPLAY, OverlapRow, SemanticTable
@@ -404,10 +403,12 @@ def _number_problem(cell: str) -> str:
 
 def atomic_write_text(path: str | Path, text: str | Callable[[TextIO], object]) -> Path:
     """Whole-file atomic write of ``text``, or of what ``text(fh)`` writes to the
-    open file: temp file in the same directory, then rename."""
+    open file: temp file in the same directory, then rename. The temp file is
+    created new, with the mode ``open()`` gives a file: 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.parent / f"{path.name}{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             text(fh) if callable(text) else fh.write(text)
@@ -930,23 +931,7 @@ def parse_config_file(path: str | Path) -> dict[str, tuple[str, int]]:
     """key=value configuration mirroring the CLI flags (keys without '--'):
     each key's value and the number of the line it is on."""
     path = Path(path)
-    out: dict[str, tuple[str, int]] = {}
     try:
-        with open_text(path, error=ConfigError) as fh:
-            # physical lines: only \n, \r\n and \r end one
-            for line_num, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{line_num}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if not key:
-                    raise ConfigError(f"{path}:{line_num}: empty key")
-                if key in out:
-                    raise ConfigError(f"{path}:{line_num}: duplicate key {key!r}")
-                out[key] = (value.strip(), line_num)
+        return read_settings(path, ConfigError)
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from None
-    return out

@@ -2,7 +2,7 @@
 lung-membership gating and fixed-geometry patch extraction.
 
 On-disk container: a small text header plus a raw little-endian voxel file.
-Header grammar (one ``key = value`` per line, unknown keys rejected)::
+Header grammar (``key = value`` lines, read as config files are; unknown keys rejected)::
 
     dims = nx ny nz
     spacing_mm = sx sy sz
@@ -11,12 +11,11 @@ Header grammar (one ``key = value`` per line, unknown keys rejected)::
     data_file = <path relative to the header>
 
 Voxels are stored x-fastest; in memory the array is indexed ``[ix, iy, iz]``.
-A loaded volume's values are a read-only memory map of the raw file, which
-serves single-voxel lookups; a patch reads only its source box's rows from
-the raw file, so the pages it reads never count toward the process's
-memory, and a raw file cut short mid-run fails the patch with
-``InputError`` (which ``fuse --cadx-cmd`` reports as a scorer error, exit
-3) instead of a crash.
+trifuse reads a loaded volume's voxels only with positioned reads of its raw
+file (``_source_box``), for a label lookup's one voxel as for a patch's
+source box, and keeps the read-only memory map only as ``Volume.values``:
+no page it reads counts toward the process's memory, and a raw file cut
+short mid-run raises ``InputError`` instead of a crash.
 Label lookups use the nearest voxel (labels are never interpolated); patch
 resampling uses trilinear interpolation. Grid points outside the sample hull
 of the source volume take the air value, -1000 HU, which normalizes to 0.0.
@@ -36,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .domain import LUNG_LOBE_LABELS, WorldPoint, require_positive
-from .errors import InputError, open_text
+from .errors import InputError, read_settings
 
 ELEMENT_DTYPES = {"uint8": "<u1", "int16": "<i2", "float32": "<f4"}
 
@@ -83,7 +82,7 @@ class Volume:
     """An immutable-by-convention voxel grid with world placement.
 
     ``data_path`` is the raw file a loaded volume's values map, from which
-    patches read their source boxes; it is None for any other volume.
+    its voxels are read; it is None for any other volume.
     """
 
     header: VolumeHeader
@@ -167,11 +166,15 @@ def nearest_voxel_index(p: WorldPoint, header: VolumeHeader) -> tuple[int, int, 
 
 
 def label_at(p: WorldPoint, volume: Volume) -> int | None:
-    """Nearest-voxel label at a world point; None when outside the volume."""
+    """Nearest-voxel label at a world point; None when outside the volume. A
+    voxel that does not hold a whole number raises ``InputError``."""
     idx = nearest_voxel_index(p, volume.header)
     if idx is None:
         return None
-    return int(volume.values[idx])
+    value = _source_box(volume, *(slice(i, i + 1) for i in idx)).item()
+    if not float(value).is_integer():
+        raise InputError(f"{volume.data_path or 'volume'}: voxel {idx} holds {value}, not a label")
+    return int(value)
 
 
 def centroid_in_lung(p: WorldPoint, volume: Volume, lung_labels=LUNG_LOBE_LABELS) -> bool:
@@ -217,7 +220,8 @@ def _source_box(volume: Volume, bx: slice, by: slice, bz: slice) -> np.ndarray:
     """The voxels ``[bx, by, bz]`` as a C-ordered (z, y, x) array.
 
     A loaded volume's box is read from its raw file, one z-slice's rows
-    ``by`` at a time, without touching the memory map; any other volume's
+    ``by`` at a time, without touching the memory map; a file cut short
+    since it was loaded raises ``InputError`` naming it. Any other volume's
     box is a view of its values.
     """
     if volume.data_path is None:
@@ -258,13 +262,8 @@ def extract_patch(volume: Volume, center: WorldPoint) -> Patch:
     touches, and write into a C-ordered (z, y, x) patch that is clipped and
     normalized in place. ``Patch.values`` is indexed ``[ix, iy, iz]``: it is
     the transposed view of that array, so the patch lies x-fastest in
-    memory, as a patch file stores it.
-
-    A loaded volume's source box is read from its raw file; a file cut
-    short since it was loaded raises ``InputError`` naming it.
+    memory, as a patch file stores it. The box is read by ``_source_box``.
     """
-    if volume.values.size == 0:
-        raise InputError("cannot extract a patch from a degenerate (empty) volume")
     h = volume.header
     c = center.as_tuple()
     o = h.origin_mm.as_tuple()
@@ -307,26 +306,14 @@ def _parse_triple(value: str, key: str, caster):
 def read_header(header_path: str | Path) -> tuple[VolumeHeader, Path]:
     """Parse a volume header file; returns the header and the data file path."""
     header_path = Path(header_path)
-    fields: dict[str, str] = {}
     try:
-        with open_text(header_path) as fh:
-            lines = list(fh)  # physical lines: only \n, \r\n and \r end one
+        settings = read_settings(header_path, InputError)
     except OSError as err:
         raise InputError(f"cannot read volume header {header_path}: {err}") from None
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InputError(f"{header_path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for key, (_, line_num) in settings.items():
         if key not in _HEADER_KEYS:
-            raise InputError(f"{header_path}:{lineno}: unknown header key {key!r}")
-        if key in fields:
-            raise InputError(f"{header_path}:{lineno}: duplicate header key {key!r}")
-        fields[key] = value
+            raise InputError(f"{header_path}:{line_num}: unknown header key {key!r}")
+    fields = {key: value for key, (value, _) in settings.items()}
     missing = [k for k in _HEADER_KEYS if k not in fields]
     if missing:
         raise InputError(f"{header_path}: missing header keys {missing}")
@@ -346,12 +333,11 @@ def read_header(header_path: str | Path) -> tuple[VolumeHeader, Path]:
 def load_volume(header_path: str | Path) -> Volume:
     """Map a volume's raw data file read-only, as described by its header.
 
-    The voxels are not read up front: the returned values are a read-only
-    memory map, so a voxel lookup touches only the page it needs. A patch
-    does not use the map: it reads only its source box's rows from the raw
-    file (``data_path``), so the pages it reads never count toward the
-    process's memory. The raw file must not change while the volume is in
-    use; one cut short fails the next patch with ``InputError``.
+    The voxels are not read up front. The returned values are a read-only
+    memory map, kept only as the public ``Volume.values``: label lookups and
+    patches read their voxels from the raw file (``data_path``) with
+    positioned reads. The raw file must not change while the volume is in
+    use; one cut short fails the next read with ``InputError``.
     """
     header, data_path = read_header(header_path)
     dtype = np.dtype(ELEMENT_DTYPES[header.element_type])

@@ -1,8 +1,10 @@
 import argparse
 import csv
 import json
+import os
 import random
 import shutil
+import stat
 import sys
 import tempfile
 import warnings
@@ -939,6 +941,20 @@ def write_bad_cell(source, target):
     target.write_text("".join(lines))
 
 
+# the CLI run with each volume's raw file cut to 4096 B right after it is mapped
+CUT_AFTER_LOAD = (
+    "import os, sys\n"
+    "from trifuse import cli\n"
+    "load = cli.load_volume\n"
+    "def load_then_cut(header):\n"
+    "    volume = load(header)\n"
+    "    os.truncate(os.path.splitext(header)[0] + '.raw', 4096)\n"
+    "    return volume\n"
+    "cli.load_volume = load_then_cut\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
 class TestExitCodes:
     """Each subcommand crossed with each input fault: exit 2 and one ``error:``
     line; a scorer that runs and fails: exit 3 and one ``scorer error:`` line."""
@@ -1012,23 +1028,61 @@ class TestExitCodes:
         argv = command_argv("fuse", "cade_a.csv", "result.csv")
         argv[argv.index("--cadx-scores"):argv.index("--out")] = [
             "--cadx-cmd", f"{sys.executable} -c \"print(0.5, 0.5)\"", "--volumes", "vols"]
-        code = (
-            "import os, sys\n"
-            "from trifuse import cli\n"
-            "load = cli.load_volume\n"
-            "def load_then_cut(header):\n"
-            "    volume = load(header)\n"
-            "    os.truncate(os.path.splitext(header)[0] + '.raw', 4096)\n"
-            "    return volume\n"
-            "cli.load_volume = load_then_cut\n"
-            "sys.exit(cli.main(sys.argv[1:]))\n"
-        )
-        done = run_python(code, *argv)
+        done = run_python(CUT_AFTER_LOAD, *argv)
         assert done.returncode == 3, (done.returncode, done.stderr)
         assert done.stderr.startswith("scorer error: CADx scoring failed for CADE_A:c02 on "
                                       f"scan s1: {Path('vols', 's1.raw')}: voxel data cut short")
         assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
         assert not (tmp_path / "result.csv").exists()
+
+    @pytest.mark.parametrize("command", ["fuse", "link"])
+    def test_mask_cut_short_mid_run_exits_2(self, tmp_path, monkeypatch, command):
+        # each mask's raw file is cut short right after it is mapped; through
+        # the memory map the lookup would die of SIGBUS, so the command runs
+        # in a child process
+        monkeypatch.chdir(write_command_inputs(tmp_path))
+        write_volumes(tmp_path / "masks", ("s1", "s2", "s3", "s4"),
+                      np.full((128, 128, 64), 28, dtype="<u1"))
+        argv = command_argv(command, CLASHES[command][0], "result.csv") + ["--masks", "masks"]
+        done = run_python(CUT_AFTER_LOAD, *argv)
+        assert done.returncode == 2, (done.returncode, done.stderr)
+        assert done.stderr.startswith(f"error: {Path('masks', 's1.raw')}: voxel data cut short "
+                                      "since it was loaded: read 0 of 128 bytes at offset ")
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+        assert not (tmp_path / "result.csv").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), 28.5])
+    def test_mask_voxel_that_is_not_a_label_exits_2(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.chdir(write_command_inputs(tmp_path))
+        values = np.full((16, 16, 16), 28.0, dtype="<f4")
+        values[11, 10, 10] = value  # under c01 on s1, the first candidate gated
+        write_volumes(tmp_path / "masks", ("s1", "s2", "s3", "s4"), values)
+        capsys.readouterr()
+        assert run(command_argv("fuse", "cade_a.csv", "result.csv") + ["--masks", "masks"]) == 2
+        assert capsys.readouterr().err == (f"error: {Path('masks', 's1.raw')}: voxel "
+                                           f"(11, 10, 10) holds {value}, not a label\n")
+        assert not (tmp_path / "result.csv").exists()
+
+    @pytest.mark.parametrize("command, role", [("fuse", "mask"), ("fuse", "volume"),
+                                               ("link", "mask")])
+    def test_an_output_that_names_a_raw_voxel_file_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                           command, role):
+        monkeypatch.chdir(write_command_inputs(tmp_path))
+        write_volumes(tmp_path / "vols", ("s1", "s2", "s3", "s4"),
+                      np.full((8, 8, 8), 28, dtype="<u1"), spacing=(32.0, 32.0, 32.0))
+        raw = Path("vols", "s1.raw")
+        argv = command_argv(command, CLASHES[command][0], raw)
+        if role == "mask":
+            argv += ["--masks", "vols"]
+        else:
+            argv[argv.index("--cadx-scores"):argv.index("--out")] = [
+                "--cadx-cmd", f"{sys.executable} -c \"print(0.5, 0.5)\"", "--volumes", "vols"]
+        capsys.readouterr()
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (f"error: output {raw} is the {role}:s1 input {raw}; "
+                                           "refusing to overwrite it\n")
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize("bad", ["cade_a.csv", "reports.tsv", "run.cfg", "grammar.json",
                                      "masks/s1.hdr"])
@@ -1123,6 +1177,27 @@ def test_fuse_and_link_do_not_import_numpy_ma(tmp_path, e2e_inputs):
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0], False]
     assert ",cadx_promoted," in fused.read_text()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes and the umask are POSIX")
+def test_outputs_take_the_mode_open_gives(tmp_path, e2e_inputs):
+    # 0o666 less the umask, as open() creates a file; the bytes do not depend on it
+    code = ("import os, sys\n"
+            "os.umask(int(sys.argv[1], 8))\n"
+            "from trifuse.cli import main\n"
+            "sys.exit(main(sys.argv[2:]))\n")
+    fused = {}
+    for umask, mode in (("022", 0o644), ("077", 0o600)):
+        out = tmp_path / umask / "fused.csv"
+        done = run_python(code, umask, "fuse", "--cade-a", e2e_inputs["cade_a"],
+                          "--cade-b", e2e_inputs["cade_b"],
+                          "--cadx-scores", e2e_inputs["cadx_scores"], "--out", out)
+        assert done.returncode == 0, done.stderr
+        for path in (out, out.parent / "fused.manifest.json"):
+            assert stat.S_IMODE(path.stat().st_mode) == mode, (path, umask)
+        fused[umask] = out.read_bytes()
+    assert fused["022"] == fused["077"]
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def write_pin_cohort(directory, n_scans=50, seed=29):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from trifuse.domain import WorldPoint
-from trifuse.errors import InputError
+from trifuse.errors import ConfigError, InputError
+from trifuse.fileio import parse_config_file
 from trifuse.volume import (
     HU_MAX,
     HU_MIN,
@@ -112,6 +113,20 @@ class TestHeaderFile:
             read_header(header)
         assert str(err.value) == f"{header}:7: unknown header key 'flavor'"
 
+    @pytest.mark.parametrize("bad", ["dims 2 2 2", "= 2 2 2", "dims = 3 3 3"])
+    def test_malformed_lines_worded_as_in_config_files(self, tmp_path, bad):
+        # one parser reads both: the same lines give the same words and line
+        text = f"# exported by hand\ndims = 2 2 2\n{bad}\nspacing_mm = 1 1 1\n"
+        (tmp_path / "vol.hdr").write_text(text)
+        (tmp_path / "vol.cfg").write_text(text)
+        with pytest.raises(InputError) as header_err:
+            read_header(tmp_path / "vol.hdr")
+        with pytest.raises(ConfigError) as config_err:
+            parse_config_file(tmp_path / "vol.cfg")
+        message = str(header_err.value)
+        assert message.startswith(f"{tmp_path / 'vol.hdr'}:3: ")
+        assert message.replace("vol.hdr", "vol.cfg") == str(config_err.value)
+
     def test_missing_key_rejected(self, tmp_path):
         header = self.write_pair(tmp_path, np.zeros((2, 2, 2)), drop="spacing_mm")
         with pytest.raises(InputError, match="missing header keys"):
@@ -196,6 +211,42 @@ class TestLungGating:
         for _ in range(100):
             p = WorldPoint(*rng.uniform(-2, 12, size=3))
             assert centroid_in_lung(p, vol) == centroid_in_lung(p, vol2)
+
+    @pytest.mark.parametrize("value", [float("nan"), 28.5])
+    def test_a_voxel_that_is_not_a_label_raises_input_error(self, tmp_path, value):
+        values = np.full((12, 12, 12), 28.0, dtype="<f4")
+        values[10, 10, 10] = value
+        for vol in (make_volume(values), load_volume(save_volume(make_volume(values),
+                                                                 tmp_path / "m.hdr"))):
+            assert label_at(WorldPoint(9.0, 10.0, 10.0), vol) == 28
+            with pytest.raises(InputError) as err:
+                label_at(WorldPoint(10.0, 10.0, 10.0), vol)
+            where = tmp_path / "m.raw" if vol.data_path else "volume"
+            assert str(err.value) == f"{where}: voxel (10, 10, 10) holds {value}, not a label"
+
+    def test_raw_file_cut_short_raises_input_error(self, tmp_path):
+        # through the memory map the lookup would die of SIGBUS, so it runs
+        # in a child process
+        code = (
+            "import os, sys\n"
+            "import numpy as np\n"
+            "from trifuse.domain import WorldPoint\n"
+            "from trifuse.errors import InputError\n"
+            "from trifuse.volume import Volume, label_at, load_volume, save_volume\n"
+            "vol = Volume.from_array(np.full((128, 128, 64), 28, '<u1'), (1.0, 1.0, 1.0),\n"
+            "                        WorldPoint(0, 0, 0))\n"
+            "loaded = load_volume(save_volume(vol, sys.argv[1]))\n"
+            "print(label_at(WorldPoint(0, 0, 0), loaded))\n"
+            "os.truncate(sys.argv[1].replace('.hdr', '.raw'), 4096)\n"
+            "try:\n"
+            "    label_at(WorldPoint(64, 64, 32), loaded)\n"
+            "except InputError as err:\n"
+            "    print(err)\n"
+        )
+        done = run_python(code, tmp_path / "v.hdr")
+        assert done.returncode == 0 and done.stderr == "", (done.returncode, done.stderr)
+        assert done.stdout == (f"28\n{tmp_path / 'v.raw'}: voxel data cut short since it was "
+                               "loaded: read 0 of 128 bytes at offset 532480\n")
 
     def test_nearest_voxel_uses_rounding(self):
         values = np.zeros((4, 4, 4), dtype=np.uint8)
