@@ -108,6 +108,37 @@ def distance_mm(ax: float, ay: float, az: float, bx: float, by: float, bz: float
         return math.inf
 
 
+# np.median, np.percentile and np.unique import numpy.ma on their first call:
+# 2 MB resident for a module trifuse does not use. These two sort the values
+# and reach numpy's results with the same float arithmetic.
+
+
+def median(values: Iterable[float]) -> float:
+    """The median of one or more floats, as ``np.median`` gives it: the
+    middle value, or the mean of the two middle values."""
+    s = sorted(values)
+    m = len(s) // 2
+    return float(s[m] if len(s) % 2 else (s[m - 1] + s[m]) / 2)
+
+
+def percentiles(values: Iterable[float], q: Iterable[float]) -> list[float]:
+    """The ``q`` percentiles of one or more floats, as ``np.percentile`` gives
+    them (its default linear method): at index ``(n - 1) * (q / 100)`` of the
+    sorted values, ``a + (b - a) * t`` between the values ``a`` and ``b``
+    either side, or ``b - (b - a) * (1 - t)`` when ``t >= 0.5``."""
+    s = sorted(values)
+    out = []
+    for p in q:
+        index = (len(s) - 1) * (p / 100)
+        lo = hi = -1  # from the last index on, numpy takes the last value, at index -1
+        if index < len(s) - 1:
+            lo = math.floor(index)
+            hi = lo + 1
+        a, b, t = s[lo], s[hi], index - lo
+        out.append(float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t))
+    return out
+
+
 def may_lie_within(a: Iterable[np.ndarray], b: Iterable[np.ndarray], radius_mm) -> np.ndarray:
     """Whether points of ``a`` and ``b`` may lie within ``radius_mm`` of each
     other.
@@ -392,16 +423,29 @@ class CandidateTable(RowTable):
         ).require_unique_keys()
 
     @classmethod
-    def concat(cls, tables: Sequence["CandidateTable"]) -> "CandidateTable":
-        """The rows of one or more tables with the same columns, table after
-        table."""
+    def take_joined(cls, first: "CandidateTable", second: "CandidateTable",
+                    rows: np.ndarray) -> "CandidateTable":
+        """The table of the given rows, in the given order, of two tables with
+        the same columns as if joined, ``first``'s rows then ``second``'s:
+        each cell is taken from its own table, and the two are never joined.
+        ``source_rows`` holds ``rows``."""
+        n = len(first)
+        from_second = rows >= n
 
-        def join(columns):
-            if isinstance(columns[0], list):
-                return list(itertools.chain.from_iterable(columns))
-            return None if columns[0] is None else np.concatenate(columns)
+        def pick(a, b):
+            if a is None:
+                return None
+            listed = isinstance(a, list)
+            if listed:  # as object arrays, tuples too: no int object per row taken
+                a, b = (np.fromiter(c, object, len(c)) for c in (a, b))
+            column = np.empty((len(rows), *a.shape[1:]), a.dtype)
+            column[~from_second] = a[rows[~from_second]]
+            column[from_second] = b[rows[from_second] - n]
+            return column.tolist() if listed else column
 
-        return cls(*(join([getattr(t, name) for t in tables]) for name in _COLUMNS))
+        table = cls(*(pick(getattr(first, name), getattr(second, name)) for name in _COLUMNS))
+        table.source_rows = rows
+        return table
 
     def require_unique_keys(self) -> "CandidateTable":
         """This table, if no two rows share a (scan, model, candidate id) key;

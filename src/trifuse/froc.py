@@ -36,7 +36,9 @@ from .domain import (
     ReferenceNodule,
     ReferenceTable,
     distance_mm,
+    median,
     near_pairs,
+    percentiles,
     sort_key,
 )
 from .errors import InputError
@@ -194,7 +196,7 @@ class LesionMatchResult:
         marks, on the scans of those references: the assignment rerun on the
         hit pairs of those references, which a matching by ``match_lesions``
         holds."""
-        scans = np.unique(self.ref_scan[keep])
+        scans = np.flatnonzero(np.bincount(self.ref_scan[keep], minlength=self.n_scans))
         scan_code = np.full(self.n_scans, -1, dtype=np.intp)
         scan_code[scans] = np.arange(scans.size)
         on_scans = scan_code[self.scan] >= 0
@@ -497,10 +499,8 @@ def _bootstrap_intervals(
     for name, vals in values.items():
         if not vals:
             raise InputError("every bootstrap resample had zero reference lesions")
-        lo, hi = np.percentile(np.array(vals, dtype=np.float64), [2.5, 97.5])
-        out[name] = BootstrapCI(
-            lo=float(lo), hi=float(hi), resamples_used=len(vals), resamples_skipped=skipped
-        )
+        lo, hi = percentiles(vals, (2.5, 97.5))
+        out[name] = BootstrapCI(lo=lo, hi=hi, resamples_used=len(vals), resamples_skipped=skipped)
     return out
 
 
@@ -713,7 +713,7 @@ def detection_probability_summary(
                 n_detected=len(scores),
                 mean=float(arr.mean()),
                 sd=float(arr.std(ddof=1)) if arr.size >= 2 else None,
-                median=float(np.median(arr)),
+                median=median(scores),
                 min=float(arr.min()),
                 max=float(arr.max()),
             )

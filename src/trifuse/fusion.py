@@ -206,10 +206,13 @@ def _pair_radii(diameter_a: np.ndarray, diameter_b: np.ndarray,
                     np.maximum(base, tolerance_mm(larger)))
 
 
-def _ranks(ids: list[str]) -> np.ndarray:
-    """Integers that order like ``ids``: each one's index in ``sorted(set(ids))``."""
-    rank = {c: k for k, c in enumerate(sorted(set(ids)))}
-    return np.fromiter(map(rank.__getitem__, ids), np.intp, len(ids))
+def _encode(*columns: Sequence[str]) -> tuple[np.ndarray, list[str]]:
+    """The strings of ``columns``, one after the other, as int32 codes that
+    order like them, and the sorted distinct strings that the codes index."""
+    distinct = sorted(set().union(*columns))
+    code = {c: k for k, c in enumerate(distinct)}
+    return np.fromiter(map(code.__getitem__, itertools.chain(*columns)), np.int32,
+                       sum(map(len, columns))), distinct
 
 
 class DuplicateMap(dict):
@@ -238,8 +241,8 @@ def suppress_same_model_duplicates(
     order, and the ``DuplicateMap`` of the suppressed candidates. A
     (scan, model, candidate id) key that repeats raises ``InputError``."""
     table = CandidateTable.of(candidates).require_unique_keys()
-    codes = _ranks(table.scan_id)
-    order = np.lexsort((_ranks(table.candidate_id), -table.score, codes))
+    codes, _ = _encode(table.scan_id)
+    order = np.lexsort((_encode(table.candidate_id)[0], -table.score, codes))
     xyz = table.xyz[order]
     rows, cols = near_pairs(codes[order], xyz, codes[order], xyz, radius_mm)
     rows, cols = rows[cols < rows], cols[cols < rows]
@@ -307,8 +310,8 @@ def cross_detector_consensus(
     (model, candidate id) that repeats on a scan raises ``InputError``.
     Returns the pairs by scan id, then in commit order, with member tables
     taken from the lists, and the unpaired candidates (the disagreements) in
-    (scan id, model, candidate id) order, taken from the lists joined (A's
-    rows, then B's)."""
+    (scan id, model, candidate id) order, taken from the lists as rows of
+    both joined (A's rows, then B's), without joining them."""
     cfg = cfg or PipelineConfig()
     table_a, table_b = (CandidateTable.of(t).require_unique_keys() for t in (list_a, list_b))
     models_a, models_b = set(table_a.model), set(table_b.model)
@@ -318,8 +321,8 @@ def cross_detector_consensus(
         raise InputError("detector lists must come from different source models")
 
     n_a = len(table_a)
-    codes = _ranks(table_a.scan_id + table_b.scan_id)  # rows of A, then rows of B
-    ranks = _ranks(table_a.candidate_id + table_b.candidate_id)
+    codes, _ = _encode(table_a.scan_id, table_b.scan_id)  # rows of A, then rows of B
+    ranks, _ = _encode(table_a.candidate_id, table_b.candidate_id)
     near_a, near_b = near_pairs(codes[:n_a], table_a.xyz, codes[n_a:], table_b.xyz,
                                  max(cfg.consensus_radius_mm, TOLERANCE_CAP_MM))
     admitted = [k for k, (*ab, r) in enumerate(zip(
@@ -342,7 +345,7 @@ def cross_detector_consensus(
     b_first = bool(models_a and models_b and min(models_b) < min(models_a))
     order = np.lexsort((ranks[rows], (rows >= n_a) != b_first, codes[rows]))
     return (ConsensusPairs(table_a.take(paired_a), table_b.take(paired_b)),
-            CandidateTable.concat([table_a, table_b]).take(rows[order]))
+            CandidateTable.take_joined(table_a, table_b, rows[order]))
 
 
 def _score_disagreements(table: CandidateTable, provider: CadxProvider | None
@@ -397,12 +400,20 @@ def fuse_scans(
     and primary candidate id, numbered ``F0000``, ... per scan. A mask loader
     is called once per scan, in scan-id order. Every input fault (a repeated
     key, a mask that cannot load, an overflowing merged center) is raised
-    before the first scorer call."""
+    before the first scorer call.
+
+    Memory: the cohort's scans and qualified ids are int32 codes into their
+    sorted distinct values, the dedup and pairing tables are dropped once
+    their rows are read, before the scorer runs, and the output keeps no
+    Python object per input row: the settled rows (int32), their dispositions
+    (int8) and the fused list, whose provenance tuples are shared: one per
+    qualified id, one per distinct pair."""
     cfg = cfg or PipelineConfig()
     table_a = CandidateTable.of(candidates_a).require_unique_keys()
     table_b = CandidateTable.of(candidates_b).require_unique_keys()
-    scan_ids = sorted(set(table_a.scan_id).union(table_b.scan_id))
-    codes = _ranks(table_a.scan_id + table_b.scan_id)  # of cohort rows: A's rows, then B's
+    # cohort rows are A's rows, then B's; their scans and qualified ids as codes
+    codes, scan_ids = _encode(table_a.scan_id, table_b.scan_id)
+    qualified, names = _encode(table_a.qualified_id, table_b.qualified_id)
     n_a = len(table_a)
     rejected: list[int] = []
     for scan_id in scan_ids if masks is not None else ():
@@ -426,6 +437,9 @@ def fuse_scans(
     pair_b = kept[len(kept_a) + pairs.members_b.source_rows]
     single_rows = kept[singles.source_rows]
     pair_xyz, pair_score, pair_diameter = pairs.merged
+    n_pairs = len(pairs)
+    # cohort-sized tables whose rows are read: gone before the scorer runs
+    del kept_a, kept_b, dup_a, dup_b, pairs
     overflow = ~np.isfinite(pair_xyz).all(axis=1)
     if overflow.any():
         WorldPoint(*pair_xyz[np.argmax(overflow)].tolist())  # raises the InputError of the point
@@ -437,17 +451,17 @@ def fuse_scans(
     # own score: only one detector saw it.
     retained = ~promoted & (singles.score >= cfg.tau_cade)
     # the fused rows are gathered from the pair rows stacked over the single rows
-    n_pairs, n_singles = len(pairs), len(singles)
     stack_xyz, stack_diameter, stack_score = (np.concatenate(c) for c in (
         (pair_xyz, singles.xyz), (pair_diameter, singles.diameter_mm), (pair_score, singles.score)))
-    del kept_a, kept_b, pairs, singles  # cohort-sized tables, not needed from here on
+    del singles
 
     # cohort rows in the order fusion settled them, each with its index in DISPOSITIONS
     settled = np.concatenate((np.array(rejected, dtype=np.intp), duplicates,
-                              np.column_stack((pair_a, pair_b)).ravel(), single_rows))
+                              np.column_stack((pair_a, pair_b)).ravel(), single_rows),
+                             dtype=np.int32)
     dispositions = np.concatenate((
         np.repeat([0, 4, 1], [len(rejected), len(duplicates), 2 * n_pairs]),
-        np.where(promoted, 2, np.where(retained, 3, 4))))
+        np.where(promoted, 2, np.where(retained, 3, 4))), dtype=np.int8)
     if not np.array_equal(np.bincount(settled, minlength=len(codes)), np.ones(len(codes))):
         raise InvariantError("fusion lost track of input candidates")
 
@@ -456,15 +470,18 @@ def fuse_scans(
                                  np.where(promoted, TIER_BY_STAGE[STAGE_CADX],
                                           TIER_BY_STAGE[STAGE_CADE])))
     chosen = np.concatenate((np.arange(n_pairs), n_pairs + np.flatnonzero(promoted | retained)))
-    qualified = table_a.qualified_id + table_b.qualified_id
-    primary = [qualified[r] for r in stack_rows[chosen].tolist()]
-    rows = chosen[np.lexsort((_ranks(primary), -stack_score[chosen], -stack_tier[chosen],
-                              codes[stack_rows[chosen]]))]
-    own: dict[int, tuple[str, ...]] = {}  # each survivor's id, then the ids it absorbed
-    for dup, survivor in sorted(zip(duplicates.tolist(), survivors.tolist()),
-                                key=lambda ds: qualified[ds[0]]):
-        own[survivor] = own.get(survivor, (qualified[survivor],)) + (qualified[dup],)
-    second = np.concatenate((pair_b, np.full(n_singles, -1)))  # a pair's B member
+    rows = chosen[np.lexsort((qualified[stack_rows[chosen]], -stack_score[chosen],
+                              -stack_tier[chosen], codes[stack_rows[chosen]]))]
+    # each cohort row's ids, one tuple per qualified id: its own, then for a
+    # survivor those it absorbed, in id order
+    ids = np.fromiter(((name,) for name in names), object, len(names))[qualified]
+    by_id = np.argsort(qualified[duplicates], kind="stable")
+    for duplicate, survivor in zip(duplicates[by_id].tolist(), survivors[by_id].tolist()):
+        ids[survivor] += ids[duplicate]
+    provenance = ids[stack_rows]
+    joined: dict[tuple[str, ...], tuple[str, ...]] = {}  # a pair's: A's ids, then B's
+    for k, (a, b) in enumerate(zip(provenance[:n_pairs].tolist(), ids[pair_b].tolist())):
+        provenance[k] = joined.setdefault(a + b, a + b)
     tier = stack_tier[rows]
     fused_scans = [scan_ids[c] for c in codes[stack_rows[rows]].tolist()]
     fused = CandidateTable(
@@ -473,18 +490,19 @@ def fuse_scans(
         tier=tier, stage=[STAGE_BY_TIER[t] for t in tier.tolist()],
         cadx_avg=np.concatenate((np.full(n_pairs, math.nan),
                                  np.where(promoted, cadx_avg, math.nan)))[rows],
-        provenance=[(own.get(a) or (qualified[a],)) + (own.get(b) or (qualified[b],) if b >= 0
-                                                         else ())
-                    for a, b in zip(stack_rows[rows].tolist(), second[rows].tolist())],
+        provenance=provenance[rows].tolist(),
     )
 
     def per_scan() -> dict[str, TriStageResult]:
-        by_scan, scan_of = fused.by_scan, codes.tolist()
+        by_scan = fused.by_scan
         results = [TriStageResult(s, fused.take(by_scan.get(s, [])), {}, {}) for s in scan_ids]
-        for row, disposition in zip(settled.tolist(), dispositions.tolist()):
-            results[scan_of[row]].dispositions[qualified[row]] = DISPOSITIONS[disposition]
-        for row, survivor in zip(duplicates.tolist(), survivors.tolist()):
-            results[scan_of[row]].duplicate_of[qualified[row]] = qualified[survivor]
+        for scan, name, disposition in zip(codes[settled].tolist(), qualified[settled].tolist(),
+                                           dispositions.tolist()):
+            results[scan].dispositions[names[name]] = DISPOSITIONS[disposition]
+        for scan, name, survivor in zip(codes[duplicates].tolist(),
+                                        qualified[duplicates].tolist(),
+                                        qualified[survivors].tolist()):
+            results[scan].duplicate_of[names[name]] = names[survivor]
         return dict(zip(scan_ids, results))
 
     return FusionOutput(fused, scan_ids, per_scan)

@@ -17,6 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .domain import ReferenceNodule, ReferenceTable, SemanticRatings  # noqa: F401  (re-export)
+from .domain import median
 from .errors import InputError
 
 CONSENSUS_PATTERNS = (
@@ -383,7 +384,7 @@ def missed_overlap_table(
         values = sorted(diameters[k] for k in keys)
         if values:
             arr = np.array(values, dtype=np.float64)
-            stats = (float(arr.mean()), float(np.median(arr)), float(arr.min()), float(arr.max()))
+            stats = (float(arr.mean()), median(values), float(arr.min()), float(arr.max()))
         else:
             stats = (None, None, None, None)
         pct = 100.0 * len(keys) / denominator if denominator else None

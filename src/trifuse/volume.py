@@ -232,14 +232,17 @@ def _source_box(volume: Volume, bx: slice, by: slice, bz: slice) -> np.ndarray:
     rows = np.empty((by.stop - by.start, nx), dtype)  # one z-slice's rows, reused
     box = np.empty((bz.stop - bz.start, by.stop - by.start, bx.stop - bx.start), dtype)
     try:
-        with open(path, "rb", buffering=0) as fh:
+        fd = os.open(path, os.O_RDONLY)  # a descriptor, not a file object: a box is a few reads
+        try:
             for k, z in enumerate(range(bz.start, bz.stop)):
                 offset = (z * ny + int(by.start)) * nx * dtype.itemsize
-                got = os.preadv(fh.fileno(), [rows], offset)
+                got = os.preadv(fd, [rows], offset)
                 if got != rows.nbytes:
                     raise InputError(f"{path}: voxel data cut short since it was loaded: "
                                      f"read {got} of {rows.nbytes} bytes at offset {offset}")
                 box[k] = rows[:, bx]
+        finally:
+            os.close(fd)
     except OSError as err:
         raise InputError(f"cannot read voxel data {path}: {err}") from None
     return box

@@ -17,6 +17,8 @@ the table matcher that built a ``ScanMatch`` per scan,
 ``oracle_separable_extract_patch``, the patch resampler that ran its passes
 on the volume's (x, y, z) axes, and ``oracle_sorting_mann_whitney_u``, the
 rank-sum test that sorted its pooled sample three times.
+``oracle_median`` and ``oracle_percentiles`` are the numpy calls that the
+library's order statistics replace.
 
 Conventions:
   candidate = (cid, (x, y, z), score)
@@ -619,6 +621,17 @@ def oracle_cohens_d(x, y):
     v2 = sum((v - m2) ** 2 for v in y) / (n2 - 1)
     pooled = math.sqrt(((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2))
     return (m1 - m2) / pooled
+
+
+def oracle_median(values):
+    """numpy's median, which the library called before it sorted the values itself."""
+    return float(np.median(np.array(values, dtype=np.float64)))
+
+
+def oracle_percentiles(values, q):
+    """numpy's percentiles (the linear method), which the library called
+    before it sorted the values itself."""
+    return np.percentile(np.array(values, dtype=np.float64), q).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -1169,14 +1169,37 @@ def test_fuse_and_link_do_not_import_numpy_ma(tmp_path, e2e_inputs):
         ["link", "--reports", reports, "--fused", fused, "--masks", masks,
          "--out", tmp_path / "links.csv"],
     ]
+    assert exit_codes_and_numpy_ma(argvs) == [[0, 0], False]
+    assert ",cadx_promoted," in fused.read_text()
+
+
+def exit_codes_and_numpy_ma(argvs):
+    """The exit codes of the commands run one after another in a fresh
+    process, and whether numpy.ma was imported once they had run."""
     code = ("import json, sys\n"
             "from trifuse.cli import main\n"
             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
             "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n")
     done = run_python(code, json.dumps([[str(a) for a in argv] for argv in argvs]))
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0], False]
-    assert ",cadx_promoted," in fused.read_text()
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command", ["eval", "stats", "sweep"])
+def test_no_other_command_imports_numpy_ma(tmp_path, e2e_inputs, command):
+    # as for fuse and link: np.median and np.percentile import numpy.ma too
+    refs, matches = write_stats_fixture(tmp_path)
+    candidates = ["--candidates", e2e_inputs["cade_a"], "--references", e2e_inputs["references"]]
+    argvs = {
+        "eval": [["eval", *candidates, "--ci", "--resamples", "20", "--stratify", "size:dlcs",
+                  "--out", tmp_path / "eval"]],
+        "stats": [["stats", "--analysis", analysis, "--matches", matches, "--references", refs,
+                   "--out", tmp_path / f"{analysis}.csv"]
+                  for analysis in ("consensus", "semantic", "overlap")],
+        "sweep": [["sweep", "--mode", "cade", "--preset", *candidates,
+                   "--out", tmp_path / "sweep.csv"]],
+    }[command]
+    assert exit_codes_and_numpy_ma(argvs) == [[0] * len(argvs), False]
 
 
 @pytest.mark.skipif(os.name != "posix", reason="file modes and the umask are POSIX")

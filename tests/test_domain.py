@@ -12,10 +12,13 @@ from trifuse.domain import (
     WorldPoint,
     is_hit,
     match_tolerance,
+    median,
+    percentiles,
 )
 from trifuse.errors import InputError
 
 from conftest import cand, ref
+from oracles import oracle_median, oracle_percentiles
 
 
 class TestMatchTolerance:
@@ -201,3 +204,60 @@ class TestCandidateTableTake:
                  cand("s", "a1", 50, 0, 0, 0.5, model="CADE_A")]
         with pytest.raises(InputError, match="duplicate candidate 'a1' for model 'CADE_A'"):
             CandidateTable.from_records(twice)
+
+class TestTakeJoined:
+    """Rows of two tables as if joined, taken from each without joining them."""
+
+    @pytest.mark.parametrize("rows", [[5, 0, 3, 6, 1], [2, 1, 0], [7, 4], []])
+    def test_rows_of_both_tables_in_the_given_order(self, rows):
+        a = CandidateTable.from_records(
+            [cand("s", f"a{k}", k, 0, 0, k / 10, model="CADE_A", diameter=k + 1.0)
+             for k in range(3)])
+        b = CandidateTable.from_records(
+            [cand("t", f"b{k}", 0, k, 0, k / 10, model="CADE_B") for k in range(5)])
+        taken = CandidateTable.take_joined(a, b, np.array(rows, dtype=np.intp))
+        assert taken == [(list(a) + list(b))[i] for i in rows]
+        assert taken.source_rows.tolist() == rows
+        assert taken.xyz.shape == (len(rows), 3) and taken.tier is None
+
+    def test_fused_columns(self):
+        a, b = fused_table(), fused_table().take([3, 2])
+        taken = CandidateTable.take_joined(a, b, np.array([5, 1, 4]))
+        assert taken.provenance == [("CADE_A:a1", "CADE_B:b4", "CADE_B:b5"), ("CADE_A:a2",),
+                                    ("CADE_B:b2",)]
+        assert taken.stage == ["consensus", "cadx_promoted", "cade_refined"]
+        assert taken == a.records([2, 1, 3])
+
+    def test_equal_length_provenance_tuples_stay_tuples(self):
+        a = fused_table()
+        a.provenance = [("CADE_A:a1",), ("CADE_A:a2",), ("CADE_B:b4",), ("CADE_B:b2",)]
+        taken = CandidateTable.take_joined(a, a.take([0]), np.array([4, 2]))
+        assert taken.provenance == [("CADE_A:a1",), ("CADE_B:b4",)]
+
+
+class TestOrderStatisticsAgainstNumpy:
+    """``median`` and ``percentiles`` give numpy's values bit for bit."""
+
+    @staticmethod
+    def bits(values):
+        return [float(v).hex() for v in values]
+
+    @pytest.mark.parametrize("values", [[0.3], [0.7, 0.2], [0.5, 0.1, 0.9], [0.4, 0.4],
+                                        [0.2, 0.6, 0.6, 0.6, 0.1], [1.0, 1.0, 0.0]])
+    def test_small_samples_and_ties(self, values):
+        assert self.bits([median(values)]) == self.bits([oracle_median(values)])
+        for q in ([2.5, 97.5], [0.0, 50.0, 100.0], [33.3, 66.7]):
+            assert self.bits(percentiles(values, q)) == self.bits(oracle_percentiles(values, q))
+
+    def test_random_samples(self):
+        rng = np.random.default_rng(27)
+        for trial in range(2000):
+            n = int(rng.integers(1, 60))
+            if trial % 2:
+                values = rng.integers(0, 5, n) / 4.0  # many ties
+            else:
+                values = rng.uniform(-1.0, 1.0, n) * 10.0 ** int(rng.integers(-3, 4))
+            q = [2.5, 97.5] if trial % 3 == 0 else rng.uniform(0.0, 100.0, 4).tolist()
+            values = values.tolist()
+            assert self.bits([median(values)]) == self.bits([oracle_median(values)])
+            assert self.bits(percentiles(values, q)) == self.bits(oracle_percentiles(values, q))

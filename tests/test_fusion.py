@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import math
 import shlex
 import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import trifuse
 from trifuse import domain, fusion
 from trifuse.domain import PAIR_BLOCK, CandidateTable, PipelineConfig, WorldPoint
 from trifuse.errors import InputError, InvariantError, ScorerError
-from trifuse.fileio import read_candidates, write_fused_csv
+from trifuse.fileio import read_cadx_scores, read_candidates, write_fused_csv
 from trifuse.fusion import (
     CadxScores,
     CadxScoreTable,
@@ -943,6 +945,62 @@ class TestFuseScans:
             [b_cand("b1", 0, 0, 0, 0.9, scan="s2"), b_cand("b1", 0, 0, 0, 0.9, scan="s1")],
         )
         assert [f.scan_id for f in out.fused] == ["s1", "s2"]
+
+
+class TestFusionMemory:
+    """One fuse_scans call copies no cohort-sized table it can do without,
+    and its output holds its codes, settled rows and dispositions in narrow
+    arrays and one provenance tuple per qualified id."""
+
+    def write_cohort(self, directory, n_scans=400, per_scan=25):
+        """Two detector lists of ``n_scans * per_scan`` rows as a detector
+        writes them, B proposing a third of A's points again a mm or so away
+        and every tenth A row a near duplicate of the row before it, and the
+        classifier scores of every row."""
+        rng = np.random.default_rng(53)
+        n = n_scans * per_scan
+        xyz_a = rng.uniform(-150.0, 150.0, (n, 3))
+        xyz_a[1::10] = xyz_a[0::10] + 0.5
+        again = rng.random(n) < 0.3
+        xyz_b = np.where(again[:, None], xyz_a + rng.uniform(-1.5, 1.5, (n, 3)),
+                         rng.uniform(-150.0, 150.0, (n, 3)))
+        paths = {}
+        scores = ["scan_id,model,candidate_id,p_luna,p_dlcs\n"]
+        for model, xyz in (("CADE_A", xyz_a), ("CADE_B", xyz_b)):
+            lines = ["scan_id,candidate_id,x_mm,y_mm,z_mm,diameter_mm,score,model\n"]
+            for i, ((x, y, z), d, p) in enumerate(zip(
+                    xyz.tolist(), rng.uniform(3.0, 30.0, n).tolist(),
+                    rng.uniform(0.05, 1.0, n).tolist())):
+                scan, cid = f"scan{i // per_scan:04d}", f"c{i % per_scan:05d}"
+                lines.append(f"{scan},{cid},{x:.3f},{y:.3f},{z:.3f},{d:.2f},{p:.4f},{model}\n")
+                scores.append(f"{scan},{model},{cid},{p * 0.3:.4f},{p * 0.1:.4f}\n")
+            paths[model] = directory / f"{model}.csv"
+            paths[model].write_text("".join(lines))
+        paths["cadx"] = directory / "cadx.csv"
+        paths["cadx"].write_text("".join(scores))
+        return paths
+
+    def test_fuse_scans_peak_and_retained_bytes(self, tmp_path):
+        # 10 000 rows a list on 400 scans. Under tracemalloc on CPython 3.11,
+        # with the lists joined for pairing, intp codes, settled rows and
+        # dispositions and a Python int per fused row for provenance, one call
+        # peaked at 6.5 MB and its output kept 3.0 MB; with the disagreements
+        # taken from both lists unjoined and narrow codes it peaks at 5.1 MB
+        # and keeps 1.9 MB.
+        paths = self.write_cohort(tmp_path)
+        provider = FileCadxProvider(read_cadx_scores(paths["cadx"]))
+        fuse_scans(read_candidates(paths["CADE_A"]), read_candidates(paths["CADE_B"]), provider)
+        table_a, table_b = read_candidates(paths["CADE_A"]), read_candidates(paths["CADE_B"])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            output = fuse_scans(table_a, table_b, provider)
+            retained, peak = tracemalloc.get_traced_memory()  # bytes since start()
+        finally:
+            tracemalloc.stop()
+        assert len(output.fused) > 8000
+        assert peak < 5.8e6
+        assert retained < 2.5e6
 
 
 class TestProviders:
