@@ -37,6 +37,7 @@ STAGE_CONSENSUS = "consensus"
 STAGE_CADX = "cadx_promoted"
 STAGE_CADE = "cade_refined"
 TIER_BY_STAGE = {STAGE_CONSENSUS: 1.0, STAGE_CADX: 0.5, STAGE_CADE: 0.2}
+FUSED_MODEL = "FUSED"  # the model column of a fused list
 
 # numpy's squared distance can differ from the scalar one in the last bits, so
 # the prefilter admits a relative slack above the radius, plus an absolute one
@@ -362,6 +363,20 @@ def first_repeat(*columns: Sequence[str]) -> int | None:
     raise InvariantError("a repeated key was counted but not found")
 
 
+def output_ids(scan_ids: list[str]) -> list[str]:
+    """The ids of a fused list's rows: ``F0000``, ``F0001``, ... per scan, in
+    list order."""
+    counts: dict[str, int] = {}
+    ids: list[str] = []
+    names: list[str] = []  # one string per id, whatever the number of scans
+    for scan_id, run in itertools.groupby(scan_ids):
+        start = counts.get(scan_id, 0)
+        counts[scan_id] = end = start + len(list(run))
+        names += [f"F{n:04d}" for n in range(len(names), end)]
+        ids += names[start:end]
+    return ids
+
+
 _COLUMNS = ("scan_id", "candidate_id", "model", "xyz", "diameter_mm", "score", "tier", "stage",
             "cadx_avg", "provenance")
 
@@ -378,7 +393,8 @@ class CandidateTable(RowTable):
 
     As a sequence the table reads as its records: indexing, iteration and
     ``==`` against a list build one ``CandidateDetection`` per row, or one
-    ``FusedCandidate`` for a fused-list table, only when asked. The columns
+    ``FusedCandidate`` for a fused-list table, only when asked; ``of`` turns
+    either kind of record back into its table. The columns
     are taken as given; the record constructors check each row they build.
     A table made by ``take`` holds in ``source_rows`` the rows it was taken
     at; any other table holds None there. ``unique_keys`` says the caller
@@ -408,19 +424,37 @@ class CandidateTable(RowTable):
         self.source_rows: np.ndarray | None = None
 
     @classmethod
-    def from_records(cls, records: Iterable[CandidateDetection]) -> "CandidateTable":
+    def from_records(cls, records: Iterable[CandidateDetection | FusedCandidate]
+                     ) -> "CandidateTable":
         """The table of API records, which must not repeat a (scan, model,
-        candidate id) key; the readers reject repeated keys themselves."""
+        candidate id) key; the readers reject repeated keys themselves.
+        ``CandidateDetection`` records give a detection table, ``FusedCandidate``
+        records a fused-list table of model ``FUSED``, with their
+        ``candidate_id``s when every record has one, numbered ``F0000``,
+        ``F0001``, ... per scan in list order when none has."""
         records = list(records)
-        return cls(
-            [c.scan_id for c in records],
-            [c.candidate_id for c in records],
-            [c.source_model for c in records],
-            np.array([c.center.as_tuple() for c in records], dtype=np.float64).reshape(-1, 3),
-            np.array([math.nan if c.diameter_mm is None else c.diameter_mm for c in records],
-                     dtype=np.float64),
-            np.array([c.score for c in records], dtype=np.float64),
-        ).require_unique_keys()
+        fused = {isinstance(c, FusedCandidate) for c in records}
+        if len(fused) > 1:
+            raise InputError("candidate records must all be detections or all fused")
+
+        def floats(field: str) -> np.ndarray:  # NaN where a record holds None
+            return np.array([math.nan if (v := getattr(c, field)) is None else v
+                             for c in records], dtype=np.float64)
+
+        scan_id = [c.scan_id for c in records]
+        xyz = np.array([c.center.as_tuple() for c in records], dtype=np.float64).reshape(-1, 3)
+        if True not in fused:  # detections, or no records at all
+            return cls(scan_id, [c.candidate_id for c in records],
+                       [c.source_model for c in records], xyz, floats("diameter_mm"),
+                       floats("score")).require_unique_keys()
+        ids = [f.candidate_id for f in records]
+        if None in ids:
+            if ids.count(None) < len(ids):
+                raise InputError("fused records must all have a candidate_id, or none")
+            ids = output_ids(scan_id)
+        return cls(scan_id, ids, [FUSED_MODEL] * len(records), xyz, floats("diameter_mm"),
+                   floats("cade_score_avg"), floats("confidence_tier"), [f.stage for f in records],
+                   floats("cadx_avg"), [f.provenance for f in records]).require_unique_keys()
 
     @classmethod
     def take_joined(cls, first: "CandidateTable", second: "CandidateTable",

@@ -48,7 +48,7 @@ from .domain import (
 )
 from .errors import ConfigError, InputError, open_text, read_settings
 from .froc import FrocResult, GroupScoreSummary, LesionMatchResult
-from .fusion import CadxScoreTable, fused_table
+from .fusion import CadxScoreTable
 from .readerstats import CHARACTERISTIC_DISPLAY, OverlapRow, SemanticTable
 from .reportlink import EntityMatches, ReportEntity
 from .sweeps import CadeSweepRow, CadxSweepRow
@@ -649,14 +649,16 @@ _QUOTED = (",", '"', "\r", "\n", "\0")  # text csv.writer may quote or refuse
 def write_fused_csv(
     path: str | Path, fused: Iterable[FusedCandidate], manifest_digest: str | None = None
 ) -> Path:
-    """The fused list, a fused-list table or ``FusedCandidate`` records (as
-    ``fusion.fused_table`` numbers them), written from the table's columns,
+    """The fused list, a fused-list table or ``FusedCandidate`` records (the
+    inputs ``CandidateTable.of`` takes, so records that repeat a (scan, id)
+    key raise ``InputError``, as ``read_fused`` would on reading them back;
+    records without ids are numbered), written from the table's columns,
     ``_FUSED_CHUNK`` (1024) rows at a time, so the cells of few rows are
     alive at once: a float as its ``repr``, a NaN diameter
     or ``cadx_avg`` as an empty cell, provenance joined with ``|``. Each
     column of a chunk is formatted once and the rows joined with ","; a
     chunk with a text cell ``csv.writer`` would quote goes through it."""
-    t = fused_table(fused)
+    t = CandidateTable.of(fused)
 
     def numbers(values: np.ndarray) -> list[str]:
         return list(map(repr, values.tolist()))
@@ -753,7 +755,7 @@ def write_semantic_csv(
     for label in sorted(tables):
         for r in tables[label].rows:
             display = CHARACTERISTIC_DISPLAY.get(r.characteristic, r.characteristic)
-            d_value = "inf" if r.d_infinite else r.d
+            d_value = ("-inf" if r.mean_diff < 0 else "inf") if r.d_infinite else r.d
             base = (display, r.mean_detected, r.mean_missed, r.mean_diff, r.p_value,
                     d_value, r.label, int(r.significant_after_bonferroni))
             rows.append(((label,) + base) if multi else base)

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .domain import (
+    FUSED_MODEL,
     STAGE_CADE,
     STAGE_CADX,
     STAGE_CONSENSUS,
@@ -36,21 +37,21 @@ from .domain import (
     TOLERANCE_CAP_MM,
     CandidateDetection,
     CandidateTable,
-    FusedCandidate,
     PipelineConfig,
     RecordSequence,
     WorldPoint,
     distance_mm,
     near_pairs,
+    output_ids,
     require_unit_interval,
     run_bounds,
     tolerance_mm,
 )
+from .domain import FusedCandidate  # noqa: F401  (re-export)
 from .errors import InputError, InvariantError, ScorerError
 from .volume import Volume, centroid_in_lung, extract_patch, save_patch
 
 STAGE_BY_TIER = {tier: stage for stage, tier in TIER_BY_STAGE.items()}
-FUSED_MODEL = "FUSED"  # the model column of a fused list
 
 DISP_MASK_REJECTED = "mask_rejected"
 DISP_PAIR = "pair_member"
@@ -143,47 +144,6 @@ class ConsensusPair:
             raise InputError("consensus pair members must come from different detectors")
 
 
-def fused_table(fused: Iterable[FusedCandidate]) -> CandidateTable:
-    """``fused`` if it is a table, else the fused-list table of its records,
-    with their ``candidate_id``s when every record has one, numbered
-    ``F0000``, ``F0001``, ... per scan in list order when none has."""
-    if isinstance(fused, CandidateTable):
-        return fused
-    fused = list(fused)
-    scan_ids = [f.scan_id for f in fused]
-    ids = [f.candidate_id for f in fused]
-    if None in ids:
-        if ids.count(None) < len(ids):
-            raise InputError("fused records must all have a candidate_id, or none")
-        ids = output_ids(scan_ids)
-    return CandidateTable(
-        scan_ids, ids, [FUSED_MODEL] * len(fused),
-        np.array([f.center.as_tuple() for f in fused], dtype=np.float64).reshape(-1, 3),
-        np.array([math.nan if f.diameter_mm is None else f.diameter_mm for f in fused],
-                 dtype=np.float64),
-        np.array([f.cade_score_avg for f in fused], dtype=np.float64),
-        tier=np.array([f.confidence_tier for f in fused], dtype=np.float64),
-        stage=[f.stage for f in fused],
-        cadx_avg=np.array([math.nan if f.cadx_avg is None else f.cadx_avg for f in fused],
-                          dtype=np.float64),
-        provenance=[f.provenance for f in fused],
-    )
-
-
-def output_ids(scan_ids: list[str]) -> list[str]:
-    """The ids of a fused list's rows: ``F0000``, ``F0001``, ... per scan, in
-    list order."""
-    counts: dict[str, int] = {}
-    ids: list[str] = []
-    names: list[str] = []  # one string per id, whatever the number of scans
-    for scan_id, run in itertools.groupby(scan_ids):
-        start = counts.get(scan_id, 0)
-        counts[scan_id] = end = start + len(list(run))
-        names += [f"F{n:04d}" for n in range(len(names), end)]
-        ids += names[start:end]
-    return ids
-
-
 @dataclass(frozen=True)
 class TriStageResult:
     scan_id: str
@@ -222,10 +182,9 @@ class DuplicateMap(dict):
     def __init__(self, table: CandidateTable, rows: np.ndarray, survivors: np.ndarray,
                  spans_scans: bool):
         self.rows, self.survivors = rows, survivors
-        model, ids = table.model, table.candidate_id
+        qualified = table.qualified_id
         for i, j in zip(rows.tolist(), survivors.tolist()):
-            key = f"{model[i]}:{ids[i]}"
-            self[(table.scan_id[i], key) if spans_scans else key] = f"{model[j]}:{ids[j]}"
+            self[(table.scan_id[i], qualified[i]) if spans_scans else qualified[i]] = qualified[j]
 
 
 def suppress_same_model_duplicates(
@@ -551,21 +510,18 @@ class FileCadxProvider:
             return CadxScores(*(p.item() for p in self(CandidateTable.from_records([candidates]))))
         rows = self._scores.rows_of(candidates.scan_id, candidates.model, candidates.candidate_id)
         if None in rows:
-            missing = candidates[rows.index(None)]
-            raise ScorerError(f"no CADx scores on file for {missing.qualified_id} "
-                              f"on scan {missing.scan_id}")
+            missing = rows.index(None)
+            raise ScorerError(f"no CADx scores on file for {candidates.qualified_id[missing]} "
+                              f"on scan {candidates.scan_id[missing]}")
         return self._scores.p_luna[rows], self._scores.p_dlcs[rows]
 
 
 class _ScorerCall:
-    """One candidate handed to the external scorer: its label, its patch
-    header and, once started, the scorer process."""
+    """One candidate handed to the external scorer: its scan id, centre and
+    label, its patch header and, once started, the scorer process."""
 
-    def __init__(self, candidate: CandidateDetection, workdir: Path):
-        self.candidate = candidate
-        self.label = f"{candidate.qualified_id} on scan {candidate.scan_id}"
-        stem = f"patch_{candidate.scan_id}_{candidate.source_model}_{candidate.candidate_id}"
-        self.header = workdir / f"{stem}.hdr"
+    def __init__(self, scan_id: str, center: WorldPoint, label: str, header: Path):
+        self.scan_id, self.center, self.label, self.header = scan_id, center, label, header
         self.process: subprocess.Popen | None = None
 
     def start(self, argv: list[str]) -> None:
@@ -618,11 +574,13 @@ class CommandCadxProvider:
     """Scores candidates through an external command.
 
     For each candidate a 64^3 patch is extracted from the scan volume,
-    written as a header + raw pair, and the header path is fed to the
-    command on stdin. The command must print two reals in [0, 1] separated
-    by whitespace and exit 0. Called with a ``CandidateTable``, it returns
-    the ``p_luna`` and ``p_dlcs`` arrays of its rows, scored one command at
-    a time in row order; called with a record, the ``CadxScores`` of its
+    written as a header + raw pair named by the candidate's position in the
+    call (``patch_0.hdr``, ``patch_0.raw``, ...; never by its ids, which may
+    hold any text), and the header path is fed to the command on stdin. The
+    command must print two reals in [0, 1] separated by whitespace and exit
+    0. Called with a ``CandidateTable``, it returns the ``p_luna`` and
+    ``p_dlcs`` arrays of its rows, scored one command at a time in row order
+    from the table's columns; called with a record, the ``CadxScores`` of its
     one-row table. While the command scores one patch, the next patch is
     prepared, and a patch pair is removed once its command has exited: at
     most two pairs exist at once. A volume the loader cannot load (its
@@ -652,8 +610,10 @@ class CommandCadxProvider:
         scores = np.empty((2, len(candidates)))
         calls: list[_ScorerCall] = []  # the call whose scorer runs, then the next one
         try:
-            for k, candidate in enumerate(candidates):
-                calls.append(_ScorerCall(candidate, self._workdir))
+            for k, (scan_id, name, xyz) in enumerate(zip(
+                    candidates.scan_id, candidates.qualified_id, candidates.xyz.tolist())):
+                calls.append(_ScorerCall(scan_id, WorldPoint(*xyz), f"{name} on scan {scan_id}",
+                                         self._workdir / f"patch_{k}.hdr"))
                 try:
                     self._write_patch(calls[-1])
                     fault = None
@@ -674,10 +634,10 @@ class CommandCadxProvider:
 
     def _write_patch(self, call: _ScorerCall) -> None:
         try:
-            volume = self._volume_loader(call.candidate.scan_id)
+            volume = self._volume_loader(call.scan_id)
         except InputError as err:
             raise InputError(f"cannot load scan volume for {call.label}: {err}") from err
         try:
-            save_patch(extract_patch(volume, call.candidate.center), call.header)
+            save_patch(extract_patch(volume, call.center), call.header)
         except Exception as err:
             raise ScorerError(f"CADx scoring failed for {call.label}: {err}") from err

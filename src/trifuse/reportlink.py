@@ -183,12 +183,14 @@ class ReportEntity:
 
 
 def _captured(rule: GrammarRule, raw: str | None):
-    """The value a rule's ``value`` group captured, as its field holds it."""
+    """The value a rule's ``value`` group captured, as its field holds it;
+    None for a size that is not finite and positive: the rule does not match."""
     if raw is None:
         raise ConfigError(f"grammar rule for {rule.field!r} captured no 'value' group")
     try:
         if rule.field == "size_mm":
-            return float(raw) * rule.scale
+            size = float(raw) * rule.scale
+            return size if 0.0 < size < math.inf else None
         if rule.field.startswith("ordinal:"):
             return int(raw)
     except ValueError:
@@ -210,8 +212,9 @@ def _extract_from_sentence(
             continue  # first matching rule per field wins
         match = rule.pattern.search(sentence)
         if match is not None:
-            found[rule.field] = (rule.value if rule.value is not None
-                                 else _captured(rule, match.group("value")))
+            value = rule.value if rule.value is not None else _captured(rule, match.group("value"))
+            if value is not None:  # None: a size capture that matches nothing
+                found[rule.field] = value
     if not found:
         return None
     lobe = found.get("lobe")

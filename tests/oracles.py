@@ -77,7 +77,6 @@ from trifuse.fusion import (
     ConsensusPair,
     FusedCandidate,
     TriStageResult,
-    fused_table,
 )
 from trifuse.readerstats import CHARACTERISTIC_DISPLAY
 from trifuse.reportlink import EntityMatch
@@ -1836,7 +1835,7 @@ def oracle_write_fused_columns(path, fused, manifest_digest=None):
     """The fused-list writer that handed the table's column values to
     ``csv.writer``: a float as its ``repr``, a NaN diameter or ``cadx_avg``
     as an empty cell, provenance joined with ``|``."""
-    t = fused_table(fused)
+    t = CandidateTable.of(fused)
 
     def cells(values):
         return [None if v != v else v for v in values.tolist()]

@@ -563,6 +563,23 @@ class TestStatsCommand:
         assert rows["only_A"]["Count"] == "2"  # n10, n11
         assert rows["only_B"]["Count"] == "2"  # n6, n7
 
+    @pytest.mark.parametrize("detected, missed, cell", [(1, 3, "-inf"), (3, 1, "inf")])
+    def test_semantic_infinite_effect_keeps_its_sign(self, tmp_path, detected, missed, cell):
+        # equal subtlety within each group: the pooled SD is 0 and the effect infinite
+        refs, matches = tmp_path / "refs.csv", tmp_path / "matches"
+        refs.write_text("scan_id,nodule_id,x_mm,y_mm,z_mm,diameter_mm,diagnosis,lungrads,"
+                        "reviewers,positive_votes,Subtlety\n" + "".join(
+                            f"s1,n{i},{20 * i},0,0,5,unknown,,,,{rating}\n"
+                            for i, rating in enumerate((detected, detected, missed, missed))))
+        matches.mkdir()
+        (matches / "a.csv").write_text("scan_id,nodule_id,detected,score,model\n"
+                                       "s1,n0,1,0.9,A\ns1,n1,1,0.8,A\ns1,n2,0,,A\ns1,n3,0,,A\n")
+        out = tmp_path / "semantic.csv"
+        assert run(["stats", "--matches", matches, "--references", refs,
+                    "--analysis", "semantic", "--out", out]) == 0
+        (row,) = read_csv_rows(out)
+        assert (row["Mean Difference"], row["Cohen's d"]) == (f"{detected - missed:.1f}", cell)
+
     def test_incomplete_match_table_exits_2(self, tmp_path):
         refs, matches_dir = write_stats_fixture(tmp_path)
         short = matches_dir / "matches_A.csv"
@@ -642,6 +659,15 @@ class TestLinkCommand:
         matched = [r for r in read_csv_rows(out) if r["status"] == "matched"]
         assert len(matched) == 1 and matched[0]["candidate_id"] == "F0000"
         assert "lobe=pass" in matched[0]["criteria"]
+
+    def test_zero_size_leaves_the_entity_without_a_size(self, tmp_path):
+        reports = tmp_path / "reports.tsv"
+        reports.write_text("R1\ts1\tA 0 mm nodule in the right upper lobe.\n")
+        fused = self.write_fused(tmp_path / "fused.csv")
+        out = tmp_path / "links.csv"
+        assert run(["link", "--reports", reports, "--fused", fused, "--out", out]) == 0
+        (entity,) = read_csv_rows(tmp_path / "links.entities.csv")
+        assert (entity["report_id"], entity["size_mm"], entity["lobe"]) == ("R1", "", "RUL")
 
     def test_repeated_candidate_id_exits_2_with_its_line(self, tmp_path, capsys):
         reports = tmp_path / "reports.tsv"
@@ -1017,6 +1043,27 @@ class TestExitCodes:
         assert err.startswith("scorer error: ") and err.count("\n") == 1
         assert "exited 1" in err and "Traceback" not in err
         assert not (tmp_path / "result.csv").exists()
+
+    def test_scorer_ids_that_are_no_file_name_exit_0(self, tmp_path, monkeypatch):
+        # an id with a path separator, and two keys whose scan, model and id joined
+        # with "_" spell one name: each scorer scores by the z of its own patch's centre
+        monkeypatch.chdir(tmp_path)
+        header = "scan_id,candidate_id,x_mm,y_mm,z_mm,diameter_mm,score,model\n"
+        Path("a.csv").write_text(header + "s1,a/b,5,5,10,,0.9,CADE_A\n"
+                                          "x,1_CADE_B_2,5,5,20,,0.9,CADE_A\n")
+        Path("b.csv").write_text(header + "x_CADE_A_1,2,5,5,30,,0.9,CADE_B\n")
+        write_volumes(tmp_path / "vols", ("s1", "x", "x_CADE_A_1"))
+        Path("scorer.py").write_text(
+            f"import sys\nsys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})\n"
+            "from trifuse.volume import load_volume\n"
+            "z = load_volume(sys.stdin.readline().strip()).header.origin_mm.z + 31.5 * 1.25\n"
+            "print(z / 100, 0.5)\n")
+        assert run(["fuse", "--cade-a", "a.csv", "--cade-b", "b.csv", "--volumes", "vols",
+                    "--cadx-cmd", f"{sys.executable} scorer.py", "--out", "fused.csv"]) == 0
+        rows = {r["provenance"]: r["cadx_avg"] for r in read_csv_rows(tmp_path / "fused.csv")}
+        assert rows == {"CADE_A:a/b": repr((0.1 + 0.5) / 2),
+                        "CADE_A:1_CADE_B_2": repr((0.2 + 0.5) / 2),
+                        "CADE_B:2": repr((0.3 + 0.5) / 2)}
 
     def test_raw_file_cut_short_mid_run_exits_3(self, tmp_path, monkeypatch):
         # each intensity volume's raw file is cut short right after it is

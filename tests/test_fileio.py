@@ -10,11 +10,12 @@ from collections.abc import Mapping
 import numpy as np
 import pytest
 
-from trifuse import fileio
+from trifuse import cli, fileio, froc, sweeps
 from trifuse.domain import STAGE_CADX, STAGE_CONSENSUS, CandidateTable, ReferenceTable, WorldPoint
 from trifuse.errors import ConfigError, InputError
 from trifuse.froc import match_lesions
 from trifuse.fusion import TIER_BY_STAGE, CadxScores, FusedCandidate
+from trifuse.readerstats import CharacteristicComparison, SemanticTable
 
 from conftest import cand, ref
 from oracles import (
@@ -326,6 +327,42 @@ class TestFusedRoundTrip:
         with pytest.raises(InputError, match="all have a candidate_id, or none"):
             fileio.write_fused_csv(again, [dataclasses.replace(first, candidate_id="F0000"),
                                            second])
+
+    def test_records_of_a_fused_list_convert_back_to_its_table(self, tmp_path, e2e_inputs):
+        # a list that fuse wrote, read as records, evaluates, matches, sweeps
+        # and writes back as its table does
+        path, again = tmp_path / "fused.csv", tmp_path / "again.csv"
+        assert cli.main(["fuse", "--cade-a", str(e2e_inputs["cade_a"]),
+                         "--cade-b", str(e2e_inputs["cade_b"]),
+                         "--cadx-scores", str(e2e_inputs["cadx_scores"]), "--out", str(path)]) == 0
+        table = fileio.read_fused(path)
+        records = list(table)
+        refs = fileio.read_references(e2e_inputs["references"])
+        assert CandidateTable.of(records) == table
+        assert froc.evaluate(records, refs) == froc.evaluate(table, refs)
+        assert froc.match_lesions(records, refs) == froc.match_lesions(table, refs)
+        thresholds = [0.0, 0.5, 0.9]
+        assert (sweeps.sweep_cade(records, refs, thresholds)
+                == sweeps.sweep_cade(table, refs, thresholds))
+        digest = path.read_text().splitlines()[0].removeprefix("# manifest_digest=")
+        fileio.write_fused_csv(again, records, digest)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_records_that_repeat_a_key_are_refused(self, tmp_path):
+        # read_fused refuses a (scan, id) twice, so the writer does not write it
+        first, second = self.fused()
+        twice = [dataclasses.replace(first, candidate_id="F0000"),
+                 dataclasses.replace(second, candidate_id="F0000")]
+        with pytest.raises(InputError, match="duplicate candidate 'F0000' for model 'FUSED' "
+                                             "on scan 's1'"):
+            fileio.write_fused_csv(tmp_path / "twice.csv", twice)
+        assert not (tmp_path / "twice.csv").exists()
+        # the same id on two scans is no repeat
+        apart = [twice[0], dataclasses.replace(twice[1], scan_id="s2")]
+        fileio.write_fused_csv(tmp_path / "apart.csv", apart)
+        assert [f.candidate_id for f in fileio.read_fused(tmp_path / "apart.csv")] == ["F0000"] * 2
+        with pytest.raises(InputError, match="all be detections or all fused"):
+            CandidateTable.from_records([first, cand("s1", "a1", 0, 0, 0, 0.5)])
 
     def test_float_round_trip_is_exact(self, tmp_path):
         values = [0.1, 1 / 3, 2.0 ** -40, 12345.6789]
@@ -1479,3 +1516,18 @@ class TestWriteCsv:
             got = fileio.write_csv(tmp_path / "got.csv", header, rows, digest)
             expected = oracle_write_csv(tmp_path / "expected.csv", header, rows, digest)
             assert got.read_bytes() == expected.read_bytes()
+
+
+class TestSemanticCsv:
+    @pytest.mark.parametrize("detected, missed, cell", [(1.0, 3.0, "-inf"), (3.0, 1.0, "inf")])
+    def test_infinite_effect_keeps_its_sign(self, tmp_path, detected, missed, cell):
+        # equal ratings within each group: the pooled SD is 0 and the effect infinite
+        row = CharacteristicComparison(
+            characteristic="subtlety", n_detected=2, n_missed=2, mean_detected=detected,
+            mean_missed=missed, mean_diff=detected - missed, p_value=0.19, test_method="exact",
+            d=None, d_infinite=True, label="large", significant_after_bonferroni=False)
+        table = SemanticTable(rows=(row,), k_tests=1, alpha=0.05, alpha_star=0.05,
+                              diagnostics=())
+        path = fileio.write_semantic_csv(tmp_path / "semantic.csv", {"pooled": table})
+        assert path.read_text().splitlines()[1] == (
+            f"Subtlety,{detected},{missed},{detected - missed},0.19,{cell},large,0")

@@ -1037,14 +1037,14 @@ class TestProviders:
 
     def test_command_provider_keeps_at_most_two_patch_pairs(self, tmp_path, spawned):
         # each scorer logs its patch and how many patch pairs share its directory,
-        # and scores by the digit that ends the candidate id
+        # and scores by the position that ends the patch name, plus one
         log = tmp_path / "scorer.log"
         scorer = python_scorer(
             tmp_path,
             "import glob, os\n"
             "raws = glob.glob(os.path.join(os.path.dirname(header), '*.raw'))\n"
             f"open({str(log)!r}, 'a').write(f'{{os.path.basename(header)}} {{len(raws)}}\\n')\n"
-            "print(int(header[-5]) / 10, 0.5)\n",
+            "print((int(header[-5]) + 1) / 10, 0.5)\n",
         )
         vol = Volume.from_array(np.zeros((10, 10, 10), dtype="<f4"), (1.0, 1.0, 1.0),
                                 WorldPoint(0, 0, 0), "float32")
@@ -1055,11 +1055,36 @@ class TestProviders:
         p_luna, p_dlcs = provider(table)
         assert p_luna.tolist() == [0.1, 0.2, 0.3, 0.4, 0.5] and p_dlcs.tolist() == [0.5] * 5
         logged = [line.split() for line in log.read_text().splitlines()]
-        assert [name for name, _ in logged] == [
-            f"patch_s{k // 2}_CADE_A_a{k}.hdr" for k in range(1, 6)]
+        assert [name for name, _ in logged] == [f"patch_{k}.hdr" for k in range(5)]
         assert max(int(count) for _, count in logged) <= 2
         assert list(workdir.iterdir()) == []
         assert [p.returncode for p in spawned] == [0] * 5
+
+    def test_command_provider_names_patches_by_position_not_id(self, tmp_path, spawned):
+        # an id with a path separator, and two keys whose scan, model and id joined
+        # with "_" spell one name: each scorer logs its path and scores by the
+        # z of its own patch's centre, read from the patch
+        log = tmp_path / "scorer.log"
+        scorer = python_scorer(
+            tmp_path,
+            "from trifuse.volume import load_volume\n"
+            f"open({str(log)!r}, 'a').write(header + '\\n')\n"
+            "z = load_volume(header).header.origin_mm.z + 31.5 * 1.25\n"
+            "print(z / 100, 0.5)\n",
+        )
+        vol = Volume.from_array(np.zeros((10, 10, 10), dtype="<f4"), (1.0, 1.0, 1.0),
+                                WorldPoint(0, 0, 0), "float32")
+        workdir = tmp_path / "patches"
+        provider = CommandCadxProvider(scorer, volume_loader=lambda scan_id: vol, workdir=workdir)
+        table = CandidateTable.from_records([
+            a_cand("a/b", 5, 5, 10, 0.9, scan="s1"),
+            a_cand("1_CADE_B_2", 5, 5, 20, 0.9, scan="x"),
+            b_cand("2", 5, 5, 30, 0.9, scan="x_CADE_A_1")])
+        p_luna, p_dlcs = provider(table)
+        assert p_luna.tolist() == [0.1, 0.2, 0.3] and p_dlcs.tolist() == [0.5] * 3
+        assert log.read_text().splitlines() == [str(workdir / f"patch_{k}.hdr") for k in range(3)]
+        assert list(workdir.iterdir()) == []
+        assert [p.returncode for p in spawned] == [0] * 3
 
     def test_command_provider_failure_exits_nonzero(self, tmp_path):
         vol = Volume.from_array(

@@ -83,6 +83,17 @@ class TestExtraction:
                 )
                 assert re_extracted == entity
 
+    def test_size_that_is_not_finite_and_positive_matches_nothing(self):
+        # the size rule does not match; the sentence keeps its other descriptors
+        (entity,) = extract_entities("A 0 mm nodule in the right upper lobe.")
+        assert (entity.size_mm, entity.lobe, entity.laterality) == (None, "RUL", "right")
+        assert extract_entities("A 0 mm nodule.") == []
+        (entity,) = extract_entities(f"A {'9' * 400} cm nodule in the left lung")
+        assert (entity.size_mm, entity.laterality) == (None, "left")
+        # the mm rule's capture is 0, so the cm rule gives the size
+        (entity,) = extract_entities("A 0 mm, now 1.5 cm nodule")
+        assert entity.size_mm == 15.0
+
     def test_laterality_from_word_when_no_lobe(self):
         (entity,) = extract_entities("7 mm nodule in the left lung")
         assert entity.lobe is None
