@@ -39,12 +39,6 @@ STAGE_CADE = "cade_refined"
 TIER_BY_STAGE = {STAGE_CONSENSUS: 1.0, STAGE_CADX: 0.5, STAGE_CADE: 0.2}
 FUSED_MODEL = "FUSED"  # the model column of a fused list
 
-# numpy's squared distance can differ from the scalar one in the last bits, so
-# the prefilter admits a relative slack above the radius, plus an absolute one
-# for squares too small to hold that precision
-_PREFILTER_SLACK = 1e-9
-_PREFILTER_FLOOR_MM2 = 1e-300
-
 RATING_RANGES = {
     "subtlety": (1, 5),
     "malignancy": (0, 5),
@@ -102,11 +96,14 @@ class WorldPoint:
 
 def distance_mm(ax: float, ay: float, az: float, bx: float, by: float, bz: float) -> float:
     """Euclidean distance between two points given by their coordinates as
-    Python floats; ``inf`` when the squared distance overflows."""
-    try:
-        return math.sqrt((ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2)
-    except OverflowError:
-        return math.inf
+    Python floats; ``inf`` when the squared distance overflows.
+
+    Each difference is squared by one multiplication, not by ``**`` (libm's
+    ``pow``, which may round differently), and the squares are summed in x, y,
+    z order: every step is one IEEE-rounded operation, so ``near_pairs``
+    computes the same bits in numpy."""
+    dx, dy, dz = ax - bx, ay - by, az - bz
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 # np.median, np.percentile and np.unique import numpy.ma on their first call:
@@ -140,30 +137,6 @@ def percentiles(values: Iterable[float], q: Iterable[float]) -> list[float]:
     return out
 
 
-def may_lie_within(a: Iterable[np.ndarray], b: Iterable[np.ndarray], radius_mm) -> np.ndarray:
-    """Whether points of ``a`` and ``b`` may lie within ``radius_mm`` of each
-    other.
-
-    ``a`` and ``b`` each give the x, y and z coordinates as three float64
-    arrays (or an array whose first axis holds them) that broadcast
-    together, as does ``radius_mm``; an axis is taken at a time, so no array
-    of coordinate differences is held for all three. A prefilter on squared
-    distances: true for every pair that ``distance_mm`` puts within the
-    radius and for a few just outside, which callers test with
-    ``distance_mm``. A distance that overflows is never within.
-    """
-    squared = None
-    with np.errstate(over="ignore"):
-        for a_axis, b_axis in zip(a, b):
-            d = a_axis - b_axis
-            d *= d
-            if squared is None:
-                squared = d
-            else:
-                squared += d
-    return squared <= radius_mm * radius_mm * (1.0 + _PREFILTER_SLACK) + _PREFILTER_FLOOR_MM2
-
-
 PAIR_BLOCK = 1 << 14  # pair tests near_pairs makes at a time
 
 
@@ -176,35 +149,44 @@ def sort_key(codes: np.ndarray, values: np.ndarray) -> np.ndarray:
     return key
 
 
-def near_pairs(codes_a: np.ndarray, xyz_a: np.ndarray, codes_b: np.ndarray,
-               xyz_b: np.ndarray, radius_mm: float) -> tuple[np.ndarray, np.ndarray]:
+def near_pairs(codes_a: np.ndarray, xyz_a: np.ndarray, codes_b: np.ndarray, xyz_b: np.ndarray,
+               radius_mm: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index pairs ``(i, j)``, in row-major order, of rows of the ``(n, 3)`` arrays
-    ``xyz_a`` and ``xyz_b`` with equal (scan) codes whose points may lie within
-    ``radius_mm``: ``may_lie_within``, about ``PAIR_BLOCK`` pairs at a time, on the rows
-    of B whose x lies within ``reach`` of A's (the radius, with a slack that covers
-    the rounding of the window's edges and of a distance)."""
+    ``xyz_a`` and ``xyz_b`` with equal (scan) codes whose points lie within
+    ``radius_mm``, and their distances: each one the bits ``distance_mm`` gives.
+
+    Pairs are tested about ``PAIR_BLOCK`` at a time, on the rows of B whose x
+    lies within ``reach`` of A's: the radius, with a slack that covers the
+    rounding of the window's edges and of a distance, and squares that
+    underflow. The slack decides which pairs are tested, never which are
+    within. A distance that overflows is ``inf``, never within."""
     keys = sort_key(codes_b, xyz_b[:, 0])
     order = np.argsort(keys, kind="stable")
     x = xyz_a[:, 0]
-    reach = radius_mm * (1.0 + _PREFILTER_SLACK) + math.sqrt(_PREFILTER_FLOOR_MM2)
+    reach = radius_mm * (1.0 + 1e-9) + 1e-150
     lo = np.searchsorted(keys[order], sort_key(codes_a, x - reach), "left")
     counts = np.searchsorted(keys[order], sort_key(codes_a, x + reach), "right") - lo
     ends = np.cumsum(counts)
     first = lo - ends + counts  # pair g of row i tests B's sorted row first[i] + g
-    rows, cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    rows, cols, dists = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
     start = 0
     while start < len(x):
         done = ends[start - 1] if start else 0
         stop = max(start + 1, int(np.searchsorted(ends, done + PAIR_BLOCK, "right")))
         i = np.repeat(np.arange(start, stop), counts[start:stop])
         j = order[first[i] + np.arange(done, ends[stop - 1])]
-        near = may_lie_within(xyz_a[i].T, xyz_b[j].T, radius_mm)
+        with np.errstate(over="ignore"):
+            d = xyz_a[i] - xyz_b[j]
+            d *= d
+            dist = np.sqrt(d[:, 0] + d[:, 1] + d[:, 2])  # distance_mm's sum, in its order
+        near = dist <= radius_mm
         rows.append(i[near])
         cols.append(j[near])
+        dists.append(dist[near])
         start = stop
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    rows, cols, dists = np.concatenate(rows), np.concatenate(cols), np.concatenate(dists)
     row_major = np.lexsort((cols, rows))
-    return rows[row_major], cols[row_major]
+    return rows[row_major], cols[row_major], dists[row_major]
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from .domain import (
     CandidateTable,
     ReferenceNodule,
     ReferenceTable,
-    distance_mm,
     median,
     near_pairs,
     percentiles,
@@ -278,9 +277,9 @@ def match_lesions(
 
     Within a scan, candidates go best score first (ties by candidate id, then
     model); each takes the nearest (then lowest nodule id) still-unmatched
-    reference it hits. The candidate-reference pairs that may hit come from
-    the same windowed search as fusion pairing (``near_pairs``, within the
-    largest tolerance) and each is confirmed with the scalar distance against
+    reference it hits. The candidate-reference pairs and their distances
+    come from the same windowed search as fusion pairing (``near_pairs``,
+    within the largest tolerance), and a pair hits when its distance is within
     the reference's own tolerance; a candidate with no such pair is a false
     positive. The result keeps the pairs that hit, so a stratum's matching
     reruns only the assignment.
@@ -308,9 +307,7 @@ def match_lesions(
     xyz = table.xyz[rows]
     ref_xyz = refs.xyz[ref_rows]
     tolerance = refs.tolerance[ref_rows]
-    pair_c, pair_r = near_pairs(scan, xyz, ref_scan, ref_xyz, TOLERANCE_CAP_MM)
-    dist = np.array([distance_mm(x, y, z, *r) for (x, y, z), r in
-                     zip(xyz[pair_c].tolist(), ref_xyz[pair_r].tolist())], dtype=np.float64)
+    pair_c, pair_r, dist = near_pairs(scan, xyz, ref_scan, ref_xyz, TOLERANCE_CAP_MM)
     hit = dist <= tolerance[pair_r]
     # assignment order: by candidate, then distance, then reference (nodule id)
     order = np.lexsort((pair_r[hit], dist[hit], pair_c[hit]))

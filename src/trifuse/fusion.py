@@ -40,7 +40,6 @@ from .domain import (
     PipelineConfig,
     RecordSequence,
     WorldPoint,
-    distance_mm,
     near_pairs,
     output_ids,
     require_unit_interval,
@@ -195,7 +194,7 @@ def suppress_same_model_duplicates(
 
     Candidates are visited by scan id, then best score first (ties by
     candidate id); each one is absorbed by the first earlier survivor on its
-    scan within ``radius_mm`` (scalar distance, after the prefilter), or
+    scan within ``radius_mm`` (one of the pairs ``near_pairs`` gives), or
     survives. Returns the survivors' table, taken from the input in visit
     order, and the ``DuplicateMap`` of the suppressed candidates. A
     (scan, model, candidate id) key that repeats raises ``InputError``."""
@@ -203,15 +202,14 @@ def suppress_same_model_duplicates(
     codes, _ = _encode(table.scan_id)
     order = np.lexsort((_encode(table.candidate_id)[0], -table.score, codes))
     xyz = table.xyz[order]
-    rows, cols = near_pairs(codes[order], xyz, codes[order], xyz, radius_mm)
+    rows, cols, _ = near_pairs(codes[order], xyz, codes[order], xyz, radius_mm)
     rows, cols = rows[cols < rows], cols[cols < rows]
     # row-major pairs: each candidate meets the earlier ones on its scan in
     # visit order, whose fate is settled, and joins the first survivor within
     # the radius
     survivor_of: dict[int, int] = {}
-    for i, j, *ab in zip(rows.tolist(), cols.tolist(), *xyz[rows].T.tolist(),
-                         *xyz[cols].T.tolist()):
-        if i not in survivor_of and j not in survivor_of and distance_mm(*ab) <= radius_mm:
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if i not in survivor_of and j not in survivor_of:
             survivor_of[i] = j
     return table.take(np.delete(order, list(survivor_of))), DuplicateMap(
         table, order[list(survivor_of)], order[list(survivor_of.values())], codes.any())
@@ -262,11 +260,11 @@ def cross_detector_consensus(
     """Pair candidates proposed by both detectors on the same scan.
 
     A pair is admissible when both lie on one scan and the centroid distance
-    (the scalar one, on the pairs ``near_pairs`` finds) satisfies the
-    consensus radius. Admissible pairs are committed greedily in descending
-    order of summed score (ties by candidate id pair); each candidate joins
-    at most one pair. The lists are records or ``CandidateTable``s; a
-    (model, candidate id) that repeats on a scan raises ``InputError``.
+    (as ``near_pairs`` gives it) satisfies the consensus radius. Admissible
+    pairs are committed greedily in descending order of summed score (ties by
+    candidate id pair); each candidate joins at most one pair. The lists are
+    records or ``CandidateTable``s; a (model, candidate id) that repeats on a
+    scan raises ``InputError``.
     Returns the pairs by scan id, then in commit order, with member tables
     taken from the lists, and the unpaired candidates (the disagreements) in
     (scan id, model, candidate id) order, taken from the lists as rows of
@@ -282,12 +280,9 @@ def cross_detector_consensus(
     n_a = len(table_a)
     codes, _ = _encode(table_a.scan_id, table_b.scan_id)  # rows of A, then rows of B
     ranks, _ = _encode(table_a.candidate_id, table_b.candidate_id)
-    near_a, near_b = near_pairs(codes[:n_a], table_a.xyz, codes[n_a:], table_b.xyz,
-                                 max(cfg.consensus_radius_mm, TOLERANCE_CAP_MM))
-    admitted = [k for k, (*ab, r) in enumerate(zip(
-        *table_a.xyz[near_a].T.tolist(), *table_b.xyz[near_b].T.tolist(),
-        _pair_radii(table_a.diameter_mm[near_a], table_b.diameter_mm[near_b], cfg).tolist()))
-        if distance_mm(*ab) <= r]
+    near_a, near_b, dist = near_pairs(codes[:n_a], table_a.xyz, codes[n_a:], table_b.xyz,
+                                       max(cfg.consensus_radius_mm, TOLERANCE_CAP_MM))
+    admitted = dist <= _pair_radii(table_a.diameter_mm[near_a], table_b.diameter_mm[near_b], cfg)
     near_a, near_b = near_a[admitted], near_b[admitted]
     commit = np.lexsort((ranks[n_a + near_b], ranks[near_a],
                          -(table_a.score[near_a] + table_b.score[near_b]), codes[near_a]))

@@ -41,6 +41,16 @@ from .volume import Volume, label_at
 LOBE_LATERALITY = {"LUL": "left", "LLL": "left", "RUL": "right", "RML": "right", "RLL": "right"}
 
 _RULE_FIELDS = ("mention", "size_mm", "lobe", "laterality", "lungrads")
+# what a fixed value of each field must be (an ``ordinal:`` field's under "ordinal"),
+# and the test of it; a fixed lobe is checked apart
+_FIXED_VALUES = {
+    "size_mm": ("a finite positive number",
+                lambda v: type(v) in (int, float) and 0 < v < math.inf),
+    "laterality": ("'left' or 'right'", lambda v: v in ("left", "right")),
+    "lungrads": (f"a Lung-RADS category of {list(LUNGRADS_CATEGORIES)}",
+                 lambda v: v in LUNGRADS_CATEGORIES),
+    "ordinal": ("an integer", lambda v: type(v) is int),
+}
 # a period between two digits is a decimal point, not a sentence boundary
 _SENTENCE_SPLIT = re.compile(r"(?<!\d)\.|\.(?!\d)|[;\n]")
 
@@ -78,8 +88,9 @@ class Grammar:
     """An ordered, compiled extraction rule list.
 
     Every rule but a ``mention`` one gives its field a fixed ``value`` or the
-    text its ``(?P<value>...)`` group captures; a fixed lobe is a known lobe,
-    and a ``scale`` is finite and positive.
+    text its ``(?P<value>...)`` group captures; a fixed value is one its field
+    holds (a known lobe, laterality or Lung-RADS category, a finite positive
+    size, an integer ordinal), and a ``scale`` is finite and positive.
     """
 
     def __init__(self, rules: Sequence[GrammarRule]):
@@ -94,6 +105,12 @@ class Grammar:
             if rule.field == "lobe" and rule.value is not None and not (
                     isinstance(rule.value, str) and rule.value in LOBE_LATERALITY):
                 raise ConfigError(f"grammar rule {i} has unknown lobe value {rule.value!r}")
+            kind = rule.field.split(":", 1)[0]
+            if rule.value is not None and kind in _FIXED_VALUES:
+                must, holds = _FIXED_VALUES[kind]
+                if not holds(rule.value):
+                    raise ConfigError(f"grammar rule {i} has {rule.field} value "
+                                      f"{rule.value!r}; it must be {must}")
             if not (math.isfinite(rule.scale) and rule.scale > 0):
                 raise ConfigError(f"grammar rule {i} has scale {rule.scale!r}; "
                                   "it must be finite and positive")

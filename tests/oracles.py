@@ -47,7 +47,6 @@ from trifuse.domain import (
     distance_mm,
     is_hit,
     match_tolerance,
-    may_lie_within,
     nan_to_none,
 )
 from trifuse.errors import InputError, InvariantError, ScorerError
@@ -1695,9 +1694,9 @@ def oracle_match_lesions(candidates, references, scan_ids=None):
 
 
 # ---------------------------------------------------------------------------
-# Lesion matching on a candidate table: hit pairs prefiltered on one
-# squared-distance array and confirmed one by one, then a ``ScanMatch`` per
-# scan with one ``(candidate id, score)`` tuple per false positive.
+# Lesion matching on a candidate table: every candidate-reference pair on a
+# scan tested one by one, then a ``ScanMatch`` per scan with one
+# ``(candidate id, score)`` tuple per false positive.
 
 
 def _oracle_score_order(table, scans):
@@ -1748,13 +1747,9 @@ def oracle_pair_match_lesions(candidates, references, scan_ids=None):
     pair_c = np.concatenate(ref_rows) if refs else np.zeros(0, dtype=np.intp)
     pair_r = np.repeat(np.arange(len(refs)), [len(g) for g in ref_rows])
     tolerance = [match_tolerance(r.diameter_mm) for r in refs]
-    ref_xyz = np.array([r.center.as_tuple() for r in refs], dtype=np.float64).reshape(-1, 3)
-    near = may_lie_within((table.xyz[pair_c, k] for k in range(3)),
-                          (ref_xyz[pair_r, k] for k in range(3)),
-                          np.array(tolerance, dtype=np.float64)[pair_r])
     hits = {}
-    for p, j, (x, y, z) in zip(position[pair_c[near]].tolist(), pair_r[near].tolist(),
-                               table.xyz[pair_c[near]].tolist()):
+    for p, j, (x, y, z) in zip(position[pair_c].tolist(), pair_r.tolist(),
+                               table.xyz[pair_c].tolist()):
         ref = refs[j]
         dist = distance_mm(x, y, z, ref.center.x, ref.center.y, ref.center.z)
         if dist <= tolerance[j]:

@@ -745,6 +745,8 @@ class TestLinkCommand:
          "grammar rule for 'lobe' captured 'right upper', which is not a lobe"),
         ({"field": "size_mm", "pattern": r"(?P<value>\d+) mm", "scale": "x"},
          "grammar rule 1 has scale 'x'; it must be finite and positive"),
+        ({"field": "size_mm", "pattern": r"nodule", "value": "5"},
+         "grammar rule 1 has size_mm value '5'; it must be a finite positive number"),
     ])
     def test_bad_grammar_exits_2(self, tmp_path, capsys, rule, message):
         reports = tmp_path / "reports.tsv"

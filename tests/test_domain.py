@@ -10,9 +10,11 @@ from trifuse.domain import (
     ReferenceNodule,
     SemanticRatings,
     WorldPoint,
+    distance_mm,
     is_hit,
     match_tolerance,
     median,
+    near_pairs,
     percentiles,
 )
 from trifuse.errors import InputError
@@ -92,6 +94,37 @@ class TestIsHit:
             r = ref("s", "n", *rng.uniform(-10, 10, size=3), float(rng.uniform(0.5, 50)))
             if is_hit(c, r):
                 assert c.center.distance_to(r.center) <= 5.0
+
+
+# two points whose distance rounds one ulp apart on glibc when the differences
+# are squared with ** 2 (libm's pow) instead of x * x
+POINT_A = (9.359, -135.456, -107.058)
+POINT_B = (12.616, -133.518, -109.969)
+
+
+class TestDistance:
+    def test_squares_by_multiplication(self):
+        assert WorldPoint(*POINT_A).distance_to(WorldPoint(*POINT_B)) == 4.778892549534868
+
+    @pytest.mark.parametrize("radius, at_least", [(2000.0, 100_000), (300.0, 10_000)])
+    def test_near_pairs_distances_are_distance_mm_bit_for_bit(self, radius, at_least):
+        rng = np.random.default_rng(29)
+        n = 360
+        # coordinates to three decimals, as candidate lists give them, and to full precision
+        a = np.round(rng.uniform(-400, 400, (n, 3)), 3)
+        b = rng.uniform(-400, 400, (n, 3))
+        b[::2] = np.round(b[::2], 3)
+        # y near 1e200: the square overflows to inf, which is never near
+        a[::29, 1] = rng.choice([-1e200, 1e200], len(a[::29]))
+        codes = np.zeros(n, np.intp)
+        expected = [(i, j, d) for i in range(n) for j in range(n)
+                    if (d := distance_mm(*a[i].tolist(), *b[j].tolist())) <= radius]
+        rows, cols, dist = near_pairs(codes, a, codes, b, radius)
+        assert list(zip(rows.tolist(), cols.tolist())) == [(i, j) for i, j, _ in expected]
+        assert np.array_equal(dist.view(np.int64),
+                              np.array([d for *_, d in expected]).view(np.int64))
+        assert not np.isin(rows, np.arange(0, n, 29)).any()
+        assert len(rows) >= at_least
 
 
 class TestRecords:

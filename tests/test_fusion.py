@@ -446,7 +446,7 @@ def boundary_scan(rng):
 
 
 class TestPairingAgainstOracle:
-    """The prefiltered pairing and dedup against the all-pairs scalar loops."""
+    """The windowed pairing and dedup against the all-pairs scalar loops."""
 
     def test_seeded_boundary_scans(self):
         rng = np.random.default_rng(41)
@@ -486,6 +486,21 @@ class TestPairingAgainstOracle:
         for dedup in (suppress_same_model_duplicates, oracle_suppress_same_model_duplicates):
             kept, _ = dedup([a_cand("a1", 0, 0, 0, 0.9), a_cand("a2", 0, 1.2, 1.6, 0.5)], 2.0)
             assert len(kept) == (1 if math.sqrt(1.2 ** 2 + 1.6 ** 2) <= 2.0 else 2)
+
+    def test_pair_at_an_ieee_exact_radius(self):
+        # A and B are this far apart with each difference squared by
+        # multiplication; squaring with ** 2 (libm's pow) gave one ulp more on glibc
+        a_xyz, b_xyz = (9.359, -135.456, -107.058), (12.616, -133.518, -109.969)
+        radius = 4.778892549534868
+        fixed = PipelineConfig(consensus_radius_policy="fixed", consensus_radius_mm=radius)
+        a, b = [a_cand("a1", *a_xyz, 0.9)], [b_cand("b1", *b_xyz, 0.5)]
+        for pairing in (cross_detector_consensus, oracle_cross_detector_consensus):
+            pairs, singles = pairing(a, b, fixed)
+            assert (len(pairs), len(singles)) == (1, 0)
+        result = run_tri_stage(a + [a_cand("a2", *b_xyz, 0.5)], [],
+                               cadx_provider=constant_provider(0.5, 0.5),
+                               cfg=PipelineConfig(dedup_radius_mm=radius))
+        assert result.duplicate_of == {"CADE_A:a2": "CADE_A:a1"}
 
     def test_empty_and_one_sided_lists(self):
         one = [a_cand("a1", 0, 0, 0, 0.5), a_cand("a2", 1, 0, 0, 0.5)]
@@ -631,7 +646,7 @@ class TestTriStageAgainstOracle:
         scans.append(([a_cand(c, 0, k, 0, 0.5, scan="only_a") for k, c in enumerate(ids)], []))
         scans.append(([], [b_cand(c, 0, k, 0, 0.5, scan="only_b") for k, c in enumerate(ids)]))
         # every row of the big scan sits at x = 0, so each meets every row of
-        # its scan in the window of the prefilter: more tests than one block
+        # its scan in the x window: more tests than one block
         big = [[cand("big", f"c{k}", 0.0, *map(float, rng.uniform(0, 60, 2)),
                      float(rng.choice([0.25, 0.5, 0.9])), model=model)
                 for k in range(300)] for model in ("CADE_A", "CADE_B")]

@@ -160,11 +160,34 @@ class TestGrammarFiles:
          "grammar rule 1 has scale 0.0; it must be finite and positive"),
         ({"field": "size_mm", "pattern": r"(?P<value>\d+) cm", "scale": "inf"},
          "grammar rule 1 has scale inf; it must be finite and positive"),
+        # a fixed value its field does not hold fails on load, before any sentence matches
+        ({"field": "size_mm", "pattern": "never", "value": "5"},
+         "grammar rule 1 has size_mm value '5'; it must be a finite positive number"),
+        ({"field": "size_mm", "pattern": "never", "value": 0},
+         "grammar rule 1 has size_mm value 0; it must be a finite positive number"),
+        ({"field": "size_mm", "pattern": "never", "value": True},
+         "grammar rule 1 has size_mm value True; it must be a finite positive number"),
+        ({"field": "ordinal:subtlety", "pattern": "never", "value": "x"},
+         "grammar rule 1 has ordinal:subtlety value 'x'; it must be an integer"),
+        ({"field": "lungrads", "pattern": "never", "value": "9Z"},
+         "grammar rule 1 has lungrads value '9Z'; it must be a Lung-RADS category of "
+         "['1', '2', '3', '4A', '4B', '4X']"),
+        ({"field": "laterality", "pattern": "never", "value": "up"},
+         "grammar rule 1 has laterality value 'up'; it must be 'left' or 'right'"),
     ])
     def test_rule_checked_at_load(self, rule, message):
         with pytest.raises(ConfigError) as err:
             Grammar.from_spec([{"field": "mention", "pattern": "nodule"}, rule])
         assert str(err.value) == message
+
+    def test_fixed_values_its_field_holds(self):
+        grammar = Grammar.from_spec([{"field": "mention", "pattern": "nodule"}] + [
+            {"field": field, "pattern": "nodule", "value": value} for field, value in (
+                ("size_mm", 5), ("ordinal:subtlety", 3), ("lungrads", "4A"),
+                ("laterality", "left"))])
+        (entity,) = extract_entities("A nodule", grammar)
+        assert (entity.size_mm, entity.ordinals, entity.lungrads, entity.laterality) == (
+            5, (("subtlety", 3),), "4A", "left")
 
     @pytest.mark.parametrize("rule, message", [
         ({"field": "size_mm", "pattern": r"(?P<value>[a-z]+)?"},
